@@ -30,9 +30,8 @@
 
 use gridtuner_bench::kernel_timing::time_kernels;
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
 use gridtuner_datagen::City;
-use gridtuner_engine::{EngineConfig, TuningSession};
+use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_obs as obs;
 use gridtuner_obs::json::{parse_jsonl, Val};
 use rand::{rngs::StdRng, SeedableRng};
@@ -170,15 +169,12 @@ fn measure(scale: f64, inject_kernel_slowdown: f64) -> Fresh {
         window.day_start..window.day_end,
         &mut rng,
     );
-    let cfg = TunerConfig {
-        strategy: SearchStrategy::BruteForce,
-        alpha_window: window,
-        ..TunerConfig::default()
-    };
     let model = |s: u32| (s * s) as f64 * 0.05;
     let engine_cfg = EngineConfig {
+        strategy: SearchStrategy::BruteForce,
+        alpha_window: window,
         clock,
-        ..EngineConfig::from_tuner(cfg)
+        ..EngineConfig::default()
     };
 
     obs::enable();
@@ -188,7 +184,7 @@ fn measure(scale: f64, inject_kernel_slowdown: f64) -> Fresh {
     let t = Instant::now();
     let mut session = TuningSession::new(engine_cfg, model).expect("valid bench config");
     session.ingest(&events).expect("finite synthetic events");
-    let result = session.tune_parallel().expect("infallible model leg");
+    let result = session.tune().expect("infallible model leg");
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // Kernel isolation, identical to tune_bench's (same shared helper, so

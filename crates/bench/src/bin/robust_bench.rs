@@ -23,9 +23,9 @@
 //! ```
 
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
 use gridtuner_datagen::City;
-use gridtuner_engine::{BootstrapConfig, EngineConfig, TuningSession};
+use gridtuner_engine::{BootstrapConfig, EngineConfig, SearchStrategy, TuningSession};
+use gridtuner_obs as obs;
 use gridtuner_obs::json::Val;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
@@ -88,20 +88,23 @@ fn run_regime(scale: f64, replicates: u32, phi: f64, drift: (f64, f64)) -> Val {
     let mut rng = StdRng::seed_from_u64(SEED);
     let events = city.sample_history_events(window.slot_of_day, 0..window.day_end, &mut rng);
     let cfg = EngineConfig {
+        hgrid_budget_side: 32,
+        side_range: (2, 24),
+        strategy: SearchStrategy::BruteForce,
+        alpha_window: window,
         clock: *city.clock(),
         bootstrap: Some(BootstrapConfig::new(replicates, SEED)),
-        ..EngineConfig::from_tuner(TunerConfig {
-            hgrid_budget_side: 32,
-            side_range: (2, 24),
-            strategy: SearchStrategy::BruteForce,
-            alpha_window: window,
-        })
+        ..EngineConfig::default()
     };
     let model = |s: u32| 0.05 * (s * s) as f64;
     let t0 = Instant::now();
     let mut session = TuningSession::new(cfg, model).expect("valid bench config");
     session.ingest(&events).expect("finite synthetic events");
-    let result = session.tune_parallel().expect("infallible model leg");
+    let hits_before = obs::counter!("boot.cache_hits").get();
+    let result = session.tune().expect("infallible model leg");
+    let boot_cache_hits = obs::counter!("boot.cache_hits")
+        .get()
+        .saturating_sub(hits_before);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let unc = result.uncertainty.expect("bootstrap was configured");
     eprintln!(
@@ -133,7 +136,7 @@ fn run_regime(scale: f64, replicates: u32, phi: f64, drift: (f64, f64)) -> Val {
             Val::from(u64::from(unc.distinct_argmins)),
         ),
         ("verdict", Val::from(unc.verdict.name())),
-        ("boot_cache_hits", Val::from(unc.cache_hits)),
+        ("boot_cache_hits", Val::from(boot_cache_hits)),
         ("wall_ms", Val::from(wall_ms)),
     ])
 }

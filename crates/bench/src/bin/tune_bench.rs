@@ -8,14 +8,15 @@
 //! * **naive** — the pre-optimisation hot path: every probe rescans the
 //!   full event log (`estimate_alpha`) and evaluates `E_e` per cell with
 //!   no memoisation;
-//! * **cached** — the production path: one log pass into the
-//!   [`AlphaFieldCache`], `O(digest)` α derivation per probe, memoised
-//!   per-MGrid expression errors, worker-pool parallel sweep.
+//! * **cached** — the production path, `TuningSession::tune`: one log
+//!   pass into the [`AlphaFieldCache`], `O(digest)` α derivation per
+//!   probe, memoised per-MGrid expression errors, each probe's sweep
+//!   spread over the worker pool.
 //!
 //! On top of the two sweeps the benchmark isolates the expression kernel
 //! (`kernel`: the pre-batching per-cell sweep vs the batched workspace +
-//! pmf-memo path, single-threaded over the probed sides) and re-runs the
-//! cached tune under `GRIDTUNER_THREADS` ∈ {1, 2, 8} (`thread_rows`),
+//! pmf-memo path, single-threaded over the probed sides) and re-runs
+//! `tune()` under `GRIDTUNER_THREADS` ∈ {1, 2, 8} (`thread_rows`),
 //! asserting the selected side, error and full probe decomposition are
 //! bit-identical across counts. Each thread row runs a warmup tune first
 //! (so the persistent pool is spawned) and then asserts `par.pool_spawns`
@@ -55,9 +56,8 @@ use gridtuner_bench::kernel_timing::{time_kernels, time_simd};
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::estimate_alpha;
 use gridtuner_core::expression::expression_error_windowed;
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
 use gridtuner_datagen::City;
-use gridtuner_engine::{EngineConfig, TuningSession};
+use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_obs as obs;
 use gridtuner_obs::json::Val;
 use gridtuner_spatial::{Event, Partition, SlotClock};
@@ -209,18 +209,19 @@ fn main() {
         window.day_start..window.day_end,
         &mut rng,
     );
-    let cfg = TunerConfig {
+    let engine_cfg = EngineConfig {
         strategy: SearchStrategy::BruteForce,
         alpha_window: window,
-        ..TunerConfig::default()
+        clock,
+        ..EngineConfig::default()
     };
     let model = |s: u32| (s * s) as f64 * 0.05;
     eprintln!(
         "[tune_bench] {} events, budget side {}, sides {}..={}",
         events.len(),
-        cfg.hgrid_budget_side,
-        cfg.side_range.0,
-        cfg.side_range.1
+        engine_cfg.hgrid_budget_side,
+        engine_cfg.side_range.0,
+        engine_cfg.side_range.1
     );
 
     // Naive (seed) sweep.
@@ -229,8 +230,8 @@ fn main() {
         &events,
         &clock,
         &window,
-        cfg.hgrid_budget_side,
-        cfg.side_range,
+        engine_cfg.hgrid_budget_side,
+        engine_cfg.side_range,
         model,
     );
     let naive_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -238,7 +239,7 @@ fn main() {
         "[tune_bench] naive: side {naive_side} err {naive_err:.3} in {naive_ms:.1} ms ({naive_rescans} log scans)"
     );
 
-    // Cached + parallel sweep through the session API, with span recording
+    // Cached sweep through the session API, with span recording
     // on so the JSON can break the wall time down by phase (ingest, alpha
     // scan, probes, ...).
     obs::init_from_env();
@@ -247,14 +248,10 @@ fn main() {
     // Under --profile, capture the sweep's JSONL trace in memory and feed
     // it to the profile analyzer (replaces any GRIDTUNER_TRACE sink).
     let profile_buf = args.profile.then(obs::trace::capture_to_buffer);
-    let engine_cfg = EngineConfig {
-        clock,
-        ..EngineConfig::from_tuner(cfg)
-    };
     let t1 = Instant::now();
     let mut session = TuningSession::new(engine_cfg, model).expect("valid bench config");
     session.ingest(&events).expect("finite synthetic events");
-    let result = session.tune_parallel().expect("infallible model leg");
+    let result = session.tune().expect("infallible model leg");
     let wall_ms = t1.elapsed().as_secs_f64() * 1e3;
     eprintln!(
         "[tune_bench] cached: side {} err {:.3} in {wall_ms:.1} ms ({} log scans)",
@@ -345,11 +342,11 @@ fn main() {
         gridtuner_par::set_max_threads(threads);
         let mut warm = TuningSession::new(engine_cfg, model).expect("valid bench config");
         warm.ingest(&events).expect("finite synthetic events");
-        warm.tune_parallel().expect("infallible model leg");
+        warm.tune().expect("infallible model leg");
         let ts = Instant::now();
         let mut sweep = TuningSession::new(engine_cfg, model).expect("valid bench config");
         sweep.ingest(&events).expect("finite synthetic events");
-        let r = sweep.tune_parallel().expect("infallible model leg");
+        let r = sweep.tune().expect("infallible model leg");
         let ms = ts.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             r.par_pool_spawns, 0,
@@ -627,7 +624,7 @@ mod tests {
     }
 
     /// The benchmark's correctness gate, in miniature: the naive
-    /// rescan-per-probe sweep and the cached parallel tuner must agree on
+    /// rescan-per-probe sweep and the cached session tune must agree on
     /// the optimum for the same inputs.
     #[test]
     fn naive_sweep_matches_cached_tuner() {
@@ -650,17 +647,16 @@ mod tests {
             "one scan per probe"
         );
         let engine_cfg = EngineConfig {
+            hgrid_budget_side: budget,
+            side_range: range,
+            strategy: SearchStrategy::BruteForce,
+            alpha_window: window,
             clock,
-            ..EngineConfig::from_tuner(TunerConfig {
-                hgrid_budget_side: budget,
-                side_range: range,
-                strategy: SearchStrategy::BruteForce,
-                alpha_window: window,
-            })
+            ..EngineConfig::default()
         };
         let mut session = TuningSession::new(engine_cfg, model).unwrap();
         session.ingest(&events).unwrap();
-        let result = session.tune_parallel().unwrap();
+        let result = session.tune().unwrap();
         assert_eq!(result.outcome.side, side, "optimum side");
         assert!(
             (result.outcome.error - err).abs() <= 1e-9 * (1.0 + err.abs()),

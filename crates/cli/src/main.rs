@@ -197,7 +197,9 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
     session.ingest(&events)?;
     // Non-uniform families run the PartitionSearch stage, which embeds the
     // 1-D uniform tune as its baseline — so the standard report lines below
-    // stay bit-identical to a plain `tune` either way.
+    // stay bit-identical to a plain `tune` either way. The bootstrap's
+    // pmf-memo hits are telemetry, read as the change in their counter.
+    let boot_hits_before = obs::counter!("boot.cache_hits").get();
     let (result, refined) = match partition_kind {
         PartitionKind::Uniform => (session.tune()?, None),
         kind => {
@@ -262,7 +264,11 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
         let set: Vec<String> = unc.confidence_set.iter().map(u32::to_string).collect();
         println!(
             "bootstrap\tB={} seed={} cache_hits={}",
-            unc.replicates, unc.seed, unc.cache_hits
+            unc.replicates,
+            unc.seed,
+            obs::counter!("boot.cache_hits")
+                .get()
+                .saturating_sub(boot_hits_before)
         );
         println!("confidence_set\t{{{}}}", set.join(","));
         println!("stability\t{}", unc.verdict);

@@ -33,8 +33,9 @@
 //!   log, feeding the engine's uncertainty stage;
 //! * [`upper_bound`] — Algorithm 3 (`UpperBound(n, N, X, Model)`);
 //! * [`search`] — Brute-force, Ternary Search (Algorithm 4) and the
-//!   Iterative Method (Algorithm 5) over the upper bound;
-//! * [`tuner`] — the `GridTuner` facade that wires the above together.
+//!   Iterative Method (Algorithm 5) over the upper bound, selected by
+//!   [`SearchStrategy`]. The engine's `TuningSession` wires all of the
+//!   above into one tune.
 
 // Library code must not panic on fallible paths; tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -52,7 +53,6 @@ pub mod poisson;
 pub mod resample;
 pub mod search;
 pub mod simd;
-pub mod tuner;
 pub mod upper_bound;
 
 pub use alpha::estimate_alpha;
@@ -70,12 +70,8 @@ pub use expression::{
 pub use kselect::{recommended_k, truncation_error_bound};
 pub use resample::{replicate_seed, resample_events, splitmix64, ReplicateRng};
 pub use search::{
-    brute_force, brute_force_parallel, iterative_method, ternary_search, try_brute_force,
-    try_brute_force_parallel, try_iterative_method, try_ternary_search, ErrorOracle, MemoOracle,
-    SearchOutcome, SyncErrorOracle,
+    brute_force, iterative_method, ternary_search, try_brute_force, try_iterative_method,
+    try_ternary_search, ErrorOracle, MemoOracle, SearchOutcome, SearchStrategy,
 };
 pub use simd::{env_simd_override, set_simd_enabled, simd_enabled, SimdBackend};
-pub use tuner::{GridTuner, TunerConfig, TunerResult};
-pub use upper_bound::{
-    InfallibleSource, ModelErrorFn, ModelErrorSource, SyncModelErrorSource, UpperBoundOracle,
-};
+pub use upper_bound::{InfallibleSource, ModelErrorFn, ModelErrorSource, UpperBoundOracle};

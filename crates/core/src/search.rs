@@ -12,6 +12,22 @@ use crate::error::CoreError;
 use gridtuner_obs as obs;
 use std::collections::HashMap;
 
+/// Which search algorithm a tune runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SearchStrategy {
+    /// Exhaustive scan (always optimal, `O(√N)` model trainings).
+    BruteForce,
+    /// Algorithm 4 (`O(log √N)` model trainings).
+    Ternary,
+    /// Algorithm 5 with the given start point and search bound.
+    Iterative {
+        /// Initial MGrid side (paper default: 16 ≈ 2 km grids).
+        init: u32,
+        /// Search boundary `b`.
+        bound: u32,
+    },
+}
+
 /// Anything that can produce the upper-bound error `e(s)` for an MGrid
 /// side `s` (Algorithm 3's output).
 pub trait ErrorOracle {
@@ -21,23 +37,6 @@ pub trait ErrorOracle {
 
 impl<F: FnMut(u32) -> f64> ErrorOracle for F {
     fn eval(&mut self, side: u32) -> f64 {
-        self(side)
-    }
-}
-
-/// A thread-safe error oracle: evaluation through `&self`, so a sweep can
-/// probe many sides concurrently. Implemented by [`UpperBoundOracle`] when
-/// its model leg is a `Fn + Sync` closure, and by any such closure
-/// directly.
-///
-/// [`UpperBoundOracle`]: crate::upper_bound::UpperBoundOracle
-pub trait SyncErrorOracle: Sync {
-    /// Evaluates `e(s)`.
-    fn eval_sync(&self, side: u32) -> f64;
-}
-
-impl<F: Fn(u32) -> f64 + Sync> SyncErrorOracle for F {
-    fn eval_sync(&self, side: u32) -> f64 {
         self(side)
     }
 }
@@ -190,54 +189,6 @@ pub fn try_brute_force(
         }
     }
     Ok(memo.outcome(best.0, best.1))
-}
-
-/// Data-parallel Brute-force over `lo..=hi`: probes every side across the
-/// worker pool (`GRIDTUNER_THREADS` sized, see [`gridtuner_par`]), then
-/// reduces deterministically in side order — the outcome is identical to
-/// [`brute_force`] on the same oracle, including tie-breaking toward the
-/// smaller side.
-pub fn brute_force_parallel<O: SyncErrorOracle + ?Sized>(
-    oracle: &O,
-    lo: u32,
-    hi: u32,
-) -> SearchOutcome {
-    assert!(lo >= 1 && lo <= hi, "invalid side range [{lo}, {hi}]");
-    match try_brute_force_parallel(&|s| Ok(oracle.eval_sync(s)), lo, hi) {
-        Ok(out) => out,
-        Err(e) => unreachable!("infallible probe failed: {e}"),
-    }
-}
-
-/// Fallible [`brute_force_parallel`]: every side is still probed across
-/// the pool; if any probe failed, the error of the **lowest** failing side
-/// propagates (deterministic regardless of worker count).
-pub fn try_brute_force_parallel(
-    probe: &(impl Fn(u32) -> Result<f64, CoreError> + Sync),
-    lo: u32,
-    hi: u32,
-) -> Result<SearchOutcome, CoreError> {
-    check_range(lo, hi)?;
-    let _span = obs::span!("search.brute_force_parallel", lo = lo, hi = hi);
-    let sides: Vec<u32> = (lo..=hi).collect();
-    let errors = gridtuner_par::par_map(&sides, |&s| probe(s));
-    obs::counter!("search.unique_evals").add(sides.len() as u64);
-    let mut probes: Vec<(u32, f64)> = Vec::with_capacity(sides.len());
-    for (s, e) in sides.into_iter().zip(errors) {
-        probes.push((s, e?));
-    }
-    let mut best = (lo, f64::INFINITY);
-    for &(s, e) in &probes {
-        if e < best.1 {
-            best = (s, e);
-        }
-    }
-    Ok(SearchOutcome {
-        side: best.0,
-        error: best.1,
-        evals: probes.len(),
-        probes,
-    })
 }
 
 /// Algorithm 4: Ternary Search over `lo..=hi`. Each round probes the two
@@ -545,18 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_brute_force_matches_sequential_exactly() {
-        for opt in [2.0, 20.0, 76.0] {
-            let seq = brute_force(convex(opt), 1, 76);
-            let par = brute_force_parallel(&|s: u32| convex(opt)(s), 1, 76);
-            assert_eq!(par.side, seq.side, "opt={opt}");
-            assert_eq!(par.error.to_bits(), seq.error.to_bits(), "opt={opt}");
-            assert_eq!(par.probes, seq.probes, "opt={opt}");
-            assert_eq!(par.evals, seq.evals);
-        }
-    }
-
-    #[test]
     fn try_searchers_match_infallible_and_propagate_errors() {
         use crate::error::CoreError;
         let mut curve = convex(20.0);
@@ -594,29 +533,5 @@ mod tests {
             try_iterative_method(ok, 1, 76, 16, 0),
             Err(CoreError::InvalidSearchBound)
         ));
-        // The parallel variant surfaces the lowest failing side.
-        let failing_sync = |s: u32| -> Result<f64, CoreError> {
-            if s.is_multiple_of(7) {
-                Err(CoreError::Model {
-                    side: s,
-                    message: "boom".into(),
-                })
-            } else {
-                Ok(s as f64)
-            }
-        };
-        assert!(matches!(
-            try_brute_force_parallel(&failing_sync, 1, 76),
-            Err(CoreError::Model { side: 7, .. })
-        ));
-    }
-
-    #[test]
-    fn parallel_brute_force_breaks_ties_low_like_sequential() {
-        // A flat curve: every side ties; both variants must pick `lo`.
-        let seq = brute_force(|_s: u32| 1.0, 3, 30);
-        let par = brute_force_parallel(&|_s: u32| 1.0, 3, 30);
-        assert_eq!(seq.side, 3);
-        assert_eq!(par.side, 3);
     }
 }

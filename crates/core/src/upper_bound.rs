@@ -16,7 +16,7 @@
 use crate::alpha::AlphaWindow;
 use crate::alpha_cache::AlphaFieldCache;
 use crate::error::CoreError;
-use crate::search::{ErrorOracle, SyncErrorOracle};
+use crate::search::ErrorOracle;
 use gridtuner_obs as obs;
 use gridtuner_spatial::{Event, Partition, SlotClock, SpatialPartition};
 
@@ -65,24 +65,6 @@ pub trait ModelErrorSource {
 
 impl<F: FnMut(u32) -> f64> ModelErrorSource for F {
     fn model_error(&mut self, mgrid_side: u32) -> Result<f64, CoreError> {
-        Ok(self(mgrid_side))
-    }
-}
-
-/// A thread-safe model-error source: probes through `&self`, so a
-/// parallel brute-force sweep can evaluate many sides concurrently.
-pub trait SyncModelErrorSource: Sync {
-    /// Total model error at MGrid side `s`, or a typed failure.
-    fn model_error_sync(&self, mgrid_side: u32) -> Result<f64, CoreError>;
-
-    /// See [`ModelErrorSource::data_dependent`].
-    fn data_dependent(&self) -> bool {
-        false
-    }
-}
-
-impl<F: Fn(u32) -> f64 + Sync> SyncModelErrorSource for F {
-    fn model_error_sync(&self, mgrid_side: u32) -> Result<f64, CoreError> {
         Ok(self(mgrid_side))
     }
 }
@@ -218,34 +200,6 @@ impl<M: ModelErrorFn> ErrorOracle for UpperBoundOracle<M> {
         obs::counter!("tune.probes").inc();
         let expr = self.expression_error(side);
         let model = self.model.total_model_error(side);
-        let total = expr + model;
-        obs::event!(
-            "probe",
-            side = side,
-            expression_error = expr,
-            model_error = model,
-            total = total,
-        );
-        total
-    }
-}
-
-/// When the model leg is a shareable closure the oracle can be probed
-/// through `&self`, enabling [`brute_force_parallel`].
-///
-/// [`brute_force_parallel`]: crate::search::brute_force_parallel
-impl<M: Fn(u32) -> f64 + Sync> SyncErrorOracle for UpperBoundOracle<M> {
-    fn eval_sync(&self, side: u32) -> f64 {
-        #[cfg(feature = "check-invariants")]
-        assert_eq!(
-            self.alpha.full_scans(),
-            1,
-            "tuning hot path rescanned the event log"
-        );
-        let _span = obs::span!("probe", side = side);
-        obs::counter!("tune.probes").inc();
-        let expr = self.expression_error(side);
-        let model = (self.model)(side);
         let total = expr + model;
         obs::event!(
             "probe",

@@ -1,16 +1,15 @@
 //! The unified, validated engine configuration.
 //!
-//! One struct subsumes the knobs previously scattered across
-//! [`TunerConfig`], [`AlphaWindow`], [`SimConfig`] and `FleetConfig`
-//! (which travels inside the sim config): a session is constructed from a
-//! single [`EngineConfig`], and every invariant the old facades asserted
-//! at call time is checked once, up front, by the builder — returning a
+//! One struct holds the search knobs, the [`AlphaWindow`], the slot clock
+//! and the optional [`SimConfig`] (with its `FleetConfig`): a session is
+//! constructed from a single [`EngineConfig`], and every cross-field
+//! invariant is checked once, up front, by the builder — returning a
 //! typed [`EngineError::Config`] instead of panicking mid-pipeline.
 
 use crate::error::EngineError;
 use crate::uncertainty::BootstrapConfig;
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
+use gridtuner_core::search::SearchStrategy;
 use gridtuner_dispatch::SimConfig;
 use gridtuner_spatial::SlotClock;
 
@@ -30,20 +29,26 @@ pub struct EngineConfig {
     /// Dispatch-simulation parameters, when the session drives the
     /// downstream case study (fleet config included).
     pub sim: Option<SimConfig>,
-    /// Probe-level pipelining: overlap `alpha.derive` for probe `k+1`
-    /// with `expression_error` for probe `k` on brute-force sweeps. The
-    /// derived-field cache is a pure memo, so prefetching it is
-    /// bit-invisible; disable to prove it (the testkit does).
-    pub pipeline: bool,
     /// Bootstrap uncertainty: when set, every tune follows its search
     /// with B seeded replicate tunes and reports a confidence set over
     /// the side plus a stability verdict.
     pub bootstrap: Option<BootstrapConfig>,
 }
 
+/// The paper's setup: `√N = 128`, sides 4..=76, Algorithm 5 from side 16
+/// with bound 4, the default α window and slot clock, no dispatch, no
+/// bootstrap.
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig::from_tuner(TunerConfig::default())
+        EngineConfig {
+            hgrid_budget_side: 128,
+            side_range: (4, 76),
+            strategy: SearchStrategy::Iterative { init: 16, bound: 4 },
+            alpha_window: AlphaWindow::default(),
+            clock: SlotClock::default(),
+            sim: None,
+            bootstrap: None,
+        }
     }
 }
 
@@ -52,30 +57,6 @@ impl EngineConfig {
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
             cfg: EngineConfig::default(),
-        }
-    }
-
-    /// Lifts a legacy [`TunerConfig`] (default clock, no sim).
-    pub fn from_tuner(t: TunerConfig) -> Self {
-        EngineConfig {
-            hgrid_budget_side: t.hgrid_budget_side,
-            side_range: t.side_range,
-            strategy: t.strategy,
-            alpha_window: t.alpha_window,
-            clock: SlotClock::default(),
-            sim: None,
-            pipeline: true,
-            bootstrap: None,
-        }
-    }
-
-    /// The tuning subset, for interop with the legacy `GridTuner` facade.
-    pub fn tuner(&self) -> TunerConfig {
-        TunerConfig {
-            hgrid_budget_side: self.hgrid_budget_side,
-            side_range: self.side_range,
-            strategy: self.strategy,
-            alpha_window: self.alpha_window,
         }
     }
 
@@ -196,13 +177,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Enables or disables the probe-level α-prefetch pipeline
-    /// (default on; results are bit-identical either way).
-    pub fn pipeline(mut self, on: bool) -> Self {
-        self.cfg.pipeline = on;
-        self
-    }
-
     /// Enables bootstrap uncertainty: `replicates` seeded replicate
     /// tunes after every search, reported as a confidence set.
     pub fn bootstrap(mut self, replicates: u32, seed: u64) -> Self {
@@ -224,10 +198,22 @@ mod tests {
     use gridtuner_spatial::GeoBounds;
 
     #[test]
-    fn default_mirrors_the_legacy_tuner_config() {
+    fn default_mirrors_the_paper() {
         let cfg = EngineConfig::default();
-        assert_eq!(cfg.tuner(), TunerConfig::default());
+        assert_eq!(cfg.hgrid_budget_side, 128);
+        assert_eq!(cfg.side_range, (4, 76));
+        assert_eq!(
+            cfg.strategy,
+            SearchStrategy::Iterative { init: 16, bound: 4 }
+        );
+        assert_eq!(cfg.alpha_window, AlphaWindow::default());
+    }
+
+    #[test]
+    fn default_is_valid_without_sim_or_bootstrap() {
+        let cfg = EngineConfig::default();
         assert!(cfg.sim.is_none());
+        assert!(cfg.bootstrap.is_none());
         cfg.validate().unwrap();
     }
 

@@ -6,8 +6,8 @@
 //! drives the explicit pipeline **ingest → alpha → search → report** (plus
 //! an optional dispatch stage for the case study).
 //!
-//! * [`config`] — [`EngineConfig`]: one validated struct subsuming the
-//!   tuner, α-window, simulator and fleet knobs, with a builder that
+//! * [`config`] — [`EngineConfig`]: one validated struct holding the
+//!   search, α-window, simulator and fleet knobs, with a builder that
 //!   rejects invalid setups up front;
 //! * [`error`] — [`EngineError`]: the workspace error taxonomy
 //!   (config / data / internal / env), each kind with a distinct process
@@ -16,8 +16,10 @@
 //!   session records as it runs;
 //! * [`session`] — [`TuningSession`]: ingest events (incrementally — a
 //!   delta append does one partial scan, not a pipeline rebuild), tune
-//!   (bit-identical to the legacy `GridTuner` facade), re-tune after a
-//!   data delta with memoised work served from the caches;
+//!   (Algorithm 3 probes driven by the configured search — the one tuning
+//!   path; parallelism lives inside each probe's expression sweep, and
+//!   `GRIDTUNER_THREADS=1` is the sequential run), re-tune after a data
+//!   delta with memoised work served from the caches;
 //! * [`uncertainty`] — the optional bootstrap stage: B seeded replicate
 //!   tunes over resampled logs producing a confidence set over the side,
 //!   per-probe dispersion and a stable/plateau/unstable verdict;
@@ -29,8 +31,9 @@
 //! [`SpatialPartition`]: gridtuner_spatial::SpatialPartition
 //!
 //! Model-error legs plug in through
-//! [`gridtuner_core::upper_bound::ModelErrorSource`] (or its `Sync`
-//! sibling for parallel sweeps); infallible closures adapt via
+//! [`gridtuner_core::upper_bound::ModelErrorSource`]; it need not be
+//! `Sync` (a model trained per probe lives on the tuning thread), and
+//! infallible closures adapt via
 //! [`gridtuner_core::upper_bound::InfallibleSource`].
 
 // Library code must not panic on fallible paths; tests are exempt.
@@ -57,8 +60,6 @@ pub use uncertainty::{
 
 // The traits and types sessions are used with, re-exported so front ends
 // need only this crate.
-pub use gridtuner_core::tuner::SearchStrategy;
-pub use gridtuner_core::upper_bound::{
-    InfallibleSource, ModelErrorFn, ModelErrorSource, SyncModelErrorSource,
-};
-pub use gridtuner_core::{alpha::AlphaWindow, search::SearchOutcome};
+pub use gridtuner_core::alpha::AlphaWindow;
+pub use gridtuner_core::search::{SearchOutcome, SearchStrategy};
+pub use gridtuner_core::upper_bound::{InfallibleSource, ModelErrorFn, ModelErrorSource};

@@ -426,7 +426,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use gridtuner_core::alpha::AlphaWindow;
-    use gridtuner_core::tuner::SearchStrategy;
+    use gridtuner_core::search::SearchStrategy;
     use gridtuner_core::upper_bound::InfallibleSource;
     use gridtuner_spatial::{Event, Point};
 

@@ -24,16 +24,12 @@ use crate::uncertainty::{run_bootstrap, ReplicateSetup, UncertaintyReport};
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::error::CoreError;
 use gridtuner_core::search::{
-    try_brute_force, try_brute_force_parallel, try_iterative_method, try_ternary_search,
-    SearchOutcome,
+    try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome, SearchStrategy,
 };
-use gridtuner_core::tuner::SearchStrategy;
-use gridtuner_core::upper_bound::{ModelErrorSource, SyncModelErrorSource};
+use gridtuner_core::upper_bound::ModelErrorSource;
 use gridtuner_obs as obs;
 use gridtuner_spatial::{Event, Partition};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What one [`TuningSession::ingest`] call did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,8 +89,8 @@ pub struct TuneReport {
     /// bench asserts stays flat across a 73-probe sweep.
     pub par_pool_spawns: u64,
     /// Jobs dispatched to the persistent pool during this tune (delta of
-    /// `par.dispatches`). Nested reductions run inline, so a parallel
-    /// probe sweep counts one dispatch, not one per probe.
+    /// `par.dispatches`): the parallel reductions inside each probe's
+    /// expression sweep (nested reductions run inline and add nothing).
     pub par_dispatches: u64,
     /// Milliseconds pool participants spent idle at dispatch barriers
     /// during this tune (delta of `par.worker_idle_ms`; recorded only
@@ -169,39 +165,19 @@ impl ExprCounters {
     }
 }
 
-/// Runs `search` with a pipeline thread warming the α-derivation memo one
-/// probe ahead: while the main path evaluates `expression_error` for probe
-/// `k`, the prefetcher drives `alpha.derive` for probes `k+1, k+2, …`.
-/// [`AlphaFieldCache::alpha`] is a pure, memoised derivation, so warming
-/// it cannot change any bit of any probe — the sequential fallback
-/// (`pipeline: false`) produces identical results, which the testkit pins.
-/// Only worthwhile when the probe schedule is known up front (brute
-/// force); adaptive searches skip it.
-fn with_alpha_prefetch<T>(
-    cache: &AlphaFieldCache,
-    budget: u32,
-    sides: std::ops::RangeInclusive<u32>,
-    enabled: bool,
-    search: impl FnOnce() -> T,
-) -> T {
-    if !enabled || gridtuner_par::max_threads() <= 1 {
-        return search();
+/// The model leg at `side`, served from `memo` when present; the flag says
+/// whether it was a memo hit.
+fn memoised_model_error<S: ModelErrorSource>(
+    model: &mut S,
+    memo: &mut HashMap<u32, f64>,
+    side: u32,
+) -> Result<(f64, bool), CoreError> {
+    if let Some(&m) = memo.get(&side) {
+        return Ok((m, true));
     }
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            for side in sides {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                obs::counter!("engine.prefetched_alphas").inc();
-                let _ = cache.alpha(Partition::for_budget(side, budget).hgrid_spec());
-            }
-        });
-        let out = search();
-        stop.store(true, Ordering::Relaxed);
-        out
-    })
+    let m = model.model_error(side)?;
+    memo.insert(side, m);
+    Ok((m, false))
 }
 
 /// Renders a worker panic payload for [`EngineError::Internal`].
@@ -223,7 +199,7 @@ pub struct TuningSession<S> {
     events: Vec<Event>,
     cache: Option<AlphaFieldCache>,
     model: S,
-    model_memo: Mutex<HashMap<u32, f64>>,
+    model_memo: HashMap<u32, f64>,
     stages: Vec<StageRecord>,
 }
 
@@ -236,7 +212,7 @@ impl<S> TuningSession<S> {
             events: Vec::new(),
             cache: None,
             model,
-            model_memo: Mutex::new(HashMap::new()),
+            model_memo: HashMap::new(),
             stages: Vec::new(),
         })
     }
@@ -273,7 +249,7 @@ impl<S> TuningSession<S> {
 
     /// Number of sides with a memoised model error.
     pub fn memoised_sides(&self) -> usize {
-        lock_memo(&self.model_memo).len()
+        self.model_memo.len()
     }
 
     /// Hands out a dispatch simulator for the configured case study.
@@ -361,7 +337,7 @@ impl<S: ModelErrorSource> TuningSession<S> {
         // delta dirties its memo. Analytic sources keep theirs.
         let model_dirty = !events.is_empty() && self.model.data_dependent();
         if model_dirty {
-            lock_memo(&self.model_memo).clear();
+            self.model_memo.clear();
         }
         let invalidated = matched > 0 || model_dirty;
         self.stages.push(StageRecord::new(
@@ -377,11 +353,14 @@ impl<S: ModelErrorSource> TuningSession<S> {
         })
     }
 
-    /// Runs the configured search. Bit-identical to the legacy
-    /// `GridTuner::tune` on the same events, window and model values: the
-    /// probe performs the same α-cache derivation and emits the same
-    /// `probe` span/event, and the `try_*` searchers replicate the
-    /// infallible searchers' trajectories exactly.
+    /// Runs the configured search: every probe is Algorithm 3 (expression
+    /// error from the α cache plus the memoised model leg), driven by the
+    /// `try_*` searcher of the configured strategy. Probes run in search
+    /// order on this thread; each probe's expression sweep fans out over
+    /// the worker pool, so the result is bit-identical for every
+    /// `GRIDTUNER_THREADS`, and `GRIDTUNER_THREADS=1` is the sequential
+    /// run. The model source is only ever called from this thread, so it
+    /// need not be `Sync`.
     pub fn tune(&mut self) -> Result<TuneReport, EngineError> {
         let (lo, hi) = self.config.side_range;
         let _span = obs::span!("tune", lo = lo, hi = hi, events = self.events.len());
@@ -404,26 +383,14 @@ impl<S: ModelErrorSource> TuningSession<S> {
                 EngineError::Internal("α cache missing after the alpha stage".into())
             })?;
             let model = &mut self.model;
-            let memo = &self.model_memo;
+            let memo = &mut self.model_memo;
             let mut probe = |side: u32| -> Result<f64, CoreError> {
                 let _span = obs::span!("probe", side = side);
                 obs::counter!("tune.probes").inc();
                 let part = Partition::for_budget(side, budget);
                 let expr = cache.expression_error(&part)?;
-                // Bind the lookup first: a guard living in a `match`
-                // scrutinee would still be held in the miss arm.
-                let cached = lock_memo(memo).get(&side).copied();
-                let model_err = match cached {
-                    Some(m) => {
-                        memo_hits += 1;
-                        m
-                    }
-                    None => {
-                        let m = model.model_error(side)?;
-                        lock_memo(memo).insert(side, m);
-                        m
-                    }
-                };
+                let (model_err, hit) = memoised_model_error(model, memo, side)?;
+                memo_hits += usize::from(hit);
                 let total = expr + model_err;
                 obs::event!(
                     "probe",
@@ -434,9 +401,6 @@ impl<S: ModelErrorSource> TuningSession<S> {
                 );
                 Ok(total)
             };
-            // Only brute force has a schedule known up front to prefetch
-            // against; adaptive searches run unpipelined.
-            let prefetch = self.config.pipeline && matches!(strategy, SearchStrategy::BruteForce);
             let search = move || match strategy {
                 SearchStrategy::BruteForce => try_brute_force(&mut probe, lo, hi),
                 SearchStrategy::Ternary => try_ternary_search(&mut probe, lo, hi),
@@ -447,9 +411,7 @@ impl<S: ModelErrorSource> TuningSession<S> {
             // A panic below (a worker's, re-raised on this thread, or the
             // probe's own) must surface as a typed Internal error, not
             // tear down the caller.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                with_alpha_prefetch(cache, budget, lo..=hi, prefetch, search)
-            })) {
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(search)) {
                 Ok(result) => result?,
                 Err(payload) => {
                     return Err(EngineError::Internal(format!(
@@ -472,7 +434,7 @@ impl<S: ModelErrorSource> TuningSession<S> {
     /// [`crate::uncertainty`]). No-op unless the config enables it.
     fn run_uncertainty(
         &mut self,
-        point: &gridtuner_core::search::SearchOutcome,
+        point: &SearchOutcome,
     ) -> Result<Option<UncertaintyReport>, EngineError> {
         let Some(bcfg) = self.config.bootstrap else {
             return Ok(None);
@@ -494,15 +456,8 @@ impl<S: ModelErrorSource> TuningSession<S> {
             budget: config.hgrid_budget_side,
         };
         let model = &mut self.model;
-        let memo = &self.model_memo;
-        let mut model_err = |side: u32| -> Result<f64, CoreError> {
-            if let Some(m) = lock_memo(memo).get(&side).copied() {
-                return Ok(m);
-            }
-            let m = model.model_error(side)?;
-            lock_memo(memo).insert(side, m);
-            Ok(m)
-        };
+        let memo = &mut self.model_memo;
+        let mut model_err = |side: u32| Ok(memoised_model_error(model, memo, side)?.0);
         let events = &self.events;
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_bootstrap(events, &setup, pmf, bcfg, point, &mut model_err)
@@ -517,12 +472,7 @@ impl<S: ModelErrorSource> TuningSession<S> {
 
     /// Memoised model error at one side (outside a search).
     pub fn model_error(&mut self, side: u32) -> Result<f64, EngineError> {
-        if let Some(m) = lock_memo(&self.model_memo).get(&side).copied() {
-            return Ok(m);
-        }
-        let m = self.model.model_error(side)?;
-        lock_memo(&self.model_memo).insert(side, m);
-        Ok(m)
+        Ok(memoised_model_error(&mut self.model, &mut self.model_memo, side)?.0)
     }
 
     /// Expression error at one side, served from the α cache (building it
@@ -538,7 +488,7 @@ impl<S: ModelErrorSource> TuningSession<S> {
         }
     }
 
-    /// The report stage, shared by the sequential and parallel paths.
+    /// The report stage.
     fn report(
         &mut self,
         outcome: SearchOutcome,
@@ -598,207 +548,13 @@ impl<S: ModelErrorSource> TuningSession<S> {
     }
 }
 
-impl<S: SyncModelErrorSource> TuningSession<S> {
-    /// Brute-force over the side range with probes spread across the
-    /// worker pool. Deterministic: identical to [`tune`](Self::tune) under
-    /// [`SearchStrategy::BruteForce`] with the same model values, for any
-    /// `GRIDTUNER_THREADS`.
-    pub fn tune_parallel(&mut self) -> Result<TuneReport, EngineError> {
-        let (lo, hi) = self.config.side_range;
-        let _span = obs::span!("tune", lo = lo, hi = hi, events = self.events.len());
-        let built = self.ensure_cache();
-        self.stages.push(StageRecord::new(
-            StageKind::Alpha,
-            self.digest_len(),
-            if built {
-                "digest built (full scan)"
-            } else {
-                "digest served from cache"
-            },
-        ));
-        let budget = self.config.hgrid_budget_side;
-        let memo_hits = AtomicUsize::new(0);
-        let expr_base = ExprCounters::snapshot();
-        let outcome = {
-            let cache = self.cache.as_ref().ok_or_else(|| {
-                EngineError::Internal("α cache missing after the alpha stage".into())
-            })?;
-            let model = &self.model;
-            let memo = &self.model_memo;
-            let probe = |side: u32| -> Result<f64, CoreError> {
-                let _span = obs::span!("probe", side = side);
-                obs::counter!("tune.probes").inc();
-                let part = Partition::for_budget(side, budget);
-                let expr = cache.expression_error(&part)?;
-                // Bind the lookup first: a guard living in a `match`
-                // scrutinee would still be held in the miss arm.
-                let cached = lock_memo(memo).get(&side).copied();
-                let model_err = match cached {
-                    Some(m) => {
-                        memo_hits.fetch_add(1, Ordering::Relaxed);
-                        m
-                    }
-                    None => {
-                        let m = model.model_error_sync(side)?;
-                        lock_memo(memo).insert(side, m);
-                        m
-                    }
-                };
-                let total = expr + model_err;
-                obs::event!(
-                    "probe",
-                    side = side,
-                    expression_error = expr,
-                    model_error = model_err,
-                    total = total,
-                );
-                Ok(total)
-            };
-            // Same pipeline + containment as the sequential path: the
-            // prefetcher keeps the α memo one probe ahead of the sweep,
-            // and a worker panic (re-raised on this thread by the pool
-            // dispatcher) becomes a typed Internal error.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                with_alpha_prefetch(cache, budget, lo..=hi, self.config.pipeline, || {
-                    try_brute_force_parallel(&probe, lo, hi)
-                })
-            })) {
-                Ok(result) => result?,
-                Err(payload) => {
-                    return Err(EngineError::Internal(format!(
-                        "tune worker panicked: {}",
-                        panic_message(payload.as_ref())
-                    )))
-                }
-            }
-        };
-        let hits = memo_hits.load(Ordering::Relaxed);
-        let expr = expr_base.delta_since();
-        let uncertainty = self.run_uncertainty_sync(&outcome)?;
-        self.report_sync(outcome, hits, expr, uncertainty)
-    }
-
-    // `run_uncertainty` is bounded on ModelErrorSource; duplicate for the
-    // Sync-only bound, serving the model leg through `model_error_sync`.
-    fn run_uncertainty_sync(
-        &mut self,
-        point: &SearchOutcome,
-    ) -> Result<Option<UncertaintyReport>, EngineError> {
-        let Some(bcfg) = self.config.bootstrap else {
-            return Ok(None);
-        };
-        let pmf = self
-            .cache
-            .as_ref()
-            .ok_or_else(|| {
-                EngineError::Internal("α cache missing before the uncertainty stage".into())
-            })?
-            .shared_pmf();
-        let config = self.config; // Copy: releases the borrow of self
-        let setup = ReplicateSetup {
-            clock: &config.clock,
-            window: &config.alpha_window,
-            strategy: config.strategy,
-            lo: config.side_range.0,
-            hi: config.side_range.1,
-            budget: config.hgrid_budget_side,
-        };
-        let model = &self.model;
-        let memo = &self.model_memo;
-        let mut model_err = |side: u32| -> Result<f64, CoreError> {
-            if let Some(m) = lock_memo(memo).get(&side).copied() {
-                return Ok(m);
-            }
-            let m = model.model_error_sync(side)?;
-            lock_memo(memo).insert(side, m);
-            Ok(m)
-        };
-        let events = &self.events;
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_bootstrap(events, &setup, pmf, bcfg, point, &mut model_err)
-        })) {
-            Ok(result) => result.map(Some),
-            Err(payload) => Err(EngineError::Internal(format!(
-                "uncertainty worker panicked: {}",
-                panic_message(payload.as_ref())
-            ))),
-        }
-    }
-
-    // `report` is bounded on ModelErrorSource; duplicate the tail for the
-    // Sync-only bound rather than forcing both bounds everywhere.
-    fn report_sync(
-        &mut self,
-        outcome: SearchOutcome,
-        memo_hits: usize,
-        expr: ExprCounters,
-        uncertainty: Option<UncertaintyReport>,
-    ) -> Result<TuneReport, EngineError> {
-        obs::gauge!("tune.selected_side").set(f64::from(outcome.side));
-        self.stages.push(StageRecord::new(
-            StageKind::Search,
-            outcome.evals,
-            format!("{} unique evaluations", outcome.evals),
-        ));
-        if let Some(u) = &uncertainty {
-            self.stages.push(StageRecord::new(
-                StageKind::Uncertainty,
-                u.replicates as usize,
-                format!(
-                    "{} replicates, {}-side confidence set, verdict {}",
-                    u.replicates,
-                    u.confidence_set.len(),
-                    u.verdict
-                ),
-            ));
-        }
-        let cache = self.cache.as_ref().ok_or_else(|| {
-            EngineError::Internal("α cache missing after the search stage".into())
-        })?;
-        let report = TuneReport {
-            partition: Partition::for_budget(outcome.side, self.config.hgrid_budget_side),
-            outcome,
-            alpha_full_scans: cache.full_scans(),
-            alpha_delta_scans: cache.delta_scans(),
-            model_memo_hits: memo_hits,
-            expr_cell_evals: expr.cell_evals,
-            expr_dedup_hits: expr.dedup_hits,
-            expr_pmf_memo_hits: expr.pmf_memo_hits,
-            expr_workspace_bytes: expr.workspace_bytes,
-            expr_simd_lanes_used: expr.simd_lanes_used,
-            expr_simd_fallbacks: expr.simd_fallbacks,
-            par_pool_spawns: expr.pool_spawns,
-            par_dispatches: expr.dispatches,
-            par_worker_idle_ms: expr.worker_idle_ms,
-            pmf_lock_waits: expr.lock_waits,
-            par_imbalance_warnings: expr.imbalance_warnings,
-            uncertainty,
-        };
-        self.stages.push(StageRecord::new(
-            StageKind::Report,
-            1,
-            format!(
-                "side {} selected ({} memo hits)",
-                report.outcome.side, report.model_memo_hits
-            ),
-        ));
-        Ok(report)
-    }
-}
-
-/// The model-error memo, immune to lock poisoning (it only ever holds
-/// finished values).
-fn lock_memo(memo: &Mutex<HashMap<u32, f64>>) -> MutexGuard<'_, HashMap<u32, f64>> {
-    memo.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gridtuner_core::alpha::AlphaWindow;
-    use gridtuner_core::tuner::{GridTuner, TunerConfig};
-    use gridtuner_core::upper_bound::InfallibleSource;
-    use gridtuner_spatial::{Point, SlotClock};
+    use gridtuner_core::search::ErrorOracle;
+    use gridtuner_core::upper_bound::{InfallibleSource, UpperBoundOracle};
+    use gridtuner_spatial::Point;
 
     fn skewed_events(n: usize, days: u32) -> Vec<Event> {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -844,35 +600,74 @@ mod tests {
         (s * s) as f64 * 1.5
     }
 
+    /// Tunes `events` from scratch in a fresh session.
+    fn tune_once(strategy: SearchStrategy, events: &[Event]) -> TuneReport {
+        let mut session = TuningSession::new(cfg(strategy), InfallibleSource(model)).unwrap();
+        session.ingest(events).unwrap();
+        session.tune().unwrap()
+    }
+
     #[test]
-    fn session_tune_matches_legacy_gridtuner_bitwise() {
+    fn session_tune_matches_direct_search_bitwise() {
+        // The independent reference: Algorithm 3 as `UpperBoundOracle`,
+        // driven straight through the `try_*` searcher — no session, no
+        // memo, no stage log.
         let events = skewed_events(600, 7);
-        let clock = SlotClock::default();
         for strategy in [
             SearchStrategy::BruteForce,
             SearchStrategy::Ternary,
             SearchStrategy::Iterative { init: 16, bound: 4 },
         ] {
             let config = cfg(strategy);
-            let legacy = GridTuner::new(TunerConfig {
-                hgrid_budget_side: 64,
-                side_range: (2, 20),
-                strategy,
-                alpha_window: config.alpha_window,
-            })
-            .tune(&events, clock, model);
-            let mut session = TuningSession::new(config, InfallibleSource(model)).unwrap();
-            session.ingest(&events).unwrap();
-            let report = session.tune().unwrap();
-            assert_eq!(report.outcome.side, legacy.outcome.side, "{strategy:?}");
+            let mut oracle = UpperBoundOracle::new(
+                events.clone(),
+                config.clock,
+                config.alpha_window,
+                config.hgrid_budget_side,
+                model,
+            );
+            let probe = |s: u32| Ok(oracle.eval(s));
+            let direct = match strategy {
+                SearchStrategy::BruteForce => try_brute_force(probe, 2, 20),
+                SearchStrategy::Ternary => try_ternary_search(probe, 2, 20),
+                SearchStrategy::Iterative { init, bound } => {
+                    try_iterative_method(probe, 2, 20, init, bound)
+                }
+            }
+            .unwrap();
+            let report = tune_once(strategy, &events);
+            assert_eq!(report.outcome.side, direct.side, "{strategy:?}");
             assert_eq!(
                 report.outcome.error.to_bits(),
-                legacy.outcome.error.to_bits(),
+                direct.error.to_bits(),
                 "{strategy:?}"
             );
-            assert_eq!(report.outcome.probes, legacy.outcome.probes, "{strategy:?}");
+            assert_eq!(report.outcome.probes, direct.probes, "{strategy:?}");
             assert_eq!(report.alpha_full_scans, 1);
         }
+    }
+
+    #[test]
+    fn all_strategies_land_near_brute_force() {
+        let events = skewed_events(1_200, 7);
+        let bf = tune_once(SearchStrategy::BruteForce, &events).outcome;
+        let tern = tune_once(SearchStrategy::Ternary, &events).outcome;
+        let iter = tune_once(SearchStrategy::Iterative { init: 16, bound: 4 }, &events).outcome;
+        // Heuristics land near the optimum but are not guaranteed to hit it
+        // (the paper's Table IV reports 52–96% hit probabilities and ≥ 97%
+        // optimal ratios); 10% headroom accommodates the jagged tail.
+        assert!(tern.error <= bf.error * 1.10);
+        assert!(iter.error <= bf.error * 1.10);
+        // And use strictly fewer model trainings.
+        assert!(tern.evals < bf.evals);
+        assert!(iter.evals < bf.evals);
+    }
+
+    #[test]
+    fn result_partition_matches_selected_side() {
+        let report = tune_once(SearchStrategy::BruteForce, &skewed_events(1_200, 7));
+        assert_eq!(report.partition.mgrid_side(), report.outcome.side);
+        assert!(report.partition.total_hgrids() >= 64 * 64);
     }
 
     #[test]
@@ -902,14 +697,15 @@ mod tests {
 
     #[test]
     fn parallel_tune_matches_sequential() {
+        // A one-worker budget is the sequential run. Results never depend
+        // on the budget, so overriding it cannot disturb other tests.
         let events = skewed_events(500, 7);
-        let mut seq =
-            TuningSession::new(cfg(SearchStrategy::BruteForce), InfallibleSource(model)).unwrap();
-        seq.ingest(&events).unwrap();
-        let s = seq.tune().unwrap();
-        let mut par = TuningSession::new(cfg(SearchStrategy::BruteForce), model).unwrap();
-        par.ingest(&events).unwrap();
-        let p = par.tune_parallel().unwrap();
+        let prev = gridtuner_par::max_threads();
+        gridtuner_par::set_max_threads(1);
+        let s = tune_once(SearchStrategy::BruteForce, &events);
+        gridtuner_par::set_max_threads(8);
+        let p = tune_once(SearchStrategy::BruteForce, &events);
+        gridtuner_par::set_max_threads(prev);
         assert_eq!(p.outcome.side, s.outcome.side);
         assert_eq!(p.outcome.error.to_bits(), s.outcome.error.to_bits());
         assert_eq!(p.outcome.probes, s.outcome.probes);
@@ -954,6 +750,7 @@ mod tests {
         };
         let mut session = TuningSession::new(config, InfallibleSource(model)).unwrap();
         session.ingest(&events).unwrap();
+        let hits_before = obs::counter!("boot.cache_hits").get();
         let report = session.tune().unwrap();
         let unc = report.uncertainty.as_ref().expect("bootstrap was enabled");
         assert_eq!(unc.replicates, 8);
@@ -968,8 +765,9 @@ mod tests {
         );
         assert!(unc.confidence_set.windows(2).all(|w| w[0] < w[1]));
         // Replicates share the session's warm pmf memo, so the stage
-        // must see cache hits.
-        assert!(unc.cache_hits > 0, "{unc:?}");
+        // must see cache hits. Other tests only add to the process-wide
+        // counter, so a positive change is this stage's own.
+        assert!(obs::counter!("boot.cache_hits").get() > hits_before);
         // Every probed side carries a full dispersion row under brute
         // force (every replicate probes every side).
         assert!(unc.dispersion.iter().all(|d| d.samples == 8));
@@ -987,7 +785,7 @@ mod tests {
     }
 
     #[test]
-    fn bootstrap_is_deterministic_and_parallel_path_agrees() {
+    fn bootstrap_is_deterministic() {
         use crate::uncertainty::BootstrapConfig;
         let events = skewed_events(300, 7);
         let config = EngineConfig {
@@ -1002,16 +800,6 @@ mod tests {
         let a = run_seq();
         let b = run_seq();
         assert_eq!(a.uncertainty, b.uncertainty, "same seed, same bits");
-        let mut par = TuningSession::new(config, model).unwrap();
-        par.ingest(&events).unwrap();
-        let p = par.tune_parallel().unwrap();
-        let (ua, up) = (a.uncertainty.unwrap(), p.uncertainty.unwrap());
-        assert_eq!(ua.confidence_set, up.confidence_set);
-        assert_eq!(ua.replicate_argmins, up.replicate_argmins);
-        for (x, y) in ua.replicate_errors.iter().zip(&up.replicate_errors) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(ua.verdict, up.verdict);
     }
 
     #[test]

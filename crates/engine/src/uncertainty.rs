@@ -42,9 +42,8 @@ use gridtuner_core::error::CoreError;
 use gridtuner_core::expr_kernel::PmfMemo;
 use gridtuner_core::resample::resample_events;
 use gridtuner_core::search::{
-    try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome,
+    try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome, SearchStrategy,
 };
-use gridtuner_core::tuner::SearchStrategy;
 use gridtuner_obs as obs;
 use gridtuner_par::EnvParseError;
 use gridtuner_spatial::{Event, Partition, SlotClock};
@@ -143,11 +142,6 @@ pub struct UncertaintyReport {
     pub dispersion: Vec<ProbeDispersion>,
     /// The stability verdict.
     pub verdict: StabilityVerdict,
-    /// Pmf tables the replicate sweeps served from the shared session
-    /// memo instead of rebuilding (delta of `expr.pmf_memo_hits` over the
-    /// stage) — the "bootstrap is cheap because the kernel is warm" claim
-    /// made measurable.
-    pub cache_hits: u64,
     /// Distinct sides among the replicate argmins.
     pub distinct_argmins: u32,
 }
@@ -321,7 +315,6 @@ pub(crate) fn run_bootstrap(
         replicate_errors,
         dispersion,
         verdict,
-        cache_hits,
         distinct_argmins,
     })
 }

@@ -251,6 +251,9 @@ mod tests {
 
     #[test]
     fn counters_work_regardless_of_enabled() {
+        // `disable` flips process-global state other tests enable under
+        // the same guard.
+        let _guard = test_guard();
         disable();
         let before = counter!("lib.test.counter").get();
         counter!("lib.test.counter").inc();

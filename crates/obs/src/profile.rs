@@ -15,10 +15,7 @@
 //! * [`Profile::critical_path`] — the longest `tune` span decomposed by
 //!   its innermost-active same-thread descendant at every instant. The
 //!   elementary segments partition the span exactly, so the breakdown
-//!   always sums to the `tune` wall time;
-//! * [`Profile::overlap_ns`] — wall-clock overlap between two span names
-//!   across threads (e.g. the prefetcher's `alpha.derive` against the
-//!   main thread's `expression_error` — the probe pipeline's win).
+//!   always sums to the `tune` wall time.
 //!
 //! Everything here is pure analysis over already-captured data; nothing
 //! feeds back into recording.
@@ -323,23 +320,6 @@ impl Profile {
         Some(max as f64 / (min.max(1)) as f64)
     }
 
-    /// Wall-clock overlap between two span names, as interval unions
-    /// across all threads — e.g. `overlap_ns("alpha.derive",
-    /// "expression_error")` measures how much α prefetching actually ran
-    /// concurrently with the expression kernel.
-    pub fn overlap_ns(&self, name_a: &str, name_b: &str) -> u64 {
-        let gather = |name: &str| -> Vec<(u64, u64)> {
-            merge_intervals(
-                self.spans
-                    .iter()
-                    .filter(|s| s.name == name)
-                    .map(|s| (s.start_ns, s.end_ns))
-                    .collect(),
-            )
-        };
-        intersection_len(&gather(name_a), &gather(name_b))
-    }
-
     /// Decomposes the longest span named `root_name` by innermost-active
     /// same-thread descendant. Returns `None` when no such span exists.
     pub fn critical_path(&self, root_name: &str) -> Option<CriticalPath> {
@@ -394,7 +374,7 @@ impl Profile {
 
     /// Renders the human-readable profile: top-`top` self-time table,
     /// per-thread and per-worker utilization, pmf-shard lock waits pulled
-    /// from `counters`, pipeline overlap, and the critical path.
+    /// from `counters`, and the critical path.
     pub fn render(&self, top: usize, counters: &[(String, u64)]) -> String {
         let mut out = String::new();
         let wall = self.duration_ns();
@@ -473,15 +453,6 @@ impl Profile {
             for (name, v) in shard_waits {
                 let _ = writeln!(out, "  {name:<28} {v:>7}");
             }
-        }
-
-        let overlap = self.overlap_ns("alpha.derive", "expression_error");
-        if overlap > 0 {
-            let _ = writeln!(
-                out,
-                "\npipeline overlap: alpha.derive ran {:.2} ms concurrently with expression_error",
-                ms(overlap)
-            );
         }
 
         if let Some(path) = self.critical_path("tune") {
@@ -564,24 +535,6 @@ fn union_len_within(intervals: Vec<(u64, u64)>, lo: u64, hi: u64) -> u64 {
         .into_iter()
         .map(|(a, b)| b.clamp(lo, hi).saturating_sub(a.clamp(lo, hi)))
         .sum()
-}
-
-/// Length of the intersection of two already-merged interval lists.
-fn intersection_len(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
-    let (mut i, mut j, mut total) = (0, 0, 0u64);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if hi > lo {
-            total += hi - lo;
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    total
 }
 
 #[cfg(test)]
@@ -715,7 +668,7 @@ mod tests {
                 (2, 1, "probe", 1, 0, 400),
                 (3, 2, "expression_error", 1, 100, 300),
                 (4, 1, "probe", 1, 400, 1000),
-                // Prefetch thread: a descendant by id, but cross-thread —
+                // Another thread: a descendant by id, but cross-thread —
                 // must not appear on the tune thread's critical path.
                 (5, 1, "alpha.derive", 2, 350, 700),
             ],
@@ -736,9 +689,6 @@ mod tests {
             !by_name.contains_key("alpha.derive"),
             "cross-thread excluded"
         );
-        // The overlapped prefetch is visible as overlap instead.
-        assert_eq!(p.overlap_ns("alpha.derive", "expression_error"), 0);
-        assert_eq!(p.overlap_ns("alpha.derive", "probe"), 350);
     }
 
     #[test]

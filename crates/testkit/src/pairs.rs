@@ -13,8 +13,10 @@
 //! | `expr-lemma-bound` | Lemma III.1 bounds every `E_e(a, b, m)` |
 //! | `alpha-cache-vs-direct` | the α cache is bit-identical to `estimate_alpha`, with one log scan |
 //! | `alpha-mass-conservation` | binned α mass × window days = in-window, in-square event count |
-//! | `tune-brute-vs-parallel` | parallel brute force = sequential brute force, bit for bit |
+//! | `tune-threads-1-vs-n` | a brute-force tune at one worker (the sequential run) = at 2 and 8 workers, bit for bit, with one log scan |
 //! | `tune-heuristics-consistent` | ternary/iterative probe the same curve and never beat brute force |
+//! | `session-vs-direct-search` | a session tune = Algorithm 3 (`UpperBoundOracle`) driven straight through the `try_*` searcher, bit for bit |
+//! | `session-incremental-vs-rebuild` | ingest + re-tune = a fresh session on the concatenated log, bit for bit |
 //! | `search-ternary-unimodal` | ternary finds the brute-force optimum on strictly unimodal curves |
 //! | `search-iterative-unimodal` | the iterative method does too, from any start with any bound ≥ 1 |
 //! | `par-sum-determinism` | `par_sum` matches its documented fixed-block association |
@@ -27,8 +29,8 @@
 //! | `nn-conv-vs-naive` | the tap-hoisted conv kernel matches the naive convolution |
 //! | `theorem-ii1-empirical` | real ≤ model + expression on arbitrary samples (and the slack bound) |
 //! | `bootstrap-replicate-vs-direct` | a bootstrap replicate's tune = tuning the materialised resampled log directly, bit for bit |
-//! | `bootstrap-seed-determinism` | same seed and B → the same confidence set, run to run, sequential or parallel, pipeline on or off |
-//! | `simd-vs-scalar-emulation` | a full tune is bit-identical under the AVX2 backend and its scalar emulation, at 1/2/8 workers, pipeline on or off |
+//! | `bootstrap-seed-determinism` | same seed and B → the same confidence set, run to run and at 1 or 8 workers |
+//! | `simd-vs-scalar-emulation` | a full tune is bit-identical under the AVX2 backend and its scalar emulation, at 1/2/8 workers |
 
 use crate::diff::Check;
 use crate::scenario::Scenario;
@@ -43,11 +45,14 @@ use gridtuner_core::expression::{
     try_partition_expression_error,
 };
 use gridtuner_core::resample::resample_events;
-use gridtuner_core::search::{brute_force, iterative_method, ternary_search};
-use gridtuner_core::tuner::{GridTuner, SearchStrategy, TunerConfig};
-use gridtuner_engine::{BootstrapConfig, EngineConfig, TuningSession};
+use gridtuner_core::search::{
+    brute_force, iterative_method, ternary_search, try_brute_force, try_iterative_method,
+    try_ternary_search, ErrorOracle, SearchOutcome,
+};
+use gridtuner_core::upper_bound::UpperBoundOracle;
+use gridtuner_engine::{BootstrapConfig, EngineConfig, SearchStrategy, TuneReport, TuningSession};
 use gridtuner_nn::{Conv2d, Dense, Layer, Tensor};
-use gridtuner_spatial::{CountMatrix, GridSpec, Partition, UniformGrid};
+use gridtuner_spatial::{CountMatrix, Event, GridSpec, Partition, UniformGrid};
 use rand::Rng;
 
 /// Relative + absolute closeness with a contextual label.
@@ -106,13 +111,89 @@ fn unimodal_curve(s: &Scenario, salt: u64) -> (Vec<f64>, u32) {
     (v, t)
 }
 
-fn tuner_config(s: &Scenario, strategy: SearchStrategy) -> TunerConfig {
-    TunerConfig {
+fn engine_config(s: &Scenario, strategy: SearchStrategy) -> EngineConfig {
+    EngineConfig {
         hgrid_budget_side: s.params.budget_side,
         side_range: s.params.side_range(),
         strategy,
         alpha_window: s.window,
+        clock: s.clock,
+        ..EngineConfig::default()
     }
+}
+
+/// One fresh session: ingest `events`, tune once.
+fn session_tune(
+    s: &Scenario,
+    config: EngineConfig,
+    events: &[Event],
+) -> Result<TuneReport, String> {
+    let mut session = TuningSession::new(config, s.model_fn())
+        .map_err(|e| format!("session rejected {:?}: {e}", config.strategy))?;
+    session.ingest(events).map_err(|e| e.to_string())?;
+    session.tune().map_err(|e| e.to_string())
+}
+
+/// The independent reference tune: Algorithm 3 as an [`UpperBoundOracle`]
+/// driven straight through the `try_*` searcher of `strategy`. Returns the
+/// outcome and the oracle's log-scan count.
+fn direct_tune(s: &Scenario, strategy: SearchStrategy) -> Result<(SearchOutcome, u64), String> {
+    let (lo, hi) = s.params.side_range();
+    let mut oracle = UpperBoundOracle::new(
+        s.events.clone(),
+        s.clock,
+        s.window,
+        s.params.budget_side,
+        s.model_fn(),
+    );
+    let probe = |side: u32| Ok(oracle.eval(side));
+    let outcome = match strategy {
+        SearchStrategy::BruteForce => try_brute_force(probe, lo, hi),
+        SearchStrategy::Ternary => try_ternary_search(probe, lo, hi),
+        SearchStrategy::Iterative { init, bound } => {
+            try_iterative_method(probe, lo, hi, init, bound)
+        }
+    }
+    .map_err(|e| format!("direct {strategy:?} search failed: {e}"))?;
+    Ok((outcome, oracle.alpha_rescans()))
+}
+
+/// Side, error and every probe of `got` must equal `want` bit for bit.
+fn same_outcome(label: &str, got: &SearchOutcome, want: &SearchOutcome) -> Result<(), String> {
+    if got.side != want.side {
+        return Err(format!(
+            "{label}: optimum side {} vs {}",
+            got.side, want.side
+        ));
+    }
+    bit_eq(&format!("{label}: optimum error"), got.error, want.error)?;
+    if got.probes.len() != want.probes.len() {
+        return Err(format!(
+            "{label}: probe counts {} vs {}",
+            got.probes.len(),
+            want.probes.len()
+        ));
+    }
+    for ((s1, e1), (s2, e2)) in got.probes.iter().zip(&want.probes) {
+        if s1 != s2 {
+            return Err(format!("{label}: probe order diverged: side {s1} vs {s2}"));
+        }
+        bit_eq(&format!("{label}: probe e({s1})"), *e1, *e2)?;
+    }
+    Ok(())
+}
+
+/// The heuristic strategies a scenario exercises, seed-derived so the
+/// iterative start and bound vary across scenarios.
+fn heuristics(s: &Scenario) -> [SearchStrategy; 2] {
+    let (_, hi) = s.params.side_range();
+    [
+        SearchStrategy::Ternary,
+        SearchStrategy::Iterative {
+            init: 1 + (s.params.seed % hi as u64) as u32,
+            bound: 1 + (s.params.seed % 4) as u32,
+        },
+    ]
 }
 
 /// Every standard check, in a deterministic order.
@@ -228,56 +309,43 @@ pub fn standard_checks() -> Vec<Check> {
         )
     }));
 
-    checks.push(Check::new("tune-brute-vs-parallel", |s| {
-        let tuner = GridTuner::new(tuner_config(s, SearchStrategy::BruteForce));
-        let model = s.model_fn();
-        let seq = tuner.tune(&s.events, s.clock, model);
-        let par = tuner.tune_brute_parallel(&s.events, s.clock, model);
-        if seq.outcome.side != par.outcome.side {
-            return Err(format!(
-                "optimum side {} vs {}",
-                seq.outcome.side, par.outcome.side
-            ));
-        }
-        bit_eq("optimum error", seq.outcome.error, par.outcome.error)?;
-        if seq.outcome.probes.len() != par.outcome.probes.len() {
-            return Err(format!(
-                "probe counts {} vs {}",
-                seq.outcome.probes.len(),
-                par.outcome.probes.len()
-            ));
-        }
-        for ((s1, e1), (s2, e2)) in seq.outcome.probes.iter().zip(&par.outcome.probes) {
-            if s1 != s2 {
-                return Err(format!("probe order diverged: side {s1} vs {s2}"));
+    checks.push(Check::new("tune-threads-1-vs-n", |s| {
+        // `GRIDTUNER_THREADS=1` is the sequential run: the pool only ever
+        // splits a probe's expression sweep, so a wider pool must not
+        // move a bit.
+        let config = engine_config(s, SearchStrategy::BruteForce);
+        let prev = gridtuner_par::max_threads();
+        let run = || -> Result<(), String> {
+            gridtuner_par::set_max_threads(1);
+            let seq = session_tune(s, config, &s.events)?;
+            for threads in [2usize, 8] {
+                gridtuner_par::set_max_threads(threads);
+                let par = session_tune(s, config, &s.events)?;
+                same_outcome(
+                    &format!("{threads} workers vs 1"),
+                    &par.outcome,
+                    &seq.outcome,
+                )?;
+                if par.alpha_full_scans != 1 {
+                    return Err(format!(
+                        "{threads} workers: {} full scans, contract says 1",
+                        par.alpha_full_scans
+                    ));
+                }
             }
-            bit_eq(&format!("probe e({s1})"), *e1, *e2)?;
-        }
-        if seq.alpha_rescans != 1 || par.alpha_rescans != 1 {
-            return Err(format!(
-                "alpha rescans {} / {}, contract says 1",
-                seq.alpha_rescans, par.alpha_rescans
-            ));
-        }
-        Ok(())
+            Ok(())
+        };
+        let result = run();
+        gridtuner_par::set_max_threads(prev);
+        result
     }));
 
     checks.push(Check::new("tune-heuristics-consistent", |s| {
-        let model = s.model_fn();
-        let brute = GridTuner::new(tuner_config(s, SearchStrategy::BruteForce))
-            .tune(&s.events, s.clock, model);
+        let brute = session_tune(s, engine_config(s, SearchStrategy::BruteForce), &s.events)?;
         let curve: std::collections::BTreeMap<u32, f64> =
             brute.outcome.probes.iter().copied().collect();
-        let (_, hi) = s.params.side_range();
-        let strategies = [
-            SearchStrategy::Ternary,
-            SearchStrategy::Iterative {
-                init: 1 + (s.params.seed % hi as u64) as u32,
-                bound: 1 + (s.params.seed % 4) as u32,
-            },
-        ];
-        for strat in strategies {
-            let out = GridTuner::new(tuner_config(s, strat)).tune(&s.events, s.clock, model);
+        for strat in heuristics(s) {
+            let out = session_tune(s, engine_config(s, strat), &s.events)?;
             // Metamorphic: every heuristic probe must land on the brute
             // curve bit-for-bit (same oracle, deterministic) ...
             for (side, e) in &out.outcome.probes {
@@ -293,61 +361,26 @@ pub fn standard_checks() -> Vec<Check> {
                     out.outcome.error, brute.outcome.error
                 ));
             }
-            if out.alpha_rescans != 1 {
+            if out.alpha_full_scans != 1 {
                 return Err(format!("{strat:?} rescanned the log"));
             }
         }
         Ok(())
     }));
 
-    checks.push(Check::new("session-vs-tuner", |s| {
-        let model = s.model_fn();
-        let (_, hi) = s.params.side_range();
-        let strategies = [
-            SearchStrategy::BruteForce,
-            SearchStrategy::Ternary,
-            SearchStrategy::Iterative {
-                init: 1 + (s.params.seed % hi as u64) as u32,
-                bound: 1 + (s.params.seed % 4) as u32,
-            },
-        ];
-        for strat in strategies {
-            let legacy = GridTuner::new(tuner_config(s, strat)).tune(&s.events, s.clock, model);
-            let config = EngineConfig {
-                clock: s.clock,
-                ..EngineConfig::from_tuner(tuner_config(s, strat))
-            };
-            let mut session = TuningSession::new(config, model)
-                .map_err(|e| format!("session rejected {strat:?}: {e}"))?;
-            session.ingest(&s.events).map_err(|e| e.to_string())?;
-            let report = session.tune().map_err(|e| e.to_string())?;
-            if report.outcome.side != legacy.outcome.side {
-                return Err(format!(
-                    "{strat:?} optimum side {} vs legacy {}",
-                    report.outcome.side, legacy.outcome.side
-                ));
-            }
-            bit_eq(
-                &format!("{strat:?} optimum error"),
-                report.outcome.error,
-                legacy.outcome.error,
+    checks.push(Check::new("session-vs-direct-search", |s| {
+        let [ternary, iterative] = heuristics(s);
+        for strat in [SearchStrategy::BruteForce, ternary, iterative] {
+            let (direct, rescans) = direct_tune(s, strat)?;
+            let report = session_tune(s, engine_config(s, strat), &s.events)?;
+            same_outcome(
+                &format!("{strat:?} session vs direct"),
+                &report.outcome,
+                &direct,
             )?;
-            if report.outcome.probes.len() != legacy.outcome.probes.len() {
+            if report.alpha_full_scans != 1 || rescans != 1 {
                 return Err(format!(
-                    "{strat:?} probe counts {} vs {}",
-                    report.outcome.probes.len(),
-                    legacy.outcome.probes.len()
-                ));
-            }
-            for ((s1, e1), (s2, e2)) in report.outcome.probes.iter().zip(&legacy.outcome.probes) {
-                if s1 != s2 {
-                    return Err(format!("{strat:?} probe order diverged: side {s1} vs {s2}"));
-                }
-                bit_eq(&format!("{strat:?} probe e({s1})"), *e1, *e2)?;
-            }
-            if report.alpha_full_scans != 1 {
-                return Err(format!(
-                    "{strat:?} did {} full scans, contract says 1",
+                    "{strat:?} did {} / {rescans} full scans, contract says 1",
                     report.alpha_full_scans
                 ));
             }
@@ -360,13 +393,8 @@ pub fn standard_checks() -> Vec<Check> {
             return Ok(()); // nothing to split (shrunk scenarios)
         }
         let model = s.model_fn();
-        let config = EngineConfig {
-            clock: s.clock,
-            ..EngineConfig::from_tuner(tuner_config(s, SearchStrategy::BruteForce))
-        };
-        let mut rebuilt = TuningSession::new(config, model).map_err(|e| e.to_string())?;
-        rebuilt.ingest(&s.events).map_err(|e| e.to_string())?;
-        let whole = rebuilt.tune().map_err(|e| e.to_string())?;
+        let config = engine_config(s, SearchStrategy::BruteForce);
+        let whole = session_tune(s, config, &s.events)?;
         // Seed-derived split point, kept off the ends so the delta is real.
         let cut = 1 + (s.params.seed as usize % (s.events.len() - 1));
         let mut inc = TuningSession::new(config, model).map_err(|e| e.to_string())?;
@@ -374,23 +402,7 @@ pub fn standard_checks() -> Vec<Check> {
         inc.tune().map_err(|e| e.to_string())?;
         inc.ingest(&s.events[cut..]).map_err(|e| e.to_string())?;
         let delta = inc.tune().map_err(|e| e.to_string())?;
-        if delta.outcome.side != whole.outcome.side {
-            return Err(format!(
-                "incremental optimum side {} vs rebuild {}",
-                delta.outcome.side, whole.outcome.side
-            ));
-        }
-        bit_eq(
-            "incremental optimum error",
-            delta.outcome.error,
-            whole.outcome.error,
-        )?;
-        for ((s1, e1), (s2, e2)) in delta.outcome.probes.iter().zip(&whole.outcome.probes) {
-            if s1 != s2 {
-                return Err(format!("probe order diverged: side {s1} vs {s2}"));
-            }
-            bit_eq(&format!("probe e({s1})"), *e1, *e2)?;
-        }
+        same_outcome("incremental vs rebuild", &delta.outcome, &whole.outcome)?;
         if delta.alpha_full_scans != 1 || delta.alpha_delta_scans != 1 {
             return Err(format!(
                 "scan counters full={} delta={}, contract says 1/1",
@@ -700,17 +712,14 @@ pub fn standard_checks() -> Vec<Check> {
         // the tune of the materialised resampled log: the bootstrap
         // perturbs the expression leg only, and the shared pmf memo is
         // bit-invisible. Materialise each resample and check bitwise.
-        let model = s.model_fn();
         let boot_seed = s.params.seed ^ 0xb007_57a9;
         let b = 3u32;
+        let direct_cfg = engine_config(s, SearchStrategy::BruteForce);
         let config = EngineConfig {
-            clock: s.clock,
             bootstrap: Some(BootstrapConfig::new(b, boot_seed)),
-            ..EngineConfig::from_tuner(tuner_config(s, SearchStrategy::BruteForce))
+            ..direct_cfg
         };
-        let mut session = TuningSession::new(config, model).map_err(|e| e.to_string())?;
-        session.ingest(&s.events).map_err(|e| e.to_string())?;
-        let report = session.tune().map_err(|e| e.to_string())?;
+        let report = session_tune(s, config, &s.events)?;
         let unc = report
             .uncertainty
             .ok_or("bootstrap config produced no uncertainty report")?;
@@ -723,13 +732,7 @@ pub fn standard_checks() -> Vec<Check> {
         }
         for r in 0..u64::from(b) {
             let log = resample_events(&s.events, boot_seed, r);
-            let direct_cfg = EngineConfig {
-                clock: s.clock,
-                ..EngineConfig::from_tuner(tuner_config(s, SearchStrategy::BruteForce))
-            };
-            let mut direct = TuningSession::new(direct_cfg, model).map_err(|e| e.to_string())?;
-            direct.ingest(&log).map_err(|e| e.to_string())?;
-            let d = direct.tune().map_err(|e| e.to_string())?;
+            let d = session_tune(s, direct_cfg, &log)?;
             if d.outcome.side != unc.replicate_argmins[r as usize] {
                 return Err(format!(
                     "replicate {r}: bootstrap argmin {} vs direct tune {}",
@@ -753,53 +756,34 @@ pub fn standard_checks() -> Vec<Check> {
 
     checks.push(Check::new("bootstrap-seed-determinism", |s| {
         // One (seed, B) must replay to the identical confidence set —
-        // run to run, sequential or parallel session path, α-prefetch
-        // pipeline on or off.
-        let model = s.model_fn();
+        // run to run, and whether the pool has one worker or eight.
         let boot_seed = s.params.seed.rotate_left(17) ^ 0x5eed;
-        let b = 3u32;
-        let (lo, hi) = s.params.side_range();
-        let run = |parallel: bool, pipeline: bool| -> Result<_, String> {
-            let cfg = EngineConfig::builder()
-                .hgrid_budget_side(s.params.budget_side)
-                .side_range(lo, hi)
-                .strategy(SearchStrategy::BruteForce)
-                .alpha_window(s.window)
-                .clock(s.clock)
-                .pipeline(pipeline)
-                .bootstrap(b, boot_seed)
-                .build()
-                .map_err(|e| e.to_string())?;
-            let mut session = TuningSession::new(cfg, model).map_err(|e| e.to_string())?;
-            session.ingest(&s.events).map_err(|e| e.to_string())?;
-            let report = if parallel {
-                session.tune_parallel().map_err(|e| e.to_string())?
-            } else {
-                session.tune().map_err(|e| e.to_string())?
-            };
+        let config = EngineConfig {
+            bootstrap: Some(BootstrapConfig::new(3, boot_seed)),
+            ..engine_config(s, SearchStrategy::BruteForce)
+        };
+        let run = || -> Result<_, String> {
+            let report = session_tune(s, config, &s.events)?;
             let u = report.uncertainty.ok_or("no uncertainty report")?;
             let errors: Vec<u64> = u.replicate_errors.iter().map(|e| e.to_bits()).collect();
-            Ok((
-                u.confidence_set.clone(),
-                u.replicate_argmins.clone(),
-                errors,
-                u.verdict,
-            ))
+            Ok((u.confidence_set, u.replicate_argmins, errors, u.verdict))
         };
-        let reference = run(false, false)?;
-        for (parallel, pipeline, label) in [
-            (false, false, "sequential rerun"),
-            (true, false, "parallel path"),
-            (true, true, "parallel path with pipeline"),
-        ] {
-            let got = run(parallel, pipeline)?;
-            if got != reference {
-                return Err(format!(
-                    "{label} diverged: {got:?} vs reference {reference:?}"
-                ));
+        let prev = gridtuner_par::max_threads();
+        let result = (|| {
+            let reference = run()?;
+            for (threads, label) in [(prev, "rerun"), (1, "1 worker"), (8, "8 workers")] {
+                gridtuner_par::set_max_threads(threads);
+                let got = run()?;
+                if got != reference {
+                    return Err(format!(
+                        "{label} diverged: {got:?} vs reference {reference:?}"
+                    ));
+                }
             }
-        }
-        Ok(())
+            Ok(())
+        })();
+        gridtuner_par::set_max_threads(prev);
+        result
     }));
 
     checks.push(Check::new("simd-vs-scalar-emulation", |s| {
@@ -807,50 +791,27 @@ pub fn standard_checks() -> Vec<Check> {
         // backend and its scalar emulation replay the same canonical
         // 4-lane association, so a full tune — selected side, error bits,
         // per-probe decomposition — must be bit-identical across
-        // backends, at every worker count, pipeline on or off. On hosts
-        // without AVX2 both settings run the scalar path and the check
-        // degenerates to a replay-determinism test.
-        let model = s.model_fn();
+        // backends, at every worker count. On hosts without AVX2 both
+        // settings run the scalar path and the check degenerates to a
+        // replay-determinism test.
         let prev_threads = gridtuner_par::max_threads();
         let prev_simd = gridtuner_core::simd_enabled();
-        let (lo, hi) = s.params.side_range();
-        let run = |simd: bool, threads: usize, pipeline: bool| -> Result<_, String> {
+        let config = engine_config(s, SearchStrategy::BruteForce);
+        let run = |simd: bool, threads: usize| -> Result<_, String> {
             gridtuner_core::set_simd_enabled(simd);
             gridtuner_par::set_max_threads(threads);
-            let cfg = EngineConfig::builder()
-                .hgrid_budget_side(s.params.budget_side)
-                .side_range(lo, hi)
-                .strategy(SearchStrategy::BruteForce)
-                .alpha_window(s.window)
-                .clock(s.clock)
-                .pipeline(pipeline)
-                .build()
-                .map_err(|e| e.to_string())?;
-            let mut session = TuningSession::new(cfg, model).map_err(|e| e.to_string())?;
-            session.ingest(&s.events).map_err(|e| e.to_string())?;
-            let r = session.tune_parallel().map_err(|e| e.to_string())?;
-            let probes: Vec<(u32, u64)> = r
-                .outcome
-                .probes
-                .iter()
-                .map(|&(side, e)| (side, e.to_bits()))
-                .collect();
-            Ok((r.outcome.side, r.outcome.error.to_bits(), probes))
+            Ok(session_tune(s, config, &s.events)?.outcome)
         };
         let result = (|| {
-            let reference = run(false, 1, false)?;
+            let reference = run(false, 1)?;
             for simd in [false, true] {
                 for threads in [1usize, 2, 8] {
-                    for pipeline in [false, true] {
-                        let got = run(simd, threads, pipeline)?;
-                        if got != reference {
-                            return Err(format!(
-                                "tune diverged at simd={simd}, {threads} threads, \
-                                 pipeline={pipeline}: {got:?} vs scalar 1-thread \
-                                 reference {reference:?}"
-                            ));
-                        }
-                    }
+                    let got = run(simd, threads)?;
+                    same_outcome(
+                        &format!("simd={simd}, {threads} threads vs scalar 1-thread reference"),
+                        &got,
+                        &reference,
+                    )?;
                 }
             }
             Ok(())

@@ -13,7 +13,6 @@
 //!    `PLATEAU_REL_TOL`) — the failure mode documented for ternary search
 //!    in `ternary_can_be_misled_by_shoulder_plateaus`.
 
-use gridtuner_core::tuner::TunerConfig;
 use gridtuner_engine::{
     classify, BootstrapConfig, EngineConfig, SearchStrategy, StabilityVerdict, TuningSession,
     PLATEAU_REL_TOL,
@@ -22,12 +21,14 @@ use gridtuner_testkit::Scenario;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-fn tuner_config(s: &Scenario, strategy: SearchStrategy) -> TunerConfig {
-    TunerConfig {
+fn engine_config(s: &Scenario, strategy: SearchStrategy) -> EngineConfig {
+    EngineConfig {
         hgrid_budget_side: s.params.budget_side,
         side_range: s.params.side_range(),
         strategy,
         alpha_window: s.window,
+        clock: s.clock,
+        ..EngineConfig::default()
     }
 }
 
@@ -39,9 +40,8 @@ proptest! {
         seed in 0u64..1_000, b in 1u32..5) {
         let s = Scenario::generate(seed);
         let config = EngineConfig {
-            clock: s.clock,
             bootstrap: Some(BootstrapConfig::new(b, seed.rotate_left(7) ^ 0xc0ffee)),
-            ..EngineConfig::from_tuner(tuner_config(&s, SearchStrategy::BruteForce))
+            ..engine_config(&s, SearchStrategy::BruteForce)
         };
         let mut session = TuningSession::new(config, s.model_fn()).unwrap();
         session.ingest(&s.events).unwrap();
@@ -88,9 +88,8 @@ proptest! {
         }
         let model = move |side: u32| curve[side as usize];
         let config = EngineConfig {
-            clock: s.clock,
             bootstrap: Some(BootstrapConfig::new(b, seed ^ 0xb14)),
-            ..EngineConfig::from_tuner(tuner_config(&s, SearchStrategy::BruteForce))
+            ..engine_config(&s, SearchStrategy::BruteForce)
         };
         let mut session = TuningSession::new(config, model).unwrap();
         session.ingest(&s.events).unwrap();

@@ -12,10 +12,9 @@
 //! a 1e-9 relative float tolerance. See `TESTING.md`.
 
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
 use gridtuner_datagen::{City, TripGenerator};
 use gridtuner_dispatch::{DemandView, FleetConfig, Order, Polar, SimConfig};
-use gridtuner_engine::{BootstrapConfig, EngineConfig, TuningSession};
+use gridtuner_engine::{BootstrapConfig, EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_testkit::{check_golden, Json};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -44,6 +43,10 @@ fn golden_for_city(city: City, seed: u64) -> Json {
     let events = city.sample_history_events(window.slot_of_day, 0..HISTORY_DAYS, &mut rng);
     let model = |s: u32| MODEL_COEF * (s * s) as f64;
     let config = EngineConfig {
+        hgrid_budget_side: BUDGET_SIDE,
+        side_range: SIDE_RANGE,
+        strategy: SearchStrategy::BruteForce,
+        alpha_window: window,
         clock: *city.clock(),
         // Master seed = the city seed, so the whole block replays from
         // the one number already pinned in the test.
@@ -55,18 +58,12 @@ fn golden_for_city(city: City, seed: u64) -> Json {
             },
             ..SimConfig::for_geo(*city.geo())
         }),
-        ..EngineConfig::from_tuner(TunerConfig {
-            hgrid_budget_side: BUDGET_SIDE,
-            side_range: SIDE_RANGE,
-            strategy: SearchStrategy::BruteForce,
-            alpha_window: window,
-        })
     };
     let mut session = TuningSession::new(config, model).expect("golden config is valid");
     session
         .ingest(&events)
         .expect("synthetic events are finite");
-    let result = session.tune_parallel().expect("analytic model leg");
+    let result = session.tune().expect("analytic model leg");
     let side = result.outcome.side;
     let uncertainty = result
         .uncertainty

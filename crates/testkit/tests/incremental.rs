@@ -9,19 +9,17 @@
 //! is global, and a second concurrently-running test in the same binary
 //! would observe it mid-sweep. See `TESTING.md`.
 
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
-use gridtuner_engine::{EngineConfig, TuneReport, TuningSession};
+use gridtuner_engine::{EngineConfig, SearchStrategy, TuneReport, TuningSession};
 use gridtuner_testkit::Scenario;
 
 fn config_for(sc: &Scenario) -> EngineConfig {
     EngineConfig {
+        hgrid_budget_side: sc.params.budget_side,
+        side_range: sc.params.side_range(),
+        strategy: SearchStrategy::BruteForce,
+        alpha_window: sc.window,
         clock: sc.clock,
-        ..EngineConfig::from_tuner(TunerConfig {
-            hgrid_budget_side: sc.params.budget_side,
-            side_range: sc.params.side_range(),
-            strategy: SearchStrategy::BruteForce,
-            alpha_window: sc.window,
-        })
+        ..EngineConfig::default()
     }
 }
 
@@ -40,22 +38,17 @@ fn fingerprint(r: &TuneReport) -> (u32, u64, Vec<(u32, u64)>) {
 }
 
 /// One from-scratch run: the whole log in a single ingest.
-fn run_rebuild(sc: &Scenario, parallel: bool) -> (u32, u64, Vec<(u32, u64)>) {
+fn run_rebuild(sc: &Scenario) -> (u32, u64, Vec<(u32, u64)>) {
     let mut session = TuningSession::new(config_for(sc), sc.model_fn()).unwrap();
     session.ingest(&sc.events).unwrap();
-    let report = if parallel {
-        session.tune_parallel()
-    } else {
-        session.tune()
-    }
-    .unwrap();
+    let report = session.tune().unwrap();
     assert_eq!(report.alpha_full_scans, 1, "rebuild scans the log once");
     fingerprint(&report)
 }
 
 /// The same log fed in `chunks` slices, re-tuning after every slice (a
 /// mid-stream tune must not disturb the next delta).
-fn run_incremental(sc: &Scenario, chunks: usize, parallel: bool) -> (u32, u64, Vec<(u32, u64)>) {
+fn run_incremental(sc: &Scenario, chunks: usize) -> (u32, u64, Vec<(u32, u64)>) {
     let mut session = TuningSession::new(config_for(sc), sc.model_fn()).unwrap();
     let n = sc.events.len();
     assert!(n >= chunks, "scenario too small to slice");
@@ -68,14 +61,7 @@ fn run_incremental(sc: &Scenario, chunks: usize, parallel: bool) -> (u32, u64, V
             n * (i + 1) / chunks
         };
         session.ingest(&sc.events[start..end]).unwrap();
-        report = Some(
-            if parallel {
-                session.tune_parallel()
-            } else {
-                session.tune()
-            }
-            .unwrap(),
-        );
+        report = Some(session.tune().unwrap());
         start = end;
     }
     let report = report.unwrap();
@@ -96,23 +82,24 @@ fn incremental_retune_is_bit_identical_to_rebuild_across_thread_counts() {
         .collect();
     for sc in &scenarios {
         let seed = sc.params.seed;
-        let expect = run_rebuild(sc, false);
+        gridtuner_par::set_max_threads(1);
+        let expect = run_rebuild(sc);
         for chunks in [2usize, 3, 5] {
             assert_eq!(
-                run_incremental(sc, chunks, false),
+                run_incremental(sc, chunks),
                 expect,
                 "sequential incremental diverged (seed {seed}, {chunks} chunks)"
             );
         }
-        for threads in [1usize, 2, 8] {
+        for threads in [2usize, 8] {
             gridtuner_par::set_max_threads(threads);
             assert_eq!(
-                run_rebuild(sc, true),
+                run_rebuild(sc),
                 expect,
                 "parallel rebuild diverged (seed {seed}, {threads} threads)"
             );
             assert_eq!(
-                run_incremental(sc, 3, true),
+                run_incremental(sc, 3),
                 expect,
                 "parallel incremental diverged (seed {seed}, {threads} threads)"
             );

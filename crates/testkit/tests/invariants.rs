@@ -6,7 +6,9 @@
 //! (and still useful) end-to-end smoke test.
 
 use gridtuner_core::errors::{evaluate_errors, ErrorSample};
-use gridtuner_core::tuner::{GridTuner, SearchStrategy, TunerConfig};
+use gridtuner_core::search::{brute_force, ErrorOracle};
+use gridtuner_core::upper_bound::UpperBoundOracle;
+use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_spatial::{CountMatrix, Partition};
 use gridtuner_testkit::Scenario;
 use rand::Rng;
@@ -15,25 +17,39 @@ use rand::Rng;
 fn tuning_hot_path_upholds_gated_invariants() {
     for seed in 0..8u64 {
         let sc = Scenario::generate(seed);
+        let (lo, hi) = sc.params.side_range();
         for strategy in [
             SearchStrategy::BruteForce,
             SearchStrategy::Ternary,
             SearchStrategy::Iterative { init: 3, bound: 2 },
         ] {
-            let tuner = GridTuner::new(TunerConfig {
+            let config = EngineConfig {
                 hgrid_budget_side: sc.params.budget_side,
-                side_range: sc.params.side_range(),
+                side_range: (lo, hi),
                 strategy,
                 alpha_window: sc.window,
-            });
+                clock: sc.clock,
+                ..EngineConfig::default()
+            };
             // Under `check-invariants` every probe asserts Lemma III.1 on
-            // each MGrid, the α derivation asserts mass conservation, and
-            // the oracle asserts the one-scan rule.
-            let result = tuner.tune(&sc.events, sc.clock, sc.model_fn());
-            assert_eq!(result.alpha_rescans, 1);
-            let (lo, hi) = sc.params.side_range();
+            // each MGrid and the α derivation asserts mass conservation.
+            let mut session = TuningSession::new(config, sc.model_fn()).unwrap();
+            session.ingest(&sc.events).unwrap();
+            let result = session.tune().unwrap();
+            assert_eq!(result.alpha_full_scans, 1);
             assert!((lo..=hi).contains(&result.outcome.side));
         }
+        // Algorithm 3's own oracle asserts the one-scan rule per probe.
+        let mut oracle = UpperBoundOracle::new(
+            sc.events.clone(),
+            sc.clock,
+            sc.window,
+            sc.params.budget_side,
+            sc.model_fn(),
+        );
+        let direct = brute_force(|s| oracle.eval(s), lo, hi);
+        assert!((lo..=hi).contains(&direct.side));
+        assert_eq!(oracle.alpha_rescans(), 1);
     }
 }
 

@@ -10,12 +10,12 @@
 //! trace sink are process-global: parallel test threads would interleave.
 
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::tuner::{GridTuner, SearchStrategy, TunerConfig};
 use gridtuner_core::upper_bound::UpperBoundOracle;
 use gridtuner_datagen::{City, TripGenerator};
 use gridtuner_dispatch::{DemandView, FleetConfig, Order, Polar, SimConfig, Simulator};
+use gridtuner_engine::{EngineConfig, SearchStrategy, TuneReport, TuningSession};
 use gridtuner_obs as obs;
-use gridtuner_spatial::Partition;
+use gridtuner_spatial::{Event, Partition, SlotClock};
 use gridtuner_testkit::Json;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -24,6 +24,25 @@ const BUDGET_SIDE: u32 = 32;
 const SIDE_RANGE: (u32, u32) = (2, 24);
 const HISTORY_DAYS: u32 = 14;
 const MODEL_COEF: f64 = 0.05;
+
+/// The goldens' brute-force session tune of `events`.
+fn tune(events: &[Event], clock: SlotClock, window: AlphaWindow) -> TuneReport {
+    let config = EngineConfig {
+        hgrid_budget_side: BUDGET_SIDE,
+        side_range: SIDE_RANGE,
+        strategy: SearchStrategy::BruteForce,
+        alpha_window: window,
+        clock,
+        ..EngineConfig::default()
+    };
+    let mut session = TuningSession::new(config, model).expect("golden config is valid");
+    session.ingest(events).expect("synthetic events are finite");
+    session.tune().expect("analytic model leg")
+}
+
+fn model(s: u32) -> f64 {
+    MODEL_COEF * (s * s) as f64
+}
 
 /// The goldens' end-to-end pipeline (same constants as `goldens.rs`):
 /// brute-force tune, error decomposition at the optimum, Polar dispatch
@@ -38,14 +57,7 @@ fn pipeline(city: City, seed: u64) -> Json {
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let events = city.sample_history_events(window.slot_of_day, 0..HISTORY_DAYS, &mut rng);
-    let model = |s: u32| MODEL_COEF * (s * s) as f64;
-    let config = TunerConfig {
-        hgrid_budget_side: BUDGET_SIDE,
-        side_range: SIDE_RANGE,
-        strategy: SearchStrategy::BruteForce,
-        alpha_window: window,
-    };
-    let result = GridTuner::new(config).tune_brute_parallel(&events, *city.clock(), model);
+    let result = tune(&events, *city.clock(), window);
     let side = result.outcome.side;
     let oracle = UpperBoundOracle::new(events.clone(), *city.clock(), window, BUDGET_SIDE, model);
     let expression = oracle.expression_error(side);
@@ -72,7 +84,7 @@ fn pipeline(city: City, seed: u64) -> Json {
         ("upper_bound", Json::Num(result.outcome.error)),
         ("expression_error", Json::Num(expression)),
         ("evals", Json::Num(result.outcome.evals as f64)),
-        ("alpha_rescans", Json::Num(result.alpha_rescans as f64)),
+        ("alpha_rescans", Json::Num(result.alpha_full_scans as f64)),
         ("served", Json::Num(outcome.served as f64)),
         ("revenue", Json::Num(outcome.revenue)),
         ("travel_km", Json::Num(outcome.travel_km)),
@@ -93,14 +105,7 @@ fn tune_signature(city: &City, seed: u64) -> TuneSignature {
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let events = city.sample_history_events(window.slot_of_day, 0..HISTORY_DAYS, &mut rng);
-    let model = |s: u32| MODEL_COEF * (s * s) as f64;
-    let config = TunerConfig {
-        hgrid_budget_side: BUDGET_SIDE,
-        side_range: SIDE_RANGE,
-        strategy: SearchStrategy::BruteForce,
-        alpha_window: window,
-    };
-    let r = GridTuner::new(config).tune_brute_parallel(&events, *city.clock(), model);
+    let r = tune(&events, *city.clock(), window);
     (
         r.outcome.side,
         r.outcome.error.to_bits(),

@@ -20,9 +20,10 @@ use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::expr_kernel::PmfMemo;
 use gridtuner_core::expression::{total_expression_error_memo, try_partition_expression_error};
-use gridtuner_core::tuner::{SearchStrategy, TunerConfig};
 use gridtuner_datagen::City;
-use gridtuner_engine::{EngineConfig, PartitionKind, PartitionLayout, TuningSession};
+use gridtuner_engine::{
+    EngineConfig, PartitionKind, PartitionLayout, SearchStrategy, TuningSession,
+};
 use gridtuner_spatial::{
     CountMatrix, Partition, QuadTreePartition, RegionId, SpatialPartition, UniformGrid,
 };
@@ -32,13 +33,12 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn engine_config(s: &Scenario) -> EngineConfig {
     EngineConfig {
+        hgrid_budget_side: s.params.budget_side,
+        side_range: s.params.side_range(),
+        strategy: SearchStrategy::BruteForce,
+        alpha_window: s.window,
         clock: s.clock,
-        ..EngineConfig::from_tuner(TunerConfig {
-            hgrid_budget_side: s.params.budget_side,
-            side_range: s.params.side_range(),
-            strategy: SearchStrategy::BruteForce,
-            alpha_window: s.window,
-        })
+        ..EngineConfig::default()
     }
 }
 
@@ -219,13 +219,12 @@ fn partition_golden_for_city(city: City, seed: u64) -> (Json, bool) {
     let events = city.sample_history_events(window.slot_of_day, 0..HISTORY_DAYS, &mut rng);
     let model = |s: u32| MODEL_COEF * (s * s) as f64;
     let config = EngineConfig {
+        hgrid_budget_side: BUDGET_SIDE,
+        side_range: SIDE_RANGE,
+        strategy: SearchStrategy::BruteForce,
+        alpha_window: window,
         clock: *city.clock(),
-        ..EngineConfig::from_tuner(TunerConfig {
-            hgrid_budget_side: BUDGET_SIDE,
-            side_range: SIDE_RANGE,
-            strategy: SearchStrategy::BruteForce,
-            alpha_window: window,
-        })
+        ..EngineConfig::default()
     };
     let mut session = TuningSession::new(config, model).expect("golden config is valid");
     session

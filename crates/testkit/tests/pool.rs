@@ -1,27 +1,24 @@
 //! Persistent-pool determinism matrix: every `par_*` primitive and the
-//! probe-level α-prefetch pipeline must be **bit-identical** to the
-//! single-threaded inline path under `GRIDTUNER_THREADS` = 1, 2 and 8.
+//! engine tune must be **bit-identical** to the single-threaded inline
+//! path under `GRIDTUNER_THREADS` = 1, 2 and 8.
 //!
-//! Two claims are pinned here, on top of the legacy thread matrix in
+//! Two claims are pinned here, on top of the thread matrix in
 //! `determinism.rs`:
 //!
 //! 1. the pooled dispatch path (persistent parked workers, oversubscribed
 //!    task queue, dynamic claiming) recombines results in exactly the
 //!    inline order for all four primitives — `par_map`, `par_sum`,
 //!    `par_accumulate` and `par_chunks_mut`;
-//! 2. the engine's probe pipeline (`EngineConfig::pipeline`) is
-//!    bit-invisible: a tune with the α prefetcher overlapping probes must
-//!    select the same side with the same error bits and the same probe
-//!    decomposition as a tune with the pipeline disabled, at every worker
-//!    count.
+//! 2. a tune whose probes fan their expression sweeps out over the pool
+//!    selects the same side with the same error bits and the same probe
+//!    decomposition as the one-worker tune.
 //!
 //! This file holds exactly one `#[test]` on purpose:
 //! [`gridtuner_par::set_max_threads`] is a global override, and a second
 //! concurrently-running test in the same binary would observe it
 //! mid-sweep.
 
-use gridtuner_core::tuner::SearchStrategy;
-use gridtuner_engine::{EngineConfig, TuningSession};
+use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_testkit::Scenario;
 
 /// All four primitives over the same inputs, results reduced to bits.
@@ -44,8 +41,8 @@ fn run_primitives(values: &[f64]) -> (Vec<u64>, u64, Vec<u32>, Vec<u64>) {
     (mapped, sum, acc, chunk_bits)
 }
 
-/// One engine tune with the pipeline toggled, reduced to bits.
-fn run_tune(scenario: &Scenario, pipeline: bool) -> (u32, u64, Vec<(u32, u64)>) {
+/// One engine tune, reduced to bits.
+fn run_tune(scenario: &Scenario) -> (u32, u64, Vec<(u32, u64)>) {
     let (lo, hi) = scenario.params.side_range();
     let cfg = EngineConfig::builder()
         .hgrid_budget_side(scenario.params.budget_side)
@@ -53,7 +50,6 @@ fn run_tune(scenario: &Scenario, pipeline: bool) -> (u32, u64, Vec<(u32, u64)>) 
         .strategy(SearchStrategy::BruteForce)
         .alpha_window(scenario.window)
         .clock(scenario.clock)
-        .pipeline(pipeline)
         .build()
         .expect("scenario config is valid");
     let model = scenario.model_fn();
@@ -61,7 +57,7 @@ fn run_tune(scenario: &Scenario, pipeline: bool) -> (u32, u64, Vec<(u32, u64)>) 
     session
         .ingest(&scenario.events)
         .expect("scenario events are finite");
-    let report = session.tune_parallel().expect("infallible model leg");
+    let report = session.tune().expect("infallible model leg");
     let probes = report
         .outcome
         .probes
@@ -72,14 +68,14 @@ fn run_tune(scenario: &Scenario, pipeline: bool) -> (u32, u64, Vec<(u32, u64)>) 
 }
 
 #[test]
-fn pool_and_pipeline_match_inline_bit_for_bit() {
+fn pool_matches_inline_bit_for_bit() {
     let scenario = Scenario::generate(77);
     let values: Vec<f64> = (0..1777).map(|i| (i as f64 * 0.173).cos() + 1.5).collect();
 
-    // Baseline: pure inline path, pipeline off.
+    // Baseline: pure inline path.
     gridtuner_par::set_max_threads(1);
     let prim_ref = run_primitives(&values);
-    let tune_ref = run_tune(&scenario, false);
+    let tune_ref = run_tune(&scenario);
 
     for threads in [1usize, 2, 8] {
         gridtuner_par::set_max_threads(threads);
@@ -88,12 +84,10 @@ fn pool_and_pipeline_match_inline_bit_for_bit() {
             prim_ref,
             "a par_* primitive diverged from inline at {threads} threads"
         );
-        for pipeline in [false, true] {
-            assert_eq!(
-                run_tune(&scenario, pipeline),
-                tune_ref,
-                "tune diverged at {threads} threads (pipeline={pipeline})"
-            );
-        }
+        assert_eq!(
+            run_tune(&scenario),
+            tune_ref,
+            "tune diverged at {threads} threads"
+        );
     }
 }

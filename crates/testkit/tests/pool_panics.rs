@@ -14,14 +14,13 @@
 //! [`gridtuner_par::set_max_threads`] is a global override shared by every
 //! test in a binary.
 
-use gridtuner_core::tuner::SearchStrategy;
-use gridtuner_engine::{EngineConfig, EngineError, TuningSession};
+use gridtuner_engine::{EngineConfig, EngineError, SearchStrategy, TuningSession};
 use gridtuner_testkit::Scenario;
 
 fn session_for(
     scenario: &Scenario,
-    model: impl Fn(u32) -> f64 + Sync,
-) -> TuningSession<impl Fn(u32) -> f64 + Sync> {
+    model: impl FnMut(u32) -> f64,
+) -> TuningSession<impl FnMut(u32) -> f64> {
     let (lo, hi) = scenario.params.side_range();
     let cfg = EngineConfig::builder()
         .hgrid_budget_side(scenario.params.budget_side)
@@ -64,7 +63,7 @@ fn worker_panic_becomes_internal_error_and_pool_survives() {
         side as f64
     });
     let err = session
-        .tune_parallel()
+        .tune()
         .expect_err("a panicking model must not produce a report");
     assert!(
         matches!(err, EngineError::Internal(_)),
@@ -77,10 +76,10 @@ fn worker_panic_becomes_internal_error_and_pool_survives() {
     let doubled = gridtuner_par::par_map(&data, |x| x * 2.0);
     assert_eq!(doubled[499], 998.0);
     let mut healthy = session_for(&scenario, scenario.model_fn());
-    let report = healthy.tune_parallel().expect("healthy model tune");
+    let report = healthy.tune().expect("healthy model tune");
     gridtuner_par::set_max_threads(1);
     let mut inline = session_for(&scenario, scenario.model_fn());
-    let inline_report = inline.tune_parallel().expect("inline tune");
+    let inline_report = inline.tune().expect("inline tune");
     assert_eq!(report.outcome.side, inline_report.outcome.side);
     assert_eq!(
         report.outcome.error.to_bits(),

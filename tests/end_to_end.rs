@@ -2,10 +2,13 @@
 //! with a real (retrained-per-n) predictor → search → sane partition.
 
 use gridtuner::core::alpha::AlphaWindow;
-use gridtuner::core::tuner::{GridTuner, SearchStrategy, TunerConfig};
 use gridtuner::core::upper_bound::{ModelErrorFn, UpperBoundOracle};
 use gridtuner::datagen::{City, DataSplit};
+use gridtuner::engine::{
+    EngineConfig, ModelErrorSource, SearchStrategy, TuneReport, TuningSession,
+};
 use gridtuner::predict::{CityModelError, HistoricalAverage, Predictor};
+use gridtuner::spatial::Event;
 use rand::{rngs::StdRng, SeedableRng};
 
 fn small_city() -> City {
@@ -20,11 +23,32 @@ fn split() -> DataSplit {
     }
 }
 
-fn model_oracle() -> impl ModelErrorFn {
+fn model_oracle() -> impl ModelErrorFn + ModelErrorSource {
     CityModelError::new(small_city(), split(), 5, || {
         Box::new(HistoricalAverage::new()) as Box<dyn Predictor>
     })
     .with_max_eval_slots(12)
+}
+
+/// Tunes `events` over sides 1..=20 at `√N = 32` with a freshly trained
+/// model leg.
+fn tune(events: &[Event], strategy: SearchStrategy) -> TuneReport {
+    let config = EngineConfig::builder()
+        .hgrid_budget_side(32)
+        .side_range(1, 20)
+        .strategy(strategy)
+        .alpha_window(AlphaWindow {
+            slot_of_day: 16,
+            day_start: 0,
+            day_end: 14,
+            weekdays_only: true,
+        })
+        .clock(*small_city().clock())
+        .build()
+        .unwrap();
+    let mut session = TuningSession::new(config, model_oracle()).unwrap();
+    session.ingest(events).unwrap();
+    session.tune().unwrap()
 }
 
 #[test]
@@ -32,18 +56,7 @@ fn tuner_produces_interior_optimum_on_uneven_city() {
     let city = small_city();
     let mut rng = StdRng::seed_from_u64(1);
     let events = city.sample_history_events(16, 0..14, &mut rng);
-    let tuner = GridTuner::new(TunerConfig {
-        hgrid_budget_side: 32,
-        side_range: (1, 20),
-        strategy: SearchStrategy::BruteForce,
-        alpha_window: AlphaWindow {
-            slot_of_day: 16,
-            day_start: 0,
-            day_end: 14,
-            weekdays_only: true,
-        },
-    });
-    let result = tuner.tune(&events, *city.clock(), model_oracle());
+    let result = tune(&events, SearchStrategy::BruteForce);
     // The optimum must be strictly inside the range: the error curve is
     // U-shaped (Sec. III-C).
     assert!(
@@ -87,24 +100,8 @@ fn heuristic_searches_close_to_brute_force_end_to_end() {
     let city = small_city();
     let mut rng = StdRng::seed_from_u64(3);
     let events = city.sample_history_events(16, 0..14, &mut rng);
-    let cfg = |strategy| TunerConfig {
-        hgrid_budget_side: 32,
-        side_range: (1, 20),
-        strategy,
-        alpha_window: AlphaWindow {
-            slot_of_day: 16,
-            day_start: 0,
-            day_end: 14,
-            weekdays_only: true,
-        },
-    };
-    let clock = *city.clock();
-    let bf = GridTuner::new(cfg(SearchStrategy::BruteForce)).tune(&events, clock, model_oracle());
-    let it = GridTuner::new(cfg(SearchStrategy::Iterative { init: 16, bound: 4 })).tune(
-        &events,
-        clock,
-        model_oracle(),
-    );
+    let bf = tune(&events, SearchStrategy::BruteForce);
+    let it = tune(&events, SearchStrategy::Iterative { init: 16, bound: 4 });
     assert!(
         it.outcome.error <= bf.outcome.error * 1.10,
         "iterative {} vs brute {}",
