@@ -1,11 +1,17 @@
-//! The NN substrate: layer forward/backward and a full training step.
+//! The NN substrate: layer forward passes and the minibatch training step
+//! `NnCore::fit` takes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gridtuner_nn::{
-    mse_loss, Adam, Conv2d, Dense, Flatten, Layer, Optimizer, ReLU, Sequential, Tensor,
-};
+use gridtuner_nn::{Adam, Conv2d, Dense, Flatten, Layer, ReLU, Sequential, Tensor};
+use gridtuner_predict::minibatch_step;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Duration;
+
+/// A `shape` tensor of smooth non-zero values.
+fn wave(shape: &[usize]) -> Tensor {
+    let n = shape.iter().product();
+    Tensor::from_vec(shape, (0..n).map(|i| (i as f32 * 0.37).sin()).collect())
+}
 
 fn bench_nn(c: &mut Criterion) {
     let mut g = c.benchmark_group("nn");
@@ -13,30 +19,29 @@ fn bench_nn(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
 
     let mut dense = Dense::new(&mut rng, 1024, 256);
-    let x1 = Tensor::zeros(&[1024]);
+    let x1 = Tensor::zeros(&[1, 1024]);
     g.bench_function("dense_1024x256_forward", |b| b.iter(|| dense.forward(&x1)));
 
     let mut conv = Conv2d::new(&mut rng, 8, 8, 3);
-    let x2 = Tensor::zeros(&[8, 16, 16]);
+    let x2 = Tensor::zeros(&[1, 8, 16, 16]);
     g.bench_function("conv_8ch_16x16_forward", |b| b.iter(|| conv.forward(&x2)));
 
-    // One full train step of a small MLP (forward + backward + Adam).
+    // One minibatch step of the default MLP at side 16, as `search-mlp`
+    // trains it: 16 samples of a 4-slot closeness window, 4·256 → 256 →
+    // 128 → 256, batched forward + Huber + backward + Adam.
     let mut net = Sequential::new(vec![
         Box::new(Flatten::new()),
-        Box::new(Dense::new(&mut rng, 4 * 64, 128)),
+        Box::new(Dense::new(&mut rng, 4 * 256, 256)),
         Box::new(ReLU::new()),
-        Box::new(Dense::new(&mut rng, 128, 64)),
+        Box::new(Dense::new(&mut rng, 256, 128)),
+        Box::new(ReLU::new()),
+        Box::new(Dense::new(&mut rng, 128, 256)),
     ]);
     let mut opt = Adam::new(1e-3);
-    let x3 = Tensor::zeros(&[4, 8, 8]);
-    let t3 = Tensor::zeros(&[64]);
+    let x3 = wave(&[16, 4, 16, 16]);
+    let t3 = wave(&[16, 256]);
     g.bench_function("mlp_train_step", |b| {
-        b.iter(|| {
-            let y = net.forward(&x3);
-            let (_, grad) = mse_loss(&y, &t3);
-            net.backward(&grad);
-            opt.step(&mut net.params_mut());
-        })
+        b.iter(|| minibatch_step(&mut net, &mut opt, &x3, &t3, 0.0))
     });
     g.finish();
 }

@@ -1,9 +1,17 @@
 //! Layers with hand-derived backward passes.
 //!
-//! The contract: `forward` caches whatever `backward` needs; `backward`
-//! *accumulates* into parameter gradients (so minibatches are a plain loop)
-//! and returns the gradient with respect to the layer input. Call
-//! [`Param::zero_grad`] (via the optimizer or net) between minibatches.
+//! The contract: every tensor a layer sees carries an explicit leading
+//! batch dimension `[B, …]` (a single sample is `B = 1`), read from the
+//! shape and never inferred from a length, and sample `s` of the output
+//! depends only on sample `s` of the input. `forward` caches whatever
+//! `backward` needs. `backward` *accumulates* each sample's parameter
+//! gradient in sample order — so a batch of `B` gives the same bits as `B`
+//! single-sample calls — and returns the gradient with respect to the layer
+//! input. [`Layer::backward_params`] does the same minus that input
+//! gradient: [`Sequential`] uses it for its lowest layer with parameters,
+//! whose input gradient nothing consumes, so the skip follows from the
+//! network's structure. Call [`Param::zero_grad`] (via the optimizer or
+//! net) between minibatches.
 
 use crate::init::he_uniform;
 use crate::net::Sequential;
@@ -52,6 +60,13 @@ pub trait Layer {
     /// Accumulates parameter gradients and returns `∂L/∂input`.
     /// Must be called after `forward` with a matching gradient shape.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// Accumulates exactly the parameter gradients [`backward`]
+    /// would, without computing `∂L/∂input`.
+    ///
+    /// [`backward`]: Layer::backward
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
     /// The layer's trainable parameters (empty for stateless layers).
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
@@ -60,7 +75,8 @@ pub trait Layer {
     fn name(&self) -> &'static str;
 }
 
-/// Fully-connected layer: `y = W·x + b` on 1-D inputs.
+/// Fully-connected layer: `y_s = W·x_s + b` for every sample of a
+/// `[B, in]` batch.
 pub struct Dense {
     w: Param, // [out, in]
     b: Param, // [out]
@@ -77,12 +93,53 @@ impl Dense {
                 he_uniform(rng, in_dim, out_dim * in_dim),
             )),
             b: Param::new(Tensor::zeros(&[out_dim])),
-            input: Tensor::zeros(&[0]),
+            input: Tensor::zeros(&[0, in_dim]),
         }
     }
 
     fn dims(&self) -> (usize, usize) {
         (self.w.value.shape()[0], self.w.value.shape()[1])
+    }
+
+    /// Output rows per worker block for a row-blocked pass over `W`.
+    fn row_block(out_dim: usize) -> usize {
+        out_dim.div_ceil(gridtuner_par::workers_for(out_dim))
+    }
+
+    /// `dW += Σ_s g_s·x_sᵀ` and `db += Σ_s g_s`, samples in order; returns
+    /// the batch size. dW rows are independent, so they are row-blocked
+    /// like the forward; inside a row the samples are added in order, so
+    /// every element sees the per-sample accumulation order while the row
+    /// stays cache-resident.
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> usize {
+        let (out_dim, in_dim) = self.dims();
+        let batch = self.input.shape()[0];
+        assert_eq!(
+            grad_out.shape(),
+            &[batch, out_dim],
+            "dense gradient size mismatch (backward needs a matching forward)"
+        );
+        let g = grad_out.as_slice();
+        let x = self.input.as_slice();
+        let dw = self.w.grad.as_mut_slice();
+        gridtuner_par::par_chunks_mut(dw, Self::row_block(out_dim) * in_dim, |base, rows| {
+            for (j, drow) in rows.chunks_mut(in_dim).enumerate() {
+                let o = base / in_dim + j;
+                for (gs, xs) in g.chunks_exact(out_dim).zip(x.chunks_exact(in_dim)) {
+                    let go = gs[o];
+                    for (d, xi) in drow.iter_mut().zip(xs) {
+                        *d += go * xi;
+                    }
+                }
+            }
+        });
+        let db = self.b.grad.as_mut_slice();
+        for gs in g.chunks_exact(out_dim) {
+            for (d, go) in db.iter_mut().zip(gs) {
+                *d += go;
+            }
+        }
+        batch
     }
 }
 
@@ -109,65 +166,77 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let (out_dim, in_dim) = self.dims();
-        assert_eq!(input.len(), in_dim, "dense input size mismatch");
-        self.input = input.clone().into_reshaped(&[in_dim]);
+        let shape = input.shape();
+        assert!(
+            shape.len() == 2 && shape[1] == in_dim,
+            "dense input size mismatch: expected [B, {in_dim}], got {shape:?}"
+        );
+        let batch = shape[0];
+        assert!(batch > 0, "dense input has an empty batch");
+        self.input = input.clone();
         let w = self.w.value.as_slice();
         let b = self.b.value.as_slice();
         let x = self.input.as_slice();
-        let mut y = vec![0.0f32; out_dim];
-        // Row-blocked: each worker owns a contiguous block of output rows;
-        // every y[o] is one dot() call, so the result is bit-identical for
-        // any worker count.
-        let block = out_dim.div_ceil(gridtuner_par::workers_for(out_dim));
-        gridtuner_par::par_chunks_mut(&mut y, block.max(1), |base, rows| {
-            for (j, yo) in rows.iter_mut().enumerate() {
-                let o = base + j;
-                *yo = b[o] + dot(&w[o * in_dim..(o + 1) * in_dim], x);
+        // Row-blocked into an `[out, B]` buffer: each worker owns a
+        // contiguous block of output rows and applies each row to all B
+        // samples while it is hot. Every y[s, o] is one dot() call, so the
+        // result is bit-identical for any worker count and batch size.
+        let mut yt = vec![0.0f32; out_dim * batch];
+        gridtuner_par::par_chunks_mut(&mut yt, Self::row_block(out_dim) * batch, |base, rows| {
+            for (j, ys) in rows.chunks_mut(batch).enumerate() {
+                let o = base / batch + j;
+                let wrow = &w[o * in_dim..(o + 1) * in_dim];
+                for (y, xs) in ys.iter_mut().zip(x.chunks_exact(in_dim)) {
+                    *y = b[o] + dot(wrow, xs);
+                }
             }
         });
-        Tensor::from_vec(&[out_dim], y)
+        let mut y = vec![0.0f32; batch * out_dim];
+        for (o, ys) in yt.chunks_exact(batch).enumerate() {
+            for (s, &v) in ys.iter().enumerate() {
+                y[s * out_dim + o] = v;
+            }
+        }
+        Tensor::from_vec(&[batch, out_dim], y)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let batch = self.accumulate_param_grads(grad_out);
         let (out_dim, in_dim) = self.dims();
-        assert_eq!(grad_out.len(), out_dim, "dense gradient size mismatch");
         let g = grad_out.as_slice();
-        let x = self.input.as_slice();
-        assert_eq!(x.len(), in_dim, "backward called before forward");
         let w = self.w.value.as_slice();
-        {
-            // dW rows and db entries are per-output-row independent:
-            // row-blocked like the forward.
-            let dw = self.w.grad.as_mut_slice();
-            let db = self.b.grad.as_mut_slice();
-            let block = out_dim.div_ceil(gridtuner_par::workers_for(out_dim));
-            gridtuner_par::par_chunks_mut(dw, block.max(1) * in_dim, |base, rows| {
-                for (j, drow) in rows.chunks_mut(in_dim).enumerate() {
-                    let go = g[base / in_dim + j];
-                    for (d, xi) in drow.iter_mut().zip(x) {
-                        *d += go * xi;
+        // dx[s, i] = Σ_o g[s, o]·W[o, i], accumulated over ascending o from
+        // 0.0 — the single-sample column walk's order. Column-blocked into
+        // `[block][B][cols]` partial rows, so each worker reads every W
+        // segment once per batch and applies it to all B samples.
+        let cols = in_dim.div_ceil(gridtuner_par::workers_for(in_dim));
+        let mut blocks = vec![0.0f32; in_dim.div_ceil(cols) * batch * cols];
+        gridtuner_par::par_chunks_mut(&mut blocks, batch * cols, |base, acc| {
+            let i0 = base / batch;
+            let i1 = (i0 + cols).min(in_dim);
+            for o in 0..out_dim {
+                let wseg = &w[o * in_dim + i0..o * in_dim + i1];
+                for (row, gs) in acc.chunks_exact_mut(cols).zip(g.chunks_exact(out_dim)) {
+                    let go = gs[o];
+                    for (a, wv) in row.iter_mut().zip(wseg) {
+                        *a += go * wv;
                     }
                 }
-            });
-            for (d, go) in db.iter_mut().zip(g) {
-                *d += go;
-            }
-        }
-        // dx = Wᵀ·g: each dx[i] is an independent column dot, so the input
-        // gradient parallelises without partials.
-        let mut dx = vec![0.0f32; in_dim];
-        let block = in_dim.div_ceil(gridtuner_par::workers_for(in_dim));
-        gridtuner_par::par_chunks_mut(&mut dx, block.max(1), |base, cols| {
-            for (j, d) in cols.iter_mut().enumerate() {
-                let i = base + j;
-                let mut acc = 0.0f32;
-                for (o, go) in g.iter().enumerate() {
-                    acc += go * w[o * in_dim + i];
-                }
-                *d = acc;
             }
         });
-        Tensor::from_vec(&[in_dim], dx)
+        let mut dx = vec![0.0f32; batch * in_dim];
+        for (k, block) in blocks.chunks_exact(batch * cols).enumerate() {
+            let i0 = k * cols;
+            let width = cols.min(in_dim - i0);
+            for (dxs, row) in dx.chunks_exact_mut(in_dim).zip(block.chunks_exact(cols)) {
+                dxs[i0..i0 + width].copy_from_slice(&row[..width]);
+            }
+        }
+        Tensor::from_vec(&[batch, in_dim], dx)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.accumulate_param_grads(grad_out);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -219,7 +288,8 @@ impl Layer for ReLU {
     }
 }
 
-/// Flattens any input to 1-D (and restores the shape on the way back).
+/// Flattens each sample to 1-D, `[B, d…]` → `[B, Πd]`, and restores the
+/// shape on the way back.
 #[derive(Default)]
 pub struct Flatten {
     input_shape: Vec<usize>,
@@ -234,8 +304,10 @@ impl Flatten {
 
 impl Layer for Flatten {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.input_shape = input.shape().to_vec();
-        input.reshaped(&[input.len()])
+        let shape = input.shape();
+        assert!(!shape.is_empty(), "flatten input must be [B, …]");
+        self.input_shape = shape.to_vec();
+        input.reshaped(&[shape[0], shape[1..].iter().product()])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -247,9 +319,10 @@ impl Layer for Flatten {
     }
 }
 
-/// 2-D convolution on `[C, H, W]` tensors: square kernels, stride 1, same
-/// padding (output spatial size equals input). Naive loops — fine at the
-/// channel counts this workspace uses.
+/// 2-D convolution on `[B, C, H, W]` batches: square kernels, stride 1,
+/// same padding (output spatial size equals input). Tap-hoisted: each
+/// kernel tap's valid output range is computed once, so the inner loops
+/// walk contiguous rows with no per-pixel bounds checks.
 pub struct Conv2d {
     k: Param, // [oc, ic, ks, ks]
     b: Param, // [oc]
@@ -270,12 +343,70 @@ impl Conv2d {
             )),
             b: Param::new(Tensor::zeros(&[out_ch])),
             ks,
-            input: Tensor::zeros(&[0]),
+            input: Tensor::zeros(&[0, in_ch, 0, 0]),
         }
     }
 
     fn channels(&self) -> (usize, usize) {
         (self.k.value.shape()[0], self.k.value.shape()[1])
+    }
+
+    /// `(B, H, W)` of the cached input.
+    fn input_dims(&self) -> (usize, usize, usize) {
+        let s = self.input.shape();
+        (s[0], s[2], s[3])
+    }
+
+    /// dK and db for the whole batch; returns `(B, H, W)`. dK is
+    /// per-output-channel independent: one worker per channel block, and
+    /// inside a task each sample's contribution is added in sample order
+    /// (taps outer, contiguous rows inner).
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> (usize, usize, usize) {
+        let (oc, ic) = self.channels();
+        let (batch, h, w) = self.input_dims();
+        assert_eq!(
+            grad_out.shape(),
+            &[batch, oc, h, w],
+            "conv gradient mismatch (backward needs a matching forward)"
+        );
+        let (ks, pad, hw) = (self.ks, self.ks / 2, h * w);
+        let x = self.input.as_slice();
+        let g = grad_out.as_slice();
+        let dk = self.k.grad.as_mut_slice();
+        let tap_count = ic * ks * ks;
+        gridtuner_par::par_chunks_mut(dk, tap_count, |base, taps| {
+            let o = base / tap_count;
+            for (xs, gs) in x.chunks_exact(ic * hw).zip(g.chunks_exact(oc * hw)) {
+                let gch = &gs[o * hw..(o + 1) * hw];
+                for i in 0..ic {
+                    let xch = &xs[i * hw..(i + 1) * hw];
+                    for kr in 0..ks {
+                        let (r0, r1) = tap_range(kr, pad, h);
+                        for kc in 0..ks {
+                            let (c0, c1) = tap_range(kc, pad, w);
+                            if c0 >= c1 {
+                                continue;
+                            }
+                            let mut acc = 0.0f32;
+                            for r in r0..r1 {
+                                let xrow =
+                                    &x_row(xch, r + kr - pad, w)[c0 + kc - pad..c1 + kc - pad];
+                                let grow = &gch[r * w + c0..r * w + c1];
+                                acc += dot(grow, xrow);
+                            }
+                            taps[(i * ks + kr) * ks + kc] += acc;
+                        }
+                    }
+                }
+            }
+        });
+        let db = self.b.grad.as_mut_slice();
+        for gs in g.chunks_exact(oc * hw) {
+            for (d, gch) in db.iter_mut().zip(gs.chunks_exact(hw)) {
+                *d += gch.iter().sum::<f32>();
+            }
+        }
+        (batch, h, w)
     }
 }
 
@@ -301,25 +432,27 @@ fn x_row_mut(plane: &mut [f32], r: usize, w: usize) -> &mut [f32] {
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let (oc, ic) = self.channels();
-        assert_eq!(input.shape().len(), 3, "conv input must be [C, H, W]");
-        assert_eq!(input.shape()[0], ic, "conv input channel mismatch");
-        let (h, w) = (input.shape()[1], input.shape()[2]);
+        let shape = input.shape();
+        assert_eq!(shape.len(), 4, "conv input must be [B, C, H, W]");
+        assert_eq!(shape[1], ic, "conv input channel mismatch");
+        let (batch, h, w) = (shape[0], shape[2], shape[3]);
         self.input = input.clone();
-        let (ks, pad) = (self.ks, self.ks / 2);
+        let (ks, pad, hw) = (self.ks, self.ks / 2, h * w);
         let x = input.as_slice();
         let k = self.k.value.as_slice();
         let b = self.b.value.as_slice();
-        let mut out = vec![0.0f32; oc * h * w];
-        // One worker per block of output channels; inside a channel the
-        // taps are the outer loops, so the inner loop walks contiguous
-        // input and output rows with no bounds checks. Each channel is
+        let mut out = vec![0.0f32; batch * oc * hw];
+        // One task per output plane (sample s, channel o); inside a plane
+        // the taps are the outer loops, so the inner loop walks contiguous
+        // input and output rows with no bounds checks. Each plane is
         // produced by exactly one closure call — deterministic for any
         // worker count.
-        gridtuner_par::par_chunks_mut(&mut out, h * w, |base, plane| {
-            let o = base / (h * w);
+        gridtuner_par::par_chunks_mut(&mut out, hw, |base, plane| {
+            let (s, o) = (base / hw / oc, base / hw % oc);
+            let xs = &x[s * ic * hw..(s + 1) * ic * hw];
             plane.fill(b[o]);
             for i in 0..ic {
-                let xch = &x[i * h * w..(i + 1) * h * w];
+                let xch = &xs[i * hw..(i + 1) * hw];
                 for kr in 0..ks {
                     let (r0, r1) = tap_range(kr, pad, h);
                     for kc in 0..ks {
@@ -339,27 +472,25 @@ impl Layer for Conv2d {
                 }
             }
         });
-        Tensor::from_vec(&[oc, h, w], out)
+        Tensor::from_vec(&[batch, oc, h, w], out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let (batch, h, w) = self.accumulate_param_grads(grad_out);
         let (oc, ic) = self.channels();
-        let (h, w) = (self.input.shape()[1], self.input.shape()[2]);
-        assert_eq!(grad_out.shape(), &[oc, h, w], "conv gradient mismatch");
-        let (ks, pad) = (self.ks, self.ks / 2);
-        let x = self.input.as_slice();
+        let (ks, pad, hw) = (self.ks, self.ks / 2, h * w);
         let g = grad_out.as_slice();
         let k = self.k.value.as_slice();
-        // dK and db are per-output-channel independent: one worker per
-        // channel block, taps outer, contiguous rows inner.
-        {
-            let dk = self.k.grad.as_mut_slice();
-            let tap_count = ic * ks * ks;
-            gridtuner_par::par_chunks_mut(dk, tap_count, |base, taps| {
-                let o = base / tap_count;
-                let gch = &g[o * h * w..(o + 1) * h * w];
+        // dx sums over output channels — a reduction, so workers fold
+        // channel blocks into private buffers combined in block order; the
+        // block boundaries depend only on `oc`, and each block adds its
+        // samples' contributions in sample order.
+        let os: Vec<usize> = (0..oc).collect();
+        let dx = gridtuner_par::par_accumulate(&os, batch * ic * hw, |_, &o, dx| {
+            for (dxs, gs) in dx.chunks_exact_mut(ic * hw).zip(g.chunks_exact(oc * hw)) {
+                let gch = &gs[o * hw..(o + 1) * hw];
                 for i in 0..ic {
-                    let xch = &x[i * h * w..(i + 1) * h * w];
+                    let dxch = &mut dxs[i * hw..(i + 1) * hw];
                     for kr in 0..ks {
                         let (r0, r1) = tap_range(kr, pad, h);
                         for kc in 0..ks {
@@ -367,51 +498,25 @@ impl Layer for Conv2d {
                             if c0 >= c1 {
                                 continue;
                             }
-                            let mut acc = 0.0f32;
+                            let kv = k[((o * ic + i) * ks + kr) * ks + kc];
                             for r in r0..r1 {
-                                let xrow =
-                                    &x_row(xch, r + kr - pad, w)[c0 + kc - pad..c1 + kc - pad];
+                                let dxrow = &mut x_row_mut(dxch, r + kr - pad, w)
+                                    [c0 + kc - pad..c1 + kc - pad];
                                 let grow = &gch[r * w + c0..r * w + c1];
-                                acc += dot(grow, xrow);
-                            }
-                            taps[(i * ks + kr) * ks + kc] += acc;
-                        }
-                    }
-                }
-            });
-            let db = self.b.grad.as_mut_slice();
-            for (o, d) in db.iter_mut().enumerate() {
-                *d += g[o * h * w..(o + 1) * h * w].iter().sum::<f32>();
-            }
-        }
-        // dx sums over output channels — a reduction, so workers fold
-        // channel blocks into private buffers combined in block order.
-        let os: Vec<usize> = (0..oc).collect();
-        let dx = gridtuner_par::par_accumulate(&os, ic * h * w, |_, &o, dx| {
-            let gch = &g[o * h * w..(o + 1) * h * w];
-            for i in 0..ic {
-                let dxch = &mut dx[i * h * w..(i + 1) * h * w];
-                for kr in 0..ks {
-                    let (r0, r1) = tap_range(kr, pad, h);
-                    for kc in 0..ks {
-                        let (c0, c1) = tap_range(kc, pad, w);
-                        if c0 >= c1 {
-                            continue;
-                        }
-                        let kv = k[((o * ic + i) * ks + kr) * ks + kc];
-                        for r in r0..r1 {
-                            let dxrow =
-                                &mut x_row_mut(dxch, r + kr - pad, w)[c0 + kc - pad..c1 + kc - pad];
-                            let grow = &gch[r * w + c0..r * w + c1];
-                            for (dv, gv) in dxrow.iter_mut().zip(grow) {
-                                *dv += kv * gv;
+                                for (dv, gv) in dxrow.iter_mut().zip(grow) {
+                                    *dv += kv * gv;
+                                }
                             }
                         }
                     }
                 }
             }
         });
-        Tensor::from_vec(&[ic, h, w], dx)
+        Tensor::from_vec(&[batch, ic, h, w], dx)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.accumulate_param_grads(grad_out);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -453,6 +558,10 @@ impl Layer for Residual {
         let mut dx = self.inner.backward(grad_out);
         dx.add_assign(grad_out);
         dx
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.inner.backward_params(grad_out);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -528,7 +637,7 @@ mod tests {
         let mut d = Dense::new(&mut rng, 2, 2);
         d.w.value = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         d.b.value = Tensor::vector(&[0.5, -0.5]);
-        let y = d.forward(&Tensor::vector(&[1.0, -1.0]));
+        let y = d.forward(&Tensor::from_vec(&[1, 2], vec![1.0, -1.0]));
         assert_eq!(y.as_slice(), &[1.0 - 2.0 + 0.5, 3.0 - 4.0 - 0.5]);
     }
 
@@ -536,8 +645,8 @@ mod tests {
     fn dense_gradients_match_finite_differences() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut d = Dense::new(&mut rng, 4, 3);
-        let x = Tensor::vector(&[0.3, -0.7, 1.2, 0.05]);
-        let t = Tensor::vector(&[0.1, 0.2, -0.3]);
+        let x = Tensor::from_vec(&[2, 4], vec![0.3, -0.7, 1.2, 0.05, -0.4, 0.9, 0.2, -1.1]);
+        let t = Tensor::from_vec(&[2, 3], vec![0.1, 0.2, -0.3, -0.2, 0.4, 0.0]);
         grad_check(&mut d, &x, &t, 1e-2);
     }
 
@@ -555,8 +664,8 @@ mod tests {
         let mut f = Flatten::new();
         let x = Tensor::zeros(&[2, 3, 4]);
         let y = f.forward(&x);
-        assert_eq!(y.shape(), &[24]);
-        let dx = f.backward(&Tensor::zeros(&[24]));
+        assert_eq!(y.shape(), &[2, 12], "the batch dimension is kept");
+        let dx = f.backward(&Tensor::zeros(&[2, 12]));
         assert_eq!(dx.shape(), &[2, 3, 4]);
     }
 
@@ -569,7 +678,7 @@ mod tests {
         k[4] = 1.0;
         conv.k.value = Tensor::from_vec(&[1, 1, 3, 3], k);
         conv.b.value = Tensor::vector(&[0.0]);
-        let x = Tensor::from_vec(&[1, 3, 3], (1..=9).map(|v| v as f32).collect());
+        let x = Tensor::from_vec(&[1, 1, 3, 3], (1..=9).map(|v| v as f32).collect());
         let y = conv.forward(&x);
         assert_eq!(y.as_slice(), x.as_slice());
     }
@@ -578,9 +687,9 @@ mod tests {
     fn conv_same_padding_shape_and_edges() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut conv = Conv2d::new(&mut rng, 2, 4, 3);
-        let x = Tensor::zeros(&[2, 5, 6]);
+        let x = Tensor::zeros(&[3, 2, 5, 6]);
         let y = conv.forward(&x);
-        assert_eq!(y.shape(), &[4, 5, 6]);
+        assert_eq!(y.shape(), &[3, 4, 5, 6]);
     }
 
     #[test]
@@ -588,18 +697,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut conv = Conv2d::new(&mut rng, 2, 2, 3);
         let x = Tensor::from_vec(
-            &[2, 3, 3],
-            (0..18).map(|i| (i as f32 * 0.37).sin()).collect(),
+            &[2, 2, 3, 3],
+            (0..36).map(|i| (i as f32 * 0.37).sin()).collect(),
         );
-        let t = Tensor::zeros(&[2, 3, 3]);
+        let t = Tensor::zeros(&[2, 2, 3, 3]);
         grad_check(&mut conv, &x, &t, 2e-2);
     }
 
-    /// Naive per-pixel conv forward — the reference the optimised kernel
-    /// must match.
+    /// Naive per-pixel conv forward of a one-sample batch — the reference
+    /// the optimised kernel must match.
     fn conv_forward_naive(conv: &Conv2d, input: &Tensor) -> Vec<f32> {
         let (oc, ic) = conv.channels();
-        let (h, w) = (input.shape()[1], input.shape()[2]);
+        let (h, w) = (input.shape()[2], input.shape()[3]);
         let (ks, pad) = (conv.ks, conv.ks / 2);
         let x = input.as_slice();
         let k = conv.k.value.as_slice();
@@ -634,7 +743,7 @@ mod tests {
         for (ic, oc, h, w, ks) in [(1, 1, 4, 4, 3), (3, 5, 7, 6, 3), (2, 3, 9, 9, 5)] {
             let mut conv = Conv2d::new(&mut rng, ic, oc, ks);
             let x = Tensor::from_vec(
-                &[ic, h, w],
+                &[1, ic, h, w],
                 (0..ic * h * w).map(|i| (i as f32 * 0.731).sin()).collect(),
             );
             let want = conv_forward_naive(&conv, &x);
@@ -657,12 +766,12 @@ mod tests {
         let pad = ks / 2;
         let mut conv = Conv2d::new(&mut rng, ic, oc, ks);
         let x = Tensor::from_vec(
-            &[ic, h, w],
+            &[1, ic, h, w],
             (0..ic * h * w).map(|i| (i as f32 * 0.413).cos()).collect(),
         );
         conv.forward(&x);
         let g = Tensor::from_vec(
-            &[oc, h, w],
+            &[1, oc, h, w],
             (0..oc * h * w).map(|i| (i as f32 * 0.217).sin()).collect(),
         );
         let k = conv.k.value.as_slice().to_vec();
@@ -709,7 +818,7 @@ mod tests {
         let (in_dim, out_dim) = (37, 23);
         let mut d = Dense::new(&mut rng, in_dim, out_dim);
         let x = Tensor::from_vec(
-            &[in_dim],
+            &[1, in_dim],
             (0..in_dim).map(|i| (i as f32 * 0.911).sin()).collect(),
         );
         let w = d.w.value.as_slice().to_vec();
@@ -735,10 +844,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let inner = Sequential::new(vec![Box::new(Dense::new(&mut rng, 3, 3))]);
         let mut res = Residual::new(inner);
-        let x = Tensor::vector(&[1.0, 2.0, 3.0]);
+        let x = Tensor::from_vec(&[1, 3], vec![1.0, 2.0, 3.0]);
         let y = res.forward(&x);
         // y - x equals the inner dense output: check backward consistency.
-        let t = Tensor::vector(&[0.0, 0.0, 0.0]);
+        let t = Tensor::zeros(&[1, 3]);
         grad_check(&mut res, &x, &t, 1e-2);
         assert_eq!(y.shape(), x.shape());
     }
@@ -747,6 +856,18 @@ mod tests {
     #[should_panic(expected = "input size mismatch")]
     fn dense_validates_input_size() {
         let mut rng = StdRng::seed_from_u64(6);
+        // Two samples' worth of values without a batch dimension: the batch
+        // size is never inferred from the length.
+        let unbatched = std::panic::catch_unwind(|| {
+            let mut rng = StdRng::seed_from_u64(6);
+            Dense::new(&mut rng, 3, 2).forward(&Tensor::vector(&[1.0; 6]));
+        });
+        let msg = unbatched.expect_err("a [6] input must not pass as [2, 3]");
+        let msg = msg
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(msg.contains("input size mismatch"), "{msg}");
         Dense::new(&mut rng, 3, 2).forward(&Tensor::vector(&[1.0, 2.0]));
     }
 }

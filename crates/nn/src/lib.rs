@@ -8,15 +8,18 @@
 //!
 //! * [`tensor::Tensor`] — dense `f32` tensors with shape tracking;
 //! * [`layers`] — `Dense`, `Conv2d` (same-padding, stride 1), `ReLU`,
-//!   `Flatten`, and `Residual` blocks, each with hand-derived backward
-//!   passes (gradient-checked in tests);
+//!   `Flatten`, and `Residual` blocks over batch-major `[B, …]` tensors,
+//!   each with hand-derived backward passes (gradient-checked in tests);
 //! * [`net::Sequential`] — layer composition with forward/backward;
 //! * [`loss`] — MSE / MAE / Huber with analytic gradients;
 //! * [`optim`] — SGD with momentum and Adam;
 //! * [`init`] — Xavier/He initialisation.
 //!
-//! Everything is CPU, single-threaded per model (parallelism lives a level
-//! up, across sweep points), deterministic given the RNG seed.
+//! Everything is CPU and deterministic given the RNG seed. A minibatch is
+//! one batched pass: each `Dense` and `Conv2d` op splits its rows or
+//! channels over the `gridtuner-par` worker pool in one dispatch per batch,
+//! and the result is bit-identical at every worker count and to running
+//! the batch's samples one at a time.
 
 pub mod init;
 pub mod layers;

@@ -43,6 +43,16 @@ impl Sequential {
             p.zero_grad();
         }
     }
+
+    /// Runs `backward` through `layers` from the top, returning the
+    /// gradient at their input.
+    fn backward_through(layers: &mut [Box<dyn Layer>], grad_out: &Tensor) -> Tensor {
+        let mut g = grad_out.clone();
+        for layer in layers.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        g
+    }
 }
 
 impl Layer for Sequential {
@@ -55,11 +65,23 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        Self::backward_through(&mut self.layers, grad_out)
+    }
+
+    /// Backpropagates only as far as the lowest layer with parameters,
+    /// which accumulates its parameter gradients without an input
+    /// gradient; the parameter-free layers below it are not visited.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some(lowest) = self
+            .layers
+            .iter_mut()
+            .position(|l| !l.params_mut().is_empty())
+        else {
+            return;
+        };
+        let (below, above) = self.layers.split_at_mut(lowest + 1);
+        let g = Self::backward_through(above, grad_out);
+        below[lowest].backward_params(&g);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -77,7 +99,7 @@ impl Layer for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, ReLU};
+    use crate::layers::{Dense, Flatten, ReLU, Residual};
     use crate::loss::mse_loss;
     use crate::optim::{Optimizer, Sgd};
     use rand::{rngs::StdRng, SeedableRng};
@@ -91,8 +113,8 @@ mod tests {
             Box::new(Dense::new(&mut rng, 8, 1)),
         ]);
         assert_eq!(net.len(), 3);
-        let y = net.forward(&Tensor::vector(&[0.5, -0.5]));
-        assert_eq!(y.shape(), &[1]);
+        let y = net.forward(&Tensor::from_vec(&[1, 2], vec![0.5, -0.5]));
+        assert_eq!(y.shape(), &[1, 1]);
         assert_eq!(net.n_parameters(), 2 * 8 + 8 + 8 + 1);
     }
 
@@ -105,33 +127,27 @@ mod tests {
             Box::new(ReLU::new()),
             Box::new(Dense::new(&mut rng, 16, 1)),
         ]);
-        let data: Vec<(Tensor, Tensor)> = (0..64)
-            .map(|i| {
-                let x0 = (i % 8) as f32 / 8.0;
-                let x1 = (i / 8) as f32 / 8.0;
-                (
-                    Tensor::vector(&[x0, x1]),
-                    Tensor::vector(&[2.0 * x0 - x1 + 1.0]),
-                )
-            })
-            .collect();
+        let (mut xs, mut ts) = (Vec::new(), Vec::new());
+        for i in 0..64 {
+            let x0 = (i % 8) as f32 / 8.0;
+            let x1 = (i / 8) as f32 / 8.0;
+            xs.extend([x0, x1]);
+            ts.push(2.0 * x0 - x1 + 1.0);
+        }
+        let (x, t) = (
+            Tensor::from_vec(&[64, 2], xs),
+            Tensor::from_vec(&[64, 1], ts),
+        );
         let mut opt = Sgd::new(0.05, 0.9);
-        let loss_at = |net: &mut Sequential| -> f64 {
-            data.iter()
-                .map(|(x, t)| mse_loss(&net.forward(x), t).0)
-                .sum::<f64>()
-                / data.len() as f64
-        };
+        let loss_at = |net: &mut Sequential| -> f64 { mse_loss(&net.forward(&x), &t).0 / 64.0 };
         let before = loss_at(&mut net);
         for _ in 0..200 {
             net.zero_grad();
-            for (x, t) in &data {
-                let y = net.forward(x);
-                let (_, g) = mse_loss(&y, t);
-                net.backward(&g);
-            }
+            let y = net.forward(&x);
+            let (_, g) = mse_loss(&y, &t);
+            net.backward_params(&g);
             for p in net.params_mut() {
-                p.grad.scale(1.0 / data.len() as f32);
+                p.grad.scale(1.0 / 64.0);
             }
             opt.step(&mut net.params_mut());
         }
@@ -146,12 +162,47 @@ mod tests {
     fn zero_grad_clears_all_gradients() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut net = Sequential::new(vec![Box::new(Dense::new(&mut rng, 3, 3))]);
-        let x = Tensor::vector(&[1.0, 1.0, 1.0]);
+        let x = Tensor::from_vec(&[1, 3], vec![1.0, 1.0, 1.0]);
         let y = net.forward(&x);
-        let (_, g) = mse_loss(&y, &Tensor::vector(&[0.0, 0.0, 0.0]));
+        let (_, g) = mse_loss(&y, &Tensor::zeros(&[1, 3]));
         net.backward(&g);
         assert!(net.params_mut().iter().any(|p| p.grad.max_abs() > 0.0));
         net.zero_grad();
         assert!(net.params_mut().iter().all(|p| p.grad.max_abs() == 0.0));
+    }
+
+    #[test]
+    fn backward_params_matches_backward_on_every_parameter() {
+        // A residual block as the lowest parametrised layer: the skip of
+        // the input gradient reaches through it into the inner stack.
+        let build = || {
+            let mut rng = StdRng::seed_from_u64(3);
+            Sequential::new(vec![
+                Box::new(Flatten::new()),
+                Box::new(Residual::new(Sequential::new(vec![
+                    Box::new(Dense::new(&mut rng, 6, 6)),
+                    Box::new(ReLU::new()),
+                ]))),
+                Box::new(Dense::new(&mut rng, 6, 4)),
+            ])
+        };
+        let x = Tensor::from_vec(
+            &[3, 2, 3],
+            (0..18).map(|i| (i as f32 * 0.7).sin()).collect(),
+        );
+        let grads = |net: &mut Sequential, full: bool| -> Vec<Vec<u32>> {
+            let y = net.forward(&x);
+            let (_, g) = mse_loss(&y, &Tensor::zeros(&[3, 4]));
+            if full {
+                assert_eq!(net.backward(&g).shape(), &[3, 2, 3]);
+            } else {
+                net.backward_params(&g);
+            }
+            net.params_mut()
+                .iter()
+                .map(|p| p.grad.as_slice().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(grads(&mut build(), false), grads(&mut build(), true));
     }
 }

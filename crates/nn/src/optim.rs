@@ -72,25 +72,32 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    // Indexed loops: `g`, `m`, `v` are walked in lockstep.
-    #[allow(clippy::needless_range_loop)]
+    /// One fused pass per parameter: moments, bias correction and update
+    /// per element, in the textbook expression order. The zip has no
+    /// bounds checks or cross-element dependencies, so it vectorises; the
+    /// divisions stay divisions, so every update is bit-identical to the
+    /// two-pass form.
     fn step(&mut self, params: &mut [&mut Param]) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (b1, b2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let (c1, c2) = (1.0 - b1, 1.0 - b2);
         for p in params.iter_mut() {
-            let g = p.grad.as_mut_slice();
-            for i in 0..g.len() {
-                let gi = g[i];
-                g[i] = 0.0;
-                p.m[i] = self.beta1 * p.m[i] + (1.0 - self.beta1) * gi;
-                p.v[i] = self.beta2 * p.v[i] + (1.0 - self.beta2) * gi * gi;
-            }
-            let v = p.value.as_mut_slice();
-            for i in 0..v.len() {
-                let m_hat = p.m[i] / bc1;
-                let v_hat = p.v[i] / bc2;
-                v[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            let elems = p
+                .value
+                .as_mut_slice()
+                .iter_mut()
+                .zip(p.grad.as_mut_slice())
+                .zip(p.m.iter_mut().zip(p.v.iter_mut()));
+            for ((x, g), (m, v)) in elems {
+                let gi = *g;
+                *g = 0.0;
+                *m = b1 * *m + c1 * gi;
+                *v = b2 * *v + c2 * gi * gi;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *x -= lr * m_hat / (v_hat.sqrt() + eps);
             }
         }
     }

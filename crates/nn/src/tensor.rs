@@ -38,6 +38,28 @@ impl Tensor {
         Tensor::from_vec(&[data.len()], data.to_vec())
     }
 
+    /// Stacks equally-shaped tensors along a new leading batch dimension:
+    /// `B` tensors of shape `[d…]` become one `[B, d…]` tensor, sample `s`
+    /// in row `s`. Panics on an empty list or mismatched shapes.
+    pub fn stack(items: &[&Tensor]) -> Tensor {
+        let first = items.first().expect("cannot stack an empty list");
+        let mut shape = vec![items.len()];
+        shape.extend_from_slice(&first.shape);
+        let mut data = Vec::with_capacity(items.len() * first.len());
+        for t in items {
+            assert_eq!(t.shape, first.shape, "shape mismatch in stack");
+            data.extend_from_slice(&t.data);
+        }
+        Tensor { shape, data }
+    }
+
+    /// Prefixes a batch dimension of one: `[d…]` becomes `[1, d…]`. No data
+    /// is copied.
+    pub fn into_batch_of_one(mut self) -> Tensor {
+        self.shape.insert(0, 1);
+        self
+    }
+
     /// The shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -160,6 +182,23 @@ mod tests {
     #[should_panic(expected = "cannot reshape")]
     fn reshape_validates_element_count() {
         Tensor::zeros(&[2, 2]).reshape(&[5]);
+    }
+
+    #[test]
+    fn stack_adds_a_leading_batch_dimension() {
+        let a = Tensor::from_vec(&[1, 2], vec![1.0, 2.0]);
+        let b = Tensor::from_vec(&[1, 2], vec![3.0, 4.0]);
+        let s = Tensor::stack(&[&a, &b]);
+        assert_eq!(s.shape(), &[2, 1, 2]);
+        assert_eq!(s.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        let one = a.into_batch_of_one();
+        assert_eq!(one.shape(), &[1, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch in stack")]
+    fn stack_validates_shapes() {
+        Tensor::stack(&[&Tensor::zeros(&[2]), &Tensor::zeros(&[3])]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based gradient checks: for random layer shapes, random inputs
 //! and random targets, analytic gradients must match central finite
-//! differences.
+//! differences. Inputs are one-sample batches `[1, …]`.
 
 use gridtuner_nn::{mse_loss, Conv2d, Dense, Layer, ReLU, Residual, Sequential, Tensor};
 use proptest::prelude::*;
@@ -41,8 +41,8 @@ proptest! {
                              seed in 0u64..500) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut layer = Dense::new(&mut rng, in_dim, out_dim);
-        let x = Tensor::from_vec(&[in_dim], (0..in_dim).map(|i| ((i as f32) - 1.0) * 0.4).collect());
-        let t = Tensor::zeros(&[out_dim]);
+        let x = Tensor::from_vec(&[1, in_dim], (0..in_dim).map(|i| ((i as f32) - 1.0) * 0.4).collect());
+        let t = Tensor::zeros(&[1, out_dim]);
         check_input_grad(&mut layer, &x, &t, 2e-2);
     }
 
@@ -52,9 +52,9 @@ proptest! {
                             seed in 0u64..500) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut layer = Conv2d::new(&mut rng, ic, oc, 3);
-        let x = Tensor::from_vec(&[ic, h, w],
+        let x = Tensor::from_vec(&[1, ic, h, w],
             (0..ic * h * w).map(|i| ((i % 7) as f32 - 3.0) * 0.2).collect());
-        let t = Tensor::zeros(&[oc, h, w]);
+        let t = Tensor::zeros(&[1, oc, h, w]);
         check_input_grad(&mut layer, &x, &t, 3e-2);
     }
 
@@ -65,8 +65,8 @@ proptest! {
             Box::new(Dense::new(&mut rng, dim, dim)),
         ]);
         let mut layer = Residual::new(inner);
-        let x = Tensor::from_vec(&[dim], xs[..dim].to_vec());
-        let t = Tensor::zeros(&[dim]);
+        let x = Tensor::from_vec(&[1, dim], xs[..dim].to_vec());
+        let t = Tensor::zeros(&[1, dim]);
         check_input_grad(&mut layer, &x, &t, 2e-2);
     }
 
@@ -93,7 +93,7 @@ proptest! {
             Box::new(ReLU::new()),
             Box::new(Dense::new(&mut rng, 5, 2)),
         ]);
-        let x = Tensor::from_vec(&[4], xs);
+        let x = Tensor::from_vec(&[1, 4], xs);
         let y1 = net.forward(&x);
         let y2 = net.forward(&x);
         prop_assert_eq!(y1.as_slice(), y2.as_slice());

@@ -40,4 +40,4 @@ pub use features::{FeatureConfig, Sample};
 pub use models::{
     DeepStLike, DmvstLike, HistoricalAverage, Mlp, MlpConfig, Predictor, TrainConfig,
 };
-pub use trainer::{fit_until, FitConfig, FitReport};
+pub use trainer::{fit_until, minibatch_step, FitConfig, FitReport};

@@ -14,9 +14,8 @@
 
 use crate::error::PredictError;
 use crate::features::{build_samples, features_for, FeatureConfig};
-use gridtuner_nn::{
-    huber_loss, Adam, Conv2d, Dense, Flatten, Layer, Optimizer, ReLU, Residual, Sequential,
-};
+use crate::trainer::{minibatch_step, normalize, stack_batch};
+use gridtuner_nn::{Adam, Conv2d, Dense, Flatten, Layer, ReLU, Residual, Sequential};
 use gridtuner_spatial::{CountMatrix, CountSeries, SlotClock, SlotId};
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
@@ -213,25 +212,14 @@ impl NnCore {
         let mut net = (self.build)(&mut rng, self.feature_cfg.channels(), side);
         let mut opt = Adam::new(self.train_cfg.lr);
         let bs = self.train_cfg.batch_size.max(1);
+        let mut data = normalize(&samples, norm);
         for epoch in 0..self.train_cfg.epochs {
             let _epoch_span = gridtuner_obs::span!("train.epoch", epoch = epoch);
             gridtuner_obs::counter!("train.epochs").inc();
-            samples.shuffle(&mut rng);
-            for batch in samples.chunks(bs) {
-                net.zero_grad();
-                for s in batch {
-                    let mut x = s.input.clone();
-                    x.scale(1.0 / norm);
-                    let mut t = s.target.clone();
-                    t.scale(1.0 / norm);
-                    let y = net.forward(&x);
-                    let (_, g) = huber_loss(&y, &t, 1.0);
-                    net.backward(&g);
-                }
-                for p in net.params_mut() {
-                    p.grad.scale(1.0 / batch.len() as f32);
-                }
-                opt.step(&mut net.params_mut());
+            data.shuffle(&mut rng);
+            for batch in data.chunks(bs) {
+                let (x, t) = stack_batch(batch);
+                minibatch_step(&mut net, &mut opt, &x, &t, 0.0);
             }
         }
         self.net = Some(net);
@@ -253,7 +241,7 @@ impl NnCore {
         match features_for(series, clock, &self.feature_cfg, slot) {
             Some(mut x) => {
                 x.scale(1.0 / self.norm);
-                let y = net.forward(&x);
+                let y = net.forward(&x.into_batch_of_one());
                 let data: Vec<f64> = y
                     .as_slice()
                     .iter()

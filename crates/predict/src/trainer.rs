@@ -1,10 +1,13 @@
 //! A reusable training loop with validation-based early stopping,
-//! learning-rate decay and gradient clipping.
+//! learning-rate decay and gradient clipping, and the one minibatch step
+//! every training loop in the crate takes.
 //!
 //! [`super::models::NnCore`]'s fixed-epoch loop is fine for harness sweeps
 //! where wall-clock predictability matters; `fit_until` is the
 //! production-style alternative: hold out a slice of the samples, stop when
-//! validation stops improving, and keep the best weights seen.
+//! validation stops improving, and keep the best weights seen. Both
+//! normalise their samples once and train each minibatch through
+//! [`minibatch_step`].
 
 use crate::features::Sample;
 use gridtuner_nn::{clip_gradients, huber_loss, Adam, Layer, Optimizer, Sequential, Tensor};
@@ -58,7 +61,7 @@ pub struct FitReport {
 
 /// Normalizes a sample set once: every epoch then borrows the scaled
 /// tensors instead of cloning and rescaling per step.
-fn normalize(samples: &[Sample], norm: f32) -> Vec<(Tensor, Tensor)> {
+pub(crate) fn normalize(samples: &[Sample], norm: f32) -> Vec<(Tensor, Tensor)> {
     samples
         .iter()
         .map(|s| {
@@ -71,11 +74,57 @@ fn normalize(samples: &[Sample], norm: f32) -> Vec<(Tensor, Tensor)> {
         .collect()
 }
 
+/// Stacks `(input, target)` pairs into one `[B, …]` input and one
+/// `[B, …]` target tensor.
+pub(crate) fn stack_batch(batch: &[(Tensor, Tensor)]) -> (Tensor, Tensor) {
+    let xs: Vec<&Tensor> = batch.iter().map(|(x, _)| x).collect();
+    let ts: Vec<&Tensor> = batch.iter().map(|(_, t)| t).collect();
+    (Tensor::stack(&xs), Tensor::stack(&ts))
+}
+
+/// One optimisation step on a stacked minibatch `x: [B, …]`, `t: [B, …]`:
+/// zero the gradients, run one batched forward, Huber loss and backward,
+/// scale the summed gradients by `1/B`, clip them to `±grad_clip` (`0`
+/// disables clipping), and step the optimizer. The backward skips the
+/// input gradient of the network's lowest parametrised layer (see
+/// [`Layer::backward_params`]). The result is bit-identical to running the
+/// `B` samples one at a time with their gradients accumulated in order.
+pub fn minibatch_step(
+    net: &mut Sequential,
+    opt: &mut impl Optimizer,
+    x: &Tensor,
+    t: &Tensor,
+    grad_clip: f32,
+) {
+    let batch = x.shape()[0];
+    net.zero_grad();
+    let y = net.forward(x);
+    let (_, g) = huber_loss(&y, t, 1.0);
+    net.backward_params(&g);
+    for p in net.params_mut() {
+        p.grad.scale(1.0 / batch as f32);
+    }
+    if grad_clip > 0.0 {
+        clip_gradients(&mut net.params_mut(), grad_clip);
+    }
+    opt.step(&mut net.params_mut());
+}
+
+/// Mean per-sample Huber loss over `data`, from batched forwards of up to
+/// 64 samples (each sample's loss is summed on its own, in sample order).
 fn epoch_loss(net: &mut Sequential, data: &[(Tensor, Tensor)]) -> f64 {
     let mut acc = 0.0;
-    for (x, t) in data {
-        let y = net.forward(x);
-        acc += huber_loss(&y, t, 1.0).0;
+    for chunk in data.chunks(64) {
+        let (x, t) = stack_batch(chunk);
+        let y = net.forward(&x);
+        let per_sample = t.len() / chunk.len();
+        for (ys, ts) in y
+            .as_slice()
+            .chunks_exact(per_sample)
+            .zip(t.as_slice().chunks_exact(per_sample))
+        {
+            acc += huber_loss(&Tensor::vector(ys), &Tensor::vector(ts), 1.0).0;
+        }
     }
     acc / data.len().max(1) as f64
 }
@@ -123,19 +172,8 @@ pub fn fit_until(
         epochs = epoch + 1;
         opt.lr = cfg.lr * cfg.lr_decay.powi(epoch as i32);
         for batch in train_data.chunks(cfg.batch_size.max(1)) {
-            net.zero_grad();
-            for (x, t) in batch {
-                let y = net.forward(x);
-                let (_, g) = huber_loss(&y, t, 1.0);
-                net.backward(&g);
-            }
-            for p in net.params_mut() {
-                p.grad.scale(1.0 / batch.len() as f32);
-            }
-            if cfg.grad_clip > 0.0 {
-                clip_gradients(&mut net.params_mut(), cfg.grad_clip);
-            }
-            opt.step(&mut net.params_mut());
+            let (x, t) = stack_batch(batch);
+            minibatch_step(net, &mut opt, &x, &t, cfg.grad_clip);
         }
         let monitored = if val_data.is_empty() {
             epoch_loss(net, &train_data)

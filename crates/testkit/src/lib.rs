@@ -19,6 +19,8 @@
 //! * [`pairs`] — the standard registry wiring every oracle pair in the
 //!   workspace (expression-error trio, α cache, search strategies,
 //!   reductions, nn kernels, Theorem II.1) into the engine;
+//! * [`nn_reference`] — the per-sample training loop and two-pass Adam,
+//!   the reference the batched minibatch step must match bit for bit;
 //! * [`golden`] — a dependency-free JSON layer that pins end-to-end
 //!   results (tuning optimum, error decomposition, dispatch metrics) as
 //!   checked-in snapshots under `tests/goldens/`, regenerated with
@@ -33,6 +35,7 @@
 
 pub mod diff;
 pub mod golden;
+pub mod nn_reference;
 pub mod pairs;
 pub mod scenario;
 

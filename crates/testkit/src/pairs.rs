@@ -25,8 +25,8 @@
 //! | `uniform-trait-vs-legacy` | the trait-dispatched `UniformGrid` sweep = the legacy square sweep, bit for bit, at 1/2/8 workers |
 //! | `batched-vs-seq-expression-error` | the batched kernel (cold or warm pmf memo) = the sequential sweep, bit for bit |
 //! | `expr-dedup-weight-conservation` | per-MGrid dedup multiplicities sum back to `m` |
-//! | `nn-dense-vs-naive` | the blocked dense kernel matches the naive mat-vec |
-//! | `nn-conv-vs-naive` | the tap-hoisted conv kernel matches the naive convolution |
+//! | `nn-dense-vs-naive` | the blocked dense kernel matches the naive mat-vec, its gradients follow their documented order bit for bit, and a batch of `B` = `B` one-sample calls, bit for bit |
+//! | `nn-conv-vs-naive` | the tap-hoisted conv kernel matches the naive convolution; a batch of `B` = `B` one-sample calls, bit for bit |
 //! | `theorem-ii1-empirical` | real ≤ model + expression on arbitrary samples (and the slack bound) |
 //! | `bootstrap-replicate-vs-direct` | a bootstrap replicate's tune = tuning the materialised resampled log directly, bit for bit |
 //! | `bootstrap-seed-determinism` | same seed and B → the same confidence set, run to run and at 1 or 8 workers |
@@ -76,6 +76,78 @@ fn bit_eq(label: &str, x: f64, y: f64) -> Result<(), String> {
             yb = y.to_bits()
         ))
     }
+}
+
+/// Sample `s` of a `[B, …]` tensor as a one-sample batch `[1, …]`.
+fn one_sample(t: &Tensor, s: usize) -> Tensor {
+    let n = t.len() / t.shape()[0];
+    let mut shape = t.shape().to_vec();
+    shape[0] = 1;
+    Tensor::from_vec(&shape, t.as_slice()[s * n..(s + 1) * n].to_vec())
+}
+
+/// Bitwise `f32` slice equality with a contextual label.
+fn bits_eq(label: &str, x: &[f32], y: &[f32]) -> Result<(), String> {
+    match x
+        .iter()
+        .zip(y)
+        .position(|(a, b)| a.to_bits() != b.to_bits())
+    {
+        None if x.len() == y.len() => Ok(()),
+        None => Err(format!("{label}: length {} vs {}", x.len(), y.len())),
+        Some(i) => Err(format!("{label}[{i}]: {} vs {}", x[i], y[i])),
+    }
+}
+
+/// The batch contract of a layer: one call on the `[B, …]` batch `x` with
+/// output gradient `g` is bit-identical to `B` one-sample calls on a twin
+/// built by `make` (same parameters), whose gradients accumulate in sample
+/// order — outputs, input gradients and every parameter gradient. A third
+/// twin's `backward_params` must accumulate the same parameter gradients.
+fn batch_vs_single_samples<L: Layer>(
+    make: impl Fn() -> L,
+    x: &Tensor,
+    g: &Tensor,
+) -> Result<(), String> {
+    let grads = |layer: &mut L| -> Vec<Vec<f32>> {
+        layer
+            .params_mut()
+            .iter()
+            .map(|p| p.grad.as_slice().to_vec())
+            .collect()
+    };
+    let mut batched = make();
+    let y = batched.forward(x);
+    let dx = batched.backward(g);
+    let mut single = make();
+    for s in 0..x.shape()[0] {
+        let ys = single.forward(&one_sample(x, s));
+        bits_eq(
+            &format!("output of sample {s}"),
+            ys.as_slice(),
+            one_sample(&y, s).as_slice(),
+        )?;
+        let dxs = single.backward(&one_sample(g, s));
+        bits_eq(
+            &format!("input gradient of sample {s}"),
+            dxs.as_slice(),
+            one_sample(&dx, s).as_slice(),
+        )?;
+    }
+    let mut lean = make();
+    lean.forward(x);
+    lean.backward_params(g);
+    let want = grads(&mut single);
+    for (p, ((b, l), w)) in grads(&mut batched)
+        .iter()
+        .zip(grads(&mut lean))
+        .zip(&want)
+        .enumerate()
+    {
+        bits_eq(&format!("batched gradient of parameter {p}"), b, w)?;
+        bits_eq(&format!("backward_params gradient of parameter {p}"), &l, w)?;
+    }
+    Ok(())
 }
 
 /// Draws `(a, b, m, k)` tuples inside the naive algorithm's affordable,
@@ -604,31 +676,75 @@ pub fn standard_checks() -> Vec<Check> {
         let mut rng = s.rng(0x0c);
         let in_dim = rng.gen_range(1..=24usize);
         let out_dim = rng.gen_range(1..=16usize);
-        let mut layer = Dense::new(&mut rng, in_dim, out_dim);
-        let x: Vec<f32> = (0..in_dim)
+        let batch = rng.gen_range(1..=5usize);
+        let init = rng.clone();
+        let make = || Dense::new(&mut init.clone(), in_dim, out_dim);
+        let x: Vec<f32> = (0..batch * in_dim)
             .map(|_| rng.gen_range(-1.0..1.0f64) as f32)
             .collect();
+        let g: Vec<f32> = (0..batch * out_dim)
+            .map(|_| rng.gen_range(-1.0..1.0f64) as f32)
+            .collect();
+        let mut layer = make();
         let params: Vec<Vec<f32>> = layer
             .params_mut()
             .iter()
             .map(|p| p.value.as_slice().to_vec())
             .collect();
         let (w, b) = (&params[0], &params[1]);
-        let y = layer.forward(&Tensor::vector(&x));
-        for o in 0..out_dim {
-            let mut acc = b[o] as f64;
-            for j in 0..in_dim {
-                acc += w[o * in_dim + j] as f64 * x[j] as f64;
+        let x = Tensor::from_vec(&[batch, in_dim], x);
+        let y = layer.forward(&x);
+        for (smp, xs) in x.as_slice().chunks_exact(in_dim).enumerate() {
+            for o in 0..out_dim {
+                let mut acc = b[o] as f64;
+                for j in 0..in_dim {
+                    acc += w[o * in_dim + j] as f64 * xs[j] as f64;
+                }
+                close(
+                    &format!("dense y[{smp},{o}] ({in_dim}→{out_dim})"),
+                    y.as_slice()[smp * out_dim + o] as f64,
+                    acc,
+                    1e-4,
+                    1e-5,
+                )?;
             }
-            close(
-                &format!("dense y[{o}] ({in_dim}→{out_dim})"),
-                y.as_slice()[o] as f64,
-                acc,
-                1e-4,
-                1e-5,
-            )?;
         }
-        Ok(())
+        // The gradients' documented f32 associations: dW and db add the
+        // samples in order, and dx[s, i] sums over o ascending from 0.0.
+        let mut dw = vec![0.0f32; out_dim * in_dim];
+        let mut db = vec![0.0f32; out_dim];
+        let mut dx = vec![0.0f32; batch * in_dim];
+        for (smp, (gs, xs)) in g
+            .chunks_exact(out_dim)
+            .zip(x.as_slice().chunks_exact(in_dim))
+            .enumerate()
+        {
+            for o in 0..out_dim {
+                db[o] += gs[o];
+                for i in 0..in_dim {
+                    dw[o * in_dim + i] += gs[o] * xs[i];
+                    dx[smp * in_dim + i] += gs[o] * w[o * in_dim + i];
+                }
+            }
+        }
+        let g = Tensor::from_vec(&[batch, out_dim], g);
+        bits_eq(
+            "dense dx vs its documented order",
+            layer.backward(&g).as_slice(),
+            &dx,
+        )?;
+        let grads = layer.params_mut();
+        bits_eq(
+            "dense dW vs its documented order",
+            grads[0].grad.as_slice(),
+            &dw,
+        )?;
+        bits_eq(
+            "dense db vs its documented order",
+            grads[1].grad.as_slice(),
+            &db,
+        )?;
+        batch_vs_single_samples(make, &x, &g)
     }));
 
     checks.push(Check::new("nn-conv-vs-naive", |s| {
@@ -637,46 +753,55 @@ pub fn standard_checks() -> Vec<Check> {
         let oc = rng.gen_range(1..=4usize);
         let ks = 2 * rng.gen_range(0..=2usize) + 1; // 1, 3 or 5
         let (h, w) = (rng.gen_range(3..=8usize), rng.gen_range(3..=8usize));
-        let mut layer = Conv2d::new(&mut rng, ic, oc, ks);
-        let x: Vec<f32> = (0..ic * h * w)
+        let batch = rng.gen_range(1..=5usize);
+        let init = rng.clone();
+        let make = || Conv2d::new(&mut init.clone(), ic, oc, ks);
+        let x: Vec<f32> = (0..batch * ic * h * w)
             .map(|_| rng.gen_range(-1.0..1.0f64) as f32)
             .collect();
+        let g: Vec<f32> = (0..batch * oc * h * w)
+            .map(|_| rng.gen_range(-1.0..1.0f64) as f32)
+            .collect();
+        let mut layer = make();
         let params: Vec<Vec<f32>> = layer
             .params_mut()
             .iter()
             .map(|p| p.value.as_slice().to_vec())
             .collect();
         let (kern, bias) = (&params[0], &params[1]);
-        let y = layer.forward(&Tensor::from_vec(&[ic, h, w], x.clone()));
+        let x = Tensor::from_vec(&[batch, ic, h, w], x);
+        let y = layer.forward(&x);
         let pad = ks / 2;
-        for o in 0..oc {
-            for r in 0..h {
-                for c in 0..w {
-                    let mut acc = bias[o] as f64;
-                    for i in 0..ic {
-                        for kr in 0..ks {
-                            for kc in 0..ks {
-                                let (rr, cc) = (r + kr, c + kc);
-                                if rr < pad || cc < pad || rr - pad >= h || cc - pad >= w {
-                                    continue; // zero padding
+        for (smp, xs) in x.as_slice().chunks_exact(ic * h * w).enumerate() {
+            for o in 0..oc {
+                for r in 0..h {
+                    for c in 0..w {
+                        let mut acc = bias[o] as f64;
+                        for i in 0..ic {
+                            for kr in 0..ks {
+                                for kc in 0..ks {
+                                    let (rr, cc) = (r + kr, c + kc);
+                                    if rr < pad || cc < pad || rr - pad >= h || cc - pad >= w {
+                                        continue; // zero padding
+                                    }
+                                    let xv = xs[(i * h + (rr - pad)) * w + (cc - pad)] as f64;
+                                    let kv = kern[((o * ic + i) * ks + kr) * ks + kc] as f64;
+                                    acc += kv * xv;
                                 }
-                                let xv = x[(i * h + (rr - pad)) * w + (cc - pad)] as f64;
-                                let kv = kern[((o * ic + i) * ks + kr) * ks + kc] as f64;
-                                acc += kv * xv;
                             }
                         }
+                        close(
+                            &format!("conv y[{smp},{o},{r},{c}] (ic={ic} ks={ks} {h}×{w})"),
+                            y.as_slice()[((smp * oc + o) * h + r) * w + c] as f64,
+                            acc,
+                            1e-4,
+                            1e-5,
+                        )?;
                     }
-                    close(
-                        &format!("conv y[{o},{r},{c}] (ic={ic} ks={ks} {h}×{w})"),
-                        y.as_slice()[(o * h + r) * w + c] as f64,
-                        acc,
-                        1e-4,
-                        1e-5,
-                    )?;
                 }
             }
         }
-        Ok(())
+        batch_vs_single_samples(make, &x, &Tensor::from_vec(&[batch, oc, h, w], g))
     }));
 
     checks.push(Check::new("theorem-ii1-empirical", |s| {

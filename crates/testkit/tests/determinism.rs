@@ -1,6 +1,6 @@
-//! Cross-thread determinism matrix: the same tuning run and the same
-//! reductions must be **bit-identical** under `GRIDTUNER_THREADS` = 1, 2
-//! and 8.
+//! Cross-thread determinism matrix: the same tuning run, the same
+//! reductions and the same network training must be **bit-identical**
+//! under `GRIDTUNER_THREADS` = 1, 2 and 8.
 //!
 //! The worker count is swept in-process via
 //! [`gridtuner_par::set_max_threads`] (the env var is read once and
@@ -9,7 +9,92 @@
 //! would observe it mid-sweep.
 
 use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
+use gridtuner_nn::{Adam, Conv2d, Dense, Flatten, Layer, ReLU, Residual, Sequential, Tensor};
+use gridtuner_testkit::nn_reference::{per_sample_epoch, TwoPassAdam};
 use gridtuner_testkit::Scenario;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// Samples per training run: one full minibatch of 16 and a partial one.
+const TRAIN_SAMPLES: usize = 21;
+const TRAIN_BATCH: usize = 16;
+const TRAIN_CLIP: f32 = 0.5;
+
+/// A tiny MLP (`[2, 4, 4]` → 24 → 16) and a tiny DeepST-like residual
+/// conv stack (`[3, 5, 5]` → 25), with their per-sample input and target
+/// shapes.
+fn tiny_nets() -> Vec<(Sequential, Vec<usize>, usize)> {
+    let mut rng = StdRng::seed_from_u64(0x7e57);
+    let mlp = Sequential::new(vec![
+        Box::new(Flatten::new()),
+        Box::new(Dense::new(&mut rng, 32, 24)),
+        Box::new(ReLU::new()),
+        Box::new(Dense::new(&mut rng, 24, 16)),
+    ]);
+    let deepst = Sequential::new(vec![
+        Box::new(Conv2d::new(&mut rng, 3, 4, 3)),
+        Box::new(ReLU::new()),
+        Box::new(Residual::new(Sequential::new(vec![
+            Box::new(Conv2d::new(&mut rng, 4, 4, 3)),
+            Box::new(ReLU::new()),
+            Box::new(Conv2d::new(&mut rng, 4, 4, 3)),
+        ]))),
+        Box::new(ReLU::new()),
+        Box::new(Conv2d::new(&mut rng, 4, 1, 3)),
+        Box::new(Flatten::new()),
+    ]);
+    vec![(mlp, vec![2, 4, 4], 16), (deepst, vec![3, 5, 5], 25)]
+}
+
+/// `TRAIN_SAMPLES` random `(input, target)` samples of the given shapes.
+fn tiny_data(input: &[usize], outputs: usize, seed: u64) -> Vec<(Tensor, Tensor)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut draw = |shape: &[usize]| {
+        let n = shape.iter().product();
+        let data = (0..n).map(|_| rng.gen_range(0.0..1.0f64) as f32).collect();
+        Tensor::from_vec(shape, data)
+    };
+    (0..TRAIN_SAMPLES)
+        .map(|_| (draw(input), draw(&[outputs])))
+        .collect()
+}
+
+/// Weight bits of every tiny net after `epochs` epochs of two Adam
+/// minibatches each (the second partial), trained by the production
+/// batched step or, with `reference`, by the per-sample loop and two-pass
+/// Adam.
+fn train_tiny_nets(epochs: usize, reference: bool) -> Vec<u32> {
+    let mut bits = Vec::new();
+    for (seed, (mut net, input, outputs)) in tiny_nets().into_iter().enumerate() {
+        let data = tiny_data(&input, outputs, seed as u64);
+        let (mut adam, mut two_pass) = (Adam::new(0.01), TwoPassAdam::new(0.01));
+        let one_sample: Vec<(Tensor, Tensor)> = data
+            .iter()
+            .map(|(x, t)| (x.clone().into_batch_of_one(), t.clone().into_batch_of_one()))
+            .collect();
+        for _ in 0..epochs {
+            if reference {
+                per_sample_epoch(
+                    &mut net,
+                    &mut two_pass,
+                    &one_sample,
+                    TRAIN_BATCH,
+                    TRAIN_CLIP,
+                );
+                continue;
+            }
+            for batch in data.chunks(TRAIN_BATCH) {
+                let xs: Vec<&Tensor> = batch.iter().map(|(x, _)| x).collect();
+                let ts: Vec<&Tensor> = batch.iter().map(|(_, t)| t).collect();
+                let (x, t) = (Tensor::stack(&xs), Tensor::stack(&ts));
+                gridtuner_predict::minibatch_step(&mut net, &mut adam, &x, &t, TRAIN_CLIP);
+            }
+        }
+        for p in net.params_mut() {
+            bits.extend(p.value.as_slice().iter().map(|v| v.to_bits()));
+        }
+    }
+    bits
+}
 
 /// One full pipeline run at the current worker count: a brute-force
 /// session tune plus the two reduction primitives on scenario data.
@@ -58,8 +143,18 @@ fn thread_matrix_is_bit_identical() {
         .iter()
         .map(|sc| run_pipeline(sc, &values))
         .collect();
+    let trained = train_tiny_nets(1, true);
+    assert!(
+        trained != train_tiny_nets(0, true),
+        "training left the weights unchanged"
+    );
     for threads in [1usize, 2, 8] {
         gridtuner_par::set_max_threads(threads);
+        assert!(
+            train_tiny_nets(1, false) == trained,
+            "batched training diverged from the per-sample reference at \
+             GRIDTUNER_THREADS={threads}"
+        );
         for (sc, expect) in scenarios.iter().zip(&baseline) {
             let got = run_pipeline(sc, &values);
             assert_eq!(
