@@ -49,7 +49,7 @@ commands:
               --city nyc|chengdu|xian  --scale F  --seed N
               --strategy brute|ternary|iterative  --budget SIDE  --range LO:HI
               --partition uniform|rect|quadtree: refine beyond square grids
-              (rect hill-climb / D_alpha-guided quadtree) and print the
+              (rect hill-climb / exact tree-DP quadtree) and print the
               refined bound next to the uniform baseline
               --bootstrap B  --bootstrap-seed S  (or GRIDTUNER_BOOTSTRAP[_SEED]):
               B replicate tunes -> confidence set + stability verdict

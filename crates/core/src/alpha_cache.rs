@@ -23,11 +23,20 @@
 //! and rejected: the paper's budget rule `q = ⌈√N / s⌉` produces lattice
 //! sides that do not divide one another, so exact aggregation is
 //! impossible in general.)
+//!
+//! The cache also remembers *which* log events entered the digest (one
+//! bit per log event, with a rank per 64-event word), so a bootstrap
+//! replicate's cache ([`AlphaFieldCache::bootstrap_replicate`]) is built
+//! by mapping each drawn log index straight to its digest slot — the
+//! resampled log is never materialised or rescanned.
 
 use crate::alpha::AlphaWindow;
 use crate::error::CoreError;
 use crate::expr_kernel::PmfMemo;
-use crate::expression::{try_partition_expression_error, try_total_expression_error};
+use crate::expression::{
+    try_partition_expression_error, try_quadtree_node_errors, try_total_expression_error,
+};
+use crate::resample::replicate_draws;
 use gridtuner_obs as obs;
 use gridtuner_spatial::{
     CountMatrix, Event, GridSpec, Partition, Point, SlotClock, SpatialPartition,
@@ -64,6 +73,57 @@ pub struct AlphaFieldCache {
     ///
     /// [`append`]: AlphaFieldCache::append
     pmf_memo: Arc<PmfMemo>,
+    /// Which indexed log events entered the digest, for
+    /// [`bootstrap_replicate`](AlphaFieldCache::bootstrap_replicate).
+    index: DigestIndex,
+}
+
+/// One 64-event word of a [`DigestIndex`]: the digest-membership bits of
+/// the word's events and the digest slot of its first hit (the set bits
+/// of every earlier word).
+#[derive(Debug, Clone, Copy)]
+struct RankedWord {
+    bits: u64,
+    rank: u32,
+}
+
+/// The "log index → digest slot" map: one bit per log event the cache has
+/// scanned, set when the event entered the digest. A hit's digest slot is
+/// its rank, the number of hits before it, read from the word's stored
+/// rank plus a popcount — about 2 bits of memory per log event.
+#[derive(Debug, Clone, Default)]
+struct DigestIndex {
+    words: Vec<RankedWord>,
+    len: usize,
+}
+
+impl DigestIndex {
+    /// Records the next log event.
+    #[inline]
+    fn push(&mut self, hit: bool) {
+        let bit = self.len % 64;
+        if bit == 0 {
+            let rank = self
+                .words
+                .last()
+                .map_or(0, |w| w.rank + w.bits.count_ones());
+            self.words.push(RankedWord { bits: 0, rank });
+        }
+        if hit {
+            if let Some(w) = self.words.last_mut() {
+                w.bits |= 1 << bit;
+            }
+        }
+        self.len += 1;
+    }
+
+    /// The digest slot of log event `i`, or `None` if it missed the digest.
+    #[inline]
+    fn slot(&self, i: usize) -> Option<usize> {
+        let w = self.words[i / 64];
+        let below = w.bits & ((1u64 << (i % 64)) - 1);
+        (w.bits >> (i % 64) & 1 == 1).then(|| w.rank as usize + below.count_ones() as usize)
+    }
 }
 
 /// Marks which global slots a window matches, for O(1) membership checks
@@ -87,45 +147,47 @@ fn matching_slots(days: &[u32], clock: &SlotClock, window: &AlphaWindow) -> Vec<
 impl AlphaFieldCache {
     /// Builds the cache with a single pass over `events`.
     pub fn new(events: &[Event], clock: &SlotClock, window: &AlphaWindow) -> Self {
-        Self::with_shared_pmf(events, clock, window, Arc::new(PmfMemo::default()))
-    }
-
-    /// Builds the cache sharing an existing Poisson-table memo instead of
-    /// starting a cold one — the bootstrap-replicate path, where every
-    /// replicate's rates heavily overlap the point-estimate tune's.
-    /// Bit-invisible relative to [`new`](Self::new): memo entries are a
-    /// pure function of the rate.
-    pub fn with_shared_pmf(
-        events: &[Event],
-        clock: &SlotClock,
-        window: &AlphaWindow,
-        pmf_memo: Arc<PmfMemo>,
-    ) -> Self {
         let _scan = obs::span!("alpha.scan", events = events.len());
         obs::counter!("alpha.rescans").inc();
-        let days = window.days(clock);
-        let mut digest = Vec::new();
-        if !days.is_empty() {
-            // Mark matching global slots for O(1) membership checks —
-            // mirrors estimate_alpha exactly.
-            let matching = matching_slots(&days, clock, window);
-            for e in events {
-                let s = e.slot(clock).index();
-                if s < matching.len() && matching[s] && e.loc.in_unit_square() {
-                    digest.push(e.loc);
-                }
-            }
-        }
         let full_scans = obs::metrics::Counter::new();
         full_scans.inc();
-        AlphaFieldCache {
-            digest,
-            n_days: days.len(),
+        let mut cache = AlphaFieldCache {
+            digest: Vec::new(),
+            n_days: window.days(clock).len(),
             derived: Mutex::new(HashMap::new()),
             full_scans,
             delta_scans: obs::metrics::Counter::new(),
-            pmf_memo,
+            pmf_memo: Arc::new(PmfMemo::default()),
+            index: DigestIndex::default(),
+        };
+        cache.scan(events, clock, window);
+        cache
+    }
+
+    /// Pushes the events of `events` that match the window onto the
+    /// digest, in log order, and records every event in the digest index.
+    /// Returns how many matched.
+    fn scan(&mut self, events: &[Event], clock: &SlotClock, window: &AlphaWindow) -> usize {
+        let before = self.digest.len();
+        let days = window.days(clock);
+        if days.is_empty() {
+            for _ in events {
+                self.index.push(false);
+            }
+            return 0;
         }
+        // Mark matching global slots for O(1) membership checks — mirrors
+        // estimate_alpha exactly.
+        let matching = matching_slots(&days, clock, window);
+        for e in events {
+            let s = e.slot(clock).index();
+            let hit = s < matching.len() && matching[s] && e.loc.in_unit_square();
+            if hit {
+                self.digest.push(e.loc);
+            }
+            self.index.push(hit);
+        }
+        self.digest.len() - before
     }
 
     /// Appends a delta of new events — the incremental-ingestion hot path.
@@ -146,23 +208,47 @@ impl AlphaFieldCache {
         let _scan = obs::span!("alpha.delta_scan", events = events.len());
         self.delta_scans.inc();
         obs::counter!("alpha.delta_scans").inc();
-        let days = window.days(clock);
-        if days.is_empty() {
-            return 0;
-        }
-        let matching = matching_slots(&days, clock, window);
-        let before = self.digest.len();
-        for e in events {
-            let s = e.slot(clock).index();
-            if s < matching.len() && matching[s] && e.loc.in_unit_square() {
-                self.digest.push(e.loc);
-            }
-        }
-        let matched = self.digest.len() - before;
+        let matched = self.scan(events, clock, window);
         if matched > 0 {
             self.lock_derived().clear();
         }
         matched
+    }
+
+    /// The α cache of bootstrap replicate `replicate` of the run seeded by
+    /// `seed`, over the log this cache has scanned (construction plus every
+    /// [`append`](Self::append)) — bit-identical to
+    /// `AlphaFieldCache::new(&resample_events(log, seed, replicate), …)`
+    /// with the same clock and window. The replicate shares this cache's
+    /// [`PmfMemo`], whose entries heavily overlap the replicate's rates;
+    /// sharing is bit-invisible because memo entries are a pure function of
+    /// the rate.
+    ///
+    /// Consumes the exact [`replicate_draws`] stream, in draw order, and
+    /// maps each drawn log index through the digest index: a hit appends
+    /// that digest location, a miss is dropped — exactly what a scan of the
+    /// materialised resample would keep, in the same order. The replicate
+    /// indexes no log of its own, so it cannot be appended to or resampled
+    /// again meaningfully.
+    pub fn bootstrap_replicate(&self, seed: u64, replicate: u64) -> AlphaFieldCache {
+        let _span = obs::span!("alpha.replicate", events = self.index.len);
+        let mut digest = Vec::with_capacity(self.digest.len() + self.digest.len() / 8);
+        if !self.digest.is_empty() {
+            for i in replicate_draws(self.index.len, seed, replicate) {
+                if let Some(slot) = self.index.slot(i) {
+                    digest.push(self.digest[slot]);
+                }
+            }
+        }
+        AlphaFieldCache {
+            digest,
+            n_days: self.n_days,
+            derived: Mutex::new(HashMap::new()),
+            full_scans: obs::metrics::Counter::new(),
+            delta_scans: obs::metrics::Counter::new(),
+            pmf_memo: Arc::clone(&self.pmf_memo),
+            index: DigestIndex::default(),
+        }
     }
 
     /// The derived-field memo, immune to lock poisoning: a panic in a
@@ -221,15 +307,20 @@ impl AlphaFieldCache {
         try_partition_expression_error(&alpha, partition, Some(&*self.pmf_memo))
     }
 
+    /// `E(node)` for every node of the complete quadtree over the lattice
+    /// of side `lattice` (a power of two), laid out as
+    /// [`try_quadtree_node_errors`] documents, with the α field and the
+    /// Poisson tables served from this cache's memos — each value bit-equal
+    /// to that block's term in
+    /// [`partition_expression_error`](Self::partition_expression_error).
+    pub fn quadtree_node_errors(&self, lattice: u32) -> Result<Vec<f64>, CoreError> {
+        let alpha = self.alpha(GridSpec::new(lattice));
+        try_quadtree_node_errors(&alpha, Some(&*self.pmf_memo))
+    }
+
     /// The cross-probe Poisson-table cache.
     pub fn pmf_memo(&self) -> &PmfMemo {
         &self.pmf_memo
-    }
-
-    /// A shareable handle to the Poisson-table cache, for building sibling
-    /// caches via [`with_shared_pmf`](Self::with_shared_pmf).
-    pub fn shared_pmf(&self) -> Arc<PmfMemo> {
-        Arc::clone(&self.pmf_memo)
     }
 
     fn derive(&self, spec: GridSpec) -> CountMatrix {
@@ -312,6 +403,7 @@ pub fn cached_alpha(
 mod tests {
     use super::*;
     use crate::alpha::estimate_alpha;
+    use crate::resample::resample_events;
     use gridtuner_spatial::Point;
 
     fn clock() -> SlotClock {
@@ -487,15 +579,112 @@ mod tests {
         let events = scattered_events(300, 4);
         let c = clock();
         let w = window(4);
-        let cold = AlphaFieldCache::new(&events, &c, &w);
+        let warm = AlphaFieldCache::new(&events, &c, &w);
         let part = Partition::for_budget(5, 16);
-        let cold_err = cold.expression_error(&part).unwrap();
-        // A sibling sharing the (now warm) memo must produce the same
-        // bits it would have produced with a cold memo of its own.
-        let sibling = AlphaFieldCache::with_shared_pmf(&events, &c, &w, cold.shared_pmf());
-        assert!(Arc::ptr_eq(&cold.shared_pmf(), &sibling.shared_pmf()));
-        let warm_err = sibling.expression_error(&part).unwrap();
-        assert_eq!(cold_err.to_bits(), warm_err.to_bits());
+        warm.expression_error(&part).unwrap();
+        // A replicate sharing the (now warm) memo must produce the bits a
+        // cold cache over the same resampled events produces.
+        let replicate = warm.bootstrap_replicate(3, 1);
+        assert!(Arc::ptr_eq(&warm.pmf_memo, &replicate.pmf_memo));
+        let cold = AlphaFieldCache::new(&resample_events(&events, 3, 1), &c, &w);
+        assert_eq!(
+            replicate.expression_error(&part).unwrap().to_bits(),
+            cold.expression_error(&part).unwrap().to_bits()
+        );
+    }
+
+    /// Every lattice side the replicate tests compare on.
+    const REPLICATE_SIDES: [u32; 7] = [1, 2, 3, 8, 13, 32, 64];
+
+    /// The materialising oracle: a fresh cache over the resampled log.
+    fn assert_replicate_matches_resample(cache: &AlphaFieldCache, log: &[Event], w: &AlphaWindow) {
+        for (seed, r) in [(7u64, 0u64), (7, 1), (2022, 3)] {
+            let drawn = cache.bootstrap_replicate(seed, r);
+            let direct = AlphaFieldCache::new(&resample_events(log, seed, r), &clock(), w);
+            assert_eq!(drawn.digest_len(), direct.digest_len(), "seed {seed} r {r}");
+            for side in REPLICATE_SIDES {
+                let spec = GridSpec::new(side);
+                assert_eq!(
+                    drawn.alpha(spec).as_slice(),
+                    direct.alpha(spec).as_slice(),
+                    "seed {seed} replicate {r} side {side}: drawn replicate drifted"
+                );
+            }
+            assert!(Arc::ptr_eq(&drawn.pmf_memo, &cache.pmf_memo));
+        }
+    }
+
+    /// A log with events outside the α window (slot 1, day 9) and outside
+    /// the unit square, interleaved with matching ones.
+    fn mixed_log(n: usize) -> Vec<Event> {
+        scattered_events(n, 6)
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| match i % 5 {
+                1 => Event::new(Point::new(1.0 + e.loc.x, e.loc.y), e.minute),
+                2 => Event::new(e.loc, e.minute + 45),
+                3 => Event::new(e.loc, 9 * 24 * 60),
+                _ => e,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn replicate_digest_equals_the_materialised_resample() {
+        let log = mixed_log(600);
+        let w = window(5);
+        let cache = AlphaFieldCache::new(&log, &clock(), &w);
+        assert!(cache.digest_len() > 0 && cache.digest_len() < log.len());
+        assert_replicate_matches_resample(&cache, &log, &w);
+    }
+
+    #[test]
+    fn replicate_of_an_appended_cache_equals_the_materialised_resample() {
+        let log = mixed_log(700);
+        let w = window(5);
+        // Deltas that do not fall on 64-event word boundaries.
+        let mut cache = AlphaFieldCache::new(&log[..101], &clock(), &w);
+        cache.append(&log[101..300], &clock(), &w);
+        cache.append(&log[300..300], &clock(), &w);
+        cache.append(&log[300..], &clock(), &w);
+        assert_replicate_matches_resample(&cache, &log, &w);
+    }
+
+    #[test]
+    fn replicate_keeps_duplicate_draws() {
+        // Four events, four draws: some index is drawn twice for this
+        // stream, and each copy must count.
+        let log = scattered_events(4, 1);
+        let w = window(1);
+        let draws: Vec<usize> = replicate_draws(log.len(), 5, 0).collect();
+        let mut distinct = draws.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(
+            distinct.len() < draws.len(),
+            "stream has no duplicate: {draws:?}"
+        );
+        let cache = AlphaFieldCache::new(&log, &clock(), &w);
+        assert_eq!(cache.bootstrap_replicate(5, 0).digest_len(), log.len());
+        let direct = AlphaFieldCache::new(&resample_events(&log, 5, 0), &clock(), &w);
+        let drawn = cache.bootstrap_replicate(5, 0);
+        for side in REPLICATE_SIDES {
+            let spec = GridSpec::new(side);
+            assert_eq!(drawn.alpha(spec).as_slice(), direct.alpha(spec).as_slice());
+        }
+    }
+
+    #[test]
+    fn replicate_of_an_empty_log_is_empty() {
+        let w = window(3);
+        let cache = AlphaFieldCache::new(&[], &clock(), &w);
+        let drawn = cache.bootstrap_replicate(1, 0);
+        assert_eq!(drawn.digest_len(), 0);
+        let direct = AlphaFieldCache::new(&resample_events(&[], 1, 0), &clock(), &w);
+        for side in REPLICATE_SIDES {
+            let spec = GridSpec::new(side);
+            assert_eq!(drawn.alpha(spec).as_slice(), direct.alpha(spec).as_slice());
+        }
     }
 
     #[test]

@@ -320,6 +320,73 @@ pub fn partition_expression_error_seq<P: SpatialPartition>(
     Ok(partials.iter().sum())
 }
 
+/// Index of quadtree node `(depth, row, col)` in the level-major layout of
+/// [`try_quadtree_node_errors`]: `(4^depth − 1)/3 + row·2^depth + col`.
+pub fn quadtree_node_index(depth: u32, row: usize, col: usize) -> usize {
+    ((1usize << (2 * depth)) - 1) / 3 + (row << depth) + col
+}
+
+/// The expression error `E(node)` of every node of the complete quadtree
+/// over `alpha`'s lattice, whose side must be a power of two: node
+/// `(depth, row, col)` is the `side/2^depth`-cell block at that position,
+/// stored at [`quadtree_node_index`] (level by level from the root,
+/// row-major within a level).
+///
+/// Each value is one [`ExprWorkspace::mgrid_error_trusted`] call over the
+/// block's cells in row-major order — the order
+/// [`QuadTreePartition`](gridtuner_spatial::QuadTreePartition) enumerates a
+/// leaf's cells — so it is bit-equal to that leaf's term in the canonical
+/// [`try_partition_expression_error`] fold of any quadtree holding the
+/// block as a leaf. Nodes are evaluated in parallel; each value depends
+/// only on its block, so the result is the same at every worker count.
+pub fn try_quadtree_node_errors(
+    alpha: &CountMatrix,
+    memo: Option<&PmfMemo>,
+) -> Result<Vec<f64>, CoreError> {
+    let side = alpha.side() as usize;
+    if !side.is_power_of_two() {
+        return Err(CoreError::Data(format!(
+            "quadtree lattice side {side} is not a power of two"
+        )));
+    }
+    validate_field(alpha)?;
+    let _span = gridtuner_obs::span!("quadtree_node_errors", side = side);
+    let local;
+    let memo = match memo {
+        Some(m) => m,
+        None => {
+            local = PmfMemo::default();
+            &local
+        }
+    };
+    let spec = gridtuner_spatial::GridSpec::new(alpha.side());
+    let max_depth = side.trailing_zeros();
+    // Contiguous node runs of about `CELLS_PER_TASK` cells each, so one
+    // workspace serves many small blocks and big blocks run alone.
+    const CELLS_PER_TASK: usize = 2048;
+    let mut tasks: Vec<(u32, usize, usize)> = Vec::new();
+    for depth in 0..=max_depth {
+        let per_side = 1usize << depth;
+        let cells = (side >> depth).pow(2);
+        let run = (CELLS_PER_TASK / cells).max(1);
+        let n = per_side * per_side;
+        tasks.extend((0..n).step_by(run).map(|i| (depth, i, (i + run).min(n))));
+    }
+    let parts = gridtuner_par::par_map(&tasks, |&(depth, start, end)| {
+        let mut ws = ExprWorkspace::new();
+        let size = side >> depth;
+        (start..end)
+            .map(|i| {
+                let (row0, col0) = ((i >> depth) * size, (i & ((1 << depth) - 1)) * size);
+                let cells = (row0..row0 + size)
+                    .flat_map(|r| (col0..col0 + size).map(move |c| alpha.get(spec.cell_at(r, c))));
+                ws.mgrid_error_trusted(cells, memo)
+            })
+            .collect::<Vec<f64>>()
+    });
+    Ok(parts.concat())
+}
+
 /// Total expression error `Σ_i Σ_j E_e(i,j)` for a partition, given the
 /// per-HGrid mean field `alpha` on the partition's HGrid lattice.
 ///
@@ -740,6 +807,44 @@ mod tests {
             })
             .sum();
         assert!((swept - manual).abs() < 1e-9, "rect {swept} vs {manual}");
+    }
+
+    #[test]
+    fn quadtree_node_errors_are_the_canonical_leaf_terms() {
+        use gridtuner_spatial::{QuadTreePartition, RegionId, SpatialPartition};
+        let alpha = uneven_field(16);
+        let nodes = try_quadtree_node_errors(&alpha, None).unwrap();
+        assert_eq!(nodes.len(), (4usize.pow(5) - 1) / 3);
+        let memo = PmfMemo::default();
+        let mut ws = ExprWorkspace::new();
+        for depth in 0..=4u32 {
+            let q = QuadTreePartition::uniform_depth(16, depth).unwrap();
+            for (r, leaf) in q.leaves().iter().enumerate() {
+                let rates: Vec<f64> = q
+                    .region_cells(RegionId(r))
+                    .iter()
+                    .map(|&h| alpha.get(h))
+                    .collect();
+                let node = quadtree_node_index(depth, leaf.row0 / leaf.size, leaf.col0 / leaf.size);
+                assert_eq!(
+                    nodes[node].to_bits(),
+                    ws.mgrid_error(&rates, &memo).unwrap().to_bits(),
+                    "depth {depth} leaf {leaf:?}"
+                );
+            }
+        }
+        // A one-leaf tree's canonical fold is its root term, bit for bit.
+        let root = QuadTreePartition::root(16);
+        let folded = try_partition_expression_error(&alpha, &root, None).unwrap();
+        assert_eq!(folded.to_bits(), nodes[0].to_bits());
+        // Single cells carry no expression error.
+        assert!(nodes[quadtree_node_index(4, 0, 0)..]
+            .iter()
+            .all(|&e| e == 0.0));
+        assert!(matches!(
+            try_quadtree_node_errors(&uneven_field(12), None),
+            Err(CoreError::Data(_))
+        ));
     }
 
     #[test]

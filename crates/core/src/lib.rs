@@ -65,10 +65,11 @@ pub use expression::{
     expression_error_alg1, expression_error_alg2, expression_error_naive,
     expression_error_windowed, mgrid_expression_error, partition_expression_error_seq,
     total_expression_error, total_expression_error_memo, total_expression_error_percell,
-    total_expression_error_seq, try_partition_expression_error, try_total_expression_error,
+    total_expression_error_seq, try_partition_expression_error, try_quadtree_node_errors,
+    try_total_expression_error,
 };
 pub use kselect::{recommended_k, truncation_error_bound};
-pub use resample::{replicate_seed, resample_events, splitmix64, ReplicateRng};
+pub use resample::{replicate_draws, replicate_seed, resample_events, splitmix64, ReplicateRng};
 pub use search::{
     brute_force, iterative_method, ternary_search, try_brute_force, try_iterative_method,
     try_ternary_search, ErrorOracle, MemoOracle, SearchOutcome, SearchStrategy,

@@ -15,7 +15,10 @@
 //!   log and re-tunes it out of band);
 //! * draws come from the stream in index order with no dependence on
 //!   thread count or scheduling — the resampled log for
-//!   `(seed, replicate)` is a pure function of the original log.
+//!   `(seed, replicate)` is a pure function of the original log;
+//! * the draws themselves are public ([`replicate_draws`]), so the α
+//!   cache can map each drawn log index straight into its window digest
+//!   and never materialise the resampled log at all.
 //!
 //! The generator is splitmix64 (Steele et al., the canonical seeding
 //! sequence of xoshiro/xoroshiro): a 64-bit Weyl sequence fed through a
@@ -89,6 +92,16 @@ impl ReplicateRng {
         let x = self.next_u64() as u128;
         ((x * n as u128) >> 64) as usize
     }
+}
+
+/// The log indices replicate `replicate` of the run seeded by `seed`
+/// draws from a log of `len` events, in draw order: the exact stream
+/// [`resample_events`] consumes (`len` Lemire draws from
+/// [`ReplicateRng::new(seed, replicate)`](ReplicateRng::new)), without
+/// copying a single event. An empty log draws nothing.
+pub fn replicate_draws(len: usize, seed: u64, replicate: u64) -> impl Iterator<Item = usize> {
+    let mut rng = ReplicateRng::new(seed, replicate);
+    (0..len).map(move |_| rng.next_index(len))
 }
 
 /// The with-replacement bootstrap resample of `events` for replicate
@@ -178,6 +191,18 @@ mod tests {
     #[test]
     fn empty_log_resamples_empty() {
         assert!(resample_events(&[], 1, 0).is_empty());
+        assert_eq!(replicate_draws(0, 1, 0).count(), 0);
+    }
+
+    #[test]
+    fn draws_are_the_stream_resample_events_consumes() {
+        let events = log(53);
+        let resampled = resample_events(&events, 11, 2);
+        let drawn: Vec<u32> = replicate_draws(events.len(), 11, 2)
+            .map(|i| events[i].minute)
+            .collect();
+        let minutes: Vec<u32> = resampled.iter().map(|e| e.minute).collect();
+        assert_eq!(drawn, minutes);
     }
 
     #[test]

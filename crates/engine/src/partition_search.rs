@@ -16,25 +16,48 @@
 //! * **rect** — a deterministic hill-climb over `(nx, ny)` region counts,
 //!   seeded at the 1-D winner `(s*, s*)`, stepping one count at a time
 //!   within the configured side range;
-//! * **quadtree** — greedy split/merge refinement: split the leaf with the
-//!   largest per-region unevenness contribution `D_α` (the decomposition's
-//!   refinement signal), merge sibling quads whose merged bound improves,
-//!   under a **region cap** equal to the 1-D winner's `n` — so the final
-//!   quadtree never uses more regions than the uniform optimum it is
-//!   compared against.
+//! * **quadtree** — exact refinement by a tree DP, under a **region cap**
+//!   equal to the 1-D winner's `n`, so the final quadtree never uses more
+//!   regions than the uniform optimum it is compared against.
 //!
-//! Every choice is deterministically tie-broken (contribution descending,
-//! then row-major corner order; strict `<` on bounds keeps the first
-//! candidate in enumeration order on ties), so the search is reproducible
-//! across worker counts like everything else in the engine.
+//! # The quadtree DP
+//!
+//! The bound of a quadtree is a sum of per-leaf expression errors `E(leaf)`
+//! plus a model leg `M(R)` that depends only on the leaf count `R`. So the
+//! best tree for every `R` solves exactly as a tree knapsack: evaluate
+//! `E(node)` once for every node of the complete quadtree over the
+//! `budget.next_power_of_two()` lattice, set `f(node, 0) = E(node)` (the
+//! node is a leaf), and let `f(node, j ≥ 1)` be the min-plus convolution
+//! of the four children's tables at `j − 1` (the node splits). Tables are
+//! indexed by `j = (R − 1)/3`, since quadtree leaf counts are ≡ 1 (mod 3),
+//! and stop at the cap. The search returns the argmin of
+//! `f(root, j) + M(3j + 1)` over the **reachable** counts: a uniform-depth
+//! count `4^d` within the cap (the seeds, whose model legs it evaluates),
+//! or a count whose bracketing sides `⌊√R⌋` and `⌊√R⌋ + 1` (just `⌊√R⌋`
+//! for a square) are already in the session's model memo — so no model
+//! is ever trained for the refinement beyond the seeds.
+//!
+//! The DP adds node errors in its own order, so the chosen tree's legs are
+//! then reported through the canonical
+//! [`partition_expression_error`](gridtuner_core::AlphaFieldCache::partition_expression_error)
+//! fold, and the search keeps the best of that tree and the uniform-depth
+//! seeds under the same fold: association noise can never lift the
+//! reported bound above a reachable seed's.
+//!
+//! Every choice is deterministically tie-broken: fewer regions win exact
+//! ties, a convolution keeps the first minimum in ascending split count
+//! of its left operand, and the rect climb keeps the first candidate in
+//! its fixed neighbour order. Every value is computed per node, per region
+//! or per block in a fixed order, so the search is reproducible across
+//! worker counts like everything else in the engine.
 
 use crate::error::EngineError;
 use crate::session::{TuneReport, TuningSession};
 use crate::stage::{StageKind, StageRecord};
-use gridtuner_core::dalpha::region_d_alpha;
+use gridtuner_core::expression::quadtree_node_index;
 use gridtuner_core::upper_bound::ModelErrorSource;
 use gridtuner_obs as obs;
-use gridtuner_spatial::{QuadTreePartition, RectGrid, RegionId, SpatialPartition, UniformGrid};
+use gridtuner_spatial::{QuadLeaf, QuadTreePartition, RectGrid, SpatialPartition, UniformGrid};
 use std::collections::HashMap;
 
 /// Which partition family [`TuningSession::tune_partition`] searches.
@@ -44,7 +67,7 @@ pub enum PartitionKind {
     Uniform,
     /// Independent x/y region counts, hill-climbed from the 1-D winner.
     Rect,
-    /// Quadtree leaves, refined by split/merge under a region cap.
+    /// Quadtree leaves, chosen exactly by a tree DP under a region cap.
     QuadTree,
 }
 
@@ -110,11 +133,13 @@ pub struct PartitionReport {
     pub model_error: f64,
     /// The Theorem II.1 upper bound (`expression_error + model_error`).
     pub bound: f64,
-    /// Accepted quadtree splits (0 for uniform/rect).
+    /// Internal nodes of the winning quadtree, `(n_regions − 1)/3` (0 for
+    /// uniform/rect).
     pub splits: usize,
-    /// Accepted quadtree merges (0 for uniform/rect).
+    /// Always 0: the quadtree DP never merges. Kept for report readers.
     pub merges: usize,
-    /// Candidate partitions whose bound was evaluated.
+    /// Candidate partitions whose bound went through the canonical
+    /// expression fold.
     pub evals: usize,
     /// The region budget the search ran under (the 1-D winner's `n`).
     pub region_cap: usize,
@@ -155,10 +180,8 @@ fn isqrt(n: usize) -> u32 {
     s as u32
 }
 
-/// Split/merge (or hill-climb) steps before the search gives up.
+/// Hill-climb steps before the rect search gives up.
 const MAX_REFINE_ITERS: usize = 64;
-/// Highest-`D_α` regions offered to the split evaluator per iteration.
-const SPLIT_CANDIDATES: usize = 4;
 
 impl<S: ModelErrorSource> TuningSession<S> {
     /// The `PartitionSearch` stage: runs the configured 1-D tune (the
@@ -310,100 +333,76 @@ impl<S: ModelErrorSource> TuningSession<S> {
         })
     }
 
-    /// Greedy quadtree refinement under the uniform winner's region cap:
-    /// seed with the best uniform-depth tree whose region count fits the
-    /// cap, then repeatedly (a) split the highest-`D_α` splittable leaf
-    /// whose split improves the bound, falling back to (b) the best
-    /// bound-improving sibling merge, until neither improves.
+    /// Exact quadtree refinement under the uniform winner's region cap:
+    /// the tree DP of the module docs over every reachable region count,
+    /// then the canonical fold of the DP's tree and of every uniform-depth
+    /// seed, keeping the best.
     fn quadtree_search(&mut self, uniform: TuneReport) -> Result<PartitionReport, EngineError> {
         let budget = self.config().hgrid_budget_side;
+        let lattice = budget.next_power_of_two();
         let cap = uniform.partition.n().max(1);
+        // Uniform-depth seeds whose region count fits the cap. Their model
+        // legs are the only ones this search may evaluate afresh.
+        let seeds: Vec<QuadTreePartition> = (0u32..)
+            .map_while(|depth| {
+                let fits = 4usize.checked_pow(depth).is_some_and(|r| r <= cap);
+                fits.then(|| QuadTreePartition::uniform_depth(budget, depth))
+                    .flatten()
+            })
+            .collect();
+        // Model legs by split count j (R = 3j + 1 regions), up to the cap
+        // or the lattice's cell count, whichever is smaller.
+        let max_splits = (cap - 1).min((lattice as usize).pow(2) - 1) / 3;
+        let mut model_at: Vec<Option<f64>> = vec![None; max_splits + 1];
+        for seed in &seeds {
+            let r = seed.n_regions();
+            model_at[(r - 1) / 3] = Some(self.region_model_error(r)?);
+        }
+        // Every other count is reachable only if the bracketing squares'
+        // model errors are already memoised: no new model evaluation.
+        for (j, slot) in model_at.iter_mut().enumerate() {
+            let r = 3 * j + 1;
+            let s1 = isqrt(r);
+            let memoised =
+                self.has_model_error(s1) && (s1 * s1 == r as u32 || self.has_model_error(s1 + 1));
+            if slot.is_none() && memoised {
+                *slot = Some(self.region_model_error(r)?);
+            }
+        }
+        let nodes = self.cache_handle()?.quadtree_node_errors(lattice)?;
+        let dp = TreeDp::solve(&nodes, lattice.trailing_zeros(), max_splits);
+        let mut best_j = 0;
+        let mut best_score = f64::INFINITY;
+        for (j, (&f, m)) in dp.root().iter().zip(&model_at).enumerate() {
+            // Strict `<` in ascending region count: ties keep fewer regions.
+            if let Some(m) = m.filter(|m| f + m < best_score) {
+                best_j = j;
+                best_score = f + m;
+            }
+        }
+        let tree = QuadTreePartition::from_leaves(budget, dp.leaves(best_j)).ok_or_else(|| {
+            EngineError::Internal("quadtree DP produced leaves that do not tile".into())
+        })?;
+        // Report through the canonical fold, and never above a seed under
+        // that same fold: ties keep fewer regions, then the DP's tree.
         let mut evals = 0usize;
         let mut best: Option<(QuadTreePartition, (f64, f64))> = None;
-        for depth in 0u32.. {
-            if 4usize.checked_pow(depth).is_none_or(|r| r > cap) {
-                break;
+        for cand in std::iter::once(tree).chain(seeds) {
+            if best.as_ref().is_some_and(|(q, _)| *q == cand) {
+                continue;
             }
-            let Some(q) = QuadTreePartition::uniform_depth(budget, depth) else {
-                break;
-            };
-            let legs = self.partition_legs(&q)?;
+            let legs = self.partition_legs(&cand)?;
             evals += 1;
-            let better = best
-                .as_ref()
-                .is_none_or(|(_, b)| legs.0 + legs.1 < b.0 + b.1);
+            let better = best.as_ref().is_none_or(|(q, b)| {
+                let (bound, best_bound) = (legs.0 + legs.1, b.0 + b.1);
+                bound < best_bound || (bound == best_bound && cand.n_regions() < q.n_regions())
+            });
             if better {
-                best = Some((q, legs));
+                best = Some((cand, legs));
             }
         }
-        let (mut best_q, mut best_legs) = best.ok_or_else(|| {
-            EngineError::Internal("quadtree seeding produced no candidate".into())
-        })?;
-        let mut splits = 0usize;
-        let mut merges = 0usize;
-        for _ in 0..MAX_REFINE_ITERS {
-            let mut stepped = false;
-            // (a) Split the highest-contribution leaves, first improvement
-            // wins. A split adds 3 regions; respect the cap.
-            if best_q.n_regions() + 3 <= cap {
-                let alpha = self.cache_handle()?.alpha(best_q.hgrid_spec());
-                let contrib = region_d_alpha(&alpha, &best_q)?;
-                let mut order: Vec<usize> = (0..best_q.n_regions())
-                    .filter(|&r| best_q.leaf(RegionId(r)).size > 1 && contrib[r] > 0.0)
-                    .collect();
-                order.sort_by(|&a, &b| {
-                    contrib[b]
-                        .partial_cmp(&contrib[a])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| {
-                            let (la, lb) = (best_q.leaf(RegionId(a)), best_q.leaf(RegionId(b)));
-                            (la.row0, la.col0).cmp(&(lb.row0, lb.col0))
-                        })
-                });
-                for &r in order.iter().take(SPLIT_CANDIDATES) {
-                    let Some(cand) = best_q.split(RegionId(r)) else {
-                        continue;
-                    };
-                    let legs = self.partition_legs(&cand)?;
-                    evals += 1;
-                    if legs.0 + legs.1 < best_legs.0 + best_legs.1 {
-                        best_q = cand;
-                        best_legs = legs;
-                        splits += 1;
-                        stepped = true;
-                        break;
-                    }
-                }
-            }
-            // (b) No improving split: try the best improving sibling merge
-            // (frees 3 regions for a later, better-placed split).
-            if !stepped {
-                let mut choice: Option<(QuadTreePartition, (f64, f64))> = None;
-                for (row0, col0, size) in best_q.merge_candidates() {
-                    let Some(cand) = best_q.merge_at(row0, col0, size) else {
-                        continue;
-                    };
-                    let legs = self.partition_legs(&cand)?;
-                    evals += 1;
-                    let improves = legs.0 + legs.1 < best_legs.0 + best_legs.1;
-                    let beats_choice = choice
-                        .as_ref()
-                        .is_none_or(|(_, c)| legs.0 + legs.1 < c.0 + c.1);
-                    if improves && beats_choice {
-                        choice = Some((cand, legs));
-                    }
-                }
-                if let Some((cand, legs)) = choice {
-                    best_q = cand;
-                    best_legs = legs;
-                    merges += 1;
-                    stepped = true;
-                }
-            }
-            if !stepped {
-                break;
-            }
-        }
+        let (best_q, best_legs) = best
+            .ok_or_else(|| EngineError::Internal("quadtree search produced no candidate".into()))?;
         let n_regions = best_q.n_regions();
         Ok(PartitionReport {
             kind: PartitionKind::QuadTree,
@@ -412,12 +411,137 @@ impl<S: ModelErrorSource> TuningSession<S> {
             expression_error: best_legs.0,
             model_error: best_legs.1,
             bound: best_legs.0 + best_legs.1,
-            splits,
-            merges,
+            splits: (n_regions - 1) / 3,
+            merges: 0,
             evals,
             region_cap: cap,
             uniform,
         })
+    }
+}
+
+/// The min-plus tree DP over the complete quadtree of a `2^D`-side
+/// lattice. `f(node, j)` is the least sum of leaf errors over the subtrees
+/// of `node` with `3j + 1` leaves (quadtree leaf counts are ≡ 1 mod 3):
+/// `f(node, 0) = E(node)`, and for `j ≥ 1` the node splits and its four
+/// children share the `j − 1` remaining splits — a min-plus convolution
+/// of their tables, folded left to right in quadrant order (TL, TR, BL,
+/// BR). Tables stop at the split cap.
+struct TreeDp {
+    max_depth: u32,
+    /// Per depth: entries per node table (`j = 0..len`).
+    lens: Vec<usize>,
+    /// Per depth: the node tables, node-major, nodes row-major.
+    tables: Vec<Vec<f64>>,
+    /// Per depth and node, for each partial split total `t < len − 1`: the
+    /// splits the TR, BL and BR children get in the argmin of the first,
+    /// second and third convolution at `t`.
+    args: Vec<Vec<[u32; 3]>>,
+}
+
+impl TreeDp {
+    /// Solves every node bottom-up. `nodes` is the level-major layout of
+    /// [`AlphaFieldCache::quadtree_node_errors`], `max_splits` the split
+    /// cap `(cap − 1)/3`.
+    ///
+    /// [`AlphaFieldCache::quadtree_node_errors`]: gridtuner_core::AlphaFieldCache::quadtree_node_errors
+    fn solve(nodes: &[f64], max_depth: u32, max_splits: usize) -> TreeDp {
+        let levels = max_depth as usize + 1;
+        // A subtree of height h holds at most (4^h − 1)/3 splits.
+        let lens: Vec<usize> = (0..=max_depth)
+            .map(|d| ((4usize.pow(max_depth - d) - 1) / 3).min(max_splits) + 1)
+            .collect();
+        let mut tables = vec![Vec::new(); levels];
+        let mut args = vec![Vec::new(); levels];
+        tables[max_depth as usize] = nodes[quadtree_node_index(max_depth, 0, 0)..].to_vec();
+        let (mut acc, mut next) = (Vec::new(), Vec::new());
+        for d in (0..max_depth).rev() {
+            let (len, child_len, per_side) = (lens[d as usize], lens[d as usize + 1], 1usize << d);
+            let children = &tables[d as usize + 1];
+            let child = |r: usize, c: usize| {
+                let i = r * 2 * per_side + c;
+                &children[i * child_len..(i + 1) * child_len]
+            };
+            let mut table = Vec::with_capacity(per_side * per_side * len);
+            let mut arg = vec![[0u32; 3]; per_side * per_side * (len - 1)];
+            for i in 0..per_side * per_side {
+                let (r, c) = (2 * (i / per_side), 2 * (i % per_side));
+                table.push(nodes[quadtree_node_index(d, r / 2, c / 2)]);
+                let node_args = &mut arg[i * (len - 1)..(i + 1) * (len - 1)];
+                acc.clear();
+                acc.extend_from_slice(child(r, c));
+                acc.truncate(len - 1);
+                let rest = [child(r, c + 1), child(r + 1, c), child(r + 1, c + 1)];
+                for (stage, b) in rest.into_iter().enumerate() {
+                    min_plus(&acc, b, &mut next, node_args, stage);
+                    std::mem::swap(&mut acc, &mut next);
+                }
+                table.extend_from_slice(&acc);
+            }
+            tables[d as usize] = table;
+            args[d as usize] = arg;
+        }
+        TreeDp {
+            max_depth,
+            lens,
+            tables,
+            args,
+        }
+    }
+
+    /// `f(root, j)` for every `j` up to the split cap.
+    fn root(&self) -> &[f64] {
+        &self.tables[0]
+    }
+
+    /// The leaves of the argmin tree with `j` splits, walking the stored
+    /// convolution argmins down from the root.
+    fn leaves(&self, j: usize) -> Vec<QuadLeaf> {
+        let side = 1usize << self.max_depth;
+        let mut leaves = Vec::with_capacity(3 * j + 1);
+        let mut stack = vec![(0u32, 0usize, 0usize, j)];
+        while let Some((d, r, c, j)) = stack.pop() {
+            let size = side >> d;
+            if j == 0 {
+                leaves.push(QuadLeaf {
+                    row0: r * size,
+                    col0: c * size,
+                    size,
+                });
+                continue;
+            }
+            let stride = self.lens[d as usize] - 1;
+            let node = &self.args[d as usize][(r * (1 << d) + c) * stride..];
+            let mut t = j - 1;
+            let mut k = [0usize; 4];
+            for stage in (0..3).rev() {
+                k[stage + 1] = node[t][stage] as usize;
+                t -= k[stage + 1];
+            }
+            k[0] = t;
+            for (q, (dr, dc)) in [(0, 0), (0, 1), (1, 0), (1, 1)].into_iter().enumerate() {
+                stack.push((d + 1, 2 * r + dr, 2 * c + dc, k[q]));
+            }
+        }
+        leaves
+    }
+}
+
+/// `out[t] = min over i + k = t of a[i] + b[k]`, for `t < args.len()`,
+/// with the argmin `k` stored in `args[t][stage]`. Candidates are scanned
+/// in ascending `i` and only a strictly smaller sum replaces the running
+/// minimum, so ties keep the smallest `i`.
+fn min_plus(a: &[f64], b: &[f64], out: &mut Vec<f64>, args: &mut [[u32; 3]], stage: usize) {
+    let len = (a.len() + b.len() - 1).min(args.len());
+    out.clear();
+    out.resize(len, f64::INFINITY);
+    for (i, &x) in a.iter().enumerate().take(len) {
+        for (k, &y) in b.iter().enumerate().take(len - i) {
+            if x + y < out[i + k] {
+                out[i + k] = x + y;
+                args[i + k][stage] = k as u32;
+            }
+        }
     }
 }
 
@@ -574,6 +698,35 @@ mod tests {
             report.uniform_bound(),
             report.uniform_regions()
         );
+    }
+
+    #[test]
+    fn quadtree_dp_beats_every_seed_without_new_model_evaluations() {
+        let mut s = session();
+        let report = s.tune_partition(PartitionKind::QuadTree).unwrap();
+        assert_eq!(report.splits, (report.n_regions - 1) / 3);
+        assert_eq!(report.merges, 0);
+        // Every uniform-depth seed within the cap, through the same fold.
+        let cache = s.alpha_cache().unwrap();
+        let mut seed_sides = Vec::new();
+        for depth in 0u32.. {
+            let side = 1u32 << depth;
+            if (side * side) as usize > report.region_cap {
+                break;
+            }
+            let seed = QuadTreePartition::uniform_depth(16, depth).unwrap();
+            let bound = cache.partition_expression_error(&seed).unwrap() + model(side);
+            assert!(
+                report.bound <= bound,
+                "bound {} above seed {depth}'s {bound}",
+                report.bound
+            );
+            seed_sides.push(side);
+        }
+        // The model was asked only for the 1-D range and the seeds' sides.
+        let (lo, hi) = s.config().side_range;
+        let outside = seed_sides.iter().filter(|&&x| x < lo || x > hi).count();
+        assert_eq!(s.memoised_sides(), (hi - lo + 1) as usize + outside);
     }
 
     #[test]

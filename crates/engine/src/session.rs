@@ -252,6 +252,12 @@ impl<S> TuningSession<S> {
         self.model_memo.len()
     }
 
+    /// Whether the model error at `side` is memoised (serving it costs no
+    /// model evaluation).
+    pub(crate) fn has_model_error(&self, side: u32) -> bool {
+        self.model_memo.contains_key(&side)
+    }
+
     /// Hands out a dispatch simulator for the configured case study.
     pub fn simulator(&mut self) -> Result<gridtuner_dispatch::Simulator, EngineError> {
         let sim = self.config.sim.ok_or_else(|| {
@@ -428,10 +434,11 @@ impl<S: ModelErrorSource> TuningSession<S> {
         self.report(outcome, memo_hits, expr, uncertainty)
     }
 
-    /// The uncertainty stage: B sequential replicate tunes of bootstrap
-    /// resamples, sharing the session's warm pmf memo and serving the
-    /// model leg from the session memo (see the module docs of
-    /// [`crate::uncertainty`]). No-op unless the config enables it.
+    /// The uncertainty stage: B sequential replicate tunes, each on a
+    /// bootstrap replicate drawn into the session cache's window digest,
+    /// sharing its warm pmf memo and serving the model leg from the
+    /// session memo (see the module docs of [`crate::uncertainty`]).
+    /// No-op unless the config enables it.
     fn run_uncertainty(
         &mut self,
         point: &SearchOutcome,
@@ -439,28 +446,20 @@ impl<S: ModelErrorSource> TuningSession<S> {
         let Some(bcfg) = self.config.bootstrap else {
             return Ok(None);
         };
-        let pmf = self
-            .cache
-            .as_ref()
-            .ok_or_else(|| {
-                EngineError::Internal("α cache missing before the uncertainty stage".into())
-            })?
-            .shared_pmf();
-        let config = self.config; // Copy: releases the borrow of self
+        let cache = self.cache.as_ref().ok_or_else(|| {
+            EngineError::Internal("α cache missing before the uncertainty stage".into())
+        })?;
         let setup = ReplicateSetup {
-            clock: &config.clock,
-            window: &config.alpha_window,
-            strategy: config.strategy,
-            lo: config.side_range.0,
-            hi: config.side_range.1,
-            budget: config.hgrid_budget_side,
+            strategy: self.config.strategy,
+            lo: self.config.side_range.0,
+            hi: self.config.side_range.1,
+            budget: self.config.hgrid_budget_side,
         };
         let model = &mut self.model;
         let memo = &mut self.model_memo;
         let mut model_err = |side: u32| Ok(memoised_model_error(model, memo, side)?.0);
-        let events = &self.events;
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_bootstrap(events, &setup, pmf, bcfg, point, &mut model_err)
+            run_bootstrap(cache, &setup, bcfg, point, &mut model_err)
         })) {
             Ok(result) => result.map(Some),
             Err(payload) => Err(EngineError::Internal(format!(

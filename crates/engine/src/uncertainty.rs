@@ -18,11 +18,19 @@
 //!   failure mode the testkit documents for ternary search), and
 //!   [`StabilityVerdict::Unstable`] otherwise.
 //!
-//! Replicates run sequentially in index order — each one derives its own
-//! splitmix64 stream from `(seed, index)`, builds a replicate
-//! [`AlphaFieldCache`] that *shares* the session's warm [`PmfMemo`]
-//! (bit-invisible: memo entries are a pure function of the rate), and runs
-//! the session's own search strategy through the `try_*` searchers. The
+//! Replicates run sequentially in index order. Each one consumes its own
+//! splitmix64 stream from `(seed, index)` — the same draws, in the same
+//! order, as [`resample_events`](gridtuner_core::resample_events) — but
+//! never materialises the resampled log: every drawn log index is mapped
+//! through the session cache's "log index → window-digest slot" index, and
+//! the hits are drawn straight into the replicate's α digest
+//! ([`AlphaFieldCache::bootstrap_replicate`]). A one-slot window keeps a
+//! few percent of the log (189k of 6.5M events on a Chengdu month), so a
+//! replicate costs its draws rather than a copy and a rescan of the whole
+//! log. The replicate cache *shares*
+//! the session's warm [`PmfMemo`](gridtuner_core::PmfMemo) (bit-invisible:
+//! memo entries are a pure function of the rate), and the session's own
+//! search strategy runs on it through the `try_*` searchers. The
 //! expression sweeps inside each replicate still fan out over the worker
 //! pool, so the whole stage is bit-identical across `GRIDTUNER_THREADS`
 //! 1/2/8 — the testkit pins the full confidence set, not just the argmin.
@@ -32,23 +40,21 @@
 //! resampling the α window says nothing about model capacity and
 //! re-training per replicate would swamp the stage. With analytic model
 //! sources a replicate tune is therefore *exactly* the tune of the
-//! materialised resampled log — the `bootstrap-replicate-vs-direct`
-//! oracle pair holds bitwise.
+//! materialised resampled log. The materialised log survives only as that
+//! oracle: the `bootstrap-replicate-vs-direct` pair re-tunes
+//! `resample_events` output in a fresh session and checks each replicate
+//! bitwise.
 
 use crate::error::EngineError;
-use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::error::CoreError;
-use gridtuner_core::expr_kernel::PmfMemo;
-use gridtuner_core::resample::resample_events;
 use gridtuner_core::search::{
     try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome, SearchStrategy,
 };
 use gridtuner_obs as obs;
 use gridtuner_par::EnvParseError;
-use gridtuner_spatial::{Event, Partition, SlotClock};
+use gridtuner_spatial::Partition;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Relative tolerance under which two probed errors count as tied — the
 /// plateau detector's resolution, matching the goldens' float tolerance.
@@ -177,28 +183,22 @@ pub fn classify(
     }
 }
 
-/// Everything [`run_bootstrap`] needs to replay a tune on a resampled
-/// log: the session's window/clock/search geometry, without the session.
+/// Everything [`run_bootstrap`] needs to replay a tune on a replicate
+/// cache: the session's search geometry, without the session.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ReplicateSetup<'a> {
-    pub clock: &'a SlotClock,
-    pub window: &'a AlphaWindow,
+pub(crate) struct ReplicateSetup {
     pub strategy: SearchStrategy,
     pub lo: u32,
     pub hi: u32,
     pub budget: u32,
 }
 
-/// Tunes one materialised log against a (possibly shared) pmf memo — the
-/// single code path both the uncertainty stage and the
-/// `bootstrap-replicate-vs-direct` oracle exercise.
-pub(crate) fn tune_log(
-    events: &[Event],
-    setup: &ReplicateSetup<'_>,
-    pmf: Arc<PmfMemo>,
+/// Runs the session's search over one replicate's α cache.
+fn tune_replicate(
+    cache: &AlphaFieldCache,
+    setup: &ReplicateSetup,
     model_err: &mut dyn FnMut(u32) -> Result<f64, CoreError>,
 ) -> Result<SearchOutcome, CoreError> {
-    let cache = AlphaFieldCache::with_shared_pmf(events, setup.clock, setup.window, pmf);
     let mut probe = |side: u32| -> Result<f64, CoreError> {
         let part = Partition::for_budget(side, setup.budget);
         let expr = cache.expression_error(&part)?;
@@ -213,16 +213,15 @@ pub(crate) fn tune_log(
     }
 }
 
-/// Runs the bootstrap: B sequential replicate tunes of resampled logs,
-/// sharing `pmf` (the session's warm memo), folding the results into an
-/// [`UncertaintyReport`]. Deterministic for a given `(events, config)` —
-/// the replicate order, the resample streams and the searchers are all
-/// fixed, and the parallel expression sweeps inside are bit-identical
-/// across thread counts.
+/// Runs the bootstrap: B sequential replicate tunes, each on a replicate
+/// cache drawn from `cache` (the session's, whose pmf memo they share),
+/// folding the results into an [`UncertaintyReport`]. Deterministic for a
+/// given `(log, config)` — the replicate order, the draw streams and the
+/// searchers are all fixed, and the parallel expression sweeps inside are
+/// bit-identical across thread counts.
 pub(crate) fn run_bootstrap(
-    events: &[Event],
-    setup: &ReplicateSetup<'_>,
-    pmf: Arc<PmfMemo>,
+    cache: &AlphaFieldCache,
+    setup: &ReplicateSetup,
     config: BootstrapConfig,
     point: &SearchOutcome,
     model_err: &mut dyn FnMut(u32) -> Result<f64, CoreError>,
@@ -240,8 +239,8 @@ pub(crate) fn run_bootstrap(
     for r in 0..u64::from(config.replicates) {
         let _rep = obs::span!("uncertainty.replicate", index = r);
         obs::counter!("boot.replicates").inc();
-        let resampled = resample_events(events, config.seed, r);
-        let outcome = tune_log(&resampled, setup, Arc::clone(&pmf), model_err)?;
+        let replicate = cache.bootstrap_replicate(config.seed, r);
+        let outcome = tune_replicate(&replicate, setup, model_err)?;
         for &(side, err) in &outcome.probes {
             spread.entry(side).or_default().push(err);
         }

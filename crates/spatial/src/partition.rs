@@ -15,8 +15,8 @@
 //! * [`RectGrid`] — independent x/y region counts `nx × ny` over a shared
 //!   square HGrid lattice;
 //! * [`QuadTreePartition`] — an adaptively refined quadtree over a
-//!   power-of-two lattice, grown/shrunk one split or merge at a time by the
-//!   engine's refinement search.
+//!   power-of-two lattice, whose leaves the engine's refinement search
+//!   picks by an exact tree DP.
 //!
 //! # The HGrid-aligned region invariant
 //!
@@ -277,9 +277,9 @@ pub struct QuadLeaf {
 /// the sorted leaf indices — and a dense cell→leaf lookup makes
 /// `region_of` O(1).
 ///
-/// The partition is a value: [`split`](Self::split) and
-/// [`merge_at`](Self::merge_at) return *new* partitions, which keeps the
-/// engine's refinement search trivially undoable and deterministic.
+/// The partition is a value: [`split`](Self::split) returns a *new*
+/// partition, and [`from_leaves`](Self::from_leaves) builds one from a leaf
+/// list chosen elsewhere (the engine's tree DP).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuadTreePartition {
     lattice: u32,
@@ -377,71 +377,47 @@ impl QuadTreePartition {
                 leaves.push(*l);
             }
         }
-        Some(Self::from_leaves(self.lattice, leaves))
+        Some(Self::sorted(self.lattice, leaves))
     }
 
-    /// Merges the four `size/2` sibling leaves of the `size × size` parent
-    /// block at `(row0, col0)` back into one leaf, returning the new
-    /// partition, or `None` if the four quadrants are not all present as
-    /// leaves of exactly that size.
-    pub fn merge_at(&self, row0: usize, col0: usize, size: usize) -> Option<Self> {
-        if size < 2 || size > self.lattice as usize {
+    /// The quadtree with exactly these leaves over the lattice of side
+    /// `hgrid_budget_side.next_power_of_two()`, in any order, or `None`
+    /// unless every leaf is an aligned power-of-two block and together they
+    /// tile the lattice exactly once — the shape of every quadtree, and the
+    /// way a search that picked its leaves elsewhere builds the partition.
+    pub fn from_leaves(hgrid_budget_side: u32, leaves: Vec<QuadLeaf>) -> Option<Self> {
+        if hgrid_budget_side == 0 {
             return None;
         }
-        let half = size / 2;
-        let mut to_remove = [0usize; 4];
-        for (k, (dr, dc)) in [(0, 0), (0, half), (half, 0), (half, half)]
-            .iter()
-            .enumerate()
-        {
-            let idx = self
-                .leaves
-                .iter()
-                .position(|l| l.row0 == row0 + dr && l.col0 == col0 + dc && l.size == half)?;
-            to_remove[k] = idx;
+        let lattice = hgrid_budget_side.next_power_of_two();
+        let side = lattice as usize;
+        let mut covered = 0usize;
+        for l in &leaves {
+            let aligned = l.size.is_power_of_two() && l.row0 % l.size == 0 && l.col0 % l.size == 0;
+            if !aligned || l.row0 + l.size > side || l.col0 + l.size > side {
+                return None;
+            }
+            covered += l.size * l.size;
         }
-        let mut leaves: Vec<QuadLeaf> = self
-            .leaves
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !to_remove.contains(i))
-            .map(|(_, l)| *l)
-            .collect();
-        leaves.push(QuadLeaf { row0, col0, size });
-        Some(Self::from_leaves(self.lattice, leaves))
-    }
-
-    /// Candidate merges: every parent block whose four quadrant leaves are
-    /// all present, as `(row0, col0, size)` triples in row-major order.
-    pub fn merge_candidates(&self) -> Vec<(usize, usize, usize)> {
-        let mut out = Vec::new();
-        for l in &self.leaves {
-            // A leaf is the top-left quadrant of its parent iff its corner
-            // is aligned to twice its size.
-            let parent = l.size * 2;
-            if parent > self.lattice as usize {
-                continue;
-            }
-            if l.row0 % parent != 0 || l.col0 % parent != 0 {
-                continue;
-            }
-            let half = l.size;
-            let all = [(0, half), (half, 0), (half, half)]
-                .iter()
-                .all(|&(dr, dc)| {
-                    self.leaves
-                        .iter()
-                        .any(|s| s.row0 == l.row0 + dr && s.col0 == l.col0 + dc && s.size == half)
-                });
-            if all {
-                out.push((l.row0, l.col0, parent));
+        // A total area of `side²` with no cell covered twice covers every
+        // cell exactly once.
+        if covered != side * side {
+            return None;
+        }
+        let mut seen = vec![false; side * side];
+        for l in &leaves {
+            for r in l.row0..l.row0 + l.size {
+                for c in l.col0..l.col0 + l.size {
+                    if std::mem::replace(&mut seen[r * side + c], true) {
+                        return None;
+                    }
+                }
             }
         }
-        out.sort_unstable();
-        out
+        Some(Self::sorted(lattice, leaves))
     }
 
-    fn from_leaves(lattice: u32, mut leaves: Vec<QuadLeaf>) -> Self {
+    fn sorted(lattice: u32, mut leaves: Vec<QuadLeaf>) -> Self {
         leaves.sort_unstable_by_key(|l| (l.row0, l.col0));
         let mut p = QuadTreePartition {
             lattice,
@@ -592,8 +568,25 @@ mod tests {
         let corners: Vec<_> = split.leaves().iter().map(|l| (l.row0, l.col0)).collect();
         assert_eq!(corners, vec![(0, 0), (0, 16), (16, 0), (16, 16)]);
 
-        let merged = split.merge_at(0, 0, 32).unwrap();
-        assert_eq!(merged, q, "merge undoes split");
+        let merged = QuadTreePartition::from_leaves(32, q.leaves().to_vec()).unwrap();
+        assert_eq!(merged, q, "rebuilding the unsplit leaves undoes the split");
+        let shuffled: Vec<QuadLeaf> = split.leaves().iter().rev().copied().collect();
+        assert_eq!(QuadTreePartition::from_leaves(32, shuffled).unwrap(), split);
+    }
+
+    #[test]
+    fn quadtree_from_leaves_rejects_non_tilings() {
+        let leaf = |row0, col0, size| QuadLeaf { row0, col0, size };
+        // Gap, overlap, misaligned block, non-power-of-two size, overhang.
+        assert!(QuadTreePartition::from_leaves(4, vec![leaf(0, 0, 2)]).is_none());
+        let overlap = vec![leaf(0, 0, 4), leaf(0, 0, 2), leaf(0, 2, 2), leaf(2, 0, 2)];
+        assert!(QuadTreePartition::from_leaves(4, overlap).is_none());
+        let misaligned = vec![leaf(0, 1, 2), leaf(0, 0, 2), leaf(2, 0, 2), leaf(2, 2, 2)];
+        assert!(QuadTreePartition::from_leaves(4, misaligned).is_none());
+        assert!(QuadTreePartition::from_leaves(3, vec![leaf(0, 0, 3)]).is_none());
+        assert!(QuadTreePartition::from_leaves(4, vec![leaf(0, 0, 8)]).is_none());
+        let q = QuadTreePartition::from_leaves(3, vec![leaf(0, 0, 4)]).unwrap();
+        assert_eq!(q, QuadTreePartition::root(3));
     }
 
     #[test]
@@ -612,22 +605,6 @@ mod tests {
             assert_tiles(&q);
         }
         assert!(QuadTreePartition::uniform_depth(32, 6).is_none());
-    }
-
-    #[test]
-    fn quadtree_merge_candidates_are_exact() {
-        let q = QuadTreePartition::uniform_depth(8, 1).unwrap();
-        // Four 4×4 leaves: one candidate, the root.
-        assert_eq!(q.merge_candidates(), vec![(0, 0, 8)]);
-
-        // Split one child: its parent is no longer mergeable directly, but
-        // the four new grandchildren are.
-        let deeper = q.split(RegionId(0)).unwrap();
-        assert_eq!(deeper.merge_candidates(), vec![(0, 0, 4)]);
-        assert!(
-            deeper.merge_at(0, 0, 8).is_none(),
-            "mixed sizes cannot merge"
-        );
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! | `nn-dense-vs-naive` | the blocked dense kernel matches the naive mat-vec, its gradients follow their documented order bit for bit, and a batch of `B` = `B` one-sample calls, bit for bit |
 //! | `nn-conv-vs-naive` | the tap-hoisted conv kernel matches the naive convolution; a batch of `B` = `B` one-sample calls, bit for bit |
 //! | `theorem-ii1-empirical` | real ≤ model + expression on arbitrary samples (and the slack bound) |
+//! | `quadtree-dp-vs-exhaustive` | the quadtree refinement's bound = the minimum over every quadtree with a reachable region count on 4×4 and 8×8 lattices, and its tree attains it |
 //! | `bootstrap-replicate-vs-direct` | a bootstrap replicate's tune = tuning the materialised resampled log directly, bit for bit |
 //! | `bootstrap-seed-determinism` | same seed and B → the same confidence set, run to run and at 1 or 8 workers |
 //! | `simd-vs-scalar-emulation` | a full tune is bit-identical under the AVX2 backend and its scalar emulation, at 1/2/8 workers |
@@ -40,7 +41,7 @@ use gridtuner_core::estimate_alpha;
 use gridtuner_core::expr_kernel::{dedup_groups, PmfMemo};
 use gridtuner_core::expression::{
     expression_error_alg1, expression_error_alg2, expression_error_naive,
-    expression_error_windowed, lemma_upper_bound, total_expression_error,
+    expression_error_windowed, lemma_upper_bound, mgrid_expression_error, total_expression_error,
     total_expression_error_memo, total_expression_error_percell, total_expression_error_seq,
     try_partition_expression_error,
 };
@@ -50,7 +51,10 @@ use gridtuner_core::search::{
     try_ternary_search, ErrorOracle, SearchOutcome,
 };
 use gridtuner_core::upper_bound::UpperBoundOracle;
-use gridtuner_engine::{BootstrapConfig, EngineConfig, SearchStrategy, TuneReport, TuningSession};
+use gridtuner_engine::{
+    BootstrapConfig, EngineConfig, PartitionKind, PartitionLayout, SearchStrategy, TuneReport,
+    TuningSession,
+};
 use gridtuner_nn::{Conv2d, Dense, Layer, Tensor};
 use gridtuner_spatial::{CountMatrix, Event, GridSpec, Partition, UniformGrid};
 use rand::Rng;
@@ -204,6 +208,134 @@ fn session_tune(
         .map_err(|e| format!("session rejected {:?}: {e}", config.strategy))?;
     session.ingest(events).map_err(|e| e.to_string())?;
     session.tune().map_err(|e| e.to_string())
+}
+
+/// `E(block)` of the `size`-cell square block at `(row0, col0)`, through
+/// the one-shot per-MGrid kernel.
+fn block_error(alpha: &CountMatrix, row0: usize, col0: usize, size: usize) -> f64 {
+    let spec = GridSpec::new(alpha.side());
+    let rates: Vec<f64> = (row0..row0 + size)
+        .flat_map(|r| (col0..col0 + size).map(move |c| (r, c)))
+        .map(|(r, c)| alpha.get(spec.cell_at(r, c)))
+        .collect();
+    mgrid_expression_error(&rates)
+}
+
+/// Every quadtree over the block at `(row0, col0)` of side `size`, as
+/// `(leaf count, Σ leaf errors)`: the block as one leaf first, then every
+/// combination of its quadrants' trees.
+fn every_quadtree(alpha: &CountMatrix, row0: usize, col0: usize, size: usize) -> Vec<(usize, f64)> {
+    let mut out = vec![(1, block_error(alpha, row0, col0, size))];
+    if size == 1 {
+        return out;
+    }
+    let h = size / 2;
+    let [a, b, c, d] = [(0, 0), (0, h), (h, 0), (h, h)]
+        .map(|(dr, dc)| every_quadtree(alpha, row0 + dr, col0 + dc, h));
+    for x in &a {
+        for y in &b {
+            for z in &c {
+                for w in &d {
+                    out.push((x.0 + y.0 + z.0 + w.0, x.1 + y.1 + z.1 + w.1));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// One quadtree refinement checked against the exhaustive minimum, given
+/// `least[R]`, the least Σ E over every tree with `R` leaves, under the
+/// model curve `model` and the 1-D side range `range`.
+fn quadtree_dp_vs_exhaustive(
+    s: &Scenario,
+    alpha: &CountMatrix,
+    least: &[f64],
+    range: (u32, u32),
+    model: impl Fn(u32) -> f64 + Copy,
+) -> Result<(), String> {
+    let lattice = alpha.side();
+    let config = EngineConfig {
+        hgrid_budget_side: lattice,
+        side_range: range,
+        strategy: SearchStrategy::BruteForce,
+        alpha_window: s.window,
+        clock: s.clock,
+        ..EngineConfig::default()
+    };
+    let mut session = TuningSession::new(config, model).map_err(|e| e.to_string())?;
+    session.ingest(&s.events).map_err(|e| e.to_string())?;
+    let report = session
+        .tune_partition(PartitionKind::QuadTree)
+        .map_err(|e| e.to_string())?;
+    // The model leg at R regions: exact on squares, linear in n between
+    // the bracketing squares otherwise.
+    let model_at = |r: usize| {
+        let s1 = (1u32..)
+            .take_while(|&x| (x * x) as usize <= r)
+            .last()
+            .unwrap_or(1);
+        let n1 = (s1 * s1) as usize;
+        if n1 == r {
+            return model(s1);
+        }
+        let t = (r - n1) as f64 / ((s1 + 1) * (s1 + 1) - s1 * s1) as f64;
+        model(s1) + t * (model(s1 + 1) - model(s1))
+    };
+    // Reachable: a uniform-depth count within the cap, or one whose
+    // bracketing sides the 1-D tune (or a seed) already evaluated.
+    let cap = report.region_cap;
+    let seed_sides: Vec<u32> = (0..=lattice.trailing_zeros())
+        .map(|d| 1u32 << d)
+        .filter(|&side| (side * side) as usize <= cap)
+        .collect();
+    let memoised = |side: u32| (range.0..=range.1).contains(&side) || seed_sides.contains(&side);
+    let reachable = |r: usize| {
+        let s1 = (1u32..)
+            .take_while(|&x| (x * x) as usize <= r)
+            .last()
+            .unwrap_or(1);
+        let square = (s1 * s1) as usize == r;
+        r <= cap
+            && (seed_sides.iter().any(|&side| (side * side) as usize == r)
+                || (memoised(s1) && (square || memoised(s1 + 1))))
+    };
+    let brute = (1..least.len())
+        .filter(|&r| least[r].is_finite() && reachable(r))
+        .map(|r| least[r] + model_at(r))
+        .fold(f64::INFINITY, f64::min);
+    let label = format!("{lattice}×{lattice}, sides {range:?}, cap {cap}");
+    close(
+        &format!("{label}: reported bound vs exhaustive minimum"),
+        report.bound,
+        brute,
+        1e-9,
+        0.0,
+    )?;
+    let PartitionLayout::QuadTree(q) = &report.layout else {
+        return Err(format!(
+            "{label}: quadtree search returned {:?}",
+            report.layout
+        ));
+    };
+    if !reachable(q.leaves().len()) {
+        return Err(format!(
+            "{label}: {} regions are not reachable",
+            q.leaves().len()
+        ));
+    }
+    let own: f64 = q
+        .leaves()
+        .iter()
+        .map(|l| block_error(alpha, l.row0, l.col0, l.size))
+        .sum();
+    close(
+        &format!("{label}: reported tree vs exhaustive minimum"),
+        own + model_at(q.leaves().len()),
+        brute,
+        1e-9,
+        0.0,
+    )
 }
 
 /// The independent reference tune: Algorithm 3 as an [`UpperBoundOracle`]
@@ -828,6 +960,39 @@ pub fn standard_checks() -> Vec<Check> {
         let slack = r.upper_bound() - r.real;
         if slack > 2.0 * r.model.min(r.expression) + 1e-9 {
             return Err(format!("slack bound violated: {r:?}"));
+        }
+        Ok(())
+    }));
+
+    checks.push(Check::new("quadtree-dp-vs-exhaustive", |s| {
+        // The tree DP claims the exact minimum of Σ E(leaf) + M(R) over
+        // every quadtree whose region count R is reachable (≤ the cap, and
+        // its model leg served by memoised sides). Enumerate every tree on
+        // small lattices and check the claim under a linear and a
+        // non-linear model curve, with the full and a narrowed side range.
+        for lattice in [4u32, 8] {
+            let alpha = estimate_alpha(&s.events, GridSpec::new(lattice), &s.clock, &s.window);
+            let trees = every_quadtree(&alpha, 0, 0, lattice as usize);
+            let expected = if lattice == 4 { 17 } else { 83_522 };
+            if trees.len() != expected {
+                return Err(format!(
+                    "{} trees on {lattice}×{lattice}, not {expected}",
+                    trees.len()
+                ));
+            }
+            // The least Σ E over the trees of each region count.
+            let mut least = vec![f64::INFINITY; (lattice * lattice) as usize + 1];
+            for &(r, e) in &trees {
+                least[r] = least[r].min(e);
+            }
+            let scale = trees[0].1.max(1.0) / 2.0;
+            let l = f64::from(lattice);
+            let linear = move |side: u32| scale * f64::from(side).powi(2) / (l * l);
+            let cubic = move |side: u32| scale * f64::from(side).powi(3) / (l * l * l);
+            for range in [(1, lattice), (lattice / 2, lattice)] {
+                quadtree_dp_vs_exhaustive(s, &alpha, &least, range, linear)?;
+                quadtree_dp_vs_exhaustive(s, &alpha, &least, range, cubic)?;
+            }
         }
         Ok(())
     }));

@@ -10,7 +10,9 @@
 //!    with a zero model leg the bound *is* the expression leg, and a
 //!    split must not increase it (fuzzed over random α fields and random
 //!    split sequences);
-//! 3. the rect hill-climb and the `D_α`-guided quadtree search replay
+//! 3. the quadtree tree DP is exact: its bound is ≤ the canonical bound of
+//!    every random split-sequence quadtree within its region cap;
+//! 4. the rect hill-climb and the tree-DP quadtree search replay
 //!    bit-for-bit on the three preset cities (golden snapshots,
 //!    `tests/goldens/<city>_partition.json`), and on NYC the quadtree
 //!    meets the acceptance bar: bound ≤ the best uniform `n` at equal or
@@ -193,6 +195,62 @@ proptest! {
                 part.n_regions()
             );
             bound = next;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The tree DP's optimality, checked from outside: grow random
+    /// split-sequence quadtrees from the root and compare the refinement's
+    /// reported bound with each tree's canonical bound while the tree fits
+    /// the region cap. With the full side range every side up to the
+    /// lattice is memoised, so every count within the cap is reachable,
+    /// and the `coef·s²` model leg is exactly `coef·R` at any count.
+    #[test]
+    fn quadtree_dp_bound_beats_every_reachable_split_sequence(seed in 0u64..10_000) {
+        let s = Scenario::generate(seed);
+        let lattice = [4u32, 8, 16][(seed % 3) as usize];
+        // A model leg on the scale of the one-region expression error, so
+        // the optimum sits strictly inside the cap.
+        let root = QuadTreePartition::root(lattice);
+        let root_error = AlphaFieldCache::new(&s.events, &s.clock, &s.window)
+            .partition_expression_error(&root)
+            .unwrap();
+        let coef = (0.1 + s.params.model_coef) * root_error.max(1.0) / f64::from(lattice * lattice);
+        let config = EngineConfig {
+            hgrid_budget_side: lattice,
+            side_range: (1, lattice),
+            strategy: SearchStrategy::BruteForce,
+            alpha_window: s.window,
+            clock: s.clock,
+            ..EngineConfig::default()
+        };
+        let mut session =
+            TuningSession::new(config, move |side: u32| coef * f64::from(side * side)).unwrap();
+        session.ingest(&s.events).unwrap();
+        let report = session.tune_partition(PartitionKind::QuadTree).unwrap();
+        let cache = session.alpha_cache().unwrap();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0d9b_7ee5);
+        let mut part = root;
+        while part.n_regions() <= report.region_cap {
+            let expr = cache.partition_expression_error(&part).unwrap();
+            let bound = expr + coef * part.n_regions() as f64;
+            prop_assert!(
+                report.bound <= bound + 1e-9 * (1.0 + bound),
+                "DP bound {} above a {}-region tree's {bound}",
+                report.bound,
+                part.n_regions()
+            );
+            let splittable: Vec<usize> = (0..part.n_regions())
+                .filter(|&r| part.leaf(RegionId(r)).size > 1)
+                .collect();
+            if splittable.is_empty() {
+                break;
+            }
+            let pick = splittable[rng.gen_range(0..splittable.len())];
+            part = part.split(RegionId(pick)).expect("leaf of size > 1 splits");
         }
     }
 }
