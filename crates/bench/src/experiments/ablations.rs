@@ -4,7 +4,7 @@
 //! adaptive-window expression-error algorithm.
 
 use crate::ctx::{cities, test_day_orders, ModelKind, PredictedDemand};
-use crate::{fmt, header, RunCfg};
+use crate::{fmt, header, timing_header, RunCfg};
 use gridtuner_core::expression::{expression_error_alg2, expression_error_windowed};
 use gridtuner_core::kselect::recommended_k;
 use gridtuner_dispatch::polar::PolarConfig;
@@ -29,8 +29,9 @@ pub fn run_matching(cfg: &RunCfg) {
     header(
         "abl-matching",
         "POLAR stage-2 matching: exact Hungarian vs sorted greedy (nyc)",
-        &["matcher", "served", "revenue", "wall_s"],
+        &["matcher", "served", "revenue"],
     );
+    timing_header("abl-matching", &["matcher", "wall_s"]);
     let city = cities(cfg).remove(0);
     let orders = test_day_orders(&city, cfg.seed ^ 0xab11);
     let sim = nyc_sim(cfg, ((city.daily_volume() / 22.0) as usize).max(20));
@@ -42,12 +43,8 @@ pub fn run_matching(cfg: &RunCfg) {
         });
         let t0 = Instant::now();
         let out = sim.run(&orders, &mut polar, &mut |s| pd.view(s));
-        println!(
-            "{name}\t{}\t{}\t{}",
-            out.served,
-            fmt(out.revenue),
-            fmt(t0.elapsed().as_secs_f64())
-        );
+        println!("{name}\t{}\t{}", out.served, fmt(out.revenue));
+        eprintln!("{name}\t{}", fmt(t0.elapsed().as_secs_f64()));
     }
 }
 
@@ -88,16 +85,11 @@ pub fn run_kselect(cfg: &RunCfg) {
     header(
         "abl-kselect",
         "fixed K=250 vs recommended_k vs adaptive window (m=64)",
-        &[
-            "alpha",
-            "rest",
-            "k250_err",
-            "k250_s",
-            "krec",
-            "krec_err",
-            "krec_s",
-            "windowed_s",
-        ],
+        &["alpha", "rest", "k250_err", "krec", "krec_err"],
+    );
+    timing_header(
+        "abl-kselect",
+        &["alpha", "rest", "k250_s", "krec_s", "windowed_s"],
     );
     let m = 64usize;
     let scales: &[(f64, f64)] = if cfg.quick {
@@ -124,12 +116,10 @@ pub fn run_kselect(cfg: &RunCfg) {
         let _ = expression_error_windowed(a, b, m);
         let twin = t0.elapsed().as_secs_f64();
         println!(
-            "{a}\t{b}\t{}\t{}\t{krec}\t{}\t{}\t{}",
+            "{a}\t{b}\t{}\t{krec}\t{}",
             fmt((v250 - reference).abs()),
-            fmt(t250),
             fmt((vrec - reference).abs()),
-            fmt(trec),
-            fmt(twin),
         );
+        eprintln!("{a}\t{b}\t{}\t{}\t{}", fmt(t250), fmt(trec), fmt(twin));
     }
 }

@@ -12,7 +12,7 @@
 //! error-based equivalent `e(s_opt)/e(s_found)` (see EXPERIMENTS.md).
 
 use crate::ctx::{harness_split, sample_side_data};
-use crate::{fmt, header, RunCfg};
+use crate::{fmt, header, timing_header, RunCfg};
 use gridtuner_core::expression::total_expression_error;
 use gridtuner_core::search::{brute_force, iterative_method, ternary_search, SearchOutcome};
 use gridtuner_datagen::City;
@@ -143,11 +143,11 @@ pub fn run_tab4(cfg: &RunCfg) {
             "city",
             "algorithm",
             "evals_total",
-            "est_cost_s",
             "probability",
             "optimal_ratio",
         ],
     );
+    timing_header("tab4", &["city", "algorithm", "est_cost_s"]);
     for city in cfg.city_sweep() {
         let sc = build_curves(&city, cfg, budget(), lo, hi);
         let spd = sc.curves.len();
@@ -162,13 +162,18 @@ pub fn run_tab4(cfg: &RunCfg) {
         }
         for (name, s) in [("ternary", &ts), ("iterative", &it), ("brute-force", &bf)] {
             println!(
-                "{}\t{}\t{}\t{}\t{}\t{}",
+                "{}\t{}\t{}\t{}\t{}",
                 city.name(),
                 name,
                 s.evals,
-                fmt(s.evals as f64 * sc.t_eval_s),
                 fmt(s.hits as f64 / s.slots as f64),
                 fmt(s.or_sum / s.slots as f64),
+            );
+            eprintln!(
+                "{}\t{}\t{}",
+                city.name(),
+                name,
+                fmt(s.evals as f64 * sc.t_eval_s)
             );
         }
     }
@@ -180,8 +185,9 @@ pub fn run_fig17(cfg: &RunCfg) {
     header(
         "fig17",
         &format!("iterative-method bound sweep over 48 slots, sides {lo}..{hi} (nyc)"),
-        &["bound", "probability", "evals_total", "est_cost_s"],
+        &["bound", "probability", "evals_total"],
     );
+    timing_header("fig17", &["bound", "est_cost_s"]);
     let city = City::nyc();
     let sc = build_curves(&city, cfg, budget(), lo, hi);
     let spd = sc.curves.len();
@@ -199,11 +205,11 @@ pub fn run_fig17(cfg: &RunCfg) {
             st.push(&iterative_method(sc.oracle(sod), lo, hi, 16, b), best);
         }
         println!(
-            "{b}\t{}\t{}\t{}",
+            "{b}\t{}\t{}",
             fmt(st.hits as f64 / st.slots as f64),
-            st.evals,
-            fmt(st.evals as f64 * sc.t_eval_s),
+            st.evals
         );
+        eprintln!("{b}\t{}", fmt(st.evals as f64 * sc.t_eval_s));
     }
 }
 

@@ -81,6 +81,14 @@ pub fn header(id: &str, description: &str, columns: &[&str]) {
     println!("{}", columns.join("\t"));
 }
 
+/// Prints the header of an experiment's wall-time table to stderr. Wall
+/// times change from run to run, so they stay off stdout, and two runs of
+/// one commit print the same stdout.
+pub fn timing_header(id: &str, columns: &[&str]) {
+    eprintln!("# {id}: wall times");
+    eprintln!("{}", columns.join("\t"));
+}
+
 /// Formats a float with sensible width for TSV output.
 pub fn fmt(v: f64) -> String {
     if v == 0.0 {

@@ -101,16 +101,21 @@ impl Dense {
         (self.w.value.shape()[0], self.w.value.shape()[1])
     }
 
-    /// Output rows per worker block for a row-blocked pass over `W`.
+    /// Output rows per worker block for a row-blocked pass over `W`: a
+    /// whole number of forward tiles, so only the last block has a row
+    /// tail.
     fn row_block(out_dim: usize) -> usize {
-        out_dim.div_ceil(gridtuner_par::workers_for(out_dim))
+        out_dim
+            .div_ceil(gridtuner_par::workers_for(out_dim))
+            .next_multiple_of(TILE_ROWS)
     }
 
     /// `dW += Σ_s g_s·x_sᵀ` and `db += Σ_s g_s`, samples in order; returns
     /// the batch size. dW rows are independent, so they are row-blocked
-    /// like the forward; inside a row the samples are added in order, so
-    /// every element sees the per-sample accumulation order while the row
-    /// stays cache-resident.
+    /// like the forward and walked in pairs by [`dw_rows`], which holds a
+    /// segment of both rows in registers across the whole batch: every
+    /// element still starts from its stored value and adds the samples in
+    /// order, the per-sample accumulation order.
     fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> usize {
         let (out_dim, in_dim) = self.dims();
         let batch = self.input.shape()[0];
@@ -123,14 +128,9 @@ impl Dense {
         let x = self.input.as_slice();
         let dw = self.w.grad.as_mut_slice();
         gridtuner_par::par_chunks_mut(dw, Self::row_block(out_dim) * in_dim, |base, rows| {
-            for (j, drow) in rows.chunks_mut(in_dim).enumerate() {
-                let o = base / in_dim + j;
-                for (gs, xs) in g.chunks_exact(out_dim).zip(x.chunks_exact(in_dim)) {
-                    let go = gs[o];
-                    for (d, xi) in drow.iter_mut().zip(xs) {
-                        *d += go * xi;
-                    }
-                }
+            let samples = g.chunks_exact(out_dim).zip(x.chunks_exact(in_dim));
+            for (t, pair) in rows.chunks_mut(2 * in_dim).enumerate() {
+                dw_rows(pair, in_dim, base / in_dim + 2 * t, samples.clone());
             }
         });
         let db = self.b.grad.as_mut_slice();
@@ -144,23 +144,153 @@ impl Dense {
 }
 
 /// Dot product with four independent accumulators: breaks the serial
-/// dependency chain so the compiler can keep several FMAs in flight.
-/// Deterministic — the association depends only on the slice length.
+/// dependency chain so the compiler can keep several multiply-adds in
+/// flight. Deterministic — the association depends only on the slice
+/// length: lane `l` sums the products at indices `≡ l mod 4` below
+/// `len − len mod 4`, in ascending order, a tail sums the rest, and the
+/// result is `((l0 + l1) + (l2 + l3)) + tail`.
 fn dot(a: &[f32], b: &[f32]) -> f32 {
+    let body = a.len() - a.len() % 4;
     let mut acc = [0.0f32; 4];
-    let mut ai = a.chunks_exact(4);
-    let mut bi = b.chunks_exact(4);
-    for (ca, cb) in (&mut ai).zip(&mut bi) {
-        acc[0] += ca[0] * cb[0];
-        acc[1] += ca[1] * cb[1];
-        acc[2] += ca[2] * cb[2];
-        acc[3] += ca[3] * cb[3];
+    for (ca, cb) in a[..body].chunks_exact(4).zip(b[..body].chunks_exact(4)) {
+        madd(&mut acc, ca, cb);
     }
+    fold(acc, &a[body..], &b[body..])
+}
+
+/// One step of [`dot`]'s four lanes: `acc[l] += a[l]·b[l]`.
+#[inline(always)]
+fn madd(acc: &mut [f32; 4], a: &[f32], b: &[f32]) {
+    acc[0] += a[0] * b[0];
+    acc[1] += a[1] * b[1];
+    acc[2] += a[2] * b[2];
+    acc[3] += a[3] * b[3];
+}
+
+/// [`dot`]'s finish: the tail products in order, then the lane fold.
+#[inline(always)]
+fn fold(acc: [f32; 4], a: &[f32], b: &[f32]) -> f32 {
     let mut tail = 0.0f32;
-    for (ra, rb) in ai.remainder().iter().zip(bi.remainder()) {
+    for (ra, rb) in a.iter().zip(b) {
         tail += ra * rb;
     }
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+}
+
+/// `W` rows per forward tile.
+const TILE_ROWS: usize = 4;
+/// `dW` columns per backward tile: two rows of 16 accumulators plus one
+/// 16-wide `x` segment fill 12 of baseline x86-64's 16 vector registers.
+const DW_COLS: usize = 16;
+
+/// [`dot`]`(w[r], x[s])` for the 4 rows × 2 samples of a register tile.
+/// Each of the eight pairs keeps its own four lanes and tail and the same
+/// fold, so every result has `dot`'s bits; only the loads are shared —
+/// each `W` segment is loaded once for both samples and each `x` segment
+/// once for all four rows. The eight accumulators, four `W` and two `x`
+/// lanes take 14 of baseline x86-64's 16 vector registers; larger tiles
+/// spill. All six slices have one length.
+#[inline(always)]
+fn dot_tile(w: [&[f32]; TILE_ROWS], x: [&[f32]; 2]) -> [[f32; 2]; TILE_ROWS] {
+    let body = x[0].len() - x[0].len() % 4;
+    let [w0, w1, w2, w3] = w.map(|r| r[..body].chunks_exact(4));
+    let [x0, x1] = x.map(|s| s[..body].chunks_exact(4));
+    let mut acc = [[0.0f32; 4]; 2 * TILE_ROWS];
+    for ((w0, w1), ((w2, w3), (x0, x1))) in w0.zip(w1).zip(w2.zip(w3).zip(x0.zip(x1))) {
+        madd(&mut acc[0], w0, x0);
+        madd(&mut acc[1], w0, x1);
+        madd(&mut acc[2], w1, x0);
+        madd(&mut acc[3], w1, x1);
+        madd(&mut acc[4], w2, x0);
+        madd(&mut acc[5], w2, x1);
+        madd(&mut acc[6], w3, x0);
+        madd(&mut acc[7], w3, x1);
+    }
+    std::array::from_fn(|r| {
+        std::array::from_fn(|s| fold(acc[2 * r + s], &w[r][body..], &x[s][body..]))
+    })
+}
+
+/// `ys[r·B + s] = b[o + r] + dot(W[o + r], x_s)` for the rows of `ys`, a
+/// block of at most [`TILE_ROWS`] rows of the `[out, B]` transposed
+/// output. A full block runs 4 × 2 [`dot_tile`]s over the sample pairs;
+/// a lone last sample, and every sample of a short block, takes [`dot`].
+fn forward_rows(w: &[f32], b: &[f32], x: &[f32], o: usize, ys: &mut [f32]) {
+    let in_dim = w.len() / b.len();
+    let batch = x.len() / in_dim;
+    let row = |r: usize| &w[(o + r) * in_dim..(o + r + 1) * in_dim];
+    let mut done = 0;
+    if ys.len() == TILE_ROWS * batch {
+        let rows = std::array::from_fn(row);
+        for (p, xs) in x.chunks_exact(2 * in_dim).enumerate() {
+            let (x0, x1) = xs.split_at(in_dim);
+            for (r, y) in dot_tile(rows, [x0, x1]).iter().enumerate() {
+                ys[r * batch + 2 * p] = b[o + r] + y[0];
+                ys[r * batch + 2 * p + 1] = b[o + r] + y[1];
+            }
+        }
+        done = batch - batch % 2;
+    }
+    for (r, ys) in ys.chunks_mut(batch).enumerate() {
+        for (y, xs) in ys[done..]
+            .iter_mut()
+            .zip(x[done * in_dim..].chunks_exact(in_dim))
+        {
+            *y = b[o + r] + dot(row(r), xs);
+        }
+    }
+}
+
+/// `dW[o + r] += Σ_s g[s, o + r]·x_s` for the one or two `in_dim`-wide dW
+/// rows in `d`, with `samples` yielding `(g_s, x_s)` in sample order. Two
+/// rows are walked in [`DW_COLS`]-column segments held in registers across
+/// the whole batch; the column tail, and a lone row, go one element at a
+/// time. Either way every element starts from its stored value and adds
+/// the samples in order — the per-sample accumulation order.
+fn dw_rows<'a>(
+    d: &mut [f32],
+    in_dim: usize,
+    o: usize,
+    samples: impl Iterator<Item = (&'a [f32], &'a [f32])> + Clone,
+) {
+    let full = if d.len() == 2 * in_dim {
+        in_dim - in_dim % DW_COLS
+    } else {
+        0
+    };
+    let (d0, d1) = d.split_at_mut(in_dim);
+    let segments = d0[..full]
+        .chunks_exact_mut(DW_COLS)
+        .zip(d1[..full].chunks_exact_mut(DW_COLS));
+    for (k, (s0, s1)) in segments.enumerate() {
+        let c = k * DW_COLS;
+        let mut a0: [f32; DW_COLS] = std::array::from_fn(|j| s0[j]);
+        let mut a1: [f32; DW_COLS] = std::array::from_fn(|j| s1[j]);
+        for (gs, xs) in samples.clone() {
+            let xs = &xs[c..c + DW_COLS];
+            axpy(&mut a0, gs[o], xs);
+            axpy(&mut a1, gs[o + 1], xs);
+        }
+        s0.copy_from_slice(&a0);
+        s1.copy_from_slice(&a1);
+    }
+    for (r, dr) in d.chunks_mut(in_dim).enumerate() {
+        for (i, e) in dr.iter_mut().enumerate().skip(full) {
+            let mut acc = *e;
+            for (gs, xs) in samples.clone() {
+                acc += gs[o + r] * xs[i];
+            }
+            *e = acc;
+        }
+    }
+}
+
+/// `acc[j] += a·x[j]`.
+#[inline(always)]
+fn axpy(acc: &mut [f32; DW_COLS], a: f32, x: &[f32]) {
+    for (v, xv) in acc.iter_mut().zip(x) {
+        *v += a * xv;
+    }
 }
 
 impl Layer for Dense {
@@ -178,17 +308,14 @@ impl Layer for Dense {
         let b = self.b.value.as_slice();
         let x = self.input.as_slice();
         // Row-blocked into an `[out, B]` buffer: each worker owns a
-        // contiguous block of output rows and applies each row to all B
-        // samples while it is hot. Every y[s, o] is one dot() call, so the
-        // result is bit-identical for any worker count and batch size.
+        // contiguous block of output rows and walks it in register tiles
+        // of `TILE_ROWS` rows × 2 samples (`dot_tile`). Every
+        // y[s, o] keeps dot()'s own association, so the result is
+        // bit-identical for any worker count, batch size and tiling.
         let mut yt = vec![0.0f32; out_dim * batch];
         gridtuner_par::par_chunks_mut(&mut yt, Self::row_block(out_dim) * batch, |base, rows| {
-            for (j, ys) in rows.chunks_mut(batch).enumerate() {
-                let o = base / batch + j;
-                let wrow = &w[o * in_dim..(o + 1) * in_dim];
-                for (y, xs) in ys.iter_mut().zip(x.chunks_exact(in_dim)) {
-                    *y = b[o] + dot(wrow, xs);
-                }
+            for (t, tile) in rows.chunks_mut(TILE_ROWS * batch).enumerate() {
+                forward_rows(w, b, x, base / batch + t * TILE_ROWS, tile);
             }
         });
         let mut y = vec![0.0f32; batch * out_dim];

@@ -18,8 +18,9 @@
 //! Everything is CPU and deterministic given the RNG seed. A minibatch is
 //! one batched pass: each `Dense` and `Conv2d` op splits its rows or
 //! channels over the `gridtuner-par` worker pool in one dispatch per batch,
-//! and the result is bit-identical at every worker count and to running
-//! the batch's samples one at a time.
+//! Adam's fused scale → clip → update step splits the parameters in one
+//! more, and the result is bit-identical at every worker count and to
+//! running the batch's samples one at a time.
 
 pub mod init;
 pub mod layers;

@@ -1,12 +1,28 @@
 //! Optimizers.
 
 use crate::layers::Param;
+use crate::layers_extra::clip_gradients;
 
 /// Anything that can update parameters from their accumulated gradients.
 pub trait Optimizer {
     /// Applies one update step to every parameter. Gradients are consumed
     /// (zeroed) by the step so the next minibatch starts clean.
     fn step(&mut self, params: &mut [&mut Param]);
+
+    /// One step on the gradients `(g·scale).clamp(−clip, clip)` (`clip = 0`
+    /// disables clipping): a minibatch step passes `scale = 1/B` for its
+    /// `B` summed samples. By default the scale and the clip are passes of
+    /// their own before [`step`](Optimizer::step); [`Adam`] fuses both
+    /// into its update.
+    fn scaled_step(&mut self, params: &mut [&mut Param], scale: f32, clip: f32) {
+        for p in params.iter_mut() {
+            p.grad.scale(scale);
+        }
+        if clip > 0.0 {
+            clip_gradients(params, clip);
+        }
+        self.step(params);
+    }
 }
 
 /// Stochastic gradient descent with classical momentum.
@@ -71,35 +87,97 @@ impl Adam {
     }
 }
 
+/// Parameter elements per task of the pool-parallel Adam pass. A smaller
+/// parameter shares its task with its neighbours, so a network of fewer
+/// elements than this is updated inline, without a pool dispatch.
+const ADAM_TASK: usize = 16 * 1024;
+
+/// One step's constants of Adam's fused per-element update.
+#[derive(Debug, Clone, Copy)]
+struct AdamUpdate {
+    scale: f32,
+    limit: f32,
+    b1: f32,
+    b2: f32,
+    c1: f32,
+    c2: f32,
+    bc1: f32,
+    bc2: f32,
+    lr: f32,
+    eps: f32,
+}
+
+impl AdamUpdate {
+    /// Updates one run of a parameter's elements: value `x`, gradient `g`
+    /// and moments `m`, `v`. They are separate arguments so the compiler
+    /// knows they do not alias, and vectorises the loop.
+    fn apply(&self, x: &mut [f32], g: &mut [f32], m: &mut [f32], v: &mut [f32]) {
+        let k = *self;
+        for ((x, g), (m, v)) in x.iter_mut().zip(g).zip(m.iter_mut().zip(v)) {
+            let gi = (*g * k.scale).clamp(-k.limit, k.limit);
+            *g = 0.0;
+            *m = k.b1 * *m + k.c1 * gi;
+            *v = k.b2 * *v + k.c2 * gi * gi;
+            let m_hat = *m / k.bc1;
+            let v_hat = *v / k.bc2;
+            *x -= k.lr * m_hat / (v_hat.sqrt() + k.eps);
+        }
+    }
+}
+
 impl Optimizer for Adam {
-    /// One fused pass per parameter: moments, bias correction and update
-    /// per element, in the textbook expression order. The zip has no
-    /// bounds checks or cross-element dependencies, so it vectorises; the
-    /// divisions stay divisions, so every update is bit-identical to the
-    /// two-pass form.
     fn step(&mut self, params: &mut [&mut Param]) {
+        self.scaled_step(params, 1.0, 0.0);
+    }
+
+    /// One fused pass over every element: scale and clip the gradient,
+    /// update the moments, apply the bias-corrected update, and zero the
+    /// gradient, in the textbook expression order. Without clipping the
+    /// clamp is to `±∞`, which returns its input. `1 − β` is hoisted (the
+    /// same value) and the divisions stay divisions, so every update is
+    /// bit-identical to scaling, clipping and a two-pass Adam run one
+    /// after another. Elements are independent, so the parameters are cut
+    /// into tasks of about [`ADAM_TASK`] elements and updated in one pool
+    /// dispatch; the task layout cannot change any bit.
+    fn scaled_step(&mut self, params: &mut [&mut Param], scale: f32, clip: f32) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (b1, b2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
-        let (c1, c2) = (1.0 - b1, 1.0 - b2);
+        let update = AdamUpdate {
+            scale,
+            limit: if clip > 0.0 { clip } else { f32::INFINITY },
+            b1: self.beta1,
+            b2: self.beta2,
+            c1: 1.0 - self.beta1,
+            c2: 1.0 - self.beta2,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+            lr: self.lr,
+            eps: self.eps,
+        };
+        // Each task is a list of `[value, grad, m, v]` runs.
+        let mut tasks: Vec<Vec<[&mut [f32]; 4]>> = Vec::new();
+        let (mut task, mut filled) = (Vec::new(), 0);
         for p in params.iter_mut() {
-            let elems = p
-                .value
+            let Param { value, grad, m, v } = &mut **p;
+            let runs = value
                 .as_mut_slice()
-                .iter_mut()
-                .zip(p.grad.as_mut_slice())
-                .zip(p.m.iter_mut().zip(p.v.iter_mut()));
-            for ((x, g), (m, v)) in elems {
-                let gi = *g;
-                *g = 0.0;
-                *m = b1 * *m + c1 * gi;
-                *v = b2 * *v + c2 * gi * gi;
-                let m_hat = *m / bc1;
-                let v_hat = *v / bc2;
-                *x -= lr * m_hat / (v_hat.sqrt() + eps);
+                .chunks_mut(ADAM_TASK)
+                .zip(grad.as_mut_slice().chunks_mut(ADAM_TASK))
+                .zip(m.chunks_mut(ADAM_TASK).zip(v.chunks_mut(ADAM_TASK)));
+            for ((x, g), (m, v)) in runs {
+                if filled > 0 && filled + x.len() > ADAM_TASK {
+                    tasks.push(std::mem::take(&mut task));
+                    filled = 0;
+                }
+                filled += x.len();
+                task.push([x, g, m, v]);
             }
         }
+        tasks.push(task);
+        gridtuner_par::par_chunks_mut(&mut tasks, 1, |_, task| {
+            for [x, g, m, v] in task.iter_mut().flatten() {
+                update.apply(x, g, m, v);
+            }
+        });
     }
 }
 
@@ -140,6 +218,41 @@ mod tests {
     fn adam_converges_on_a_quadratic() {
         let mut opt = Adam::new(0.3);
         assert!(run(&mut opt, 200) < 1e-2);
+    }
+
+    #[test]
+    fn adam_fused_scale_and_clip_match_separate_passes() {
+        // `Adam` through the trait's default `scaled_step`: scale and clip
+        // passes of their own, then a plain step.
+        struct Separate(Adam);
+        impl Optimizer for Separate {
+            fn step(&mut self, params: &mut [&mut Param]) {
+                self.0.step(params);
+            }
+        }
+        // One parameter large enough to span several Adam tasks.
+        let wave =
+            |n: usize, k: f32| -> Vec<f32> { (0..n).map(|i| (i as f32 * k).sin()).collect() };
+        let params =
+            || [3, 2 * ADAM_TASK + 5].map(|n| Param::new(Tensor::from_vec(&[n], wave(n, 0.37))));
+        let (mut fused, mut separate) = (params(), params());
+        let (mut adam, mut reference) = (Adam::new(0.01), Separate(Adam::new(0.01)));
+        for (clip, g) in [(0.0, 9.0), (0.5, 9.0), (0.5, 0.2)] {
+            for ps in [&mut fused, &mut separate] {
+                for p in ps.iter_mut() {
+                    p.grad = Tensor::from_vec(p.value.shape(), wave(p.value.len(), 0.11));
+                    p.grad.scale(g);
+                }
+            }
+            adam.scaled_step(&mut fused.each_mut(), 0.25, clip);
+            reference.scaled_step(&mut separate.each_mut(), 0.25, clip);
+            for (a, b) in fused.iter().zip(&separate) {
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a.value), bits(&b.value));
+                assert!(a.grad.max_abs() == 0.0 && b.grad.max_abs() == 0.0);
+            }
+        }
     }
 
     #[test]

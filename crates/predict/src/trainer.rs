@@ -10,7 +10,7 @@
 //! [`minibatch_step`].
 
 use crate::features::Sample;
-use gridtuner_nn::{clip_gradients, huber_loss, Adam, Layer, Optimizer, Sequential, Tensor};
+use gridtuner_nn::{huber_loss, Adam, Layer, Optimizer, Sequential, Tensor};
 use gridtuner_obs as obs;
 
 /// Early-stopping configuration.
@@ -84,11 +84,13 @@ pub(crate) fn stack_batch(batch: &[(Tensor, Tensor)]) -> (Tensor, Tensor) {
 
 /// One optimisation step on a stacked minibatch `x: [B, …]`, `t: [B, …]`:
 /// zero the gradients, run one batched forward, Huber loss and backward,
-/// scale the summed gradients by `1/B`, clip them to `±grad_clip` (`0`
-/// disables clipping), and step the optimizer. The backward skips the
-/// input gradient of the network's lowest parametrised layer (see
-/// [`Layer::backward_params`]). The result is bit-identical to running the
-/// `B` samples one at a time with their gradients accumulated in order.
+/// and step the optimizer on the summed gradients scaled by `1/B` and
+/// clipped to `±grad_clip` (`0` disables clipping; see
+/// [`Optimizer::scaled_step`], which `Adam` fuses into one pass). The
+/// backward skips the input gradient of the network's lowest parametrised
+/// layer (see [`Layer::backward_params`]). The result is bit-identical to
+/// running the `B` samples one at a time with their gradients accumulated
+/// in order.
 pub fn minibatch_step(
     net: &mut Sequential,
     opt: &mut impl Optimizer,
@@ -101,13 +103,7 @@ pub fn minibatch_step(
     let y = net.forward(x);
     let (_, g) = huber_loss(&y, t, 1.0);
     net.backward_params(&g);
-    for p in net.params_mut() {
-        p.grad.scale(1.0 / batch as f32);
-    }
-    if grad_clip > 0.0 {
-        clip_gradients(&mut net.params_mut(), grad_clip);
-    }
-    opt.step(&mut net.params_mut());
+    opt.scaled_step(&mut net.params_mut(), 1.0 / batch as f32, grad_clip);
 }
 
 /// Mean per-sample Huber loss over `data`, from batched forwards of up to

@@ -25,7 +25,7 @@
 //! | `uniform-trait-vs-legacy` | the trait-dispatched `UniformGrid` sweep = the legacy square sweep, bit for bit, at 1/2/8 workers |
 //! | `batched-vs-seq-expression-error` | the batched kernel (cold or warm pmf memo) = the sequential sweep, bit for bit |
 //! | `expr-dedup-weight-conservation` | per-MGrid dedup multiplicities sum back to `m` |
-//! | `nn-dense-vs-naive` | the blocked dense kernel matches the naive mat-vec, its gradients follow their documented order bit for bit, and a batch of `B` = `B` one-sample calls, bit for bit |
+//! | `nn-dense-vs-naive` | the tiled dense kernel matches the naive mat-vec and its documented 4-lane association bit for bit, its gradients follow their documented order bit for bit, and a batch of `B` = `B` one-sample calls, bit for bit; a random shape plus fixed shapes reaching every tile tail |
 //! | `nn-conv-vs-naive` | the tap-hoisted conv kernel matches the naive convolution; a batch of `B` = `B` one-sample calls, bit for bit |
 //! | `theorem-ii1-empirical` | real ≤ model + expression on arbitrary samples (and the slack bound) |
 //! | `quadtree-dp-vs-exhaustive` | the quadtree refinement's bound = the minimum over every quadtree with a reachable region count on 4×4 and 8×8 lattices, and its tree attains it |
@@ -57,6 +57,7 @@ use gridtuner_engine::{
 };
 use gridtuner_nn::{Conv2d, Dense, Layer, Tensor};
 use gridtuner_spatial::{CountMatrix, Event, GridSpec, Partition, UniformGrid};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Relative + absolute closeness with a contextual label.
@@ -152,6 +153,119 @@ fn batch_vs_single_samples<L: Layer>(
         bits_eq(&format!("backward_params gradient of parameter {p}"), &l, w)?;
     }
     Ok(())
+}
+
+/// `w·x` in the Dense forward's documented f32 association: lane `l`
+/// sums the products at indices `≡ l (mod 4)` below `n − n mod 4` in
+/// ascending order, a tail sums the rest in order, and the result is
+/// `((l0 + l1) + (l2 + l3)) + tail`.
+fn dense_dot_reference(w: &[f32], x: &[f32]) -> f32 {
+    let body = w.len() - w.len() % 4;
+    let mut lanes = [0.0f32; 4];
+    for i in 0..body {
+        lanes[i % 4] += w[i] * x[i];
+    }
+    let mut tail = 0.0f32;
+    for i in body..w.len() {
+        tail += w[i] * x[i];
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+}
+
+/// One `nn-dense-vs-naive` case: a `Dense` of the given shape, weights
+/// and inputs drawn from `rng`. The output matches the f64 mat-vec and,
+/// bit for bit, `b + w·x` in the documented association; the gradients
+/// follow their documented orders bit for bit; and the batch equals `B`
+/// one-sample calls.
+#[allow(clippy::needless_range_loop)]
+fn dense_vs_naive(
+    rng: &mut StdRng,
+    in_dim: usize,
+    out_dim: usize,
+    batch: usize,
+) -> Result<(), String> {
+    let init = rng.clone();
+    let make = || Dense::new(&mut init.clone(), in_dim, out_dim);
+    let x: Vec<f32> = (0..batch * in_dim)
+        .map(|_| rng.gen_range(-1.0..1.0f64) as f32)
+        .collect();
+    let g: Vec<f32> = (0..batch * out_dim)
+        .map(|_| rng.gen_range(-1.0..1.0f64) as f32)
+        .collect();
+    let mut layer = make();
+    let params: Vec<Vec<f32>> = layer
+        .params_mut()
+        .iter()
+        .map(|p| p.value.as_slice().to_vec())
+        .collect();
+    let (w, b) = (&params[0], &params[1]);
+    let x = Tensor::from_vec(&[batch, in_dim], x);
+    let y = layer.forward(&x);
+    for (smp, xs) in x.as_slice().chunks_exact(in_dim).enumerate() {
+        for o in 0..out_dim {
+            let mut acc = b[o] as f64;
+            for j in 0..in_dim {
+                acc += w[o * in_dim + j] as f64 * xs[j] as f64;
+            }
+            let got = y.as_slice()[smp * out_dim + o];
+            close(
+                &format!("dense y[{smp},{o}] ({in_dim}→{out_dim})"),
+                got as f64,
+                acc,
+                1e-4,
+                1e-5,
+            )?;
+            let want = b[o] + dense_dot_reference(&w[o * in_dim..(o + 1) * in_dim], xs);
+            if got.to_bits() != want.to_bits() {
+                return Err(format!(
+                    "dense y[{smp},{o}] ({in_dim}→{out_dim}, batch {batch}) vs its documented \
+                     order: {got} vs {want}"
+                ));
+            }
+        }
+    }
+    // The gradients' documented f32 associations: dW and db add the
+    // samples in order onto what they already hold, and dx[s, i] sums
+    // over o ascending from 0.0. Two backward passes, so the second adds
+    // onto non-zero gradients.
+    let mut dw = vec![0.0f32; out_dim * in_dim];
+    let mut db = vec![0.0f32; out_dim];
+    let mut dx = vec![0.0f32; batch * in_dim];
+    let g = Tensor::from_vec(&[batch, out_dim], g);
+    for pass in 0..2 {
+        dx.fill(0.0);
+        for (smp, (gs, xs)) in g
+            .as_slice()
+            .chunks_exact(out_dim)
+            .zip(x.as_slice().chunks_exact(in_dim))
+            .enumerate()
+        {
+            for o in 0..out_dim {
+                db[o] += gs[o];
+                for i in 0..in_dim {
+                    dw[o * in_dim + i] += gs[o] * xs[i];
+                    dx[smp * in_dim + i] += gs[o] * w[o * in_dim + i];
+                }
+            }
+        }
+        bits_eq(
+            &format!("dense dx vs its documented order (pass {pass})"),
+            layer.backward(&g).as_slice(),
+            &dx,
+        )?;
+        let grads = layer.params_mut();
+        bits_eq(
+            &format!("dense dW vs its documented order (pass {pass})"),
+            grads[0].grad.as_slice(),
+            &dw,
+        )?;
+        bits_eq(
+            &format!("dense db vs its documented order (pass {pass})"),
+            grads[1].grad.as_slice(),
+            &db,
+        )?;
+    }
+    batch_vs_single_samples(make, &x, &g)
 }
 
 /// Draws `(a, b, m, k)` tuples inside the naive algorithm's affordable,
@@ -809,74 +923,18 @@ pub fn standard_checks() -> Vec<Check> {
         let in_dim = rng.gen_range(1..=24usize);
         let out_dim = rng.gen_range(1..=16usize);
         let batch = rng.gen_range(1..=5usize);
-        let init = rng.clone();
-        let make = || Dense::new(&mut init.clone(), in_dim, out_dim);
-        let x: Vec<f32> = (0..batch * in_dim)
-            .map(|_| rng.gen_range(-1.0..1.0f64) as f32)
-            .collect();
-        let g: Vec<f32> = (0..batch * out_dim)
-            .map(|_| rng.gen_range(-1.0..1.0f64) as f32)
-            .collect();
-        let mut layer = make();
-        let params: Vec<Vec<f32>> = layer
-            .params_mut()
-            .iter()
-            .map(|p| p.value.as_slice().to_vec())
-            .collect();
-        let (w, b) = (&params[0], &params[1]);
-        let x = Tensor::from_vec(&[batch, in_dim], x);
-        let y = layer.forward(&x);
-        for (smp, xs) in x.as_slice().chunks_exact(in_dim).enumerate() {
-            for o in 0..out_dim {
-                let mut acc = b[o] as f64;
-                for j in 0..in_dim {
-                    acc += w[o * in_dim + j] as f64 * xs[j] as f64;
-                }
-                close(
-                    &format!("dense y[{smp},{o}] ({in_dim}→{out_dim})"),
-                    y.as_slice()[smp * out_dim + o] as f64,
-                    acc,
-                    1e-4,
-                    1e-5,
-                )?;
-            }
-        }
-        // The gradients' documented f32 associations: dW and db add the
-        // samples in order, and dx[s, i] sums over o ascending from 0.0.
-        let mut dw = vec![0.0f32; out_dim * in_dim];
-        let mut db = vec![0.0f32; out_dim];
-        let mut dx = vec![0.0f32; batch * in_dim];
-        for (smp, (gs, xs)) in g
-            .chunks_exact(out_dim)
-            .zip(x.as_slice().chunks_exact(in_dim))
-            .enumerate()
-        {
-            for o in 0..out_dim {
-                db[o] += gs[o];
-                for i in 0..in_dim {
-                    dw[o * in_dim + i] += gs[o] * xs[i];
-                    dx[smp * in_dim + i] += gs[o] * w[o * in_dim + i];
+        dense_vs_naive(&mut rng, in_dim, out_dim, batch)?;
+        // Fixed shapes that reach every tail of the tiled kernels: a
+        // short block of rows, an odd last sample, a short or missing
+        // 16-column dW segment, and a lone dW row.
+        for out_dim in [3, 4, 5, 9] {
+            for batch in [1, 2, 3, 16, 17] {
+                for in_dim in [3, 15, 16, 17, 33] {
+                    dense_vs_naive(&mut rng, in_dim, out_dim, batch)?;
                 }
             }
         }
-        let g = Tensor::from_vec(&[batch, out_dim], g);
-        bits_eq(
-            "dense dx vs its documented order",
-            layer.backward(&g).as_slice(),
-            &dx,
-        )?;
-        let grads = layer.params_mut();
-        bits_eq(
-            "dense dW vs its documented order",
-            grads[0].grad.as_slice(),
-            &dw,
-        )?;
-        bits_eq(
-            "dense db vs its documented order",
-            grads[1].grad.as_slice(),
-            &db,
-        )?;
-        batch_vs_single_samples(make, &x, &g)
+        Ok(())
     }));
 
     checks.push(Check::new("nn-conv-vs-naive", |s| {

@@ -19,10 +19,11 @@ const TRAIN_SAMPLES: usize = 21;
 const TRAIN_BATCH: usize = 16;
 const TRAIN_CLIP: f32 = 0.5;
 
-/// A tiny MLP (`[2, 4, 4]` → 24 → 16) and a tiny DeepST-like residual
-/// conv stack (`[3, 5, 5]` → 25), with their per-sample input and target
-/// shapes.
-fn tiny_nets() -> Vec<(Sequential, Vec<usize>, usize)> {
+/// A tiny MLP (`[2, 4, 4]` → 24 → 16), a tiny DeepST-like residual conv
+/// stack (`[3, 5, 5]` → 25), and an MLP (`[4, 8, 8]` → 256 → 64) whose
+/// 82k parameters are enough for the fused Adam step to split over the
+/// pool, with their per-sample input and target shapes.
+fn nets() -> Vec<(Sequential, Vec<usize>, usize)> {
     let mut rng = StdRng::seed_from_u64(0x7e57);
     let mlp = Sequential::new(vec![
         Box::new(Flatten::new()),
@@ -42,11 +43,21 @@ fn tiny_nets() -> Vec<(Sequential, Vec<usize>, usize)> {
         Box::new(Conv2d::new(&mut rng, 4, 1, 3)),
         Box::new(Flatten::new()),
     ]);
-    vec![(mlp, vec![2, 4, 4], 16), (deepst, vec![3, 5, 5], 25)]
+    let wide = Sequential::new(vec![
+        Box::new(Flatten::new()),
+        Box::new(Dense::new(&mut rng, 256, 256)),
+        Box::new(ReLU::new()),
+        Box::new(Dense::new(&mut rng, 256, 64)),
+    ]);
+    vec![
+        (mlp, vec![2, 4, 4], 16),
+        (deepst, vec![3, 5, 5], 25),
+        (wide, vec![4, 8, 8], 64),
+    ]
 }
 
 /// `TRAIN_SAMPLES` random `(input, target)` samples of the given shapes.
-fn tiny_data(input: &[usize], outputs: usize, seed: u64) -> Vec<(Tensor, Tensor)> {
+fn train_data(input: &[usize], outputs: usize, seed: u64) -> Vec<(Tensor, Tensor)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut draw = |shape: &[usize]| {
         let n = shape.iter().product();
@@ -58,14 +69,13 @@ fn tiny_data(input: &[usize], outputs: usize, seed: u64) -> Vec<(Tensor, Tensor)
         .collect()
 }
 
-/// Weight bits of every tiny net after `epochs` epochs of two Adam
-/// minibatches each (the second partial), trained by the production
-/// batched step or, with `reference`, by the per-sample loop and two-pass
-/// Adam.
-fn train_tiny_nets(epochs: usize, reference: bool) -> Vec<u32> {
+/// Weight bits of every net after `epochs` epochs of two Adam minibatches
+/// each (the second partial), trained by the production batched step or,
+/// with `reference`, by the per-sample loop and two-pass Adam.
+fn train_nets(epochs: usize, reference: bool) -> Vec<u32> {
     let mut bits = Vec::new();
-    for (seed, (mut net, input, outputs)) in tiny_nets().into_iter().enumerate() {
-        let data = tiny_data(&input, outputs, seed as u64);
+    for (seed, (mut net, input, outputs)) in nets().into_iter().enumerate() {
+        let data = train_data(&input, outputs, seed as u64);
         let (mut adam, mut two_pass) = (Adam::new(0.01), TwoPassAdam::new(0.01));
         let one_sample: Vec<(Tensor, Tensor)> = data
             .iter()
@@ -143,15 +153,15 @@ fn thread_matrix_is_bit_identical() {
         .iter()
         .map(|sc| run_pipeline(sc, &values))
         .collect();
-    let trained = train_tiny_nets(1, true);
+    let trained = train_nets(1, true);
     assert!(
-        trained != train_tiny_nets(0, true),
+        trained != train_nets(0, true),
         "training left the weights unchanged"
     );
     for threads in [1usize, 2, 8] {
         gridtuner_par::set_max_threads(threads);
         assert!(
-            train_tiny_nets(1, false) == trained,
+            train_nets(1, false) == trained,
             "batched training diverged from the per-sample reference at \
              GRIDTUNER_THREADS={threads}"
         );
