@@ -29,6 +29,7 @@
 //! Exit status: 0 when nothing FAILs, 1 otherwise.
 
 use gridtuner_bench::kernel_timing::time_kernels;
+use gridtuner_bench::TUNE_BENCH_SCHEMA;
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_datagen::City;
 use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
@@ -36,9 +37,6 @@ use gridtuner_obs as obs;
 use gridtuner_obs::json::{parse_jsonl, Val};
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
-
-/// Baseline schema this sentinel understands.
-const BENCH_SCHEMA: &str = "gridtuner.bench_tune/5";
 
 /// One metric's comparison outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -375,10 +373,10 @@ fn main() {
         }
     };
     match baseline.get("schema").and_then(|v| v.as_str()) {
-        Some(BENCH_SCHEMA) => {}
+        Some(TUNE_BENCH_SCHEMA) => {}
         other => {
             eprintln!(
-                "bench_check: baseline schema {other:?}, expected {BENCH_SCHEMA:?} — \
+                "bench_check: baseline schema {other:?}, expected {TUNE_BENCH_SCHEMA:?} — \
                  regenerate with tune_bench"
             );
             std::process::exit(1);
@@ -448,7 +446,7 @@ mod tests {
 
     fn fake_baseline(events: u64, kernel_speedup: f64) -> Val {
         Val::obj(vec![
-            ("schema", Val::from(BENCH_SCHEMA)),
+            ("schema", Val::from(TUNE_BENCH_SCHEMA)),
             ("events", Val::from(events)),
             ("probes", Val::from(73u64)),
             ("alpha_rescans", Val::from(1u64)),
@@ -554,7 +552,7 @@ mod tests {
     #[test]
     fn missing_baseline_fields_fail() {
         let empty = Val::obj(vec![
-            ("schema", Val::from(BENCH_SCHEMA)),
+            ("schema", Val::from(TUNE_BENCH_SCHEMA)),
             ("events", Val::from(1000u64)),
         ]);
         let checks = compare(&fake_fresh(), &empty, 0.15);

@@ -24,18 +24,14 @@
 //! pool/lock counters alongside the wall time and the speedup vs the
 //! 1-thread row.
 //!
-//! A third isolation row times the SIMD axis (`simd`): the same
-//! single-threaded per-cell sweep under the AVX2 backend vs its forced
-//! scalar emulation (`gridtuner_core::set_simd_enabled`), per-side
-//! interleaved best-of-reps like the kernel row, with the two totals
-//! asserted **bit-identical** — the vectorised kernel's determinism
-//! contract, measured where it is also a speedup.
-//!
 //! ```text
 //! cargo run --release -p gridtuner-bench --bin tune_bench \
-//!     [-- --scale X] [--min-kernel-speedup S] [--min-thread-speedup S] \
-//!     [--min-simd-speedup S]
+//!     [-- --scale X] [--min-kernel-speedup S] [--min-thread-speedup S]
 //! ```
+//!
+//! Every value flag needs a number: a missing or malformed one is a
+//! usage error (exit 2), never a silent default — a typo must not switch
+//! a CI gate off.
 //!
 //! `--min-kernel-speedup S` makes the run exit non-zero when the batched
 //! kernel is less than `S`× faster than the per-cell sweep — the CI
@@ -45,14 +41,13 @@
 //! tune at the largest thread count is less than `S`× faster than the
 //! 1-thread tune — the CI thread-scaling gate (skipped with a warning when
 //! the machine itself has fewer than 2 CPUs, where no thread count can
-//! help). `--min-simd-speedup S` gates the vector-vs-scalar-emulation
-//! ratio the same way (skipped with a warning on machines without AVX2,
-//! where both sides run the same scalar code). `--profile` captures the
+//! help). `--profile` captures the
 //! cached sweep's trace in memory and prints the profile analyzer's
 //! self-time / worker-utilization / critical-path tables to stderr after
 //! the sweep.
 
-use gridtuner_bench::kernel_timing::{time_kernels, time_simd};
+use gridtuner_bench::kernel_timing::time_kernels;
+use gridtuner_bench::TUNE_BENCH_SCHEMA;
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::estimate_alpha;
 use gridtuner_core::expression::expression_error_windowed;
@@ -63,14 +58,6 @@ use gridtuner_obs::json::Val;
 use gridtuner_spatial::{Event, Partition, SlotClock};
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
-
-/// Schema tag of `BENCH_tune.json` — bump when fields change meaning.
-/// v3 adds `kernel`, `thread_rows` and the `expr_*` counters. v4 extends
-/// `thread_rows` with `speedup_vs_1t` and the pool/lock counters, and
-/// adds the top-level `pool` object. v5 adds the `simd` isolation object
-/// (backend, vector/scalar-emulation timings, speedup) and the
-/// `expr_simd_*` counters.
-const BENCH_SCHEMA: &str = "gridtuner.bench_tune/5";
 
 /// Thread counts the determinism sweep re-tunes under.
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
@@ -141,7 +128,7 @@ fn naive_sweep(
 /// Parsed command line.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct BenchArgs {
-    /// City volume scale; anything unparsable falls back to full volume.
+    /// City volume scale (default 1.0, the paper's full volume).
     scale: f64,
     /// When set, exit non-zero if the batched kernel's speedup over the
     /// per-cell sweep falls below this factor.
@@ -150,52 +137,56 @@ struct BenchArgs {
     /// than this factor faster than the 1-thread tune (skipped on
     /// single-CPU machines).
     min_thread_speedup: Option<f64>,
-    /// When set, exit non-zero if the vector backend is less than this
-    /// factor faster than its scalar emulation (skipped on machines
-    /// without AVX2, where both sides run the same code).
-    min_simd_speedup: Option<f64>,
     /// Capture the cached sweep's trace and print the profile analysis.
     profile: bool,
 }
 
-fn parse_args(args: &[String]) -> BenchArgs {
+/// The number following flag `args[i]`, or a usage error naming the flag.
+fn flag_value(args: &[String], i: usize) -> Result<f64, String> {
+    let flag = &args[i];
+    let raw = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a number"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag} needs a number, got {raw:?}"))
+}
+
+fn parse_args(args: &[String]) -> Result<BenchArgs, String> {
     let mut out = BenchArgs {
         scale: 1.0,
         min_kernel_speedup: None,
         min_thread_speedup: None,
-        min_simd_speedup: None,
         profile: false,
     };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => {
+                out.scale = flag_value(args, i)?;
                 i += 1;
-                out.scale = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(1.0);
             }
             "--min-kernel-speedup" => {
+                out.min_kernel_speedup = Some(flag_value(args, i)?);
                 i += 1;
-                out.min_kernel_speedup = args.get(i).and_then(|s| s.parse().ok());
             }
             "--min-thread-speedup" => {
+                out.min_thread_speedup = Some(flag_value(args, i)?);
                 i += 1;
-                out.min_thread_speedup = args.get(i).and_then(|s| s.parse().ok());
-            }
-            "--min-simd-speedup" => {
-                i += 1;
-                out.min_simd_speedup = args.get(i).and_then(|s| s.parse().ok());
             }
             "--profile" => out.profile = true,
             _ => {}
         }
         i += 1;
     }
-    out
+    Ok(out)
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv);
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("tune_bench: {e}");
+        std::process::exit(2);
+    });
     let scale = args.scale;
 
     // Paper defaults: NYC-volume history, √N = 128, sides 4..=76, α window
@@ -305,27 +296,6 @@ fn main() {
         probed.len()
     );
 
-    // SIMD isolation: the same per-cell sweep under the vector backend vs
-    // its forced scalar emulation. The per-cell path builds fresh pmf
-    // tables every call, so the vectorised fill/fold actually runs
-    // instead of being served from the cross-probe pmf memo — and the two
-    // totals must be bit-identical, because the scalar emulation replays
-    // the canonical 4-lane association exactly.
-    let st = time_simd(cache, &probed, budget, 3);
-    assert_eq!(
-        st.vector_total.to_bits(),
-        st.scalar_total.to_bits(),
-        "SIMD backends disagree bitwise on total expression error: {} vs {}",
-        st.vector_total,
-        st.scalar_total
-    );
-    let simd_speedup = st.speedup();
-    eprintln!(
-        "[tune_bench] simd: vector {:.1} ms vs scalar emulation {:.1} ms ({simd_speedup:.2}x, \
-         avx2 {}), totals bit-identical",
-        st.vector_ms, st.scalar_ms, st.avx2
-    );
-
     // Determinism + scaling sweep: the same tune under 1/2/8 workers must
     // select the same side with a bit-identical error and probe
     // decomposition. Each count tunes twice — an unmeasured warmup that
@@ -402,7 +372,7 @@ fn main() {
 
     let speedup = naive_ms / wall_ms.max(1e-9);
     let json = Val::obj(vec![
-        ("schema", Val::from(BENCH_SCHEMA)),
+        ("schema", Val::from(TUNE_BENCH_SCHEMA)),
         ("wall_ms", Val::from(wall_ms)),
         ("probes", Val::from(result.outcome.evals as u64)),
         ("alpha_rescans", Val::from(result.alpha_full_scans)),
@@ -420,26 +390,11 @@ fn main() {
             Val::from(result.expr_workspace_bytes),
         ),
         (
-            "expr_simd_lanes_used",
-            Val::from(result.expr_simd_lanes_used),
-        ),
-        ("expr_simd_fallbacks", Val::from(result.expr_simd_fallbacks)),
-        (
             "kernel",
             Val::obj(vec![
                 ("percell_ms", Val::from(percell_ms)),
                 ("batched_ms", Val::from(batched_ms)),
                 ("speedup", Val::from(kernel_speedup)),
-            ]),
-        ),
-        (
-            "simd",
-            Val::obj(vec![
-                ("backend", Val::from(gridtuner_engine::simd_diagnostics())),
-                ("avx2", Val::from(st.avx2)),
-                ("vector_ms", Val::from(st.vector_ms)),
-                ("scalar_ms", Val::from(st.scalar_ms)),
-                ("speedup", Val::from(simd_speedup)),
             ]),
         ),
         ("thread_rows", Val::Arr(thread_rows)),
@@ -491,23 +446,6 @@ fn main() {
         }
     }
 
-    if let Some(min) = args.min_simd_speedup {
-        if !st.avx2 {
-            eprintln!(
-                "[tune_bench] WARN: simd speedup gate skipped — machine has no AVX2; \
-                 measured {simd_speedup:.2}x vector vs scalar emulation"
-            );
-        } else if simd_speedup < min {
-            eprintln!(
-                "[tune_bench] FAIL: vector-vs-scalar-emulation speedup {simd_speedup:.2}x \
-                 below the required {min}x"
-            );
-            std::process::exit(1);
-        } else {
-            eprintln!("[tune_bench] simd speedup gate passed ({simd_speedup:.2}x >= {min}x)");
-        }
-    }
-
     if let Some(min) = args.min_thread_speedup {
         let cpus = std::thread::available_parallelism().map_or(1, usize::from);
         if cpus < 2 {
@@ -539,88 +477,66 @@ mod tests {
 
     #[test]
     fn scale_parsing() {
-        assert_eq!(parse_args(&argv("")).scale, 1.0);
-        assert_eq!(parse_args(&argv("--scale 0.1")).scale, 0.1);
-        assert_eq!(parse_args(&argv("--scale nope")).scale, 1.0);
-        assert_eq!(parse_args(&argv("--scale")).scale, 1.0);
+        assert_eq!(parse_args(&argv("")).unwrap().scale, 1.0);
+        assert_eq!(parse_args(&argv("--scale 0.1")).unwrap().scale, 0.1);
+        let err = parse_args(&argv("--scale nope")).unwrap_err();
+        assert!(err.contains("--scale") && err.contains("nope"), "{err}");
+        let err = parse_args(&argv("--scale")).unwrap_err();
+        assert!(err.contains("--scale needs a number"), "{err}");
     }
 
     #[test]
     fn kernel_speedup_gate_parsing() {
-        assert_eq!(parse_args(&argv("")).min_kernel_speedup, None);
+        assert_eq!(parse_args(&argv("")).unwrap().min_kernel_speedup, None);
         assert_eq!(
-            parse_args(&argv("--min-kernel-speedup 2")).min_kernel_speedup,
+            parse_args(&argv("--min-kernel-speedup 2"))
+                .unwrap()
+                .min_kernel_speedup,
             Some(2.0)
         );
         assert_eq!(
             parse_args(&argv("--scale 0.5 --min-kernel-speedup 1.5")),
-            BenchArgs {
+            Ok(BenchArgs {
                 scale: 0.5,
                 min_kernel_speedup: Some(1.5),
                 min_thread_speedup: None,
-                min_simd_speedup: None,
                 profile: false
-            }
+            })
         );
-        assert_eq!(
-            parse_args(&argv("--min-kernel-speedup nope")).min_kernel_speedup,
-            None
-        );
+        // A malformed or missing value must not switch the gate off.
+        let err = parse_args(&argv("--min-kernel-speedup nope")).unwrap_err();
+        assert!(err.contains("--min-kernel-speedup"), "{err}");
+        assert!(parse_args(&argv("--min-kernel-speedup")).is_err());
     }
 
     #[test]
     fn thread_speedup_gate_parsing() {
-        assert_eq!(parse_args(&argv("")).min_thread_speedup, None);
+        assert_eq!(parse_args(&argv("")).unwrap().min_thread_speedup, None);
         assert_eq!(
-            parse_args(&argv("--min-thread-speedup 2.5")).min_thread_speedup,
+            parse_args(&argv("--min-thread-speedup 2.5"))
+                .unwrap()
+                .min_thread_speedup,
             Some(2.5)
         );
         assert_eq!(
             parse_args(&argv("--min-kernel-speedup 2 --min-thread-speedup 2.5")),
-            BenchArgs {
+            Ok(BenchArgs {
                 scale: 1.0,
                 min_kernel_speedup: Some(2.0),
                 min_thread_speedup: Some(2.5),
-                min_simd_speedup: None,
                 profile: false
-            }
+            })
         );
-        assert_eq!(
-            parse_args(&argv("--min-thread-speedup nope")).min_thread_speedup,
-            None
-        );
-    }
-
-    #[test]
-    fn simd_speedup_gate_parsing() {
-        assert_eq!(parse_args(&argv("")).min_simd_speedup, None);
-        assert_eq!(
-            parse_args(&argv("--min-simd-speedup 1.5")).min_simd_speedup,
-            Some(1.5)
-        );
-        assert_eq!(
-            parse_args(&argv(
-                "--min-kernel-speedup 2 --min-thread-speedup 2.5 --min-simd-speedup 1.5"
-            )),
-            BenchArgs {
-                scale: 1.0,
-                min_kernel_speedup: Some(2.0),
-                min_thread_speedup: Some(2.5),
-                min_simd_speedup: Some(1.5),
-                profile: false
-            }
-        );
-        assert_eq!(
-            parse_args(&argv("--min-simd-speedup nope")).min_simd_speedup,
-            None
-        );
+        let err = parse_args(&argv("--min-thread-speedup nope")).unwrap_err();
+        assert!(err.contains("--min-thread-speedup"), "{err}");
+        assert!(parse_args(&argv("--min-thread-speedup")).is_err());
     }
 
     #[test]
     fn profile_flag_parsing() {
-        assert!(!parse_args(&argv("")).profile);
-        assert!(parse_args(&argv("--profile")).profile);
-        assert!(parse_args(&argv("--scale 0.5 --profile")).profile);
+        assert!(!parse_args(&argv("")).unwrap().profile);
+        assert!(parse_args(&argv("--profile")).unwrap().profile);
+        assert!(parse_args(&argv("--scale 0.5 --profile")).unwrap().profile);
     }
 
     /// The benchmark's correctness gate, in miniature: the naive

@@ -4,11 +4,11 @@
 use crate::RunCfg;
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::errors::{evaluate_errors, ErrorReport, ErrorSample};
-use gridtuner_core::expression::total_expression_error;
+use gridtuner_core::expression::try_partition_expression_error;
 use gridtuner_datagen::{City, DataSplit, TripGenerator};
 use gridtuner_dispatch::{DemandView, Order};
 use gridtuner_predict::{DeepStLike, DmvstLike, HistoricalAverage, Mlp, Predictor, TrainConfig};
-use gridtuner_spatial::{CountSeries, Partition, SlotClock, SlotId};
+use gridtuner_spatial::{CountMatrix, CountSeries, Partition, SlotClock, SlotId, UniformGrid};
 use rand::{rngs::StdRng, SeedableRng};
 
 /// The model ladder of the paper's experiments.
@@ -149,11 +149,18 @@ pub fn evaluate_side(
         .map(|&sod| {
             let slot = clock.slot_at(split.test_day, sod);
             let alpha = city.mean_field(data.partition.hgrid_spec(), slot);
-            total_expression_error(&alpha, &data.partition)
+            uniform_expression_error(&alpha, &data.partition)
         })
         .sum::<f64>()
         / eval_sods.len() as f64;
     (report, analytic)
+}
+
+/// Total expression error of the square `partition` over a finite α field
+/// on its HGrid lattice (the batched sweep on a [`UniformGrid`]).
+pub fn uniform_expression_error(alpha: &CountMatrix, partition: &Partition) -> f64 {
+    try_partition_expression_error(alpha, &UniformGrid::new(*partition), None)
+        .expect("finite α field on the partition's HGrid lattice")
 }
 
 /// The paper's α-estimation window for a given slot-of-day over the

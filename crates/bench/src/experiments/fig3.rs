@@ -4,9 +4,9 @@
 //! Paper shape: monotonically decreasing in `n` for every city; NYC sits
 //! highest (most uneven distribution), Xi'an lowest.
 
+use crate::ctx::uniform_expression_error;
 use crate::{fmt, header, RunCfg};
 use gridtuner_core::alpha::estimate_alpha;
-use gridtuner_core::expression::total_expression_error;
 use gridtuner_spatial::Partition;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -45,7 +45,7 @@ pub fn run(cfg: &RunCfg) {
                 city.clock(),
                 &crate::ctx::alpha_window(16),
             );
-            row.push(fmt(total_expression_error(&alpha, &partition)));
+            row.push(fmt(uniform_expression_error(&alpha, &partition)));
         }
         println!("{}", row.join("\t"));
     }

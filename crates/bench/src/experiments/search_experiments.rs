@@ -11,10 +11,12 @@
 //! OR is measured through POLAR's dispatch outcome; we report the
 //! error-based equivalent `e(s_opt)/e(s_found)` (see EXPERIMENTS.md).
 
-use crate::ctx::{harness_split, sample_side_data};
+use crate::ctx::{harness_split, sample_side_data, uniform_expression_error};
 use crate::{fmt, header, timing_header, RunCfg};
-use gridtuner_core::expression::total_expression_error;
-use gridtuner_core::search::{brute_force, iterative_method, ternary_search, SearchOutcome};
+use gridtuner_core::search::{
+    try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome,
+};
+use gridtuner_core::CoreError;
 use gridtuner_datagen::City;
 use gridtuner_predict::{HistoricalAverage, Predictor};
 use std::time::Instant;
@@ -32,9 +34,26 @@ pub struct SlotCurves {
 }
 
 impl SlotCurves {
-    /// An oracle closure over one slot's curve.
-    pub fn oracle(&self, sod: usize) -> impl FnMut(u32) -> f64 + '_ {
-        move |side: u32| self.curves[sod][(side - self.lo) as usize]
+    /// A probe over one slot's curve.
+    fn oracle(&self, sod: usize) -> impl FnMut(u32) -> Result<f64, CoreError> + '_ {
+        move |side: u32| Ok(self.curves[sod][(side - self.lo) as usize])
+    }
+
+    /// Brute force over the precomputed curve of slot `sod`.
+    pub fn brute_force(&self, sod: usize) -> SearchOutcome {
+        try_brute_force(self.oracle(sod), self.lo, self.hi).expect("precomputed side range")
+    }
+
+    /// Ternary search over the precomputed curve of slot `sod`.
+    fn ternary(&self, sod: usize) -> SearchOutcome {
+        try_ternary_search(self.oracle(sod), self.lo, self.hi).expect("precomputed side range")
+    }
+
+    /// The iterative method (start 16) over the precomputed curve of slot
+    /// `sod`.
+    fn iterative(&self, sod: usize, bound: u32) -> SearchOutcome {
+        try_iterative_method(self.oracle(sod), self.lo, self.hi, 16, bound)
+            .expect("precomputed side range, bound >= 1")
     }
 }
 
@@ -76,7 +95,7 @@ pub fn build_curves(city: &City, cfg: &RunCfg, budget: u32, lo: u32, hi: u32) ->
                 data.partition.hgrid_spec(),
                 clock.slot_at(split.val_days.0, sod as u32),
             );
-            let expr = total_expression_error(&alpha, &data.partition);
+            let expr = uniform_expression_error(&alpha, &data.partition);
             curves[sod][(side - lo) as usize] = model_err + expr;
         }
         t_eval_s += t0.elapsed().as_secs_f64() / spd as f64;
@@ -155,10 +174,10 @@ pub fn run_tab4(cfg: &RunCfg) {
         let mut ts = AlgoStats::new();
         let mut it = AlgoStats::new();
         for sod in 0..spd {
-            let best = brute_force(sc.oracle(sod), lo, hi);
+            let best = sc.brute_force(sod);
             bf.push(&best, &best);
-            ts.push(&ternary_search(sc.oracle(sod), lo, hi), &best);
-            it.push(&iterative_method(sc.oracle(sod), lo, hi, 16, 4), &best);
+            ts.push(&sc.ternary(sod), &best);
+            it.push(&sc.iterative(sod, 4), &best);
         }
         for (name, s) in [("ternary", &ts), ("iterative", &it), ("brute-force", &bf)] {
             println!(
@@ -196,13 +215,11 @@ pub fn run_fig17(cfg: &RunCfg) {
     } else {
         &[1, 2, 3, 4, 5, 6, 7, 8]
     };
-    let optima: Vec<SearchOutcome> = (0..spd)
-        .map(|sod| brute_force(sc.oracle(sod), lo, hi))
-        .collect();
+    let optima: Vec<SearchOutcome> = (0..spd).map(|sod| sc.brute_force(sod)).collect();
     for &b in bounds {
         let mut st = AlgoStats::new();
         for (sod, best) in optima.iter().enumerate() {
-            st.push(&iterative_method(sc.oracle(sod), lo, hi, 16, b), best);
+            st.push(&sc.iterative(sod, b), best);
         }
         println!(
             "{b}\t{}\t{}",
@@ -225,7 +242,7 @@ pub fn run_fig18(cfg: &RunCfg) {
     let sc = build_curves(&city, cfg, budget(), lo, hi);
     let mut hist = vec![0usize; (hi - lo + 1) as usize];
     for sod in 0..sc.curves.len() {
-        let best = brute_force(sc.oracle(sod), lo, hi);
+        let best = sc.brute_force(sod);
         hist[(best.side - lo) as usize] += 1;
     }
     for (i, &count) in hist.iter().enumerate() {

@@ -9,7 +9,6 @@
 use crate::ctx::{cities, test_day_orders, ModelKind, PredictedDemand};
 use crate::experiments::search_experiments::build_curves;
 use crate::{fmt, header, RunCfg};
-use gridtuner_core::search::brute_force;
 use gridtuner_datagen::City;
 use gridtuner_dispatch::daif::DaifConfig;
 use gridtuner_dispatch::{Daif, DispatchOutcome, Ls, Polar, SimConfig, Simulator};
@@ -31,7 +30,7 @@ pub fn run(cfg: &RunCfg) {
                                       // GridTuner's optimal side for the morning-peak slot, from the
                                       // full-volume error curves (the paper tunes on the real dataset).
     let sc = build_curves(&City::nyc(), cfg, budget, lo, hi);
-    let best = brute_force(sc.oracle(16), lo, hi);
+    let best = sc.brute_force(16);
     let optimal = best.side;
     let orders = test_day_orders(&city, cfg.seed ^ 0x7ab3);
     let fleet = FleetConfig {

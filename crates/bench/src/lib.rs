@@ -15,6 +15,14 @@ pub mod ctx;
 pub mod experiments;
 pub mod kernel_timing;
 
+/// Schema tag of `BENCH_tune.json`, written by `tune_bench` and required by
+/// `bench_check` — bump when fields change meaning. v3 adds `kernel`,
+/// `thread_rows` and the `expr_*` counters. v4 extends `thread_rows` with
+/// `speedup_vs_1t` and the pool/lock counters, and adds the top-level
+/// `pool` object. v5 added a `simd` backend-isolation object and
+/// `expr_simd_*` counters; v6 drops them with the one-path kernel.
+pub const TUNE_BENCH_SCHEMA: &str = "gridtuner.bench_tune/6";
+
 use gridtuner_datagen::City;
 
 /// Harness-wide configuration.

@@ -33,13 +33,11 @@
 use crate::alpha::AlphaWindow;
 use crate::error::CoreError;
 use crate::expr_kernel::PmfMemo;
-use crate::expression::{
-    try_partition_expression_error, try_quadtree_node_errors, try_total_expression_error,
-};
+use crate::expression::{try_partition_expression_error, try_quadtree_node_errors};
 use crate::resample::replicate_draws;
 use gridtuner_obs as obs;
 use gridtuner_spatial::{
-    CountMatrix, Event, GridSpec, Partition, Point, SlotClock, SpatialPartition,
+    CountMatrix, Event, GridSpec, Partition, Point, SlotClock, SpatialPartition, UniformGrid,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -282,15 +280,15 @@ impl AlphaFieldCache {
         f(&self.alpha(spec))
     }
 
-    /// Total expression error for `partition`, with the α field served
+    /// Total expression error for the square `partition` (as a
+    /// [`UniformGrid`]), with the α field served
     /// from this cache and the Poisson tables served from the cache's
     /// cross-probe [`PmfMemo`] — the probe hot path. Thread-safe, like
     /// [`alpha`](Self::alpha); the note in the [`append`](Self::append)
     /// docs applies to the pmf memo too (it is never invalidated: its
     /// entries depend only on the rate).
     pub fn expression_error(&self, partition: &Partition) -> Result<f64, CoreError> {
-        let alpha = self.alpha(partition.hgrid_spec());
-        try_total_expression_error(&alpha, partition, Some(&*self.pmf_memo))
+        self.partition_expression_error(&UniformGrid::new(*partition))
     }
 
     /// [`expression_error`](Self::expression_error) generalised over any
@@ -533,14 +531,16 @@ mod tests {
 
     #[test]
     fn expression_error_matches_direct_sweep_bitwise() {
-        use crate::expression::total_expression_error;
+        use crate::expression::try_partition_expression_error;
         use gridtuner_spatial::Partition;
         let events = scattered_events(400, 5);
         let cache = AlphaFieldCache::new(&events, &clock(), &window(5));
         for side in [1u32, 3, 8] {
             let part = Partition::for_budget(side, 16);
             let via_cache = cache.expression_error(&part).unwrap();
-            let direct = cache.with_alpha(part.hgrid_spec(), |a| total_expression_error(a, &part));
+            let direct = cache.with_alpha(part.hgrid_spec(), |a| {
+                try_partition_expression_error(a, &UniformGrid::new(part), None).unwrap()
+            });
             assert_eq!(
                 via_cache.to_bits(),
                 direct.to_bits(),

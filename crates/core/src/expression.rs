@@ -193,65 +193,22 @@ fn validate_field(alpha: &CountMatrix) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Fallible core of [`total_expression_error`]: total expression error
-/// `Σ_i Σ_j E_e(i,j)` for a partition via the batched kernel, with a
-/// lattice-mismatched or invalid α field reported as [`CoreError::Data`]
-/// instead of a panic (the session path's contract).
+/// Total expression error `Σ_r Σ_{j∈r} E_e(r, j)` for any
+/// [`SpatialPartition`] via the batched kernel: the sum of per-region
+/// expression errors, where each region's cell count `K` is per-call (the
+/// kernel's `m` is already a per-call argument, so variable-size regions
+/// need no kernel change). The paper's square `n`-MGrid partition is a
+/// [`UniformGrid`](gridtuner_spatial::UniformGrid). A lattice-mismatched
+/// or invalid α field is a [`CoreError::Data`], not a panic.
 ///
 /// `memo` is the cross-probe pmf cache; pass `None` for a per-call cache
-/// (rates still dedup across this field's MGrids, but nothing survives the
-/// call). MGrids are swept in parallel over fixed-size contiguous blocks
-/// with one [`ExprWorkspace`] per worker ([`gridtuner_par::par_sum_with`]);
-/// block partials are reduced in block order and the blocking depends only
-/// on the MGrid count, so the result is **bit-identical for every worker
-/// count** and equals [`total_expression_error_seq`] exactly.
-pub fn try_total_expression_error(
-    alpha: &CountMatrix,
-    partition: &Partition,
-    memo: Option<&PmfMemo>,
-) -> Result<f64, CoreError> {
-    if alpha.side() != partition.hgrid_spec().side() {
-        return Err(CoreError::Data(format!(
-            "alpha field must live on the partition's HGrid lattice \
-             (field side {}, lattice side {})",
-            alpha.side(),
-            partition.hgrid_spec().side()
-        )));
-    }
-    validate_field(alpha)?;
-    let _span = gridtuner_obs::span!("expression_error", side = partition.mgrid_spec().side());
-    let local;
-    let memo = match memo {
-        Some(m) => m,
-        None => {
-            local = PmfMemo::default();
-            &local
-        }
-    };
-    let mgrids: Vec<_> = partition.mgrid_spec().cells().collect();
-    Ok(gridtuner_par::par_sum_with(
-        &mgrids,
-        ExprWorkspace::new,
-        |ws, &mcell| {
-            ws.mgrid_error_trusted(partition.hgrid_iter(mcell).map(|h| alpha.get(h)), memo)
-        },
-    ))
-}
-
-/// [`try_total_expression_error`] generalised over any
-/// [`SpatialPartition`]: the sum of per-region expression errors, where
-/// each region's cell count `K` is per-call (the kernel's `m` is already a
-/// per-call argument, so variable-size regions need no kernel change).
-///
-/// Regions are swept in dense id order over the same fixed-size contiguous
-/// blocks as [`try_total_expression_error`], with one
-/// `(workspace, cell buffer)` pair per worker, so the result is
-/// bit-identical for every worker count. For a
-/// [`UniformGrid`](gridtuner_spatial::UniformGrid) the region ids, cell
-/// order and per-item values all coincide with the legacy MGrid sweep, so
-/// the trait-dispatched uniform path is **bit-identical** to
-/// [`try_total_expression_error`] on the wrapped
-/// [`Partition`](gridtuner_spatial::Partition) — the differential the
+/// (rates still dedup across this field's regions, but nothing survives
+/// the call). Regions are swept in dense id order over fixed-size
+/// contiguous blocks ([`gridtuner_par::par_sum_with`]) with one
+/// `(workspace, cell buffer)` pair per worker; block partials are reduced
+/// in block order and the blocking depends only on the region count, so
+/// the result is **bit-identical for every worker count** and equals
+/// [`partition_expression_error_seq`] exactly — the differential the
 /// testkit pins.
 pub fn try_partition_expression_error<P: SpatialPartition + Sync>(
     alpha: &CountMatrix,
@@ -287,9 +244,11 @@ pub fn try_partition_expression_error<P: SpatialPartition + Sync>(
     ))
 }
 
-/// Sequential reference for [`try_partition_expression_error`]: one thread,
-/// same fixed [`gridtuner_par::SUM_BLOCK`] association — the parallel
-/// generic sweep must match it bit for bit.
+/// Sequential reference for [`try_partition_expression_error`]: the
+/// batched kernel on one thread, folding regions in the same fixed
+/// [`gridtuner_par::SUM_BLOCK`] association the parallel sweep uses — so
+/// the parallel path must match it **bit for bit**, a property the testkit
+/// pins across worker counts.
 pub fn partition_expression_error_seq<P: SpatialPartition>(
     alpha: &CountMatrix,
     partition: &P,
@@ -385,67 +344,6 @@ pub fn try_quadtree_node_errors(
             .collect::<Vec<f64>>()
     });
     Ok(parts.concat())
-}
-
-/// Total expression error `Σ_i Σ_j E_e(i,j)` for a partition, given the
-/// per-HGrid mean field `alpha` on the partition's HGrid lattice.
-///
-/// Infallible form of [`try_total_expression_error`] with a per-call pmf
-/// cache: panics on a lattice mismatch or an invalid α value (legacy
-/// contract; sessions route through the fallible form).
-pub fn total_expression_error(alpha: &CountMatrix, partition: &Partition) -> f64 {
-    match try_total_expression_error(alpha, partition, None) {
-        Ok(e) => e,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`total_expression_error`] against a caller-owned cross-probe
-/// [`PmfMemo`] — the warm-cache entry point field harnesses and benchmarks
-/// use directly (sessions get it via
-/// [`AlphaFieldCache::expression_error`]).
-///
-/// [`AlphaFieldCache::expression_error`]:
-///     crate::alpha_cache::AlphaFieldCache::expression_error
-pub fn total_expression_error_memo(
-    alpha: &CountMatrix,
-    partition: &Partition,
-    memo: &PmfMemo,
-) -> f64 {
-    match try_total_expression_error(alpha, partition, Some(memo)) {
-        Ok(e) => e,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Sequential reference implementation of [`total_expression_error`]: the
-/// batched kernel on one thread, folding MGrids in the same fixed
-/// [`gridtuner_par::SUM_BLOCK`] association the parallel sweep uses — so
-/// the parallel path must match it **bit for bit**, a property the testkit
-/// pins across worker counts.
-pub fn total_expression_error_seq(alpha: &CountMatrix, partition: &Partition) -> f64 {
-    assert_eq!(
-        alpha.side(),
-        partition.hgrid_spec().side(),
-        "alpha field must live on the partition's HGrid lattice"
-    );
-    if let Err(e) = validate_field(alpha) {
-        panic!("{e}");
-    }
-    let memo = PmfMemo::default();
-    let mut ws = ExprWorkspace::new();
-    let mgrids: Vec<_> = partition.mgrid_spec().cells().collect();
-    let mut partials = Vec::with_capacity(mgrids.len().div_ceil(gridtuner_par::SUM_BLOCK).max(1));
-    for block in mgrids.chunks(gridtuner_par::SUM_BLOCK) {
-        // The canonical 4-lane in-block fold `par_sum_with` uses.
-        let mut lanes = [0.0f64; 4];
-        for (i, &mcell) in block.iter().enumerate() {
-            lanes[i % 4] +=
-                ws.mgrid_error_trusted(partition.hgrid_iter(mcell).map(|h| alpha.get(h)), &memo);
-        }
-        partials.push((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]));
-    }
-    partials.iter().sum()
 }
 
 /// The pre-batching sweep, kept verbatim for comparison: one
@@ -658,6 +556,13 @@ mod tests {
         assert_eq!(mgrid_expression_error(&[]), 0.0);
     }
 
+    /// The square-partition sweep: `p` as a [`UniformGrid`] through the
+    /// one batched path.
+    fn uniform_error(alpha: &CountMatrix, p: Partition, memo: Option<&PmfMemo>) -> f64 {
+        try_partition_expression_error(alpha, &gridtuner_spatial::UniformGrid::new(p), memo)
+            .unwrap()
+    }
+
     #[test]
     fn total_expression_error_matches_serial_sum() {
         let p = Partition::new(2, 2);
@@ -671,7 +576,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let total = total_expression_error(&alpha, &p);
+        let total = uniform_error(&alpha, p, None);
         let mut manual = 0.0;
         for mcell in p.mgrid_spec().cells() {
             let alphas: Vec<f64> = p
@@ -689,9 +594,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "HGrid lattice")]
     fn total_expression_error_validates_lattice() {
+        // The per-cell reference sweep asserts the lattice; the batched
+        // sweep reports the same mismatch as a `CoreError::Data` (see
+        // `invalid_fields_are_data_errors_on_the_fallible_path`).
         let p = Partition::new(2, 2);
         let alpha = CountMatrix::zeros(5);
-        total_expression_error(&alpha, &p);
+        total_expression_error_percell(&alpha, &p);
     }
 
     fn uneven_field(side: u32) -> CountMatrix {
@@ -708,10 +616,11 @@ mod tests {
 
     #[test]
     fn parallel_seq_and_percell_paths_agree() {
+        use gridtuner_spatial::UniformGrid;
         let p = Partition::new(4, 6);
         let alpha = uneven_field(24);
-        let par = total_expression_error(&alpha, &p);
-        let seq = total_expression_error_seq(&alpha, &p);
+        let par = uniform_error(&alpha, p, None);
+        let seq = partition_expression_error_seq(&alpha, &UniformGrid::new(p)).unwrap();
         // The parallel sweep replicates the sequential association exactly.
         assert_eq!(par.to_bits(), seq.to_bits(), "par {par} vs seq {seq}");
         // The pre-batching per-cell loop agrees to reassociation tolerance.
@@ -723,30 +632,47 @@ mod tests {
     }
 
     #[test]
+    fn trait_uniform_sweep_is_bit_identical_to_legacy() {
+        // The paper's square layout, swept through the trait as a
+        // `UniformGrid` and as the equal-sided `RectGrid` that tiles the
+        // same lattice in the same region and cell order: one batched path,
+        // so the three sums agree to the bit.
+        use gridtuner_spatial::{RectGrid, SpatialPartition, UniformGrid};
+        let p = Partition::new(4, 6);
+        let alpha = uneven_field(24);
+        let uniform = uniform_error(&alpha, p, None);
+        let rect = RectGrid::for_budget(4, 4, 24);
+        assert_eq!(rect.hgrid_spec(), p.hgrid_spec());
+        let square = try_partition_expression_error(&alpha, &rect, None).unwrap();
+        assert_eq!(uniform.to_bits(), square.to_bits(), "{uniform} vs {square}");
+        let seq = partition_expression_error_seq(&alpha, &UniformGrid::new(p)).unwrap();
+        assert_eq!(uniform.to_bits(), seq.to_bits());
+    }
+
+    #[test]
     fn warm_memo_does_not_move_a_bit() {
-        use crate::expr_kernel::PmfMemo;
         let p = Partition::new(3, 5);
         let alpha = uneven_field(15);
         let memo = PmfMemo::default();
-        let cold = total_expression_error_memo(&alpha, &p, &memo);
+        let cold = uniform_error(&alpha, p, Some(&memo));
         assert!(memo.entries() > 0, "field sweep must populate the memo");
-        let warm = total_expression_error_memo(&alpha, &p, &memo);
+        let warm = uniform_error(&alpha, p, Some(&memo));
         assert_eq!(cold.to_bits(), warm.to_bits());
         assert!(memo.hits() > 0, "second sweep must hit the memo");
     }
 
     #[test]
     fn invalid_fields_are_data_errors_on_the_fallible_path() {
-        let p = Partition::new(2, 2);
+        let grid = gridtuner_spatial::UniformGrid::new(Partition::new(2, 2));
         let mut alpha = CountMatrix::zeros(4);
         alpha.as_mut_slice()[5] = f64::NAN;
-        let err = try_total_expression_error(&alpha, &p, None).unwrap_err();
+        let err = try_partition_expression_error(&alpha, &grid, None).unwrap_err();
         match err {
             CoreError::Data(msg) => assert!(msg.contains("cell 5"), "{msg}"),
             other => panic!("expected Data, got {other:?}"),
         }
         let mismatched = CountMatrix::zeros(5);
-        match try_total_expression_error(&mismatched, &p, None).unwrap_err() {
+        match try_partition_expression_error(&mismatched, &grid, None).unwrap_err() {
             CoreError::Data(msg) => assert!(msg.contains("HGrid lattice"), "{msg}"),
             other => panic!("expected Data, got {other:?}"),
         }
@@ -756,18 +682,6 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn check_args_names_non_finite_means() {
         expression_error_windowed(f64::NAN, 1.0, 4);
-    }
-
-    #[test]
-    fn trait_uniform_sweep_is_bit_identical_to_legacy() {
-        use gridtuner_spatial::UniformGrid;
-        let p = Partition::new(4, 6);
-        let alpha = uneven_field(24);
-        let legacy = try_total_expression_error(&alpha, &p, None).unwrap();
-        let traited = try_partition_expression_error(&alpha, &UniformGrid::new(p), None).unwrap();
-        assert_eq!(legacy.to_bits(), traited.to_bits(), "{legacy} vs {traited}");
-        let seq = partition_expression_error_seq(&alpha, &UniformGrid::new(p)).unwrap();
-        assert_eq!(legacy.to_bits(), seq.to_bits());
     }
 
     #[test]
@@ -873,8 +787,7 @@ mod tests {
         }
         let mut prev = f64::INFINITY;
         for s in [1u32, 2, 4, 8] {
-            let part = Partition::for_budget(s, side);
-            let e = total_expression_error(&alpha, &part);
+            let e = uniform_error(&alpha, Partition::for_budget(s, side), None);
             assert!(
                 e <= prev + 1e-9,
                 "expression error should fall with n: s={s}, e={e}, prev={prev}"

@@ -14,9 +14,8 @@
 //!
 //! * [`poisson`] — numerically-stable Poisson machinery (log-space pmf,
 //!   closed-form mean absolute deviation, exact sampling);
-//! * [`simd`] — the dependency-free 4-lane `f64` layer the hot kernels
-//!   dispatch through: AVX2 intrinsics under runtime detection, with a
-//!   bit-exact scalar emulation of the same canonical lane association;
+//! * [`simd`] — the 4-lane `f64` value type the hot kernels are written
+//!   over, with the canonical lane association that fixes their bits;
 //! * [`expression`] — the expression error `E_e(i,j) = E|λ̄_ij − λ_ij|`
 //!   under the Poisson model: the naive `O(mK³)` computation, the paper's
 //!   Algorithm 1 (`O(mK²)`), Algorithm 2 (`O(mK)`), and an adaptive-window
@@ -64,15 +63,12 @@ pub use expr_kernel::{dedup_groups, ExprWorkspace, PmfMemo, PmfTable};
 pub use expression::{
     expression_error_alg1, expression_error_alg2, expression_error_naive,
     expression_error_windowed, mgrid_expression_error, partition_expression_error_seq,
-    total_expression_error, total_expression_error_memo, total_expression_error_percell,
-    total_expression_error_seq, try_partition_expression_error, try_quadtree_node_errors,
-    try_total_expression_error,
+    total_expression_error_percell, try_partition_expression_error, try_quadtree_node_errors,
 };
 pub use kselect::{recommended_k, truncation_error_bound};
 pub use resample::{replicate_draws, replicate_seed, resample_events, splitmix64, ReplicateRng};
 pub use search::{
-    brute_force, iterative_method, ternary_search, try_brute_force, try_iterative_method,
-    try_ternary_search, ErrorOracle, MemoOracle, SearchOutcome, SearchStrategy,
+    try_brute_force, try_iterative_method, try_ternary_search, ErrorOracle, MemoOracle,
+    SearchOutcome, SearchStrategy,
 };
-pub use simd::{env_simd_override, set_simd_enabled, simd_enabled, SimdBackend};
 pub use upper_bound::{InfallibleSource, ModelErrorFn, ModelErrorSource, UpperBoundOracle};

@@ -15,11 +15,9 @@
 //! `p(k±4) = p(k)·λ⁴∕∏(consecutive factors)`. Every entry is a pure
 //! function of `(λ, clamped mode, k)` — not of the window bounds — so
 //! partial windows that contain the mode match full windows bit for bit.
-//! The four lanes run through [`crate::simd`]: AVX2 intrinsics where the
-//! CPU has them, the bit-exact scalar emulation of the same lane
-//! association everywhere else (`GRIDTUNER_SIMD=0` forces the latter).
+//! The four lanes are [`crate::simd::F64x4`] values.
 
-use crate::simd::{F64x4, Lanes, ScalarLanes};
+use crate::simd::F64x4;
 
 /// Natural log of the Gamma function (Lanczos approximation, g = 7, 9
 /// coefficients; |relative error| < 1e-13 over the positive reals).
@@ -60,8 +58,8 @@ const LN_FACT_TABLE_LEN: usize = 1024;
 /// The `ln k!` lookup table, built once on first use. Each entry is the
 /// value [`ln_gamma`]`(k + 1)` would return, so table hits are
 /// bit-identical to the direct evaluation. Stored as a fixed array, not
-/// a `Vec`: the pmf anchor path (and its AVX2 gather) reads straight off
-/// the static without the extra pointer hop through a heap allocation.
+/// a `Vec`: the pmf anchor path (and its 4-lane gather) reads straight
+/// off the static without the extra pointer hop through a heap allocation.
 fn ln_fact_table() -> &'static [f64; LN_FACT_TABLE_LEN] {
     use std::sync::OnceLock;
     static TABLE: OnceLock<[f64; LN_FACT_TABLE_LEN]> = OnceLock::new();
@@ -102,26 +100,17 @@ pub fn poisson_pmf(lambda: f64, k: u64) -> f64 {
 }
 
 /// Poisson pmf over the inclusive range `lo..=hi`, computed stably for any
-/// mean: up to four entries on each side of the (clamped) mode are seeded
-/// in log space, then the stride-4 recurrence `p(k±4) = p(k)·λ⁴∕…` fills
-/// the rest in four independent lanes. Values that underflow far in the
-/// tails become `0.0`, which is the correct limit.
-#[deprecated(note = "allocates a fresh Vec per call; use poisson_pmf_into with a reused buffer")]
-pub fn poisson_pmf_range(lambda: f64, lo: u64, hi: u64) -> Vec<f64> {
-    let mut out = Vec::new();
-    poisson_pmf_into(lambda, lo, hi, &mut out);
-    out
-}
-
-/// Buffer-reusing pmf window fill: clears `out` and fills it with the pmf
-/// over `lo..=hi`, reallocating only when the window outgrows the
-/// buffer's capacity — the batched expression-error kernel leans on that.
+/// mean, into a reused buffer: clears `out` and fills it, reallocating
+/// only when the window outgrows the buffer's capacity — the batched
+/// expression-error kernel leans on that.
 ///
 /// The fill is the stride-4 mode-anchored recurrence (see the module
-/// docs), dispatched through [`crate::simd`]: the AVX2 instantiation and
-/// the scalar emulation produce bit-identical values, and every entry is
-/// a pure function of `(λ, clamped mode, k)`, so windows sharing the mode
-/// agree bitwise wherever they overlap.
+/// docs): up to four entries on each side of the (clamped) mode are seeded
+/// in log space, then `p(k±4) = p(k)·λ⁴∕…` fills the rest in four
+/// independent lanes. Every entry is a pure function of
+/// `(λ, clamped mode, k)`, so windows sharing the mode agree bitwise
+/// wherever they overlap. Values that underflow far in the tails become
+/// `0.0`, which is the correct limit.
 pub fn poisson_pmf_into(lambda: f64, lo: u64, hi: u64, out: &mut Vec<f64>) {
     assert!(lambda >= 0.0, "negative Poisson mean");
     assert!(lo <= hi, "empty pmf range");
@@ -136,24 +125,7 @@ pub fn poisson_pmf_into(lambda: f64, lo: u64, hi: u64, out: &mut Vec<f64>) {
     }
     let mode = (lambda.floor() as u64).clamp(lo, hi);
     let anchor = (mode - lo) as usize;
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::simd_enabled() {
-        // Safety: simd_enabled() implies AVX2 was detected at runtime.
-        unsafe { pmf_fill_avx2(lambda, lo, len, anchor, out) };
-        return;
-    }
-    pmf_fill_scalar(lambda, lo, len, anchor, out);
-}
-
-fn pmf_fill_scalar(lambda: f64, lo: u64, len: usize, anchor: usize, out: &mut [f64]) {
-    // Safety: the scalar emulation has no hardware precondition.
-    unsafe { pmf_fill_body::<ScalarLanes>(lambda, lo, len, anchor, out) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn pmf_fill_avx2(lambda: f64, lo: u64, len: usize, anchor: usize, out: &mut [f64]) {
-    pmf_fill_body::<crate::simd::Avx2Lanes>(lambda, lo, len, anchor, out)
+    pmf_fill_body(lambda, lo, len, anchor, out);
 }
 
 /// One seed entry by the direct log-space formula. The expression is the
@@ -166,14 +138,13 @@ fn seed1(lambda: f64, ln_lam: f64, k: u64) -> f64 {
 
 /// Four consecutive seeds `k0..k0+4`: a vectorised `ln k!` table gather
 /// plus lane-wise mul/sub — per lane exactly [`seed1`]'s expression. The
-/// final `exp` is the scalar libm call in both backends (bit-identity
-/// requires a single implementation, and AVX2 has no exp anyway).
+/// final `exp` is the scalar libm call, so seeds match [`seed1`] bitwise.
 #[inline(always)]
-unsafe fn seed4<B: Lanes>(lambda: f64, ln_lam: f64, k0: u64) -> F64x4 {
+fn seed4(lambda: f64, ln_lam: f64, k0: u64) -> F64x4 {
     let kv = F64x4([k0 as f64, (k0 + 1) as f64, (k0 + 2) as f64, (k0 + 3) as f64]);
     let lnf = if k0 + 3 < LN_FACT_TABLE_LEN as u64 {
         let i = k0 as usize;
-        B::gather(ln_fact_table(), [i, i + 1, i + 2, i + 3])
+        F64x4::gather(ln_fact_table(), [i, i + 1, i + 2, i + 3])
     } else {
         F64x4([
             ln_factorial(k0),
@@ -182,7 +153,7 @@ unsafe fn seed4<B: Lanes>(lambda: f64, ln_lam: f64, k0: u64) -> F64x4 {
             ln_factorial(k0 + 3),
         ])
     };
-    let ln_p = B::sub(B::sub(B::mul(kv, B::splat(ln_lam)), B::splat(lambda)), lnf);
+    let ln_p = kv * F64x4::splat(ln_lam) - F64x4::splat(lambda) - lnf;
     F64x4([
         ln_p.0[0].exp(),
         ln_p.0[1].exp(),
@@ -191,21 +162,14 @@ unsafe fn seed4<B: Lanes>(lambda: f64, ln_lam: f64, k0: u64) -> F64x4 {
     ])
 }
 
-/// The stride-4 fill, written once over the [`Lanes`] backend. Seeds sit
+/// The stride-4 fill over [`F64x4`] lanes. Seeds sit
 /// at indices `anchor..anchor+4` and `anchor-4..anchor` (clipped); waves
 /// then step four lanes at a time, `p(k+4) = (p(k)·λ⁴)∕((k+1)(k+2))((k+3)(k+4))`
 /// upward and `p(k−4) = (p(k)·(k)(k−1)(k−2)(k−3))∕λ⁴` downward, with the
 /// factor products associated `(a·b)·(c·d)`. Tails shorter than a wave
 /// use the identical per-entry expression, so lane count never leaks into
 /// the values. All `k` factors are exact integers in f64 (`k ≪ 2⁵³`).
-#[inline(always)]
-unsafe fn pmf_fill_body<B: Lanes>(
-    lambda: f64,
-    lo: u64,
-    len: usize,
-    anchor: usize,
-    out: &mut [f64],
-) {
+fn pmf_fill_body(lambda: f64, lo: u64, len: usize, anchor: usize, out: &mut [f64]) {
     let ln_lam = lambda.ln();
     let lam2 = lambda * lambda;
     let lam4 = lam2 * lam2;
@@ -213,7 +177,7 @@ unsafe fn pmf_fill_body<B: Lanes>(
 
     // Seeds above the anchor (indices anchor..anchor+4, clipped to len).
     if anchor + 4 <= len {
-        B::store(seed4::<B>(lambda, ln_lam, mode), &mut out[anchor..]);
+        seed4(lambda, ln_lam, mode).store(&mut out[anchor..]);
     } else {
         for (i, o) in out[anchor..len].iter_mut().enumerate() {
             *o = seed1(lambda, ln_lam, lo + (anchor + i) as u64);
@@ -221,7 +185,7 @@ unsafe fn pmf_fill_body<B: Lanes>(
     }
     // Seeds below the anchor (indices anchor-4..anchor, clipped to 0).
     if anchor >= 4 {
-        B::store(seed4::<B>(lambda, ln_lam, mode - 4), &mut out[anchor - 4..]);
+        seed4(lambda, ln_lam, mode - 4).store(&mut out[anchor - 4..]);
     } else {
         for (i, o) in out[..anchor].iter_mut().enumerate() {
             *o = seed1(lambda, ln_lam, lo + i as u64);
@@ -256,10 +220,10 @@ unsafe fn pmf_fill_body<B: Lanes>(
             (k0 + 6) as f64,
             (k0 + 7) as f64,
         ]);
-        let consec = B::mul(B::mul(a, b), B::mul(c, d));
-        let p = B::load(&out[base..]);
-        let next = B::div(B::mul(p, B::splat(lam4)), consec);
-        B::store(next, &mut out[base + 4..]);
+        let consec = (a * b) * (c * d);
+        let p = F64x4::load(&out[base..]);
+        let next = p * F64x4::splat(lam4) / consec;
+        next.store(&mut out[base + 4..]);
         base += 4;
     }
     // Upward tail (< 4 entries): the same per-entry expression.
@@ -298,10 +262,10 @@ unsafe fn pmf_fill_body<B: Lanes>(
             (v0 + 3) as f64,
             (v0 + 4) as f64,
         ]);
-        let prod = B::mul(B::mul(a, b), B::mul(c, d));
-        let p = B::load(&out[ds..]);
-        let prev = B::div(B::mul(p, prod), B::splat(lam4));
-        B::store(prev, &mut out[ds - 4..]);
+        let prod = (a * b) * (c * d);
+        let p = F64x4::load(&out[ds..]);
+        let prev = p * prod / F64x4::splat(lam4);
+        prev.store(&mut out[ds - 4..]);
         ds -= 4;
     }
     // Downward tail (< 4 entries): the same per-entry expression.
@@ -341,8 +305,7 @@ pub fn mass_window(lambda: f64, pad: u64) -> (u64, u64) {
 mod tests {
     use super::*;
 
-    /// Test-local allocating wrapper (the public allocating form is
-    /// deprecated; its one remaining in-tree caller is the pin below).
+    /// Test-local allocating wrapper around [`poisson_pmf_into`].
     fn pmf_range(lambda: f64, lo: u64, hi: u64) -> Vec<f64> {
         let mut out = Vec::new();
         poisson_pmf_into(lambda, lo, hi, &mut out);
@@ -397,16 +360,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn pmf_into_reuses_capacity_and_matches_allocating_form() {
         let mut buf = Vec::new();
         poisson_pmf_into(40.0, 0, 120, &mut buf);
-        assert_eq!(buf, poisson_pmf_range(40.0, 0, 120));
+        assert_eq!(buf, pmf_range(40.0, 0, 120));
         let cap = buf.capacity();
         let ptr = buf.as_ptr();
         // A smaller window must reuse the allocation…
         poisson_pmf_into(3.0, 0, 30, &mut buf);
-        assert_eq!(buf, poisson_pmf_range(3.0, 0, 30));
+        assert_eq!(buf, pmf_range(3.0, 0, 30));
         assert_eq!(buf.capacity(), cap, "capacity must be reused");
         assert_eq!(buf.as_ptr(), ptr, "buffer must not be reallocated");
         // …including the degenerate λ = 0 window.
@@ -498,30 +460,6 @@ mod tests {
                         "lambda={lambda} i={i}: stride4 {g} vs serial {s}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn pmf_backends_are_bitwise_identical() {
-        // The AVX2 instantiation and the scalar emulation are the same
-        // canonical association, so their outputs match bit for bit.
-        // Without AVX2 both passes run the scalar body and the assert is
-        // trivially true — the real check happens on AVX2 hosts.
-        let prev = crate::simd::simd_enabled();
-        for &lambda in &[0.0, 0.3, 7.7, 40.0, 987.6, 50_000.0] {
-            let (lo, hi) = mass_window(lambda, 3);
-            crate::simd::set_simd_enabled(false);
-            let scalar = pmf_range(lambda, lo, hi);
-            crate::simd::set_simd_enabled(true);
-            let vector = pmf_range(lambda, lo, hi);
-            crate::simd::set_simd_enabled(prev);
-            for (i, (s, v)) in scalar.iter().zip(vector.iter()).enumerate() {
-                assert_eq!(
-                    s.to_bits(),
-                    v.to_bits(),
-                    "lambda={lambda} i={i}: scalar {s} vs vector {v}"
-                );
             }
         }
     }

@@ -3,10 +3,13 @@
 //! Method (Algorithm 5).
 //!
 //! All searchers operate on the MGrid **side** `s = √n` (the paper's
-//! searchable axis: `n` is kept a perfect square) through an
-//! [`ErrorOracle`]; wrap an oracle in [`MemoOracle`] to deduplicate the
-//! expensive `UpperBound` evaluations (each one retrains the prediction
-//! model) and to count unique evaluations — the "cost" column of Table IV.
+//! searchable axis: `n` is kept a perfect square) through a fallible probe
+//! `FnMut(u32) -> Result<f64, CoreError>`; each memoises its probes, so
+//! every expensive `UpperBound` evaluation (each one retrains the
+//! prediction model) runs once and the unique count is the "cost" column
+//! of Table IV. An infallible [`ErrorOracle`] drives a searcher as
+//! `|s| Ok(oracle.eval(s))`. An invalid side range or iterative bound is a
+//! typed [`CoreError`], never a panic.
 
 use crate::error::CoreError;
 use gridtuner_obs as obs;
@@ -105,12 +108,10 @@ pub struct SearchOutcome {
     pub probes: Vec<(u32, f64)>,
 }
 
-/// Fallible memoising probe backing the `try_*` searchers: the same
-/// span/counter behaviour as [`MemoOracle`] (one `search.probe` span and
-/// one `search.unique_evals` increment per unique side), over a `Result`
-/// probe. The infallible searchers delegate here with an `Ok`-wrapping
-/// probe, so both paths share one implementation — and so agree bit for
-/// bit.
+/// Fallible memoising probe backing the searchers: the same span/counter
+/// behaviour as [`MemoOracle`] (one `search.probe` span and one
+/// `search.unique_evals` increment per unique side), over a `Result`
+/// probe.
 struct TryMemo<F> {
     probe: F,
     cache: HashMap<u32, f64>,
@@ -162,17 +163,7 @@ fn check_range(lo: u32, hi: u32) -> Result<(), CoreError> {
 /// `O(√N)` oracle calls, always optimal. Ties break toward the **smaller**
 /// side (the update is strict `<`), so on plateaus the result is the
 /// left-most minimiser — the canonical tie rule every other searcher is
-/// measured against.
-pub fn brute_force<O: ErrorOracle>(mut oracle: O, lo: u32, hi: u32) -> SearchOutcome {
-    assert!(lo >= 1 && lo <= hi, "invalid side range [{lo}, {hi}]");
-    match try_brute_force(|s| Ok(oracle.eval(s)), lo, hi) {
-        Ok(out) => out,
-        Err(e) => unreachable!("infallible probe failed: {e}"),
-    }
-}
-
-/// Fallible [`brute_force`]: a probe error aborts the search and
-/// propagates; an invalid range is a typed error instead of a panic.
+/// measured against. A probe error aborts the search and propagates.
 pub fn try_brute_force(
     probe: impl FnMut(u32) -> Result<f64, CoreError>,
     lo: u32,
@@ -205,23 +196,15 @@ pub fn try_brute_force(
 /// a tie discard the interval that holds the real optimum — the testkit
 /// pins a concrete example (`ternary_can_be_misled_by_shoulder_plateaus`).
 ///
+/// A probe error aborts the search and propagates.
+///
 /// ```
-/// use gridtuner_core::search::ternary_search;
+/// use gridtuner_core::search::try_ternary_search;
 /// // A U-shaped error curve with its minimum at side 20.
-/// let out = ternary_search(|s: u32| (s as f64 - 20.0).powi(2), 1, 76);
+/// let out = try_ternary_search(|s: u32| Ok((s as f64 - 20.0).powi(2)), 1, 76).unwrap();
 /// assert_eq!(out.side, 20);
 /// assert!(out.evals < 20); // logarithmic, vs 76 for brute force
 /// ```
-pub fn ternary_search<O: ErrorOracle>(mut oracle: O, lo: u32, hi: u32) -> SearchOutcome {
-    assert!(lo >= 1 && lo <= hi, "invalid side range [{lo}, {hi}]");
-    match try_ternary_search(|s| Ok(oracle.eval(s)), lo, hi) {
-        Ok(out) => out,
-        Err(e) => unreachable!("infallible probe failed: {e}"),
-    }
-}
-
-/// Fallible [`ternary_search`]: a probe error aborts the search and
-/// propagates; an invalid range is a typed error instead of a panic.
 pub fn try_ternary_search(
     probe: impl FnMut(u32) -> Result<f64, CoreError>,
     lo: u32,
@@ -322,23 +305,8 @@ pub fn try_ternary_search(
 /// `init` it simply returns `init` (clamped). On strictly unimodal curves
 /// any `bound ≥ 1` reaches the optimum; with a minimum plateau it stops at
 /// the first plateau point it touches.
-pub fn iterative_method<O: ErrorOracle>(
-    mut oracle: O,
-    lo: u32,
-    hi: u32,
-    init: u32,
-    bound: u32,
-) -> SearchOutcome {
-    assert!(lo >= 1 && lo <= hi, "invalid side range [{lo}, {hi}]");
-    assert!(bound >= 1, "bound must be at least 1");
-    match try_iterative_method(|s| Ok(oracle.eval(s)), lo, hi, init, bound) {
-        Ok(out) => out,
-        Err(e) => unreachable!("infallible probe failed: {e}"),
-    }
-}
-
-/// Fallible [`iterative_method`]: a probe error aborts the search and
-/// propagates; invalid ranges/bounds are typed errors instead of panics.
+///
+/// A probe error aborts the search and propagates.
 pub fn try_iterative_method(
     probe: impl FnMut(u32) -> Result<f64, CoreError>,
     lo: u32,
@@ -382,17 +350,18 @@ mod tests {
     use std::cell::Cell;
     use std::rc::Rc;
 
-    /// A convex "model + expression" toy curve with its minimum at `opt`.
-    fn convex(opt: f64) -> impl FnMut(u32) -> f64 {
+    /// A convex "model + expression" toy curve with its minimum at `opt`,
+    /// as an always-`Ok` probe.
+    fn convex(opt: f64) -> impl FnMut(u32) -> Result<f64, CoreError> {
         move |s: u32| {
             let s = s as f64;
-            s * 2.0 + opt * opt * 2.0 / s // derivative zero at s = opt
+            Ok(s * 2.0 + opt * opt * 2.0 / s) // derivative zero at s = opt
         }
     }
 
     #[test]
     fn brute_force_finds_global_optimum() {
-        let out = brute_force(convex(20.0), 1, 76);
+        let out = try_brute_force(convex(20.0), 1, 76).unwrap();
         assert_eq!(out.side, 20);
         assert_eq!(out.evals, 76);
         assert_eq!(out.probes.len(), 76);
@@ -401,8 +370,8 @@ mod tests {
     #[test]
     fn ternary_matches_brute_on_unimodal_curves() {
         for opt in [2.0, 5.0, 13.0, 16.0, 23.0, 50.0, 75.0] {
-            let want = brute_force(convex(opt), 1, 76).side;
-            let got = ternary_search(convex(opt), 1, 76);
+            let want = try_brute_force(convex(opt), 1, 76).unwrap().side;
+            let got = try_ternary_search(convex(opt), 1, 76).unwrap();
             assert_eq!(got.side, want, "opt={opt}");
             assert!(
                 got.evals < 20,
@@ -414,27 +383,27 @@ mod tests {
 
     #[test]
     fn ternary_handles_tiny_ranges() {
-        assert_eq!(ternary_search(convex(5.0), 4, 4).side, 4);
-        assert_eq!(ternary_search(convex(5.0), 4, 5).side, 5);
-        assert_eq!(ternary_search(convex(5.0), 4, 6).side, 5);
-        assert_eq!(ternary_search(convex(1.0), 3, 9).side, 3);
-        assert_eq!(ternary_search(convex(100.0), 3, 9).side, 9);
+        assert_eq!(try_ternary_search(convex(5.0), 4, 4).unwrap().side, 4);
+        assert_eq!(try_ternary_search(convex(5.0), 4, 5).unwrap().side, 5);
+        assert_eq!(try_ternary_search(convex(5.0), 4, 6).unwrap().side, 5);
+        assert_eq!(try_ternary_search(convex(1.0), 3, 9).unwrap().side, 3);
+        assert_eq!(try_ternary_search(convex(100.0), 3, 9).unwrap().side, 9);
     }
 
     #[test]
     fn iterative_descends_to_the_optimum() {
         for opt in [10.0, 16.0, 23.0] {
-            let out = iterative_method(convex(opt), 1, 76, 16, 4);
+            let out = try_iterative_method(convex(opt), 1, 76, 16, 4).unwrap();
             assert_eq!(out.side, opt as u32, "opt={opt}");
         }
     }
 
     #[test]
     fn iterative_respects_range_clamping() {
-        // Init outside the range must be clamped, not panic.
-        let out = iterative_method(convex(5.0), 2, 10, 50, 4);
+        // Init outside the range must be clamped, not rejected.
+        let out = try_iterative_method(convex(5.0), 2, 10, 50, 4).unwrap();
         assert_eq!(out.side, 5);
-        let out = iterative_method(convex(1.0), 2, 10, 1, 4);
+        let out = try_iterative_method(convex(1.0), 2, 10, 1, 4).unwrap();
         assert_eq!(out.side, 2);
     }
 
@@ -442,16 +411,16 @@ mod tests {
     fn iterative_with_small_bound_can_be_trapped() {
         // A curve with a local minimum at 10 separated from the global
         // minimum at 30 by a bump wider than the bound.
-        let trap = |s: u32| -> f64 {
+        let trap = |s: u32| -> Result<f64, CoreError> {
             let s = s as f64;
             // W-shaped: minima at 10 and 22, the latter deeper.
             let a = (s - 10.0).abs();
             let b = (s - 22.0).abs() - 5.0;
-            a.min(b)
+            Ok(a.min(b))
         };
-        let stuck = iterative_method(trap, 1, 40, 10, 3);
+        let stuck = try_iterative_method(trap, 1, 40, 10, 3).unwrap();
         assert_eq!(stuck.side, 10, "small bound should get trapped");
-        let escaped = iterative_method(trap, 1, 40, 10, 15);
+        let escaped = try_iterative_method(trap, 1, 40, 10, 15).unwrap();
         assert_eq!(escaped.side, 22, "large bound should escape");
         assert!(escaped.evals >= stuck.evals);
     }
@@ -476,39 +445,38 @@ mod tests {
 
     #[test]
     fn ternary_uses_logarithmically_many_evals() {
-        let out = ternary_search(convex(300.0), 1, 1000);
+        let out = try_ternary_search(convex(300.0), 1, 1000).unwrap();
         assert!(out.evals <= 40, "evals = {}", out.evals);
         assert_eq!(out.side, 300);
     }
 
     #[test]
     fn searchers_report_probe_trails() {
-        let out = iterative_method(convex(20.0), 1, 76, 16, 4);
+        let out = try_iterative_method(convex(20.0), 1, 76, 16, 4).unwrap();
         assert!(out.probes.iter().any(|&(s, _)| s == out.side));
         assert!(out.probes.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(out.evals, out.probes.len());
     }
 
     #[test]
-    #[should_panic(expected = "invalid side range")]
     fn empty_range_rejected() {
-        brute_force(convex(5.0), 10, 3);
+        // An invalid range or bound is a typed error, not a panic.
+        for err in [
+            try_brute_force(convex(5.0), 10, 3).unwrap_err(),
+            try_ternary_search(convex(5.0), 10, 3).unwrap_err(),
+            try_iterative_method(convex(5.0), 10, 3, 16, 4).unwrap_err(),
+            try_brute_force(convex(5.0), 0, 3).unwrap_err(),
+        ] {
+            assert!(matches!(err, CoreError::InvalidSideRange { .. }), "{err:?}");
+        }
+        assert!(matches!(
+            try_iterative_method(convex(5.0), 1, 76, 16, 0),
+            Err(CoreError::InvalidSearchBound)
+        ));
     }
 
     #[test]
-    fn try_searchers_match_infallible_and_propagate_errors() {
-        use crate::error::CoreError;
-        let mut curve = convex(20.0);
-        let ok = |s: u32| -> Result<f64, CoreError> { Ok(convex(20.0)(s)) };
-        let want = brute_force(&mut curve, 1, 76);
-        let got = try_brute_force(ok, 1, 76).unwrap();
-        assert_eq!(got, want);
-        let want = ternary_search(&mut curve, 1, 76);
-        let got = try_ternary_search(ok, 1, 76).unwrap();
-        assert_eq!(got, want);
-        let want = iterative_method(&mut curve, 1, 76, 16, 4);
-        let got = try_iterative_method(ok, 1, 76, 16, 4).unwrap();
-        assert_eq!(got, want);
+    fn probe_errors_abort_every_searcher() {
         // A failing probe aborts the search with the probe's error.
         let failing = |s: u32| -> Result<f64, CoreError> {
             if s == 10 {
@@ -517,21 +485,20 @@ mod tests {
                     message: "boom".into(),
                 })
             } else {
-                Ok(convex(20.0)(s))
+                convex(20.0)(s)
             }
         };
         assert!(matches!(
             try_brute_force(failing, 1, 76),
             Err(CoreError::Model { side: 10, .. })
         ));
-        // An invalid range is a typed error, not a panic.
         assert!(matches!(
-            try_brute_force(ok, 10, 3),
-            Err(CoreError::InvalidSideRange { lo: 10, hi: 3 })
+            try_iterative_method(failing, 1, 76, 10, 4),
+            Err(CoreError::Model { side: 10, .. })
         ));
         assert!(matches!(
-            try_iterative_method(ok, 1, 76, 16, 0),
-            Err(CoreError::InvalidSearchBound)
+            try_ternary_search(failing, 10, 12),
+            Err(CoreError::Model { side: 10, .. })
         ));
     }
 }

@@ -303,8 +303,8 @@ mod tests {
         for side in [1u32, 3, 4] {
             let u = UniformGrid::for_budget(side, 16);
             let via_trait = oracle.partition_expression_error(&u).unwrap();
-            let legacy = oracle.expression_error(side);
-            assert_eq!(via_trait.to_bits(), legacy.to_bits(), "side {side}");
+            let square = oracle.expression_error(side);
+            assert_eq!(via_trait.to_bits(), square.to_bits(), "side {side}");
             // Square region counts take the exact (non-interpolated) leg.
             let bound = oracle.partition_bound(&u).unwrap();
             assert!((bound - oracle.eval(side)).abs() < 1e-12);

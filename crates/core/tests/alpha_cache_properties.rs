@@ -7,9 +7,11 @@
 //!    reference to 1e-12 relative.
 
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::expression::{total_expression_error, total_expression_error_seq};
+use gridtuner_core::expression::{partition_expression_error_seq, try_partition_expression_error};
 use gridtuner_core::{estimate_alpha, AlphaFieldCache};
-use gridtuner_spatial::{Event, GridSpec, Partition, Point, SlotClock};
+use gridtuner_spatial::{
+    Event, GridSpec, Partition, Point, SlotClock, SpatialPartition, UniformGrid,
+};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -73,10 +75,10 @@ proptest! {
             day_end: 5,
             weekdays_only: false,
         };
-        let part = Partition::for_budget(side, budget);
+        let part = UniformGrid::new(Partition::for_budget(side, budget));
         let alpha = estimate_alpha(&events, part.hgrid_spec(), &clock, &window);
-        let par = total_expression_error(&alpha, &part);
-        let seq = total_expression_error_seq(&alpha, &part);
+        let par = try_partition_expression_error(&alpha, &part, None).unwrap();
+        let seq = partition_expression_error_seq(&alpha, &part).unwrap();
         assert!(
             (par - seq).abs() <= 1e-12 * (1.0 + seq.abs()),
             "parallel {par} vs sequential {seq} (side {side}, budget {budget})"

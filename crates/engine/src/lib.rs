@@ -47,9 +47,7 @@ pub mod stage;
 pub mod uncertainty;
 
 pub use config::{EngineConfig, EngineConfigBuilder};
-pub use error::{
-    simd_diagnostics, simd_override, thread_diagnostics, thread_override, EngineError,
-};
+pub use error::{simd_diagnostics, thread_diagnostics, thread_override, EngineError};
 pub use partition_search::{PartitionKind, PartitionLayout, PartitionReport};
 pub use session::{IngestReport, TuneReport, TuningSession};
 pub use stage::{StageKind, StageRecord};

@@ -11,8 +11,7 @@
 //! Three searches, selected by [`PartitionKind`]:
 //!
 //! * **uniform** — no refinement: the 1-D winner re-evaluated through the
-//!   trait-dispatched sweep (bit-identical to the legacy path, by the
-//!   testkit differential);
+//!   same `UniformGrid` sweep the 1-D tune ran, so bit-identical to it;
 //! * **rect** — a deterministic hill-climb over `(nx, ny)` region counts,
 //!   seeded at the 1-D winner `(s*, s*)`, stepping one count at a time
 //!   within the configured side range;

@@ -76,14 +76,6 @@ pub struct TuneReport {
     /// zero-allocation claim made measurable (delta of
     /// `expr.workspace_bytes`; steady-state sweeps add nothing).
     pub expr_workspace_bytes: u64,
-    /// Pmf entries routed through the 4-lane vector kernels during this
-    /// tune (delta of `expr.simd_lanes_used`; zero when the scalar
-    /// emulation is in effect).
-    pub expr_simd_lanes_used: u64,
-    /// Table fills that ran the scalar emulation instead of AVX2 (delta
-    /// of `expr.simd_fallbacks`) — non-zero means `GRIDTUNER_SIMD=0` or a
-    /// CPU without AVX2, never a numeric difference.
-    pub expr_simd_fallbacks: u64,
     /// Worker threads the persistent pool spawned during this tune (delta
     /// of `par.pool_spawns`). Zero once the pool is warm — the counter a
     /// bench asserts stays flat across a 73-probe sweep.
@@ -119,8 +111,6 @@ struct ExprCounters {
     dedup_hits: u64,
     pmf_memo_hits: u64,
     workspace_bytes: u64,
-    simd_lanes_used: u64,
-    simd_fallbacks: u64,
     pool_spawns: u64,
     dispatches: u64,
     worker_idle_ms: u64,
@@ -135,8 +125,6 @@ impl ExprCounters {
             dedup_hits: obs::counter!("expr.dedup_hits").get(),
             pmf_memo_hits: obs::counter!("expr.pmf_memo_hits").get(),
             workspace_bytes: obs::counter!("expr.workspace_bytes").get(),
-            simd_lanes_used: obs::counter!("expr.simd_lanes_used").get(),
-            simd_fallbacks: obs::counter!("expr.simd_fallbacks").get(),
             pool_spawns: obs::counter!("par.pool_spawns").get(),
             dispatches: obs::counter!("par.dispatches").get(),
             worker_idle_ms: obs::counter!("par.worker_idle_ms").get(),
@@ -152,8 +140,6 @@ impl ExprCounters {
             dedup_hits: now.dedup_hits.saturating_sub(self.dedup_hits),
             pmf_memo_hits: now.pmf_memo_hits.saturating_sub(self.pmf_memo_hits),
             workspace_bytes: now.workspace_bytes.saturating_sub(self.workspace_bytes),
-            simd_lanes_used: now.simd_lanes_used.saturating_sub(self.simd_lanes_used),
-            simd_fallbacks: now.simd_fallbacks.saturating_sub(self.simd_fallbacks),
             pool_spawns: now.pool_spawns.saturating_sub(self.pool_spawns),
             dispatches: now.dispatches.saturating_sub(self.dispatches),
             worker_idle_ms: now.worker_idle_ms.saturating_sub(self.worker_idle_ms),
@@ -526,8 +512,6 @@ impl<S: ModelErrorSource> TuningSession<S> {
             expr_dedup_hits: expr.dedup_hits,
             expr_pmf_memo_hits: expr.pmf_memo_hits,
             expr_workspace_bytes: expr.workspace_bytes,
-            expr_simd_lanes_used: expr.simd_lanes_used,
-            expr_simd_fallbacks: expr.simd_fallbacks,
             par_pool_spawns: expr.pool_spawns,
             par_dispatches: expr.dispatches,
             par_worker_idle_ms: expr.worker_idle_ms,
@@ -720,13 +704,6 @@ mod tests {
         let first = session.tune().unwrap();
         // Every probe sweeps the full HGrid lattice through the kernel.
         assert!(first.expr_cell_evals > 0, "{first:?}");
-        // Every table fill routed somewhere: vector lanes or the scalar
-        // fallback, matching whichever backend is in effect.
-        if gridtuner_core::simd_enabled() {
-            assert!(first.expr_simd_lanes_used > 0, "{first:?}");
-        } else {
-            assert!(first.expr_simd_fallbacks > 0, "{first:?}");
-        }
         // Quantised α rates recur across probes, so the session's pmf memo
         // serves hits within the very first tune...
         assert!(first.expr_pmf_memo_hits > 0, "{first:?}");

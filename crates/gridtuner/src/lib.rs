@@ -78,7 +78,7 @@ mod tests {
     //! the paper's workflow without reaching for the `gridtuner_*` names.
 
     use crate::core::alpha::AlphaWindow;
-    use crate::core::search::{brute_force, ErrorOracle};
+    use crate::core::search::{try_brute_force, ErrorOracle};
     use crate::core::upper_bound::UpperBoundOracle;
     use crate::datagen::City;
     use crate::engine::{EngineConfig, SearchStrategy, TuneReport, TuningSession};
@@ -133,7 +133,7 @@ mod tests {
             config.hgrid_budget_side,
             model,
         );
-        let direct = brute_force(|s| oracle.eval(s), 2, 12);
+        let direct = try_brute_force(|s| Ok(oracle.eval(s)), 2, 12).unwrap();
         let report = tune(&events, config);
         assert_eq!(report.outcome.side, direct.side);
         assert_eq!(report.outcome.error.to_bits(), direct.error.to_bits());

@@ -53,13 +53,13 @@ const MIN_ITEMS_PER_THREAD: usize = 2;
 /// size is a constant, the association — and so the summed value, bit for
 /// bit — is the same for every worker count. Public so sequential
 /// reference implementations (e.g. the batched expression-error kernel's
-/// `total_expression_error_seq`) can replicate the exact association.
+/// `partition_expression_error_seq`) can replicate the exact association.
 pub const SUM_BLOCK: usize = 64;
 
 /// One block's partial sum under the **canonical 4-lane association**:
 /// item `i` of the block accumulates into lane `i mod 4`, and the lanes
 /// are tree-folded `(l₀+l₁)+(l₂+l₃)`. This is the same association
-/// `gridtuner-core`'s SIMD kernels define as canonical, kept here in
+/// `gridtuner-core`'s 4-lane kernels define as canonical, kept here in
 /// scalar form — block values come from arbitrary closures, so what
 /// determinism pins is the association, not the instruction set (and the
 /// four independent accumulator chains give the compiler the same ILP a

@@ -21,8 +21,7 @@
 //! | `search-iterative-unimodal` | the iterative method does too, from any start with any bound ≥ 1 |
 //! | `par-sum-determinism` | `par_sum` matches its documented fixed-block association |
 //! | `par-accumulate-determinism` | `par_accumulate` matches its documented chunked association |
-//! | `total-expr-par-vs-seq` | the parallel field sweep matches the sequential one, bit for bit |
-//! | `uniform-trait-vs-legacy` | the trait-dispatched `UniformGrid` sweep = the legacy square sweep, bit for bit, at 1/2/8 workers |
+//! | `total-expr-par-vs-seq` | the parallel `UniformGrid` field sweep = the sequential oracle, bit for bit, for every side at 1/2/8 workers |
 //! | `batched-vs-seq-expression-error` | the batched kernel (cold or warm pmf memo) = the sequential sweep, bit for bit |
 //! | `expr-dedup-weight-conservation` | per-MGrid dedup multiplicities sum back to `m` |
 //! | `nn-dense-vs-naive` | the tiled dense kernel matches the naive mat-vec and its documented 4-lane association bit for bit, its gradients follow their documented order bit for bit, and a batch of `B` = `B` one-sample calls, bit for bit; a random shape plus fixed shapes reaching every tile tail |
@@ -31,7 +30,6 @@
 //! | `quadtree-dp-vs-exhaustive` | the quadtree refinement's bound = the minimum over every quadtree with a reachable region count on 4×4 and 8×8 lattices, and its tree attains it |
 //! | `bootstrap-replicate-vs-direct` | a bootstrap replicate's tune = tuning the materialised resampled log directly, bit for bit |
 //! | `bootstrap-seed-determinism` | same seed and B → the same confidence set, run to run and at 1 or 8 workers |
-//! | `simd-vs-scalar-emulation` | a full tune is bit-identical under the AVX2 backend and its scalar emulation, at 1/2/8 workers |
 
 use crate::diff::Check;
 use crate::scenario::Scenario;
@@ -41,14 +39,12 @@ use gridtuner_core::estimate_alpha;
 use gridtuner_core::expr_kernel::{dedup_groups, PmfMemo};
 use gridtuner_core::expression::{
     expression_error_alg1, expression_error_alg2, expression_error_naive,
-    expression_error_windowed, lemma_upper_bound, mgrid_expression_error, total_expression_error,
-    total_expression_error_memo, total_expression_error_percell, total_expression_error_seq,
-    try_partition_expression_error,
+    expression_error_windowed, lemma_upper_bound, mgrid_expression_error,
+    partition_expression_error_seq, total_expression_error_percell, try_partition_expression_error,
 };
 use gridtuner_core::resample::resample_events;
 use gridtuner_core::search::{
-    brute_force, iterative_method, ternary_search, try_brute_force, try_iterative_method,
-    try_ternary_search, ErrorOracle, SearchOutcome,
+    try_brute_force, try_iterative_method, try_ternary_search, ErrorOracle, SearchOutcome,
 };
 use gridtuner_core::upper_bound::UpperBoundOracle;
 use gridtuner_engine::{
@@ -733,12 +729,12 @@ pub fn standard_checks() -> Vec<Check> {
     checks.push(Check::new("search-ternary-unimodal", |s| {
         let (curve, t) = unimodal_curve(s, 0x07);
         let hi = curve.len() as u32 - 1;
-        let probe = |side: u32| curve[side as usize];
-        let brute = brute_force(probe, 1, hi);
+        let probe = |side: u32| Ok(curve[side as usize]);
+        let brute = try_brute_force(probe, 1, hi).map_err(|e| e.to_string())?;
         if brute.side != t {
             return Err(format!("brute force found {} not argmin {t}", brute.side));
         }
-        let tern = ternary_search(probe, 1, hi);
+        let tern = try_ternary_search(probe, 1, hi).map_err(|e| e.to_string())?;
         if tern.side != t {
             return Err(format!(
                 "ternary found {} (e = {}) on a strictly unimodal curve with argmin {t} (e = {})",
@@ -754,7 +750,8 @@ pub fn standard_checks() -> Vec<Check> {
         let mut rng = s.rng(0x0880);
         let init = rng.gen_range(1..=hi);
         let bound = rng.gen_range(1..=4u32);
-        let out = iterative_method(|side: u32| curve[side as usize], 1, hi, init, bound);
+        let out = try_iterative_method(|side: u32| Ok(curve[side as usize]), 1, hi, init, bound)
+            .map_err(|e| e.to_string())?;
         if out.side != t {
             return Err(format!(
                 "iterative (init {init}, bound {bound}) stopped at {} not argmin {t}",
@@ -823,24 +820,11 @@ pub fn standard_checks() -> Vec<Check> {
     }));
 
     checks.push(Check::new("total-expr-par-vs-seq", |s| {
-        let cache = AlphaFieldCache::new(&s.events, &s.clock, &s.window);
-        let part = Partition::for_budget(s.params.max_side, s.params.budget_side);
-        cache.with_alpha(part.hgrid_spec(), |alpha| {
-            // Both sweeps fold SUM_BLOCK-sized blocks of MGrids in order,
-            // so they agree bit for bit, not just to tolerance.
-            bit_eq(
-                "total expression error, parallel vs sequential",
-                total_expression_error(alpha, &part),
-                total_expression_error_seq(alpha, &part),
-            )
-        })
-    }));
-
-    checks.push(Check::new("uniform-trait-vs-legacy", |s| {
-        // The `SpatialPartition` refactor's inertness gate: a `UniformGrid`
-        // wrapping the legacy square partition must reproduce the legacy
-        // batched sweep bit for bit — same per-region values, same
-        // SUM_BLOCK association — at every worker count in the matrix.
+        // The one expression sweep against its sequential oracle: the
+        // square partition as a `UniformGrid`, every side of the range,
+        // at every worker count in the matrix. Both fold SUM_BLOCK-sized
+        // blocks of regions in order, so they agree bit for bit, not just
+        // to tolerance.
         let cache = AlphaFieldCache::new(&s.events, &s.clock, &s.window);
         let memo = PmfMemo::default();
         let prev = gridtuner_par::max_threads();
@@ -850,14 +834,15 @@ pub fn standard_checks() -> Vec<Check> {
                 for side in 1..=s.params.max_side {
                     let part = Partition::for_budget(side, s.params.budget_side);
                     let alpha = cache.alpha(part.hgrid_spec());
-                    let legacy = total_expression_error_memo(&alpha, &part, &memo);
                     let uniform = UniformGrid::new(part);
-                    let traited = try_partition_expression_error(&alpha, &uniform, Some(&memo))
+                    let par = try_partition_expression_error(&alpha, &uniform, Some(&memo))
+                        .map_err(|e| format!("side {side}: {e}"))?;
+                    let seq = partition_expression_error_seq(&alpha, &uniform)
                         .map_err(|e| format!("side {side}: {e}"))?;
                     bit_eq(
-                        &format!("side {side} at {threads} workers, trait vs legacy"),
-                        traited,
-                        legacy,
+                        &format!("side {side} at {threads} workers, parallel vs sequential"),
+                        par,
+                        seq,
                     )?;
                 }
             }
@@ -879,11 +864,15 @@ pub fn standard_checks() -> Vec<Check> {
             .map(|_| rng.gen_range(0..40u32) as f64 / 8.0)
             .collect();
         let alpha = CountMatrix::from_vec(spec.side(), vals).map_err(|e| format!("{e}"))?;
-        let seq = total_expression_error_seq(&alpha, &part);
+        let uniform = UniformGrid::new(part);
+        let seq = partition_expression_error_seq(&alpha, &uniform).map_err(|e| e.to_string())?;
         let memo = PmfMemo::default();
-        let cold = total_expression_error_memo(&alpha, &part, &memo);
+        let sweep = || {
+            try_partition_expression_error(&alpha, &uniform, Some(&memo)).map_err(|e| e.to_string())
+        };
+        let cold = sweep()?;
         bit_eq("batched (cold pmf memo) vs sequential", cold, seq)?;
-        let warm = total_expression_error_memo(&alpha, &part, &memo);
+        let warm = sweep()?;
         bit_eq("batched (warm pmf memo) vs sequential", warm, seq)?;
         if part.m() > 1 && memo.hits() == 0 {
             return Err("warm pass served no pmf-memo hits".into());
@@ -1134,41 +1123,6 @@ pub fn standard_checks() -> Vec<Check> {
         result
     }));
 
-    checks.push(Check::new("simd-vs-scalar-emulation", |s| {
-        // The SIMD layer's whole contract in one differential: the AVX2
-        // backend and its scalar emulation replay the same canonical
-        // 4-lane association, so a full tune — selected side, error bits,
-        // per-probe decomposition — must be bit-identical across
-        // backends, at every worker count. On hosts without AVX2 both
-        // settings run the scalar path and the check degenerates to a
-        // replay-determinism test.
-        let prev_threads = gridtuner_par::max_threads();
-        let prev_simd = gridtuner_core::simd_enabled();
-        let config = engine_config(s, SearchStrategy::BruteForce);
-        let run = |simd: bool, threads: usize| -> Result<_, String> {
-            gridtuner_core::set_simd_enabled(simd);
-            gridtuner_par::set_max_threads(threads);
-            Ok(session_tune(s, config, &s.events)?.outcome)
-        };
-        let result = (|| {
-            let reference = run(false, 1)?;
-            for simd in [false, true] {
-                for threads in [1usize, 2, 8] {
-                    let got = run(simd, threads)?;
-                    same_outcome(
-                        &format!("simd={simd}, {threads} threads vs scalar 1-thread reference"),
-                        &got,
-                        &reference,
-                    )?;
-                }
-            }
-            Ok(())
-        })();
-        gridtuner_core::set_simd_enabled(prev_simd);
-        gridtuner_par::set_max_threads(prev_threads);
-        result
-    }));
-
     checks
 }
 
@@ -1179,7 +1133,7 @@ mod tests {
     #[test]
     fn registry_names_are_unique_and_stable() {
         let checks = standard_checks();
-        assert!(checks.len() >= 24, "registry shrank to {}", checks.len());
+        assert!(checks.len() >= 23, "registry shrank to {}", checks.len());
         let mut names: Vec<&str> = checks.iter().map(|c| c.name).collect();
         names.sort_unstable();
         let before = names.len();

@@ -6,7 +6,7 @@
 //! (and still useful) end-to-end smoke test.
 
 use gridtuner_core::errors::{evaluate_errors, ErrorSample};
-use gridtuner_core::search::{brute_force, ErrorOracle};
+use gridtuner_core::search::{try_brute_force, ErrorOracle};
 use gridtuner_core::upper_bound::UpperBoundOracle;
 use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_spatial::{CountMatrix, Partition};
@@ -47,7 +47,7 @@ fn tuning_hot_path_upholds_gated_invariants() {
             sc.params.budget_side,
             sc.model_fn(),
         );
-        let direct = brute_force(|s| oracle.eval(s), lo, hi);
+        let direct = try_brute_force(|s| Ok(oracle.eval(s)), lo, hi).unwrap();
         assert!((lo..=hi).contains(&direct.side));
         assert_eq!(oracle.alpha_rescans(), 1);
     }

@@ -2,10 +2,10 @@
 //!
 //! Three promises of the `SpatialPartition` refactor, checked end to end:
 //!
-//! 1. the trait-dispatched uniform path is *bit-identical* to the legacy
-//!    square-grid sweep — per probed side and for the full
-//!    `tune_partition(Uniform)` report — across the `GRIDTUNER_THREADS`
-//!    matrix (1 / 2 / 8), like every other parallel kernel here;
+//! 1. the uniform path is *bit-identical* to its sequential oracle per
+//!    probed side, and it and the full `tune_partition(Uniform)` report
+//!    replay bit for bit across the `GRIDTUNER_THREADS` matrix
+//!    (1 / 2 / 8), like every other parallel kernel here;
 //! 2. quadtree refinement never increases the Theorem II.1 upper bound:
 //!    with a zero model leg the bound *is* the expression leg, and a
 //!    split must not increase it (fuzzed over random α fields and random
@@ -21,7 +21,7 @@
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::expr_kernel::PmfMemo;
-use gridtuner_core::expression::{total_expression_error_memo, try_partition_expression_error};
+use gridtuner_core::expression::{partition_expression_error_seq, try_partition_expression_error};
 use gridtuner_datagen::City;
 use gridtuner_engine::{
     EngineConfig, PartitionKind, PartitionLayout, SearchStrategy, TuningSession,
@@ -86,8 +86,9 @@ fn quadtree_fingerprint(s: &Scenario) -> QuadFingerprint {
     }
 }
 
-/// The trait-dispatched uniform sweep per side, as bits.
-fn uniform_trait_sweep(s: &Scenario) -> Vec<u64> {
+/// The parallel uniform sweep per side, as bits, each checked against the
+/// sequential oracle.
+fn uniform_sweep(s: &Scenario) -> Vec<u64> {
     let cache = AlphaFieldCache::new(&s.events, &s.clock, &s.window);
     let memo = PmfMemo::default();
     let (lo, hi) = s.params.side_range();
@@ -95,15 +96,15 @@ fn uniform_trait_sweep(s: &Scenario) -> Vec<u64> {
         .map(|side| {
             let part = Partition::for_budget(side, s.params.budget_side);
             let alpha = cache.alpha(part.hgrid_spec());
-            let legacy = total_expression_error_memo(&alpha, &part, &memo);
             let uniform = UniformGrid::new(part);
-            let traited = try_partition_expression_error(&alpha, &uniform, Some(&memo)).unwrap();
+            let seq = partition_expression_error_seq(&alpha, &uniform).unwrap();
+            let par = try_partition_expression_error(&alpha, &uniform, Some(&memo)).unwrap();
             assert_eq!(
-                traited.to_bits(),
-                legacy.to_bits(),
-                "side {side}: trait sweep {traited} != legacy {legacy}"
+                par.to_bits(),
+                seq.to_bits(),
+                "side {side}: parallel sweep {par} != sequential {seq}"
             );
-            traited.to_bits()
+            par.to_bits()
         })
         .collect()
 }
@@ -136,7 +137,7 @@ fn partition_paths_are_bit_identical_across_thread_counts() {
         .iter()
         .map(|s| {
             (
-                uniform_trait_sweep(s),
+                uniform_sweep(s),
                 uniform_report_bits(s),
                 quadtree_fingerprint(s),
             )
@@ -146,7 +147,7 @@ fn partition_paths_are_bit_identical_across_thread_counts() {
         gridtuner_par::set_max_threads(threads);
         for (s, expect) in scenarios.iter().zip(&baseline) {
             let got = (
-                uniform_trait_sweep(s),
+                uniform_sweep(s),
                 uniform_report_bits(s),
                 quadtree_fingerprint(s),
             );

@@ -11,11 +11,13 @@
 //! search sometimes misses a jagged minimum while the iterative method
 //! walks into it.
 
-use gridtuner::core::expression::total_expression_error;
-use gridtuner::core::search::{brute_force, iterative_method, ternary_search, SearchOutcome};
+use gridtuner::core::expression::try_partition_expression_error;
+use gridtuner::core::search::{
+    try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome,
+};
 use gridtuner::datagen::City;
 use gridtuner::predict::{HistoricalAverage, Predictor};
-use gridtuner::spatial::{GridSpec, Partition};
+use gridtuner::spatial::{GridSpec, Partition, UniformGrid};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
@@ -42,9 +44,11 @@ fn main() {
         }
         // Expression-error leg from the true mean field.
         let alpha = city.mean_field(partition.hgrid_spec(), clock.slot_at(28, 16));
-        curve.push(model_err + total_expression_error(&alpha, &partition));
+        let expr = try_partition_expression_error(&alpha, &UniformGrid::new(partition), None)
+            .expect("finite mean field on the partition's HGrid lattice");
+        curve.push(model_err + expr);
     }
-    let oracle = |s: u32| curve[(s - lo) as usize];
+    let oracle = |s: u32| Ok(curve[(s - lo) as usize]);
 
     let show = |name: &str, out: &SearchOutcome| {
         let trail: Vec<String> = out
@@ -59,11 +63,11 @@ fn main() {
         println!("  probes: {}", trail.join("  "));
     };
 
-    let bf = brute_force(oracle, lo, hi);
+    let bf = try_brute_force(oracle, lo, hi).expect("valid side range");
     show("brute-force", &bf);
-    let ts = ternary_search(oracle, lo, hi);
+    let ts = try_ternary_search(oracle, lo, hi).expect("valid side range");
     show("ternary search", &ts);
-    let it = iterative_method(oracle, lo, hi, 16, 4);
+    let it = try_iterative_method(oracle, lo, hi, 16, 4).expect("valid side range and bound");
     show("iterative method", &it);
 
     println!(

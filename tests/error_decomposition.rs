@@ -2,10 +2,10 @@
 //! measured on sampled data vs the analytic Poisson expression error.
 
 use gridtuner::core::errors::{evaluate_errors, ErrorSample};
-use gridtuner::core::expression::total_expression_error;
+use gridtuner::core::expression::try_partition_expression_error;
 use gridtuner::datagen::City;
 use gridtuner::predict::{HistoricalAverage, Predictor};
-use gridtuner::spatial::{Partition, SlotId};
+use gridtuner::spatial::{CountMatrix, Partition, SlotId, UniformGrid};
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Sample HGrid-lattice counts for several evaluation slots, predict with
@@ -31,6 +31,11 @@ fn build_samples(city: &City, partition: &Partition, n_days: u32, seed: u64) -> 
             }
         })
         .collect()
+}
+
+/// Total expression error of the square partition over the α field.
+fn uniform_expression_error(alpha: &CountMatrix, partition: Partition) -> f64 {
+    try_partition_expression_error(alpha, &UniformGrid::new(partition), None).unwrap()
 }
 
 #[test]
@@ -62,7 +67,7 @@ fn analytic_expression_error_tracks_empirical() {
     let clock = *city.clock();
     // Analytic: α = the true mean field at slot-of-day 16 on a weekday.
     let alpha = city.mean_field(partition.hgrid_spec(), clock.slot_at(9, 16));
-    let analytic = total_expression_error(&alpha, &partition);
+    let analytic = uniform_expression_error(&alpha, partition);
     // Empirical: average over sampled weekday slots at the same
     // slot-of-day (perfect-model setup ⇒ real error = expression error).
     let mut rng = StdRng::seed_from_u64(23);
@@ -104,7 +109,7 @@ fn expression_error_ordering_across_cities() {
         let alpha = city.mean_field(partition.hgrid_spec(), clock.slot_at(9, 16));
         errs.push((
             city.name().to_string(),
-            total_expression_error(&alpha, &partition),
+            uniform_expression_error(&alpha, partition),
         ));
     }
     assert!(
@@ -122,7 +127,7 @@ fn expression_error_decreases_with_n_on_all_presets() {
         for s in [1u32, 2, 4, 8, 16] {
             let partition = Partition::for_budget(s, 32);
             let alpha = city.mean_field(partition.hgrid_spec(), clock.slot_at(9, 16));
-            let e = total_expression_error(&alpha, &partition);
+            let e = uniform_expression_error(&alpha, partition);
             assert!(
                 e <= prev * 1.05 + 1e-9,
                 "{}: expression error rose sharply at s={s}: {e} > {prev}",

@@ -3,7 +3,7 @@
 
 use gridtuner::core::alpha::AlphaWindow;
 use gridtuner::core::search::{
-    brute_force, iterative_method, ternary_search, ErrorOracle, MemoOracle,
+    try_brute_force, try_iterative_method, try_ternary_search, ErrorOracle, MemoOracle,
 };
 use gridtuner::core::upper_bound::UpperBoundOracle;
 use gridtuner::datagen::City;
@@ -29,9 +29,12 @@ fn city_oracle(city: City, coef: f64) -> impl ErrorOracle {
 #[test]
 fn heuristics_beat_brute_force_on_evaluations() {
     let city = City::chengdu().scaled(0.05);
-    let bf = brute_force(city_oracle(city.clone(), 1.0), 2, 32);
-    let ts = ternary_search(city_oracle(city.clone(), 1.0), 2, 32);
-    let it = iterative_method(city_oracle(city, 1.0), 2, 32, 16, 4);
+    let mut oracle = city_oracle(city.clone(), 1.0);
+    let bf = try_brute_force(|s| Ok(oracle.eval(s)), 2, 32).unwrap();
+    let mut oracle = city_oracle(city.clone(), 1.0);
+    let ts = try_ternary_search(|s| Ok(oracle.eval(s)), 2, 32).unwrap();
+    let mut oracle = city_oracle(city, 1.0);
+    let it = try_iterative_method(|s| Ok(oracle.eval(s)), 2, 32, 16, 4).unwrap();
     assert_eq!(bf.evals, 31);
     assert!(ts.evals < bf.evals / 2, "ternary evals {}", ts.evals);
     assert!(it.evals < bf.evals, "iterative evals {}", it.evals);
@@ -57,9 +60,9 @@ fn per_slot_optima_vary_across_the_day() {
             day_end: 14,
             weekdays_only: true,
         };
-        let oracle =
+        let mut oracle =
             UpperBoundOracle::new(events, clock, window, 64, |s: u32| (s * s) as f64 * 0.6);
-        let out = brute_force(oracle, 1, 28);
+        let out = try_brute_force(|s| Ok(oracle.eval(s)), 1, 28).unwrap();
         assert!(out.side >= 1 && out.side <= 28);
         optima.push((sod, out.side));
     }
@@ -109,7 +112,7 @@ fn ternary_finds_the_optimum_on_fuzzed_unimodal_curves() {
     for _ in 0..200 {
         let (curve, t) = random_unimodal(&mut rng);
         let hi = curve.len() as u32 - 1;
-        let out = ternary_search(|s: u32| curve[s as usize], 1, hi);
+        let out = try_ternary_search(|s: u32| Ok(curve[s as usize]), 1, hi).unwrap();
         assert_eq!(
             out.side, t,
             "curve with argmin {t}: ternary found {}",
@@ -127,7 +130,7 @@ fn iterative_finds_the_optimum_on_fuzzed_unimodal_curves() {
         let hi = curve.len() as u32 - 1;
         let init = rng.gen_range(1..=hi);
         let bound = rng.gen_range(1..=5u32);
-        let out = iterative_method(|s: u32| curve[s as usize], 1, hi, init, bound);
+        let out = try_iterative_method(|s: u32| Ok(curve[s as usize]), 1, hi, init, bound).unwrap();
         assert_eq!(
             out.side, t,
             "init {init} bound {bound}: stopped at {} not {t}",
@@ -140,7 +143,7 @@ fn iterative_finds_the_optimum_on_fuzzed_unimodal_curves() {
 fn brute_force_ties_break_toward_the_smaller_side() {
     // Minimum plateau over sides 3..=5: the canonical rule is left-most.
     let curve = [f64::NAN, 4.0, 2.0, 1.0, 1.0, 1.0, 3.0];
-    let out = brute_force(|s: u32| curve[s as usize], 1, 6);
+    let out = try_brute_force(|s: u32| Ok(curve[s as usize]), 1, 6).unwrap();
     assert_eq!(out.side, 3);
     assert_eq!(out.error, 1.0);
 }
@@ -151,12 +154,12 @@ fn ternary_returns_a_true_minimiser_on_minimum_plateaus() {
     // whose only flat region IS the minimum it still lands on the plateau
     // (though not necessarily its left edge).
     let curve = [f64::NAN, 6.0, 4.0, 1.0, 1.0, 1.0, 1.0, 2.0, 5.0];
-    let out = ternary_search(|s: u32| curve[s as usize], 1, 8);
+    let out = try_ternary_search(|s: u32| Ok(curve[s as usize]), 1, 8).unwrap();
     assert!((3..=6).contains(&out.side), "side {} off-plateau", out.side);
     assert_eq!(out.error, 1.0);
 }
 
-/// The failure mode the `ternary_search` docs warn about: a flat shoulder
+/// The failure mode the `try_ternary_search` docs warn about: a flat shoulder
 /// *away* from the minimum makes the tie rule discard the interval that
 /// holds the real optimum. Pinned so the behaviour (and its docs) cannot
 /// drift silently.
@@ -164,9 +167,9 @@ fn ternary_returns_a_true_minimiser_on_minimum_plateaus() {
 fn ternary_can_be_misled_by_shoulder_plateaus() {
     //            side:   1    2    3    4    5    6    7    8    9
     let curve = [f64::NAN, 9.0, 8.0, 5.0, 5.0, 5.0, 5.0, 5.0, 0.0, 1.0];
-    let brute = brute_force(|s: u32| curve[s as usize], 1, 9);
+    let brute = try_brute_force(|s: u32| Ok(curve[s as usize]), 1, 9).unwrap();
     assert_eq!(brute.side, 8, "the true optimum sits past the shoulder");
-    let out = ternary_search(|s: u32| curve[s as usize], 1, 9);
+    let out = try_ternary_search(|s: u32| Ok(curve[s as usize]), 1, 9).unwrap();
     // First round probes sides 3 and 7; the 5.0 == 5.0 tie discards
     // (7, 9] — and side 8 with it. The search then settles on the shoulder.
     assert_eq!(out.side, 3, "documented shoulder-plateau behaviour changed");
@@ -178,7 +181,7 @@ fn ternary_can_be_misled_by_shoulder_plateaus() {
 fn iterative_stays_put_on_flat_curves() {
     // Strict-improvement descent: a constant curve never moves the point.
     for init in [1u32, 5, 9] {
-        let out = iterative_method(|_s: u32| 2.5, 1, 9, init, 3);
+        let out = try_iterative_method(|_s: u32| Ok(2.5), 1, 9, init, 3).unwrap();
         assert_eq!(out.side, init);
         assert_eq!(out.error, 2.5);
     }
