@@ -26,8 +26,10 @@
 //! by `F` before the comparison — a self-test hook proving the sentinel
 //! actually trips (CI runs it with 1.25 and expects exit 1).
 //!
-//! Exit status: 0 when nothing FAILs, 1 otherwise.
+//! Exit status: 0 when nothing FAILs, 1 otherwise, 2 on a missing or
+//! malformed flag value or an unknown flag.
 
+use gridtuner_bench::flags::{exit_usage, Flags};
 use gridtuner_bench::kernel_timing::time_kernels;
 use gridtuner_bench::TUNE_BENCH_SCHEMA;
 use gridtuner_core::alpha::AlphaWindow;
@@ -235,44 +237,24 @@ struct CheckArgs {
     inject_kernel_slowdown: f64,
 }
 
-fn parse_args(args: &[String]) -> CheckArgs {
+fn parse_args(args: &[String]) -> Result<CheckArgs, String> {
     let mut out = CheckArgs {
         baseline: "BENCH_tune.json".into(),
         scale: 1.0,
         kernel_tol: 0.18,
         inject_kernel_slowdown: 1.0,
     };
-    let mut i = 0;
-    while i < args.len() {
-        let value = |j: usize| args.get(j).cloned();
-        match args[i].as_str() {
-            "--baseline" => {
-                i += 1;
-                if let Some(v) = value(i) {
-                    out.baseline = v;
-                }
-            }
-            "--scale" => {
-                i += 1;
-                out.scale = value(i).and_then(|s| s.parse().ok()).unwrap_or(out.scale);
-            }
-            "--kernel-tol" => {
-                i += 1;
-                out.kernel_tol = value(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(out.kernel_tol);
-            }
-            "--inject-kernel-slowdown" => {
-                i += 1;
-                out.inject_kernel_slowdown = value(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(out.inject_kernel_slowdown);
-            }
-            _ => {}
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--baseline" => out.baseline = flags.value(flag)?,
+            "--scale" => out.scale = flags.value(flag)?,
+            "--kernel-tol" => out.kernel_tol = flags.value(flag)?,
+            "--inject-kernel-slowdown" => out.inject_kernel_slowdown = flags.value(flag)?,
+            other => return Err(Flags::unknown(other)),
         }
-        i += 1;
     }
-    out
+    Ok(out)
 }
 
 /// Builds the full verdict list from a fresh measurement and a parsed
@@ -352,7 +334,7 @@ fn compare(fresh: &Fresh, baseline: &Val, kernel_tol: f64) -> Vec<Check> {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv);
+    let args = parse_args(&argv).unwrap_or_else(|e| exit_usage("bench_check", &e));
 
     let text = match std::fs::read_to_string(&args.baseline) {
         Ok(t) => t,
@@ -472,18 +454,24 @@ mod tests {
 
     #[test]
     fn arg_parsing_defaults_and_overrides() {
-        let d = parse_args(&argv(""));
+        let d = parse_args(&argv("")).unwrap();
         assert_eq!(d.baseline, "BENCH_tune.json");
         assert_eq!(d.scale, 1.0);
         assert_eq!(d.kernel_tol, 0.18);
         assert_eq!(d.inject_kernel_slowdown, 1.0);
         let o = parse_args(&argv(
             "--baseline other.json --scale 0.1 --kernel-tol 0.2 --inject-kernel-slowdown 1.25",
-        ));
+        ))
+        .unwrap();
         assert_eq!(o.baseline, "other.json");
         assert_eq!(o.scale, 0.1);
         assert_eq!(o.kernel_tol, 0.2);
         assert_eq!(o.inject_kernel_slowdown, 1.25);
+        // A bad value or an unknown flag is an error, never a default.
+        let err = parse_args(&argv("--kernel-tol nope")).unwrap_err();
+        assert!(err.contains("--kernel-tol"), "{err}");
+        assert!(parse_args(&argv("--baseline")).is_err());
+        assert!(parse_args(&argv("--kernel-toll 0.2")).is_err());
     }
 
     #[test]

@@ -17,12 +17,18 @@
 //! max_overhead_pct, reps}` where off/on are the per-mode minima. The
 //! budget defaults to 3% and can be widened for noisy CI runners via
 //! `GRIDTUNER_OBS_MAX_OVERHEAD_PCT`.
+//!
+//! A missing or malformed flag value, or an unknown flag, exits 2; a
+//! malformed `GRIDTUNER_OBS_MAX_OVERHEAD_PCT` exits 5 (the env code of the
+//! engine's exit-code taxonomy). Both are checked before any measurement.
 
+use gridtuner_bench::flags::{exit_usage, Flags};
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_datagen::City;
-use gridtuner_engine::{EngineConfig, SearchStrategy, TuneReport, TuningSession};
+use gridtuner_engine::{EngineConfig, EngineError, SearchStrategy, TuneReport, TuningSession};
 use gridtuner_obs as obs;
 use gridtuner_obs::json::Val;
+use gridtuner_par::EnvParseError;
 use gridtuner_spatial::Event;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
@@ -87,24 +93,59 @@ fn clamp_overhead(raw_pct: f64) -> f64 {
     raw_pct.max(0.0)
 }
 
-fn parse_flag(args: &[String], name: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// Parsed command line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BenchArgs {
+    /// City volume scale.
+    scale: f64,
+    /// Paired reps (at least 1).
+    reps: u32,
+    /// Tunes per mode inside one rep (at least 1).
+    inner: u32,
 }
 
-fn max_overhead_pct() -> f64 {
-    std::env::var("GRIDTUNER_OBS_MAX_OVERHEAD_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_MAX_OVERHEAD_PCT)
+fn parse_args(args: &[String]) -> Result<BenchArgs, String> {
+    let mut out = BenchArgs {
+        scale: 0.05,
+        reps: 9,
+        inner: 25,
+    };
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--scale" => out.scale = flags.value(flag)?,
+            "--reps" => out.reps = flags.value::<u32>(flag)?.max(1),
+            "--inner" => out.inner = flags.value::<u32>(flag)?.max(1),
+            other => return Err(Flags::unknown(other)),
+        }
+    }
+    Ok(out)
+}
+
+/// The overhead budget: `raw` is `GRIDTUNER_OBS_MAX_OVERHEAD_PCT` (unset
+/// means the default); a value that is not a number is an env error.
+fn max_overhead_pct(raw: Option<String>) -> Result<f64, EngineError> {
+    let Some(value) = raw else {
+        return Ok(DEFAULT_MAX_OVERHEAD_PCT);
+    };
+    value.trim().parse().map_err(|_| {
+        EngineError::Env(EnvParseError {
+            var: "GRIDTUNER_OBS_MAX_OVERHEAD_PCT",
+            value,
+            expected: "a percentage, e.g. 5",
+        })
+    })
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = parse_flag(&args, "--scale").unwrap_or(0.05);
-    let reps = parse_flag(&args, "--reps").unwrap_or(9.0).max(1.0) as u32;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let BenchArgs { scale, reps, inner } =
+        parse_args(&argv).unwrap_or_else(|e| exit_usage("obs_bench", &e));
+    let budget = max_overhead_pct(std::env::var("GRIDTUNER_OBS_MAX_OVERHEAD_PCT").ok())
+        .unwrap_or_else(|e| {
+            eprintln!("obs_bench: {e}");
+            std::process::exit(e.exit_code());
+        });
 
     let city = City::nyc().scaled(scale);
     let clock = *city.clock();
@@ -135,7 +176,6 @@ fn main() {
     // the multi-percent wall-clock swings shared runners show between any
     // two absolute measurements.
     run_once(&events, &cfg);
-    let inner = parse_flag(&args, "--inner").unwrap_or(25.0).max(1.0) as u32;
     let mut ratios = Vec::with_capacity(reps as usize);
     let mut off_s = f64::INFINITY;
     let mut on_s = f64::INFINITY;
@@ -154,7 +194,6 @@ fn main() {
 
     let raw_overhead_pct = (median_ratio - 1.0) * 100.0;
     let overhead_pct = clamp_overhead(raw_overhead_pct);
-    let budget = max_overhead_pct();
     let json = Val::obj(vec![
         ("schema", Val::from(BENCH_SCHEMA)),
         ("off_ms", Val::from(off_s * 1e3)),
@@ -191,15 +230,18 @@ mod tests {
     #[test]
     fn flag_parsing() {
         assert_eq!(
-            parse_flag(&argv("--scale 0.2 --reps 3"), "--scale"),
-            Some(0.2)
+            parse_args(&argv("--scale 0.2 --reps 3")),
+            Ok(BenchArgs {
+                scale: 0.2,
+                reps: 3,
+                inner: 25
+            })
         );
-        assert_eq!(
-            parse_flag(&argv("--scale 0.2 --reps 3"), "--reps"),
-            Some(3.0)
-        );
-        assert_eq!(parse_flag(&argv("--scale"), "--scale"), None);
-        assert_eq!(parse_flag(&argv(""), "--reps"), None);
+        assert_eq!(parse_args(&argv("--inner 0")).unwrap().inner, 1);
+        // Missing or malformed values and unknown flags are errors.
+        assert!(parse_args(&argv("--scale")).is_err());
+        assert!(parse_args(&argv("--reps nope")).is_err());
+        assert!(parse_args(&argv("--rep 3")).is_err());
     }
 
     #[test]
@@ -211,9 +253,13 @@ mod tests {
 
     #[test]
     fn overhead_budget_defaults_to_three_percent() {
-        // (The env override is read at runtime; the default is the
-        // acceptance criterion of the observability PR.)
+        // The default is the observability layer's acceptance criterion;
+        // the env override widens it, and a malformed one is an env error.
         assert_eq!(DEFAULT_MAX_OVERHEAD_PCT, 3.0);
+        assert_eq!(max_overhead_pct(None).unwrap(), 3.0);
+        assert_eq!(max_overhead_pct(Some("7.5".into())).unwrap(), 7.5);
+        let err = max_overhead_pct(Some("nope".into())).unwrap_err();
+        assert_eq!(err.exit_code(), 5, "{err}");
     }
 
     #[test]

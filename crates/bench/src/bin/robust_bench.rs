@@ -21,7 +21,10 @@
 //! cargo run --release -p gridtuner-bench --bin robust_bench \
 //!     [-- --scale X] [--replicates B]
 //! ```
+//!
+//! A missing or malformed flag value, or an unknown flag, exits 2.
 
+use gridtuner_bench::flags::{exit_usage, Flags};
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_datagen::City;
 use gridtuner_engine::{BootstrapConfig, EngineConfig, SearchStrategy, TuningSession};
@@ -43,34 +46,27 @@ const SEED: u64 = 0x6e7963;
 /// Parsed command line.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct BenchArgs {
-    /// City volume scale; anything unparsable falls back to 0.002 (the
-    /// golden scale — full volume would make 24 bootstrap tunes per run).
+    /// City volume scale (default 0.002, the golden scale — full volume
+    /// would make 24 bootstrap tunes per run).
     scale: f64,
     /// Bootstrap replicates per regime.
     replicates: u32,
 }
 
-fn parse_args(args: &[String]) -> BenchArgs {
+fn parse_args(args: &[String]) -> Result<BenchArgs, String> {
     let mut out = BenchArgs {
         scale: 0.002,
         replicates: 8,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                out.scale = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(0.002);
-            }
-            "--replicates" => {
-                i += 1;
-                out.replicates = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(8);
-            }
-            _ => {}
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--scale" => out.scale = flags.value(flag)?,
+            "--replicates" => out.replicates = flags.value(flag)?,
+            other => return Err(Flags::unknown(other)),
         }
-        i += 1;
     }
-    out
+    Ok(out)
 }
 
 /// One regime's bootstrap tune, reduced to a JSON row.
@@ -143,7 +139,7 @@ fn run_regime(scale: f64, replicates: u32, phi: f64, drift: (f64, f64)) -> Val {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv);
+    let args = parse_args(&argv).unwrap_or_else(|e| exit_usage("robust_bench", &e));
     eprintln!(
         "[robust_bench] nyc scale {}, B = {} per regime, {} regimes",
         args.scale,
@@ -200,14 +196,20 @@ mod tests {
     fn arg_parsing() {
         assert_eq!(
             parse_args(&argv("")),
-            BenchArgs {
+            Ok(BenchArgs {
                 scale: 0.002,
                 replicates: 8
-            }
+            })
         );
-        assert_eq!(parse_args(&argv("--scale 0.01")).scale, 0.01);
-        assert_eq!(parse_args(&argv("--replicates 4")).replicates, 4);
-        assert_eq!(parse_args(&argv("--replicates nope")).replicates, 8);
+        assert_eq!(parse_args(&argv("--scale 0.01")).unwrap().scale, 0.01);
+        assert_eq!(parse_args(&argv("--replicates 4")).unwrap().replicates, 4);
+        // A malformed value or an unknown flag is an error, not a default.
+        let err = parse_args(&argv("--replicates nope")).unwrap_err();
+        assert!(
+            err.contains("--replicates") && err.contains("nope"),
+            "{err}"
+        );
+        assert!(parse_args(&argv("--replicate 4")).is_err());
     }
 
     /// One tiny regime end to end: the row carries the documented fields

@@ -29,9 +29,9 @@
 //!     [-- --scale X] [--min-kernel-speedup S] [--min-thread-speedup S]
 //! ```
 //!
-//! Every value flag needs a number: a missing or malformed one is a
-//! usage error (exit 2), never a silent default — a typo must not switch
-//! a CI gate off.
+//! Every value flag needs a number: a missing or malformed one, or an
+//! unknown flag, is a usage error (exit 2), never a silent default — a
+//! typo must not switch a CI gate off.
 //!
 //! `--min-kernel-speedup S` makes the run exit non-zero when the batched
 //! kernel is less than `S`× faster than the per-cell sweep — the CI
@@ -46,6 +46,7 @@
 //! self-time / worker-utilization / critical-path tables to stderr after
 //! the sweep.
 
+use gridtuner_bench::flags::{exit_usage, Flags};
 use gridtuner_bench::kernel_timing::time_kernels;
 use gridtuner_bench::TUNE_BENCH_SCHEMA;
 use gridtuner_core::alpha::AlphaWindow;
@@ -141,16 +142,6 @@ struct BenchArgs {
     profile: bool,
 }
 
-/// The number following flag `args[i]`, or a usage error naming the flag.
-fn flag_value(args: &[String], i: usize) -> Result<f64, String> {
-    let flag = &args[i];
-    let raw = args
-        .get(i + 1)
-        .ok_or_else(|| format!("{flag} needs a number"))?;
-    raw.parse()
-        .map_err(|_| format!("{flag} needs a number, got {raw:?}"))
-}
-
 fn parse_args(args: &[String]) -> Result<BenchArgs, String> {
     let mut out = BenchArgs {
         scale: 1.0,
@@ -158,35 +149,22 @@ fn parse_args(args: &[String]) -> Result<BenchArgs, String> {
         min_thread_speedup: None,
         profile: false,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                out.scale = flag_value(args, i)?;
-                i += 1;
-            }
-            "--min-kernel-speedup" => {
-                out.min_kernel_speedup = Some(flag_value(args, i)?);
-                i += 1;
-            }
-            "--min-thread-speedup" => {
-                out.min_thread_speedup = Some(flag_value(args, i)?);
-                i += 1;
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--scale" => out.scale = flags.value(flag)?,
+            "--min-kernel-speedup" => out.min_kernel_speedup = Some(flags.value(flag)?),
+            "--min-thread-speedup" => out.min_thread_speedup = Some(flags.value(flag)?),
             "--profile" => out.profile = true,
-            _ => {}
+            other => return Err(Flags::unknown(other)),
         }
-        i += 1;
     }
     Ok(out)
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv).unwrap_or_else(|e| {
-        eprintln!("tune_bench: {e}");
-        std::process::exit(2);
-    });
+    let args = parse_args(&argv).unwrap_or_else(|e| exit_usage("tune_bench", &e));
     let scale = args.scale;
 
     // Paper defaults: NYC-volume history, √N = 128, sides 4..=76, α window
@@ -482,7 +460,7 @@ mod tests {
         let err = parse_args(&argv("--scale nope")).unwrap_err();
         assert!(err.contains("--scale") && err.contains("nope"), "{err}");
         let err = parse_args(&argv("--scale")).unwrap_err();
-        assert!(err.contains("--scale needs a number"), "{err}");
+        assert!(err.contains("--scale needs a value"), "{err}");
     }
 
     #[test]
@@ -537,6 +515,13 @@ mod tests {
         assert!(!parse_args(&argv("")).unwrap().profile);
         assert!(parse_args(&argv("--profile")).unwrap().profile);
         assert!(parse_args(&argv("--scale 0.5 --profile")).unwrap().profile);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        // A misspelt gate must not silently switch the gate off.
+        let err = parse_args(&argv("--min-kernel-speedp 1.5")).unwrap_err();
+        assert!(err.contains("--min-kernel-speedp"), "{err}");
     }
 
     /// The benchmark's correctness gate, in miniature: the naive

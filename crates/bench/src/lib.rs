@@ -13,6 +13,7 @@
 
 pub mod ctx;
 pub mod experiments;
+pub mod flags;
 pub mod kernel_timing;
 
 /// Schema tag of `BENCH_tune.json`, written by `tune_bench` and required by

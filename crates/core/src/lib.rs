@@ -30,7 +30,8 @@
 //!   prediction–actual pairs (Definitions 3–5);
 //! * [`resample`] — seeded splitmix64 bootstrap resampling of the event
 //!   log, feeding the engine's uncertainty stage;
-//! * [`upper_bound`] — Algorithm 3 (`UpperBound(n, N, X, Model)`);
+//! * [`upper_bound`] — Algorithm 3 (`UpperBound(n, N, X, Model)`): its
+//!   model leg, the [`ModelErrorSource`] trait;
 //! * [`search`] — Brute-force, Ternary Search (Algorithm 4) and the
 //!   Iterative Method (Algorithm 5) over the upper bound, selected by
 //!   [`SearchStrategy`]. The engine's `TuningSession` wires all of the
@@ -68,7 +69,6 @@ pub use expression::{
 pub use kselect::{recommended_k, truncation_error_bound};
 pub use resample::{replicate_draws, replicate_seed, resample_events, splitmix64, ReplicateRng};
 pub use search::{
-    try_brute_force, try_iterative_method, try_ternary_search, ErrorOracle, MemoOracle,
-    SearchOutcome, SearchStrategy,
+    try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome, SearchStrategy,
 };
-pub use upper_bound::{InfallibleSource, ModelErrorFn, ModelErrorSource, UpperBoundOracle};
+pub use upper_bound::ModelErrorSource;

@@ -7,9 +7,9 @@
 //! `FnMut(u32) -> Result<f64, CoreError>`; each memoises its probes, so
 //! every expensive `UpperBound` evaluation (each one retrains the
 //! prediction model) runs once and the unique count is the "cost" column
-//! of Table IV. An infallible [`ErrorOracle`] drives a searcher as
-//! `|s| Ok(oracle.eval(s))`. An invalid side range or iterative bound is a
-//! typed [`CoreError`], never a panic.
+//! of Table IV. An infallible curve drives a searcher as `|s| Ok(f(s))`.
+//! An invalid side range or iterative bound is a typed [`CoreError`],
+//! never a panic.
 
 use crate::error::CoreError;
 use gridtuner_obs as obs;
@@ -31,70 +31,6 @@ pub enum SearchStrategy {
     },
 }
 
-/// Anything that can produce the upper-bound error `e(s)` for an MGrid
-/// side `s` (Algorithm 3's output).
-pub trait ErrorOracle {
-    /// Evaluates `e(s)`.
-    fn eval(&mut self, side: u32) -> f64;
-}
-
-impl<F: FnMut(u32) -> f64> ErrorOracle for F {
-    fn eval(&mut self, side: u32) -> f64 {
-        self(side)
-    }
-}
-
-/// Memoizing wrapper: caches evaluations and counts unique oracle calls.
-pub struct MemoOracle<O> {
-    inner: O,
-    cache: HashMap<u32, f64>,
-}
-
-impl<O: ErrorOracle> MemoOracle<O> {
-    /// Wraps an oracle.
-    pub fn new(inner: O) -> Self {
-        MemoOracle {
-            inner,
-            cache: HashMap::new(),
-        }
-    }
-
-    /// Number of unique (non-cached) evaluations performed so far. A thin
-    /// shim over the cache size; the global `search.unique_evals` registry
-    /// counter tracks the same quantity across all searches in a run.
-    pub fn unique_evals(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// The cached probes, sorted by side.
-    pub fn probes(&self) -> Vec<(u32, f64)> {
-        let mut v: Vec<_> = self.cache.iter().map(|(&s, &e)| (s, e)).collect();
-        v.sort_by_key(|&(s, _)| s);
-        v
-    }
-
-    /// Consumes the wrapper, returning the inner oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: ErrorOracle> ErrorOracle for MemoOracle<O> {
-    fn eval(&mut self, side: u32) -> f64 {
-        if let Some(&e) = self.cache.get(&side) {
-            return e;
-        }
-        obs::counter!("search.unique_evals").inc();
-        // "search.probe" (one per unique memoised probe) deliberately
-        // differs from the inner oracle's "probe" span so the two layers
-        // stay distinguishable in span stats.
-        let _span = obs::span!("search.probe", side = side);
-        let e = self.inner.eval(side);
-        self.cache.insert(side, e);
-        e
-    }
-}
-
 /// Result of a grid-size search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
@@ -108,10 +44,9 @@ pub struct SearchOutcome {
     pub probes: Vec<(u32, f64)>,
 }
 
-/// Fallible memoising probe backing the searchers: the same span/counter
-/// behaviour as [`MemoOracle`] (one `search.probe` span and one
-/// `search.unique_evals` increment per unique side), over a `Result`
-/// probe.
+/// Memoising probe backing the searchers: one `search.probe` span and one
+/// `search.unique_evals` increment per unique side, so every expensive
+/// `UpperBound` evaluation runs once per search.
 struct TryMemo<F> {
     probe: F,
     cache: HashMap<u32, f64>,
@@ -131,8 +66,8 @@ impl<F: FnMut(u32) -> Result<f64, CoreError>> TryMemo<F> {
         }
         obs::counter!("search.unique_evals").inc();
         // "search.probe" (one per unique memoised probe) deliberately
-        // differs from the inner oracle's "probe" span so the two layers
-        // stay distinguishable in span stats.
+        // differs from the session's "probe" span so the two layers stay
+        // distinguishable in span stats.
         let _span = obs::span!("search.probe", side = side);
         let e = (self.probe)(side)?;
         self.cache.insert(side, e);
@@ -427,20 +362,22 @@ mod tests {
 
     #[test]
     fn memoization_deduplicates_oracle_calls() {
+        // The iterative method re-reads `e(p)` every round and both
+        // neighbours of the optimum twice; each side still costs one call.
         let count = Rc::new(Cell::new(0usize));
         let c = Rc::clone(&count);
-        let oracle = move |s: u32| {
+        let probe = move |s: u32| {
             c.set(c.get() + 1);
-            (s as f64 - 7.0).powi(2)
+            Ok((s as f64 - 7.0).powi(2))
         };
-        let mut memo = MemoOracle::new(oracle);
-        for _ in 0..5 {
-            memo.eval(7);
-            memo.eval(8);
-        }
-        assert_eq!(count.get(), 2);
-        assert_eq!(memo.unique_evals(), 2);
-        assert_eq!(memo.probes(), vec![(7, 0.0), (8, 1.0)]);
+        let out = try_iterative_method(probe, 1, 12, 4, 1).unwrap();
+        assert_eq!(out.side, 7);
+        assert_eq!(count.get(), out.evals);
+        assert_eq!(out.evals, 5);
+        assert_eq!(
+            out.probes,
+            vec![(4, 9.0), (5, 4.0), (6, 1.0), (7, 0.0), (8, 1.0)]
+        );
     }
 
     #[test]

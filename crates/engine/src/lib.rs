@@ -32,9 +32,8 @@
 //!
 //! Model-error legs plug in through
 //! [`gridtuner_core::upper_bound::ModelErrorSource`]; it need not be
-//! `Sync` (a model trained per probe lives on the tuning thread), and
-//! infallible closures adapt via
-//! [`gridtuner_core::upper_bound::InfallibleSource`].
+//! `Sync` (a model trained per probe lives on the tuning thread), and any
+//! `FnMut(u32) -> f64` closure is an analytic source as it stands.
 
 // Library code must not panic on fallible paths; tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -60,4 +59,4 @@ pub use uncertainty::{
 // need only this crate.
 pub use gridtuner_core::alpha::AlphaWindow;
 pub use gridtuner_core::search::{SearchOutcome, SearchStrategy};
-pub use gridtuner_core::upper_bound::{InfallibleSource, ModelErrorFn, ModelErrorSource};
+pub use gridtuner_core::upper_bound::ModelErrorSource;

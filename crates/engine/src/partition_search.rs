@@ -550,7 +550,6 @@ mod tests {
     use crate::config::EngineConfig;
     use gridtuner_core::alpha::AlphaWindow;
     use gridtuner_core::search::SearchStrategy;
-    use gridtuner_core::upper_bound::InfallibleSource;
     use gridtuner_spatial::{Event, Point};
 
     fn hotspot_events(n: usize, days: u32) -> Vec<Event> {
@@ -596,12 +595,34 @@ mod tests {
         (s * s) as f64 * 0.4
     }
 
-    type TestSession = TuningSession<InfallibleSource<fn(u32) -> f64>>;
+    type TestSession = TuningSession<fn(u32) -> f64>;
 
     fn session() -> TestSession {
-        let mut s = TuningSession::new(cfg(), InfallibleSource(model as fn(u32) -> f64)).unwrap();
+        let mut s = TuningSession::new(cfg(), model as fn(u32) -> f64).unwrap();
         s.ingest(&hotspot_events(300, 7)).unwrap();
         s
+    }
+
+    #[test]
+    fn isqrt_is_exact() {
+        for n in 0usize..2000 {
+            let s = isqrt(n) as usize;
+            assert!(s * s <= n && (s + 1) * (s + 1) > n, "n={n} s={s}");
+        }
+    }
+
+    #[test]
+    fn region_model_leg_interpolates_linearly_in_n() {
+        let mut s = session();
+        // Linear-in-n model: interpolation is exact at every region count,
+        // square counts (1, 9, 100) taking the non-interpolated leg.
+        for regions in [1usize, 2, 3, 5, 9, 12, 17, 100] {
+            let got = s.region_model_error(regions).unwrap();
+            assert!(
+                (got - 0.4 * regions as f64).abs() < 1e-9,
+                "R={regions}: {got}"
+            );
+        }
     }
 
     #[test]

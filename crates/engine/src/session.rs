@@ -535,8 +535,6 @@ impl<S: ModelErrorSource> TuningSession<S> {
 mod tests {
     use super::*;
     use gridtuner_core::alpha::AlphaWindow;
-    use gridtuner_core::search::ErrorOracle;
-    use gridtuner_core::upper_bound::{InfallibleSource, UpperBoundOracle};
     use gridtuner_spatial::Point;
 
     fn skewed_events(n: usize, days: u32) -> Vec<Event> {
@@ -585,16 +583,16 @@ mod tests {
 
     /// Tunes `events` from scratch in a fresh session.
     fn tune_once(strategy: SearchStrategy, events: &[Event]) -> TuneReport {
-        let mut session = TuningSession::new(cfg(strategy), InfallibleSource(model)).unwrap();
+        let mut session = TuningSession::new(cfg(strategy), model).unwrap();
         session.ingest(events).unwrap();
         session.tune().unwrap()
     }
 
     #[test]
     fn session_tune_matches_direct_search_bitwise() {
-        // The independent reference: Algorithm 3 as `UpperBoundOracle`,
-        // driven straight through the `try_*` searcher — no session, no
-        // memo, no stage log.
+        // The independent reference: Algorithm 3 as a plain closure over a
+        // fresh α cache, driven straight through the `try_*` searcher — no
+        // session, no memo, no stage log.
         let events = skewed_events(600, 7);
         for strategy in [
             SearchStrategy::BruteForce,
@@ -602,14 +600,10 @@ mod tests {
             SearchStrategy::Iterative { init: 16, bound: 4 },
         ] {
             let config = cfg(strategy);
-            let mut oracle = UpperBoundOracle::new(
-                events.clone(),
-                config.clock,
-                config.alpha_window,
-                config.hgrid_budget_side,
-                model,
-            );
-            let probe = |s: u32| Ok(oracle.eval(s));
+            let cache = AlphaFieldCache::new(&events, &config.clock, &config.alpha_window);
+            let budget = config.hgrid_budget_side;
+            let probe =
+                |s: u32| Ok(cache.expression_error(&Partition::for_budget(s, budget))? + model(s));
             let direct = match strategy {
                 SearchStrategy::BruteForce => try_brute_force(probe, 2, 20),
                 SearchStrategy::Ternary => try_ternary_search(probe, 2, 20),
@@ -628,6 +622,78 @@ mod tests {
             assert_eq!(report.outcome.probes, direct.probes, "{strategy:?}");
             assert_eq!(report.alpha_full_scans, 1);
         }
+    }
+
+    /// Events concentrated in one corner of the map, every day at slot 0.
+    fn corner_events(days: u32, per_day: usize) -> Vec<Event> {
+        let mut out = Vec::new();
+        for d in 0..days {
+            for i in 0..per_day {
+                let f = i as f64 / per_day as f64;
+                out.push(Event::new(
+                    Point::new(0.05 + 0.1 * f, 0.05 + 0.07 * ((i * 7) % 10) as f64 / 10.0),
+                    d * 24 * 60,
+                ));
+            }
+        }
+        out
+    }
+
+    /// A brute-force session over sides 1..=16 at `√N = 16` with the
+    /// linear-in-n model leg `coef · s²`.
+    fn corner_session(events: &[Event], coef: f64) -> TuningSession<impl FnMut(u32) -> f64> {
+        let config = EngineConfig {
+            hgrid_budget_side: 16,
+            side_range: (1, 16),
+            ..cfg(SearchStrategy::BruteForce)
+        };
+        let mut session = TuningSession::new(config, move |s: u32| (s * s) as f64 * coef).unwrap();
+        session.ingest(events).unwrap();
+        session
+    }
+
+    #[test]
+    fn upper_bound_is_sum_of_legs() {
+        let mut session = corner_session(&corner_events(7, 40), 0.1);
+        let report = session.tune().unwrap();
+        for &(side, e) in &report.outcome.probes {
+            let expr = session.expression_error(side).unwrap();
+            let model = session.model_error(side).unwrap();
+            assert_eq!(e.to_bits(), (expr + model).to_bits(), "side {side}");
+        }
+        assert!(
+            session.expression_error(4).unwrap() > 0.0,
+            "concentrated events must have expression error"
+        );
+    }
+
+    #[test]
+    fn expression_leg_decreases_and_model_leg_increases() {
+        let mut session = corner_session(&corner_events(7, 60), 0.5);
+        let e_coarse = session.expression_error(1).unwrap();
+        let e_fine = session.expression_error(16).unwrap();
+        assert!(
+            e_coarse > e_fine,
+            "expression: coarse {e_coarse} fine {e_fine}"
+        );
+        assert!(session.model_error(16).unwrap() > session.model_error(1).unwrap());
+    }
+
+    #[test]
+    fn induced_curve_is_u_shaped() {
+        // With a linear-in-n model error and a concentrated α field, e(s)
+        // must dip somewhere strictly inside the range (the paper's
+        // decrease-then-increase claim, Sec. III-C). The model-error slope
+        // is chosen so the right edge (where the expression error vanishes
+        // because m = 1) is clearly worse than the interior.
+        let report = corner_session(&corner_events(7, 200), 2.0).tune().unwrap();
+        let curve = &report.outcome.probes;
+        assert_eq!(curve.len(), 16);
+        assert!(
+            report.outcome.side > 1 && report.outcome.side < 16,
+            "minimum at the boundary: side={}, curve={curve:?}",
+            report.outcome.side
+        );
     }
 
     #[test]
@@ -657,7 +723,7 @@ mod tests {
     fn incremental_ingest_matches_rebuild_bitwise() {
         let all = skewed_events(400, 7);
         let (old, delta) = all.split_at(900);
-        let mk = || TuningSession::new(cfg(SearchStrategy::BruteForce), InfallibleSource(model));
+        let mk = || TuningSession::new(cfg(SearchStrategy::BruteForce), model);
         let mut incremental = mk().unwrap();
         incremental.ingest(old).unwrap();
         incremental.tune().unwrap(); // warm every memo, then perturb
@@ -698,8 +764,7 @@ mod tests {
     #[test]
     fn tune_report_exposes_expression_kernel_counters() {
         let events = skewed_events(400, 7);
-        let mut session =
-            TuningSession::new(cfg(SearchStrategy::BruteForce), InfallibleSource(model)).unwrap();
+        let mut session = TuningSession::new(cfg(SearchStrategy::BruteForce), model).unwrap();
         session.ingest(&events).unwrap();
         let first = session.tune().unwrap();
         // Every probe sweeps the full HGrid lattice through the kernel.
@@ -724,7 +789,7 @@ mod tests {
             bootstrap: Some(BootstrapConfig::new(8, 7)),
             ..cfg(SearchStrategy::BruteForce)
         };
-        let mut session = TuningSession::new(config, InfallibleSource(model)).unwrap();
+        let mut session = TuningSession::new(config, model).unwrap();
         session.ingest(&events).unwrap();
         let hits_before = obs::counter!("boot.cache_hits").get();
         let report = session.tune().unwrap();
@@ -769,7 +834,7 @@ mod tests {
             ..cfg(SearchStrategy::BruteForce)
         };
         let run_seq = || {
-            let mut s = TuningSession::new(config, InfallibleSource(model)).unwrap();
+            let mut s = TuningSession::new(config, model).unwrap();
             s.ingest(&events).unwrap();
             s.tune().unwrap()
         };
@@ -780,8 +845,7 @@ mod tests {
 
     #[test]
     fn non_finite_events_are_a_data_error() {
-        let mut session =
-            TuningSession::new(cfg(SearchStrategy::BruteForce), InfallibleSource(model)).unwrap();
+        let mut session = TuningSession::new(cfg(SearchStrategy::BruteForce), model).unwrap();
         let bad = vec![Event::new(Point::new(f64::NAN, 0.5), 0)];
         let err = session.ingest(&bad).unwrap_err();
         assert_eq!(err.exit_code(), 3, "{err}");
@@ -794,9 +858,7 @@ mod tests {
             side_range: (10, 2),
             ..EngineConfig::default()
         };
-        let err = TuningSession::new(cfg, InfallibleSource(model))
-            .map(|_| ())
-            .unwrap_err();
+        let err = TuningSession::new(cfg, model).map(|_| ()).unwrap_err();
         assert_eq!(err.exit_code(), 2);
     }
 
@@ -821,8 +883,7 @@ mod tests {
     #[test]
     fn stages_run_in_pipeline_order() {
         let events = skewed_events(200, 7);
-        let mut session =
-            TuningSession::new(cfg(SearchStrategy::Ternary), InfallibleSource(model)).unwrap();
+        let mut session = TuningSession::new(cfg(SearchStrategy::Ternary), model).unwrap();
         session.ingest(&events).unwrap();
         session.tune().unwrap();
         let kinds: Vec<StageKind> = session.stages().iter().map(|s| s.kind).collect();
@@ -839,9 +900,9 @@ mod tests {
 
     #[test]
     fn simulator_requires_a_sim_config() {
-        let mut session = TuningSession::<InfallibleSource<fn(u32) -> f64>>::new(
+        let mut session = TuningSession::<fn(u32) -> f64>::new(
             cfg(SearchStrategy::BruteForce),
-            InfallibleSource(model as fn(u32) -> f64),
+            model as fn(u32) -> f64,
         )
         .unwrap();
         let err = session.simulator().map(|_| ()).unwrap_err();
@@ -852,7 +913,7 @@ mod tests {
                 sim: Some(sim),
                 ..cfg(SearchStrategy::BruteForce)
             },
-            InfallibleSource(model as fn(u32) -> f64),
+            model as fn(u32) -> f64,
         )
         .unwrap();
         with_sim.simulator().unwrap();

@@ -78,8 +78,8 @@ mod tests {
     //! the paper's workflow without reaching for the `gridtuner_*` names.
 
     use crate::core::alpha::AlphaWindow;
-    use crate::core::search::{try_brute_force, ErrorOracle};
-    use crate::core::upper_bound::UpperBoundOracle;
+    use crate::core::alpha_cache::AlphaFieldCache;
+    use crate::core::search::try_brute_force;
     use crate::datagen::City;
     use crate::engine::{EngineConfig, SearchStrategy, TuneReport, TuningSession};
     use crate::spatial::{Event, Partition};
@@ -126,14 +126,12 @@ mod tests {
     #[test]
     fn session_matches_the_direct_search_bitwise() {
         let (events, config) = chengdu_week();
-        let mut oracle = UpperBoundOracle::new(
-            events.clone(),
-            config.clock,
-            config.alpha_window,
-            config.hgrid_budget_side,
-            model,
-        );
-        let direct = try_brute_force(|s| Ok(oracle.eval(s)), 2, 12).unwrap();
+        // The independent reference: Algorithm 3 as a plain closure over a
+        // fresh α cache, no session, no memo.
+        let cache = AlphaFieldCache::new(&events, &config.clock, &config.alpha_window);
+        let budget = config.hgrid_budget_side;
+        let probe = |s| Ok(cache.expression_error(&Partition::for_budget(s, budget))? + model(s));
+        let direct = try_brute_force(probe, 2, 12).unwrap();
         let report = tune(&events, config);
         assert_eq!(report.outcome.side, direct.side);
         assert_eq!(report.outcome.error.to_bits(), direct.error.to_bits());

@@ -217,34 +217,6 @@ pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec
     out
 }
 
-/// Parallel indexed map: like [`par_map`] but `f` also receives the item's
-/// index in `items`.
-pub fn par_map_indexed<T: Sync, U: Send>(items: &[T], f: impl Fn(usize, &T) -> U + Sync) -> Vec<U> {
-    let workers = workers_for(items.len());
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let (chunk, n_tasks) = task_layout(items.len(), workers);
-    let parts: Vec<Mutex<Vec<U>>> = (0..n_tasks).map(|_| Mutex::new(Vec::new())).collect();
-    pool::run(n_tasks, workers, items.len(), &|pop| {
-        while let Some(t) = pop() {
-            let base = t * chunk;
-            let slice = &items[base..(base + chunk).min(items.len())];
-            let mapped: Vec<U> = slice
-                .iter()
-                .enumerate()
-                .map(|(i, item)| f(base + i, item))
-                .collect();
-            *lock_unpoisoned(&parts[t]) = mapped;
-        }
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for p in parts {
-        out.append(&mut p.into_inner().unwrap_or_else(PoisonError::into_inner));
-    }
-    out
-}
-
 /// Deterministic parallel sum: items are folded into per-block partials of
 /// [`SUM_BLOCK`] elements (each block folded with the canonical 4-lane
 /// association, see [`block_fold`]), and the partials are added in block
@@ -412,15 +384,6 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let out = par_map(&items, |&x| x * x);
         assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_indexed_passes_global_indices() {
-        let items = vec![10u64; 257];
-        let out = par_map_indexed(&items, |i, &x| i as u64 + x);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i as u64 + 10);
-        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl Predictor for SeasonalNaive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::total_model_error;
+    use crate::eval::try_total_model_error;
     use crate::models::HistoricalAverage;
 
     fn series_with_daily_pattern() -> (CountSeries, SlotClock) {
@@ -118,12 +118,13 @@ mod tests {
     fn seasonal_naive_is_exact_on_perfectly_periodic_data() {
         let (series, clock) = series_with_daily_pattern();
         let mut daily = SeasonalNaive::daily(&clock);
-        let err = total_model_error(
+        let err = try_total_model_error(
             &mut daily,
             &series,
             &clock,
             &[SlotId(48 * 7 + 3), SlotId(48 * 7 + 30)],
-        );
+        )
+        .unwrap();
         assert_eq!(err, 0.0, "daily-periodic data must be predicted exactly");
     }
 
@@ -131,8 +132,11 @@ mod tests {
     fn seasonal_naive_beats_persistence_on_periodic_data() {
         let (series, clock) = series_with_daily_pattern();
         let slots: Vec<SlotId> = (0..10).map(|k| SlotId(48 * 7 + k * 4 + 1)).collect();
-        let p_err = total_model_error(&mut Persistence::new(), &series, &clock, &slots);
-        let s_err = total_model_error(&mut SeasonalNaive::daily(&clock), &series, &clock, &slots);
+        let p_err =
+            try_total_model_error(&mut Persistence::new(), &series, &clock, &slots).unwrap();
+        let s_err =
+            try_total_model_error(&mut SeasonalNaive::daily(&clock), &series, &clock, &slots)
+                .unwrap();
         assert!(s_err < p_err, "seasonal {s_err} vs persistence {p_err}");
     }
 

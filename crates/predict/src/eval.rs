@@ -1,16 +1,16 @@
 //! Model-error measurement, and the bridge into the OGSS search.
 //!
 //! Eq. 20 of the paper: `Σ_i Σ_j E_m(i,j) = Σ_i E|λ̂_i − λ_i| ≈ n·MAE(f)`.
-//! [`total_model_error`] measures exactly that (the slot-averaged MGrid
-//! L1 bias); [`CityModelError`] packages "sample a training series at side
-//! `s`, fit a fresh predictor, evaluate on validation slots" as a
-//! [`ModelErrorFn`], the model leg of Algorithm 3.
+//! [`try_total_model_error`] measures exactly that (the slot-averaged
+//! MGrid L1 bias); [`CityModelError`] packages "sample a training series
+//! at side `s`, fit a fresh predictor, evaluate on validation slots" as a
+//! [`ModelErrorSource`], the model leg of Algorithm 3.
 
 use crate::error::PredictError;
 use crate::features::FeatureConfig;
 use crate::models::Predictor;
 use gridtuner_core::error::CoreError;
-use gridtuner_core::upper_bound::{ModelErrorFn, ModelErrorSource};
+use gridtuner_core::upper_bound::ModelErrorSource;
 use gridtuner_datagen::{City, DataSplit};
 use gridtuner_spatial::{CountSeries, GridSpec, SlotClock, SlotId};
 use rand::{rngs::StdRng, SeedableRng};
@@ -24,22 +24,8 @@ pub fn slots_in_days(clock: &SlotClock, days: (u32, u32)) -> Vec<SlotId> {
 }
 
 /// Mean over `eval_slots` of `Σ_i |λ̂_i − λ_i|` — the total model error of
-/// Eq. 20. Slots beyond the series horizon are skipped; panics if none
-/// remain (see [`try_total_model_error`] for the typed-error variant).
-pub fn total_model_error<P: Predictor + ?Sized>(
-    model: &mut P,
-    series: &CountSeries,
-    clock: &SlotClock,
-    eval_slots: &[SlotId],
-) -> f64 {
-    match try_total_model_error(model, series, clock, eval_slots) {
-        Ok(e) => e,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`total_model_error`]: an unfitted model, lattice mismatch or
-/// empty evaluable set is a typed error instead of a panic.
+/// Eq. 20. Slots beyond the series horizon are skipped; an unfitted model,
+/// lattice mismatch or empty evaluable set is a typed error.
 pub fn try_total_model_error<P: Predictor + ?Sized>(
     model: &mut P,
     series: &CountSeries,
@@ -95,17 +81,8 @@ impl<F: FnMut() -> Box<dyn Predictor>> CityModelError<F> {
     }
 
     /// Fits a predictor at `side` and returns `(model error, series)` —
-    /// useful when the caller also needs the sampled series. Panicking
-    /// convenience over [`try_measure`](Self::try_measure).
-    pub fn measure(&mut self, side: u32) -> (f64, CountSeries) {
-        match self.try_measure(side) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`measure`](Self::measure): evaluation failures surface as
-    /// typed errors instead of panics.
+    /// useful when the caller also needs the sampled series. Evaluation
+    /// failures surface as typed errors.
     pub fn try_measure(&mut self, side: u32) -> Result<(f64, CountSeries), PredictError> {
         let _span = gridtuner_obs::span!("model_error", side = side);
         let clock = *self.city.clock();
@@ -135,14 +112,9 @@ impl<F: FnMut() -> Box<dyn Predictor>> CityModelError<F> {
     }
 }
 
-impl<F: FnMut() -> Box<dyn Predictor>> ModelErrorFn for CityModelError<F> {
-    fn total_model_error(&mut self, mgrid_side: u32) -> f64 {
-        self.measure(mgrid_side).0
-    }
-}
-
-/// The session-API face of the city model oracle: same measurement, typed
-/// failures. The series is re-sampled per (seed, side) from the city's
+/// The session-API face of the city model oracle: the
+/// [`try_measure`](CityModelError::try_measure) error, with failures typed
+/// as [`CoreError::Model`]. The series is re-sampled per (seed, side) from the city's
 /// generator — not from the session's ingested log — so a data delta does
 /// not invalidate memoised values (`data_dependent` stays false).
 impl<F: FnMut() -> Box<dyn Predictor>> ModelErrorSource for CityModelError<F> {
@@ -198,7 +170,7 @@ mod tests {
         }
         let mut ha = HistoricalAverage::new();
         ha.fit(&series, &clock, SlotId(48 * 7));
-        let err = total_model_error(&mut ha, &series, &clock, &[clock.slot_at(7, 10)]);
+        let err = try_total_model_error(&mut ha, &series, &clock, &[clock.slot_at(7, 10)]).unwrap();
         assert!(err.abs() < 1e-9, "err = {err}");
     }
 
@@ -208,9 +180,9 @@ mod tests {
         let city = tiny_city();
         let mk = || Box::new(HistoricalAverage::new()) as Box<dyn Predictor>;
         let mut oracle = CityModelError::new(city, tiny_split(), 7, mk).with_max_eval_slots(24);
-        let coarse = ModelErrorFn::total_model_error(&mut oracle, 2);
-        let mid = ModelErrorFn::total_model_error(&mut oracle, 8);
-        let fine = ModelErrorFn::total_model_error(&mut oracle, 16);
+        let coarse = oracle.model_error(2).unwrap();
+        let mid = oracle.model_error(8).unwrap();
+        let fine = oracle.model_error(16).unwrap();
         assert!(
             coarse < mid && mid < fine,
             "model error not increasing: {coarse} {mid} {fine}"
@@ -231,7 +203,7 @@ mod tests {
         let mut mlp = Mlp::new(cfg);
         mlp.fit(&series, &clock, clock.slot_at(15, 0));
         let slots = slots_in_days(&clock, (15, 16));
-        let err = total_model_error(&mut mlp, &series, &clock, &slots);
+        let err = try_total_model_error(&mut mlp, &series, &clock, &slots).unwrap();
         // Zero prediction's error = mean total counts per slot.
         let zero_err: f64 =
             slots.iter().map(|&s| series.slot_total(s)).sum::<f64>() / slots.len() as f64;
@@ -248,6 +220,6 @@ mod tests {
         let mut a = CityModelError::new(city.clone(), tiny_split(), 42, mk).with_max_eval_slots(8);
         let mk2 = || Box::new(HistoricalAverage::new()) as Box<dyn Predictor>;
         let mut b = CityModelError::new(city, tiny_split(), 42, mk2).with_max_eval_slots(8);
-        assert_eq!(a.measure(4).0, b.measure(4).0);
+        assert_eq!(a.try_measure(4).unwrap().0, b.try_measure(4).unwrap().0);
     }
 }

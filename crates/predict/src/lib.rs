@@ -17,13 +17,13 @@
 //! [`features`] builds the closeness/period/trend tensors from a
 //! [`gridtuner_spatial::CountSeries`]; [`eval`] measures the total model
 //! error `Σ_i |λ̂_i − λ_i| ≈ n·MAE(f)` (Eq. 20) and adapts any predictor
-//! to [`gridtuner_core::upper_bound::ModelErrorFn`] so it can drive the
+//! to [`gridtuner_core::upper_bound::ModelErrorSource`] so it can drive the
 //! OGSS search.
 
 // Library code must not panic on fallible paths; tests are exempt. (The
-// explicitly-documented panicking conveniences — `predict`, `measure`,
-// `total_model_error` — route through `panic!` on a typed error, which the
-// gate permits; sessions use the `try_*` forms.)
+// one explicitly-documented panicking convenience, `Predictor::predict`,
+// routes through `panic!` on a typed error, which the gate permits;
+// sessions use the `try_*` forms.)
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod baselines;
@@ -35,7 +35,7 @@ pub mod trainer;
 
 pub use baselines::{Persistence, SeasonalNaive};
 pub use error::PredictError;
-pub use eval::{total_model_error, try_total_model_error, CityModelError};
+pub use eval::{try_total_model_error, CityModelError};
 pub use features::{FeatureConfig, Sample};
 pub use models::{
     DeepStLike, DmvstLike, HistoricalAverage, Mlp, MlpConfig, Predictor, TrainConfig,

@@ -15,7 +15,7 @@
 //! | `alpha-mass-conservation` | binned α mass × window days = in-window, in-square event count |
 //! | `tune-threads-1-vs-n` | a brute-force tune at one worker (the sequential run) = at 2 and 8 workers, bit for bit, with one log scan |
 //! | `tune-heuristics-consistent` | ternary/iterative probe the same curve and never beat brute force |
-//! | `session-vs-direct-search` | a session tune = Algorithm 3 (`UpperBoundOracle`) driven straight through the `try_*` searcher, bit for bit |
+//! | `session-vs-direct-search` | a session tune = Algorithm 3 as a plain closure (expression error from a fresh α cache + model error) driven straight through the `try_*` searcher, bit for bit |
 //! | `session-incremental-vs-rebuild` | ingest + re-tune = a fresh session on the concatenated log, bit for bit |
 //! | `search-ternary-unimodal` | ternary finds the brute-force optimum on strictly unimodal curves |
 //! | `search-iterative-unimodal` | the iterative method does too, from any start with any bound ≥ 1 |
@@ -44,9 +44,8 @@ use gridtuner_core::expression::{
 };
 use gridtuner_core::resample::resample_events;
 use gridtuner_core::search::{
-    try_brute_force, try_iterative_method, try_ternary_search, ErrorOracle, SearchOutcome,
+    try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome,
 };
-use gridtuner_core::upper_bound::UpperBoundOracle;
 use gridtuner_engine::{
     BootstrapConfig, EngineConfig, PartitionKind, PartitionLayout, SearchStrategy, TuneReport,
     TuningSession,
@@ -448,28 +447,25 @@ fn quadtree_dp_vs_exhaustive(
     )
 }
 
-/// The independent reference tune: Algorithm 3 as an [`UpperBoundOracle`]
-/// driven straight through the `try_*` searcher of `strategy`. Returns the
-/// outcome and the oracle's log-scan count.
-fn direct_tune(s: &Scenario, strategy: SearchStrategy) -> Result<(SearchOutcome, u64), String> {
+/// The independent reference tune: Algorithm 3 as a plain closure —
+/// expression error from a fresh [`AlphaFieldCache`] plus the scenario's
+/// model error — driven straight through the `try_*` searcher of
+/// `strategy`. No session, no model memo, no stage log.
+fn direct_tune(s: &Scenario, strategy: SearchStrategy) -> Result<SearchOutcome, String> {
     let (lo, hi) = s.params.side_range();
-    let mut oracle = UpperBoundOracle::new(
-        s.events.clone(),
-        s.clock,
-        s.window,
-        s.params.budget_side,
-        s.model_fn(),
-    );
-    let probe = |side: u32| Ok(oracle.eval(side));
-    let outcome = match strategy {
+    let budget = s.params.budget_side;
+    let cache = AlphaFieldCache::new(&s.events, &s.clock, &s.window);
+    let model = s.model_fn();
+    let probe =
+        |side: u32| Ok(cache.expression_error(&Partition::for_budget(side, budget))? + model(side));
+    match strategy {
         SearchStrategy::BruteForce => try_brute_force(probe, lo, hi),
         SearchStrategy::Ternary => try_ternary_search(probe, lo, hi),
         SearchStrategy::Iterative { init, bound } => {
             try_iterative_method(probe, lo, hi, init, bound)
         }
     }
-    .map_err(|e| format!("direct {strategy:?} search failed: {e}"))?;
-    Ok((outcome, oracle.alpha_rescans()))
+    .map_err(|e| format!("direct {strategy:?} search failed: {e}"))
 }
 
 /// Side, error and every probe of `got` must equal `want` bit for bit.
@@ -685,16 +681,16 @@ pub fn standard_checks() -> Vec<Check> {
     checks.push(Check::new("session-vs-direct-search", |s| {
         let [ternary, iterative] = heuristics(s);
         for strat in [SearchStrategy::BruteForce, ternary, iterative] {
-            let (direct, rescans) = direct_tune(s, strat)?;
+            let direct = direct_tune(s, strat)?;
             let report = session_tune(s, engine_config(s, strat), &s.events)?;
             same_outcome(
                 &format!("{strat:?} session vs direct"),
                 &report.outcome,
                 &direct,
             )?;
-            if report.alpha_full_scans != 1 || rescans != 1 {
+            if report.alpha_full_scans != 1 {
                 return Err(format!(
-                    "{strat:?} did {} / {rescans} full scans, contract says 1",
+                    "{strat:?} did {} full scans, contract says 1",
                     report.alpha_full_scans
                 ));
             }

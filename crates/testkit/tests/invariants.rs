@@ -1,13 +1,13 @@
 //! Invariant-layer smoke: drives the hot paths that carry the
 //! `check-invariants` runtime assertions (Lemma III.1 per cell, α-field
-//! mass conservation, the single-log-scan rule, Theorem II.1), so that
+//! mass conservation, Theorem II.1), so that
 //! `cargo test -p gridtuner-testkit --features check-invariants` actually
 //! executes every gated assertion. Without the feature this is a plain
 //! (and still useful) end-to-end smoke test.
 
+use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::errors::{evaluate_errors, ErrorSample};
-use gridtuner_core::search::{try_brute_force, ErrorOracle};
-use gridtuner_core::upper_bound::UpperBoundOracle;
+use gridtuner_core::search::try_brute_force;
 use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_spatial::{CountMatrix, Partition};
 use gridtuner_testkit::Scenario;
@@ -18,6 +18,7 @@ fn tuning_hot_path_upholds_gated_invariants() {
     for seed in 0..8u64 {
         let sc = Scenario::generate(seed);
         let (lo, hi) = sc.params.side_range();
+        let mut brute = None;
         for strategy in [
             SearchStrategy::BruteForce,
             SearchStrategy::Ternary,
@@ -38,18 +39,18 @@ fn tuning_hot_path_upholds_gated_invariants() {
             let result = session.tune().unwrap();
             assert_eq!(result.alpha_full_scans, 1);
             assert!((lo..=hi).contains(&result.outcome.side));
+            if strategy == SearchStrategy::BruteForce {
+                brute = Some(result.outcome);
+            }
         }
-        // Algorithm 3's own oracle asserts the one-scan rule per probe.
-        let mut oracle = UpperBoundOracle::new(
-            sc.events.clone(),
-            sc.clock,
-            sc.window,
-            sc.params.budget_side,
-            sc.model_fn(),
-        );
-        let direct = try_brute_force(|s| Ok(oracle.eval(s)), lo, hi).unwrap();
-        assert!((lo..=hi).contains(&direct.side));
-        assert_eq!(oracle.alpha_rescans(), 1);
+        // Algorithm 3 as a plain closure over a fresh α cache runs the same
+        // gated kernel assertions and lands on the session's bits.
+        let cache = AlphaFieldCache::new(&sc.events, &sc.clock, &sc.window);
+        let model = sc.model_fn();
+        let budget = sc.params.budget_side;
+        let probe = |s| Ok(cache.expression_error(&Partition::for_budget(s, budget))? + model(s));
+        let direct = try_brute_force(probe, lo, hi).unwrap();
+        assert_eq!(Some(direct), brute);
     }
 }
 

@@ -10,7 +10,6 @@
 //! trace sink are process-global: parallel test threads would interleave.
 
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::upper_bound::UpperBoundOracle;
 use gridtuner_datagen::{City, TripGenerator};
 use gridtuner_dispatch::{DemandView, FleetConfig, Order, Polar, SimConfig, Simulator};
 use gridtuner_engine::{EngineConfig, SearchStrategy, TuneReport, TuningSession};
@@ -25,8 +24,12 @@ const SIDE_RANGE: (u32, u32) = (2, 24);
 const HISTORY_DAYS: u32 = 14;
 const MODEL_COEF: f64 = 0.05;
 
-/// The goldens' brute-force session tune of `events`.
-fn tune(events: &[Event], clock: SlotClock, window: AlphaWindow) -> TuneReport {
+/// The goldens' brute-force session over `events`.
+fn session(
+    events: &[Event],
+    clock: SlotClock,
+    window: AlphaWindow,
+) -> TuningSession<fn(u32) -> f64> {
     let config = EngineConfig {
         hgrid_budget_side: BUDGET_SIDE,
         side_range: SIDE_RANGE,
@@ -35,9 +38,17 @@ fn tune(events: &[Event], clock: SlotClock, window: AlphaWindow) -> TuneReport {
         clock,
         ..EngineConfig::default()
     };
-    let mut session = TuningSession::new(config, model).expect("golden config is valid");
+    let mut session =
+        TuningSession::new(config, model as fn(u32) -> f64).expect("golden config is valid");
     session.ingest(events).expect("synthetic events are finite");
-    session.tune().expect("analytic model leg")
+    session
+}
+
+/// The goldens' brute-force session tune of `events`.
+fn tune(events: &[Event], clock: SlotClock, window: AlphaWindow) -> TuneReport {
+    session(events, clock, window)
+        .tune()
+        .expect("analytic model leg")
 }
 
 fn model(s: u32) -> f64 {
@@ -57,10 +68,14 @@ fn pipeline(city: City, seed: u64) -> Json {
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let events = city.sample_history_events(window.slot_of_day, 0..HISTORY_DAYS, &mut rng);
-    let result = tune(&events, *city.clock(), window);
+    let mut session = session(&events, *city.clock(), window);
+    let result = session.tune().expect("analytic model leg");
     let side = result.outcome.side;
-    let oracle = UpperBoundOracle::new(events.clone(), *city.clock(), window, BUDGET_SIDE, model);
-    let expression = oracle.expression_error(side);
+    // Error decomposition at the optimum, served from the session's own
+    // α cache (no second log scan), as the goldens do it.
+    let expression = session
+        .expression_error(side)
+        .expect("analytic expression leg");
 
     let partition = Partition::for_budget(side, BUDGET_SIDE);
     let trips = TripGenerator::default().trips_for_day(&city, HISTORY_DAYS, &mut rng);

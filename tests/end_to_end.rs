@@ -1,8 +1,7 @@
-//! End-to-end pipeline: synthetic city → α estimation → upper-bound oracle
+//! End-to-end pipeline: synthetic city → α estimation → Algorithm 3 probes
 //! with a real (retrained-per-n) predictor → search → sane partition.
 
 use gridtuner::core::alpha::AlphaWindow;
-use gridtuner::core::upper_bound::{ModelErrorFn, UpperBoundOracle};
 use gridtuner::datagen::{City, DataSplit};
 use gridtuner::engine::{
     EngineConfig, ModelErrorSource, SearchStrategy, TuneReport, TuningSession,
@@ -23,16 +22,16 @@ fn split() -> DataSplit {
     }
 }
 
-fn model_oracle() -> impl ModelErrorFn + ModelErrorSource {
+fn model_oracle() -> impl ModelErrorSource {
     CityModelError::new(small_city(), split(), 5, || {
         Box::new(HistoricalAverage::new()) as Box<dyn Predictor>
     })
     .with_max_eval_slots(12)
 }
 
-/// Tunes `events` over sides 1..=20 at `√N = 32` with a freshly trained
-/// model leg.
-fn tune(events: &[Event], strategy: SearchStrategy) -> TuneReport {
+/// A session over `events` searching sides 1..=20 at `√N = 32` with a
+/// freshly trained model leg.
+fn session(events: &[Event], strategy: SearchStrategy) -> TuningSession<impl ModelErrorSource> {
     let config = EngineConfig::builder()
         .hgrid_budget_side(32)
         .side_range(1, 20)
@@ -48,7 +47,12 @@ fn tune(events: &[Event], strategy: SearchStrategy) -> TuneReport {
         .unwrap();
     let mut session = TuningSession::new(config, model_oracle()).unwrap();
     session.ingest(events).unwrap();
-    session.tune().unwrap()
+    session
+}
+
+/// Tunes `events` in a fresh [`session`].
+fn tune(events: &[Event], strategy: SearchStrategy) -> TuneReport {
+    session(events, strategy).tune().unwrap()
 }
 
 #[test]
@@ -73,26 +77,23 @@ fn upper_bound_oracle_decomposition_is_consistent() {
     let city = small_city();
     let mut rng = StdRng::seed_from_u64(2);
     let events = city.sample_history_events(16, 0..14, &mut rng);
-    let window = AlphaWindow {
-        slot_of_day: 16,
-        day_start: 0,
-        day_end: 14,
-        weekdays_only: true,
-    };
-    let mut oracle = UpperBoundOracle::new(events, *city.clock(), window, 32, model_oracle());
-    for side in [2u32, 8, 16] {
-        let e = gridtuner::core::search::ErrorOracle::eval(&mut oracle, side);
-        let expr = oracle.expression_error(side);
-        let model = oracle.model_error(side);
-        assert!(
-            (e - (expr + model)).abs() < 1e-6,
+    let mut session = session(&events, SearchStrategy::BruteForce);
+    let report = session.tune().unwrap();
+    // Every probe is exactly the sum of its two legs, served afterwards
+    // from the session's α cache and model memo.
+    for &(side, e) in &report.outcome.probes {
+        let expr = session.expression_error(side).unwrap();
+        let model = session.model_error(side).unwrap();
+        assert_eq!(
+            e.to_bits(),
+            (expr + model).to_bits(),
             "decomposition broken at side {side}"
         );
         assert!(expr >= 0.0 && model >= 0.0);
     }
     // Monotone legs (the paper's core tension).
-    assert!(oracle.expression_error(2) > oracle.expression_error(16));
-    assert!(oracle.model_error(16) > oracle.model_error(2));
+    assert!(session.expression_error(2).unwrap() > session.expression_error(16).unwrap());
+    assert!(session.model_error(16).unwrap() > session.model_error(2).unwrap());
 }
 
 #[test]

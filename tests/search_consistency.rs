@@ -2,39 +2,42 @@
 //! qualitative claims, cross-crate.
 
 use gridtuner::core::alpha::AlphaWindow;
-use gridtuner::core::search::{
-    try_brute_force, try_iterative_method, try_ternary_search, ErrorOracle, MemoOracle,
-};
-use gridtuner::core::upper_bound::UpperBoundOracle;
+use gridtuner::core::alpha_cache::AlphaFieldCache;
+use gridtuner::core::error::CoreError;
+use gridtuner::core::search::{try_brute_force, try_iterative_method, try_ternary_search};
 use gridtuner::datagen::City;
+use gridtuner::spatial::Partition;
 use rand::{rngs::StdRng, SeedableRng};
 
-/// A realistic (jagged, roughly U-shaped) oracle: analytic expression error
-/// of a preset city plus a quadratic model-error surrogate.
-fn city_oracle(city: City, coef: f64) -> impl ErrorOracle {
+/// The α cache of a preset city's morning-peak slot over two weeks.
+fn city_cache(city: &City, slot_of_day: u32) -> AlphaFieldCache {
     let mut rng = StdRng::seed_from_u64(4);
-    let events = city.sample_history_events(16, 0..14, &mut rng);
-    let clock = *city.clock();
+    let events = city.sample_history_events(slot_of_day, 0..14, &mut rng);
     let window = AlphaWindow {
-        slot_of_day: 16,
+        slot_of_day,
         day_start: 0,
         day_end: 14,
         weekdays_only: true,
     };
-    UpperBoundOracle::new(events, clock, window, 64, move |s: u32| {
-        (s * s) as f64 * coef
-    })
+    AlphaFieldCache::new(&events, city.clock(), &window)
+}
+
+/// A realistic (jagged, roughly U-shaped) probe: analytic expression error
+/// from `cache` at `√N = 64` plus a quadratic model-error surrogate.
+fn city_probe(
+    cache: &AlphaFieldCache,
+    coef: f64,
+) -> impl FnMut(u32) -> Result<f64, CoreError> + '_ {
+    move |s| Ok(cache.expression_error(&Partition::for_budget(s, 64))? + (s * s) as f64 * coef)
 }
 
 #[test]
 fn heuristics_beat_brute_force_on_evaluations() {
     let city = City::chengdu().scaled(0.05);
-    let mut oracle = city_oracle(city.clone(), 1.0);
-    let bf = try_brute_force(|s| Ok(oracle.eval(s)), 2, 32).unwrap();
-    let mut oracle = city_oracle(city.clone(), 1.0);
-    let ts = try_ternary_search(|s| Ok(oracle.eval(s)), 2, 32).unwrap();
-    let mut oracle = city_oracle(city, 1.0);
-    let it = try_iterative_method(|s| Ok(oracle.eval(s)), 2, 32, 16, 4).unwrap();
+    let cache = city_cache(&city, 16);
+    let bf = try_brute_force(city_probe(&cache, 1.0), 2, 32).unwrap();
+    let ts = try_ternary_search(city_probe(&cache, 1.0), 2, 32).unwrap();
+    let it = try_iterative_method(city_probe(&cache, 1.0), 2, 32, 16, 4).unwrap();
     assert_eq!(bf.evals, 31);
     assert!(ts.evals < bf.evals / 2, "ternary evals {}", ts.evals);
     assert!(it.evals < bf.evals, "iterative evals {}", it.evals);
@@ -49,7 +52,6 @@ fn per_slot_optima_vary_across_the_day() {
     // α field (and total volume) changes. Compare the morning-peak slot to
     // a night slot: the optimum differs or at least both are interior.
     let city = City::nyc().scaled(0.05);
-    let clock = *city.clock();
     let mut optima = Vec::new();
     for sod in [4u32, 16] {
         let mut rng = StdRng::seed_from_u64(8);
@@ -60,9 +62,8 @@ fn per_slot_optima_vary_across_the_day() {
             day_end: 14,
             weekdays_only: true,
         };
-        let mut oracle =
-            UpperBoundOracle::new(events, clock, window, 64, |s: u32| (s * s) as f64 * 0.6);
-        let out = try_brute_force(|s| Ok(oracle.eval(s)), 1, 28).unwrap();
+        let cache = AlphaFieldCache::new(&events, city.clock(), &window);
+        let out = try_brute_force(city_probe(&cache, 0.6), 1, 28).unwrap();
         assert!(out.side >= 1 && out.side <= 28);
         optima.push((sod, out.side));
     }
@@ -76,12 +77,29 @@ fn per_slot_optima_vary_across_the_day() {
 
 #[test]
 fn memoization_shares_work_across_strategies() {
+    // Each searcher calls its probe once per unique side, and searches
+    // sharing one α cache see the same bits at every side they share.
     let city = City::xian().scaled(0.05);
-    let mut memo = MemoOracle::new(city_oracle(city, 1.0));
-    let a = memo.eval(10);
-    let b = memo.eval(10);
-    assert_eq!(a, b);
-    assert_eq!(memo.unique_evals(), 1);
+    let cache = city_cache(&city, 16);
+    let bf = try_brute_force(city_probe(&cache, 1.0), 2, 24).unwrap();
+    let mut calls = 0usize;
+    let mut probe = city_probe(&cache, 1.0);
+    let it = try_iterative_method(
+        |s| {
+            calls += 1;
+            probe(s)
+        },
+        2,
+        24,
+        16,
+        4,
+    )
+    .unwrap();
+    assert_eq!(calls, it.evals);
+    for &(s, e) in &it.probes {
+        let (_, want) = bf.probes[(s - 2) as usize];
+        assert_eq!(e.to_bits(), want.to_bits(), "side {s}");
+    }
 }
 
 // ---------------------------------------------------------------------------
