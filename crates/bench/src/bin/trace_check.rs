@@ -17,8 +17,11 @@
 //! ```
 //!
 //! Exit status 0 when the trace is well formed (CI smoke gate), 1 with a
-//! diagnostic otherwise.
+//! diagnostic otherwise, 2 on a bad command line: a missing trace path, a
+//! missing flag value or an unknown flag (the strict parser shared by the
+//! bench binaries), so a typo such as `--requir` cannot drop the gate.
 
+use gridtuner_bench::flags::{exit_usage, Flags};
 use gridtuner_obs::json::{parse_jsonl, Val};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -229,27 +232,61 @@ fn validate_chrome(text: &str) -> Result<TraceSummary, String> {
     Ok(summary)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let path = match args.first() {
-        Some(p) if !p.starts_with("--") => p.clone(),
-        _ => {
-            eprintln!(
-                "usage: trace_check <trace-file> [--require name1,name2,...] \
-                 [--format jsonl|chrome|auto]"
-            );
-            std::process::exit(2);
+/// Parsed command line: the trace path first, then the flags.
+#[derive(Debug, PartialEq)]
+struct CheckArgs {
+    path: String,
+    required: Vec<String>,
+    /// `Some(true)` for Chrome, `Some(false)` for JSONL, `None` to detect.
+    chrome: Option<bool>,
+}
+
+fn parse_args(args: &[String]) -> Result<CheckArgs, String> {
+    let (path, rest) = match args.split_first() {
+        Some((p, rest)) if !p.starts_with("--") => (p.clone(), rest),
+        _ => return Err("the trace file must come first".into()),
+    };
+    let mut out = CheckArgs {
+        path,
+        required: Vec::new(),
+        chrome: None,
+    };
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--require" => {
+                let names: String = flags.value(flag)?;
+                out.required = names.split(',').map(str::to_string).collect();
+            }
+            "--format" => {
+                out.chrome = match flags.value::<String>(flag)?.as_str() {
+                    "jsonl" => Some(false),
+                    "chrome" => Some(true),
+                    "auto" => None,
+                    other => return Err(format!("--format: unknown value {other:?}")),
+                }
+            }
+            other => return Err(Flags::unknown(other)),
         }
-    };
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let required: Vec<String> = flag("--require")
-        .map(|v| v.split(',').map(str::to_string).collect())
-        .unwrap_or_default();
-    let format = flag("--format").unwrap_or_else(|| "auto".into());
+    }
+    Ok(out)
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let CheckArgs {
+        path,
+        required,
+        chrome,
+    } = parse_args(&argv).unwrap_or_else(|e| {
+        exit_usage(
+            "trace_check",
+            &format!(
+                "{e}\nusage: trace_check <trace-file> [--require name1,name2,...] \
+                 [--format jsonl|chrome|auto]"
+            ),
+        )
+    });
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
@@ -257,15 +294,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let chrome = match format.as_str() {
-        "jsonl" => false,
-        "chrome" => true,
-        "auto" => text.trim_start().starts_with('['),
-        other => {
-            eprintln!("trace_check: unknown --format {other:?}");
-            std::process::exit(2);
-        }
-    };
+    let chrome = chrome.unwrap_or_else(|| text.trim_start().starts_with('['));
     let result = if chrome {
         validate_chrome(&text)
     } else {
@@ -326,6 +355,33 @@ mod tests {
         "{\"t\":\"span_end\",\"ts\":6,\"id\":1,\"tid\":1,\"name\":\"tune\",\"dur_ns\":400}\n",
         "{\"t\":\"report\",\"ts\":7}\n",
     );
+
+    #[test]
+    fn arg_parsing_is_strict() {
+        let argv = |s: &str| s.split_whitespace().map(str::to_string).collect::<Vec<_>>();
+        assert_eq!(
+            parse_args(&argv("t.jsonl --require tune,probe --format chrome")),
+            Ok(CheckArgs {
+                path: "t.jsonl".into(),
+                required: vec!["tune".into(), "probe".into()],
+                chrome: Some(true),
+            })
+        );
+        let d = parse_args(&argv("t.jsonl")).unwrap();
+        assert!(d.required.is_empty());
+        assert_eq!(d.chrome, None);
+        assert_eq!(
+            parse_args(&argv("t.jsonl --format jsonl")).unwrap().chrome,
+            Some(false)
+        );
+        assert!(parse_args(&argv("t.jsonl --format xml")).is_err());
+        // A misspelt gate flag is an error, never a dropped gate.
+        let err = parse_args(&argv("t.jsonl --requir probe")).unwrap_err();
+        assert!(err.contains("--requir"), "{err}");
+        assert!(parse_args(&argv("t.jsonl --require")).is_err());
+        assert!(parse_args(&argv("--require probe")).is_err());
+        assert!(parse_args(&argv("")).is_err());
+    }
 
     #[test]
     fn accepts_a_well_formed_trace() {

@@ -9,20 +9,23 @@
 //!   full event log (`estimate_alpha`) and evaluates `E_e` per cell with
 //!   no memoisation;
 //! * **cached** — the production path, `TuningSession::tune`: one log
-//!   pass into the [`AlphaFieldCache`], `O(digest)` α derivation per
-//!   probe, memoised per-MGrid expression errors, each probe's sweep
-//!   spread over the worker pool.
+//!   pass into the
+//!   [`AlphaFieldCache`](gridtuner_core::alpha_cache::AlphaFieldCache),
+//!   `O(digest)` α derivation per probe, memoised per-MGrid expression
+//!   errors.
 //!
-//! On top of the two sweeps the benchmark isolates the expression kernel
-//! (`kernel`: the pre-batching per-cell sweep vs the batched workspace +
-//! pmf-memo path, single-threaded over the probed sides) and re-runs
-//! `tune()` under `GRIDTUNER_THREADS` ∈ {1, 2, 8} (`thread_rows`),
-//! asserting the selected side, error and full probe decomposition are
-//! bit-identical across counts. Each thread row runs a warmup tune first
-//! (so the persistent pool is spawned) and then asserts `par.pool_spawns`
+//! The cached sweep is the shared measurement `bench_check` gates against
+//! ([`TuneBench::measure`]): one worker, counters read from the `obs`
+//! registry, followed by the expression-kernel isolation (`kernel`: the
+//! pre-batching per-cell sweep vs the batched workspace + pmf-memo path
+//! over the probed sides). The benchmark then re-runs `tune()` under
+//! `GRIDTUNER_THREADS` ∈ {1, 2, 8} (`thread_rows`), asserting the selected
+//! side, error and full probe decomposition are bit-identical across
+//! counts. Each thread row runs a warmup tune first (so the persistent
+//! pool is spawned) and then asserts the registry's `par.pool_spawns`
 //! stays flat across the measured 73-probe tune; the row records the
-//! pool/lock counters alongside the wall time and the speedup vs the
-//! 1-thread row.
+//! pool/lock counter changes over that tune alongside the wall time and
+//! the speedup vs the 1-thread row.
 //!
 //! ```text
 //! cargo run --release -p gridtuner-bench --bin tune_bench \
@@ -41,27 +44,38 @@
 //! tune at the largest thread count is less than `S`× faster than the
 //! 1-thread tune — the CI thread-scaling gate (skipped with a warning when
 //! the machine itself has fewer than 2 CPUs, where no thread count can
-//! help). `--profile` captures the
-//! cached sweep's trace in memory and prints the profile analyzer's
+//! help). `--profile` captures the shared measurement's trace (ingest,
+//! tune and kernel isolation) in memory and prints the profile analyzer's
 //! self-time / worker-utilization / critical-path tables to stderr after
-//! the sweep.
+//! it.
 
 use gridtuner_bench::flags::{exit_usage, Flags};
-use gridtuner_bench::kernel_timing::time_kernels;
+use gridtuner_bench::measure::{model, TuneBench, WORKERS};
 use gridtuner_bench::TUNE_BENCH_SCHEMA;
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::estimate_alpha;
 use gridtuner_core::expression::expression_error_windowed;
-use gridtuner_datagen::City;
-use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
+use gridtuner_engine::TuningSession;
 use gridtuner_obs as obs;
 use gridtuner_obs::json::Val;
 use gridtuner_spatial::{Event, Partition, SlotClock};
-use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
 
 /// Thread counts the determinism sweep re-tunes under.
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
+
+/// Registry counters a thread row records the change of across its
+/// measured tune.
+const ROW_COUNTERS: [&str; 4] = [
+    "par.pool_spawns",
+    "par.dispatches",
+    "par.worker_idle_ms",
+    "pmf_memo.lock_waits",
+];
+
+fn row_counters() -> [u64; 4] {
+    ROW_COUNTERS.map(|name| obs::metrics::counter(name).get())
+}
 
 /// Per-phase wall timings of the cached sweep, keyed by span name, from
 /// the observability layer's aggregated span stats.
@@ -167,24 +181,8 @@ fn main() {
     let args = parse_args(&argv).unwrap_or_else(|e| exit_usage("tune_bench", &e));
     let scale = args.scale;
 
-    // Paper defaults: NYC-volume history, √N = 128, sides 4..=76, α window
-    // = slot 16 over one month of workdays.
-    let city = City::nyc().scaled(scale);
-    let clock = *city.clock();
-    let window = AlphaWindow::default();
-    let mut rng = StdRng::seed_from_u64(7);
-    let events = city.sample_history_events(
-        window.slot_of_day,
-        window.day_start..window.day_end,
-        &mut rng,
-    );
-    let engine_cfg = EngineConfig {
-        strategy: SearchStrategy::BruteForce,
-        alpha_window: window,
-        clock,
-        ..EngineConfig::default()
-    };
-    let model = |s: u32| (s * s) as f64 * 0.05;
+    let bench = TuneBench::new(scale);
+    let (events, engine_cfg) = (&bench.events, bench.config);
     eprintln!(
         "[tune_bench] {} events, budget side {}, sides {}..={}",
         events.len(),
@@ -196,9 +194,9 @@ fn main() {
     // Naive (seed) sweep.
     let t0 = Instant::now();
     let (naive_side, naive_err, naive_rescans) = naive_sweep(
-        &events,
-        &clock,
-        &window,
+        events,
+        &engine_cfg.clock,
+        &engine_cfg.alpha_window,
         engine_cfg.hgrid_budget_side,
         engine_cfg.side_range,
         model,
@@ -208,23 +206,17 @@ fn main() {
         "[tune_bench] naive: side {naive_side} err {naive_err:.3} in {naive_ms:.1} ms ({naive_rescans} log scans)"
     );
 
-    // Cached sweep through the session API, with span recording
-    // on so the JSON can break the wall time down by phase (ingest, alpha
-    // scan, probes, ...).
+    // Cached sweep: the shared measurement, with span recording on so the
+    // JSON can break the wall time down by phase (ingest, alpha scan,
+    // probes, ...).
     obs::init_from_env();
-    obs::enable();
-    obs::reset();
-    // Under --profile, capture the sweep's JSONL trace in memory and feed
-    // it to the profile analyzer (replaces any GRIDTUNER_TRACE sink).
+    // Under --profile, capture the measurement's JSONL trace in memory and
+    // feed it to the profile analyzer (replaces any GRIDTUNER_TRACE sink).
     let profile_buf = args.profile.then(obs::trace::capture_to_buffer);
-    let t1 = Instant::now();
-    let mut session = TuningSession::new(engine_cfg, model).expect("valid bench config");
-    session.ingest(&events).expect("finite synthetic events");
-    let result = session.tune().expect("infallible model leg");
-    let wall_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let m = bench.measure();
     eprintln!(
-        "[tune_bench] cached: side {} err {:.3} in {wall_ms:.1} ms ({} log scans)",
-        result.outcome.side, result.outcome.error, result.alpha_full_scans
+        "[tune_bench] cached: side {} err {:.3} in {:.1} ms ({} log scans)",
+        m.selected_side, m.error, m.wall_ms, m.alpha_rescans
     );
 
     if let Some(buf) = &profile_buf {
@@ -238,40 +230,28 @@ fn main() {
     }
 
     assert_eq!(
-        result.outcome.side, naive_side,
+        m.selected_side, naive_side,
         "sweeps disagree on the optimum"
     );
     assert!(
-        (result.outcome.error - naive_err).abs() <= 1e-9 * (1.0 + naive_err.abs()),
+        (m.error - naive_err).abs() <= 1e-9 * (1.0 + naive_err.abs()),
         "sweeps disagree on the optimal error: {} vs {naive_err}",
-        result.outcome.error
+        m.error
     );
 
-    // Kernel isolation: the same probed sides, same warm α cache, single
-    // thread — only the expression sweep differs. The per-cell sweep is the
-    // pre-batching hot loop (per-MGrid memo, fresh window Vecs per cell);
-    // the batched path is what the session just ran (workspace reuse,
-    // dedup, cross-probe pmf memo). Timing is per-side interleaved,
+    // The measurement's kernel isolation: the same probed sides, same
+    // warm α cache, one worker — only the expression sweep differs. The per-cell sweep is
+    // the pre-batching hot loop (per-MGrid memo, fresh window Vecs per
+    // cell); the batched path is what the session just ran (workspace
+    // reuse, dedup, cross-probe pmf memo). Timing is per-side interleaved,
     // best-of-3 (see `kernel_timing`) so the committed speedup is stable
     // enough for bench_check to gate against.
-    let prev_threads = gridtuner_par::max_threads();
-    gridtuner_par::set_max_threads(1);
-    let cache = session.alpha_cache().expect("tune built the α cache");
-    let probed: Vec<u32> = result.outcome.probes.iter().map(|&(s, _)| s).collect();
-    let budget = session.config().hgrid_budget_side;
-    let kt = time_kernels(cache, &probed, budget, 3);
-    let (percell_ms, batched_ms) = (kt.percell_ms, kt.batched_ms);
-    assert!(
-        (kt.percell_total - kt.batched_total).abs() <= 1e-9 * (1.0 + kt.percell_total.abs()),
-        "kernels disagree on total expression error: {} vs {}",
-        kt.percell_total,
-        kt.batched_total
-    );
-    let kernel_speedup = kt.speedup();
+    let (percell_ms, batched_ms) = (m.kernel.percell_ms, m.kernel.batched_ms);
+    let kernel_speedup = m.kernel.speedup();
     eprintln!(
         "[tune_bench] kernel: per-cell {percell_ms:.1} ms vs batched {batched_ms:.1} ms \
          ({kernel_speedup:.2}x) over {} probes",
-        probed.len()
+        m.probes
     );
 
     // Determinism + scaling sweep: the same tune under 1/2/8 workers must
@@ -279,6 +259,7 @@ fn main() {
     // decomposition. Each count tunes twice — an unmeasured warmup that
     // spawns any missing pool workers, then the measured tune, across
     // which `par.pool_spawns` must stay flat.
+    let prev_threads = gridtuner_par::max_threads();
     // Selected side, error bits and the per-probe (side, error-bits)
     // decomposition — the full bit-compared signature of one tune.
     type SweepKey = (u32, u64, Vec<(u32, u64)>);
@@ -289,15 +270,19 @@ fn main() {
     for threads in THREAD_SWEEP {
         gridtuner_par::set_max_threads(threads);
         let mut warm = TuningSession::new(engine_cfg, model).expect("valid bench config");
-        warm.ingest(&events).expect("finite synthetic events");
+        warm.ingest(events).expect("finite synthetic events");
         warm.tune().expect("infallible model leg");
+        let before = row_counters();
         let ts = Instant::now();
         let mut sweep = TuningSession::new(engine_cfg, model).expect("valid bench config");
-        sweep.ingest(&events).expect("finite synthetic events");
+        sweep.ingest(events).expect("finite synthetic events");
         let r = sweep.tune().expect("infallible model leg");
         let ms = ts.elapsed().as_secs_f64() * 1e3;
+        let after = row_counters();
+        let [spawns, dispatches, idle_ms, lock_waits] =
+            std::array::from_fn(|i| after[i] - before[i]);
         assert_eq!(
-            r.par_pool_spawns, 0,
+            spawns, 0,
             "pool spawned workers mid-tune at {threads} threads — not flat"
         );
         let probes: Vec<(u32, u64)> = r
@@ -335,38 +320,35 @@ fn main() {
                 "pool_workers",
                 Val::from(gridtuner_par::pool_workers() as u64),
             ),
-            ("par_dispatches", Val::from(r.par_dispatches)),
-            ("par_worker_idle_ms", Val::from(r.par_worker_idle_ms)),
-            ("pmf_lock_waits", Val::from(r.pmf_lock_waits)),
+            ("par_dispatches", Val::from(dispatches)),
+            ("par_worker_idle_ms", Val::from(idle_ms)),
+            ("pmf_lock_waits", Val::from(lock_waits)),
         ]));
         eprintln!(
             "[tune_bench] threads {threads}: {ms:.1} ms ({speedup_vs_1t:.2}x vs 1t), side {}, \
-             {} dispatches, {} lock waits",
-            r.outcome.side, r.par_dispatches, r.pmf_lock_waits
+             {dispatches} dispatches, {lock_waits} lock waits",
+            r.outcome.side
         );
     }
     let thread_speedup = wall_1t / sweep_last.max(1e-9);
     gridtuner_par::set_max_threads(prev_threads);
 
-    let speedup = naive_ms / wall_ms.max(1e-9);
+    let speedup = naive_ms / m.wall_ms.max(1e-9);
     let json = Val::obj(vec![
         ("schema", Val::from(TUNE_BENCH_SCHEMA)),
-        ("wall_ms", Val::from(wall_ms)),
-        ("probes", Val::from(result.outcome.evals as u64)),
-        ("alpha_rescans", Val::from(result.alpha_full_scans)),
-        ("events", Val::from(events.len() as u64)),
-        ("selected_side", Val::from(result.outcome.side)),
+        ("wall_ms", Val::from(m.wall_ms)),
+        ("probes", Val::from(m.probes)),
+        ("alpha_rescans", Val::from(m.alpha_rescans)),
+        ("events", Val::from(m.events)),
+        ("selected_side", Val::from(m.selected_side)),
         ("naive_wall_ms", Val::from(naive_ms)),
         ("naive_alpha_rescans", Val::from(naive_rescans)),
         ("speedup", Val::from(speedup)),
-        ("threads", Val::from(gridtuner_par::max_threads() as u64)),
-        ("expr_cell_evals", Val::from(result.expr_cell_evals)),
-        ("expr_dedup_hits", Val::from(result.expr_dedup_hits)),
-        ("expr_pmf_memo_hits", Val::from(result.expr_pmf_memo_hits)),
-        (
-            "expr_workspace_bytes",
-            Val::from(result.expr_workspace_bytes),
-        ),
+        ("threads", Val::from(WORKERS as u64)),
+        ("expr_cell_evals", Val::from(m.expr_cell_evals)),
+        ("expr_dedup_hits", Val::from(m.expr_dedup_hits)),
+        ("expr_pmf_memo_hits", Val::from(m.expr_pmf_memo_hits)),
+        ("expr_workspace_bytes", Val::from(m.expr_workspace_bytes)),
         (
             "kernel",
             Val::obj(vec![
@@ -448,6 +430,9 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridtuner_datagen::City;
+    use gridtuner_engine::{EngineConfig, SearchStrategy};
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -564,6 +549,5 @@ mod tests {
             "optimal error: {} vs {err}",
             result.outcome.error
         );
-        assert_eq!(result.alpha_full_scans, 1, "cached path scans once");
     }
 }

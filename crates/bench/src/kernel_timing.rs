@@ -1,10 +1,10 @@
 //! Robust timing of the expression-error kernel pair.
 //!
-//! Both `tune_bench` (which writes the committed `BENCH_tune.json`
-//! baseline) and `bench_check` (which gates against it) time the same
-//! two sweeps — the pre-batching per-cell hot loop vs the batched
-//! workspace + pmf-memo path — over the same probed sides and the same
-//! warm α cache. The ratio between two long, separately-timed blocks
+//! The shared tune measurement ([`crate::measure`]) behind `tune_bench`
+//! (which writes the committed `BENCH_tune.json` baseline) and
+//! `bench_check` (which gates against it) times two sweeps — the
+//! pre-batching per-cell hot loop vs the batched workspace + pmf-memo
+//! path — over the same probed sides and the same warm α cache. The ratio between two long, separately-timed blocks
 //! wobbles double-digit percent on a busy host, which is useless for a
 //! sentinel with a 15% tolerance; this helper interleaves the two
 //! kernels *per side* (≈ms granularity, so machine-speed drift lands on
@@ -18,7 +18,7 @@ use std::time::Instant;
 
 /// Minima over `reps` interleaved passes, plus the (bit-compared
 /// elsewhere) totals each kernel produced.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KernelTiming {
     pub percell_ms: f64,
     pub batched_ms: f64,

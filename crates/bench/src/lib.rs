@@ -15,6 +15,7 @@ pub mod ctx;
 pub mod experiments;
 pub mod flags;
 pub mod kernel_timing;
+pub mod measure;
 
 /// Schema tag of `BENCH_tune.json`, written by `tune_bench` and required by
 /// `bench_check` — bump when fields change meaning. v3 adds `kernel`,

@@ -29,6 +29,8 @@
 //! replicate's cache ([`AlphaFieldCache::bootstrap_replicate`]) is built
 //! by mapping each drawn log index straight to its digest slot — the
 //! resampled log is never materialised or rescanned.
+//!
+//! [`estimate_alpha`]: crate::alpha::estimate_alpha
 
 use crate::alpha::AlphaWindow;
 use crate::error::CoreError;
@@ -55,10 +57,6 @@ pub struct AlphaFieldCache {
     /// Derived α matrices, keyed by lattice side. `Arc` so callers can
     /// work on a field without holding the lock (or cloning the data).
     derived: Mutex<HashMap<u32, Arc<CountMatrix>>>,
-    /// Full event-log scans performed (1 after construction, ever). A
-    /// per-instance counter; the global `alpha.rescans` registry metric
-    /// aggregates across caches.
-    full_scans: obs::metrics::Counter,
     /// Delta (append-only) scans performed since construction.
     delta_scans: obs::metrics::Counter,
     /// Cross-probe Poisson-table cache for the batched expression-error
@@ -147,13 +145,10 @@ impl AlphaFieldCache {
     pub fn new(events: &[Event], clock: &SlotClock, window: &AlphaWindow) -> Self {
         let _scan = obs::span!("alpha.scan", events = events.len());
         obs::counter!("alpha.rescans").inc();
-        let full_scans = obs::metrics::Counter::new();
-        full_scans.inc();
         let mut cache = AlphaFieldCache {
             digest: Vec::new(),
             n_days: window.days(clock).len(),
             derived: Mutex::new(HashMap::new()),
-            full_scans,
             delta_scans: obs::metrics::Counter::new(),
             pmf_memo: Arc::new(PmfMemo::default()),
             index: DigestIndex::default(),
@@ -242,7 +237,6 @@ impl AlphaFieldCache {
             digest,
             n_days: self.n_days,
             derived: Mutex::new(HashMap::new()),
-            full_scans: obs::metrics::Counter::new(),
             delta_scans: obs::metrics::Counter::new(),
             pmf_memo: Arc::clone(&self.pmf_memo),
             index: DigestIndex::default(),
@@ -258,9 +252,9 @@ impl AlphaFieldCache {
     }
 
     /// The α field on `spec`'s lattice — bit-identical to
-    /// [`estimate_alpha`] over the original log, without touching it.
-    /// Memoised per side; the lock is held only for map access, so
-    /// concurrent probes of different sides derive in parallel.
+    /// [`crate::alpha::estimate_alpha`] over the original log, without
+    /// touching it. Memoised per side; the lock is held only for map
+    /// access, so concurrent probes of different sides derive in parallel.
     pub fn alpha(&self, spec: GridSpec) -> Arc<CountMatrix> {
         if let Some(m) = self.lock_derived().get(&spec.side()) {
             obs::counter!("alpha.cache_hits").inc();
@@ -366,14 +360,6 @@ impl AlphaFieldCache {
         self.digest.len()
     }
 
-    /// Full event-log scans performed since construction — always 1; the
-    /// counter exists so benchmarks can assert the invariant end-to-end.
-    /// A thin shim over the per-instance metrics counter (the global
-    /// registry tracks the cross-cache total as `alpha.rescans`).
-    pub fn full_scans(&self) -> u64 {
-        self.full_scans.get()
-    }
-
     /// Delta (append-only) scans performed since construction.
     pub fn delta_scans(&self) -> u64 {
         self.delta_scans.get()
@@ -443,7 +429,6 @@ mod tests {
                 "side {side}: cache must be bit-identical"
             );
         }
-        assert_eq!(cache.full_scans(), 1);
         assert_eq!(cache.derived_sides(), 8);
     }
 
@@ -509,8 +494,7 @@ mod tests {
                 "side {side}: append must equal rebuild bit-for-bit"
             );
         }
-        // One full pass ever; the delta went through the cheap path.
-        assert_eq!(cache.full_scans(), 1);
+        // The delta went through the cheap path.
         assert_eq!(cache.delta_scans(), 1);
     }
 
@@ -698,6 +682,5 @@ mod tests {
         for t in &totals {
             assert!((t - totals[0]).abs() < 1e-9);
         }
-        assert_eq!(cache.full_scans(), 1);
     }
 }

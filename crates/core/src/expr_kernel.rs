@@ -85,7 +85,7 @@ const CKPT_STRIDE: usize = 64;
 /// plus the windowed totals `Σ P(k)` and `Σ k·P(k)`. The cumulative and
 /// first-moment prefix values the Algorithm 2 brackets read are folded on
 /// the fly during evaluation, resumed from sparse checkpoints of the fold
-/// state stored every [`CKPT_STRIDE`] entries. The fold is the
+/// state stored every `CKPT_STRIDE` entries. The fold is the
 /// **canonical 4-lane association** (see [`crate::simd`]): within a
 /// stride, entry `j` accumulates into lane `j mod 4`, and stride
 /// boundaries fold the four lanes down `(l₀+l₁)+(l₂+l₃)` into a scalar
@@ -325,7 +325,7 @@ const MEMO_SHARDS: usize = 16;
 /// an entry cap and a retained-f64 budget — and a rejected rate simply
 /// falls back to the caller's scratch table (same bits either way).
 ///
-/// Storage is split across [`MEMO_SHARDS`] `RwLock`ed segments and the
+/// Storage is split across `MEMO_SHARDS` `RwLock`ed segments and the
 /// caps live in shared atomics, so the warm path is a single uncontended
 /// shard read-lock (and most lookups never even get here: the
 /// per-workspace L1 serves repeats lock-free). `pmf_memo.lock_waits`

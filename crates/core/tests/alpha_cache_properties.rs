@@ -57,7 +57,6 @@ proptest! {
             derived.as_slice(),
             "side {side}: cache-derived α diverged from direct estimate"
         );
-        assert_eq!(cache.full_scans(), 1);
     }
 
     #[test]

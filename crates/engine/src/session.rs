@@ -45,110 +45,28 @@ pub struct IngestReport {
     pub total_events: usize,
 }
 
-/// Outcome of one tune: the winning partition plus the search trace and
-/// the cache counters that certify how the work was done.
+/// Outcome of one tune: the winning partition, the search trace, the
+/// uncertainty block and the session's own scan and memo counts. Every
+/// field is a function of the session's inputs alone: process-wide
+/// telemetry (kernel, pool and lock counters) lives in the `obs`
+/// registry, not here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneReport {
     /// The selected partition (MGrid side = `outcome.side`).
     pub partition: Partition,
     /// The search trace (selected side, error, evaluation count, probes).
     pub outcome: SearchOutcome,
-    /// Full event-log passes the α cache performed (the invariant: 1 for
-    /// the session's lifetime, however many tunes and probes ran).
-    pub alpha_full_scans: u64,
-    /// Delta (append-only) passes — one per matching [`ingest`] call.
+    /// Delta (append-only) passes — one per [`ingest`] call that found the
+    /// α cache already built.
     ///
     /// [`ingest`]: TuningSession::ingest
     pub alpha_delta_scans: u64,
     /// Probes served from the per-side model-error memo during this tune —
     /// the incremental re-tune dividend.
     pub model_memo_hits: usize,
-    /// HGrid cells fed through the batched expression kernel during this
-    /// tune (delta of the global `expr.cell_evals` counter).
-    pub expr_cell_evals: u64,
-    /// Cells whose rate duplicated an earlier cell in the same MGrid and
-    /// skipped the kernel (delta of `expr.dedup_hits`).
-    pub expr_dedup_hits: u64,
-    /// Pmf tables served from the session's cross-probe memo instead of
-    /// being rebuilt (delta of `expr.pmf_memo_hits`).
-    pub expr_pmf_memo_hits: u64,
-    /// Bytes of workspace scratch (re)allocated during this tune — the
-    /// zero-allocation claim made measurable (delta of
-    /// `expr.workspace_bytes`; steady-state sweeps add nothing).
-    pub expr_workspace_bytes: u64,
-    /// Worker threads the persistent pool spawned during this tune (delta
-    /// of `par.pool_spawns`). Zero once the pool is warm — the counter a
-    /// bench asserts stays flat across a 73-probe sweep.
-    pub par_pool_spawns: u64,
-    /// Jobs dispatched to the persistent pool during this tune (delta of
-    /// `par.dispatches`): the parallel reductions inside each probe's
-    /// expression sweep (nested reductions run inline and add nothing).
-    pub par_dispatches: u64,
-    /// Milliseconds pool participants spent idle at dispatch barriers
-    /// during this tune (delta of `par.worker_idle_ms`; recorded only
-    /// while observability is enabled).
-    pub par_worker_idle_ms: u64,
-    /// Times a sharded pmf-memo lock actually blocked during this tune
-    /// (delta of `pmf_memo.lock_waits`). Warm-path lookups are lock-free
-    /// via the workspace L1, so this should stay near zero.
-    pub pmf_lock_waits: u64,
-    /// Dispatches the pool flagged as load-imbalanced during this tune
-    /// (delta of `par.imbalance_warnings`; recorded only while
-    /// observability is enabled). Non-zero means some participants sat
-    /// idle at the barrier while others ran long — the oversubscription
-    /// signature the worker-timeline profiler pinpoints.
-    pub par_imbalance_warnings: u64,
     /// Bootstrap confidence set and stability verdict — present when the
     /// session config enables [`bootstrap`](EngineConfig::bootstrap).
     pub uncertainty: Option<UncertaintyReport>,
-}
-
-/// Start-of-tune snapshot of the global expression-kernel counters, so the
-/// report can expose per-tune deltas instead of process-lifetime totals.
-#[derive(Debug, Clone, Copy)]
-struct ExprCounters {
-    cell_evals: u64,
-    dedup_hits: u64,
-    pmf_memo_hits: u64,
-    workspace_bytes: u64,
-    pool_spawns: u64,
-    dispatches: u64,
-    worker_idle_ms: u64,
-    lock_waits: u64,
-    imbalance_warnings: u64,
-}
-
-impl ExprCounters {
-    fn snapshot() -> Self {
-        ExprCounters {
-            cell_evals: obs::counter!("expr.cell_evals").get(),
-            dedup_hits: obs::counter!("expr.dedup_hits").get(),
-            pmf_memo_hits: obs::counter!("expr.pmf_memo_hits").get(),
-            workspace_bytes: obs::counter!("expr.workspace_bytes").get(),
-            pool_spawns: obs::counter!("par.pool_spawns").get(),
-            dispatches: obs::counter!("par.dispatches").get(),
-            worker_idle_ms: obs::counter!("par.worker_idle_ms").get(),
-            lock_waits: obs::counter!("pmf_memo.lock_waits").get(),
-            imbalance_warnings: obs::counter!("par.imbalance_warnings").get(),
-        }
-    }
-
-    fn delta_since(self) -> Self {
-        let now = Self::snapshot();
-        ExprCounters {
-            cell_evals: now.cell_evals.saturating_sub(self.cell_evals),
-            dedup_hits: now.dedup_hits.saturating_sub(self.dedup_hits),
-            pmf_memo_hits: now.pmf_memo_hits.saturating_sub(self.pmf_memo_hits),
-            workspace_bytes: now.workspace_bytes.saturating_sub(self.workspace_bytes),
-            pool_spawns: now.pool_spawns.saturating_sub(self.pool_spawns),
-            dispatches: now.dispatches.saturating_sub(self.dispatches),
-            worker_idle_ms: now.worker_idle_ms.saturating_sub(self.worker_idle_ms),
-            lock_waits: now.lock_waits.saturating_sub(self.lock_waits),
-            imbalance_warnings: now
-                .imbalance_warnings
-                .saturating_sub(self.imbalance_warnings),
-        }
-    }
 }
 
 /// The model leg at `side`, served from `memo` when present; the flag says
@@ -369,7 +287,6 @@ impl<S: ModelErrorSource> TuningSession<S> {
         let budget = self.config.hgrid_budget_side;
         let strategy = self.config.strategy;
         let mut memo_hits = 0usize;
-        let expr_base = ExprCounters::snapshot();
         let outcome = {
             let cache = self.cache.as_ref().ok_or_else(|| {
                 EngineError::Internal("α cache missing after the alpha stage".into())
@@ -413,11 +330,8 @@ impl<S: ModelErrorSource> TuningSession<S> {
                 }
             }
         };
-        // Freeze the point-tune counter deltas before the bootstrap adds
-        // its own kernel work (the uncertainty report carries that).
-        let expr = expr_base.delta_since();
         let uncertainty = self.run_uncertainty(&outcome)?;
-        self.report(outcome, memo_hits, expr, uncertainty)
+        self.report(outcome, memo_hits, uncertainty)
     }
 
     /// The uncertainty stage: B sequential replicate tunes, each on a
@@ -478,7 +392,6 @@ impl<S: ModelErrorSource> TuningSession<S> {
         &mut self,
         outcome: SearchOutcome,
         memo_hits: usize,
-        expr: ExprCounters,
         uncertainty: Option<UncertaintyReport>,
     ) -> Result<TuneReport, EngineError> {
         obs::gauge!("tune.selected_side").set(f64::from(outcome.side));
@@ -505,18 +418,8 @@ impl<S: ModelErrorSource> TuningSession<S> {
         let report = TuneReport {
             partition: Partition::for_budget(outcome.side, self.config.hgrid_budget_side),
             outcome,
-            alpha_full_scans: cache.full_scans(),
             alpha_delta_scans: cache.delta_scans(),
             model_memo_hits: memo_hits,
-            expr_cell_evals: expr.cell_evals,
-            expr_dedup_hits: expr.dedup_hits,
-            expr_pmf_memo_hits: expr.pmf_memo_hits,
-            expr_workspace_bytes: expr.workspace_bytes,
-            par_pool_spawns: expr.pool_spawns,
-            par_dispatches: expr.dispatches,
-            par_worker_idle_ms: expr.worker_idle_ms,
-            pmf_lock_waits: expr.lock_waits,
-            par_imbalance_warnings: expr.imbalance_warnings,
             uncertainty,
         };
         self.stages.push(StageRecord::new(
@@ -620,7 +523,6 @@ mod tests {
                 "{strategy:?}"
             );
             assert_eq!(report.outcome.probes, direct.probes, "{strategy:?}");
-            assert_eq!(report.alpha_full_scans, 1);
         }
     }
 
@@ -737,8 +639,7 @@ mod tests {
         assert_eq!(re.outcome.side, scratch.outcome.side);
         assert_eq!(re.outcome.error.to_bits(), scratch.outcome.error.to_bits());
         assert_eq!(re.outcome.probes, scratch.outcome.probes);
-        // The incremental session never rescanned the full log...
-        assert_eq!(re.alpha_full_scans, 1);
+        // The incremental session appended the delta in one partial scan...
         assert_eq!(re.alpha_delta_scans, 1);
         // ...and served every model probe from the memo (analytic source).
         assert_eq!(re.model_memo_hits, re.outcome.evals);
@@ -758,27 +659,29 @@ mod tests {
         assert_eq!(p.outcome.side, s.outcome.side);
         assert_eq!(p.outcome.error.to_bits(), s.outcome.error.to_bits());
         assert_eq!(p.outcome.probes, s.outcome.probes);
-        assert_eq!(p.alpha_full_scans, 1);
     }
 
     #[test]
-    fn tune_report_exposes_expression_kernel_counters() {
+    fn session_pmf_memo_serves_hits_across_tunes() {
         let events = skewed_events(400, 7);
         let mut session = TuningSession::new(cfg(SearchStrategy::BruteForce), model).unwrap();
         session.ingest(&events).unwrap();
         let first = session.tune().unwrap();
-        // Every probe sweeps the full HGrid lattice through the kernel.
-        assert!(first.expr_cell_evals > 0, "{first:?}");
-        // Quantised α rates recur across probes, so the session's pmf memo
+        let memo = |s: &TuningSession<_>| {
+            let m = s.alpha_cache().unwrap().pmf_memo();
+            (m.entries(), m.hits())
+        };
+        // Every probe sweeps the HGrid lattice through the kernel, whose
+        // tables land in the session's pmf memo...
+        let (entries, first_hits) = memo(&session);
+        assert!(entries > 0);
+        // ...and quantised α rates recur across probes, so the memo
         // serves hits within the very first tune...
-        assert!(first.expr_pmf_memo_hits > 0, "{first:?}");
-        // ...and a warm re-tune still answers bit-identically.
+        assert!(first_hits > 0);
+        // ...and more on a warm re-tune, which still answers bit-identically.
         let second = session.tune().unwrap();
-        assert!(second.expr_pmf_memo_hits > 0, "{second:?}");
-        assert_eq!(
-            second.outcome.error.to_bits(),
-            first.outcome.error.to_bits()
-        );
+        assert!(memo(&session).1 > first_hits);
+        assert_eq!(second.outcome, first.outcome);
     }
 
     #[test]
@@ -823,6 +726,42 @@ mod tests {
                 StageKind::Report
             ]
         );
+    }
+
+    #[test]
+    fn overlapping_sessions_report_what_each_reports_alone() {
+        // Two sessions with the same inputs tune at the same time on two
+        // threads, sharing the process's worker pool and obs registry;
+        // each report must equal a solo run's, field for field.
+        use crate::uncertainty::BootstrapConfig;
+        use std::sync::Barrier;
+        let events = skewed_events(400, 7);
+        let config = EngineConfig {
+            bootstrap: Some(BootstrapConfig::new(4, 11)),
+            ..cfg(SearchStrategy::BruteForce)
+        };
+        let solo = {
+            let mut s = TuningSession::new(config, model).unwrap();
+            s.ingest(&events).unwrap();
+            s.tune().unwrap()
+        };
+        let barrier = Barrier::new(2);
+        let reports: Vec<TuneReport> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut s = TuningSession::new(config, model).unwrap();
+                        s.ingest(&events).unwrap();
+                        barrier.wait();
+                        s.tune().unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for report in &reports {
+            assert_eq!(report, &solo);
+        }
     }
 
     #[test]

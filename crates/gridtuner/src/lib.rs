@@ -44,7 +44,7 @@
 //! let delta = city.sample_history_events(16, 28..29, &mut rng);
 //! session.ingest(&delta).unwrap();
 //! let again = session.tune().unwrap();
-//! assert_eq!(again.alpha_full_scans, 1);
+//! assert_eq!(again.alpha_delta_scans, 1);
 //! ```
 //!
 //! ## Crate map
@@ -119,7 +119,6 @@ mod tests {
         let (events, config) = chengdu_week();
         let result = tune(&events, config);
         assert!((2..=12).contains(&result.outcome.side));
-        assert_eq!(result.alpha_full_scans, 1);
         assert_eq!(result.partition.mgrid_side(), result.outcome.side);
     }
 

@@ -137,7 +137,7 @@ impl Optimizer for Adam {
     /// same value) and the divisions stay divisions, so every update is
     /// bit-identical to scaling, clipping and a two-pass Adam run one
     /// after another. Elements are independent, so the parameters are cut
-    /// into tasks of about [`ADAM_TASK`] elements and updated in one pool
+    /// into tasks of about `ADAM_TASK` elements and updated in one pool
     /// dispatch; the task layout cannot change any bit.
     fn scaled_step(&mut self, params: &mut [&mut Param], scale: f32, clip: f32) {
         self.t += 1;

@@ -6,7 +6,7 @@
 //!
 //! Three layers:
 //!
-//! * [`span`] — lightweight hierarchical spans (`span!("tune")` →
+//! * [`span`](mod@span) — lightweight hierarchical spans (`span!("tune")` →
 //!   `span!("probe", side = s)`) with monotonic timing, a thread-safe
 //!   global stats registry, and near-zero cost when disabled (one relaxed
 //!   atomic load);

@@ -9,7 +9,7 @@
 //! Unlike spans and events, metrics are **always live** — they do not
 //! check [`crate::enabled`]. The increment is cheaper than the branch, and
 //! always-on counters let library accessors (e.g. the α-cache's
-//! `full_scans`) be backed by the same types the registry exports.
+//! `delta_scans`) be backed by the same types the registry exports.
 
 use crate::json::Val;
 use std::collections::BTreeMap;

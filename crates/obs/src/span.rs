@@ -100,7 +100,7 @@ pub fn reset_stats() {
     crate::lock_unpoisoned(stats()).clear();
 }
 
-/// A live span. Created by the [`span!`](crate::span) macro (or
+/// A live span. Created by the [`span!`](macro@crate::span) macro (or
 /// [`Span::enter`] directly); closes on drop.
 #[must_use = "a span measures the scope it is bound to; binding it to _ drops it immediately"]
 pub struct Span {

@@ -1,5 +1,5 @@
 //! Dependency-free data parallelism on a lazily-started **persistent
-//! worker pool** (see [`pool`] internals in `pool.rs`).
+//! worker pool** (its internals live in `pool.rs`).
 //!
 //! Every helper here follows the same contract:
 //!
@@ -49,7 +49,7 @@ const MIN_ITEMS_PER_THREAD: usize = 2;
 /// folded into per-block partials of this size (64 f64 = 512 bytes = 8
 /// cache lines, so a block's inputs prefetch as one streaming run) and
 /// the partials are added in block order. Within a block the fold is the
-/// canonical 4-lane association (see [`block_fold`]). Because the block
+/// canonical 4-lane association (see `block_fold`). Because the block
 /// size is a constant, the association — and so the summed value, bit for
 /// bit — is the same for every worker count. Public so sequential
 /// reference implementations (e.g. the batched expression-error kernel's
@@ -176,7 +176,7 @@ pub fn set_max_threads(n: usize) {
 
 /// Number of workers for `len` items: at most [`max_threads`], at least 1,
 /// and never so many that a worker gets fewer than
-/// [`MIN_ITEMS_PER_THREAD`] items.
+/// `MIN_ITEMS_PER_THREAD` items.
 pub fn workers_for(len: usize) -> usize {
     max_threads().min(len / MIN_ITEMS_PER_THREAD).max(1)
 }
@@ -219,7 +219,7 @@ pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec
 
 /// Deterministic parallel sum: items are folded into per-block partials of
 /// [`SUM_BLOCK`] elements (each block folded with the canonical 4-lane
-/// association, see [`block_fold`]), and the partials are added in block
+/// association, see `block_fold`), and the partials are added in block
 /// order. The blocking depends only on `items.len()`, so the
 /// floating-point association is fixed: sequential and parallel runs
 /// agree **bit-for-bit for every worker count**.
@@ -280,7 +280,7 @@ pub fn par_sum_with<T: Sync, S>(
 }
 
 /// Parallel accumulation into an `f32` buffer of length `len`: `items` are
-/// split into at most [`ACC_CHUNKS`] contiguous chunks (boundaries depend
+/// split into at most `ACC_CHUNKS` contiguous chunks (boundaries depend
 /// only on `items.len()`); each chunk is folded into its own zeroed buffer
 /// via `f(index, item, buf)`, and the partial buffers are added
 /// element-wise **in chunk order** — the same association whether the

@@ -1,7 +1,7 @@
 //! The predictor ladder: historical average, MLP, DeepST-like,
 //! DMVST-like.
 //!
-//! All neural predictors share one training core ([`NnCore`]): build
+//! All neural predictors share one training core (`NnCore`): build
 //! closeness/period/trend samples, normalize by the training maximum,
 //! minimize Huber loss with Adam, and clamp predictions to non-negative
 //! counts. They differ in features and architecture, forming the paper's

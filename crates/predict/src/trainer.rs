@@ -2,7 +2,7 @@
 //! learning-rate decay and gradient clipping, and the one minibatch step
 //! every training loop in the crate takes.
 //!
-//! [`super::models::NnCore`]'s fixed-epoch loop is fine for harness sweeps
+//! `NnCore`'s fixed-epoch loop is fine for harness sweeps
 //! where wall-clock predictability matters; `fit_until` is the
 //! production-style alternative: hold out a slice of the samples, stop when
 //! validation stops improving, and keep the best weights seen. Both

@@ -1,7 +1,7 @@
 //! Partitions of the service area as a first-class abstraction.
 //!
 //! The paper's Theorem II.1 error decomposition does not actually require
-//! the square `n = s²` MGrid layout of [`Partition`](crate::grid::Partition):
+//! the square `n = s²` MGrid layout of [`Partition`]:
 //! it holds for *any* partition of the unit square into regions, as long as
 //! every region is a union of HGrid-lattice cells (so the α field derived on
 //! the lattice can be aggregated per region). This module captures that
@@ -9,7 +9,7 @@
 //! implementations:
 //!
 //! * [`UniformGrid`] — the paper's square layout, bit-identical to the
-//!   legacy [`Partition`](crate::grid::Partition) sweep (regions are MGrid
+//!   legacy [`Partition`] sweep (regions are MGrid
 //!   cells in row-major order; cells inside a region follow
 //!   [`Partition::hgrid_iter`](crate::grid::Partition::hgrid_iter) order);
 //! * [`RectGrid`] — independent x/y region counts `nx × ny` over a shared

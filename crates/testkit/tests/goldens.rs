@@ -102,7 +102,6 @@ fn golden_for_city(city: City, seed: u64) -> Json {
                 ("expression_error", Json::Num(expression)),
                 ("model_error", Json::Num(model_err)),
                 ("evals", Json::Num(result.outcome.evals as f64)),
-                ("alpha_rescans", Json::Num(result.alpha_full_scans as f64)),
                 ("alpha_digest_len", Json::Num(session.digest_len() as f64)),
             ]),
         ),

@@ -41,9 +41,7 @@ fn fingerprint(r: &TuneReport) -> (u32, u64, Vec<(u32, u64)>) {
 fn run_rebuild(sc: &Scenario) -> (u32, u64, Vec<(u32, u64)>) {
     let mut session = TuningSession::new(config_for(sc), sc.model_fn()).unwrap();
     session.ingest(&sc.events).unwrap();
-    let report = session.tune().unwrap();
-    assert_eq!(report.alpha_full_scans, 1, "rebuild scans the log once");
-    fingerprint(&report)
+    fingerprint(&session.tune().unwrap())
 }
 
 /// The same log fed in `chunks` slices, re-tuning after every slice (a
@@ -65,7 +63,6 @@ fn run_incremental(sc: &Scenario, chunks: usize) -> (u32, u64, Vec<(u32, u64)>) 
         start = end;
     }
     let report = report.unwrap();
-    assert_eq!(report.alpha_full_scans, 1, "only the first ingest scans");
     assert_eq!(
         report.alpha_delta_scans as usize,
         chunks - 1,

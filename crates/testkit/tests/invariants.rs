@@ -37,7 +37,6 @@ fn tuning_hot_path_upholds_gated_invariants() {
             let mut session = TuningSession::new(config, sc.model_fn()).unwrap();
             session.ingest(&sc.events).unwrap();
             let result = session.tune().unwrap();
-            assert_eq!(result.alpha_full_scans, 1);
             assert!((lo..=hi).contains(&result.outcome.side));
             if strategy == SearchStrategy::BruteForce {
                 brute = Some(result.outcome);

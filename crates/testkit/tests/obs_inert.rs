@@ -99,7 +99,6 @@ fn pipeline(city: City, seed: u64) -> Json {
         ("upper_bound", Json::Num(result.outcome.error)),
         ("expression_error", Json::Num(expression)),
         ("evals", Json::Num(result.outcome.evals as f64)),
-        ("alpha_rescans", Json::Num(result.alpha_full_scans as f64)),
         ("served", Json::Num(outcome.served as f64)),
         ("revenue", Json::Num(outcome.revenue)),
         ("travel_km", Json::Num(outcome.travel_km)),
