@@ -55,6 +55,8 @@ pub fn run(cfg: &RunCfg) {
             fmt(d_alpha(&a_true)),
         );
     }
-    let knee = select_hgrid_side(&curve_long, 0.05);
-    println!("# selected HGrid side (5% flatness rule): {knee}");
+    match select_hgrid_side(&curve_long, 0.05) {
+        Ok(knee) => println!("# selected HGrid side (5% flatness rule): {knee}"),
+        Err(e) => println!("# no HGrid side selected: {e}"),
+    }
 }

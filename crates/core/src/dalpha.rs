@@ -55,16 +55,22 @@ pub fn region_d_alpha<P: SpatialPartition>(
 /// the last sampled side when the curve never flattens (the paper's
 /// "estimation noise keeps growing" regime).
 ///
-/// The input must be sorted by side and contain at least two points.
-pub fn select_hgrid_side(curve: &[(u32, f64)], flat_threshold: f64) -> u32 {
-    assert!(
-        curve.len() >= 2,
-        "need at least two (side, D_alpha) samples"
-    );
-    assert!(
-        curve.windows(2).all(|w| w[0].0 < w[1].0),
-        "curve must be sorted by side"
-    );
+/// The input must be sorted by strictly increasing side and contain at
+/// least two points; anything else is a [`CoreError::Data`].
+pub fn select_hgrid_side(curve: &[(u32, f64)], flat_threshold: f64) -> Result<u32, CoreError> {
+    if curve.len() < 2 {
+        return Err(CoreError::Data(format!(
+            "need at least two (side, D_alpha) samples to select an HGrid side, got {}",
+            curve.len()
+        )));
+    }
+    if let Some(w) = curve.windows(2).find(|w| w[0].0 >= w[1].0) {
+        return Err(CoreError::Data(format!(
+            "(side, D_alpha) curve must be sorted by strictly increasing side \
+             (side {} is followed by side {})",
+            w[0].0, w[1].0
+        )));
+    }
     for w in curve.windows(2) {
         let (s0, d0) = w[0];
         let (s1, d1) = w[1];
@@ -76,10 +82,10 @@ pub fn select_hgrid_side(curve: &[(u32, f64)], flat_threshold: f64) -> u32 {
         let doublings = 2.0 * (s1 as f64 / s0 as f64).log2();
         let growth = (d1 - d0) / d0 / doublings.max(f64::MIN_POSITIVE);
         if growth < flat_threshold {
-            return s0;
+            return Ok(s0);
         }
     }
-    curve.last().map_or(0, |&(side, _)| side) // non-empty: len >= 2 checked above
+    Ok(curve[curve.len() - 1].0)
 }
 
 #[cfg(test)]
@@ -173,25 +179,39 @@ mod tests {
             (128, 304.0),
             (256, 306.0),
         ];
-        assert_eq!(select_hgrid_side(&curve, 0.05), 64);
+        assert_eq!(select_hgrid_side(&curve, 0.05), Ok(64));
     }
 
     #[test]
     fn select_side_falls_back_to_last_when_never_flat() {
         let curve = vec![(8, 100.0), (16, 200.0), (32, 400.0)];
-        assert_eq!(select_hgrid_side(&curve, 0.05), 32);
+        assert_eq!(select_hgrid_side(&curve, 0.05), Ok(32));
     }
 
     #[test]
     fn select_side_handles_zero_prefix() {
         // An all-zero early sample must not divide by zero.
         let curve = vec![(4, 0.0), (8, 10.0), (16, 10.2)];
-        assert_eq!(select_hgrid_side(&curve, 0.05), 8);
+        assert_eq!(select_hgrid_side(&curve, 0.05), Ok(8));
     }
 
     #[test]
-    #[should_panic(expected = "sorted")]
     fn select_side_requires_sorted_input() {
-        select_hgrid_side(&[(16, 1.0), (8, 2.0)], 0.05);
+        for curve in [&[(16, 1.0), (8, 2.0)][..], &[(8, 1.0), (8, 2.0)]] {
+            match select_hgrid_side(curve, 0.05) {
+                Err(CoreError::Data(m)) => assert!(m.contains("sorted"), "{m}"),
+                other => panic!("unsorted curve {curve:?} gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn select_side_requires_two_samples() {
+        for curve in [&[][..], &[(8, 1.0)]] {
+            match select_hgrid_side(curve, 0.05) {
+                Err(CoreError::Data(m)) => assert!(m.contains("at least two"), "{m}"),
+                other => panic!("short curve {curve:?} gave {other:?}"),
+            }
+        }
     }
 }

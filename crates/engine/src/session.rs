@@ -71,7 +71,7 @@ pub struct TuneReport {
 
 /// The model leg at `side`, served from `memo` when present; the flag says
 /// whether it was a memo hit.
-fn memoised_model_error<S: ModelErrorSource>(
+pub(crate) fn memoised_model_error<S: ModelErrorSource>(
     model: &mut S,
     memo: &mut HashMap<u32, f64>,
     side: u32,
@@ -334,11 +334,12 @@ impl<S: ModelErrorSource> TuningSession<S> {
         self.report(outcome, memo_hits, uncertainty)
     }
 
-    /// The uncertainty stage: B sequential replicate tunes, each on a
-    /// bootstrap replicate drawn into the session cache's window digest,
-    /// sharing its warm pmf memo and serving the model leg from the
-    /// session memo (see the module docs of [`crate::uncertainty`]).
-    /// No-op unless the config enables it.
+    /// The uncertainty stage: B replicate tunes run side by side on the
+    /// worker pool, each on a bootstrap replicate drawn into the session
+    /// cache's window digest and sharing its warm pmf memo. The model leg
+    /// is served from the session memo; sides it lacks are measured on
+    /// this thread between rounds (see the module docs of
+    /// [`crate::uncertainty`]). No-op unless the config enables it.
     fn run_uncertainty(
         &mut self,
         point: &SearchOutcome,
@@ -357,9 +358,8 @@ impl<S: ModelErrorSource> TuningSession<S> {
         };
         let model = &mut self.model;
         let memo = &mut self.model_memo;
-        let mut model_err = |side: u32| Ok(memoised_model_error(model, memo, side)?.0);
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_bootstrap(cache, &setup, bcfg, point, &mut model_err)
+            run_bootstrap(cache, &setup, bcfg, point, model, memo)
         })) {
             Ok(result) => result.map(Some),
             Err(payload) => Err(EngineError::Internal(format!(

@@ -18,10 +18,10 @@
 //!   failure mode the testkit documents for ternary search), and
 //!   [`StabilityVerdict::Unstable`] otherwise.
 //!
-//! Replicates run sequentially in index order. Each one consumes its own
-//! splitmix64 stream from `(seed, index)` — the same draws, in the same
-//! order, as [`resample_events`](gridtuner_core::resample_events) — but
-//! never materialises the resampled log: every drawn log index is mapped
+//! Each replicate consumes its own splitmix64 stream from `(seed, index)`
+//! — the same draws, in the same order, as
+//! [`resample_events`](gridtuner_core::resample_events) — but never
+//! materialises the resampled log: every drawn log index is mapped
 //! through the session cache's "log index → window-digest slot" index, and
 //! the hits are drawn straight into the replicate's α digest
 //! ([`AlphaFieldCache::bootstrap_replicate`]). A one-slot window keeps a
@@ -30,10 +30,32 @@
 //! log. The replicate cache *shares*
 //! the session's warm [`PmfMemo`](gridtuner_core::PmfMemo) (bit-invisible:
 //! memo entries are a pure function of the rate), and the session's own
-//! search strategy runs on it through the `try_*` searchers. The
-//! expression sweeps inside each replicate still fan out over the worker
-//! pool, so the whole stage is bit-identical across `GRIDTUNER_THREADS`
-//! 1/2/8 — the testkit pins the full confidence set, not just the argmin.
+//! search strategy runs on it through the `try_*` searchers.
+//!
+//! Replicates run side by side: each is one [`par_map`] item, drawn and
+//! searched on whichever thread claimed it, with its expression sweeps
+//! inline there (a nested dispatch runs inline, in the same association
+//! as a fanned-out one). Its cache is dropped when the item returns, so
+//! each worker holds at most one replicate cache at a time. With one
+//! worker, or fewer than four replicates, `par_map` runs the items inline
+//! in index order and the sweeps inside fan out over the pool instead.
+//!
+//! The model leg stays on the calling thread, because a source need not
+//! be `Sync` (a per-probe trainer usually is not). So the stage runs in
+//! **rounds**. Workers read the session's model memo as it stands. A
+//! replicate that probes a side the memo lacks stops there and reports
+//! the side, keeping the expression errors it has computed. Between
+//! rounds the calling thread measures each missing side once and re-runs
+//! only the stalled replicates, which replay their kept expression errors
+//! instead of sweeping again. Brute force always finishes in one round,
+//! because the point search has already measured every side in the
+//! range; adaptive strategies take another round only when a replicate
+//! walks to a side the point search never probed. The contract that
+//! makes this exact is the one the memo already relies on: the model
+//! error is a pure function of the side. Each replicate's result is then
+//! a function of its draws alone, so the whole stage is bit-identical
+//! across `GRIDTUNER_THREADS` 1/2/8 — the testkit pins the full
+//! confidence set, not just the argmin.
 //!
 //! The bootstrap perturbs the **expression leg only**: the model-error leg
 //! is served per side from the session's model source (memoised), because
@@ -46,15 +68,17 @@
 //! bitwise.
 
 use crate::error::EngineError;
+use crate::session::memoised_model_error;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::error::CoreError;
 use gridtuner_core::search::{
     try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome, SearchStrategy,
 };
+use gridtuner_core::upper_bound::ModelErrorSource;
 use gridtuner_obs as obs;
-use gridtuner_par::EnvParseError;
+use gridtuner_par::{par_map, EnvParseError};
 use gridtuner_spatial::Partition;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Relative tolerance under which two probed errors count as tied — the
 /// plateau detector's resolution, matching the goldens' float tolerance.
@@ -193,64 +217,166 @@ pub(crate) struct ReplicateSetup {
     pub budget: u32,
 }
 
-/// Runs the session's search over one replicate's α cache.
-fn tune_replicate(
+/// A replicate still to run: its index and the expression errors its
+/// earlier, stalled attempts already computed, by side.
+struct Pending {
+    index: u64,
+    exprs: HashMap<u32, f64>,
+}
+
+/// How one attempt at a replicate ended.
+enum Attempt {
+    /// The search ran to the end (or failed for a reason of its own).
+    Finished(Result<SearchOutcome, CoreError>),
+    /// The search probed `side`, whose model leg the round's memo lacks.
+    /// `next.exprs` keeps every expression error computed so far, so the
+    /// re-run replays them instead of sweeping again.
+    Stalled { side: u32, next: Pending },
+}
+
+/// One attempt at replicate `pending.index`: the session's search over the
+/// replicate's α cache, with the model leg read from `known` (the session
+/// memo, frozen for the round). The replicate cache is drawn on the first
+/// expression this attempt has not seen yet and dropped on return, so a
+/// worker holds at most one replicate cache at a time.
+fn attempt_replicate(
     cache: &AlphaFieldCache,
     setup: &ReplicateSetup,
-    model_err: &mut dyn FnMut(u32) -> Result<f64, CoreError>,
-) -> Result<SearchOutcome, CoreError> {
+    config: BootstrapConfig,
+    stage: u64,
+    pending: &Pending,
+    known: &HashMap<u32, f64>,
+) -> Attempt {
+    let _rep = obs::span!(parent = stage; "uncertainty.replicate", index = pending.index);
+    let mut exprs = pending.exprs.clone();
+    let mut replicate: Option<AlphaFieldCache> = None;
+    let mut stalled = None;
     let mut probe = |side: u32| -> Result<f64, CoreError> {
-        let part = Partition::for_budget(side, setup.budget);
-        let expr = cache.expression_error(&part)?;
-        Ok(expr + model_err(side)?)
+        let expr = match exprs.get(&side) {
+            Some(&e) => e,
+            None => {
+                let drawn = replicate
+                    .get_or_insert_with(|| cache.bootstrap_replicate(config.seed, pending.index));
+                let e = drawn.expression_error(&Partition::for_budget(side, setup.budget))?;
+                exprs.insert(side, e);
+                e
+            }
+        };
+        match known.get(&side) {
+            Some(&m) => Ok(expr + m),
+            None => {
+                // Abort the search; the error never leaves this function.
+                stalled = Some(side);
+                Err(CoreError::Model {
+                    side,
+                    message: "model leg not measured yet".into(),
+                })
+            }
+        }
     };
-    match setup.strategy {
+    let result = match setup.strategy {
         SearchStrategy::BruteForce => try_brute_force(&mut probe, setup.lo, setup.hi),
         SearchStrategy::Ternary => try_ternary_search(&mut probe, setup.lo, setup.hi),
         SearchStrategy::Iterative { init, bound } => {
             try_iterative_method(&mut probe, setup.lo, setup.hi, init, bound)
         }
+    };
+    match stalled {
+        Some(side) => Attempt::Stalled {
+            side,
+            next: Pending {
+                index: pending.index,
+                exprs,
+            },
+        },
+        None => Attempt::Finished(result),
     }
 }
 
-/// Runs the bootstrap: B sequential replicate tunes, each on a replicate
-/// cache drawn from `cache` (the session's, whose pmf memo they share),
-/// folding the results into an [`UncertaintyReport`]. Deterministic for a
-/// given `(log, config)` — the replicate order, the draw streams and the
-/// searchers are all fixed, and the parallel expression sweeps inside are
-/// bit-identical across thread counts.
-pub(crate) fn run_bootstrap(
+/// Runs the bootstrap: B replicate tunes, each on a replicate cache drawn
+/// from `cache` (the session's, whose pmf memo they share), folded into
+/// an [`UncertaintyReport`].
+///
+/// Replicates run side by side, one per [`par_map`] item, with their
+/// expression sweeps inline on the thread that claimed them. The model
+/// leg stays on the calling thread (`S` need not be `Sync`), so the stage
+/// runs in rounds: workers read `memo` as it stands, a replicate that
+/// probes a side the memo lacks stops and reports it, and between rounds
+/// this thread measures each missing side once through
+/// [`memoised_model_error`] and re-runs only the stalled replicates.
+/// Each replicate's result is a function of its draws and the per-side
+/// model values alone, so the report is bit-identical at every
+/// `GRIDTUNER_THREADS`. When replicates fail, the error of the lowest
+/// replicate index is returned.
+pub(crate) fn run_bootstrap<S: ModelErrorSource>(
     cache: &AlphaFieldCache,
     setup: &ReplicateSetup,
     config: BootstrapConfig,
     point: &SearchOutcome,
-    model_err: &mut dyn FnMut(u32) -> Result<f64, CoreError>,
+    model: &mut S,
+    memo: &mut HashMap<u32, f64>,
 ) -> Result<UncertaintyReport, EngineError> {
-    let _span = obs::span!(
+    let stage = obs::span!(
         "uncertainty",
         replicates = config.replicates,
         seed = config.seed
     );
-    let hits_base = obs::counter!("expr.pmf_memo_hits").get();
-    let mut replicate_argmins = Vec::with_capacity(config.replicates as usize);
-    let mut replicate_errors = Vec::with_capacity(config.replicates as usize);
+    let hits_base = cache.pmf_memo().hits();
+    obs::counter!("boot.replicates").add(u64::from(config.replicates));
+    let mut results: Vec<Option<Result<SearchOutcome, CoreError>>> =
+        vec![None; config.replicates as usize];
+    let mut pending: Vec<Pending> = (0..u64::from(config.replicates))
+        .map(|index| Pending {
+            index,
+            exprs: HashMap::new(),
+        })
+        .collect();
+    // Sides whose model leg failed: each is measured once, like a success.
+    let mut failed: HashMap<u32, CoreError> = HashMap::new();
+    while !pending.is_empty() {
+        let known = &*memo;
+        let attempts = par_map(&pending, |p| {
+            attempt_replicate(cache, setup, config, stage.id(), p, known)
+        });
+        let mut stalled = Vec::new();
+        for (p, attempt) in pending.iter().zip(attempts) {
+            let (side, next) = match attempt {
+                Attempt::Finished(result) => {
+                    results[p.index as usize] = Some(result);
+                    continue;
+                }
+                Attempt::Stalled { side, next } => (side, next),
+            };
+            let served = match failed.get(&side) {
+                Some(e) => Err(e.clone()),
+                None => memoised_model_error(model, memo, side),
+            };
+            match served {
+                Ok(_) => stalled.push(next),
+                Err(e) => {
+                    failed.entry(side).or_insert_with(|| e.clone());
+                    results[next.index as usize] = Some(Err(e));
+                }
+            }
+        }
+        pending = stalled;
+    }
+    obs::counter!("boot.cache_hits").add(cache.pmf_memo().hits().saturating_sub(hits_base));
+
+    let mut replicate_argmins = Vec::with_capacity(results.len());
+    let mut replicate_errors = Vec::with_capacity(results.len());
     // Per-side accumulators over every replicate probe, ordered by side.
     let mut spread: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-    for r in 0..u64::from(config.replicates) {
-        let _rep = obs::span!("uncertainty.replicate", index = r);
-        obs::counter!("boot.replicates").inc();
-        let replicate = cache.bootstrap_replicate(config.seed, r);
-        let outcome = tune_replicate(&replicate, setup, model_err)?;
+    for result in results {
+        let outcome = result.ok_or_else(|| {
+            EngineError::Internal("a bootstrap replicate never finished".into())
+        })??;
         for &(side, err) in &outcome.probes {
             spread.entry(side).or_default().push(err);
         }
         replicate_argmins.push(outcome.side);
         replicate_errors.push(outcome.error);
     }
-    let cache_hits = obs::counter!("expr.pmf_memo_hits")
-        .get()
-        .saturating_sub(hits_base);
-    obs::counter!("boot.cache_hits").add(cache_hits);
 
     let mut confidence_set: Vec<u32> = replicate_argmins.clone();
     confidence_set.push(point.side);

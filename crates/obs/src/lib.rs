@@ -134,13 +134,28 @@ pub fn reset() {
 /// duration is recorded) when the guard drops. Fields are evaluated only
 /// when recording is enabled.
 ///
+/// `parent = id;` before the name opens the span under that span id
+/// instead of this thread's innermost live span ([`span::Span::enter_under`]).
+///
 /// ```
 /// # use gridtuner_obs as obs;
 /// let _outer = obs::span!("tune");
 /// let _inner = obs::span!("probe", side = 16u32);
+/// let _task = obs::span!(parent = _outer.id(); "task", index = 0u64);
 /// ```
 #[macro_export]
 macro_rules! span {
+    (parent = $parent:expr; $name:literal $(, $k:ident = $v:expr)* $(,)?) => {
+        $crate::span::Span::enter_under(
+            $parent,
+            $name,
+            if $crate::enabled() {
+                vec![$((stringify!($k), $crate::json::Val::from($v))),*]
+            } else {
+                Vec::new()
+            },
+        )
+    };
     ($name:literal) => {
         $crate::span::Span::enter($name, Vec::new())
     };

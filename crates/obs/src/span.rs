@@ -4,7 +4,9 @@
 //! and records the elapsed time. Parent/child structure comes from a
 //! thread-local stack — a span opened while another is live on the same
 //! thread becomes its child, which the trace stream records via the
-//! `parent` id. Closed spans fold into a global name-keyed [`SpanStat`]
+//! `parent` id. Work handed to another thread names its parent explicitly
+//! with [`Span::enter_under`]; spans opened inside it on that thread nest
+//! under it as usual. Closed spans fold into a global name-keyed [`SpanStat`]
 //! aggregate (count / total / min / max), which the end-of-run report
 //! reads for its per-phase timing table.
 //!
@@ -110,7 +112,8 @@ pub struct Span {
 
 struct LiveSpan {
     id: u64,
-    parent: u64,
+    /// The thread's innermost live span before this one, restored on drop.
+    restore: u64,
     name: &'static str,
     started: Instant,
 }
@@ -119,16 +122,29 @@ impl Span {
     /// Opens a span. `fields` are attached to the `span_start` trace
     /// record; pass an empty vec when there are none.
     pub fn enter(name: &'static str, fields: Vec<(&'static str, Val)>) -> Span {
+        Span::open(None, name, fields)
+    }
+
+    /// Opens a span whose parent is the span `parent` (an [`id`](Self::id),
+    /// 0 for a root) rather than this thread's innermost live span — for
+    /// work a pool worker runs on behalf of a span opened on another
+    /// thread. Spans opened on this thread while the guard lives still
+    /// nest under it.
+    pub fn enter_under(parent: u64, name: &'static str, fields: Vec<(&'static str, Val)>) -> Span {
+        Span::open(Some(parent), name, fields)
+    }
+
+    fn open(parent: Option<u64>, name: &'static str, fields: Vec<(&'static str, Val)>) -> Span {
         if !crate::enabled() {
             return Span { live: None };
         }
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        let parent = CURRENT.with(|cur| cur.replace(id));
-        trace::write_span_start(id, parent, name, fields);
+        let restore = CURRENT.with(|cur| cur.replace(id));
+        trace::write_span_start(id, parent.unwrap_or(restore), name, fields);
         Span {
             live: Some(LiveSpan {
                 id,
-                parent,
+                restore,
                 name,
                 started: Instant::now(),
             }),
@@ -145,7 +161,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(live) = self.live.take() else { return };
         let dur_ns = live.started.elapsed().as_nanos() as u64;
-        CURRENT.with(|cur| cur.set(live.parent));
+        CURRENT.with(|cur| cur.set(live.restore));
         crate::lock_unpoisoned(stats())
             .entry(live.name)
             .or_insert(SpanStat {
@@ -198,6 +214,25 @@ mod tests {
         );
         assert!(outer.max_ns >= inner.min_ns, "parent contains child");
         assert!(outer.min_ns <= outer.max_ns && outer.total_ns >= outer.max_ns);
+    }
+
+    #[test]
+    fn enter_under_names_the_given_parent_and_restores_the_thread() {
+        let _guard = crate::test_guard();
+        crate::enable();
+        let outer = Span::enter("span_test_under_outer", Vec::new());
+        let stage = outer.id();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let local = Span::enter("span_test_under_local", Vec::new());
+                {
+                    let under = Span::enter_under(stage, "span_test_under", Vec::new());
+                    assert_eq!(CURRENT.with(|c| c.get()), under.id());
+                }
+                assert_eq!(CURRENT.with(|c| c.get()), local.id());
+            });
+        });
+        assert_eq!(CURRENT.with(|c| c.get()), stage);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! | `nn-conv-vs-naive` | the tap-hoisted conv kernel matches the naive convolution; a batch of `B` = `B` one-sample calls, bit for bit |
 //! | `theorem-ii1-empirical` | real ≤ model + expression on arbitrary samples (and the slack bound) |
 //! | `quadtree-dp-vs-exhaustive` | the quadtree refinement's bound = the minimum over every quadtree with a reachable region count on 4×4 and 8×8 lattices, and its tree attains it |
-//! | `bootstrap-replicate-vs-direct` | a bootstrap replicate's tune = tuning the materialised resampled log directly, bit for bit |
+//! | `bootstrap-replicate-vs-direct` | a bootstrap replicate's tune = tuning the materialised resampled log directly, bit for bit, under brute force, ternary search and the iterative method |
 //! | `bootstrap-seed-determinism` | same seed and B → the same confidence set, run to run and at 1 or 8 workers |
 
 use crate::diff::Check;
@@ -1021,47 +1021,54 @@ pub fn standard_checks() -> Vec<Check> {
 
     checks.push(Check::new("bootstrap-replicate-vs-direct", |s| {
         // The uncertainty stage promises each replicate tune is *exactly*
-        // the tune of the materialised resampled log: the bootstrap
-        // perturbs the expression leg only, and the shared pmf memo is
-        // bit-invisible. Materialise each resample and check bitwise.
+        // the tune of the materialised resampled log under the session's
+        // strategy: the bootstrap perturbs the expression leg only, and
+        // the shared pmf memo is bit-invisible. Materialise each resample
+        // and check bitwise — for brute force, whose replicates finish in
+        // one round, and for the adaptive strategies, whose replicates may
+        // stall on a side the point search never probed and be re-run.
         let boot_seed = s.params.seed ^ 0xb007_57a9;
         let b = 3u32;
-        let direct_cfg = engine_config(s, SearchStrategy::BruteForce);
-        let config = EngineConfig {
-            bootstrap: Some(BootstrapConfig::new(b, boot_seed)),
-            ..direct_cfg
-        };
-        let report = session_tune(s, config, &s.events)?;
-        let unc = report
-            .uncertainty
-            .ok_or("bootstrap config produced no uncertainty report")?;
-        if unc.replicate_argmins.len() != b as usize || unc.replicate_errors.len() != b as usize {
-            return Err(format!(
-                "expected {b} replicates, got {} argmins / {} errors",
-                unc.replicate_argmins.len(),
-                unc.replicate_errors.len()
-            ));
-        }
-        for r in 0..u64::from(b) {
-            let log = resample_events(&s.events, boot_seed, r);
-            let d = session_tune(s, direct_cfg, &log)?;
-            if d.outcome.side != unc.replicate_argmins[r as usize] {
+        let [ternary, iterative] = heuristics(s);
+        for strategy in [SearchStrategy::BruteForce, ternary, iterative] {
+            let direct_cfg = engine_config(s, strategy);
+            let config = EngineConfig {
+                bootstrap: Some(BootstrapConfig::new(b, boot_seed)),
+                ..direct_cfg
+            };
+            let report = session_tune(s, config, &s.events)?;
+            let unc = report
+                .uncertainty
+                .ok_or("bootstrap config produced no uncertainty report")?;
+            if unc.replicate_argmins.len() != b as usize || unc.replicate_errors.len() != b as usize
+            {
                 return Err(format!(
-                    "replicate {r}: bootstrap argmin {} vs direct tune {}",
-                    unc.replicate_argmins[r as usize], d.outcome.side
+                    "{strategy:?}: expected {b} replicates, got {} argmins / {} errors",
+                    unc.replicate_argmins.len(),
+                    unc.replicate_errors.len()
                 ));
             }
-            bit_eq(
-                &format!("replicate {r} optimum error"),
-                unc.replicate_errors[r as usize],
-                d.outcome.error,
-            )?;
-        }
-        if !unc.confidence_set.contains(&unc.point_side) {
-            return Err(format!(
-                "confidence set {:?} is missing the point estimate {}",
-                unc.confidence_set, unc.point_side
-            ));
+            for r in 0..u64::from(b) {
+                let log = resample_events(&s.events, boot_seed, r);
+                let d = session_tune(s, direct_cfg, &log)?;
+                if d.outcome.side != unc.replicate_argmins[r as usize] {
+                    return Err(format!(
+                        "{strategy:?} replicate {r}: bootstrap argmin {} vs direct tune {}",
+                        unc.replicate_argmins[r as usize], d.outcome.side
+                    ));
+                }
+                bit_eq(
+                    &format!("{strategy:?} replicate {r} optimum error"),
+                    unc.replicate_errors[r as usize],
+                    d.outcome.error,
+                )?;
+            }
+            if !unc.confidence_set.contains(&unc.point_side) {
+                return Err(format!(
+                    "{strategy:?}: confidence set {:?} is missing the point estimate {}",
+                    unc.confidence_set, unc.point_side
+                ));
+            }
         }
         Ok(())
     }));

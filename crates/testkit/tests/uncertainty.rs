@@ -10,6 +10,14 @@
 //! bits and must be called exactly once per side: the point search and all
 //! replicates share the session's model memo.
 //!
+//! A third run per worker count uses the iterative method with the
+//! counting source. Its start and step are chosen so that some replicates
+//! walk to sides the point search never probed: those replicates stall,
+//! the model leg is measured on the calling thread between rounds, and
+//! they re-run. It must be bit-identical across the matrix too, and every
+//! side the point search or any replicate probed must be measured exactly
+//! once, and no other side.
+//!
 //! This file holds exactly one `#[test]` on purpose:
 //! [`gridtuner_par::set_max_threads`] is a global override, and a second
 //! concurrently-running test in the same binary would observe it
@@ -25,6 +33,7 @@ use gridtuner_engine::{
 use gridtuner_spatial::Partition;
 use rand::{rngs::StdRng, SeedableRng};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 /// NYC golden constants (see `goldens.rs`), bootstrap at the acceptance
@@ -36,6 +45,9 @@ const HISTORY_DAYS: u32 = 14;
 const MODEL_COEF: f64 = 0.05;
 const REPLICATES: u32 = 32;
 const BOOT_SEED: u64 = 0x6e7963;
+/// An iterative search whose replicates leave the point search's probes
+/// (sides 6, 7 and 8 on this setup).
+const ITERATIVE: SearchStrategy = SearchStrategy::Iterative { init: 10, bound: 2 };
 
 fn model(side: u32) -> f64 {
     MODEL_COEF * (side * side) as f64
@@ -100,7 +112,7 @@ fn bits(u: &UncertaintyReport) -> Bits {
     }
 }
 
-fn run(model: impl ModelErrorSource) -> Tune {
+fn run(model: impl ModelErrorSource, strategy: SearchStrategy) -> Tune {
     let city = City::nyc().scaled(SCALE);
     let window = AlphaWindow {
         slot_of_day: 16,
@@ -113,7 +125,7 @@ fn run(model: impl ModelErrorSource) -> Tune {
     let cfg = EngineConfig::builder()
         .hgrid_budget_side(BUDGET_SIDE)
         .side_range(SIDE_RANGE.0, SIDE_RANGE.1)
-        .strategy(SearchStrategy::BruteForce)
+        .strategy(strategy)
         .alpha_window(window)
         .clock(*city.clock())
         .bootstrap(REPLICATES, BOOT_SEED)
@@ -138,24 +150,45 @@ fn run(model: impl ModelErrorSource) -> Tune {
     }
 }
 
+/// A fresh per-side call counter for [`CountingModel`].
+fn counters() -> Rc<Vec<Cell<u32>>> {
+    Rc::new((0..=SIDE_RANGE.1).map(|_| Cell::new(0)).collect())
+}
+
 #[test]
 fn bootstrap_is_bit_identical_across_the_thread_matrix() {
     // Baseline: single worker, closure model leg.
     gridtuner_par::set_max_threads(1);
-    let reference = run(model);
+    let reference = run(model, SearchStrategy::BruteForce);
     assert_eq!(reference.uncertainty.argmins.len(), REPLICATES as usize);
     assert_eq!(reference.uncertainty.errors.len(), REPLICATES as usize);
+    let iterative_reference = run(model, ITERATIVE);
+    let point: BTreeSet<u32> = iterative_reference.probes.iter().map(|p| p.0).collect();
+    let probed: BTreeSet<u32> = iterative_reference
+        .uncertainty
+        .dispersion
+        .iter()
+        .map(|d| d.0)
+        .chain(point.iter().copied())
+        .collect();
+    assert!(
+        probed.len() > point.len(),
+        "no replicate left the point search's probes {point:?}: the round path is not exercised"
+    );
     for threads in [1usize, 2, 8] {
         gridtuner_par::set_max_threads(threads);
         assert_eq!(
-            run(model),
+            run(model, SearchStrategy::BruteForce),
             reference,
             "bootstrap diverged at {threads} threads"
         );
-        let calls: Rc<Vec<Cell<u32>>> = Rc::new((0..=SIDE_RANGE.1).map(|_| Cell::new(0)).collect());
-        let counted = run(CountingModel {
-            calls: Rc::clone(&calls),
-        });
+        let calls = counters();
+        let counted = run(
+            CountingModel {
+                calls: Rc::clone(&calls),
+            },
+            SearchStrategy::BruteForce,
+        );
         assert_eq!(
             counted, reference,
             "!Sync model leg diverged at {threads} threads"
@@ -166,6 +199,26 @@ fn bootstrap_is_bit_identical_across_the_thread_matrix() {
                 count.get(),
                 want,
                 "side {side}: model leg ran {} times at {threads} threads",
+                count.get()
+            );
+        }
+        let calls = counters();
+        let iterative = run(
+            CountingModel {
+                calls: Rc::clone(&calls),
+            },
+            ITERATIVE,
+        );
+        assert_eq!(
+            iterative, iterative_reference,
+            "iterative bootstrap diverged at {threads} threads"
+        );
+        for (side, count) in calls.iter().enumerate() {
+            let want = u32::from(probed.contains(&(side as u32)));
+            assert_eq!(
+                count.get(),
+                want,
+                "iterative, side {side}: model leg ran {} times at {threads} threads",
                 count.get()
             );
         }

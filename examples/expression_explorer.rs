@@ -66,7 +66,9 @@ fn main() {
             curve.push((s, d));
             print!("{d:>10.1}");
         }
-        let knee = select_hgrid_side(&curve, 0.05);
-        println!("   knee ≈ {knee}");
+        match select_hgrid_side(&curve, 0.05) {
+            Ok(knee) => println!("   knee ≈ {knee}"),
+            Err(e) => println!("   no knee: {e}"),
+        }
     }
 }
