@@ -6,10 +6,11 @@
 //! at that moment on the same stream, and spans/events must carry a
 //! numeric `tid`.
 //!
-//! Chrome Trace Event Format (`--trace-format chrome`): the file must be
-//! a JSON array of event objects opening with a `process_name` metadata
-//! record; `B`/`E` duration events must nest LIFO per `(pid, tid)` lane,
-//! and `X` complete events must carry a numeric `dur`.
+//! Chrome Trace Event Format (the output of `gridtuner profile --chrome`):
+//! the file must be one closed JSON array of event objects opening with a
+//! `process_name` metadata record; `B`/`E` duration events must nest LIFO
+//! per `(pid, tid)` lane, and `X` complete events must carry a numeric
+//! `dur`.
 //!
 //! ```text
 //! cargo run -p gridtuner-bench --bin trace_check -- trace.jsonl \
@@ -125,38 +126,19 @@ fn validate(text: &str) -> Result<TraceSummary, String> {
     Ok(summary)
 }
 
-/// Validates a Chrome Trace Event Format array.
-///
-/// The exporter writes one event object per line inside `[` ... `]`; a
-/// process killed mid-run leaves the closing bracket (and possibly a
-/// trailing comma) missing, which Chrome itself tolerates — so does this
-/// parser.
+/// Validates a Chrome Trace Event Format file: one closed JSON array.
 fn validate_chrome(text: &str) -> Result<TraceSummary, String> {
-    let mut body = text.trim();
-    body = body
-        .strip_prefix('[')
-        .ok_or("chrome trace does not start with '['")?;
-    body = body.strip_suffix(']').unwrap_or(body).trim_end();
-    body = body.strip_suffix(',').unwrap_or(body);
-    // Each record sits on its own line, separated by ",\n" — strip the
-    // separators and reuse the JSONL parser line by line.
-    let lines: Vec<&str> = body
-        .lines()
-        .map(|l| l.trim().trim_end_matches(','))
-        .filter(|l| !l.is_empty())
-        .collect();
-    if lines.is_empty() {
+    let Val::Arr(events) = Val::parse(text.trim())? else {
+        return Err("chrome trace is not a JSON array".into());
+    };
+    if events.is_empty() {
         return Err("empty chrome trace: no events".into());
     }
     let mut summary = TraceSummary::default();
     // Per-(pid, tid) stack of open B event names.
     let mut stacks: BTreeMap<(u64, u64), Vec<String>> = BTreeMap::new();
-    for (i, line_text) in lines.iter().enumerate() {
+    for (i, rec) in events.iter().enumerate() {
         let line = i + 1;
-        let recs = parse_jsonl(line_text).map_err(|e| format!("event {line}: {e}"))?;
-        let rec = recs
-            .first()
-            .ok_or_else(|| format!("event {line}: empty record"))?;
         summary.records += 1;
         let ph = str_field(rec, "ph")
             .ok_or_else(|| format!("event {line}: record has no \"ph\" phase"))?;
@@ -227,8 +209,8 @@ fn validate_chrome(text: &str) -> Result<TraceSummary, String> {
             other => return Err(format!("event {line}: unknown phase {other:?}")),
         }
     }
-    // Truncation may leave open B events; that is tolerated like unclosed
-    // JSONL spans.
+    // Open B events are tolerated like the unclosed JSONL spans they are
+    // converted from (a process may exit inside a span).
     Ok(summary)
 }
 
@@ -474,11 +456,13 @@ mod tests {
     }
 
     #[test]
-    fn chrome_tolerates_a_truncated_stream() {
-        // Killed mid-run: no closing bracket, trailing comma, open B.
+    fn chrome_rejects_an_unclosed_array() {
+        // No closing bracket: the converter never writes this.
         let cut: String = CHROME.lines().take(4).collect::<Vec<_>>().join("\n");
-        let s = validate_chrome(&cut).unwrap();
-        assert_eq!(s.records, 3);
+        assert!(validate_chrome(&cut).is_err());
+        // A closed array with an open B (an unclosed span) is fine.
+        let open_b = format!("{}]", cut.trim_end_matches(','));
+        assert_eq!(validate_chrome(&open_b).unwrap().records, 3);
     }
 
     #[test]
@@ -538,33 +522,26 @@ mod tests {
 
     #[test]
     fn a_real_chrome_capture_validates() {
+        // End-to-end: capture JSONL through the real recorder, convert it
+        // offline and validate the Chrome array.
         use gridtuner_obs as obs;
-        use std::sync::{Arc, Mutex};
-        #[derive(Clone)]
-        struct Buf(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for Buf {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
         let _g = sink_guard();
-        let buf = Buf(Arc::new(Mutex::new(Vec::new())));
-        obs::trace::set_sink_with_format(Box::new(buf.clone()), obs::trace::Format::Chrome);
+        let buf = obs::trace::capture_to_buffer();
         obs::enable();
         {
             let _t = obs::span!("tune", lo = 2u32, hi = 8u32);
             let _p = obs::span!("probe", side = 4u32);
             obs::event!("probe", side = 4u32, total = 2.5f64);
         }
+        obs::trace::write_task_record(1, 1, 0, 10, 20);
         obs::disable();
-        obs::trace::clear_sink(); // writes the closing bracket
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let s = validate_chrome(&text).unwrap();
+        obs::trace::clear_sink();
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let chrome = obs::profile::to_chrome(&parse_jsonl(&text).unwrap());
+        let s = validate_chrome(&chrome).unwrap();
         assert!(s.names.contains("tune") && s.names.contains("probe"));
+        assert!(s.names.contains("par.task"));
         assert_eq!(s.kinds["B"], s.kinds["E"]);
+        assert_eq!(s.kinds["X"], 1);
     }
 }

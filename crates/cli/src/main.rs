@@ -38,10 +38,7 @@ const USAGE: &str = "\
 usage: gridtuner <command> [--flag value]...
 
 global flags (any command):
-  --trace PATH           stream a trace of the run to PATH
-  --trace-format jsonl|chrome
-                         wire format for --trace (default jsonl; chrome
-                         opens in Perfetto / chrome://tracing)
+  --trace PATH           stream a JSONL trace of the run to PATH
   --report               print an end-of-run observability report to stderr
 
 commands:
@@ -58,6 +55,8 @@ commands:
               --city C  --scale F  --seed N  --strategy S  --budget SIDE
               --range LO:HI  --top N  [--input TRACE.jsonl: analyze an
               existing JSONL trace instead of running a tune]
+              [--chrome OUT.json: also write the analysed trace as a
+              Chrome Trace Event array for Perfetto / chrome://tracing]
   expression  expression error of one HGrid (alpha, rest-of-MGrid, m)
               --alpha F  --rest F  --m N  [--k N: fixed-K Algorithm 2]
   generate    stream one day of trip records as TSV
@@ -133,7 +132,6 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
         "bootstrap",
         "bootstrap-seed",
         "trace",
-        "trace-format",
         "report",
     ])?;
     let city = City::by_name(&a.str_or("city", "xian"))?.scaled(a.get_or("scale", 0.05)?);
@@ -216,7 +214,8 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
     println!("optimal_side\t{}", result.outcome.side);
     println!("optimal_n\t{0}x{0}", result.outcome.side);
     println!("upper_bound_error\t{:.2}", result.outcome.error);
-    println!("model_trainings\t{}", result.outcome.evals);
+    // Every side the model leg measured, bootstrap replicates included.
+    println!("model_trainings\t{}", session.memoised_sides());
     println!(
         "partition\tm={} hgrid_lattice={}",
         result.partition.m(),
@@ -300,39 +299,38 @@ fn report_counters(records: &[obs::json::Val]) -> Vec<(String, u64)> {
 
 fn cmd_profile(a: &Args) -> Result<(), CliError> {
     a.expect_only(&[
-        "city",
-        "scale",
-        "seed",
-        "strategy",
-        "budget",
-        "range",
-        "top",
-        "input",
-        "trace",
-        "trace-format",
+        "city", "scale", "seed", "strategy", "budget", "range", "top", "input", "chrome", "trace",
         "report",
     ])?;
     let top: usize = a.get_or("top", 12usize)?;
     let input = a.str_or("input", "");
-    if !input.is_empty() {
+    let (records, counters) = if input.is_empty() {
+        profile_live(a)?
+    } else {
         // Offline mode: analyze a previously captured JSONL trace.
         let text = std::fs::read_to_string(&input)
             .map_err(|e| CliError::Engine(EngineError::Data(format!("--input {input:?}: {e}"))))?;
         let records = obs::json::parse_jsonl(&text)
             .map_err(|e| CliError::Engine(EngineError::Data(format!("--input {input:?}: {e}"))))?;
-        let profile = obs::profile::Profile::from_records(&records);
-        print!("{}", profile.render(top, &report_counters(&records)));
-        return Ok(());
+        let counters = report_counters(&records);
+        (records, counters)
+    };
+    let chrome_path = a.str_or("chrome", "");
+    if !chrome_path.is_empty() {
+        std::fs::write(&chrome_path, obs::profile::to_chrome(&records))
+            .map_err(|e| ArgError(format!("--chrome: cannot write {chrome_path:?}: {e}")))?;
     }
-    if a.str_or("trace-format", "jsonl") == "chrome" {
-        return Err(ArgError(
-            "profile analyzes the JSONL format; use `tune --trace-format chrome` for a \
-             Perfetto trace"
-                .into(),
-        )
-        .into());
-    }
-    // Live mode: run a tune with recording on, captured to a buffer.
+    let profile = obs::profile::Profile::from_records(&records);
+    print!("{}", profile.render(top, &counters));
+    Ok(())
+}
+
+/// Parsed trace records plus the counter values the profile tables print.
+type ProfileInput = (Vec<obs::json::Val>, Vec<(String, u64)>);
+
+/// Live `profile` mode: runs a tune with recording on, captured to a
+/// buffer, and returns the parsed trace records with the counters.
+fn profile_live(a: &Args) -> Result<ProfileInput, CliError> {
     let city = City::by_name(&a.str_or("city", "nyc"))?.scaled(a.get_or("scale", 0.05)?);
     let seed: u64 = a.get_or("seed", 2022u64)?;
     let budget: u32 = a.get_or("budget", 64u32)?;
@@ -387,19 +385,17 @@ fn cmd_profile(a: &Args) -> Result<(), CliError> {
         std::fs::write(&trace_path, &text)
             .map_err(|e| ArgError(format!("--trace: cannot write {trace_path:?}: {e}")))?;
     }
-    let profile = obs::profile::Profile::from_jsonl(&text)
+    let records = obs::json::parse_jsonl(&text)
         .map_err(|e| CliError::Engine(EngineError::Internal(format!("captured trace: {e}"))))?;
-    let counters = obs::metrics::snapshot().counters;
     eprintln!(
         "tuned: side {} (error {:.2}), {} probes",
         report.outcome.side, report.outcome.error, report.outcome.evals
     );
-    print!("{}", profile.render(top, &counters));
-    Ok(())
+    Ok((records, obs::metrics::snapshot().counters))
 }
 
 fn cmd_expression(a: &Args) -> Result<(), CliError> {
-    a.expect_only(&["alpha", "rest", "m", "k", "trace", "trace-format", "report"])?;
+    a.expect_only(&["alpha", "rest", "m", "k", "trace", "report"])?;
     let alpha: f64 = a.get_or("alpha", 2.0)?;
     let rest: f64 = a.get_or("rest", 30.0)?;
     let m: usize = a.get_or("m", 64usize)?;
@@ -414,15 +410,7 @@ fn cmd_expression(a: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_generate(a: &Args) -> Result<(), CliError> {
-    a.expect_only(&[
-        "city",
-        "scale",
-        "day",
-        "seed",
-        "trace",
-        "trace-format",
-        "report",
-    ])?;
+    a.expect_only(&["city", "scale", "day", "seed", "trace", "report"])?;
     let city = City::by_name(&a.str_or("city", "xian"))?.scaled(a.get_or("scale", 0.01)?);
     let day: u32 = a.get_or("day", 0u32)?;
     let seed: u64 = a.get_or("seed", 2022u64)?;
@@ -455,7 +443,6 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
         "drivers",
         "seed",
         "trace",
-        "trace-format",
         "report",
     ])?;
     let city = City::by_name(&a.str_or("city", "xian"))?.scaled(a.get_or("scale", 0.01)?);
@@ -520,7 +507,7 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_heatmap(a: &Args) -> Result<(), CliError> {
-    a.expect_only(&["city", "side", "hour", "trace", "trace-format", "report"])?;
+    a.expect_only(&["city", "side", "hour", "trace", "report"])?;
     let city = City::by_name(&a.str_or("city", "nyc"))?;
     let side: u32 = a.get_or("side", 32u32)?;
     let hour: u32 = a.get_or("hour", 8u32)?;
@@ -544,19 +531,10 @@ fn cmd_heatmap(a: &Args) -> Result<(), CliError> {
 /// end-of-run report was requested.
 fn setup_obs(args: &Args) -> Result<bool, ArgError> {
     let trace_path = args.str_or("trace", "");
-    let format = match args.str_or("trace-format", "jsonl").as_str() {
-        "jsonl" => obs::trace::Format::Jsonl,
-        "chrome" => obs::trace::Format::Chrome,
-        other => {
-            return Err(ArgError(format!(
-                "--trace-format must be jsonl or chrome, got {other:?}"
-            )))
-        }
-    };
     if !trace_path.is_empty() {
         let f = std::fs::File::create(&trace_path)
             .map_err(|e| ArgError(format!("--trace: cannot open {trace_path:?}: {e}")))?;
-        obs::trace::set_sink_with_format(Box::new(std::io::BufWriter::new(f)), format);
+        obs::trace::set_sink(Box::new(std::io::BufWriter::new(f)));
         obs::enable();
     } else {
         obs::init_from_env();
@@ -607,11 +585,10 @@ fn main() {
     };
     if result.is_ok() && want_report {
         let report = obs::report::RunReport::capture();
-        report.emit(); // appended to the trace stream, if any (JSONL only)
+        report.emit(); // appended to the trace stream, if any
         eprintln!("{report}");
     }
-    // Closing the sink flushes it and, in Chrome mode, writes the array
-    // terminator so the file is complete JSON.
+    // Closing the sink flushes it.
     obs::trace::clear_sink();
     if let Err(e) = result {
         fail(&e);

@@ -86,10 +86,8 @@ pub fn disable() {
 /// One-time environment hookup, called by binaries at startup:
 ///
 /// * `GRIDTUNER_TRACE=path` — opens (truncates) `path`, installs it as the
-///   trace sink, and enables recording;
-/// * `GRIDTUNER_TRACE_FORMAT=chrome|jsonl` — wire format for that sink
-///   (default `jsonl`; `chrome` writes Chrome Trace Event Format for
-///   Perfetto / `chrome://tracing`);
+///   JSONL trace sink, and enables recording (convert it for Perfetto with
+///   `gridtuner profile --input path --chrome out.json`);
 /// * `GRIDTUNER_OBS=1` — enables in-memory recording (stats + report)
 ///   without a trace file.
 ///
@@ -98,13 +96,9 @@ pub fn init_from_env() {
     ENV_INIT.call_once(|| {
         if let Ok(path) = std::env::var("GRIDTUNER_TRACE") {
             if !path.is_empty() {
-                let format = match std::env::var("GRIDTUNER_TRACE_FORMAT").as_deref() {
-                    Ok("chrome") => trace::Format::Chrome,
-                    _ => trace::Format::Jsonl,
-                };
                 match std::fs::File::create(&path) {
                     Ok(f) => {
-                        trace::set_sink_with_format(Box::new(std::io::BufWriter::new(f)), format);
+                        trace::set_sink(Box::new(std::io::BufWriter::new(f)));
                         enable();
                     }
                     Err(e) => eprintln!("[gridtuner-obs] cannot open GRIDTUNER_TRACE={path}: {e}"),

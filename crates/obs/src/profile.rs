@@ -17,6 +17,9 @@
 //!   elementary segments partition the span exactly, so the breakdown
 //!   always sums to the `tune` wall time.
 //!
+//! [`to_chrome`] converts the same parsed records to a Chrome Trace Event
+//! Format array for Perfetto / `chrome://tracing`.
+//!
 //! Everything here is pure analysis over already-captured data; nothing
 //! feeds back into recording.
 
@@ -515,6 +518,116 @@ fn pct(part: u64, whole: u64) -> f64 {
     }
 }
 
+/// Offset added to a pool worker id to form its Chrome `tid`, keeping the
+/// per-worker task lanes clear of real span thread ids.
+pub const CHROME_WORKER_TID_BASE: u64 = 10_000;
+
+/// Nanoseconds → the fractional microseconds Chrome's `ts`/`dur` expect.
+fn chrome_us(ns: u64) -> Val {
+    Val::F64(ns as f64 / 1_000.0)
+}
+
+/// Converts parsed `gridtuner.trace/1` records to one closed Chrome Trace
+/// Event Format array, one event per line, record by record:
+///
+/// * `meta` → the `process_name` metadata (`M`) event;
+/// * `span_start` / `span_end` → `B` / `E` on the span's `tid` lane, with
+///   the span `id`, its `parent` and its `f` fields in the `B`'s `args`;
+/// * `event` → an instant (`i`) event with its `f` fields in `args`,
+///   except `par.task`, which becomes a complete (`X`) event on lane
+///   [`CHROME_WORKER_TID_BASE`]` + worker` spanning claim → finish;
+/// * `report` (and any unknown kind) → nothing.
+pub fn to_chrome(records: &[Val]) -> String {
+    let mut events: Vec<Val> = Vec::with_capacity(records.len());
+    for rec in records {
+        let kind = rec.get("t").and_then(|v| v.as_str()).unwrap_or("");
+        let name = rec.get("name").cloned().unwrap_or(Val::from("?"));
+        let tid = Val::U64(field_u64(rec, "tid").unwrap_or(0));
+        let ts = chrome_us(field_u64(rec, "ts").unwrap_or(0));
+        let f = rec.get("f");
+        let fields = match f {
+            Some(Val::Obj(fields)) => fields.clone(),
+            _ => Vec::new(),
+        };
+        let event = match kind {
+            "meta" => Val::obj(vec![
+                ("name", Val::from("process_name")),
+                ("ph", Val::from("M")),
+                ("pid", Val::U64(1)),
+                ("tid", Val::U64(0)),
+                ("args", Val::obj(vec![("name", Val::from("gridtuner"))])),
+            ]),
+            "span_start" => {
+                let mut args = vec![(
+                    "id".to_string(),
+                    Val::U64(field_u64(rec, "id").unwrap_or(0)),
+                )];
+                if let Some(parent) = field_u64(rec, "parent") {
+                    args.push(("parent".to_string(), Val::U64(parent)));
+                }
+                args.extend(fields);
+                Val::obj(vec![
+                    ("name", name),
+                    ("cat", Val::from("span")),
+                    ("ph", Val::from("B")),
+                    ("pid", Val::U64(1)),
+                    ("tid", tid),
+                    ("ts", ts),
+                    ("args", Val::Obj(args)),
+                ])
+            }
+            "span_end" => Val::obj(vec![
+                ("name", name),
+                ("cat", Val::from("span")),
+                ("ph", Val::from("E")),
+                ("pid", Val::U64(1)),
+                ("tid", tid),
+                ("ts", ts),
+            ]),
+            "event" if name.as_str() == Some("par.task") => {
+                let f = f.unwrap_or(&Val::Null);
+                let worker = field_u64(f, "worker").unwrap_or(0);
+                let claim_ns = field_u64(f, "claim_ns").unwrap_or(0);
+                let finish_ns = field_u64(f, "finish_ns").unwrap_or(claim_ns);
+                Val::obj(vec![
+                    ("name", name),
+                    ("cat", Val::from("par")),
+                    ("ph", Val::from("X")),
+                    ("pid", Val::U64(1)),
+                    ("tid", Val::U64(CHROME_WORKER_TID_BASE + worker)),
+                    ("ts", chrome_us(claim_ns)),
+                    ("dur", chrome_us(finish_ns.saturating_sub(claim_ns))),
+                    (
+                        "args",
+                        Val::obj(vec![
+                            ("worker", Val::U64(worker)),
+                            ("gen", Val::U64(field_u64(f, "gen").unwrap_or(0))),
+                            ("task", Val::U64(field_u64(f, "task").unwrap_or(0))),
+                        ]),
+                    ),
+                ])
+            }
+            "event" => Val::obj(vec![
+                ("name", name),
+                (
+                    "cat",
+                    rec.get("level").cloned().unwrap_or(Val::from("info")),
+                ),
+                ("ph", Val::from("i")),
+                ("s", Val::from("t")),
+                ("pid", Val::U64(1)),
+                ("tid", tid),
+                ("ts", ts),
+                ("args", Val::Obj(fields)),
+            ]),
+            _ => continue,
+        };
+        events.push(event);
+    }
+    let lines: Vec<String> = events.iter().map(Val::render).collect();
+    format!("[\n{}\n]\n", lines.join(",\n"))
+}
+
 /// Sorted-merge of possibly overlapping intervals.
 fn merge_intervals(mut intervals: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     intervals.retain(|(a, b)| b > a);
@@ -739,6 +852,81 @@ mod tests {
         assert_eq!(p.spans.len(), 1);
         assert!(!p.spans[0].closed);
         assert_eq!(p.spans[0].end_ns, 500);
+    }
+
+    #[test]
+    fn chrome_conversion_keeps_every_span_event_and_task() {
+        let text = format!(
+            "{{\"t\":\"meta\",\"ts\":0,\"schema\":\"{}\"}}\n\
+             {{\"t\":\"span_start\",\"ts\":1000,\"id\":1,\"tid\":1,\"name\":\"tune\",\"f\":{{\"lo\":2}}}}\n\
+             {{\"t\":\"span_start\",\"ts\":2000,\"id\":2,\"tid\":1,\"parent\":1,\"name\":\"probe\"}}\n\
+             {{\"t\":\"event\",\"ts\":2500,\"tid\":1,\"level\":\"warn\",\"name\":\"tie\",\"f\":{{\"side\":8}}}}\n\
+             {{\"t\":\"event\",\"ts\":3000,\"tid\":2,\"level\":\"info\",\"name\":\"par.task\",\"f\":{{\"worker\":3,\"gen\":7,\"task\":11,\"claim_ns\":3000,\"finish_ns\":253000,\"dur_ns\":250000}}}}\n\
+             {{\"t\":\"span_end\",\"ts\":4000,\"id\":2,\"tid\":1,\"name\":\"probe\",\"dur_ns\":2000}}\n\
+             {{\"t\":\"span_end\",\"ts\":5000,\"id\":1,\"tid\":1,\"name\":\"tune\",\"dur_ns\":4000}}\n\
+             {{\"t\":\"report\",\"ts\":6000,\"metrics\":{{}}}}\n",
+            crate::trace::SCHEMA
+        );
+        let records = crate::json::parse_jsonl(&text).unwrap();
+        let chrome = to_chrome(&records);
+        let Val::Arr(events) = Val::parse(&chrome).expect("one closed JSON array") else {
+            panic!("chrome trace is a JSON array");
+        };
+        let str_of = |e: &Val, k: &str| e.get(k).and_then(|v| v.as_str()).unwrap().to_string();
+        let phases: Vec<String> = events.iter().map(|e| str_of(e, "ph")).collect();
+        // The report record is skipped; everything else maps one to one.
+        assert_eq!(phases, ["M", "B", "B", "i", "X", "E", "E"]);
+        assert_eq!(str_of(&events[0], "name"), "process_name");
+        assert!(events.iter().all(|e| str_of(e, "name") != "report"));
+        // B/E pair per span on its thread lane, inner closing first.
+        let lane_names = |ph: &str| -> Vec<(String, f64)> {
+            events
+                .iter()
+                .filter(|e| str_of(e, "ph") == ph)
+                .map(|e| {
+                    (
+                        str_of(e, "name"),
+                        e.get("tid").and_then(|v| v.as_f64()).unwrap(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(
+            lane_names("B"),
+            [("tune".to_string(), 1.0), ("probe".to_string(), 1.0)]
+        );
+        assert_eq!(
+            lane_names("E"),
+            [("probe".to_string(), 1.0), ("tune".to_string(), 1.0)]
+        );
+        // Span id, parent and fields survive in args; timestamps in µs.
+        let probe = &events[2];
+        assert_eq!(probe.get("ts").and_then(|v| v.as_f64()), Some(2.0));
+        let args = probe.get("args").unwrap();
+        assert_eq!(args.get("id"), Some(&Val::U64(2)));
+        assert_eq!(args.get("parent"), Some(&Val::U64(1)));
+        assert_eq!(
+            events[1].get("args").and_then(|a| a.get("lo")),
+            Some(&Val::U64(2))
+        );
+        // The event keeps its level and fields.
+        assert_eq!(str_of(&events[3], "cat"), "warn");
+        assert_eq!(
+            events[3].get("args").and_then(|a| a.get("side")),
+            Some(&Val::U64(8))
+        );
+        // The task lands on its worker lane in µs.
+        let task = &events[4];
+        assert_eq!(
+            task.get("tid").and_then(|v| v.as_f64()),
+            Some((CHROME_WORKER_TID_BASE + 3) as f64)
+        );
+        assert_eq!(task.get("ts").and_then(|v| v.as_f64()), Some(3.0));
+        assert_eq!(task.get("dur").and_then(|v| v.as_f64()), Some(250.0));
+        assert_eq!(
+            task.get("args").and_then(|a| a.get("gen")),
+            Some(&Val::U64(7))
+        );
     }
 
     #[test]

@@ -1,39 +1,34 @@
-//! The trace exporters (JSON-lines and Chrome Trace Event Format) and the
-//! retained-event buffer.
+//! The JSON-lines trace sink and the retained-event buffer.
 //!
-//! In the native JSONL format every record is one line of JSON with a `t`
-//! discriminator:
+//! Every record is one line of JSON with a `t` discriminator:
 //!
 //! | `t`          | emitted by                | extra fields |
 //! |--------------|---------------------------|--------------|
 //! | `meta`       | sink installation         | `schema`     |
 //! | `span_start` | [`crate::span::Span`]     | `id`, `parent`, `tid`, `name`, `f` |
 //! | `span_end`   | span drop                 | `id`, `tid`, `name`, `dur_ns` |
-//! | `event`      | `event!` / `warn_event!`  | `level`, `tid`, `name`, `f` |
+//! | `event`      | `event!` / `warn_event!`, [`write_task_record`] (`par.task`) | `level`, `tid`, `name`, `f` |
 //! | `report`     | [`crate::report::RunReport::emit`] | the report body |
 //!
 //! Timestamps (`ts`) are nanoseconds since the process-local monotonic
 //! epoch ([`crate::span::since_epoch_ns`]); `tid` is the sequential thread
 //! id from [`crate::span::current_tid`].
 //!
-//! [`set_sink_with_format`] can install the sink in [`Format::Chrome`]
-//! instead: the same spans and events go out as a Chrome Trace Event
-//! Format JSON array (`B`/`E` duration events threaded by `pid`/`tid`,
-//! `i` instant events, `X` complete events for worker tasks) directly
-//! openable in Perfetto or `chrome://tracing`. Chrome's trace viewer
-//! tolerates a missing closing `]` (a process may die mid-trace), and so
-//! does `trace_check`.
+//! This is the only wire format. A Chrome Trace Event Format file for
+//! Perfetto or `chrome://tracing` is an offline conversion of a captured
+//! stream ([`crate::profile::to_chrome`], `gridtuner profile --chrome`).
 //!
-//! Events are additionally retained in a bounded in-memory ring buffer
-//! (newest-wins, capacity [`EVENT_CAP`]) so the end-of-run report can
-//! reconstruct the per-`n` error decomposition and list warnings even
-//! when no sink is installed.
+//! `event!`/`warn_event!` events are additionally retained in a bounded
+//! in-memory ring buffer (newest-wins, capacity [`EVENT_CAP`]) so the
+//! end-of-run report can reconstruct the per-`n` error decomposition and
+//! list warnings even when no sink is installed; `par.task` records are
+//! not retained.
 
 use crate::json::Val;
 use crate::span::{current_tid, since_epoch_ns};
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Schema identifier written in the `meta` header record.
@@ -41,37 +36,6 @@ pub const SCHEMA: &str = "gridtuner.trace/1";
 
 /// Retained-event ring capacity.
 pub const EVENT_CAP: usize = 4096;
-
-/// Offset added to a pool worker id to form its Chrome `tid`, keeping the
-/// synthetic worker-timeline lanes clear of real span thread ids.
-pub const CHROME_WORKER_TID_BASE: u64 = 10_000;
-
-/// Wire format of the installed trace sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Format {
-    /// The native `gridtuner.trace/1` JSON-lines stream.
-    #[default]
-    Jsonl,
-    /// Chrome Trace Event Format: one JSON array of `B`/`E`/`i`/`X`
-    /// events, openable in Perfetto / `chrome://tracing`.
-    Chrome,
-}
-
-/// Active sink format (0 = JSONL, 1 = Chrome); meaningful only while a
-/// sink is installed.
-static FORMAT: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the next Chrome record is the first (no leading comma).
-static CHROME_FIRST: AtomicBool = AtomicBool::new(true);
-
-/// The installed sink's wire format ([`Format::Jsonl`] when none is).
-pub fn format() -> Format {
-    if FORMAT.load(Ordering::Relaxed) == 1 {
-        Format::Chrome
-    } else {
-        Format::Jsonl
-    }
-}
 
 /// Event severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,11 +83,11 @@ fn sink() -> &'static Mutex<Option<Box<dyn Write + Send>>> {
 /// Mirrors whether a sink is installed, so the per-span hot path can skip
 /// both the record building and the sink mutex with one relaxed load when
 /// recording is enabled purely in-memory (stats + report, no trace file).
-static HAS_SINK: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+static HAS_SINK: AtomicBool = AtomicBool::new(false);
 
 #[inline]
 fn has_sink() -> bool {
-    HAS_SINK.load(std::sync::atomic::Ordering::Relaxed)
+    HAS_SINK.load(Ordering::Relaxed)
 }
 
 fn events() -> &'static Mutex<VecDeque<TraceEvent>> {
@@ -131,68 +95,27 @@ fn events() -> &'static Mutex<VecDeque<TraceEvent>> {
     EVENTS.get_or_init(|| Mutex::new(VecDeque::new()))
 }
 
-/// Installs `w` as the JSONL trace sink (replacing any previous one) and
-/// writes the `meta` header record.
-pub fn set_sink(w: Box<dyn Write + Send>) {
-    set_sink_with_format(w, Format::Jsonl);
+/// Installs `w` as the trace sink (replacing any previous one) and writes
+/// the `meta` header record.
+pub fn set_sink(mut w: Box<dyn Write + Send>) {
+    let meta = Val::obj(vec![
+        ("t", Val::from("meta")),
+        ("ts", Val::U64(since_epoch_ns())),
+        ("schema", Val::from(SCHEMA)),
+    ]);
+    let _ = writeln!(w, "{}", meta.render());
+    *crate::lock_unpoisoned(sink()) = Some(w);
+    HAS_SINK.store(true, Ordering::Relaxed);
 }
 
-/// Installs `w` as the trace sink in the given wire format. JSONL opens
-/// with the `meta` header record; Chrome opens the JSON array and writes a
-/// process-name metadata event.
-pub fn set_sink_with_format(w: Box<dyn Write + Send>, format: Format) {
-    let mut guard = crate::lock_unpoisoned(sink());
-    *guard = Some(w);
-    FORMAT.store(
-        match format {
-            Format::Jsonl => 0,
-            Format::Chrome => 1,
-        },
-        Ordering::Relaxed,
-    );
-    CHROME_FIRST.store(true, Ordering::Relaxed);
-    HAS_SINK.store(true, std::sync::atomic::Ordering::Relaxed);
-    match format {
-        Format::Jsonl => {
-            let meta = Val::obj(vec![
-                ("t", Val::from("meta")),
-                ("ts", Val::U64(since_epoch_ns())),
-                ("schema", Val::from(SCHEMA)),
-            ]);
-            if let Some(w) = guard.as_mut() {
-                let _ = writeln!(w, "{}", meta.render());
-            }
-        }
-        Format::Chrome => {
-            if let Some(w) = guard.as_mut() {
-                let _ = w.write_all(b"[\n");
-            }
-            write_chrome_locked(
-                &mut guard,
-                Val::obj(vec![
-                    ("name", Val::from("process_name")),
-                    ("ph", Val::from("M")),
-                    ("pid", Val::U64(1)),
-                    ("tid", Val::U64(0)),
-                    ("args", Val::obj(vec![("name", Val::from("gridtuner"))])),
-                ]),
-            );
-        }
-    }
-}
-
-/// Removes the sink (closing the Chrome array and flushing it first).
+/// Flushes and removes the sink.
 pub fn clear_sink() {
     let mut guard = crate::lock_unpoisoned(sink());
     if let Some(w) = guard.as_mut() {
-        if format() == Format::Chrome {
-            let _ = w.write_all(b"\n]\n");
-        }
         let _ = w.flush();
     }
     *guard = None;
-    FORMAT.store(0, Ordering::Relaxed);
-    HAS_SINK.store(false, std::sync::atomic::Ordering::Relaxed);
+    HAS_SINK.store(false, Ordering::Relaxed);
 }
 
 /// Installs an in-memory sink and returns the shared buffer — for tests
@@ -229,37 +152,8 @@ fn write_record(record: Val) {
     }
 }
 
-type SinkGuard<'a> = std::sync::MutexGuard<'a, Option<Box<dyn Write + Send>>>;
-
-/// Appends one Chrome event object under an already-held sink lock,
-/// comma-separating every record after the first.
-fn write_chrome_locked(guard: &mut SinkGuard<'_>, record: Val) {
-    if let Some(w) = guard.as_mut() {
-        let sep = if CHROME_FIRST.swap(false, Ordering::Relaxed) {
-            ""
-        } else {
-            ",\n"
-        };
-        let _ = write!(w, "{sep}{}", record.render());
-    }
-}
-
-fn write_chrome(record: Val) {
-    let mut guard = crate::lock_unpoisoned(sink());
-    write_chrome_locked(&mut guard, record);
-}
-
-/// Nanoseconds → the fractional microseconds Chrome's `ts`/`dur` expect.
-fn chrome_us(ns: u64) -> Val {
-    Val::F64(ns as f64 / 1_000.0)
-}
-
 /// Writes an already-built record verbatim (used for the `report` record).
-/// No-op in Chrome mode — the report body is not a Chrome event.
 pub fn write_raw(record: Val) {
-    if format() == Format::Chrome {
-        return;
-    }
     write_record(record);
     flush();
 }
@@ -283,29 +177,11 @@ pub fn write_span_start(
     if !has_sink() {
         return;
     }
-    let tid = current_tid();
-    if format() == Format::Chrome {
-        let mut args = vec![("id", Val::U64(id))];
-        if parent != 0 {
-            args.push(("parent", Val::U64(parent)));
-        }
-        args.extend(fields);
-        write_chrome(Val::obj(vec![
-            ("name", Val::from(name)),
-            ("cat", Val::from("span")),
-            ("ph", Val::from("B")),
-            ("pid", Val::U64(1)),
-            ("tid", Val::U64(tid)),
-            ("ts", chrome_us(since_epoch_ns())),
-            ("args", fields_val(args)),
-        ]));
-        return;
-    }
     let mut rec = vec![
         ("t", Val::from("span_start")),
         ("ts", Val::U64(since_epoch_ns())),
         ("id", Val::U64(id)),
-        ("tid", Val::U64(tid)),
+        ("tid", Val::U64(current_tid())),
     ];
     if parent != 0 {
         rec.push(("parent", Val::U64(parent)));
@@ -322,23 +198,11 @@ pub fn write_span_end(id: u64, name: &'static str, dur_ns: u64) {
     if !has_sink() {
         return;
     }
-    let tid = current_tid();
-    if format() == Format::Chrome {
-        write_chrome(Val::obj(vec![
-            ("name", Val::from(name)),
-            ("cat", Val::from("span")),
-            ("ph", Val::from("E")),
-            ("pid", Val::U64(1)),
-            ("tid", Val::U64(tid)),
-            ("ts", chrome_us(since_epoch_ns())),
-        ]));
-        return;
-    }
     write_record(Val::obj(vec![
         ("t", Val::from("span_end")),
         ("ts", Val::U64(since_epoch_ns())),
         ("id", Val::U64(id)),
-        ("tid", Val::U64(tid)),
+        ("tid", Val::U64(current_tid())),
         ("name", Val::from(name)),
         ("dur_ns", Val::U64(dur_ns)),
     ]));
@@ -347,34 +211,13 @@ pub fn write_span_end(id: u64, name: &'static str, dur_ns: u64) {
 /// Emits one pool-worker task record to the sink (not retained in the
 /// event ring — a tune dispatches far more tasks than [`EVENT_CAP`], and
 /// the retained ring must keep its `probe` events for the run report).
-/// Called by `gridtuner-par`'s worker timeline when a sink is installed.
+/// Called by `gridtuner-par`'s pool for every task it runs while
+/// recording is on.
 pub fn write_task_record(worker: u32, generation: u64, task: u32, claim_ns: u64, finish_ns: u64) {
     if !has_sink() {
         return;
     }
     let dur_ns = finish_ns.saturating_sub(claim_ns);
-    if format() == Format::Chrome {
-        // One synthetic lane per worker: complete ("X") events render as
-        // solid task blocks in Perfetto's timeline.
-        write_chrome(Val::obj(vec![
-            ("name", Val::from("par.task")),
-            ("cat", Val::from("par")),
-            ("ph", Val::from("X")),
-            ("pid", Val::U64(1)),
-            ("tid", Val::U64(CHROME_WORKER_TID_BASE + u64::from(worker))),
-            ("ts", chrome_us(claim_ns)),
-            ("dur", chrome_us(dur_ns)),
-            (
-                "args",
-                Val::obj(vec![
-                    ("worker", Val::U64(u64::from(worker))),
-                    ("gen", Val::U64(generation)),
-                    ("task", Val::U64(u64::from(task))),
-                ]),
-            ),
-        ]));
-        return;
-    }
     write_record(Val::obj(vec![
         ("t", Val::from("event")),
         ("ts", Val::U64(claim_ns)),
@@ -406,30 +249,17 @@ pub fn emit_event(level: Level, name: &'static str, fields: Vec<(&'static str, V
         ts_ns: since_epoch_ns(),
     };
     if has_sink() {
-        if format() == Format::Chrome {
-            write_chrome(Val::obj(vec![
-                ("name", Val::from(name)),
-                ("cat", Val::from(level.as_str())),
-                ("ph", Val::from("i")),
-                ("s", Val::from("t")),
-                ("pid", Val::U64(1)),
-                ("tid", Val::U64(current_tid())),
-                ("ts", chrome_us(ev.ts_ns)),
-                ("args", fields_val(ev.fields.clone())),
-            ]));
-        } else {
-            let mut rec = vec![
-                ("t", Val::from("event")),
-                ("ts", Val::U64(ev.ts_ns)),
-                ("tid", Val::U64(current_tid())),
-                ("level", Val::from(level.as_str())),
-                ("name", Val::from(name)),
-            ];
-            if !ev.fields.is_empty() {
-                rec.push(("f", fields_val(ev.fields.clone())));
-            }
-            write_record(Val::obj(rec));
+        let mut rec = vec![
+            ("t", Val::from("event")),
+            ("ts", Val::U64(ev.ts_ns)),
+            ("tid", Val::U64(current_tid())),
+            ("level", Val::from(level.as_str())),
+            ("name", Val::from(name)),
+        ];
+        if !ev.fields.is_empty() {
+            rec.push(("f", fields_val(ev.fields.clone())));
         }
+        write_record(Val::obj(rec));
     }
     let mut ring = crate::lock_unpoisoned(events());
     if ring.len() == EVENT_CAP {
@@ -544,64 +374,6 @@ mod tests {
             tids.windows(2).all(|w| w[0] == w[1]),
             "one thread → one tid"
         );
-    }
-
-    #[test]
-    fn chrome_stream_is_valid_json_with_paired_duration_events() {
-        let _guard = crate::test_guard();
-        crate::enable();
-        let buffer = Arc::new(Mutex::new(Vec::new()));
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        set_sink_with_format(Box::new(Shared(Arc::clone(&buffer))), Format::Chrome);
-        assert_eq!(format(), Format::Chrome);
-        {
-            let _outer = crate::span!("chrome_test_outer", lo = 2u32);
-            let _inner = crate::span!("chrome_test_inner");
-            crate::event!("chrome_test_event", side = 8u32);
-        }
-        write_task_record(3, 7, 11, 1_000, 251_000);
-        clear_sink();
-        assert_eq!(format(), Format::Jsonl, "format resets with the sink");
-        let text = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
-        let root = json::Val::parse(&text).expect("closed stream is one JSON value");
-        let json::Val::Arr(events) = root else {
-            panic!("chrome trace is a JSON array");
-        };
-        // M meta + 2 B + 1 i + 2 E + 1 X.
-        assert_eq!(events.len(), 7);
-        let phases: Vec<_> = events
-            .iter()
-            .map(|e| e.get("ph").and_then(|v| v.as_str()).unwrap().to_string())
-            .collect();
-        assert_eq!(phases, vec!["M", "B", "B", "i", "E", "E", "X"]);
-        for ev in &events {
-            assert!(ev.get("pid").is_some() && ev.get("tid").is_some());
-            assert!(ev.get("name").and_then(|v| v.as_str()).is_some());
-        }
-        // B/E nest LIFO: inner closes before outer.
-        let end_names: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(|v| v.as_str()) == Some("E"))
-            .map(|e| e.get("name").and_then(|v| v.as_str()).unwrap().to_string())
-            .collect();
-        assert_eq!(end_names, vec!["chrome_test_inner", "chrome_test_outer"]);
-        // The task record lands on its synthetic worker lane in µs.
-        let task = events.last().unwrap();
-        assert_eq!(
-            task.get("tid").and_then(|v| v.as_f64()),
-            Some((CHROME_WORKER_TID_BASE + 3) as f64)
-        );
-        assert_eq!(task.get("ts").and_then(|v| v.as_f64()), Some(1.0));
-        assert_eq!(task.get("dur").and_then(|v| v.as_f64()), Some(250.0));
     }
 
     #[test]

@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 mod pool;
-pub mod timeline;
 
 pub use pool::pool_workers;
 

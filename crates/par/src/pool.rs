@@ -45,8 +45,16 @@
 //! the calling thread (and from there as `EngineError::Internal`) instead
 //! of hanging the pool or aborting the process. Workers themselves survive
 //! and return to the parked state.
+//!
+//! ## Task records
+//!
+//! While obs recording is on, each participant writes every task it ran
+//! straight to the trace sink as one `par.task` record: its participant
+//! id, the dispatch generation, the task index and the claim/finish
+//! timestamps (`gridtuner_obs::trace::write_task_record`, a no-op without
+//! a sink). Nothing is kept in process; the profiler's per-worker table
+//! and its Chrome conversion read these records from the trace.
 
-use crate::timeline::{self, TaskRecord};
 use gridtuner_obs as obs;
 use std::any::Any;
 use std::cell::Cell;
@@ -71,7 +79,7 @@ struct Job {
     /// [`Pool::dispatch`] — see the safety comment there.
     f: *const Participant<'static>,
     tasks: usize,
-    /// Dispatch generation stamped on this job's timeline records.
+    /// Dispatch generation stamped on this job's `par.task` records.
     generation: u64,
     /// Claim cursor: `fetch_add` hands out `0..tasks` exactly once each.
     next: AtomicUsize,
@@ -115,7 +123,7 @@ impl Job {
         let slot = self.participants.fetch_add(1, Ordering::Relaxed);
         let timed = obs::enabled();
         let started = Instant::now();
-        let worker = timeline::current_worker();
+        let worker = WORKER_ID.get();
         // The task currently running on this thread: (index, claim ts).
         // Lives outside the closure so a panicking task still gets closed.
         let open = Cell::new(None::<(usize, u64)>);
@@ -166,15 +174,10 @@ impl Job {
         }
     }
 
-    /// One closed task on this thread's timeline.
+    /// Writes one closed task to the trace sink as a `par.task` record (a
+    /// no-op when no sink is installed).
     fn record_task(&self, worker: u32, task: usize, claim_ns: u64, finish_ns: u64) {
-        timeline::record(TaskRecord {
-            worker,
-            generation: self.generation,
-            task: task as u32,
-            claim_ns,
-            finish_ns,
-        });
+        obs::trace::write_task_record(worker, self.generation, task as u32, claim_ns, finish_ns);
     }
 }
 
@@ -204,6 +207,17 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 thread_local! {
     /// True on pool worker threads: nested dispatches run inline.
     static IS_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// This thread's participant id in `par.task` records: 0 = the
+    /// dispatching thread, `i ≥ 1` = pool worker `gridtuner-par-{i-1}`.
+    static WORKER_ID: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Process-wide dispatch generation counter.
+static DISPATCH_GEN: AtomicU64 = AtomicU64::new(0);
+
+/// Hands out the next dispatch generation (1-based).
+fn next_generation() -> u64 {
+    DISPATCH_GEN.fetch_add(1, Ordering::Relaxed) + 1
 }
 
 fn pool() -> &'static Pool {
@@ -247,7 +261,7 @@ impl Pool {
     fn worker_loop(&self, index: usize) {
         IS_WORKER.set(true);
         // Participant id 0 is the dispatching thread; workers are 1-based.
-        timeline::set_worker_id(index as u32 + 1);
+        WORKER_ID.set(index as u32 + 1);
         // Force a first look at whatever job is already posted: workers
         // are usually spawned mid-dispatch.
         let mut seen = u64::MAX;
@@ -345,7 +359,7 @@ pub(crate) fn run(tasks: usize, max_workers: usize, items: usize, f: &Participan
     let job = Arc::new(Job {
         f: erased as *const Participant<'static>,
         tasks,
-        generation: timeline::next_generation(),
+        generation: next_generation(),
         next: AtomicUsize::new(0),
         tickets: AtomicUsize::new(budget - 1),
         runners: AtomicUsize::new(0),

@@ -28,8 +28,8 @@
 //! | `nn-conv-vs-naive` | the tap-hoisted conv kernel matches the naive convolution; a batch of `B` = `B` one-sample calls, bit for bit |
 //! | `theorem-ii1-empirical` | real ≤ model + expression on arbitrary samples (and the slack bound) |
 //! | `quadtree-dp-vs-exhaustive` | the quadtree refinement's bound = the minimum over every quadtree with a reachable region count on 4×4 and 8×8 lattices, and its tree attains it |
-//! | `bootstrap-replicate-vs-direct` | a bootstrap replicate's tune = tuning the materialised resampled log directly, bit for bit, under brute force, ternary search and the iterative method |
-//! | `bootstrap-seed-determinism` | same seed and B → the same confidence set, run to run and at 1 or 8 workers |
+//! | `bootstrap-replicate-vs-direct` | a bootstrap replicate's tune = tuning the materialised resampled log directly, bit for bit, under brute force, ternary search and the iterative method (B = 4, so at ≥ 2 workers the replicates run as pool tasks) |
+//! | `bootstrap-seed-determinism` | same seed and B = 4 → the same confidence set, run to run and at 1 (inline replicates) or 8 workers (replicates as pool tasks) |
 
 use crate::diff::Check;
 use crate::scenario::Scenario;
@@ -1028,7 +1028,9 @@ pub fn standard_checks() -> Vec<Check> {
         // one round, and for the adaptive strategies, whose replicates may
         // stall on a side the point search never probed and be re-run.
         let boot_seed = s.params.seed ^ 0xb007_57a9;
-        let b = 3u32;
+        // B = 4 is the smallest count `par_map` hands to pool workers
+        // (fewer than two items per thread run inline).
+        let b = 4u32;
         let [ternary, iterative] = heuristics(s);
         for strategy in [SearchStrategy::BruteForce, ternary, iterative] {
             let direct_cfg = engine_config(s, strategy);
@@ -1078,7 +1080,7 @@ pub fn standard_checks() -> Vec<Check> {
         // run to run, and whether the pool has one worker or eight.
         let boot_seed = s.params.seed.rotate_left(17) ^ 0x5eed;
         let config = EngineConfig {
-            bootstrap: Some(BootstrapConfig::new(3, boot_seed)),
+            bootstrap: Some(BootstrapConfig::new(4, boot_seed)),
             ..engine_config(s, SearchStrategy::BruteForce)
         };
         let run = || -> Result<_, String> {
