@@ -287,6 +287,7 @@ mod tests {
             expr_pmf_memo_hits: 50,
             expr_workspace_bytes: 4096,
             wall_ms: 120.0,
+            phases: Vec::new(),
             kernel: KernelTiming {
                 percell_ms: 100.0 * speedup,
                 batched_ms: 100.0,

@@ -58,6 +58,7 @@ use gridtuner_core::expression::expression_error_windowed;
 use gridtuner_engine::TuningSession;
 use gridtuner_obs as obs;
 use gridtuner_obs::json::Val;
+use gridtuner_obs::span::SpanStat;
 use gridtuner_spatial::{Event, Partition, SlotClock};
 use std::time::Instant;
 
@@ -78,12 +79,12 @@ fn row_counters() -> [u64; 4] {
 }
 
 /// Per-phase wall timings of the cached sweep, keyed by span name, from
-/// the observability layer's aggregated span stats.
-fn phase_timings() -> Val {
+/// the measurement's span stats.
+fn phase_timings(phases: &[(&'static str, SpanStat)]) -> Val {
     Val::obj(
-        obs::span::span_stats()
-            .into_iter()
-            .map(|(name, st)| {
+        phases
+            .iter()
+            .map(|&(name, st)| {
                 (
                     name,
                     Val::obj(vec![
@@ -207,7 +208,7 @@ fn main() {
     );
 
     // Cached sweep: the shared measurement, with span recording on so the
-    // JSON can break the wall time down by phase (ingest, alpha scan,
+    // JSON can break its wall time down by phase (ingest, alpha scan,
     // probes, ...).
     obs::init_from_env();
     // Under --profile, capture the measurement's JSONL trace in memory and
@@ -379,7 +380,7 @@ fn main() {
                 ),
             ]),
         ),
-        ("phases", phase_timings()),
+        ("phases", phase_timings(&m.phases)),
     ])
     .render();
     std::fs::write("BENCH_tune.json", &json).expect("cannot write BENCH_tune.json");

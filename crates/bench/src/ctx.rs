@@ -8,7 +8,7 @@ use gridtuner_core::expression::try_partition_expression_error;
 use gridtuner_datagen::{City, DataSplit, TripGenerator};
 use gridtuner_dispatch::{DemandView, Order};
 use gridtuner_predict::{DeepStLike, DmvstLike, HistoricalAverage, Mlp, Predictor, TrainConfig};
-use gridtuner_spatial::{CountMatrix, CountSeries, Partition, SlotClock, SlotId, UniformGrid};
+use gridtuner_spatial::{CountMatrix, CountSeries, Partition, SlotClock, SlotId};
 use rand::{rngs::StdRng, SeedableRng};
 
 /// The model ladder of the paper's experiments.
@@ -157,9 +157,9 @@ pub fn evaluate_side(
 }
 
 /// Total expression error of the square `partition` over a finite α field
-/// on its HGrid lattice (the batched sweep on a [`UniformGrid`]).
+/// on its HGrid lattice (the batched sweep).
 pub fn uniform_expression_error(alpha: &CountMatrix, partition: &Partition) -> f64 {
-    try_partition_expression_error(alpha, &UniformGrid::new(*partition), None)
+    try_partition_expression_error(alpha, partition, None)
         .expect("finite α field on the partition's HGrid lattice")
 }
 

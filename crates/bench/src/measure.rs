@@ -5,15 +5,17 @@
 //! numbers they compare come from the same code: the paper-default NYC
 //! history, a brute-force [`TuningSession::tune`] with the analytic
 //! [`model`] leg on one worker, then the kernel isolation of
-//! [`time_kernels`]. The counters are read from the `obs` registry, which
-//! the measurement zeroes first, so nothing else may run in the process
-//! while it measures — both binaries run it on their main thread alone.
+//! [`time_kernels`]. The counters and span stats are read from the `obs`
+//! registry, which the measurement zeroes first, so nothing else may run
+//! in the process while it measures — both binaries run it on their main
+//! thread alone.
 
 use crate::kernel_timing::{time_kernels, KernelTiming};
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_datagen::City;
 use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_obs as obs;
+use gridtuner_obs::span::SpanStat;
 use gridtuner_spatial::Event;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
@@ -37,7 +39,7 @@ pub struct TuneBench {
 }
 
 /// What one [`TuneBench::measure`] saw.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Events in the history.
     pub events: u64,
@@ -59,6 +61,9 @@ pub struct Measurement {
     pub expr_workspace_bytes: u64,
     /// Wall time of session open + ingest + tune.
     pub wall_ms: f64,
+    /// Span stats of the ingest and the tune alone, read before the
+    /// kernel isolation runs (`tune` closes once).
+    pub phases: Vec<(&'static str, SpanStat)>,
     /// Per-cell vs batched kernel timing over the probed sides.
     pub kernel: KernelTiming,
 }
@@ -85,8 +90,8 @@ impl TuneBench {
     }
 
     /// Enables recording, zeroes the registry, then runs ingest + tune and
-    /// the kernel isolation on [`WORKERS`] worker, reading the counters
-    /// between the two. Panics if the two kernels disagree.
+    /// the kernel isolation on [`WORKERS`] worker, reading the counters and
+    /// span stats between the two. Panics if the two kernels disagree.
     pub fn measure(&self) -> Measurement {
         obs::enable();
         obs::reset();
@@ -110,6 +115,7 @@ impl TuneBench {
             expr_pmf_memo_hits: obs::counter!("expr.pmf_memo_hits").get(),
             expr_workspace_bytes: obs::counter!("expr.workspace_bytes").get(),
             wall_ms,
+            phases: obs::span::span_stats(),
             kernel: KernelTiming::default(),
         };
 

@@ -48,8 +48,8 @@ commands:
               --partition uniform|rect|quadtree: refine beyond square grids
               (rect hill-climb / exact tree-DP quadtree) and print the
               refined bound next to the uniform baseline
-              --bootstrap B  --bootstrap-seed S  (or GRIDTUNER_BOOTSTRAP[_SEED]):
-              B replicate tunes -> confidence set + stability verdict
+              --bootstrap B  --bootstrap-seed S: B replicate tunes ->
+              confidence set + stability verdict
   profile     tune under the profiler and print self-time / worker
               utilization / critical-path tables
               --city C  --scale F  --seed N  --strategy S  --budget SIDE
@@ -146,16 +146,8 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
     let seed: u64 = a.get_or("seed", 2022u64)?;
     let budget: u32 = a.get_or("budget", 64u32)?;
     let range = a.range_or("range", (2, 24))?;
-    // Bootstrap knobs: flags first, validated env overrides second (a
-    // malformed GRIDTUNER_BOOTSTRAP[_SEED] is exit 5, not a default).
-    let bootstrap: u32 = match a.has("bootstrap") {
-        true => a.get_or("bootstrap", 0u32)?,
-        false => gridtuner::engine::env_bootstrap_replicates()?.unwrap_or(0),
-    };
-    let boot_seed: u64 = match a.has("bootstrap-seed") {
-        true => a.get_or("bootstrap-seed", seed)?,
-        false => gridtuner::engine::env_bootstrap_seed()?.unwrap_or(seed),
-    };
+    let bootstrap: u32 = a.get_or("bootstrap", 0u32)?;
+    let boot_seed: u64 = a.get_or("bootstrap-seed", seed)?;
     let strategy = match a.str_or("strategy", "iterative").as_str() {
         "brute" => SearchStrategy::BruteForce,
         "ternary" => SearchStrategy::Ternary,
@@ -487,7 +479,7 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
                 unserved_penalty_km: 10.0,
             })
             .build()?;
-        let mut session = TuningSession::new(config, |_s: u32| 0.0)?;
+        let session = TuningSession::new(config, |_s: u32| 0.0)?;
         let sim = session.simulator()?;
         match algorithm.as_str() {
             "polar" => sim.run(&orders, &mut Polar::new(), &mut demand),
@@ -527,8 +519,8 @@ fn cmd_heatmap(a: &Args) -> Result<(), CliError> {
 }
 
 /// Wires up observability from the global flags (and, failing that, the
-/// `GRIDTUNER_TRACE`/`GRIDTUNER_OBS` environment). Returns whether an
-/// end-of-run report was requested.
+/// `GRIDTUNER_TRACE` environment). Returns whether an end-of-run report
+/// was requested.
 fn setup_obs(args: &Args) -> Result<bool, ArgError> {
     let trace_path = args.str_or("trace", "");
     if !trace_path.is_empty() {

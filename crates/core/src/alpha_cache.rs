@@ -39,7 +39,7 @@ use crate::expression::{try_partition_expression_error, try_quadtree_node_errors
 use crate::resample::replicate_draws;
 use gridtuner_obs as obs;
 use gridtuner_spatial::{
-    CountMatrix, Event, GridSpec, Partition, Point, SlotClock, SpatialPartition, UniformGrid,
+    CountMatrix, Event, GridSpec, Partition, Point, SlotClock, SpatialPartition,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -274,15 +274,14 @@ impl AlphaFieldCache {
         f(&self.alpha(spec))
     }
 
-    /// Total expression error for the square `partition` (as a
-    /// [`UniformGrid`]), with the α field served
-    /// from this cache and the Poisson tables served from the cache's
+    /// Total expression error for the square `partition`, with the α field
+    /// served from this cache and the Poisson tables served from the cache's
     /// cross-probe [`PmfMemo`] — the probe hot path. Thread-safe, like
     /// [`alpha`](Self::alpha); the note in the [`append`](Self::append)
     /// docs applies to the pmf memo too (it is never invalidated: its
     /// entries depend only on the rate).
     pub fn expression_error(&self, partition: &Partition) -> Result<f64, CoreError> {
-        self.partition_expression_error(&UniformGrid::new(*partition))
+        self.partition_expression_error(partition)
     }
 
     /// [`expression_error`](Self::expression_error) generalised over any
@@ -523,7 +522,7 @@ mod tests {
             let part = Partition::for_budget(side, 16);
             let via_cache = cache.expression_error(&part).unwrap();
             let direct = cache.with_alpha(part.hgrid_spec(), |a| {
-                try_partition_expression_error(a, &UniformGrid::new(part), None).unwrap()
+                try_partition_expression_error(a, &part, None).unwrap()
             });
             assert_eq!(
                 via_cache.to_bits(),

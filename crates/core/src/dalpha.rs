@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn region_d_alpha_sums_to_partitioned_unevenness() {
-        use gridtuner_spatial::{QuadTreePartition, UniformGrid};
+        use gridtuner_spatial::{Partition, QuadTreePartition};
         let m = field(8, |r, c| ((r * 5 + c * 3) % 7) as f64);
         // One region covering everything reduces to plain D_α.
         let root = QuadTreePartition::root(8);
@@ -143,7 +143,7 @@ mod tests {
         assert!((contrib[0] - d_alpha(&m)).abs() < 1e-12);
         // A uniform field contributes zero everywhere, any partition.
         let flat = field(8, |_, _| 2.5);
-        let u = UniformGrid::for_budget(4, 8);
+        let u = Partition::for_budget(4, 8);
         assert!(region_d_alpha(&flat, &u)
             .unwrap()
             .iter()

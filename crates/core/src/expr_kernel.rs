@@ -38,9 +38,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{
-    Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
-};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 /// Multiply-shift hasher for the f64-bit rate keys the kernel hashes
 /// millions of times per tune. The keys are already high-entropy u64s
@@ -341,7 +339,6 @@ pub struct PmfMemo {
     max_f64s: usize,
     hits: obs::metrics::Counter,
     misses: obs::metrics::Counter,
-    lock_waits: obs::metrics::Counter,
 }
 
 impl Default for PmfMemo {
@@ -350,57 +347,27 @@ impl Default for PmfMemo {
     }
 }
 
-/// Global per-shard lock-wait counters, `pmf_memo.shard{i}.lock_waits`.
-/// Registered once so the profiler can attribute contention to the shard
-/// that actually blocked (the aggregate `pmf_memo.lock_waits` says *that*
-/// workers collided; the shard split says *where*).
-fn shard_wait_counters() -> &'static [Arc<obs::metrics::Counter>] {
-    static COUNTERS: OnceLock<Vec<Arc<obs::metrics::Counter>>> = OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        (0..MEMO_SHARDS)
-            .map(|i| obs::metrics::counter(&format!("pmf_memo.shard{i}.lock_waits")))
-            .collect()
-    })
-}
-
-/// Bumps the instance, aggregate and per-shard wait counters on a blocked
-/// acquisition.
-fn note_lock_wait(waits: &obs::metrics::Counter, shard_idx: usize) {
-    waits.inc();
-    obs::counter!("pmf_memo.lock_waits").inc();
-    shard_wait_counters()[shard_idx].inc();
-}
-
 /// Poison-immune read lock that counts the times it had to block: an
 /// uncontended acquisition is the expected case, so a failed `try_read`
-/// is the contention signal `pmf_memo.lock_waits` (and its per-shard
-/// split) records.
-fn read_counted<'a, T>(
-    lock: &'a RwLock<T>,
-    waits: &obs::metrics::Counter,
-    shard_idx: usize,
-) -> RwLockReadGuard<'a, T> {
+/// is the contention signal `pmf_memo.lock_waits` records.
+fn read_counted<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     match lock.try_read() {
         Ok(g) => g,
         Err(TryLockError::Poisoned(p)) => p.into_inner(),
         Err(TryLockError::WouldBlock) => {
-            note_lock_wait(waits, shard_idx);
+            obs::counter!("pmf_memo.lock_waits").inc();
             lock.read().unwrap_or_else(PoisonError::into_inner)
         }
     }
 }
 
 /// Write-side counterpart of [`read_counted`].
-fn write_counted<'a, T>(
-    lock: &'a RwLock<T>,
-    waits: &obs::metrics::Counter,
-    shard_idx: usize,
-) -> RwLockWriteGuard<'a, T> {
+fn write_counted<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     match lock.try_write() {
         Ok(g) => g,
         Err(TryLockError::Poisoned(p)) => p.into_inner(),
         Err(TryLockError::WouldBlock) => {
-            note_lock_wait(waits, shard_idx);
+            obs::counter!("pmf_memo.lock_waits").inc();
             lock.write().unwrap_or_else(PoisonError::into_inner)
         }
     }
@@ -420,7 +387,6 @@ impl PmfMemo {
             max_f64s,
             hits: obs::metrics::Counter::new(),
             misses: obs::metrics::Counter::new(),
-            lock_waits: obs::metrics::Counter::new(),
         }
     }
 
@@ -471,9 +437,8 @@ impl PmfMemo {
     /// bit-identical values.
     pub fn get_or_build(&self, rate: f64) -> Option<Arc<PmfTable>> {
         let key = rate.to_bits();
-        let shard_idx = Self::shard_index(key);
-        let shard = &self.shards[shard_idx];
-        if let Some(t) = read_counted(shard, &self.lock_waits, shard_idx).get(&key) {
+        let shard = &self.shards[Self::shard_index(key)];
+        if let Some(t) = read_counted(shard).get(&key) {
             self.hits.inc();
             obs::counter!("expr.pmf_memo_hits").inc();
             return Some(Arc::clone(t));
@@ -492,7 +457,7 @@ impl PmfMemo {
         }
         let built = Arc::new(PmfTable::build(rate));
         debug_assert_eq!(built.slots(), slots, "admission must match fill");
-        let mut guard = write_counted(shard, &self.lock_waits, shard_idx);
+        let mut guard = write_counted(shard);
         match guard.entry(key) {
             Entry::Occupied(e) => {
                 // Lost an insert race: another worker admitted this rate
@@ -518,11 +483,6 @@ impl PmfMemo {
     /// Lookups that had to build (or were refused admission).
     pub fn misses(&self) -> u64 {
         self.misses.get()
-    }
-
-    /// Times a shard lock had to block (contention signal).
-    pub fn lock_waits(&self) -> u64 {
-        self.lock_waits.get()
     }
 
     /// Cached tables.
@@ -791,22 +751,33 @@ mod tests {
     ];
 
     #[test]
-    fn shard_wait_counters_cover_every_shard_and_attribute_blocks() {
-        let counters = shard_wait_counters();
-        assert_eq!(counters.len(), MEMO_SHARDS);
+    fn blocked_shard_locks_count_once_in_the_aggregate() {
         let memo = PmfMemo::default();
-        let idx = PmfMemo::shard_index(1.5f64.to_bits());
-        let aggregate_before = obs::metrics::counter("pmf_memo.lock_waits").get();
-        let shard_before = counters[idx].get();
-        let other = counters[(idx + 1) % MEMO_SHARDS].get();
-        note_lock_wait(&memo.lock_waits, idx);
-        assert_eq!(counters[idx].get(), shard_before + 1);
-        assert_eq!(counters[(idx + 1) % MEMO_SHARDS].get(), other);
-        assert_eq!(
-            obs::metrics::counter("pmf_memo.lock_waits").get(),
-            aggregate_before + 1
-        );
-        assert_eq!(memo.lock_waits(), 1, "instance counter tracks its memo");
+        let shard = &memo.shards[PmfMemo::shard_index(1.5f64.to_bits())];
+        let waits = || obs::counter!("pmf_memo.lock_waits").get();
+        // Other tests only add to the process-wide counter, so each
+        // blocked acquisition must raise it by at least one.
+        let before = waits();
+        let held = shard.write().unwrap();
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| drop(read_counted(shard)));
+            while waits() == before {
+                std::thread::yield_now();
+            }
+            drop(held);
+            reader.join().unwrap();
+        });
+        let held = shard.read().unwrap();
+        let after_read = waits();
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| drop(write_counted(shard)));
+            while waits() == after_read {
+                std::thread::yield_now();
+            }
+            drop(held);
+            writer.join().unwrap();
+        });
+        assert!(waits() > after_read && after_read > before);
     }
 
     #[test]

@@ -198,7 +198,7 @@ fn validate_field(alpha: &CountMatrix) -> Result<(), CoreError> {
 /// expression errors, where each region's cell count `K` is per-call (the
 /// kernel's `m` is already a per-call argument, so variable-size regions
 /// need no kernel change). The paper's square `n`-MGrid partition is a
-/// [`UniformGrid`](gridtuner_spatial::UniformGrid). A lattice-mismatched
+/// [`Partition`]. A lattice-mismatched
 /// or invalid α field is a [`CoreError::Data`], not a panic.
 ///
 /// `memo` is the cross-probe pmf cache; pass `None` for a per-call cache
@@ -556,11 +556,9 @@ mod tests {
         assert_eq!(mgrid_expression_error(&[]), 0.0);
     }
 
-    /// The square-partition sweep: `p` as a [`UniformGrid`] through the
-    /// one batched path.
+    /// The square-partition sweep: `p` through the one batched path.
     fn uniform_error(alpha: &CountMatrix, p: Partition, memo: Option<&PmfMemo>) -> f64 {
-        try_partition_expression_error(alpha, &gridtuner_spatial::UniformGrid::new(p), memo)
-            .unwrap()
+        try_partition_expression_error(alpha, &p, memo).unwrap()
     }
 
     #[test]
@@ -616,11 +614,10 @@ mod tests {
 
     #[test]
     fn parallel_seq_and_percell_paths_agree() {
-        use gridtuner_spatial::UniformGrid;
         let p = Partition::new(4, 6);
         let alpha = uneven_field(24);
         let par = uniform_error(&alpha, p, None);
-        let seq = partition_expression_error_seq(&alpha, &UniformGrid::new(p)).unwrap();
+        let seq = partition_expression_error_seq(&alpha, &p).unwrap();
         // The parallel sweep replicates the sequential association exactly.
         assert_eq!(par.to_bits(), seq.to_bits(), "par {par} vs seq {seq}");
         // The pre-batching per-cell loop agrees to reassociation tolerance.
@@ -634,10 +631,10 @@ mod tests {
     #[test]
     fn trait_uniform_sweep_is_bit_identical_to_legacy() {
         // The paper's square layout, swept through the trait as a
-        // `UniformGrid` and as the equal-sided `RectGrid` that tiles the
+        // `Partition` and as the equal-sided `RectGrid` that tiles the
         // same lattice in the same region and cell order: one batched path,
         // so the three sums agree to the bit.
-        use gridtuner_spatial::{RectGrid, SpatialPartition, UniformGrid};
+        use gridtuner_spatial::{RectGrid, SpatialPartition};
         let p = Partition::new(4, 6);
         let alpha = uneven_field(24);
         let uniform = uniform_error(&alpha, p, None);
@@ -645,7 +642,7 @@ mod tests {
         assert_eq!(rect.hgrid_spec(), p.hgrid_spec());
         let square = try_partition_expression_error(&alpha, &rect, None).unwrap();
         assert_eq!(uniform.to_bits(), square.to_bits(), "{uniform} vs {square}");
-        let seq = partition_expression_error_seq(&alpha, &UniformGrid::new(p)).unwrap();
+        let seq = partition_expression_error_seq(&alpha, &p).unwrap();
         assert_eq!(uniform.to_bits(), seq.to_bits());
     }
 
@@ -663,7 +660,7 @@ mod tests {
 
     #[test]
     fn invalid_fields_are_data_errors_on_the_fallible_path() {
-        let grid = gridtuner_spatial::UniformGrid::new(Partition::new(2, 2));
+        let grid = Partition::new(2, 2);
         let mut alpha = CountMatrix::zeros(4);
         alpha.as_mut_slice()[5] = f64::NAN;
         let err = try_partition_expression_error(&alpha, &grid, None).unwrap_err();

@@ -9,9 +9,7 @@
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::expression::{partition_expression_error_seq, try_partition_expression_error};
 use gridtuner_core::{estimate_alpha, AlphaFieldCache};
-use gridtuner_spatial::{
-    Event, GridSpec, Partition, Point, SlotClock, SpatialPartition, UniformGrid,
-};
+use gridtuner_spatial::{Event, GridSpec, Partition, Point, SlotClock};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -74,7 +72,7 @@ proptest! {
             day_end: 5,
             weekdays_only: false,
         };
-        let part = UniformGrid::new(Partition::for_budget(side, budget));
+        let part = Partition::for_budget(side, budget);
         let alpha = estimate_alpha(&events, part.hgrid_spec(), &clock, &window);
         let par = try_partition_expression_error(&alpha, &part, None).unwrap();
         let seq = partition_expression_error_seq(&alpha, &part).unwrap();

@@ -239,8 +239,6 @@ impl Simulator {
             }
             let _slot_span = obs::span!("simulate.slot", slot = s, orders = slot_orders.len());
             obs::counter!("dispatch.slots").inc();
-            obs::histogram!("dispatch.slot_orders", obs::metrics::COUNT_BOUNDS)
-                .observe(slot_orders.len() as f64);
             let demand = demand_for_slot(slot);
             let ctx = SlotContext {
                 slot,

@@ -2,9 +2,10 @@
 //!
 //! Everything above the algorithm layer routes through a
 //! [`TuningSession`]: it owns the ingested event log, the one-pass α-field
-//! cache, the per-side model-error memo and the run's stage log, and it
-//! drives the explicit pipeline **ingest → alpha → search → report** (plus
-//! an optional dispatch stage for the case study).
+//! cache and the per-side model-error memo, and it drives the pipeline
+//! **ingest → alpha → search → report** (plus an optional dispatch stage
+//! for the case study). The `ingest`, `tune`, `uncertainty` and
+//! `partition_search` spans mark the phases in a trace.
 //!
 //! * [`config`] — [`EngineConfig`]: one validated struct holding the
 //!   search, α-window, simulator and fleet knobs, with a builder that
@@ -12,8 +13,6 @@
 //! * [`error`] — [`EngineError`]: the workspace error taxonomy
 //!   (config / data / internal / env), each kind with a distinct process
 //!   exit code;
-//! * [`stage`] — [`StageKind`] / [`StageRecord`]: the explicit phases a
-//!   session records as it runs;
 //! * [`session`] — [`TuningSession`]: ingest events (incrementally — a
 //!   delta append does one partial scan, not a pipeline rebuild), tune
 //!   (Algorithm 3 probes driven by the configured search — the one tuning
@@ -25,7 +24,7 @@
 //!   per-probe dispersion and a stable/plateau/unstable verdict;
 //! * [`partition_search`] — the `PartitionSearch` stage: Theorem II.1's
 //!   bound minimised over non-square [`SpatialPartition`] families (rect
-//!   hill-climb, `D_α`-guided quadtree split/merge under a region cap),
+//!   hill-climb, exact tree-DP quadtree under a region cap),
 //!   with the 1-D uniform tune as the comparison baseline.
 //!
 //! [`SpatialPartition`]: gridtuner_spatial::SpatialPartition
@@ -42,17 +41,15 @@ pub mod config;
 pub mod error;
 pub mod partition_search;
 pub mod session;
-pub mod stage;
 pub mod uncertainty;
 
 pub use config::{EngineConfig, EngineConfigBuilder};
 pub use error::{simd_diagnostics, thread_diagnostics, thread_override, EngineError};
 pub use partition_search::{PartitionKind, PartitionLayout, PartitionReport};
 pub use session::{IngestReport, TuneReport, TuningSession};
-pub use stage::{StageKind, StageRecord};
 pub use uncertainty::{
-    classify, env_bootstrap_replicates, env_bootstrap_seed, BootstrapConfig, ProbeDispersion,
-    StabilityVerdict, UncertaintyReport, PLATEAU_REL_TOL,
+    classify, BootstrapConfig, ProbeDispersion, StabilityVerdict, UncertaintyReport,
+    PLATEAU_REL_TOL,
 };
 
 // The traits and types sessions are used with, re-exported so front ends

@@ -11,7 +11,7 @@
 //! Three searches, selected by [`PartitionKind`]:
 //!
 //! * **uniform** — no refinement: the 1-D winner re-evaluated through the
-//!   same `UniformGrid` sweep the 1-D tune ran, so bit-identical to it;
+//!   same square-partition sweep the 1-D tune ran, so bit-identical to it;
 //! * **rect** — a deterministic hill-climb over `(nx, ny)` region counts,
 //!   seeded at the 1-D winner `(s*, s*)`, stepping one count at a time
 //!   within the configured side range;
@@ -52,11 +52,10 @@
 
 use crate::error::EngineError;
 use crate::session::{TuneReport, TuningSession};
-use crate::stage::{StageKind, StageRecord};
 use gridtuner_core::expression::quadtree_node_index;
 use gridtuner_core::upper_bound::ModelErrorSource;
 use gridtuner_obs as obs;
-use gridtuner_spatial::{QuadLeaf, QuadTreePartition, RectGrid, SpatialPartition, UniformGrid};
+use gridtuner_spatial::{QuadLeaf, QuadTreePartition, RectGrid, SpatialPartition};
 use std::collections::HashMap;
 
 /// Which partition family [`TuningSession::tune_partition`] searches.
@@ -195,21 +194,6 @@ impl<S: ModelErrorSource> TuningSession<S> {
             PartitionKind::Rect => self.rect_search(uniform)?,
             PartitionKind::QuadTree => self.quadtree_search(uniform)?,
         };
-        self.push_stage(StageRecord::new(
-            StageKind::PartitionSearch,
-            report.evals,
-            format!(
-                "{}: {} regions (cap {}), bound {:.6} vs uniform {:.6}, \
-                 {} splits, {} merges",
-                report.kind,
-                report.n_regions,
-                report.region_cap,
-                report.bound,
-                report.uniform_bound(),
-                report.splits,
-                report.merges,
-            ),
-        ));
         Ok(report)
     }
 
@@ -244,9 +228,8 @@ impl<S: ModelErrorSource> TuningSession<S> {
 
     fn uniform_report(&mut self, uniform: TuneReport) -> Result<PartitionReport, EngineError> {
         let side = uniform.outcome.side;
-        let grid = UniformGrid::new(uniform.partition);
-        let (expr, model) = self.partition_legs(&grid)?;
-        let n_regions = grid.n_regions();
+        let (expr, model) = self.partition_legs(&uniform.partition)?;
+        let n_regions = uniform.partition.n_regions();
         Ok(PartitionReport {
             kind: PartitionKind::Uniform,
             layout: PartitionLayout::Uniform { side },
@@ -653,12 +636,6 @@ mod tests {
         );
         assert!(report.improves_on_uniform());
         assert_eq!((report.splits, report.merges), (0, 0));
-        let stage = s
-            .stages()
-            .iter()
-            .find(|r| r.kind == StageKind::PartitionSearch)
-            .expect("partition stage recorded");
-        assert!(stage.detail.contains("uniform"), "{}", stage.detail);
     }
 
     #[test]

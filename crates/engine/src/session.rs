@@ -2,9 +2,10 @@
 //!
 //! A [`TuningSession`] owns the ingested event log, the one-pass
 //! [`AlphaFieldCache`], the per-side model-error memo and the observability
-//! root of the run. The tune flow is the explicit stage pipeline
-//! ingest → alpha → search → report; every stage is recorded and every
-//! failure surfaces as a typed [`EngineError`].
+//! root of the run. The tune flow is the stage pipeline
+//! ingest → alpha → search → report; the `ingest`, `tune`, `uncertainty`
+//! and `partition_search` spans mark its phases, and every failure
+//! surfaces as a typed [`EngineError`].
 //!
 //! **Incremental re-tune.** Appending events with [`ingest`] after a tune
 //! does *not* rebuild the pipeline: the delta goes through
@@ -19,7 +20,6 @@
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::stage::{StageKind, StageRecord};
 use crate::uncertainty::{run_bootstrap, ReplicateSetup, UncertaintyReport};
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::error::CoreError;
@@ -95,8 +95,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// A stateful tuning run: dataset handle, α cache, model-error memo and
-/// stage log in one place. Create with [`TuningSession::new`], feed with
+/// A stateful tuning run: dataset handle, α cache and model-error memo in
+/// one place. Create with [`TuningSession::new`], feed with
 /// [`ingest`](Self::ingest), run with [`tune`](Self::tune).
 pub struct TuningSession<S> {
     config: EngineConfig,
@@ -104,7 +104,6 @@ pub struct TuningSession<S> {
     cache: Option<AlphaFieldCache>,
     model: S,
     model_memo: HashMap<u32, f64>,
-    stages: Vec<StageRecord>,
 }
 
 impl<S> TuningSession<S> {
@@ -117,7 +116,6 @@ impl<S> TuningSession<S> {
             cache: None,
             model,
             model_memo: HashMap::new(),
-            stages: Vec::new(),
         })
     }
 
@@ -129,11 +127,6 @@ impl<S> TuningSession<S> {
     /// The ingested event log, in ingestion order.
     pub fn events(&self) -> &[Event] {
         &self.events
-    }
-
-    /// Every stage executed so far, in order.
-    pub fn stages(&self) -> &[StageRecord] {
-        &self.stages
     }
 
     /// Events that survived the α window filter (0 before the first scan).
@@ -163,17 +156,12 @@ impl<S> TuningSession<S> {
     }
 
     /// Hands out a dispatch simulator for the configured case study.
-    pub fn simulator(&mut self) -> Result<gridtuner_dispatch::Simulator, EngineError> {
+    pub fn simulator(&self) -> Result<gridtuner_dispatch::Simulator, EngineError> {
         let sim = self.config.sim.ok_or_else(|| {
             EngineError::Config(
                 "no dispatch configuration: set EngineConfig::builder().sim(...)".into(),
             )
         })?;
-        self.stages.push(StageRecord::new(
-            StageKind::Dispatch,
-            sim.fleet.n_drivers,
-            format!("simulator with {} drivers", sim.fleet.n_drivers),
-        ));
         Ok(gridtuner_dispatch::Simulator::new(sim))
     }
 
@@ -186,24 +174,16 @@ impl<S> TuningSession<S> {
             .ok_or_else(|| EngineError::Internal("α cache missing after the alpha stage".into()))
     }
 
-    /// Appends a stage record (crate-internal: stages defined outside this
-    /// module, like the partition search, log through this).
-    pub(crate) fn push_stage(&mut self, record: StageRecord) {
-        self.stages.push(record);
-    }
-
     /// The α stage: build the cache on first use (the session's single
-    /// full scan), serve it afterwards. Returns whether this call built it.
-    fn ensure_cache(&mut self) -> bool {
-        if self.cache.is_some() {
-            return false;
+    /// full scan), serve it afterwards.
+    fn ensure_cache(&mut self) {
+        if self.cache.is_none() {
+            self.cache = Some(AlphaFieldCache::new(
+                &self.events,
+                &self.config.clock,
+                &self.config.alpha_window,
+            ));
         }
-        self.cache = Some(AlphaFieldCache::new(
-            &self.events,
-            &self.config.clock,
-            &self.config.alpha_window,
-        ));
-        true
     }
 }
 
@@ -249,16 +229,10 @@ impl<S: ModelErrorSource> TuningSession<S> {
         if model_dirty {
             self.model_memo.clear();
         }
-        let invalidated = matched > 0 || model_dirty;
-        self.stages.push(StageRecord::new(
-            StageKind::Ingest,
-            events.len(),
-            format!("{matched} of {} events entered the α window", events.len()),
-        ));
         Ok(IngestReport {
             ingested: events.len(),
             matched,
-            invalidated,
+            invalidated: matched > 0 || model_dirty,
             total_events: self.events.len(),
         })
     }
@@ -274,16 +248,7 @@ impl<S: ModelErrorSource> TuningSession<S> {
     pub fn tune(&mut self) -> Result<TuneReport, EngineError> {
         let (lo, hi) = self.config.side_range;
         let _span = obs::span!("tune", lo = lo, hi = hi, events = self.events.len());
-        let built = self.ensure_cache();
-        self.stages.push(StageRecord::new(
-            StageKind::Alpha,
-            self.digest_len(),
-            if built {
-                "digest built (full scan)"
-            } else {
-                "digest served from cache"
-            },
-        ));
+        self.ensure_cache();
         let budget = self.config.hgrid_budget_side;
         let strategy = self.config.strategy;
         let mut memo_hits = 0usize;
@@ -331,7 +296,16 @@ impl<S: ModelErrorSource> TuningSession<S> {
             }
         };
         let uncertainty = self.run_uncertainty(&outcome)?;
-        self.report(outcome, memo_hits, uncertainty)
+        let cache = self.cache.as_ref().ok_or_else(|| {
+            EngineError::Internal("α cache missing after the search stage".into())
+        })?;
+        Ok(TuneReport {
+            partition: Partition::for_budget(outcome.side, budget),
+            outcome,
+            alpha_delta_scans: cache.delta_scans(),
+            model_memo_hits: memo_hits,
+            uncertainty,
+        })
     }
 
     /// The uncertainty stage: B replicate tunes run side by side on the
@@ -385,52 +359,6 @@ impl<S: ModelErrorSource> TuningSession<S> {
             None => Ok(0.0),
             Some(cache) => Ok(cache.expression_error(&part)?),
         }
-    }
-
-    /// The report stage.
-    fn report(
-        &mut self,
-        outcome: SearchOutcome,
-        memo_hits: usize,
-        uncertainty: Option<UncertaintyReport>,
-    ) -> Result<TuneReport, EngineError> {
-        obs::gauge!("tune.selected_side").set(f64::from(outcome.side));
-        self.stages.push(StageRecord::new(
-            StageKind::Search,
-            outcome.evals,
-            format!("{} unique evaluations", outcome.evals),
-        ));
-        if let Some(u) = &uncertainty {
-            self.stages.push(StageRecord::new(
-                StageKind::Uncertainty,
-                u.replicates as usize,
-                format!(
-                    "{} replicates, {}-side confidence set, verdict {}",
-                    u.replicates,
-                    u.confidence_set.len(),
-                    u.verdict
-                ),
-            ));
-        }
-        let cache = self.cache.as_ref().ok_or_else(|| {
-            EngineError::Internal("α cache missing after the search stage".into())
-        })?;
-        let report = TuneReport {
-            partition: Partition::for_budget(outcome.side, self.config.hgrid_budget_side),
-            outcome,
-            alpha_delta_scans: cache.delta_scans(),
-            model_memo_hits: memo_hits,
-            uncertainty,
-        };
-        self.stages.push(StageRecord::new(
-            StageKind::Report,
-            1,
-            format!(
-                "side {} selected ({} memo hits)",
-                report.outcome.side, report.model_memo_hits
-            ),
-        ));
-        Ok(report)
     }
 }
 
@@ -495,7 +423,7 @@ mod tests {
     fn session_tune_matches_direct_search_bitwise() {
         // The independent reference: Algorithm 3 as a plain closure over a
         // fresh α cache, driven straight through the `try_*` searcher — no
-        // session, no memo, no stage log.
+        // session, no memo.
         let events = skewed_events(600, 7);
         for strategy in [
             SearchStrategy::BruteForce,
@@ -715,17 +643,6 @@ mod tests {
         // Every probed side carries a full dispersion row under brute
         // force (every replicate probes every side).
         assert!(unc.dispersion.iter().all(|d| d.samples == 8));
-        let kinds: Vec<StageKind> = session.stages().iter().map(|s| s.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                StageKind::Ingest,
-                StageKind::Alpha,
-                StageKind::Search,
-                StageKind::Uncertainty,
-                StageKind::Report
-            ]
-        );
     }
 
     #[test]
@@ -821,25 +738,44 @@ mod tests {
 
     #[test]
     fn stages_run_in_pipeline_order() {
+        // The phase spans are the stage markers. On this thread the ingest
+        // span closes before the tune span opens, and every unique probe
+        // opens inside the tune. Other tests may record concurrently, so
+        // only this thread's records count.
         let events = skewed_events(200, 7);
         let mut session = TuningSession::new(cfg(SearchStrategy::Ternary), model).unwrap();
+        let buf = obs::trace::capture_to_buffer();
+        obs::enable();
         session.ingest(&events).unwrap();
-        session.tune().unwrap();
-        let kinds: Vec<StageKind> = session.stages().iter().map(|s| s.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                StageKind::Ingest,
-                StageKind::Alpha,
-                StageKind::Search,
-                StageKind::Report
-            ]
-        );
+        let report = session.tune().unwrap();
+        obs::disable();
+        obs::trace::flush();
+        let stream = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        obs::trace::clear_sink();
+        let tid = obs::span::current_tid();
+        let marks: Vec<String> = obs::json::parse_jsonl(&stream)
+            .unwrap()
+            .iter()
+            .filter(|r| r.get("tid").and_then(|v| v.as_f64()) == Some(tid as f64))
+            .filter_map(|r| {
+                let t = r.get("t")?.as_str()?;
+                let name = r.get("name")?.as_str()?;
+                let is_span = t == "span_start" || t == "span_end";
+                (is_span && matches!(name, "ingest" | "tune" | "probe"))
+                    .then(|| format!("{t} {name}"))
+            })
+            .collect();
+        let mut expected = vec!["span_start ingest", "span_end ingest", "span_start tune"];
+        for _ in 0..report.outcome.evals {
+            expected.extend(["span_start probe", "span_end probe"]);
+        }
+        expected.push("span_end tune");
+        assert_eq!(marks, expected);
     }
 
     #[test]
     fn simulator_requires_a_sim_config() {
-        let mut session = TuningSession::<fn(u32) -> f64>::new(
+        let session = TuningSession::<fn(u32) -> f64>::new(
             cfg(SearchStrategy::BruteForce),
             model as fn(u32) -> f64,
         )
@@ -847,7 +783,7 @@ mod tests {
         let err = session.simulator().map(|_| ()).unwrap_err();
         assert_eq!(err.exit_code(), 2);
         let sim = gridtuner_dispatch::SimConfig::for_geo(gridtuner_spatial::GeoBounds::xian());
-        let mut with_sim = TuningSession::new(
+        let with_sim = TuningSession::new(
             EngineConfig {
                 sim: Some(sim),
                 ..cfg(SearchStrategy::BruteForce)
@@ -856,9 +792,5 @@ mod tests {
         )
         .unwrap();
         with_sim.simulator().unwrap();
-        assert_eq!(
-            with_sim.stages().last().map(|s| s.kind),
-            Some(StageKind::Dispatch)
-        );
     }
 }

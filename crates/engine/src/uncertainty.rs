@@ -76,7 +76,7 @@ use gridtuner_core::search::{
 };
 use gridtuner_core::upper_bound::ModelErrorSource;
 use gridtuner_obs as obs;
-use gridtuner_par::{par_map, EnvParseError};
+use gridtuner_par::par_map;
 use gridtuner_spatial::Partition;
 use std::collections::{BTreeMap, HashMap};
 
@@ -444,45 +444,6 @@ pub(crate) fn run_bootstrap<S: ModelErrorSource>(
     })
 }
 
-/// Parses one bootstrap env variable with the workspace's env-validation
-/// contract: a malformed value is a diagnostic ([`EngineError::Env`],
-/// exit 5) naming the variable and the expected form — never a silent
-/// default.
-fn parse_env_var<T: std::str::FromStr>(
-    var: &'static str,
-    expected: &'static str,
-) -> Result<Option<T>, EngineError> {
-    match std::env::var(var) {
-        Err(_) => Ok(None),
-        Ok(raw) => raw.trim().parse::<T>().map(Some).map_err(|_| {
-            EngineError::Env(EnvParseError {
-                var,
-                value: raw,
-                expected,
-            })
-        }),
-    }
-}
-
-/// Validated `GRIDTUNER_BOOTSTRAP` override: `Ok(None)` when unset,
-/// `Ok(Some(B))` for a positive integer, [`EngineError::Env`] otherwise.
-pub fn env_bootstrap_replicates() -> Result<Option<u32>, EngineError> {
-    match parse_env_var::<u32>("GRIDTUNER_BOOTSTRAP", "a positive replicate count")? {
-        Some(0) => Err(EngineError::Env(EnvParseError {
-            var: "GRIDTUNER_BOOTSTRAP",
-            value: "0".into(),
-            expected: "a positive replicate count",
-        })),
-        other => Ok(other),
-    }
-}
-
-/// Validated `GRIDTUNER_BOOTSTRAP_SEED` override: `Ok(None)` when unset,
-/// `Ok(Some(seed))` for a `u64`, [`EngineError::Env`] otherwise.
-pub fn env_bootstrap_seed() -> Result<Option<u64>, EngineError> {
-    parse_env_var::<u64>("GRIDTUNER_BOOTSTRAP_SEED", "an unsigned 64-bit seed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,34 +488,5 @@ mod tests {
         assert_eq!(StabilityVerdict::Stable.name(), "stable");
         assert_eq!(StabilityVerdict::Plateau.name(), "plateau");
         assert_eq!(StabilityVerdict::Unstable.to_string(), "unstable");
-    }
-
-    #[test]
-    fn env_overrides_validate() {
-        // Unset → None. (Serial-safe: variables are cleaned up below and
-        // no other test in this binary touches them.)
-        std::env::remove_var("GRIDTUNER_BOOTSTRAP");
-        std::env::remove_var("GRIDTUNER_BOOTSTRAP_SEED");
-        assert_eq!(env_bootstrap_replicates().unwrap(), None);
-        assert_eq!(env_bootstrap_seed().unwrap(), None);
-        std::env::set_var("GRIDTUNER_BOOTSTRAP", "32");
-        std::env::set_var("GRIDTUNER_BOOTSTRAP_SEED", "2022");
-        assert_eq!(env_bootstrap_replicates().unwrap(), Some(32));
-        assert_eq!(env_bootstrap_seed().unwrap(), Some(2022));
-        std::env::set_var("GRIDTUNER_BOOTSTRAP", "lots");
-        let err = env_bootstrap_replicates().unwrap_err();
-        assert_eq!(err.exit_code(), 5);
-        assert!(err.to_string().contains("GRIDTUNER_BOOTSTRAP"), "{err}");
-        std::env::set_var("GRIDTUNER_BOOTSTRAP", "0");
-        assert_eq!(env_bootstrap_replicates().unwrap_err().exit_code(), 5);
-        std::env::set_var("GRIDTUNER_BOOTSTRAP_SEED", "-3");
-        let err = env_bootstrap_seed().unwrap_err();
-        assert_eq!(err.exit_code(), 5);
-        assert!(
-            err.to_string().contains("GRIDTUNER_BOOTSTRAP_SEED"),
-            "{err}"
-        );
-        std::env::remove_var("GRIDTUNER_BOOTSTRAP");
-        std::env::remove_var("GRIDTUNER_BOOTSTRAP_SEED");
     }
 }

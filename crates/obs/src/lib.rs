@@ -10,10 +10,10 @@
 //!   `span!("probe", side = s)`) with monotonic timing, a thread-safe
 //!   global stats registry, and near-zero cost when disabled (one relaxed
 //!   atomic load);
-//! * [`metrics`] — typed counters, gauges and histograms in a global
-//!   registry (probe counts, α cache hits, worker-pool utilization, …).
-//!   Counters stay live even when tracing is off: an uncontended relaxed
-//!   `fetch_add` is cheaper than the branch that would skip it;
+//! * [`metrics`] — named counters in a global registry (probe counts, α
+//!   cache hits, worker-pool utilization, …). Counters stay live even when
+//!   tracing is off: an uncontended relaxed `fetch_add` is cheaper than
+//!   the branch that would skip it;
 //! * [`trace`] / [`report`] — the two exporters: a JSON-lines trace/event
 //!   stream (`GRIDTUNER_TRACE=path`, one record per line) and a
 //!   human-readable end-of-run [`report::RunReport`] that includes the
@@ -84,12 +84,9 @@ pub fn disable() {
 }
 
 /// One-time environment hookup, called by binaries at startup:
-///
-/// * `GRIDTUNER_TRACE=path` — opens (truncates) `path`, installs it as the
-///   JSONL trace sink, and enables recording (convert it for Perfetto with
-///   `gridtuner profile --input path --chrome out.json`);
-/// * `GRIDTUNER_OBS=1` — enables in-memory recording (stats + report)
-///   without a trace file.
+/// `GRIDTUNER_TRACE=path` opens (truncates) `path`, installs it as the
+/// JSONL trace sink, and enables recording (convert it for Perfetto with
+/// `gridtuner profile --input path --chrome out.json`).
 ///
 /// Idempotent; later calls are no-ops.
 pub fn init_from_env() {
@@ -103,19 +100,12 @@ pub fn init_from_env() {
                     }
                     Err(e) => eprintln!("[gridtuner-obs] cannot open GRIDTUNER_TRACE={path}: {e}"),
                 }
-                return;
             }
-        }
-        if std::env::var("GRIDTUNER_OBS")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
-            enable();
         }
     });
 }
 
-/// Clears all aggregated state: metric values, span stats and retained
+/// Clears all aggregated state: counter values, span stats and retained
 /// events. The trace sink (if any) is left installed. Meant for harnesses
 /// and benchmarks that measure runs back to back.
 pub fn reset() {
@@ -204,27 +194,6 @@ macro_rules! counter {
         static SITE: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Counter>> =
             ::std::sync::OnceLock::new();
         &**SITE.get_or_init(|| $crate::metrics::counter($name))
-    }};
-}
-
-/// A named gauge from the global registry, cached per call-site.
-#[macro_export]
-macro_rules! gauge {
-    ($name:literal) => {{
-        static SITE: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Gauge>> =
-            ::std::sync::OnceLock::new();
-        &**SITE.get_or_init(|| $crate::metrics::gauge($name))
-    }};
-}
-
-/// A named histogram from the global registry, cached per call-site. The
-/// bucket bounds are fixed on first registration.
-#[macro_export]
-macro_rules! histogram {
-    ($name:literal, $bounds:expr) => {{
-        static SITE: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Histogram>> =
-            ::std::sync::OnceLock::new();
-        &**SITE.get_or_init(|| $crate::metrics::histogram($name, $bounds))
     }};
 }
 

@@ -376,7 +376,7 @@ impl Profile {
     }
 
     /// Renders the human-readable profile: top-`top` self-time table,
-    /// per-thread and per-worker utilization, pmf-shard lock waits pulled
+    /// per-thread and per-worker utilization, the pmf-memo lock waits pulled
     /// from `counters`, and the critical path.
     pub fn render(&self, top: usize, counters: &[(String, u64)]) -> String {
         let mut out = String::new();
@@ -445,17 +445,11 @@ impl Profile {
             }
         }
 
-        let shard_waits: Vec<&(String, u64)> = counters
+        if let Some((_, waits)) = counters
             .iter()
-            .filter(|(name, v)| {
-                *v > 0 && name.starts_with("pmf_memo.shard") && name.ends_with(".lock_waits")
-            })
-            .collect();
-        if !shard_waits.is_empty() {
-            let _ = writeln!(out, "\npmf-memo shard lock waits:");
-            for (name, v) in shard_waits {
-                let _ = writeln!(out, "  {name:<28} {v:>7}");
-            }
+            .find(|(name, v)| *v > 0 && name == "pmf_memo.lock_waits")
+        {
+            let _ = writeln!(out, "\npmf-memo lock waits: {waits}");
         }
 
         if let Some(path) = self.critical_path("tune") {
@@ -936,8 +930,7 @@ mod tests {
             &[(0, 0, 100, 500), (1, 1, 100, 480)],
         );
         let counters = vec![
-            ("pmf_memo.shard3.lock_waits".to_string(), 7u64),
-            ("pmf_memo.shard9.lock_waits".to_string(), 0u64),
+            ("pmf_memo.lock_waits".to_string(), 7u64),
             ("tune.probes".to_string(), 73u64),
         ];
         let text = p.render(10, &counters);
@@ -945,8 +938,9 @@ mod tests {
         assert!(text.contains("threads:"));
         assert!(text.contains("worker 0"));
         assert!(text.contains("worker 1"));
-        assert!(text.contains("pmf_memo.shard3.lock_waits"));
-        assert!(!text.contains("pmf_memo.shard9"), "zero shards elided");
+        assert!(text.contains("pmf-memo lock waits: 7"));
+        let idle = p.render(10, &[("pmf_memo.lock_waits".to_string(), 0)]);
+        assert!(!idle.contains("lock waits"), "zero waits elided");
         assert!(text.contains("critical path through `tune`"));
     }
 }

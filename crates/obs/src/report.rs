@@ -1,4 +1,4 @@
-//! The end-of-run report: one structure gathering span timings, metric
+//! The end-of-run report: one structure gathering span timings, counter
 //! values, retained warnings, and the per-`n` error decomposition that
 //! makes the paper's U-curve directly inspectable.
 //!
@@ -38,7 +38,7 @@ pub struct DecompRow {
 pub struct RunReport {
     /// Per-name span timing aggregates, name-sorted.
     pub span_stats: Vec<(&'static str, SpanStat)>,
-    /// Every registered counter/gauge/histogram.
+    /// Every registered counter.
     pub metrics: MetricsSnapshot,
     /// Per-`n` error decomposition, side-sorted.
     pub decomposition: Vec<DecompRow>,
@@ -220,27 +220,6 @@ impl fmt::Display for RunReport {
                     f,
                     "cell evals {cells} -> group evals {evals} (dedup saved {:.1}%), pmf memo hits {memo_hits}",
                     dedup as f64 / cells as f64 * 100.0
-                )?;
-            }
-        }
-        if !self.metrics.gauges.is_empty() {
-            writeln!(f, "-- gauges --")?;
-            for (name, v) in &self.metrics.gauges {
-                writeln!(f, "{name:<40} {v:>12.4}")?;
-            }
-        }
-        if !self.metrics.histograms.is_empty() {
-            writeln!(f, "-- histograms --")?;
-            for h in &self.metrics.histograms {
-                let mean = if h.count > 0 {
-                    h.sum / h.count as f64
-                } else {
-                    0.0
-                };
-                writeln!(
-                    f,
-                    "{:<40} count={} mean={:.3} max={:.3}",
-                    h.name, h.count, mean, h.max
                 )?;
             }
         }

@@ -38,9 +38,7 @@ pub use events::{Event, TripRecord};
 pub use geom::{BBox, GeoBounds, Point};
 pub use grid::{CellId, GridSpec, Partition};
 pub use index::GridIndex;
-pub use partition::{
-    QuadLeaf, QuadTreePartition, RectGrid, RegionId, SpatialPartition, UniformGrid,
-};
+pub use partition::{QuadLeaf, QuadTreePartition, RectGrid, RegionId, SpatialPartition};
 pub use time::{SlotClock, SlotId, SLOTS_PER_DAY, SLOT_MINUTES};
 
 /// Errors produced by the spatial substrate.

@@ -8,10 +8,9 @@
 //! generalisation as the [`SpatialPartition`] trait plus three
 //! implementations:
 //!
-//! * [`UniformGrid`] — the paper's square layout, bit-identical to the
-//!   legacy [`Partition`] sweep (regions are MGrid
-//!   cells in row-major order; cells inside a region follow
-//!   [`Partition::hgrid_iter`](crate::grid::Partition::hgrid_iter) order);
+//! * [`Partition`] — the paper's square layout (regions are MGrid cells
+//!   in row-major order; cells inside a region follow
+//!   [`Partition::hgrid_iter`] order);
 //! * [`RectGrid`] — independent x/y region counts `nx × ny` over a shared
 //!   square HGrid lattice;
 //! * [`QuadTreePartition`] — an adaptively refined quadtree over a
@@ -96,55 +95,32 @@ pub trait SpatialPartition {
 }
 
 // ---------------------------------------------------------------------------
-// UniformGrid
+// Partition (the uniform grid)
 // ---------------------------------------------------------------------------
 
-/// The paper's square MGrid layout viewed through the trait: regions are the
+/// The paper's square MGrid layout through the trait: regions are the
 /// `n = s²` MGrid cells in row-major order, and each region's cells follow
-/// [`Partition::hgrid_iter`] order — exactly the legacy sweep, so the
-/// trait-dispatched uniform path is bit-identical to the concrete one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UniformGrid {
-    inner: Partition,
-}
-
-impl UniformGrid {
-    /// Wraps a concrete two-level [`Partition`].
-    pub fn new(inner: Partition) -> Self {
-        UniformGrid { inner }
-    }
-
-    /// The paper's budget rule, `Partition::for_budget` behind the trait.
-    pub fn for_budget(mgrid_side: u32, hgrid_budget_side: u32) -> Self {
-        UniformGrid::new(Partition::for_budget(mgrid_side, hgrid_budget_side))
-    }
-
-    /// The wrapped concrete partition.
-    pub fn inner(&self) -> &Partition {
-        &self.inner
-    }
-}
-
-impl SpatialPartition for UniformGrid {
+/// [`Partition::hgrid_iter`] order.
+impl SpatialPartition for Partition {
     fn hgrid_spec(&self) -> GridSpec {
-        self.inner.hgrid_spec()
+        Partition::hgrid_spec(self)
     }
 
     fn n_regions(&self) -> usize {
-        self.inner.n()
+        self.n()
     }
 
     fn region_of(&self, hcell: CellId) -> RegionId {
-        RegionId(self.inner.mgrid_of(hcell).index())
+        RegionId(self.mgrid_of(hcell).index())
     }
 
     fn region_len(&self, _region: RegionId) -> usize {
-        self.inner.m()
+        self.m()
     }
 
     fn region_cells_into(&self, region: RegionId, out: &mut Vec<CellId>) {
         out.clear();
-        out.extend(self.inner.hgrid_iter(CellId(region.0)));
+        out.extend(self.hgrid_iter(CellId(region.0)));
     }
 
     fn kind(&self) -> &'static str {
@@ -502,28 +478,27 @@ mod tests {
     #[test]
     fn uniform_matches_legacy_enumeration() {
         let part = Partition::for_budget(5, 32);
-        let u = UniformGrid::new(part);
-        assert_eq!(u.n_regions(), part.n());
-        assert_eq!(u.hgrid_spec(), part.hgrid_spec());
+        assert_eq!(part.n_regions(), part.n());
+        assert_eq!(SpatialPartition::hgrid_spec(&part), part.hgrid_spec());
+        assert_eq!(part.kind(), "uniform");
         for mcell in part.mgrid_spec().cells() {
             let rid = RegionId(mcell.index());
-            assert_eq!(u.region_cells(rid), part.hgrids_of(mcell));
-            assert_eq!(u.region_len(rid), part.m());
+            assert_eq!(part.region_cells(rid), part.hgrids_of(mcell));
+            assert_eq!(part.region_len(rid), part.m());
         }
-        assert_tiles(&u);
+        assert_tiles(&part);
     }
 
     #[test]
     fn uniform_region_of_point_matches_mgrid() {
         let part = Partition::for_budget(4, 16);
-        let u = UniformGrid::new(part);
         let p = Point::new(0.61, 0.27);
         let hcell = part.hgrid_spec().cell_of(&p).unwrap();
         assert_eq!(
-            u.region_of_point(&p),
+            part.region_of_point(&p),
             Some(RegionId(part.mgrid_of(hcell).index()))
         );
-        assert_eq!(u.region_of_point(&Point::new(1.5, 0.2)), None);
+        assert_eq!(part.region_of_point(&Point::new(1.5, 0.2)), None);
     }
 
     #[test]
@@ -542,7 +517,7 @@ mod tests {
     #[test]
     fn rect_square_counts_reduce_to_uniform_shape() {
         let r = RectGrid::for_budget(4, 4, 32);
-        let u = UniformGrid::for_budget(4, 32);
+        let u = Partition::for_budget(4, 32);
         assert_eq!(r.n_regions(), u.n_regions());
         assert_eq!(r.hgrid_spec(), u.hgrid_spec());
         for i in 0..r.n_regions() {

@@ -1,287 +1,107 @@
-//! Golden snapshots: a dependency-free JSON value, writer, parser and
-//! tolerance-aware comparator.
+//! Golden snapshots: a pretty-printer and a tolerance-aware comparator
+//! over the workspace's one JSON value, [`Val`].
 //!
 //! End-to-end results that the paper reports as numbers — the tuning
 //! optimum, the error decomposition at that optimum, the dispatch-case
 //! metrics — are pinned as pretty-printed JSON files under
 //! `tests/goldens/` at the repo root. A golden test builds the current
-//! [`Json`] value and calls [`check_golden`]:
+//! [`Val`] (numbers as [`Val::F64`]) and calls [`check_golden`]:
 //!
 //! * if the file is missing, or `UPDATE_GOLDENS=1` is set, the file is
 //!   (re)written and the check passes — the diff then shows up in review;
-//! * otherwise the stored value is parsed and compared field-by-field,
-//!   with floats held to a relative tolerance (default `1e-9`, absorbing
-//!   cross-platform `libm` rounding) and everything else exact. The first
-//!   mismatch is reported with its JSON path.
-//!
-//! The format is deliberately tiny (null/bool/finite numbers/strings
-//! without exotic escapes/arrays/objects) — goldens are generated by this
-//! module, so the parser only has to read what the writer emits.
+//! * otherwise the stored value is parsed with [`Val::parse`] and compared
+//!   field-by-field, with numbers held to a relative tolerance (default
+//!   `1e-9`, absorbing cross-platform `libm` rounding) and everything
+//!   else exact. The first mismatch is reported with its JSON path.
 
+use gridtuner_obs::json::Val;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Default relative tolerance for float comparison.
 pub const DEFAULT_TOLERANCE: f64 = 1e-9;
 
-/// A JSON value. Object keys keep insertion order so regenerated goldens
-/// diff cleanly.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A finite number.
-    Num(f64),
-    /// A string (no embedded quotes/backslashes/control chars expected).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with ordered keys.
-    Obj(Vec<(String, Json)>),
+/// Pretty-prints `v` with two-space indentation and a trailing newline —
+/// the on-disk golden form. Floats print with `{:?}`, which round-trips
+/// exactly and keeps `N.0` on integral values.
+pub fn pretty(v: &Val) -> String {
+    let mut out = String::new();
+    pretty_into(v, &mut out, 0);
+    out.push('\n');
+    out
 }
 
-impl Json {
-    /// Convenience constructor for an object.
-    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    /// Looks up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
+fn pretty_into(v: &Val, out: &mut String, indent: usize) {
+    let pad = "  ".repeat(indent + 1);
+    let close = "  ".repeat(indent);
+    match v {
+        Val::F64(n) => {
+            assert!(n.is_finite(), "goldens cannot store non-finite numbers");
+            out.push_str(&v.render());
         }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
+        Val::Arr(items) if !items.is_empty() => {
+            out.push_str("[\n");
+            for (i, item) in items.iter().enumerate() {
+                out.push_str(&pad);
+                pretty_into(item, out, indent + 1);
+                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+            }
+            out.push_str(&close);
+            out.push(']');
         }
-    }
-
-    /// Pretty-prints with two-space indentation and a trailing newline.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn render_into(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent + 1);
-        let close = "  ".repeat(indent);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
+        Val::Obj(fields) if !fields.is_empty() => {
+            out.push_str("{\n");
+            for (i, (k, v)) in fields.iter().enumerate() {
+                let _ = write!(out, "{pad}{}: ", Val::from(k.as_str()).render());
+                pretty_into(v, out, indent + 1);
+                out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
             }
-            Json::Num(n) => {
-                assert!(n.is_finite(), "goldens cannot store non-finite numbers");
-                // `{:?}` round-trips f64 exactly and prints integers as
-                // `N.0`, keeping the grammar unambiguous.
-                let _ = write!(out, "{n:?}");
-            }
-            Json::Str(s) => {
-                let _ = write!(out, "\"{s}\"");
-            }
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Json::Arr(items) => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad);
-                    item.render_into(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&close);
-                out.push(']');
-            }
-            Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
-            Json::Obj(fields) => {
-                out.push_str("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    let _ = write!(out, "{pad}\"{k}\": ");
-                    v.render_into(out, indent + 1);
-                    out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&close);
-                out.push('}');
-            }
+            out.push_str(&close);
+            out.push('}');
         }
-    }
-
-    /// Parses the subset of JSON the writer emits.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing input at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// Recursively compares against `other` (the freshly computed value),
-    /// holding numbers to relative tolerance `tol`. Returns the path and
-    /// description of the first mismatch.
-    pub fn compare(&self, other: &Json, tol: f64) -> Result<(), String> {
-        self.compare_at(other, tol, "$")
-    }
-
-    fn compare_at(&self, other: &Json, tol: f64, path: &str) -> Result<(), String> {
-        match (self, other) {
-            (Json::Null, Json::Null) => Ok(()),
-            (Json::Bool(a), Json::Bool(b)) if a == b => Ok(()),
-            (Json::Str(a), Json::Str(b)) if a == b => Ok(()),
-            (Json::Num(a), Json::Num(b)) => {
-                if (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs())) {
-                    Ok(())
-                } else {
-                    Err(format!("{path}: stored {a:?} vs computed {b:?}"))
-                }
-            }
-            (Json::Arr(a), Json::Arr(b)) => {
-                if a.len() != b.len() {
-                    return Err(format!("{path}: length {} vs {}", a.len(), b.len()));
-                }
-                for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                    x.compare_at(y, tol, &format!("{path}[{i}]"))?;
-                }
-                Ok(())
-            }
-            (Json::Obj(a), Json::Obj(b)) => {
-                let a_keys: Vec<&String> = a.iter().map(|(k, _)| k).collect();
-                let b_keys: Vec<&String> = b.iter().map(|(k, _)| k).collect();
-                if a_keys != b_keys {
-                    return Err(format!("{path}: keys {a_keys:?} vs {b_keys:?}"));
-                }
-                for ((k, x), (_, y)) in a.iter().zip(b) {
-                    x.compare_at(y, tol, &format!("{path}.{k}"))?;
-                }
-                Ok(())
-            }
-            _ => Err(format!("{path}: type mismatch ({self:?} vs {other:?})")),
-        }
+        // Scalars, `[]` and `{}` print as in the compact form.
+        _ => out.push_str(&v.render()),
     }
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
+/// Recursively compares `stored` against `computed`, holding numbers to
+/// relative tolerance `tol`. Returns the path and description of the
+/// first mismatch.
+pub fn compare(stored: &Val, computed: &Val, tol: f64) -> Result<(), String> {
+    compare_at(stored, computed, tol, "$")
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
+fn compare_at(stored: &Val, computed: &Val, tol: f64, path: &str) -> Result<(), String> {
+    match (stored, computed) {
+        (Val::Arr(a), Val::Arr(b)) => {
+            if a.len() != b.len() {
+                return Err(format!("{path}: length {} vs {}", a.len(), b.len()));
             }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    other => return Err(format!("expected ',' or ']', got {other:?}")),
-                }
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                compare_at(x, y, tol, &format!("{path}[{i}]"))?;
             }
+            Ok(())
         }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
+        (Val::Obj(a), Val::Obj(b)) => {
+            let a_keys: Vec<&String> = a.iter().map(|(k, _)| k).collect();
+            let b_keys: Vec<&String> = b.iter().map(|(k, _)| k).collect();
+            if a_keys != b_keys {
+                return Err(format!("{path}: keys {a_keys:?} vs {b_keys:?}"));
             }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' after key {key:?}"));
-                }
-                *pos += 1;
-                fields.push((key, parse_value(bytes, pos)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                }
+            for ((k, x), (_, y)) in a.iter().zip(b) {
+                compare_at(x, y, tol, &format!("{path}.{k}"))?;
             }
+            Ok(())
         }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad number {text:?}: {e}"))
-        }
+        _ => match (stored.as_f64(), computed.as_f64()) {
+            (Some(a), Some(b)) if (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs())) => Ok(()),
+            (Some(a), Some(b)) => Err(format!("{path}: stored {a:?} vs computed {b:?}")),
+            _ if stored == computed => Ok(()),
+            _ => Err(format!(
+                "{path}: type mismatch ({stored:?} vs {computed:?})"
+            )),
+        },
     }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("expected {lit:?} at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let start = *pos;
-    while *pos < bytes.len() && bytes[*pos] != b'"' {
-        if bytes[*pos] == b'\\' {
-            return Err("escape sequences are not supported in goldens".into());
-        }
-        *pos += 1;
-    }
-    if *pos >= bytes.len() {
-        return Err("unterminated string".into());
-    }
-    let s = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|e| e.to_string())?
-        .to_string();
-    *pos += 1;
-    Ok(s)
 }
 
 /// Directory holding the checked-in goldens: `GRIDTUNER_GOLDENS_DIR` if
@@ -300,7 +120,7 @@ pub fn goldens_dir() -> PathBuf {
 ///
 /// Writes the file (creating directories) and passes when it is missing or
 /// `UPDATE_GOLDENS=1`; otherwise parses and compares with tolerance `tol`.
-pub fn check_golden(name: &str, computed: &Json, tol: f64) -> Result<(), String> {
+pub fn check_golden(name: &str, computed: &Val, tol: f64) -> Result<(), String> {
     let path = goldens_dir().join(format!("{name}.json"));
     let update = std::env::var("UPDATE_GOLDENS")
         .map(|v| v == "1")
@@ -309,12 +129,12 @@ pub fn check_golden(name: &str, computed: &Json, tol: f64) -> Result<(), String>
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent).map_err(|e| format!("mkdir {parent:?}: {e}"))?;
         }
-        std::fs::write(&path, computed.render()).map_err(|e| format!("write {path:?}: {e}"))?;
+        std::fs::write(&path, pretty(computed)).map_err(|e| format!("write {path:?}: {e}"))?;
         return Ok(());
     }
     let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path:?}: {e}"))?;
-    let stored = Json::parse(&text).map_err(|e| format!("parse {path:?}: {e}"))?;
-    stored.compare(computed, tol).map_err(|e| {
+    let stored = Val::parse(&text).map_err(|e| format!("parse {path:?}: {e}"))?;
+    compare(&stored, computed, tol).map_err(|e| {
         format!(
             "golden `{name}` diverged — {e}\n\
              (if the change is intentional, regenerate with UPDATE_GOLDENS=1 and review the diff)"
@@ -326,61 +146,59 @@ pub fn check_golden(name: &str, computed: &Json, tol: f64) -> Result<(), String>
 mod tests {
     use super::*;
 
-    fn sample() -> Json {
-        Json::obj(vec![
-            ("city", Json::Str("nyc".into())),
-            ("side", Json::Num(12.0)),
-            ("errors", Json::Arr(vec![Json::Num(1.5), Json::Num(-0.25)])),
-            ("parallel", Json::Bool(true)),
-            ("note", Json::Null),
-            ("nested", Json::obj(vec![("k", Json::Num(1e-3))])),
-            ("empty_arr", Json::Arr(vec![])),
-            ("empty_obj", Json::Obj(vec![])),
+    fn sample() -> Val {
+        Val::obj(vec![
+            ("city", Val::from("nyc")),
+            ("side", Val::F64(12.0)),
+            ("errors", Val::Arr(vec![Val::F64(1.5), Val::F64(-0.25)])),
+            ("parallel", Val::Bool(true)),
+            ("note", Val::Null),
+            ("nested", Val::obj(vec![("k", Val::F64(1e-3))])),
+            ("empty_arr", Val::Arr(vec![])),
+            ("empty_obj", Val::Obj(vec![])),
         ])
     }
 
     #[test]
     fn render_parse_round_trip() {
         let v = sample();
-        let text = v.render();
-        let back = Json::parse(&text).expect("parse");
+        let text = pretty(&v);
+        assert!(text.contains("\n  \"side\": 12.0,\n"), "{text}");
+        let back = Val::parse(&text).expect("parse");
         assert_eq!(back, v);
     }
 
     #[test]
     fn float_round_trip_is_exact() {
-        let v = Json::Num(0.1 + 0.2); // 0.30000000000000004
-        let back = Json::parse(&v.render()).unwrap();
+        let v = Val::F64(0.1 + 0.2); // 0.30000000000000004
+        let back = Val::parse(&pretty(&v)).unwrap();
         assert_eq!(back.as_f64(), v.as_f64());
     }
 
     #[test]
     fn compare_tolerates_small_float_drift() {
-        let a = Json::Num(1.0);
-        let b = Json::Num(1.0 + 1e-12);
-        a.compare(&b, 1e-9).expect("within tolerance");
-        assert!(a.compare(&Json::Num(1.001), 1e-9).is_err());
+        let a = Val::F64(1.0);
+        compare(&a, &Val::F64(1.0 + 1e-12), 1e-9).expect("within tolerance");
+        assert!(compare(&a, &Val::F64(1.001), 1e-9).is_err());
     }
 
     #[test]
     fn compare_reports_paths() {
         let a = sample();
         let mut b = sample();
-        if let Json::Obj(fields) = &mut b {
-            fields[2].1 = Json::Arr(vec![Json::Num(1.5), Json::Num(9.0)]);
+        if let Val::Obj(fields) = &mut b {
+            fields[2].1 = Val::Arr(vec![Val::F64(1.5), Val::F64(9.0)]);
         }
-        let err = a.compare(&b, 1e-9).unwrap_err();
+        let err = compare(&a, &b, 1e-9).unwrap_err();
         assert!(err.contains("$.errors[1]"), "path in {err:?}");
     }
 
     #[test]
     fn compare_rejects_shape_changes() {
-        let a = Json::obj(vec![("x", Json::Num(1.0))]);
-        let b = Json::obj(vec![("y", Json::Num(1.0))]);
-        assert!(a.compare(&b, 1e-9).is_err());
-        assert!(Json::Num(1.0)
-            .compare(&Json::Str("1".into()), 1e-9)
-            .is_err());
+        let a = Val::obj(vec![("x", Val::F64(1.0))]);
+        let b = Val::obj(vec![("y", Val::F64(1.0))]);
+        assert!(compare(&a, &b, 1e-9).is_err());
+        assert!(compare(&Val::F64(1.0), &Val::from("1"), 1e-9).is_err());
     }
 
     #[test]
@@ -398,8 +216,8 @@ mod tests {
         // failing, so only assert the failure path in a normal run.
         if std::env::var("UPDATE_GOLDENS").is_err() {
             let mut changed = sample();
-            if let Json::Obj(fields) = &mut changed {
-                fields[1].1 = Json::Num(13.0);
+            if let Val::Obj(fields) = &mut changed {
+                fields[1].1 = Val::F64(13.0);
             }
             let err = check_golden("unit_sample", &changed, 1e-9).unwrap_err();
             assert!(err.contains("UPDATE_GOLDENS"), "hint in {err:?}");

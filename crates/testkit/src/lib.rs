@@ -21,10 +21,10 @@
 //!   reductions, nn kernels, Theorem II.1) into the engine;
 //! * [`nn_reference`] — the per-sample training loop and two-pass Adam,
 //!   the reference the batched minibatch step must match bit for bit;
-//! * [`golden`] — a dependency-free JSON layer that pins end-to-end
-//!   results (tuning optimum, error decomposition, dispatch metrics) as
-//!   checked-in snapshots under `tests/goldens/`, regenerated with
-//!   `UPDATE_GOLDENS=1`.
+//! * [`golden`] — a pretty-printer and tolerance-aware comparator over
+//!   the `obs` JSON value that pin end-to-end results (tuning optimum,
+//!   error decomposition, dispatch metrics) as checked-in snapshots under
+//!   `tests/goldens/`, regenerated with `UPDATE_GOLDENS=1`.
 //!
 //! Reproducing a failure is always `GRIDTUNER_TESTKIT_SEED=<seed> cargo
 //! test -p gridtuner-testkit <check-name>`; see `TESTING.md` at the repo
@@ -40,6 +40,6 @@ pub mod pairs;
 pub mod scenario;
 
 pub use diff::{seed_budget, try_seed_budget, Check, DiffEngine, Divergence, Report};
-pub use golden::{check_golden, goldens_dir, Json};
+pub use golden::{check_golden, goldens_dir};
 pub use pairs::standard_checks;
 pub use scenario::{Scenario, ScenarioParams};

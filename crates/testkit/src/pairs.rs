@@ -21,7 +21,7 @@
 //! | `search-iterative-unimodal` | the iterative method does too, from any start with any bound ≥ 1 |
 //! | `par-sum-determinism` | `par_sum` matches its documented fixed-block association |
 //! | `par-accumulate-determinism` | `par_accumulate` matches its documented chunked association |
-//! | `total-expr-par-vs-seq` | the parallel `UniformGrid` field sweep = the sequential oracle, bit for bit, for every side at 1/2/8 workers |
+//! | `total-expr-par-vs-seq` | the parallel square-partition field sweep = the sequential oracle, bit for bit, for every side at 1/2/8 workers |
 //! | `batched-vs-seq-expression-error` | the batched kernel (cold or warm pmf memo) = the sequential sweep, bit for bit |
 //! | `expr-dedup-weight-conservation` | per-MGrid dedup multiplicities sum back to `m` |
 //! | `nn-dense-vs-naive` | the tiled dense kernel matches the naive mat-vec and its documented 4-lane association bit for bit, its gradients follow their documented order bit for bit, and a batch of `B` = `B` one-sample calls, bit for bit; a random shape plus fixed shapes reaching every tile tail |
@@ -51,7 +51,7 @@ use gridtuner_engine::{
     TuningSession,
 };
 use gridtuner_nn::{Conv2d, Dense, Layer, Tensor};
-use gridtuner_spatial::{CountMatrix, Event, GridSpec, Partition, UniformGrid};
+use gridtuner_spatial::{CountMatrix, Event, GridSpec, Partition};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -450,7 +450,7 @@ fn quadtree_dp_vs_exhaustive(
 /// The independent reference tune: Algorithm 3 as a plain closure —
 /// expression error from a fresh [`AlphaFieldCache`] plus the scenario's
 /// model error — driven straight through the `try_*` searcher of
-/// `strategy`. No session, no model memo, no stage log.
+/// `strategy`. No session, no model memo.
 fn direct_tune(s: &Scenario, strategy: SearchStrategy) -> Result<SearchOutcome, String> {
     let (lo, hi) = s.params.side_range();
     let budget = s.params.budget_side;
@@ -796,7 +796,7 @@ pub fn standard_checks() -> Vec<Check> {
 
     checks.push(Check::new("total-expr-par-vs-seq", |s| {
         // The one expression sweep against its sequential oracle: the
-        // square partition as a `UniformGrid`, every side of the range,
+        // square partition through the trait, every side of the range,
         // at every worker count in the matrix. Both fold SUM_BLOCK-sized
         // blocks of regions in order, so they agree bit for bit, not just
         // to tolerance.
@@ -809,10 +809,9 @@ pub fn standard_checks() -> Vec<Check> {
                 for side in 1..=s.params.max_side {
                     let part = Partition::for_budget(side, s.params.budget_side);
                     let alpha = cache.alpha(part.hgrid_spec());
-                    let uniform = UniformGrid::new(part);
-                    let par = try_partition_expression_error(&alpha, &uniform, Some(&memo))
+                    let par = try_partition_expression_error(&alpha, &part, Some(&memo))
                         .map_err(|e| format!("side {side}: {e}"))?;
-                    let seq = partition_expression_error_seq(&alpha, &uniform)
+                    let seq = partition_expression_error_seq(&alpha, &part)
                         .map_err(|e| format!("side {side}: {e}"))?;
                     bit_eq(
                         &format!("side {side} at {threads} workers, parallel vs sequential"),
@@ -839,11 +838,10 @@ pub fn standard_checks() -> Vec<Check> {
             .map(|_| rng.gen_range(0..40u32) as f64 / 8.0)
             .collect();
         let alpha = CountMatrix::from_vec(spec.side(), vals).map_err(|e| format!("{e}"))?;
-        let uniform = UniformGrid::new(part);
-        let seq = partition_expression_error_seq(&alpha, &uniform).map_err(|e| e.to_string())?;
+        let seq = partition_expression_error_seq(&alpha, &part).map_err(|e| e.to_string())?;
         let memo = PmfMemo::default();
         let sweep = || {
-            try_partition_expression_error(&alpha, &uniform, Some(&memo)).map_err(|e| e.to_string())
+            try_partition_expression_error(&alpha, &part, Some(&memo)).map_err(|e| e.to_string())
         };
         let cold = sweep()?;
         bit_eq("batched (cold pmf memo) vs sequential", cold, seq)?;

@@ -15,7 +15,8 @@ use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_datagen::{City, TripGenerator};
 use gridtuner_dispatch::{DemandView, FleetConfig, Order, Polar, SimConfig};
 use gridtuner_engine::{BootstrapConfig, EngineConfig, SearchStrategy, TuningSession};
-use gridtuner_testkit::{check_golden, Json};
+use gridtuner_obs::json::Val;
+use gridtuner_testkit::check_golden;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Scale factor applied to the city volumes (NYC: 282k → ~560 events/day).
@@ -31,7 +32,7 @@ const MODEL_COEF: f64 = 0.05;
 /// Bootstrap replicates for the uncertainty block (the acceptance bar).
 const REPLICATES: u32 = 32;
 
-fn golden_for_city(city: City, seed: u64) -> Json {
+fn golden_for_city(city: City, seed: u64) -> Val {
     let city = city.scaled(SCALE);
     let window = AlphaWindow {
         slot_of_day: 16,
@@ -90,51 +91,51 @@ fn golden_for_city(city: City, seed: u64) -> Json {
     };
     let outcome = sim.run(&orders, &mut Polar::new(), &mut demand);
 
-    Json::obj(vec![
-        ("city", Json::Str(city.name().to_string())),
-        ("scale", Json::Num(SCALE)),
-        ("history_events", Json::Num(events.len() as f64)),
+    Val::obj(vec![
+        ("city", Val::from(city.name())),
+        ("scale", Val::F64(SCALE)),
+        ("history_events", Val::F64(events.len() as f64)),
         (
             "tuning",
-            Json::obj(vec![
-                ("optimal_side", Json::Num(side as f64)),
-                ("upper_bound", Json::Num(result.outcome.error)),
-                ("expression_error", Json::Num(expression)),
-                ("model_error", Json::Num(model_err)),
-                ("evals", Json::Num(result.outcome.evals as f64)),
-                ("alpha_digest_len", Json::Num(session.digest_len() as f64)),
+            Val::obj(vec![
+                ("optimal_side", Val::F64(side as f64)),
+                ("upper_bound", Val::F64(result.outcome.error)),
+                ("expression_error", Val::F64(expression)),
+                ("model_error", Val::F64(model_err)),
+                ("evals", Val::F64(result.outcome.evals as f64)),
+                ("alpha_digest_len", Val::F64(session.digest_len() as f64)),
             ]),
         ),
         (
             "uncertainty",
-            Json::obj(vec![
-                ("replicates", Json::Num(uncertainty.replicates as f64)),
-                ("seed", Json::Num(uncertainty.seed as f64)),
+            Val::obj(vec![
+                ("replicates", Val::F64(uncertainty.replicates as f64)),
+                ("seed", Val::F64(uncertainty.seed as f64)),
                 (
                     "confidence_set",
-                    Json::Arr(
+                    Val::Arr(
                         uncertainty
                             .confidence_set
                             .iter()
-                            .map(|&s| Json::Num(s as f64))
+                            .map(|&s| Val::F64(s as f64))
                             .collect(),
                     ),
                 ),
                 (
                     "distinct_argmins",
-                    Json::Num(uncertainty.distinct_argmins as f64),
+                    Val::F64(uncertainty.distinct_argmins as f64),
                 ),
-                ("verdict", Json::Str(uncertainty.verdict.name().to_string())),
+                ("verdict", Val::from(uncertainty.verdict.name())),
             ]),
         ),
         (
             "dispatch",
-            Json::obj(vec![
-                ("served", Json::Num(outcome.served as f64)),
-                ("total_orders", Json::Num(outcome.total_orders as f64)),
-                ("revenue", Json::Num(outcome.revenue)),
-                ("travel_km", Json::Num(outcome.travel_km)),
-                ("unified_cost", Json::Num(outcome.unified_cost)),
+            Val::obj(vec![
+                ("served", Val::F64(outcome.served as f64)),
+                ("total_orders", Val::F64(outcome.total_orders as f64)),
+                ("revenue", Val::F64(outcome.revenue)),
+                ("travel_km", Val::F64(outcome.travel_km)),
+                ("unified_cost", Val::F64(outcome.unified_cost)),
             ]),
         ),
     ])

@@ -14,8 +14,8 @@ use gridtuner_datagen::{City, TripGenerator};
 use gridtuner_dispatch::{DemandView, FleetConfig, Order, Polar, SimConfig, Simulator};
 use gridtuner_engine::{EngineConfig, SearchStrategy, TuneReport, TuningSession};
 use gridtuner_obs as obs;
+use gridtuner_obs::json::Val;
 use gridtuner_spatial::{Event, Partition, SlotClock};
-use gridtuner_testkit::Json;
 use rand::{rngs::StdRng, SeedableRng};
 
 const SCALE: f64 = 0.002;
@@ -57,8 +57,8 @@ fn model(s: u32) -> f64 {
 
 /// The goldens' end-to-end pipeline (same constants as `goldens.rs`):
 /// brute-force tune, error decomposition at the optimum, Polar dispatch
-/// case study. Returns the same summary `Json` the goldens pin.
-fn pipeline(city: City, seed: u64) -> Json {
+/// case study. Returns the same summary `Val` the goldens pin.
+fn pipeline(city: City, seed: u64) -> Val {
     let city = city.scaled(SCALE);
     let window = AlphaWindow {
         slot_of_day: 16,
@@ -94,15 +94,15 @@ fn pipeline(city: City, seed: u64) -> Json {
     };
     let outcome = sim.run(&orders, &mut Polar::new(), &mut demand);
 
-    Json::obj(vec![
-        ("optimal_side", Json::Num(side as f64)),
-        ("upper_bound", Json::Num(result.outcome.error)),
-        ("expression_error", Json::Num(expression)),
-        ("evals", Json::Num(result.outcome.evals as f64)),
-        ("served", Json::Num(outcome.served as f64)),
-        ("revenue", Json::Num(outcome.revenue)),
-        ("travel_km", Json::Num(outcome.travel_km)),
-        ("unified_cost", Json::Num(outcome.unified_cost)),
+    Val::obj(vec![
+        ("optimal_side", Val::F64(side as f64)),
+        ("upper_bound", Val::F64(result.outcome.error)),
+        ("expression_error", Val::F64(expression)),
+        ("evals", Val::F64(result.outcome.evals as f64)),
+        ("served", Val::F64(outcome.served as f64)),
+        ("revenue", Val::F64(outcome.revenue)),
+        ("travel_km", Val::F64(outcome.travel_km)),
+        ("unified_cost", Val::F64(outcome.unified_cost)),
     ])
 }
 
@@ -169,7 +169,7 @@ fn tracing_is_bit_for_bit_inert() {
     );
 
     // 4. The traced run still matches the checked-in golden exactly.
-    let golden = Json::parse(
+    let golden = Val::parse(
         &std::fs::read_to_string(gridtuner_testkit::goldens_dir().join("nyc.json"))
             .expect("nyc golden must exist (run the goldens suite first)"),
     )
@@ -182,9 +182,9 @@ fn tracing_is_bit_for_bit_inert() {
         let pinned = golden
             .get("tuning")
             .and_then(|t| t.get(key))
-            .and_then(Json::as_f64)
+            .and_then(Val::as_f64)
             .unwrap_or_else(|| panic!("golden missing tuning.{key}"));
-        let got = traced.get(key).and_then(Json::as_f64).unwrap();
+        let got = traced.get(key).and_then(Val::as_f64).unwrap();
         assert!(
             (pinned - got).abs() <= tol,
             "tuning.{key}: golden {pinned} vs traced {got}"

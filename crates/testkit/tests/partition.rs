@@ -26,10 +26,9 @@ use gridtuner_datagen::City;
 use gridtuner_engine::{
     EngineConfig, PartitionKind, PartitionLayout, SearchStrategy, TuningSession,
 };
-use gridtuner_spatial::{
-    CountMatrix, Partition, QuadTreePartition, RegionId, SpatialPartition, UniformGrid,
-};
-use gridtuner_testkit::{check_golden, Json, Scenario};
+use gridtuner_obs::json::Val;
+use gridtuner_spatial::{CountMatrix, Partition, QuadTreePartition, RegionId, SpatialPartition};
+use gridtuner_testkit::{check_golden, Scenario};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -96,9 +95,8 @@ fn uniform_sweep(s: &Scenario) -> Vec<u64> {
         .map(|side| {
             let part = Partition::for_budget(side, s.params.budget_side);
             let alpha = cache.alpha(part.hgrid_spec());
-            let uniform = UniformGrid::new(part);
-            let seq = partition_expression_error_seq(&alpha, &uniform).unwrap();
-            let par = try_partition_expression_error(&alpha, &uniform, Some(&memo)).unwrap();
+            let seq = partition_expression_error_seq(&alpha, &part).unwrap();
+            let par = try_partition_expression_error(&alpha, &part, Some(&memo)).unwrap();
             assert_eq!(
                 par.to_bits(),
                 seq.to_bits(),
@@ -266,7 +264,7 @@ const SIDE_RANGE: (u32, u32) = (2, 24);
 const HISTORY_DAYS: u32 = 14;
 const MODEL_COEF: f64 = 0.05;
 
-fn partition_golden_for_city(city: City, seed: u64) -> (Json, bool) {
+fn partition_golden_for_city(city: City, seed: u64) -> (Val, bool) {
     let city = city.scaled(SCALE);
     let window = AlphaWindow {
         slot_of_day: 16,
@@ -303,51 +301,51 @@ fn partition_golden_for_city(city: City, seed: u64) -> (Json, bool) {
         PartitionLayout::QuadTree(q) => q.leaves().to_vec(),
         other => panic!("quadtree search returned a {other:?} layout"),
     };
-    let json = Json::obj(vec![
-        ("city", Json::Str(city.name().to_string())),
-        ("scale", Json::Num(SCALE)),
-        ("history_events", Json::Num(events.len() as f64)),
+    let json = Val::obj(vec![
+        ("city", Val::from(city.name())),
+        ("scale", Val::F64(SCALE)),
+        ("history_events", Val::F64(events.len() as f64)),
         (
             "uniform_baseline",
-            Json::obj(vec![
-                ("optimal_side", Json::Num(pr.uniform.outcome.side as f64)),
-                ("upper_bound", Json::Num(pr.uniform.outcome.error)),
-                ("regions", Json::Num(pr.uniform_regions() as f64)),
+            Val::obj(vec![
+                ("optimal_side", Val::F64(pr.uniform.outcome.side as f64)),
+                ("upper_bound", Val::F64(pr.uniform.outcome.error)),
+                ("regions", Val::F64(pr.uniform_regions() as f64)),
             ]),
         ),
         (
             "rect",
-            Json::obj(vec![
-                ("nx", Json::Num(rect_nx as f64)),
-                ("ny", Json::Num(rect_ny as f64)),
-                ("n_regions", Json::Num(rect.n_regions as f64)),
-                ("upper_bound", Json::Num(rect.bound)),
-                ("expression_error", Json::Num(rect.expression_error)),
-                ("model_error", Json::Num(rect.model_error)),
-                ("evals", Json::Num(rect.evals as f64)),
+            Val::obj(vec![
+                ("nx", Val::F64(rect_nx as f64)),
+                ("ny", Val::F64(rect_ny as f64)),
+                ("n_regions", Val::F64(rect.n_regions as f64)),
+                ("upper_bound", Val::F64(rect.bound)),
+                ("expression_error", Val::F64(rect.expression_error)),
+                ("model_error", Val::F64(rect.model_error)),
+                ("evals", Val::F64(rect.evals as f64)),
             ]),
         ),
         (
             "quadtree",
-            Json::obj(vec![
-                ("n_regions", Json::Num(pr.n_regions as f64)),
-                ("region_cap", Json::Num(pr.region_cap as f64)),
-                ("upper_bound", Json::Num(pr.bound)),
-                ("expression_error", Json::Num(pr.expression_error)),
-                ("model_error", Json::Num(pr.model_error)),
-                ("splits", Json::Num(pr.splits as f64)),
-                ("merges", Json::Num(pr.merges as f64)),
-                ("evals", Json::Num(pr.evals as f64)),
+            Val::obj(vec![
+                ("n_regions", Val::F64(pr.n_regions as f64)),
+                ("region_cap", Val::F64(pr.region_cap as f64)),
+                ("upper_bound", Val::F64(pr.bound)),
+                ("expression_error", Val::F64(pr.expression_error)),
+                ("model_error", Val::F64(pr.model_error)),
+                ("splits", Val::F64(pr.splits as f64)),
+                ("merges", Val::F64(pr.merges as f64)),
+                ("evals", Val::F64(pr.evals as f64)),
                 (
                     "leaves",
-                    Json::Arr(
+                    Val::Arr(
                         leaves
                             .iter()
                             .map(|l| {
-                                Json::Arr(vec![
-                                    Json::Num(l.row0 as f64),
-                                    Json::Num(l.col0 as f64),
-                                    Json::Num(l.size as f64),
+                                Val::Arr(vec![
+                                    Val::F64(l.row0 as f64),
+                                    Val::F64(l.col0 as f64),
+                                    Val::F64(l.size as f64),
                                 ])
                             })
                             .collect(),
@@ -355,7 +353,7 @@ fn partition_golden_for_city(city: City, seed: u64) -> (Json, bool) {
                 ),
                 (
                     "improves_on_uniform",
-                    Json::Num(pr.improves_on_uniform() as u8 as f64),
+                    Val::F64(pr.improves_on_uniform() as u8 as f64),
                 ),
             ]),
         ),

@@ -17,7 +17,7 @@ use gridtuner::core::search::{
 };
 use gridtuner::datagen::City;
 use gridtuner::predict::{HistoricalAverage, Predictor};
-use gridtuner::spatial::{GridSpec, Partition, UniformGrid};
+use gridtuner::spatial::{GridSpec, Partition};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
         }
         // Expression-error leg from the true mean field.
         let alpha = city.mean_field(partition.hgrid_spec(), clock.slot_at(28, 16));
-        let expr = try_partition_expression_error(&alpha, &UniformGrid::new(partition), None)
+        let expr = try_partition_expression_error(&alpha, &partition, None)
             .expect("finite mean field on the partition's HGrid lattice");
         curve.push(model_err + expr);
     }

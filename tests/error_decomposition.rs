@@ -5,7 +5,7 @@ use gridtuner::core::errors::{evaluate_errors, ErrorSample};
 use gridtuner::core::expression::try_partition_expression_error;
 use gridtuner::datagen::City;
 use gridtuner::predict::{HistoricalAverage, Predictor};
-use gridtuner::spatial::{CountMatrix, Partition, SlotId, UniformGrid};
+use gridtuner::spatial::{CountMatrix, Partition, SlotId};
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Sample HGrid-lattice counts for several evaluation slots, predict with
@@ -35,7 +35,7 @@ fn build_samples(city: &City, partition: &Partition, n_days: u32, seed: u64) -> 
 
 /// Total expression error of the square partition over the α field.
 fn uniform_expression_error(alpha: &CountMatrix, partition: Partition) -> f64 {
-    try_partition_expression_error(alpha, &UniformGrid::new(partition), None).unwrap()
+    try_partition_expression_error(alpha, &partition, None).unwrap()
 }
 
 #[test]
