@@ -23,8 +23,12 @@
 //!   with the machine and CI load, so they never gate.
 //!
 //! `--inject-kernel-slowdown F` multiplies the fresh batched kernel time
-//! by `F` before the comparison — a self-test hook proving the sentinel
-//! actually trips (CI runs it with 1.25 and expects exit 1).
+//! by `F` and judges the slowed ratio against the same measurement's
+//! unslowed one instead of the committed baseline — a self-test hook
+//! proving the sentinel trips on a slowdown of that size (CI runs it with
+//! 1.25 and expects exit 1). Against the baseline, run-to-run noise could
+//! lift the fresh ratio enough to hide the injected 20% drop inside the
+//! 18% tolerance; against itself the drop is exact.
 //!
 //! Exit status: 0 when nothing FAILs, 1 otherwise, 2 on a missing or
 //! malformed flag value or an unknown flag.
@@ -76,28 +80,33 @@ fn check_exact(name: &'static str, fresh: u64, baseline: &Val) -> Check {
 }
 
 /// Relative-tolerance verdict for a speedup ratio: the fresh value may
-/// regress at most `tol` (fraction) below the baseline; improvements
-/// always pass.
-fn check_ratio(name: &'static str, fresh: f64, baseline: Option<f64>, tol: f64) -> Check {
+/// regress at most `tol` (fraction) below the reference `baseline`, which
+/// the detail calls `label`; improvements always pass.
+fn check_ratio(
+    name: &'static str,
+    fresh: f64,
+    (label, baseline): (&str, Option<f64>),
+    tol: f64,
+) -> Check {
     let (verdict, detail) = match baseline {
-        None => (Verdict::Fail, "missing from baseline".to_string()),
+        None => (Verdict::Fail, format!("missing from {label}")),
         Some(b) if !(b.is_finite() && b > 0.0) => (
             Verdict::Fail,
-            format!("baseline {b} is not a positive ratio"),
+            format!("{label} {b} is not a positive ratio"),
         ),
         Some(b) => {
             let floor = b * (1.0 - tol);
             if fresh >= floor {
                 (
                     Verdict::Pass,
-                    format!("fresh {fresh:.2}x vs baseline {b:.2}x (floor {floor:.2}x)"),
+                    format!("fresh {fresh:.2}x vs {label} {b:.2}x (floor {floor:.2}x)"),
                 )
             } else {
                 (
                     Verdict::Fail,
                     format!(
                         "fresh {fresh:.2}x below floor {floor:.2}x \
-                         (baseline {b:.2}x - {:.0}% tolerance)",
+                         ({label} {b:.2}x - {:.0}% tolerance)",
                         tol * 100.0
                     ),
                 )
@@ -162,9 +171,32 @@ fn parse_args(args: &[String]) -> Result<CheckArgs, String> {
 }
 
 /// Builds the full verdict list from a fresh measurement and a parsed
-/// baseline. Pure — this is what the unit tests exercise.
-fn compare(fresh: &Measurement, baseline: &Val, kernel_tol: f64) -> Vec<Check> {
+/// baseline. With `inject_kernel_slowdown` ≠ 1 the fresh batched kernel
+/// time is multiplied by it and `kernel.speedup` is judged against the
+/// measurement's own unslowed ratio. Pure — this is what the unit tests
+/// exercise.
+fn compare(
+    fresh: &Measurement,
+    baseline: &Val,
+    kernel_tol: f64,
+    inject_kernel_slowdown: f64,
+) -> Vec<Check> {
     let kernel = baseline.get("kernel");
+    let measured = fresh.kernel.speedup();
+    let (speedup, reference) = if inject_kernel_slowdown == 1.0 {
+        (
+            measured,
+            (
+                "baseline",
+                kernel.and_then(|k| k.get("speedup")).and_then(Val::as_f64),
+            ),
+        )
+    } else {
+        (
+            measured / inject_kernel_slowdown,
+            ("unslowed run", Some(measured)),
+        )
+    };
     vec![
         check_exact("events", fresh.events, baseline),
         check_exact("probes", fresh.probes, baseline),
@@ -174,16 +206,11 @@ fn compare(fresh: &Measurement, baseline: &Val, kernel_tol: f64) -> Vec<Check> {
         check_exact("expr_dedup_hits", fresh.expr_dedup_hits, baseline),
         check_exact("expr_pmf_memo_hits", fresh.expr_pmf_memo_hits, baseline),
         check_exact("expr_workspace_bytes", fresh.expr_workspace_bytes, baseline),
-        check_ratio(
-            "kernel.speedup",
-            fresh.kernel.speedup(),
-            kernel.and_then(|k| k.get("speedup")).and_then(Val::as_f64),
-            kernel_tol,
-        ),
+        check_ratio("kernel.speedup", speedup, reference, kernel_tol),
         check_wall("wall_ms", fresh.wall_ms, num(baseline, "wall_ms")),
         check_wall(
             "kernel.batched_ms",
-            fresh.kernel.batched_ms,
+            fresh.kernel.batched_ms * inject_kernel_slowdown,
             kernel
                 .and_then(|k| k.get("batched_ms"))
                 .and_then(Val::as_f64),
@@ -226,7 +253,8 @@ fn main() {
 
     if args.inject_kernel_slowdown != 1.0 {
         eprintln!(
-            "[bench_check] SELF-TEST: injecting a {:.2}x kernel slowdown",
+            "[bench_check] SELF-TEST: injecting a {:.2}x kernel slowdown, judged against \
+             this run's own kernel ratio",
             args.inject_kernel_slowdown
         );
     }
@@ -236,8 +264,7 @@ fn main() {
         args.kernel_tol * 100.0
     );
     // The committed baseline is tune_bench's full-scale run.
-    let mut fresh = TuneBench::new(1.0).measure();
-    fresh.kernel.batched_ms *= args.inject_kernel_slowdown;
+    let fresh = TuneBench::new(1.0).measure();
     eprintln!(
         "[bench_check] fresh: {} events, tune {:.1} ms, kernel {:.1}/{:.1} ms ({:.2}x)",
         fresh.events,
@@ -247,7 +274,12 @@ fn main() {
         fresh.kernel.speedup()
     );
 
-    let checks = compare(&fresh, &baseline, args.kernel_tol);
+    let checks = compare(
+        &fresh,
+        &baseline,
+        args.kernel_tol,
+        args.inject_kernel_slowdown,
+    );
     let mut failed = 0usize;
     for c in &checks {
         println!("{:<4} {:<22} {}", c.verdict.tag(), c.name, c.detail);
@@ -287,7 +319,7 @@ mod tests {
             expr_pmf_memo_hits: 50,
             expr_workspace_bytes: 4096,
             wall_ms: 120.0,
-            phases: Vec::new(),
+            profile: Default::default(),
             kernel: KernelTiming {
                 percell_ms: 100.0 * speedup,
                 batched_ms: 100.0,
@@ -346,7 +378,7 @@ mod tests {
 
     #[test]
     fn matching_counters_and_kernel_pass() {
-        let checks = compare(&fake_fresh(3.0), &fake_baseline(1000, 3.1), 0.15);
+        let checks = compare(&fake_fresh(3.0), &fake_baseline(1000, 3.1), 0.15, 1.0);
         for name in [
             "events",
             "probes",
@@ -371,7 +403,7 @@ mod tests {
         fresh.expr_cell_evals += 1;
         // A second full scan (a rebuilt α cache) trips the one-scan rule.
         fresh.alpha_rescans = 2;
-        let checks = compare(&fresh, &fake_baseline(1000, 3.0), 0.15);
+        let checks = compare(&fresh, &fake_baseline(1000, 3.0), 0.15, 1.0);
         assert_eq!(
             verdict_of(&checks, "expr_cell_evals").verdict,
             Verdict::Fail
@@ -385,13 +417,44 @@ mod tests {
         // slowdown drops a matching fresh kernel to 2.4x → FAIL.
         let mut fresh = fake_fresh(3.0);
         fresh.kernel.batched_ms *= 1.25;
-        let checks = compare(&fresh, &fake_baseline(1000, 3.0), 0.15);
+        let checks = compare(&fresh, &fake_baseline(1000, 3.0), 0.15, 1.0);
         assert_eq!(verdict_of(&checks, "kernel.speedup").verdict, Verdict::Fail);
         // A small wobble stays PASS.
-        let checks = compare(&fake_fresh(2.8), &fake_baseline(1000, 3.0), 0.15);
+        let checks = compare(&fake_fresh(2.8), &fake_baseline(1000, 3.0), 0.15, 1.0);
         assert_eq!(verdict_of(&checks, "kernel.speedup").verdict, Verdict::Pass);
         // Improvements always pass.
-        let checks = compare(&fake_fresh(4.2), &fake_baseline(1000, 3.0), 0.15);
+        let checks = compare(&fake_fresh(4.2), &fake_baseline(1000, 3.0), 0.15, 1.0);
+        assert_eq!(verdict_of(&checks, "kernel.speedup").verdict, Verdict::Pass);
+    }
+
+    #[test]
+    fn injected_slowdown_fails_at_the_default_tolerance() {
+        // A 1.25x slower batched kernel lowers the ratio by exactly 20%,
+        // past the default 18% tolerance, because the self-test judges it
+        // against the same measurement's unslowed ratio.
+        let defaults = parse_args(&argv("")).unwrap();
+        let inject = 1.25;
+        let at = |speedup: f64| {
+            let checks = compare(
+                &fake_fresh(speedup),
+                &fake_baseline(1000, 3.0),
+                defaults.kernel_tol,
+                inject,
+            );
+            verdict_of(&checks, "kernel.speedup").verdict
+        };
+        assert_eq!(at(3.0), Verdict::Fail);
+        // A run whose kernel happened to measure faster than the baseline
+        // (3.6 / 1.25 = 2.88x, above the baseline's 2.46x floor) still
+        // FAILs.
+        assert_eq!(at(3.6), Verdict::Fail);
+        // Without the injection the same runs PASS.
+        let checks = compare(
+            &fake_fresh(3.6),
+            &fake_baseline(1000, 3.0),
+            defaults.kernel_tol,
+            1.0,
+        );
         assert_eq!(verdict_of(&checks, "kernel.speedup").verdict, Verdict::Pass);
     }
 
@@ -399,11 +462,11 @@ mod tests {
     fn event_count_mismatch_fails_and_the_kernel_is_still_judged() {
         // A different history means the generator changed: FAIL, while
         // the machine-relative kernel ratio is judged on its own.
-        let checks = compare(&fake_fresh(3.0), &fake_baseline(999_999, 3.0), 0.15);
+        let checks = compare(&fake_fresh(3.0), &fake_baseline(999_999, 3.0), 0.15, 1.0);
         assert_eq!(verdict_of(&checks, "events").verdict, Verdict::Fail);
         assert_eq!(verdict_of(&checks, "probes").verdict, Verdict::Pass);
         assert_eq!(verdict_of(&checks, "kernel.speedup").verdict, Verdict::Pass);
-        let checks = compare(&fake_fresh(3.0), &fake_baseline(999_999, 10.0), 0.15);
+        let checks = compare(&fake_fresh(3.0), &fake_baseline(999_999, 10.0), 0.15, 1.0);
         assert_eq!(verdict_of(&checks, "kernel.speedup").verdict, Verdict::Fail);
     }
 
@@ -413,7 +476,7 @@ mod tests {
             ("schema", Val::from(TUNE_BENCH_SCHEMA)),
             ("events", Val::from(1000u64)),
         ]);
-        let checks = compare(&fake_fresh(3.0), &empty, 0.15);
+        let checks = compare(&fake_fresh(3.0), &empty, 0.15, 1.0);
         assert_eq!(verdict_of(&checks, "probes").verdict, Verdict::Fail);
         assert_eq!(verdict_of(&checks, "kernel.speedup").verdict, Verdict::Fail);
     }

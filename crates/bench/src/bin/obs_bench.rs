@@ -1,6 +1,7 @@
 //! Observability overhead benchmark: times the same tuning hot path with
-//! span/event recording off and on (in-memory, no trace sink — the honest
-//! "enabled" cost) and asserts the overhead stays under budget.
+//! span/event recording off and on (no trace sink: every span reads the
+//! clock twice and every event builds its fields, but no record is
+//! written) and asserts the overhead stays under budget.
 //!
 //! ```text
 //! cargo run --release -p gridtuner-bench --bin obs_bench [-- --scale X --reps N --inner K]
@@ -59,11 +60,10 @@ fn run_once(events: &[Event], cfg: &EngineConfig) -> f64 {
 /// One paired rep: `inner` iterations, each timing one recording-off tune
 /// and one recording-on tune with the order flipping every iteration, so
 /// any linear wall-clock drift lands evenly on both modes. Returns the
-/// summed (off, on) seconds. Aggregated obs state is cleared up front so
-/// the retained-event ring stays comparable across reps.
+/// summed (off, on) seconds. The counters are zeroed up front.
 fn paired_rep(events: &[Event], cfg: &EngineConfig, inner: u32, rep: u32) -> (f64, f64) {
     obs::disable();
-    obs::reset();
+    obs::metrics::reset();
     let mut off = 0.0;
     let mut on = 0.0;
     let timed = |enabled: bool| {

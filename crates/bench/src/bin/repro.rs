@@ -10,7 +10,8 @@
 //!
 //! Observability: set `GRIDTUNER_TRACE=path` to stream a JSON-lines trace
 //! of the whole run (validate it with the `trace_check` bin), or pass
-//! `--report` for a human-readable end-of-run summary on stderr. See
+//! `--report` to print the run's profile on stderr at exit (the same
+//! block `gridtuner profile --input` prints for the trace). See
 //! `OBSERVABILITY.md`.
 
 use gridtuner_bench::{experiments as ex, RunCfg};
@@ -146,9 +147,7 @@ fn main() {
         }
     };
     obs::init_from_env();
-    if report {
-        obs::enable();
-    }
+    let recording = obs::Recording::start(report);
     if id == "all" {
         for id in IDS {
             run_one(id, &cfg);
@@ -156,14 +155,14 @@ fn main() {
     } else {
         run_one(&id, &cfg);
     }
-    if obs::enabled() {
-        let run_report = obs::report::RunReport::capture();
-        run_report.emit(); // appended to the trace stream, if one is set
-        if report {
-            eprintln!("{run_report}");
+    match recording.finish() {
+        Some(Ok(profile)) => eprint!("{}", profile.render(obs::profile::DEFAULT_TOP)),
+        Some(Err(e)) => {
+            eprintln!("repro: --report cannot read the run's trace back: {e}");
+            std::process::exit(4);
         }
+        None => {}
     }
-    obs::trace::flush();
 }
 
 #[cfg(test)]

@@ -44,10 +44,9 @@
 //! tune at the largest thread count is less than `S`× faster than the
 //! 1-thread tune — the CI thread-scaling gate (skipped with a warning when
 //! the machine itself has fewer than 2 CPUs, where no thread count can
-//! help). `--profile` captures the shared measurement's trace (ingest,
-//! tune and kernel isolation) in memory and prints the profile analyzer's
-//! self-time / worker-utilization / critical-path tables to stderr after
-//! it.
+//! help). `--profile` prints the shared measurement's profile (the
+//! ingest + tune it captured, the same trace `phases` is read from) to
+//! stderr after it.
 
 use gridtuner_bench::flags::{exit_usage, Flags};
 use gridtuner_bench::measure::{model, TuneBench, WORKERS};
@@ -58,7 +57,7 @@ use gridtuner_core::expression::expression_error_windowed;
 use gridtuner_engine::TuningSession;
 use gridtuner_obs as obs;
 use gridtuner_obs::json::Val;
-use gridtuner_obs::span::SpanStat;
+use gridtuner_obs::profile::Profile;
 use gridtuner_spatial::{Event, Partition, SlotClock};
 use std::time::Instant;
 
@@ -78,15 +77,17 @@ fn row_counters() -> [u64; 4] {
     ROW_COUNTERS.map(|name| obs::metrics::counter(name).get())
 }
 
-/// Per-phase wall timings of the cached sweep, keyed by span name, from
-/// the measurement's span stats.
-fn phase_timings(phases: &[(&'static str, SpanStat)]) -> Val {
-    Val::obj(
+/// Per-phase wall timings of the cached sweep, keyed by span name
+/// (name-sorted), from the measurement's profile.
+fn phase_timings(profile: &Profile) -> Val {
+    let mut phases = profile.self_times();
+    phases.sort_by(|a, b| a.name.cmp(&b.name));
+    Val::Obj(
         phases
-            .iter()
-            .map(|&(name, st)| {
+            .into_iter()
+            .map(|st| {
                 (
-                    name,
+                    st.name,
                     Val::obj(vec![
                         ("count", Val::from(st.count)),
                         ("total_ms", Val::from(st.total_ns as f64 / 1e6)),
@@ -153,7 +154,7 @@ struct BenchArgs {
     /// than this factor faster than the 1-thread tune (skipped on
     /// single-CPU machines).
     min_thread_speedup: Option<f64>,
-    /// Capture the cached sweep's trace and print the profile analysis.
+    /// Print the profile of the measured ingest + tune.
     profile: bool,
 }
 
@@ -207,27 +208,16 @@ fn main() {
         "[tune_bench] naive: side {naive_side} err {naive_err:.3} in {naive_ms:.1} ms ({naive_rescans} log scans)"
     );
 
-    // Cached sweep: the shared measurement, with span recording on so the
-    // JSON can break its wall time down by phase (ingest, alpha scan,
-    // probes, ...).
-    obs::init_from_env();
-    // Under --profile, capture the measurement's JSONL trace in memory and
-    // feed it to the profile analyzer (replaces any GRIDTUNER_TRACE sink).
-    let profile_buf = args.profile.then(obs::trace::capture_to_buffer);
+    // Cached sweep: the shared measurement, which captures its ingest +
+    // tune so the JSON can break its wall time down by phase (ingest,
+    // alpha scan, probes, ...).
     let m = bench.measure();
     eprintln!(
         "[tune_bench] cached: side {} err {:.3} in {:.1} ms ({} log scans)",
         m.selected_side, m.error, m.wall_ms, m.alpha_rescans
     );
-
-    if let Some(buf) = &profile_buf {
-        obs::trace::flush();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap_or_default();
-        obs::trace::clear_sink();
-        match obs::profile::Profile::from_jsonl(&text) {
-            Ok(p) => eprintln!("{}", p.render(10, &obs::metrics::snapshot().counters)),
-            Err(e) => eprintln!("[tune_bench] profile analysis failed: {e}"),
-        }
+    if args.profile {
+        eprintln!("{}", m.profile.render(10));
     }
 
     assert_eq!(
@@ -380,13 +370,12 @@ fn main() {
                 ),
             ]),
         ),
-        ("phases", phase_timings(&m.phases)),
+        ("phases", phase_timings(&m.profile)),
     ])
     .render();
     std::fs::write("BENCH_tune.json", &json).expect("cannot write BENCH_tune.json");
     println!("{json}");
     eprintln!("[tune_bench] speedup {speedup:.2}x, wrote BENCH_tune.json");
-    obs::trace::flush();
 
     if let Some(min) = args.min_kernel_speedup {
         // Below ~10 µs per sweep the ratio is timer noise, not a kernel

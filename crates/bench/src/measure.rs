@@ -5,17 +5,19 @@
 //! numbers they compare come from the same code: the paper-default NYC
 //! history, a brute-force [`TuningSession::tune`] with the analytic
 //! [`model`] leg on one worker, then the kernel isolation of
-//! [`time_kernels`]. The counters and span stats are read from the `obs`
-//! registry, which the measurement zeroes first, so nothing else may run
-//! in the process while it measures — both binaries run it on their main
-//! thread alone.
+//! [`time_kernels`]. The counters are read from the `obs` registry, which
+//! the measurement zeroes first, so nothing else may run in the process
+//! while it measures — both binaries run it on their main thread alone.
+//! The ingest + tune is captured as a trace in memory (replacing any
+//! installed sink) and summarised as a [`Profile`]; the capture closes
+//! before the kernel isolation, which runs with recording on and no sink.
 
 use crate::kernel_timing::{time_kernels, KernelTiming};
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_datagen::City;
 use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_obs as obs;
-use gridtuner_obs::span::SpanStat;
+use gridtuner_obs::profile::Profile;
 use gridtuner_spatial::Event;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
@@ -39,7 +41,7 @@ pub struct TuneBench {
 }
 
 /// What one [`TuneBench::measure`] saw.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Measurement {
     /// Events in the history.
     pub events: u64,
@@ -61,9 +63,10 @@ pub struct Measurement {
     pub expr_workspace_bytes: u64,
     /// Wall time of session open + ingest + tune.
     pub wall_ms: f64,
-    /// Span stats of the ingest and the tune alone, read before the
-    /// kernel isolation runs (`tune` closes once).
-    pub phases: Vec<(&'static str, SpanStat)>,
+    /// The profile of the ingest and the tune alone (`tune` closes once),
+    /// its `report` record holding the registry's counters after the
+    /// tune.
+    pub profile: Profile,
     /// Per-cell vs batched kernel timing over the probed sides.
     pub kernel: KernelTiming,
 }
@@ -91,10 +94,12 @@ impl TuneBench {
 
     /// Enables recording, zeroes the registry, then runs ingest + tune and
     /// the kernel isolation on [`WORKERS`] worker, reading the counters and
-    /// span stats between the two. Panics if the two kernels disagree.
+    /// closing the trace capture between the two. Panics if the two
+    /// kernels disagree.
     pub fn measure(&self) -> Measurement {
         obs::enable();
-        obs::reset();
+        obs::metrics::reset();
+        let capture = obs::trace::capture_to_buffer();
         let prev_threads = gridtuner_par::max_threads();
         gridtuner_par::set_max_threads(WORKERS);
         let t = Instant::now();
@@ -104,6 +109,10 @@ impl TuneBench {
             .expect("finite synthetic events");
         let report = session.tune().expect("infallible model leg");
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
+        obs::trace::write_report();
+        obs::trace::clear_sink();
+        let trace = String::from_utf8_lossy(&capture.lock().unwrap_or_else(|p| p.into_inner()))
+            .into_owned();
         let counted = Measurement {
             events: self.events.len() as u64,
             probes: report.outcome.evals as u64,
@@ -115,7 +124,7 @@ impl TuneBench {
             expr_pmf_memo_hits: obs::counter!("expr.pmf_memo_hits").get(),
             expr_workspace_bytes: obs::counter!("expr.workspace_bytes").get(),
             wall_ms,
-            phases: obs::span::span_stats(),
+            profile: Profile::from_jsonl(&trace).expect("the captured trace parses"),
             kernel: KernelTiming::default(),
         };
 

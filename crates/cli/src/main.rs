@@ -5,18 +5,21 @@
 //! gridtuner expression --alpha 2 --rest 30 --m 64 [--k 250]
 //! gridtuner generate   --city chengdu --scale 0.01 --day 0
 //! gridtuner simulate   --city xian --algorithm polar --side 16 --scale 0.01
+//! gridtuner profile    --input run.jsonl [--top 12] [--chrome run.chrome.json]
 //! ```
 //!
 //! `tune` finds the optimal MGrid side for a synthetic city; `expression`
 //! evaluates one HGrid's expression error; `generate` streams a day of
 //! trip records as TSV; `simulate` runs a dispatcher on a generated test
-//! day; `heatmap` renders a city's mean demand field in the terminal.
-//! Everything is deterministic per `--seed`.
+//! day; `heatmap` renders a city's mean demand field in the terminal;
+//! `profile` summarises a captured JSONL trace. Everything is
+//! deterministic per `--seed`.
 //!
 //! All commands route through the engine's session API; failures exit
 //! with the engine's error taxonomy — 2 for usage/config errors, 3 for
 //! data errors, 4 for internal pipeline failures, 5 for malformed
-//! environment variables.
+//! environment variables. A reader that closes stdout early ends the run
+//! quietly with exit 0.
 
 mod args;
 
@@ -33,13 +36,16 @@ use gridtuner::obs;
 use gridtuner::predict::{CityModelError, HistoricalAverage, Predictor};
 use gridtuner::spatial::Partition;
 use rand::{rngs::StdRng, SeedableRng};
+use std::io::Write as _;
 
 const USAGE: &str = "\
 usage: gridtuner <command> [--flag value]...
 
 global flags (any command):
   --trace PATH           stream a JSONL trace of the run to PATH
-  --report               print an end-of-run observability report to stderr
+  --report               print the run's profile to stderr at exit (self
+                         time, workers, counters, critical path, per-n
+                         error decomposition, warnings)
 
 commands:
   tune        find the optimal MGrid side for a city
@@ -50,13 +56,11 @@ commands:
               refined bound next to the uniform baseline
               --bootstrap B  --bootstrap-seed S: B replicate tunes ->
               confidence set + stability verdict
-  profile     tune under the profiler and print self-time / worker
-              utilization / critical-path tables
-              --city C  --scale F  --seed N  --strategy S  --budget SIDE
-              --range LO:HI  --top N  [--input TRACE.jsonl: analyze an
-              existing JSONL trace instead of running a tune]
-              [--chrome OUT.json: also write the analysed trace as a
-              Chrome Trace Event array for Perfetto / chrome://tracing]
+  profile     print the profile of a captured JSONL trace (the block
+              `--report` prints for a live run)
+              --input TRACE.jsonl  --top N
+              [--chrome OUT.json: also write the trace as a Chrome
+              Trace Event array for Perfetto / chrome://tracing]
   expression  expression error of one HGrid (alpha, rest-of-MGrid, m)
               --alpha F  --rest F  --m N  [--k N: fixed-K Algorithm 2]
   generate    stream one day of trip records as TSV
@@ -70,12 +74,14 @@ commands:
 exit codes: 2 usage/config, 3 data, 4 internal, 5 environment
 ";
 
-/// A CLI failure: either a usage error (bad flags) or an engine error
-/// carrying the workspace taxonomy. Exit codes follow the engine's
-/// mapping, with usage errors sharing the config code.
+/// A CLI failure: a usage error (bad flags), an engine error carrying
+/// the workspace taxonomy, or a failed write of the command's output.
+/// Exit codes follow the engine's mapping, with usage errors sharing the
+/// config code and output errors the internal one.
 enum CliError {
     Usage(ArgError),
     Engine(EngineError),
+    Stdout(std::io::Error),
 }
 
 impl CliError {
@@ -83,7 +89,14 @@ impl CliError {
         match self {
             CliError::Usage(_) => 2,
             CliError::Engine(e) => e.exit_code(),
+            CliError::Stdout(_) => 4,
         }
+    }
+
+    /// The reader closed stdout early (`| head`, `| grep -q`): the run
+    /// ends quietly, as if it had finished.
+    fn is_broken_pipe(&self) -> bool {
+        matches!(self, CliError::Stdout(e) if e.kind() == std::io::ErrorKind::BrokenPipe)
     }
 
     /// Usage/config errors get the usage text appended; pipeline errors
@@ -98,6 +111,7 @@ impl std::fmt::Display for CliError {
         match self {
             CliError::Usage(e) => write!(f, "{e}"),
             CliError::Engine(e) => write!(f, "{} error: {e}", e.kind()),
+            CliError::Stdout(e) => write!(f, "cannot write to stdout: {e}"),
         }
     }
 }
@@ -118,6 +132,23 @@ impl From<gridtuner::datagen::UnknownCity> for CliError {
     fn from(e: gridtuner::datagen::UnknownCity) -> Self {
         CliError::Engine(EngineError::from(e))
     }
+}
+
+/// Writes command output to stdout. Every stdout write of the CLI goes
+/// through these two macros: a failed write returns
+/// [`CliError::Stdout`] from the calling command instead of panicking the
+/// way `print!` does.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout().lock(), $($arg)*).map_err(CliError::Stdout)?
+    };
+}
+
+/// [`out!`] with a trailing newline.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout().lock(), $($arg)*).map_err(CliError::Stdout)?
+    };
 }
 
 fn cmd_tune(a: &Args) -> Result<(), CliError> {
@@ -203,12 +234,12 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
     // tune stayed inline).
     let (ceiling, live) = gridtuner::engine::thread_diagnostics();
     eprintln!("threads: ceiling {ceiling}, pool workers live {live}");
-    println!("optimal_side\t{}", result.outcome.side);
-    println!("optimal_n\t{0}x{0}", result.outcome.side);
-    println!("upper_bound_error\t{:.2}", result.outcome.error);
+    outln!("optimal_side\t{}", result.outcome.side);
+    outln!("optimal_n\t{0}x{0}", result.outcome.side);
+    outln!("upper_bound_error\t{:.2}", result.outcome.error);
     // Every side the model leg measured, bootstrap replicates included.
-    println!("model_trainings\t{}", session.memoised_sides());
-    println!(
+    outln!("model_trainings\t{}", session.memoised_sides());
+    outln!(
         "partition\tm={} hgrid_lattice={}",
         result.partition.m(),
         result.partition.hgrid_spec().side()
@@ -223,22 +254,26 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
                 q.leaves().len()
             ),
         };
-        println!("refined_partition\t{} [{layout}]", pr.kind);
-        println!("refined_regions\t{} (cap {})", pr.n_regions, pr.region_cap);
-        println!(
+        outln!("refined_partition\t{} [{layout}]", pr.kind);
+        outln!("refined_regions\t{} (cap {})", pr.n_regions, pr.region_cap);
+        outln!(
             "refined_bound\t{:.6} = expression {:.6} + model {:.6}",
-            pr.bound, pr.expression_error, pr.model_error
+            pr.bound,
+            pr.expression_error,
+            pr.model_error
         );
-        println!(
+        outln!(
             "refined_search\tsplits={} merges={} evals={}",
-            pr.splits, pr.merges, pr.evals
+            pr.splits,
+            pr.merges,
+            pr.evals
         );
-        println!(
+        outln!(
             "uniform_baseline\tn={} bound={:.6}",
             pr.uniform_regions(),
             pr.uniform_bound()
         );
-        println!(
+        outln!(
             "refined_vs_uniform\t{}",
             if pr.improves_on_uniform() {
                 "bound <= uniform at <= regions"
@@ -249,7 +284,7 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
     }
     if let Some(unc) = &result.uncertainty {
         let set: Vec<String> = unc.confidence_set.iter().map(u32::to_string).collect();
-        println!(
+        outln!(
             "bootstrap\tB={} seed={} cache_hits={}",
             unc.replicates,
             unc.seed,
@@ -257,8 +292,8 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
                 .get()
                 .saturating_sub(boot_hits_before)
         );
-        println!("confidence_set\t{{{}}}", set.join(","));
-        println!("stability\t{}", unc.verdict);
+        outln!("confidence_set\t{{{}}}", set.join(","));
+        outln!("stability\t{}", unc.verdict);
         if unc.verdict != gridtuner::engine::StabilityVerdict::Stable {
             eprintln!(
                 "warning: side {} is {} under resampling ({} distinct argmins over {} replicates)",
@@ -269,121 +304,30 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Counter values for the profile tables: the `report` record's counters
-/// when the trace carries one (`--input` mode), empty otherwise.
-fn report_counters(records: &[obs::json::Val]) -> Vec<(String, u64)> {
-    let Some(metrics) = records
-        .iter()
-        .find(|r| r.get("t").and_then(|v| v.as_str()) == Some("report"))
-        .and_then(|r| r.get("metrics"))
-        .and_then(|m| m.get("counters"))
-    else {
-        return Vec::new();
-    };
-    match metrics {
-        obs::json::Val::Obj(entries) => entries
-            .iter()
-            .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f as u64)))
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
 fn cmd_profile(a: &Args) -> Result<(), CliError> {
-    a.expect_only(&[
-        "city", "scale", "seed", "strategy", "budget", "range", "top", "input", "chrome", "trace",
-        "report",
-    ])?;
-    let top: usize = a.get_or("top", 12usize)?;
+    a.expect_only(&["top", "input", "chrome", "trace", "report"])?;
+    let top: usize = a.get_or("top", obs::profile::DEFAULT_TOP)?;
     let input = a.str_or("input", "");
-    let (records, counters) = if input.is_empty() {
-        profile_live(a)?
-    } else {
-        // Offline mode: analyze a previously captured JSONL trace.
-        let text = std::fs::read_to_string(&input)
-            .map_err(|e| CliError::Engine(EngineError::Data(format!("--input {input:?}: {e}"))))?;
-        let records = obs::json::parse_jsonl(&text)
-            .map_err(|e| CliError::Engine(EngineError::Data(format!("--input {input:?}: {e}"))))?;
-        let counters = report_counters(&records);
-        (records, counters)
-    };
+    if input.is_empty() {
+        return Err(ArgError(
+            "profile needs --input TRACE.jsonl (`tune --report` profiles a live tune)".into(),
+        )
+        .into());
+    }
+    let data_err =
+        |e: String| CliError::Engine(EngineError::Data(format!("--input {input:?}: {e}")));
+    let text = std::fs::read_to_string(&input).map_err(|e| data_err(e.to_string()))?;
+    let records = obs::json::parse_jsonl(&text).map_err(data_err)?;
     let chrome_path = a.str_or("chrome", "");
     if !chrome_path.is_empty() {
         std::fs::write(&chrome_path, obs::profile::to_chrome(&records))
             .map_err(|e| ArgError(format!("--chrome: cannot write {chrome_path:?}: {e}")))?;
     }
-    let profile = obs::profile::Profile::from_records(&records);
-    print!("{}", profile.render(top, &counters));
+    out!(
+        "{}",
+        obs::profile::Profile::from_records(&records).render(top)
+    );
     Ok(())
-}
-
-/// Parsed trace records plus the counter values the profile tables print.
-type ProfileInput = (Vec<obs::json::Val>, Vec<(String, u64)>);
-
-/// Live `profile` mode: runs a tune with recording on, captured to a
-/// buffer, and returns the parsed trace records with the counters.
-fn profile_live(a: &Args) -> Result<ProfileInput, CliError> {
-    let city = City::by_name(&a.str_or("city", "nyc"))?.scaled(a.get_or("scale", 0.05)?);
-    let seed: u64 = a.get_or("seed", 2022u64)?;
-    let budget: u32 = a.get_or("budget", 64u32)?;
-    let range = a.range_or("range", (2, 24))?;
-    let strategy = match a.str_or("strategy", "brute").as_str() {
-        "brute" => SearchStrategy::BruteForce,
-        "ternary" => SearchStrategy::Ternary,
-        "iterative" => SearchStrategy::Iterative { init: 16, bound: 4 },
-        other => return Err(ArgError(format!("unknown strategy {other:?}")).into()),
-    };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let events = city.sample_history_events(16, 0..28, &mut rng);
-    eprintln!(
-        "profiling a {} tune ({} history events, sides {}..{}, strategy {})",
-        city.name(),
-        events.len(),
-        range.0,
-        range.1,
-        a.str_or("strategy", "brute"),
-    );
-    let split = DataSplit {
-        train_days: (0, 28),
-        val_days: (28, 30),
-        test_day: 30,
-    };
-    let model = CityModelError::new(city.clone(), split, seed, || {
-        Box::new(HistoricalAverage::new()) as Box<dyn Predictor>
-    })
-    .with_max_eval_slots(24);
-    let config = EngineConfig::builder()
-        .hgrid_budget_side(budget)
-        .side_range(range.0, range.1)
-        .strategy(strategy)
-        .alpha_window(AlphaWindow::default())
-        .clock(*city.clock())
-        .build()?;
-    obs::enable();
-    let buffer = obs::trace::capture_to_buffer();
-    let result = (|| -> Result<_, CliError> {
-        let mut session = TuningSession::new(config, model)?;
-        session.ingest(&events)?;
-        Ok(session.tune()?)
-    })();
-    obs::trace::flush();
-    obs::trace::clear_sink();
-    let report = result?;
-    let text =
-        String::from_utf8_lossy(&buffer.lock().unwrap_or_else(|p| p.into_inner())).into_owned();
-    // Honor --trace by saving the captured stream for later re-analysis.
-    let trace_path = a.str_or("trace", "");
-    if !trace_path.is_empty() {
-        std::fs::write(&trace_path, &text)
-            .map_err(|e| ArgError(format!("--trace: cannot write {trace_path:?}: {e}")))?;
-    }
-    let records = obs::json::parse_jsonl(&text)
-        .map_err(|e| CliError::Engine(EngineError::Internal(format!("captured trace: {e}"))))?;
-    eprintln!(
-        "tuned: side {} (error {:.2}), {} probes",
-        report.outcome.side, report.outcome.error, report.outcome.evals
-    );
-    Ok((records, obs::metrics::snapshot().counters))
 }
 
 fn cmd_expression(a: &Args) -> Result<(), CliError> {
@@ -397,7 +341,7 @@ fn cmd_expression(a: &Args) -> Result<(), CliError> {
     } else {
         expression_error_windowed(alpha, rest, m)
     };
-    println!("expression_error\t{value:.9}");
+    outln!("expression_error\t{value:.9}");
     Ok(())
 }
 
@@ -408,13 +352,14 @@ fn cmd_generate(a: &Args) -> Result<(), CliError> {
     let seed: u64 = a.get_or("seed", 2022u64)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let trips = TripGenerator::default().trips_for_day(&city, day, &mut rng);
-    println!("minute\tpickup_lon\tpickup_lat\tdropoff_lon\tdropoff_lat\trevenue");
+    outln!("minute\tpickup_lon\tpickup_lat\tdropoff_lon\tdropoff_lat\trevenue");
     for t in &trips {
         let (plon, plat) = city.geo().to_geo(&t.pickup);
         let (dlon, dlat) = city.geo().to_geo(&t.dropoff);
-        println!(
+        outln!(
             "{}\t{plon:.6}\t{plat:.6}\t{dlon:.6}\t{dlat:.6}\t{:.2}",
-            t.minute, t.revenue
+            t.minute,
+            t.revenue
         );
     }
     eprintln!(
@@ -488,13 +433,13 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
             other => return Err(ArgError(format!("unknown algorithm {other:?}")).into()),
         }
     };
-    println!("algorithm\t{algorithm}");
-    println!("orders\t{}", outcome.total_orders);
-    println!("served\t{}", outcome.served);
-    println!("service_rate\t{:.4}", outcome.service_rate());
-    println!("revenue\t{:.2}", outcome.revenue);
-    println!("travel_km\t{:.1}", outcome.travel_km);
-    println!("unified_cost\t{:.1}", outcome.unified_cost);
+    outln!("algorithm\t{algorithm}");
+    outln!("orders\t{}", outcome.total_orders);
+    outln!("served\t{}", outcome.served);
+    outln!("service_rate\t{:.4}", outcome.service_rate());
+    outln!("revenue\t{:.2}", outcome.revenue);
+    outln!("travel_km\t{:.1}", outcome.travel_km);
+    outln!("unified_cost\t{:.1}", outcome.unified_cost);
     Ok(())
 }
 
@@ -514,28 +459,27 @@ fn cmd_heatmap(a: &Args) -> Result<(), CliError> {
         city.name(),
         field.total()
     );
-    print!("{}", gridtuner::spatial::io::ascii_heatmap(&field));
+    out!("{}", gridtuner::spatial::io::ascii_heatmap(&field));
     Ok(())
 }
 
 /// Wires up observability from the global flags (and, failing that, the
-/// `GRIDTUNER_TRACE` environment). Returns whether an end-of-run report
-/// was requested.
-fn setup_obs(args: &Args) -> Result<bool, ArgError> {
+/// `GRIDTUNER_TRACE` environment) and starts the run's recording.
+fn setup_obs(args: &Args) -> Result<obs::Recording, ArgError> {
     let trace_path = args.str_or("trace", "");
     if !trace_path.is_empty() {
-        let f = std::fs::File::create(&trace_path)
+        obs::trace::set_file_sink(std::path::Path::new(&trace_path))
             .map_err(|e| ArgError(format!("--trace: cannot open {trace_path:?}: {e}")))?;
-        obs::trace::set_sink(Box::new(std::io::BufWriter::new(f)));
         obs::enable();
     } else {
         obs::init_from_env();
     }
-    let report = args.has("report");
-    if report {
-        obs::enable();
-    }
-    Ok(report)
+    Ok(obs::Recording::start(args.has("report")))
+}
+
+fn cmd_help() -> Result<(), CliError> {
+    outln!("{USAGE}");
+    Ok(())
 }
 
 fn fail(e: &CliError) -> ! {
@@ -558,7 +502,7 @@ fn main() {
         Ok(a) => a,
         Err(e) => fail(&CliError::Usage(e)),
     };
-    let want_report = match setup_obs(&args) {
+    let recording = match setup_obs(&args) {
         Ok(r) => r,
         Err(e) => fail(&CliError::Usage(e)),
     };
@@ -569,20 +513,20 @@ fn main() {
         "generate" => cmd_generate(&args),
         "simulate" => cmd_simulate(&args),
         "heatmap" => cmd_heatmap(&args),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => cmd_help(),
         other => Err(ArgError(format!("unknown command {other:?}")).into()),
     };
-    if result.is_ok() && want_report {
-        let report = obs::report::RunReport::capture();
-        report.emit(); // appended to the trace stream, if any
-        eprintln!("{report}");
-    }
-    // Closing the sink flushes it.
-    obs::trace::clear_sink();
-    if let Err(e) = result {
-        fail(&e);
+    // Ends the trace with its counters and closes it, whatever happened.
+    let profile = recording.finish();
+    match result {
+        Err(e) if e.is_broken_pipe() => {}
+        Err(e) => fail(&e),
+        Ok(()) => match profile {
+            Some(Ok(profile)) => eprint!("{}", profile.render(obs::profile::DEFAULT_TOP)),
+            Some(Err(e)) => fail(&CliError::Engine(EngineError::Internal(format!(
+                "--report: cannot read the run's trace back: {e}"
+            )))),
+            None => {}
+        },
     }
 }

@@ -7,17 +7,19 @@
 //! Three layers:
 //!
 //! * [`span`](mod@span) — lightweight hierarchical spans (`span!("tune")` →
-//!   `span!("probe", side = s)`) with monotonic timing, a thread-safe
-//!   global stats registry, and near-zero cost when disabled (one relaxed
-//!   atomic load);
+//!   `span!("probe", side = s)`) with monotonic timing and near-zero cost
+//!   when disabled (one relaxed atomic load);
 //! * [`metrics`] — named counters in a global registry (probe counts, α
 //!   cache hits, worker-pool utilization, …). Counters stay live even when
 //!   tracing is off: an uncontended relaxed `fetch_add` is cheaper than
 //!   the branch that would skip it;
-//! * [`trace`] / [`report`] — the two exporters: a JSON-lines trace/event
-//!   stream (`GRIDTUNER_TRACE=path`, one record per line) and a
-//!   human-readable end-of-run [`report::RunReport`] that includes the
-//!   per-`n` model/expression error decomposition (the paper's U-curve).
+//! * [`trace`] / [`profile`] — the JSON-lines trace stream
+//!   (`GRIDTUNER_TRACE=path`, one record per line), the only record of a
+//!   run's spans and events, and [`profile::Profile`], the only summary of
+//!   it: self times, worker utilization, the critical path through the
+//!   tune, the per-`n` model/expression error decomposition (the paper's
+//!   U-curve), warnings and counters. [`Recording`] is the `--report` exit
+//!   path that prints it.
 //!
 //! Recording is **inert by construction**: nothing here feeds back into
 //! any computation, so enabling tracing cannot move a tuned optimum or a
@@ -28,28 +30,33 @@
 //! ```
 //! use gridtuner_obs as obs;
 //!
-//! obs::enable();
+//! let recording = obs::Recording::start(true); // what `--report` does
 //! {
 //!     let _tune = obs::span!("tune", lo = 2u32, hi = 24u32);
 //!     let _probe = obs::span!("probe", side = 8u32);
 //!     obs::counter!("tune.probes").inc();
-//!     obs::event!("probe", side = 8u32, total = 1.25f64);
+//!     obs::event!(
+//!         "probe",
+//!         side = 8u32,
+//!         expression_error = 1.0f64,
+//!         model_error = 0.25f64,
+//!         total = 1.25f64
+//!     );
 //! }
-//! let report = obs::report::RunReport::capture();
-//! assert!(report.to_json().contains("tune.probes"));
+//! let profile = recording.finish().expect("report requested").unwrap();
+//! assert_eq!(profile.decomposition()[0].side, 8);
+//! assert!(profile.render(10).contains("tune.probes"));
 //! # obs::disable();
-//! # obs::reset();
 //! ```
 
 pub mod json;
 pub mod metrics;
 pub mod profile;
-pub mod report;
 pub mod span;
 pub mod trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, Once};
+use std::sync::{Arc, Mutex, MutexGuard, Once};
 
 /// Locks a global mutex, recovering from poisoning: recorders never leave
 /// shared state half-written (a panicking user thread must not disable
@@ -71,14 +78,14 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns span/event recording on (in-memory stats and any installed trace
-/// sink).
+/// Turns span/event recording on. Records go to the installed trace
+/// sink; with none installed, spans still read the clock but nothing is
+/// kept.
 pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turns span/event recording off. Already-aggregated stats are kept;
-/// call [`reset`] to drop them too.
+/// Turns span/event recording off. Counters stay live.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
@@ -93,11 +100,8 @@ pub fn init_from_env() {
     ENV_INIT.call_once(|| {
         if let Ok(path) = std::env::var("GRIDTUNER_TRACE") {
             if !path.is_empty() {
-                match std::fs::File::create(&path) {
-                    Ok(f) => {
-                        trace::set_sink(Box::new(std::io::BufWriter::new(f)));
-                        enable();
-                    }
+                match trace::set_file_sink(std::path::Path::new(&path)) {
+                    Ok(()) => enable(),
                     Err(e) => eprintln!("[gridtuner-obs] cannot open GRIDTUNER_TRACE={path}: {e}"),
                 }
             }
@@ -105,13 +109,55 @@ pub fn init_from_env() {
     });
 }
 
-/// Clears all aggregated state: counter values, span stats and retained
-/// events. The trace sink (if any) is left installed. Meant for harnesses
-/// and benchmarks that measure runs back to back.
-pub fn reset() {
-    metrics::reset();
-    span::reset_stats();
-    trace::reset_events();
+/// A binary's run from setup to exit: the one exit path the `gridtuner`
+/// CLI and `repro` share.
+///
+/// Start it after any trace sink is installed (`--trace`,
+/// [`init_from_env`]); [`finish`](Recording::finish) it at exit.
+#[must_use = "finish the recording at exit to close the trace"]
+pub struct Recording {
+    /// Whether the run asked for the end-of-run profile (`--report`).
+    report: bool,
+    /// The in-memory capture `--report` installs when no sink is set.
+    buffer: Option<Arc<Mutex<Vec<u8>>>>,
+}
+
+impl Recording {
+    /// With `report`, turns recording on and, when no trace sink is
+    /// installed, captures the stream in memory so the run can still be
+    /// summarised.
+    pub fn start(report: bool) -> Recording {
+        let buffer = if report {
+            enable();
+            (!trace::has_sink()).then(trace::capture_to_buffer)
+        } else {
+            None
+        };
+        Recording { report, buffer }
+    }
+
+    /// Ends the run: writes the `report` record (the counters) to the
+    /// installed sink, if any, and closes it. With `report`, returns the
+    /// [`profile::Profile`] of the run's records, read back from the trace
+    /// file when one was set and from the in-memory capture otherwise (an
+    /// error when the file cannot be read back or does not parse).
+    pub fn finish(self) -> Option<Result<profile::Profile, String>> {
+        let path = trace::sink_path();
+        trace::write_report();
+        trace::clear_sink();
+        if !self.report {
+            return None;
+        }
+        let text = match (self.buffer, path) {
+            (Some(buffer), _) => String::from_utf8_lossy(&lock_unpoisoned(&buffer)).into_owned(),
+            (None, Some(path)) => match std::fs::read_to_string(&path) {
+                Ok(text) => text,
+                Err(e) => return Some(Err(format!("{}: {e}", path.display()))),
+            },
+            (None, None) => return Some(Err("the trace sink is not readable".into())),
+        };
+        Some(profile::Profile::from_jsonl(&text))
+    }
 }
 
 /// Opens a hierarchical span. Returns a guard; the span closes (and its
@@ -155,8 +201,8 @@ macro_rules! span {
     };
 }
 
-/// Emits an info-level structured event (trace stream + retained ring
-/// buffer). A no-op when recording is disabled; fields are not evaluated.
+/// Emits an info-level structured event to the trace stream. A no-op when
+/// recording is disabled; fields are not evaluated.
 #[macro_export]
 macro_rules! event {
     ($name:literal $(, $k:ident = $v:expr)* $(,)?) => {
@@ -171,8 +217,8 @@ macro_rules! event {
 }
 
 /// Emits a warn-level structured event — for anomalies worth surfacing in
-/// the run report (e.g. a search heuristic detecting it may have been
-/// misled).
+/// the profile's warnings (e.g. a search heuristic detecting it may have
+/// been misled).
 #[macro_export]
 macro_rules! warn_event {
     ($name:literal $(, $k:ident = $v:expr)* $(,)?) => {
@@ -205,6 +251,18 @@ pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     LOCK.get_or_init(|| std::sync::Mutex::new(()))
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Runs `body` with an in-memory sink installed and returns the parsed
+/// records it wrote (the sink is removed afterwards). Callers hold
+/// [`test_guard`].
+#[cfg(test)]
+pub(crate) fn capture(body: impl FnOnce()) -> Vec<json::Val> {
+    let buffer = trace::capture_to_buffer();
+    body();
+    trace::clear_sink();
+    let text = String::from_utf8(lock_unpoisoned(&buffer).clone()).expect("UTF-8 trace");
+    json::parse_jsonl(&text).expect("every line parses")
 }
 
 #[cfg(test)]

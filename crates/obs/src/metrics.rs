@@ -10,7 +10,6 @@
 //! always-on counters let library accessors (e.g. the α-cache's
 //! `delta_scans`) be backed by the same type the registry exports.
 
-use crate::json::Val;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -61,37 +60,12 @@ pub fn counter(name: &str) -> Arc<Counter> {
     Arc::clone(reg.entry(name.to_string()).or_default())
 }
 
-/// A point-in-time view of the whole registry.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// `(name, value)` for every counter, name-sorted.
-    pub counters: Vec<(String, u64)>,
-}
-
-impl MetricsSnapshot {
-    /// JSON form (used by the run report and the trace's report record).
-    pub fn to_val(&self) -> Val {
-        Val::obj(vec![(
-            "counters",
-            Val::Obj(
-                self.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Val::U64(*v)))
-                    .collect(),
-            ),
-        )])
-    }
-}
-
-/// Snapshots every registered counter.
-pub fn snapshot() -> MetricsSnapshot {
-    let reg = crate::lock_unpoisoned(registry());
-    MetricsSnapshot {
-        counters: reg
-            .iter()
-            .map(|(name, c)| (name.clone(), c.get()))
-            .collect(),
-    }
+/// Every registered counter as `(name, value)`, name-sorted.
+pub fn snapshot() -> Vec<(String, u64)> {
+    crate::lock_unpoisoned(registry())
+        .iter()
+        .map(|(name, c)| (name.clone(), c.get()))
+        .collect()
 }
 
 /// Zeroes every registered counter (handles stay valid).
@@ -121,23 +95,9 @@ mod tests {
         counter("m.test.snap_counter").add(3);
         let snap = snapshot();
         assert!(snap
-            .counters
             .iter()
             .any(|(n, v)| n == "m.test.snap_counter" && *v >= 3));
-        assert!(
-            snap.counters.windows(2).all(|w| w[0].0 < w[1].0),
-            "name-sorted"
-        );
-        // JSON form renders, parses and holds counters only.
-        let val = crate::json::Val::parse(&snap.to_val().render()).unwrap();
-        match &val {
-            Val::Obj(fields) => assert_eq!(fields.len(), 1),
-            other => panic!("snapshot JSON is not an object: {other:?}"),
-        }
-        assert!(val
-            .get("counters")
-            .and_then(|c| c.get("m.test.snap_counter"))
-            .is_some());
+        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "name-sorted");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Offline profile analyzer over a captured `gridtuner.trace/1` stream.
 //!
-//! [`Profile::from_records`] rebuilds the span tree (with per-thread ids)
-//! and the pool-worker task timeline from parsed JSONL records, then
-//! answers the questions aggregate counters cannot:
+//! [`Profile::from_records`] rebuilds the span tree (with per-thread ids),
+//! the pool-worker task timeline, the structured events and the final
+//! `report` record's counters from parsed JSONL records, then answers the
+//! questions aggregate counters cannot:
 //!
 //! * [`Profile::self_times`] — per-span-name **self time**, i.e. time
 //!   inside a span exclusive of its same-thread children (a cross-thread
@@ -15,7 +16,14 @@
 //! * [`Profile::critical_path`] — the longest `tune` span decomposed by
 //!   its innermost-active same-thread descendant at every instant. The
 //!   elementary segments partition the span exactly, so the breakdown
-//!   always sums to the `tune` wall time.
+//!   always sums to the `tune` wall time;
+//! * [`Profile::decomposition`] — the per-`n` model/expression error
+//!   decomposition (Theorem II.1) of that same tune, from the `probe`
+//!   events its thread emitted while it ran;
+//! * [`Profile::warnings`] — every warn-level event.
+//!
+//! [`Profile::render`] prints all of it, plus every non-zero counter; it
+//! is what both `gridtuner profile --input` and `--report` print.
 //!
 //! [`to_chrome`] converts the same parsed records to a Chrome Trace Event
 //! Format array for Perfetto / `chrome://tracing`.
@@ -26,6 +34,10 @@
 use crate::json::Val;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// Rows of the self-time table that `gridtuner profile` and `--report`
+/// print.
+pub const DEFAULT_TOP: usize = 12;
 
 /// One reconstructed span occurrence.
 #[derive(Debug, Clone)]
@@ -67,6 +79,46 @@ pub struct TaskRec {
     pub finish_ns: u64,
 }
 
+/// One structured `event` record other than a `par.task`.
+#[derive(Debug, Clone)]
+pub struct EventRec {
+    /// Event name (e.g. `"probe"`, `"ternary.plateau_tie"`).
+    pub name: String,
+    /// Whether the event was emitted at warn level.
+    pub warn: bool,
+    /// Sequential thread id that emitted it.
+    pub tid: u64,
+    /// Timestamp, ns since the trace epoch.
+    pub ts_ns: u64,
+    /// Structured payload, in emission order.
+    pub fields: Vec<(String, Val)>,
+}
+
+impl EventRec {
+    fn num(&self, key: &str) -> Option<f64> {
+        self.fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.as_f64())
+    }
+}
+
+/// One row of the per-`n` error decomposition (Theorem II.1: real error ≤
+/// model error + expression error).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProbeRow {
+    /// MGrid side `s`.
+    pub side: u32,
+    /// Cell count `n = s²`.
+    pub n: u64,
+    /// Expression-error term `Σ E_e`.
+    pub expression_error: f64,
+    /// Model-error term `n · MAE`.
+    pub model_error: f64,
+    /// The upper bound `e(s)`.
+    pub total: f64,
+}
+
 /// Aggregated per-name timing with self time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelfTime {
@@ -76,6 +128,8 @@ pub struct SelfTime {
     pub count: u64,
     /// Total inclusive nanoseconds.
     pub total_ns: u64,
+    /// Longest single occurrence.
+    pub max_ns: u64,
     /// Total exclusive nanoseconds (children's same-thread time removed).
     pub self_ns: u64,
 }
@@ -130,6 +184,11 @@ pub struct Profile {
     pub spans: Vec<SpanRec>,
     /// Every pool-worker task record, claim-sorted.
     pub tasks: Vec<TaskRec>,
+    /// Every other `event` record, in stream order.
+    pub events: Vec<EventRec>,
+    /// The counters of the last `report` record, name-sorted (empty when
+    /// the stream has none).
+    pub counters: Vec<(String, u64)>,
     /// Earliest timestamp seen.
     pub trace_start_ns: u64,
     /// Latest timestamp seen.
@@ -147,13 +206,15 @@ impl Profile {
         Ok(Profile::from_records(&records))
     }
 
-    /// Rebuilds spans and tasks from parsed `gridtuner.trace/1` records.
-    /// Unknown record kinds are skipped; an unclosed span is kept and
-    /// extended to the trace end.
+    /// Rebuilds spans, tasks, events and counters from parsed
+    /// `gridtuner.trace/1` records. Unknown record kinds are skipped; an
+    /// unclosed span is kept and extended to the trace end.
     pub fn from_records(records: &[Val]) -> Profile {
         let mut spans: Vec<SpanRec> = Vec::new();
         let mut open: BTreeMap<u64, usize> = BTreeMap::new();
         let mut tasks: Vec<TaskRec> = Vec::new();
+        let mut events: Vec<EventRec> = Vec::new();
+        let mut counters: Vec<(String, u64)> = Vec::new();
         let mut lo = u64::MAX;
         let mut hi = 0u64;
         let mut clamp = |ts: u64| {
@@ -202,24 +263,44 @@ impl Profile {
                 }
                 "event" => {
                     clamp(ts);
-                    if rec.get("name").and_then(|v| v.as_str()) == Some("par.task") {
-                        if let Some(f) = rec.get("f") {
-                            let (Some(worker), Some(claim_ns), Some(finish_ns)) = (
-                                field_u64(f, "worker"),
-                                field_u64(f, "claim_ns"),
-                                field_u64(f, "finish_ns"),
-                            ) else {
-                                continue;
-                            };
-                            clamp(finish_ns);
-                            tasks.push(TaskRec {
-                                worker,
-                                generation: field_u64(f, "gen").unwrap_or(0),
-                                task: field_u64(f, "task").unwrap_or(0),
-                                claim_ns,
-                                finish_ns,
-                            });
-                        }
+                    let name = rec.get("name").and_then(|v| v.as_str()).unwrap_or("?");
+                    if name != "par.task" {
+                        events.push(EventRec {
+                            name: name.to_string(),
+                            warn: rec.get("level").and_then(|v| v.as_str()) == Some("warn"),
+                            tid: field_u64(rec, "tid").unwrap_or(0),
+                            ts_ns: ts,
+                            fields: match rec.get("f") {
+                                Some(Val::Obj(fields)) => fields.clone(),
+                                _ => Vec::new(),
+                            },
+                        });
+                    } else if let Some(f) = rec.get("f") {
+                        let (Some(worker), Some(claim_ns), Some(finish_ns)) = (
+                            field_u64(f, "worker"),
+                            field_u64(f, "claim_ns"),
+                            field_u64(f, "finish_ns"),
+                        ) else {
+                            continue;
+                        };
+                        clamp(finish_ns);
+                        tasks.push(TaskRec {
+                            worker,
+                            generation: field_u64(f, "gen").unwrap_or(0),
+                            task: field_u64(f, "task").unwrap_or(0),
+                            claim_ns,
+                            finish_ns,
+                        });
+                    }
+                }
+                "report" => {
+                    if let Some(Val::Obj(entries)) =
+                        rec.get("metrics").and_then(|m| m.get("counters"))
+                    {
+                        counters = entries
+                            .iter()
+                            .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f as u64)))
+                            .collect();
                     }
                 }
                 _ => {}
@@ -233,6 +314,8 @@ impl Profile {
         Profile {
             spans,
             tasks,
+            events,
+            counters,
             trace_start_ns: if lo == u64::MAX { 0 } else { lo },
             trace_end_ns: trace_end,
         }
@@ -266,10 +349,12 @@ impl Profile {
                 name: s.name.clone(),
                 count: 0,
                 total_ns: 0,
+                max_ns: 0,
                 self_ns: 0,
             });
             entry.count += 1;
             entry.total_ns += s.dur_ns();
+            entry.max_ns = entry.max_ns.max(s.dur_ns());
             entry.self_ns += s.dur_ns().saturating_sub(covered);
         }
         let mut out: Vec<SelfTime> = by_name.into_values().collect();
@@ -323,14 +408,18 @@ impl Profile {
         Some(max as f64 / (min.max(1)) as f64)
     }
 
+    /// The longest span named `name`.
+    fn longest(&self, name: &str) -> Option<&SpanRec> {
+        self.spans
+            .iter()
+            .filter(|s| s.name == name)
+            .max_by_key(|s| s.dur_ns())
+    }
+
     /// Decomposes the longest span named `root_name` by innermost-active
     /// same-thread descendant. Returns `None` when no such span exists.
     pub fn critical_path(&self, root_name: &str) -> Option<CriticalPath> {
-        let root = self
-            .spans
-            .iter()
-            .filter(|s| s.name == root_name)
-            .max_by_key(|s| s.dur_ns())?;
+        let root = self.longest(root_name)?;
         // Depth below the root, same thread only (0 = not a descendant).
         let by_id: BTreeMap<u64, &SpanRec> = self.spans.iter().map(|s| (s.id, s)).collect();
         let mut frames: Vec<(&SpanRec, u64)> = self
@@ -375,10 +464,55 @@ impl Profile {
         })
     }
 
+    /// The per-`n` error decomposition of the tune [`Self::critical_path`]
+    /// reports (the longest `tune` span): the `probe` events its thread
+    /// emitted inside its interval, one row per side (a re-probed side
+    /// keeps its last event), side-sorted. Empty without a `tune` span.
+    pub fn decomposition(&self) -> Vec<ProbeRow> {
+        let Some(tune) = self.longest("tune") else {
+            return Vec::new();
+        };
+        let mut rows: BTreeMap<u32, ProbeRow> = BTreeMap::new();
+        for ev in &self.events {
+            if ev.name != "probe"
+                || ev.tid != tune.tid
+                || ev.ts_ns < tune.start_ns
+                || ev.ts_ns > tune.end_ns
+            {
+                continue;
+            }
+            let (Some(side), Some(expression_error), Some(model_error), Some(total)) = (
+                ev.num("side"),
+                ev.num("expression_error"),
+                ev.num("model_error"),
+                ev.num("total"),
+            ) else {
+                continue;
+            };
+            let side = side as u32;
+            rows.insert(
+                side,
+                ProbeRow {
+                    side,
+                    n: u64::from(side) * u64::from(side),
+                    expression_error,
+                    model_error,
+                    total,
+                },
+            );
+        }
+        rows.into_values().collect()
+    }
+
+    /// Every warn-level event, in stream order.
+    pub fn warnings(&self) -> impl Iterator<Item = &EventRec> {
+        self.events.iter().filter(|e| e.warn)
+    }
+
     /// Renders the human-readable profile: top-`top` self-time table,
-    /// per-thread and per-worker utilization, the pmf-memo lock waits pulled
-    /// from `counters`, and the critical path.
-    pub fn render(&self, top: usize, counters: &[(String, u64)]) -> String {
+    /// per-thread and per-worker utilization, every non-zero counter, the
+    /// critical path, the error decomposition and the warnings.
+    pub fn render(&self, top: usize) -> String {
         let mut out = String::new();
         let wall = self.duration_ns();
         let _ = writeln!(
@@ -445,11 +579,12 @@ impl Profile {
             }
         }
 
-        if let Some((_, waits)) = counters
-            .iter()
-            .find(|(name, v)| *v > 0 && name == "pmf_memo.lock_waits")
-        {
-            let _ = writeln!(out, "\npmf-memo lock waits: {waits}");
+        let counters: Vec<&(String, u64)> = self.counters.iter().filter(|(_, v)| *v > 0).collect();
+        if !counters.is_empty() {
+            let _ = writeln!(out, "\ncounters:");
+            for (name, v) in counters {
+                let _ = writeln!(out, "  {name:<40} {v:>12}");
+            }
         }
 
         if let Some(path) = self.critical_path("tune") {
@@ -472,6 +607,35 @@ impl Profile {
             let _ = writeln!(out, "  {:<28} {:>12.2} ms", "= total", ms(sum));
         } else {
             let _ = writeln!(out, "\ncritical path: no `tune` span in the trace");
+        }
+
+        let rows = self.decomposition();
+        if !rows.is_empty() {
+            let _ = writeln!(out, "\nerror decomposition through `tune` (per n):");
+            let _ = writeln!(
+                out,
+                "{:>6} {:>8} {:>16} {:>16} {:>16}",
+                "side", "n", "model_error", "expr_error", "total e(s)"
+            );
+            for r in &rows {
+                let _ = writeln!(
+                    out,
+                    "{:>6} {:>8} {:>16.6} {:>16.6} {:>16.6}",
+                    r.side, r.n, r.model_error, r.expression_error, r.total
+                );
+            }
+        }
+
+        let mut warnings = self.warnings().peekable();
+        if warnings.peek().is_some() {
+            let _ = writeln!(out, "\nwarnings:");
+            for w in warnings {
+                let _ = write!(out, "  warn {}", w.name);
+                for (k, v) in &w.fields {
+                    let _ = write!(out, " {k}={}", v.render());
+                }
+                let _ = writeln!(out);
+            }
         }
         out
     }
@@ -925,22 +1089,204 @@ mod tests {
 
     #[test]
     fn render_mentions_every_section() {
-        let p = profile(
+        let mut p = profile(
             &[(1, 0, "tune", 1, 0, 1000), (2, 1, "probe", 1, 100, 900)],
             &[(0, 0, 100, 500), (1, 1, 100, 480)],
         );
-        let counters = vec![
+        p.counters = vec![
             ("pmf_memo.lock_waits".to_string(), 7u64),
             ("tune.probes".to_string(), 73u64),
+            ("zero.counter".to_string(), 0u64),
         ];
-        let text = p.render(10, &counters);
+        let text = p.render(10);
         assert!(text.contains("self time"));
         assert!(text.contains("threads:"));
         assert!(text.contains("worker 0"));
         assert!(text.contains("worker 1"));
-        assert!(text.contains("pmf-memo lock waits: 7"));
-        let idle = p.render(10, &[("pmf_memo.lock_waits".to_string(), 0)]);
-        assert!(!idle.contains("lock waits"), "zero waits elided");
+        assert!(text.contains("counters:"));
+        assert!(text.contains(&format!("  {:<40} {:>12}", "pmf_memo.lock_waits", 7)));
+        assert!(text.contains("tune.probes"));
+        assert!(!text.contains("zero.counter"), "zero counters elided");
         assert!(text.contains("critical path through `tune`"));
+    }
+
+    /// Emits a `probe` event the way the session's probe does.
+    fn probe(side: u32, expression_error: f64, model_error: f64, total: f64) {
+        crate::event!(
+            "probe",
+            side = side,
+            expression_error = expression_error,
+            model_error = model_error,
+            total = total
+        );
+    }
+
+    #[test]
+    fn decomposition_rows_come_from_probe_events_deduped() {
+        let _guard = crate::test_guard();
+        crate::enable();
+        let records = crate::capture(|| {
+            let _tune = crate::span!("tune");
+            probe(4, 2.0, 1.0, 3.0);
+            probe(2, 5.0, 0.5, 5.5);
+            // Re-probe of side 4 with updated numbers: last write wins.
+            probe(4, 2.5, 1.5, 4.0);
+            crate::warn_event!("report_test_warn", detail = "x");
+        });
+        let p = Profile::from_records(&records);
+        let rows = p.decomposition();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].side, 2);
+        assert_eq!(rows[1].side, 4);
+        assert_eq!(rows[1].n, 16);
+        assert_eq!(rows[1].total, 4.0);
+        assert!(p.warnings().any(|w| w.name == "report_test_warn"));
+    }
+
+    #[test]
+    fn decomposition_rows_survive_thousands_of_later_events() {
+        // The stream keeps every event (the sink, not a bounded ring, is
+        // the store), so the tune's probes outlive any number of later
+        // events.
+        let _guard = crate::test_guard();
+        crate::enable();
+        let records = crate::capture(|| {
+            let _tune = crate::span!("tune");
+            probe(8, 1.0, 2.0, 3.0);
+            probe(9, 1.5, 2.5, 4.0);
+            for epoch in 0..5_000u32 {
+                crate::event!("train.epoch", epoch = epoch, loss = 0.5f64);
+            }
+        });
+        let p = Profile::from_records(&records);
+        assert_eq!(p.events.len(), 5_002, "every event is kept");
+        let sides: Vec<u32> = p.decomposition().iter().map(|r| r.side).collect();
+        assert_eq!(sides, [8, 9]);
+    }
+
+    #[test]
+    fn decomposition_comes_from_the_longest_tune_only() {
+        let _guard = crate::test_guard();
+        crate::enable();
+        let records = crate::capture(|| {
+            {
+                let _short = crate::span!("tune");
+                probe(2, 9.0, 9.0, 18.0);
+                probe(3, 9.0, 9.0, 18.0);
+            }
+            {
+                let _long = crate::span!("tune");
+                probe(3, 1.0, 1.0, 2.0);
+                probe(4, 1.0, 2.0, 3.0);
+                // A probe on another thread is not this tune's row.
+                std::thread::scope(|scope| {
+                    scope.spawn(|| probe(6, 0.0, 0.0, 0.0));
+                });
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            // Nor is a probe outside every tune.
+            probe(5, 0.0, 0.0, 0.0);
+        });
+        let rows: Vec<(u32, u64, f64, f64, f64)> = Profile::from_records(&records)
+            .decomposition()
+            .iter()
+            .map(|r| (r.side, r.n, r.expression_error, r.model_error, r.total))
+            .collect();
+        assert_eq!(rows, [(3, 9, 1.0, 1.0, 2.0), (4, 16, 1.0, 2.0, 3.0)]);
+    }
+
+    #[test]
+    fn every_warning_is_listed() {
+        let _guard = crate::test_guard();
+        crate::enable();
+        let records = crate::capture(|| {
+            for i in 0..5_000u32 {
+                crate::warn_event!("profile_test_warn", i = i);
+                crate::event!("profile_test_info", i = i);
+            }
+        });
+        let p = Profile::from_records(&records);
+        assert_eq!(p.warnings().count(), 5_000);
+        let text = p.render(DEFAULT_TOP);
+        assert_eq!(text.matches("  warn profile_test_warn i=").count(), 5_000);
+        assert!(text.contains("  warn profile_test_warn i=4999\n"));
+        assert!(
+            !text.contains("profile_test_info"),
+            "info events are not warnings"
+        );
+    }
+
+    #[test]
+    fn report_record_carries_counters_and_the_render_shows_them() {
+        let _guard = crate::test_guard();
+        crate::enable();
+        let records = crate::capture(|| {
+            {
+                let _tune = crate::span!("tune");
+                let _s = crate::span!("report_test_span");
+                probe(8, 1.0, 2.0, 3.0);
+            }
+            crate::counter!("report.test.counter").inc();
+            crate::trace::write_report();
+        });
+        let report = records.last().expect("a report record");
+        assert_eq!(report.get("t").and_then(|v| v.as_str()), Some("report"));
+        let Val::Obj(keys) = report else {
+            panic!("report record is an object")
+        };
+        let keys: Vec<&str> = keys.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["t", "ts", "metrics"]);
+        let Some(Val::Obj(metrics)) = report.get("metrics") else {
+            panic!("metrics is an object")
+        };
+        assert_eq!(metrics.len(), 1, "metrics holds counters only");
+        let p = Profile::from_records(&records);
+        let count = |name: &str| p.counters.iter().find(|(n, _)| n == name).map(|c| c.1);
+        assert!(count("report.test.counter") >= Some(1));
+        let text = p.render(DEFAULT_TOP);
+        assert!(text.contains("report_test_span"));
+        assert!(text.contains("report.test.counter"));
+        assert!(text.contains("error decomposition through `tune`"));
+        assert!(text.contains(&format!(
+            "{:>6} {:>8} {:>16.6} {:>16.6} {:>16.6}",
+            8, 64, 2.0, 1.0, 3.0
+        )));
+    }
+
+    #[test]
+    fn expression_kernel_counters_render_in_the_counters_section() {
+        let _guard = crate::test_guard();
+        crate::enable();
+        let records = crate::capture(|| {
+            crate::counter!("expr.cell_evals").add(100);
+            crate::counter!("expr.dedup_hits").add(60);
+            crate::counter!("expr.evals").add(40);
+            crate::counter!("expr.pmf_memo_hits").add(30);
+            crate::trace::write_report();
+        });
+        let p = Profile::from_records(&records);
+        let text = p.render(DEFAULT_TOP);
+        let counters = text
+            .split("counters:")
+            .nth(1)
+            .unwrap_or_else(|| panic!("missing counters section:\n{text}"));
+        for (name, at_least) in [
+            ("expr.cell_evals", 100),
+            ("expr.dedup_hits", 60),
+            ("expr.evals", 40),
+            ("expr.pmf_memo_hits", 30),
+        ] {
+            let value = p
+                .counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|c| c.1)
+                .unwrap_or_else(|| panic!("{name} missing from the report record"));
+            assert!(value >= at_least, "{name} = {value}");
+            assert!(
+                counters.contains(&format!("  {name:<40} {value:>12}")),
+                "{name} not printed in the counters section:\n{text}"
+            );
+        }
     }
 }

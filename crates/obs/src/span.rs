@@ -6,9 +6,12 @@
 //! thread becomes its child, which the trace stream records via the
 //! `parent` id. Work handed to another thread names its parent explicitly
 //! with [`Span::enter_under`]; spans opened inside it on that thread nest
-//! under it as usual. Closed spans fold into a global name-keyed [`SpanStat`]
-//! aggregate (count / total / min / max), which the end-of-run report
-//! reads for its per-phase timing table.
+//! under it as usual. A span is timed on the trace clock
+//! ([`since_epoch_ns`]): its `span_start` record's `ts` is its open time
+//! and its `span_end` record's `ts` is `ts + dur_ns`, so an event the span's
+//! thread emits while it is live falls inside that interval. The trace
+//! stream is the only record of a span; summaries are built from it
+//! ([`crate::profile::Profile`]).
 //!
 //! When recording is disabled ([`crate::enabled`] is false) `enter`
 //! returns an inert guard after a single relaxed atomic load; no clock is
@@ -17,9 +20,8 @@
 use crate::json::Val;
 use crate::trace;
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Span ids start at 1; 0 means "no parent".
@@ -62,46 +64,6 @@ pub fn since_epoch_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-/// Aggregated timing for one span name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Times a span with this name closed.
-    pub count: u64,
-    /// Total nanoseconds across all closes.
-    pub total_ns: u64,
-    /// Shortest single span.
-    pub min_ns: u64,
-    /// Longest single span.
-    pub max_ns: u64,
-}
-
-impl SpanStat {
-    fn absorb(&mut self, dur_ns: u64) {
-        self.count += 1;
-        self.total_ns += dur_ns;
-        self.min_ns = self.min_ns.min(dur_ns);
-        self.max_ns = self.max_ns.max(dur_ns);
-    }
-}
-
-fn stats() -> &'static Mutex<BTreeMap<&'static str, SpanStat>> {
-    static STATS: OnceLock<Mutex<BTreeMap<&'static str, SpanStat>>> = OnceLock::new();
-    STATS.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Snapshot of the per-name aggregates, name-sorted.
-pub fn span_stats() -> Vec<(&'static str, SpanStat)> {
-    crate::lock_unpoisoned(stats())
-        .iter()
-        .map(|(name, stat)| (*name, *stat))
-        .collect()
-}
-
-/// Drops all aggregated span timings.
-pub fn reset_stats() {
-    crate::lock_unpoisoned(stats()).clear();
-}
-
 /// A live span. Created by the [`span!`](macro@crate::span) macro (or
 /// [`Span::enter`] directly); closes on drop.
 #[must_use = "a span measures the scope it is bound to; binding it to _ drops it immediately"]
@@ -115,7 +77,8 @@ struct LiveSpan {
     /// The thread's innermost live span before this one, restored on drop.
     restore: u64,
     name: &'static str,
-    started: Instant,
+    /// Open time on the trace clock.
+    start_ns: u64,
 }
 
 impl Span {
@@ -140,13 +103,14 @@ impl Span {
         }
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         let restore = CURRENT.with(|cur| cur.replace(id));
-        trace::write_span_start(id, parent.unwrap_or(restore), name, fields);
+        let start_ns = since_epoch_ns();
+        trace::write_span_start(start_ns, id, parent.unwrap_or(restore), name, fields);
         Span {
             live: Some(LiveSpan {
                 id,
                 restore,
                 name,
-                started: Instant::now(),
+                start_ns,
             }),
         }
     }
@@ -160,38 +124,36 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(live) = self.live.take() else { return };
-        let dur_ns = live.started.elapsed().as_nanos() as u64;
+        let end_ns = since_epoch_ns();
         CURRENT.with(|cur| cur.set(live.restore));
-        crate::lock_unpoisoned(stats())
-            .entry(live.name)
-            .or_insert(SpanStat {
-                count: 0,
-                total_ns: 0,
-                min_ns: u64::MAX,
-                max_ns: 0,
-            })
-            .absorb(dur_ns);
-        trace::write_span_end(live.id, live.name, dur_ns);
+        trace::write_span_end(
+            end_ns,
+            live.id,
+            live.name,
+            end_ns.saturating_sub(live.start_ns),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::{Profile, SpanRec};
 
-    fn stat(name: &str) -> Option<SpanStat> {
-        span_stats()
+    /// The spans named `name` in captured records.
+    fn spans_named(records: &[Val], name: &str) -> Vec<SpanRec> {
+        Profile::from_records(records)
+            .spans
             .into_iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
+            .filter(|s| s.name == name)
+            .collect()
     }
 
     #[test]
     fn nesting_restores_parent_and_durations_are_monotonic() {
         let _guard = crate::test_guard();
         crate::enable();
-        let before_outer = stat("span_test_outer").map_or(0, |s| s.count);
-        {
+        let records = crate::capture(|| {
             let outer = Span::enter("span_test_outer", Vec::new());
             assert_eq!(CURRENT.with(|c| c.get()), outer.id());
             {
@@ -202,18 +164,17 @@ mod tests {
             }
             // Inner closed → outer is current again.
             assert_eq!(CURRENT.with(|c| c.get()), outer.id());
-        }
-        let outer = stat("span_test_outer").expect("outer recorded");
-        let inner = stat("span_test_inner").expect("inner recorded");
-        assert_eq!(outer.count, before_outer + 1);
+        });
+        let outer = spans_named(&records, "span_test_outer");
+        let inner = spans_named(&records, "span_test_inner");
+        assert_eq!((outer.len(), inner.len()), (1, 1));
+        let (outer, inner) = (&outer[0], &inner[0]);
+        assert!(outer.closed && inner.closed);
+        assert_eq!(inner.parent, outer.id);
         // The child slept, and the parent fully contains the child.
-        assert!(
-            inner.max_ns >= 2_000_000,
-            "inner >= sleep ({})",
-            inner.max_ns
-        );
-        assert!(outer.max_ns >= inner.min_ns, "parent contains child");
-        assert!(outer.min_ns <= outer.max_ns && outer.total_ns >= outer.max_ns);
+        let inner_ns = inner.end_ns - inner.start_ns;
+        assert!(inner_ns >= 2_000_000, "inner >= sleep ({inner_ns})");
+        assert!(outer.start_ns <= inner.start_ns && inner.end_ns <= outer.end_ns);
     }
 
     #[test]
@@ -239,11 +200,11 @@ mod tests {
     fn disabled_spans_record_nothing() {
         let _guard = crate::test_guard();
         crate::disable();
-        {
+        let records = crate::capture(|| {
             let s = Span::enter("span_test_disabled", Vec::new());
             assert_eq!(s.id(), 0);
-        }
-        assert!(stat("span_test_disabled").is_none());
+        });
+        assert!(spans_named(&records, "span_test_disabled").is_empty());
     }
 
     #[test]
@@ -257,14 +218,18 @@ mod tests {
     fn spans_on_threads_are_independent() {
         let _guard = crate::test_guard();
         crate::enable();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    let _s = Span::enter("span_test_threaded", Vec::new());
-                    assert_ne!(CURRENT.with(|c| c.get()), 0);
-                });
-            }
+        let records = crate::capture(|| {
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        let _s = Span::enter("span_test_threaded", Vec::new());
+                        assert_ne!(CURRENT.with(|c| c.get()), 0);
+                    });
+                }
+            });
         });
-        assert!(stat("span_test_threaded").map_or(0, |s| s.count) >= 4);
+        let spans = spans_named(&records, "span_test_threaded");
+        assert_eq!(spans.len(), 4);
+        assert!(spans.iter().all(|s| s.closed && s.parent == 0));
     }
 }

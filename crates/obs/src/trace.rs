@@ -1,4 +1,4 @@
-//! The JSON-lines trace sink and the retained-event buffer.
+//! The JSON-lines trace sink: the one record of a run's spans and events.
 //!
 //! Every record is one line of JSON with a `t` discriminator:
 //!
@@ -8,34 +8,29 @@
 //! | `span_start` | [`crate::span::Span`]     | `id`, `parent`, `tid`, `name`, `f` |
 //! | `span_end`   | span drop                 | `id`, `tid`, `name`, `dur_ns` |
 //! | `event`      | `event!` / `warn_event!`, [`write_task_record`] (`par.task`) | `level`, `tid`, `name`, `f` |
-//! | `report`     | [`crate::report::RunReport::emit`] | the report body |
+//! | `report`     | [`write_report`], once at the end of a run | `metrics` (`{"counters": {…}}`) |
 //!
 //! Timestamps (`ts`) are nanoseconds since the process-local monotonic
 //! epoch ([`crate::span::since_epoch_ns`]); `tid` is the sequential thread
 //! id from [`crate::span::current_tid`].
 //!
-//! This is the only wire format. A Chrome Trace Event Format file for
-//! Perfetto or `chrome://tracing` is an offline conversion of a captured
-//! stream ([`crate::profile::to_chrome`], `gridtuner profile --chrome`).
-//!
-//! `event!`/`warn_event!` events are additionally retained in a bounded
-//! in-memory ring buffer (newest-wins, capacity [`EVENT_CAP`]) so the
-//! end-of-run report can reconstruct the per-`n` error decomposition and
-//! list warnings even when no sink is installed; `par.task` records are
-//! not retained.
+//! This is the only wire format and the only store: nothing is kept in
+//! memory beyond the sink, so a run that wants a summary installs a sink
+//! ([`capture_to_buffer`] when it wants no file) and reads the records
+//! back through [`crate::profile::Profile`]. A Chrome Trace Event Format
+//! file for Perfetto or `chrome://tracing` is an offline conversion of a
+//! captured stream ([`crate::profile::to_chrome`], `gridtuner profile
+//! --chrome`).
 
 use crate::json::Val;
 use crate::span::{current_tid, since_epoch_ns};
-use std::collections::VecDeque;
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Schema identifier written in the `meta` header record.
 pub const SCHEMA: &str = "gridtuner.trace/1";
-
-/// Retained-event ring capacity.
-pub const EVENT_CAP: usize = 4096;
 
 /// Event severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,70 +50,77 @@ impl Level {
     }
 }
 
-/// A retained structured event.
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
-    /// Severity.
-    pub level: Level,
-    /// Event name (e.g. `"probe"`, `"ternary.plateau_tie"`).
-    pub name: &'static str,
-    /// Structured payload.
-    pub fields: Vec<(&'static str, Val)>,
-    /// Nanoseconds since the monotonic epoch.
-    pub ts_ns: u64,
+/// The installed trace sink.
+struct Sink {
+    w: Box<dyn Write + Send>,
+    /// The file `w` writes to, when [`set_file_sink`] installed it.
+    path: Option<PathBuf>,
 }
 
-impl TraceEvent {
-    /// Looks up a field by key.
-    pub fn field(&self, key: &str) -> Option<&Val> {
-        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-}
-
-fn sink() -> &'static Mutex<Option<Box<dyn Write + Send>>> {
-    static SINK: OnceLock<Mutex<Option<Box<dyn Write + Send>>>> = OnceLock::new();
+fn sink() -> &'static Mutex<Option<Sink>> {
+    static SINK: OnceLock<Mutex<Option<Sink>>> = OnceLock::new();
     SINK.get_or_init(|| Mutex::new(None))
 }
 
 /// Mirrors whether a sink is installed, so the per-span hot path can skip
 /// both the record building and the sink mutex with one relaxed load when
-/// recording is enabled purely in-memory (stats + report, no trace file).
+/// recording is enabled with nowhere to write.
 static HAS_SINK: AtomicBool = AtomicBool::new(false);
 
+/// Whether a trace sink is installed.
 #[inline]
-fn has_sink() -> bool {
+pub fn has_sink() -> bool {
     HAS_SINK.load(Ordering::Relaxed)
-}
-
-fn events() -> &'static Mutex<VecDeque<TraceEvent>> {
-    static EVENTS: OnceLock<Mutex<VecDeque<TraceEvent>>> = OnceLock::new();
-    EVENTS.get_or_init(|| Mutex::new(VecDeque::new()))
 }
 
 /// Installs `w` as the trace sink (replacing any previous one) and writes
 /// the `meta` header record.
-pub fn set_sink(mut w: Box<dyn Write + Send>) {
+pub fn set_sink(w: Box<dyn Write + Send>) {
+    install(w, None);
+}
+
+/// Creates (truncates) `path` and installs it, buffered, as the trace
+/// sink. [`sink_path`] reports it until the sink is replaced or cleared.
+pub fn set_file_sink(path: &Path) -> std::io::Result<()> {
+    let f = std::fs::File::create(path)?;
+    install(
+        Box::new(std::io::BufWriter::new(f)),
+        Some(path.to_path_buf()),
+    );
+    Ok(())
+}
+
+fn install(mut w: Box<dyn Write + Send>, path: Option<PathBuf>) {
     let meta = Val::obj(vec![
         ("t", Val::from("meta")),
         ("ts", Val::U64(since_epoch_ns())),
         ("schema", Val::from(SCHEMA)),
     ]);
     let _ = writeln!(w, "{}", meta.render());
-    *crate::lock_unpoisoned(sink()) = Some(w);
+    *crate::lock_unpoisoned(sink()) = Some(Sink { w, path });
     HAS_SINK.store(true, Ordering::Relaxed);
+}
+
+/// The file the installed sink writes to, if [`set_file_sink`] installed
+/// it.
+pub fn sink_path() -> Option<PathBuf> {
+    crate::lock_unpoisoned(sink())
+        .as_ref()
+        .and_then(|s| s.path.clone())
 }
 
 /// Flushes and removes the sink.
 pub fn clear_sink() {
     let mut guard = crate::lock_unpoisoned(sink());
-    if let Some(w) = guard.as_mut() {
-        let _ = w.flush();
+    if let Some(s) = guard.as_mut() {
+        let _ = s.w.flush();
     }
     *guard = None;
     HAS_SINK.store(false, Ordering::Relaxed);
 }
 
-/// Installs an in-memory sink and returns the shared buffer — for tests
+/// Installs an in-memory sink and returns the shared buffer — for runs
+/// that summarise their own records without a trace file, and for tests
 /// that assert on the emitted JSON-lines.
 pub fn capture_to_buffer() -> Arc<Mutex<Vec<u8>>> {
     struct Shared(Arc<Mutex<Vec<u8>>>);
@@ -141,20 +143,40 @@ pub fn flush() {
     if !has_sink() {
         return;
     }
-    if let Some(w) = crate::lock_unpoisoned(sink()).as_mut() {
-        let _ = w.flush();
+    if let Some(s) = crate::lock_unpoisoned(sink()).as_mut() {
+        let _ = s.w.flush();
     }
 }
 
 fn write_record(record: Val) {
-    if let Some(w) = crate::lock_unpoisoned(sink()).as_mut() {
-        let _ = writeln!(w, "{}", record.render());
+    if let Some(s) = crate::lock_unpoisoned(sink()).as_mut() {
+        let _ = writeln!(s.w, "{}", record.render());
     }
 }
 
-/// Writes an already-built record verbatim (used for the `report` record).
-pub fn write_raw(record: Val) {
-    write_record(record);
+/// Writes the run's final `report` record — every registered counter,
+/// the one fact the span and event records do not already hold — and
+/// flushes. A no-op when no sink is installed.
+pub fn write_report() {
+    if !has_sink() {
+        return;
+    }
+    write_record(Val::obj(vec![
+        ("t", Val::from("report")),
+        ("ts", Val::U64(since_epoch_ns())),
+        (
+            "metrics",
+            Val::obj(vec![(
+                "counters",
+                Val::Obj(
+                    crate::metrics::snapshot()
+                        .into_iter()
+                        .map(|(name, v)| (name, Val::U64(v)))
+                        .collect(),
+                ),
+            )]),
+        ),
+    ]));
     flush();
 }
 
@@ -167,8 +189,10 @@ fn fields_val(fields: Vec<(&'static str, Val)>) -> Val {
     )
 }
 
-/// Emits a `span_start` record. Called by [`crate::span::Span::enter`].
+/// Emits a `span_start` record stamped `ts`. Called by
+/// [`crate::span::Span::enter`].
 pub fn write_span_start(
+    ts: u64,
     id: u64,
     parent: u64,
     name: &'static str,
@@ -179,7 +203,7 @@ pub fn write_span_start(
     }
     let mut rec = vec![
         ("t", Val::from("span_start")),
-        ("ts", Val::U64(since_epoch_ns())),
+        ("ts", Val::U64(ts)),
         ("id", Val::U64(id)),
         ("tid", Val::U64(current_tid())),
     ];
@@ -193,14 +217,14 @@ pub fn write_span_start(
     write_record(Val::obj(rec));
 }
 
-/// Emits a `span_end` record. Called when a span drops.
-pub fn write_span_end(id: u64, name: &'static str, dur_ns: u64) {
+/// Emits a `span_end` record stamped `ts`. Called when a span drops.
+pub fn write_span_end(ts: u64, id: u64, name: &'static str, dur_ns: u64) {
     if !has_sink() {
         return;
     }
     write_record(Val::obj(vec![
         ("t", Val::from("span_end")),
-        ("ts", Val::U64(since_epoch_ns())),
+        ("ts", Val::U64(ts)),
         ("id", Val::U64(id)),
         ("tid", Val::U64(current_tid())),
         ("name", Val::from(name)),
@@ -208,11 +232,8 @@ pub fn write_span_end(id: u64, name: &'static str, dur_ns: u64) {
     ]));
 }
 
-/// Emits one pool-worker task record to the sink (not retained in the
-/// event ring — a tune dispatches far more tasks than [`EVENT_CAP`], and
-/// the retained ring must keep its `probe` events for the run report).
-/// Called by `gridtuner-par`'s pool for every task it runs while
-/// recording is on.
+/// Emits one pool-worker task record to the sink. Called by
+/// `gridtuner-par`'s pool for every task it runs while recording is on.
 pub fn write_task_record(worker: u32, generation: u64, task: u32, claim_ns: u64, finish_ns: u64) {
     if !has_sink() {
         return;
@@ -238,44 +259,23 @@ pub fn write_task_record(worker: u32, generation: u64, task: u32, claim_ns: u64,
     ]));
 }
 
-/// Emits an `event` record to the sink and retains it in the ring buffer.
-/// Called by the `event!`/`warn_event!` macros (which check
-/// [`crate::enabled`] first).
+/// Emits an `event` record to the sink. Called by the
+/// `event!`/`warn_event!` macros (which check [`crate::enabled`] first).
 pub fn emit_event(level: Level, name: &'static str, fields: Vec<(&'static str, Val)>) {
-    let ev = TraceEvent {
-        level,
-        name,
-        fields,
-        ts_ns: since_epoch_ns(),
-    };
-    if has_sink() {
-        let mut rec = vec![
-            ("t", Val::from("event")),
-            ("ts", Val::U64(ev.ts_ns)),
-            ("tid", Val::U64(current_tid())),
-            ("level", Val::from(level.as_str())),
-            ("name", Val::from(name)),
-        ];
-        if !ev.fields.is_empty() {
-            rec.push(("f", fields_val(ev.fields.clone())));
-        }
-        write_record(Val::obj(rec));
+    if !has_sink() {
+        return;
     }
-    let mut ring = crate::lock_unpoisoned(events());
-    if ring.len() == EVENT_CAP {
-        ring.pop_front();
+    let mut rec = vec![
+        ("t", Val::from("event")),
+        ("ts", Val::U64(since_epoch_ns())),
+        ("tid", Val::U64(current_tid())),
+        ("level", Val::from(level.as_str())),
+        ("name", Val::from(name)),
+    ];
+    if !fields.is_empty() {
+        rec.push(("f", fields_val(fields)));
     }
-    ring.push_back(ev);
-}
-
-/// Snapshot of the retained events, oldest first.
-pub fn recent_events() -> Vec<TraceEvent> {
-    crate::lock_unpoisoned(events()).iter().cloned().collect()
-}
-
-/// Drops all retained events.
-pub fn reset_events() {
-    crate::lock_unpoisoned(events()).clear();
+    write_record(Val::obj(rec));
 }
 
 #[cfg(test)]
@@ -374,19 +374,5 @@ mod tests {
             tids.windows(2).all(|w| w[0] == w[1]),
             "one thread → one tid"
         );
-    }
-
-    #[test]
-    fn events_are_retained_and_bounded() {
-        let _guard = crate::test_guard();
-        crate::enable();
-        reset_events();
-        for _ in 0..(EVENT_CAP + 10) {
-            emit_event(Level::Info, "trace_test_ring", Vec::new());
-        }
-        let retained = recent_events();
-        assert_eq!(retained.len(), EVENT_CAP);
-        reset_events();
-        assert!(recent_events().is_empty());
     }
 }

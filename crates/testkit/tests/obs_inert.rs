@@ -153,7 +153,7 @@ fn tracing_is_bit_for_bit_inert() {
     // 2. Same run, recording on with a live JSONL sink.
     let buf = obs::trace::capture_to_buffer();
     obs::enable();
-    obs::reset();
+    obs::metrics::reset();
     let traced = pipeline(City::nyc(), 0x6e7963);
     obs::disable();
     obs::trace::flush();
@@ -210,13 +210,10 @@ fn tracing_is_bit_for_bit_inert() {
     }
     // Counters corroborate the streamed spans: every probe event has a
     // matching tune.probes increment.
-    let metrics = obs::metrics::snapshot();
-    let probes = metrics
-        .counters
-        .iter()
+    let probes = obs::metrics::snapshot()
+        .into_iter()
         .find(|(n, _)| n == "tune.probes")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
+        .map_or(0, |(_, v)| v);
     assert!(probes > 0, "probe counter must have advanced");
 
     // 6. Profiling must stay inert across thread counts: at 1, 2 and 8
@@ -257,5 +254,5 @@ fn tracing_is_bit_for_bit_inert() {
         }
     }
     gridtuner_par::set_max_threads(prev_threads);
-    obs::reset();
+    obs::metrics::reset();
 }
