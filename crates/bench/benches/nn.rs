@@ -53,7 +53,7 @@ fn bench_nn(c: &mut Criterion) {
     g.bench_function("conv_8ch_16x16_forward", |b| b.iter(|| conv.forward(&x2)));
 
     // One Adam step over the MLP's parameters, with the minibatch step's
-    // 1/16 scale and a ±5 clip. Each iteration first refills the
+    // 1/16 scale. Each iteration first refills the
     // gradients (the step consumes them): with zero gradients the moments
     // decay into subnormals and the timing stops describing training.
     let mut net = mlp(&mut rng);
@@ -69,7 +69,7 @@ fn bench_nn(c: &mut Criterion) {
             for (p, g) in params.iter_mut().zip(&grads) {
                 p.grad.as_mut_slice().copy_from_slice(g.as_slice());
             }
-            adam.scaled_step(&mut params, 1.0 / 16.0, 5.0);
+            adam.scaled_step(&mut params, 1.0 / 16.0);
         })
     });
 
@@ -80,7 +80,7 @@ fn bench_nn(c: &mut Criterion) {
     let x3 = wave(&[16, 4, 16, 16]);
     let t3 = wave(&[16, 256]);
     g.bench_function("mlp_train_step", |b| {
-        b.iter(|| minibatch_step(&mut net, &mut opt, &x3, &t3, 0.0))
+        b.iter(|| minibatch_step(&mut net, &mut opt, &x3, &t3))
     });
     g.finish();
 }

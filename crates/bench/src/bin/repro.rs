@@ -14,7 +14,7 @@
 //! block `gridtuner profile --input` prints for the trace). See
 //! `OBSERVABILITY.md`.
 
-use gridtuner_bench::{experiments as ex, RunCfg};
+use gridtuner_bench::{experiments as ex, outln, RunCfg};
 use gridtuner_obs as obs;
 use std::time::Instant;
 
@@ -52,37 +52,38 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn run_one(id: &str, cfg: &RunCfg) {
+fn run_one(id: &str, cfg: &RunCfg) -> std::io::Result<()> {
     let t0 = Instant::now();
     match id {
-        "fig3" => ex::fig3::run(cfg),
-        "fig4" => ex::fig4::run(cfg),
-        "fig5" => ex::fig5::run(cfg),
-        "fig6" => ex::task_assignment::run_city(cfg, 0, "fig6"),
-        "fig7" => ex::task_assignment::run_city(cfg, 1, "fig7"),
-        "fig8" => ex::task_assignment::run_city(cfg, 2, "fig8"),
-        "fig9" => ex::task_assignment::run_daif(cfg),
-        "fig10" => ex::fig10_11::run_fig10(cfg),
-        "fig11" => ex::fig10_11::run_fig11(cfg),
-        "fig13" => ex::fig13::run(cfg),
-        "fig14" => ex::fig14::run(cfg),
-        "fig15" => ex::fig15::run(cfg),
-        "fig16" => ex::fig16::run(cfg),
-        "fig17" => ex::search_experiments::run_fig17(cfg),
-        "fig18" => ex::search_experiments::run_fig18(cfg),
-        "fig19" => ex::fig19::run(cfg),
-        "tab3" => ex::tab3::run(cfg),
-        "tab4" => ex::search_experiments::run_tab4(cfg),
-        "abl-matching" => ex::ablations::run_matching(cfg),
-        "abl-reposition" => ex::ablations::run_reposition(cfg),
-        "abl-kselect" => ex::ablations::run_kselect(cfg),
+        "fig3" => ex::fig3::run(cfg)?,
+        "fig4" => ex::fig4::run(cfg)?,
+        "fig5" => ex::fig5::run(cfg)?,
+        "fig6" => ex::task_assignment::run_city(cfg, 0, "fig6")?,
+        "fig7" => ex::task_assignment::run_city(cfg, 1, "fig7")?,
+        "fig8" => ex::task_assignment::run_city(cfg, 2, "fig8")?,
+        "fig9" => ex::task_assignment::run_daif(cfg)?,
+        "fig10" => ex::fig10_11::run_fig10(cfg)?,
+        "fig11" => ex::fig10_11::run_fig11(cfg)?,
+        "fig13" => ex::fig13::run(cfg)?,
+        "fig14" => ex::fig14::run(cfg)?,
+        "fig15" => ex::fig15::run(cfg)?,
+        "fig16" => ex::fig16::run(cfg)?,
+        "fig17" => ex::search_experiments::run_fig17(cfg)?,
+        "fig18" => ex::search_experiments::run_fig18(cfg)?,
+        "fig19" => ex::fig19::run(cfg)?,
+        "tab3" => ex::tab3::run(cfg)?,
+        "tab4" => ex::search_experiments::run_tab4(cfg)?,
+        "abl-matching" => ex::ablations::run_matching(cfg)?,
+        "abl-reposition" => ex::ablations::run_reposition(cfg)?,
+        "abl-kselect" => ex::ablations::run_kselect(cfg)?,
         other => {
             eprintln!("unknown experiment id: {other}");
             usage();
         }
     }
     eprintln!("[{id} done in {:.1?}]", t0.elapsed());
-    println!();
+    outln!();
+    Ok(())
 }
 
 /// Parses `<id> [--quick] [--scale X] [--seed S] [--city C] [--report]`
@@ -148,20 +149,29 @@ fn main() {
     };
     obs::init_from_env();
     let recording = obs::Recording::start(report);
-    if id == "all" {
-        for id in IDS {
-            run_one(id, &cfg);
-        }
+    let result = if id == "all" {
+        IDS.iter().try_for_each(|id| run_one(id, &cfg))
     } else {
-        run_one(&id, &cfg);
-    }
-    match recording.finish() {
-        Some(Ok(profile)) => eprint!("{}", profile.render(obs::profile::DEFAULT_TOP)),
-        Some(Err(e)) => {
-            eprintln!("repro: --report cannot read the run's trace back: {e}");
+        run_one(&id, &cfg)
+    };
+    // Ends the trace with its counters and closes it, whatever happened.
+    let profile = recording.finish();
+    match result {
+        // The reader closed stdout early (`| head`, `| grep -q`): the run
+        // ends quietly, as if it had finished.
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("repro: cannot write to stdout: {e}");
             std::process::exit(4);
         }
-        None => {}
+        Ok(()) => match profile {
+            Some(Ok(profile)) => eprint!("{}", profile.render(obs::profile::DEFAULT_TOP)),
+            Some(Err(e)) => {
+                eprintln!("repro: --report cannot read the run's trace back: {e}");
+                std::process::exit(4);
+            }
+            None => {}
+        },
     }
 }
 

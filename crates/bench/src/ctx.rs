@@ -136,7 +136,9 @@ pub fn evaluate_side(
         .map(|&sod| {
             let slot = clock.slot_at(split.test_day, sod);
             ErrorSample {
-                predicted_mgrid: model.predict(&data.mgrid, &clock, slot),
+                predicted_mgrid: model
+                    .try_predict(&data.mgrid, &clock, slot)
+                    .expect("fitted on this lattice"),
                 actual_hgrid: data.hgrid.slot_matrix(slot),
             }
         })
@@ -202,7 +204,10 @@ impl PredictedDemand {
 
     /// The demand view for a slot.
     pub fn view(&mut self, slot: SlotId) -> DemandView {
-        let pred = self.model.predict(&self.data.mgrid, &self.clock, slot);
+        let pred = self
+            .model
+            .try_predict(&self.data.mgrid, &self.clock, slot)
+            .expect("fitted on this lattice");
         DemandView::from_mgrid(&pred, &self.data.partition)
     }
 }

@@ -25,12 +25,12 @@ fn nyc_sim(cfg: &RunCfg, n_drivers: usize) -> Simulator {
 }
 
 /// Ablation 1 — exact Hungarian vs greedy matching inside POLAR's stage 2.
-pub fn run_matching(cfg: &RunCfg) {
+pub fn run_matching(cfg: &RunCfg) -> std::io::Result<()> {
     header(
         "abl-matching",
         "POLAR stage-2 matching: exact Hungarian vs sorted greedy (nyc)",
         &["matcher", "served", "revenue"],
-    );
+    )?;
     timing_header("abl-matching", &["matcher", "wall_s"]);
     let city = cities(cfg).remove(0);
     let orders = test_day_orders(&city, cfg.seed ^ 0xab11);
@@ -43,18 +43,19 @@ pub fn run_matching(cfg: &RunCfg) {
         });
         let t0 = Instant::now();
         let out = sim.run(&orders, &mut polar, &mut |s| pd.view(s));
-        println!("{name}\t{}\t{}", out.served, fmt(out.revenue));
+        outln!("{name}\t{}\t{}", out.served, fmt(out.revenue));
         eprintln!("{name}\t{}", fmt(t0.elapsed().as_secs_f64()));
     }
+    Ok(())
 }
 
 /// Ablation 2 — POLAR's predictive repositioning fraction.
-pub fn run_reposition(cfg: &RunCfg) {
+pub fn run_reposition(cfg: &RunCfg) -> std::io::Result<()> {
     header(
         "abl-reposition",
         "POLAR stage-1 repositioning fraction vs outcome (nyc, n=16x16 demand)",
         &["fraction", "served", "revenue", "travel_km"],
-    );
+    )?;
     let city = cities(cfg).remove(0);
     let orders = test_day_orders(&city, cfg.seed ^ 0xab22);
     let sim = nyc_sim(cfg, ((city.daily_volume() / 22.0) as usize).max(20));
@@ -70,23 +71,24 @@ pub fn run_reposition(cfg: &RunCfg) {
             hungarian_budget: 250_000,
         });
         let out = sim.run(&orders, &mut polar, &mut |s| pd.view(s));
-        println!(
+        outln!(
             "{f}\t{}\t{}\t{}",
             out.served,
             fmt(out.revenue),
             fmt(out.travel_km)
         );
     }
+    Ok(())
 }
 
 /// Ablation 3 — fixed-K truncation (the paper's K = 250) vs the
 /// adaptive-window variant, across mean magnitudes.
-pub fn run_kselect(cfg: &RunCfg) {
+pub fn run_kselect(cfg: &RunCfg) -> std::io::Result<()> {
     header(
         "abl-kselect",
         "fixed K=250 vs recommended_k vs adaptive window (m=64)",
         &["alpha", "rest", "k250_err", "krec", "krec_err"],
-    );
+    )?;
     timing_header(
         "abl-kselect",
         &["alpha", "rest", "k250_s", "krec_s", "windowed_s"],
@@ -115,11 +117,12 @@ pub fn run_kselect(cfg: &RunCfg) {
         let t0 = Instant::now();
         let _ = expression_error_windowed(a, b, m);
         let twin = t0.elapsed().as_secs_f64();
-        println!(
+        outln!(
             "{a}\t{b}\t{}\t{krec}\t{}",
             fmt((v250 - reference).abs()),
             fmt((vrec - reference).abs()),
         );
         eprintln!("{a}\t{b}\t{}\t{}\t{}", fmt(t250), fmt(trec), fmt(twin));
     }
+    Ok(())
 }

@@ -11,12 +11,12 @@ use gridtuner_spatial::{CountMatrix, GridSpec};
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Fig. 10: 4×4 spatial shares of the test day's orders per city.
-pub fn run_fig10(cfg: &RunCfg) {
+pub fn run_fig10(cfg: &RunCfg) -> std::io::Result<()> {
     header(
         "fig10",
         "order distribution over a 4x4 summary grid (share of the day's orders)",
         &["city", "row", "col", "share"],
-    );
+    )?;
     let spec = GridSpec::new(4);
     for city in cfg.city_sweep() {
         let city = city.scaled(cfg.volume_scale.max(0.002));
@@ -31,22 +31,23 @@ pub fn run_fig10(cfg: &RunCfg) {
         let total = counts.total().max(1.0);
         for cell in spec.cells() {
             let (r, c) = spec.row_col(cell);
-            println!(
+            outln!(
                 "{}\t{r}\t{c}\t{}",
                 city.name(),
                 fmt(counts.get(cell) / total)
             );
         }
     }
+    Ok(())
 }
 
 /// Fig. 11: trip-length histograms per city.
-pub fn run_fig11(cfg: &RunCfg) {
+pub fn run_fig11(cfg: &RunCfg) -> std::io::Result<()> {
     header(
         "fig11",
         "trip length distribution (5 km bins; the last bin is the overflow)",
         &["city", "bin_km", "count", "share"],
-    );
+    )?;
     for city in cfg.city_sweep() {
         let city = city.scaled(cfg.volume_scale.max(0.002));
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xf11);
@@ -54,7 +55,7 @@ pub fn run_fig11(cfg: &RunCfg) {
         let hist = length_histogram(&trips, city.geo(), 5.0, 45.0);
         let total: usize = hist.iter().map(|&(_, c)| c).sum();
         for (lo, count) in hist {
-            println!(
+            outln!(
                 "{}\t{}\t{count}\t{}",
                 city.name(),
                 lo,
@@ -62,4 +63,5 @@ pub fn run_fig11(cfg: &RunCfg) {
             );
         }
     }
+    Ok(())
 }

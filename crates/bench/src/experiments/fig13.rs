@@ -12,7 +12,7 @@ use gridtuner_datagen::City;
 use gridtuner_spatial::Partition;
 
 /// Runs the Fig. 13 scatter (full NYC volume, analytic α field).
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> std::io::Result<()> {
     let partition = Partition::new(16, 8); // n = 16², m = 64
     let city = City::nyc();
     let clock = *city.clock();
@@ -21,7 +21,7 @@ pub fn run(cfg: &RunCfg) {
         "fig13",
         "per-MGrid D_alpha(64) vs expression error (nyc, n=16x16, m=8x8)",
         &["mgrid", "d_alpha", "expression_error"],
-    );
+    )?;
     let keep_every = if cfg.quick { 8 } else { 1 };
     for (i, mcell) in partition.mgrid_spec().cells().enumerate() {
         if i % keep_every != 0 {
@@ -35,6 +35,7 @@ pub fn run(cfg: &RunCfg) {
         let mean = alphas.iter().sum::<f64>() / alphas.len() as f64;
         let d: f64 = alphas.iter().map(|a| (a - mean).abs()).sum();
         let e = mgrid_expression_error(&alphas);
-        println!("{i}\t{}\t{}", fmt(d), fmt(e));
+        outln!("{i}\t{}\t{}", fmt(d), fmt(e));
     }
+    Ok(())
 }

@@ -14,7 +14,7 @@ use gridtuner_spatial::GridSpec;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Runs the Fig. 14 sweep on full-volume NYC.
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> std::io::Result<()> {
     let city = City::nyc();
     let clock = *city.clock();
     let sides = cfg.sweep(
@@ -31,7 +31,7 @@ pub fn run(cfg: &RunCfg) {
             "d_alpha_4weeks",
             "d_alpha_true",
         ],
-    );
+    )?;
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xf14);
     let events = city.sample_history_events(16, 0..28, &mut rng);
     let mut short = alpha_window(16);
@@ -47,7 +47,7 @@ pub fn run(cfg: &RunCfg) {
         let a_true = city.mean_field(spec, clock.slot_at(9, 16));
         let dl = d_alpha(&a_long);
         curve_long.push((side, dl));
-        println!(
+        outln!(
             "{side}\t{}\t{}\t{}\t{}",
             side as u64 * side as u64,
             fmt(d_alpha(&a_short)),
@@ -56,7 +56,8 @@ pub fn run(cfg: &RunCfg) {
         );
     }
     match select_hgrid_side(&curve_long, 0.05) {
-        Ok(knee) => println!("# selected HGrid side (5% flatness rule): {knee}"),
-        Err(e) => println!("# no HGrid side selected: {e}"),
+        Ok(knee) => outln!("# selected HGrid side (5% flatness rule): {knee}"),
+        Err(e) => outln!("# no HGrid side selected: {e}"),
     }
+    Ok(())
 }

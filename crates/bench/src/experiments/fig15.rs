@@ -13,7 +13,7 @@ use gridtuner_spatial::Partition;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Runs the Fig. 15 sweep: side fixed at 16, `m = q²` growing.
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> std::io::Result<()> {
     let side = 16u32;
     let qs = cfg.sweep(&[1u32, 2, 3, 4, 6, 8], &[1u32, 4, 8]);
     let split = harness_split();
@@ -21,7 +21,7 @@ pub fn run(cfg: &RunCfg) {
         "fig15",
         &format!("effect of m on the errors at n={side}x{side} (full NYC volume)"),
         &["q", "m", "N_side", "expr_err", "model_err", "real_err"],
-    );
+    )?;
     let city = City::nyc();
     let clock = *city.clock();
     for &q in qs {
@@ -37,7 +37,7 @@ pub fn run(cfg: &RunCfg) {
             mgrid,
         };
         let (report, _) = evaluate_side(&city, &data, ModelKind::Ha, cfg);
-        println!(
+        outln!(
             "{q}\t{}\t{}\t{}\t{}\t{}",
             q as u64 * q as u64,
             side * q,
@@ -46,4 +46,5 @@ pub fn run(cfg: &RunCfg) {
             fmt(report.real),
         );
     }
+    Ok(())
 }

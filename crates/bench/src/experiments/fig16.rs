@@ -21,14 +21,14 @@ fn time_one(f: impl Fn() -> f64, reps: u32) -> (f64, f64) {
 
 /// Runs the Fig. 16 sweep at the paper's operating point
 /// (`n = 16²`, `m = 8²`: one HGrid with `α_ij = 2`, rest of the MGrid 30).
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> std::io::Result<()> {
     let (a, b, m) = (2.0, 30.0, 64usize);
     let reference = expression_error_windowed(a, b, m);
     header(
         "fig16",
         &format!("expression-error algorithms vs K (alpha={a}, rest={b}, m={m})"),
         &["K", "alg2_value", "abs_err_vs_Kinf"],
-    );
+    )?;
     timing_header("fig16", &["K", "naive_s", "alg1_s", "alg2_s"]);
     let ks = cfg.sweep(&[5usize, 10, 25, 50, 100, 250], &[5usize, 25, 100]);
     for &k in ks {
@@ -41,8 +41,9 @@ pub fn run(cfg: &RunCfg) {
         };
         let (t1, _) = time_one(|| expression_error_alg1(a, b, m, k), 5);
         let (t2, v2) = time_one(|| expression_error_alg2(a, b, m, k), 20);
-        println!("{k}\t{}\t{}", fmt(v2), fmt((v2 - reference).abs()));
+        outln!("{k}\t{}\t{}", fmt(v2), fmt((v2 - reference).abs()));
         eprintln!("{k}\t{naive_s}\t{}\t{}", fmt(t1), fmt(t2));
     }
-    println!("# windowed reference value: {}", fmt(reference));
+    outln!("# windowed reference value: {}", fmt(reference));
+    Ok(())
 }

@@ -30,7 +30,7 @@ fn tail_series(series: &CountSeries, clock: &SlotClock, start_day: u32) -> Count
 }
 
 /// Runs the Fig. 19 sweep.
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> std::io::Result<()> {
     let side = 16u32;
     let budget = 64;
     let weeks = cfg.sweep(&[1u32, 2, 4, 8, 12], &[1u32, 4, 12]);
@@ -53,7 +53,7 @@ pub fn run(cfg: &RunCfg) {
             "training-set size vs model error and POLAR outcome (nyc + 5%/week drift, n={side}x{side})"
         ),
         &["train_weeks", "model_err", "polar_served", "polar_revenue"],
-    );
+    )?;
     // One coherent series covering the maximal horizon (+4 eval days).
     let partition = Partition::for_budget(side, budget);
     let horizon_days = max_weeks * 7 + 4;
@@ -98,7 +98,9 @@ pub fn run(cfg: &RunCfg) {
         for d in 0..3u32 {
             for sod in [10u32, 16, 24, 34, 38] {
                 let slot = clock.slot_at(w * 7 + d, sod);
-                let pred = ha.predict(&series, &clock, slot);
+                let pred = ha
+                    .try_predict(&series, &clock, slot)
+                    .expect("fitted on this lattice");
                 acc += pred
                     .l1_distance(&series.slot_matrix(slot))
                     .expect("same lattice");
@@ -116,15 +118,18 @@ pub fn run(cfg: &RunCfg) {
                 local_test_day.min(clock.day_of(local)),
                 clock.slot_of_day(local),
             );
-            let pred = ha.predict(&series, &clock, lookup);
+            let pred = ha
+                .try_predict(&series, &clock, lookup)
+                .expect("fitted on this lattice");
             DemandView::from_mgrid(&pred, &partition)
         };
         let out = sim.run(&orders, &mut Polar::new(), &mut demand);
-        println!(
+        outln!(
             "{w}\t{}\t{}\t{}",
             fmt(model_err),
             out.served,
             fmt(out.revenue)
         );
     }
+    Ok(())
 }

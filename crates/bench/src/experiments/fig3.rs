@@ -13,7 +13,7 @@ use rand::{rngs::StdRng, SeedableRng};
 /// Runs the Fig. 3 sweep. Uses the paper's full volumes (no model training
 /// is involved) and the paper-faithful α estimate: the average of the
 /// 8:00–8:30 slot over four weeks of sampled history.
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> std::io::Result<()> {
     let budget = if cfg.quick { 64 } else { 128 };
     let sides = cfg.sweep(
         &[4u32, 8, 12, 16, 20, 24, 28, 32, 40, 48, 56, 64, 76],
@@ -26,7 +26,7 @@ pub fn run(cfg: &RunCfg) {
         "fig3",
         &format!("expression error vs n (budget side {budget}, full city volumes)"),
         &columns,
-    );
+    )?;
     // Estimate α once per (city, lattice) from sampled history events.
     let histories: Vec<_> = cities
         .iter()
@@ -47,6 +47,7 @@ pub fn run(cfg: &RunCfg) {
             );
             row.push(fmt(uniform_expression_error(&alpha, &partition)));
         }
-        println!("{}", row.join("\t"));
+        outln!("{}", row.join("\t"));
     }
+    Ok(())
 }

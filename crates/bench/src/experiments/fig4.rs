@@ -8,7 +8,7 @@ use crate::ctx::{evaluate_side, harness_split, sample_side_data, ModelKind};
 use crate::{fmt, header, RunCfg};
 
 /// Runs the Fig. 4 sweep.
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> std::io::Result<()> {
     let budget = 64;
     let sides = cfg.sweep(&[4u32, 8, 12, 16, 24, 32], &[4u32, 16]);
     let split = harness_split();
@@ -16,7 +16,7 @@ pub fn run(cfg: &RunCfg) {
         "fig4",
         &format!("total model error vs n (full city volumes, budget side {budget})"),
         &["city", "side", "n", "HA", "MLP", "DeepST", "DMVST"],
-    );
+    )?;
     // Model training cost is volume-independent (gridded counts), so this
     // runs at the paper's full volumes where the error shapes are crisp.
     for city in cfg.city_sweep().into_iter().take(2) {
@@ -36,7 +36,8 @@ pub fn run(cfg: &RunCfg) {
                 let (report, _) = evaluate_side(&city, &data, kind, cfg);
                 row.push(fmt(report.model));
             }
-            println!("{}", row.join("\t"));
+            outln!("{}", row.join("\t"));
         }
     }
+    Ok(())
 }

@@ -7,7 +7,7 @@ use crate::ctx::{evaluate_side, harness_split, sample_side_data, ModelKind};
 use crate::{fmt, header, RunCfg};
 
 /// Runs the Fig. 5 sweep.
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> std::io::Result<()> {
     let budget = 64;
     let sides = cfg.sweep(&[2u32, 4, 8, 12, 16, 24, 32, 48, 64], &[2u32, 8, 24]);
     let split = harness_split();
@@ -25,7 +25,7 @@ pub fn run(cfg: &RunCfg) {
             "upper_bound",
             "expr_analytic",
         ],
-    );
+    )?;
     let n_cities = if cfg.quick { 1 } else { 2 };
     let kinds: &[ModelKind] = if cfg.quick {
         &[ModelKind::Mlp]
@@ -37,7 +37,7 @@ pub fn run(cfg: &RunCfg) {
             let data = sample_side_data(&city, side, budget, &split, cfg.seed);
             for &kind in kinds {
                 let (report, analytic) = evaluate_side(&city, &data, kind, cfg);
-                println!(
+                outln!(
                     "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
                     city.name(),
                     kind.name(),
@@ -52,4 +52,5 @@ pub fn run(cfg: &RunCfg) {
             }
         }
     }
+    Ok(())
 }

@@ -82,7 +82,9 @@ pub fn build_curves(city: &City, cfg: &RunCfg, budget: u32, lo: u32, hi: u32) ->
             let mut n = 0;
             for day in split.val_days.0..split.val_days.1 {
                 let slot = clock.slot_at(day, sod as u32);
-                let pred = ha.predict(&data.mgrid, &clock, slot);
+                let pred = ha
+                    .try_predict(&data.mgrid, &clock, slot)
+                    .expect("fitted on this lattice");
                 acc += pred
                     .l1_distance(&data.mgrid.slot_matrix(slot))
                     .expect("same lattice");
@@ -153,7 +155,7 @@ fn budget() -> u32 {
 }
 
 /// Table IV.
-pub fn run_tab4(cfg: &RunCfg) {
+pub fn run_tab4(cfg: &RunCfg) -> std::io::Result<()> {
     let (lo, hi) = range(cfg);
     header(
         "tab4",
@@ -165,7 +167,7 @@ pub fn run_tab4(cfg: &RunCfg) {
             "probability",
             "optimal_ratio",
         ],
-    );
+    )?;
     timing_header("tab4", &["city", "algorithm", "est_cost_s"]);
     for city in cfg.city_sweep() {
         let sc = build_curves(&city, cfg, budget(), lo, hi);
@@ -180,7 +182,7 @@ pub fn run_tab4(cfg: &RunCfg) {
             it.push(&sc.iterative(sod, 4), &best);
         }
         for (name, s) in [("ternary", &ts), ("iterative", &it), ("brute-force", &bf)] {
-            println!(
+            outln!(
                 "{}\t{}\t{}\t{}\t{}",
                 city.name(),
                 name,
@@ -196,16 +198,17 @@ pub fn run_tab4(cfg: &RunCfg) {
             );
         }
     }
+    Ok(())
 }
 
 /// Fig. 17 — the Iterative Method's bound vs probability and cost.
-pub fn run_fig17(cfg: &RunCfg) {
+pub fn run_fig17(cfg: &RunCfg) -> std::io::Result<()> {
     let (lo, hi) = range(cfg);
     header(
         "fig17",
         &format!("iterative-method bound sweep over 48 slots, sides {lo}..{hi} (nyc)"),
         &["bound", "probability", "evals_total"],
-    );
+    )?;
     timing_header("fig17", &["bound", "est_cost_s"]);
     let city = City::nyc();
     let sc = build_curves(&city, cfg, budget(), lo, hi);
@@ -221,23 +224,24 @@ pub fn run_fig17(cfg: &RunCfg) {
         for (sod, best) in optima.iter().enumerate() {
             st.push(&sc.iterative(sod, b), best);
         }
-        println!(
+        outln!(
             "{b}\t{}\t{}",
             fmt(st.hits as f64 / st.slots as f64),
             st.evals
         );
         eprintln!("{b}\t{}", fmt(st.evals as f64 * sc.t_eval_s));
     }
+    Ok(())
 }
 
 /// Fig. 18 — distribution of the optimal side over the 48 slots of a day.
-pub fn run_fig18(cfg: &RunCfg) {
+pub fn run_fig18(cfg: &RunCfg) -> std::io::Result<()> {
     let (lo, hi) = range(cfg);
     header(
         "fig18",
         &format!("per-slot optimal side distribution, sides {lo}..{hi} (nyc)"),
         &["side", "n", "slots_with_this_optimum"],
-    );
+    )?;
     let city = City::nyc();
     let sc = build_curves(&city, cfg, budget(), lo, hi);
     let mut hist = vec![0usize; (hi - lo + 1) as usize];
@@ -248,7 +252,8 @@ pub fn run_fig18(cfg: &RunCfg) {
     for (i, &count) in hist.iter().enumerate() {
         if count > 0 {
             let side = lo + i as u32;
-            println!("{side}\t{}\t{count}", side as u64 * side as u64);
+            outln!("{side}\t{}\t{count}", side as u64 * side as u64);
         }
     }
+    Ok(())
 }

@@ -23,7 +23,7 @@ fn improvement(new: f64, old: f64) -> f64 {
 }
 
 /// Runs Table III.
-pub fn run(cfg: &RunCfg) {
+pub fn run(cfg: &RunCfg) -> std::io::Result<()> {
     let budget = 128;
     let (lo, hi) = if cfg.quick { (4, 16) } else { (4, 50) };
     let city = cities(cfg).remove(0); // NYC, dispatch scale
@@ -58,7 +58,7 @@ pub fn run(cfg: &RunCfg) {
             "optimal_value",
             "improve_pct",
         ],
-    );
+    )?;
 
     let run_sim = |dispatcher: &mut dyn Dispatcher, side: u32| -> DispatchOutcome {
         let mut pd = PredictedDemand::new(&city, side, budget, ModelKind::DeepSt, cfg);
@@ -68,7 +68,7 @@ pub fn run(cfg: &RunCfg) {
     // POLAR (paper default 16×16).
     let polar_orig = run_sim(&mut Polar::new(), 16);
     let polar_opt = run_sim(&mut Polar::new(), optimal);
-    println!(
+    outln!(
         "served_orders\tPOLAR\t16\t{}\t{optimal}\t{}\t{}",
         polar_orig.served,
         polar_opt.served,
@@ -77,7 +77,7 @@ pub fn run(cfg: &RunCfg) {
             polar_orig.served as f64
         ))
     );
-    println!(
+    outln!(
         "total_revenue\tPOLAR\t16\t{}\t{optimal}\t{}\t{}",
         fmt(polar_orig.revenue),
         fmt(polar_opt.revenue),
@@ -87,14 +87,14 @@ pub fn run(cfg: &RunCfg) {
     // LS (paper default 20×20).
     let ls_orig = run_sim(&mut Ls::new(), 20.min(hi));
     let ls_opt = run_sim(&mut Ls::new(), optimal);
-    println!(
+    outln!(
         "total_revenue\tLS\t{}\t{}\t{optimal}\t{}\t{}",
         20.min(hi),
         fmt(ls_orig.revenue),
         fmt(ls_opt.revenue),
         fmt(improvement(ls_opt.revenue, ls_orig.revenue))
     );
-    println!(
+    outln!(
         "served_orders\tLS\t{}\t{}\t{optimal}\t{}\t{}",
         20.min(hi),
         ls_orig.served,
@@ -114,17 +114,18 @@ pub fn run(cfg: &RunCfg) {
     };
     let daif_orig = run_daif(16);
     let daif_opt = run_daif(optimal);
-    println!(
+    outln!(
         "unified_cost\tDAIF\t16\t{}\t{optimal}\t{}\t{}",
         fmt(daif_orig.unified_cost),
         fmt(daif_opt.unified_cost),
         // Cost: improvement = reduction.
         fmt(improvement(daif_orig.unified_cost, daif_opt.unified_cost))
     );
-    println!(
+    outln!(
         "served_requests\tDAIF\t16\t{}\t{optimal}\t{}\t{}",
         daif_orig.served,
         daif_opt.served,
         fmt(improvement(daif_opt.served as f64, daif_orig.served as f64))
     );
+    Ok(())
 }

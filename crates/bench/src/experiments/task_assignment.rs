@@ -32,7 +32,7 @@ fn sides(cfg: &RunCfg) -> &'static [u32] {
 }
 
 /// Figs. 6–8: POLAR and LS on one city, predicted vs true demand.
-pub fn run_city(cfg: &RunCfg, city_idx: usize, fig: &str) {
+pub fn run_city(cfg: &RunCfg, city_idx: usize, fig: &str) -> std::io::Result<()> {
     let budget = 64;
     let city = cities(cfg).remove(city_idx);
     let orders = test_day_orders(&city, cfg.seed ^ (city_idx as u64 + 1));
@@ -59,7 +59,7 @@ pub fn run_city(cfg: &RunCfg, city_idx: usize, fig: &str) {
             "polar_served_real",
             "ls_revenue_real",
         ],
-    );
+    )?;
     for &side in sides(cfg) {
         // Predicted demand from a historical-average model at this side.
         let mut pd = PredictedDemand::new(&city, side, budget, ModelKind::DeepSt, cfg);
@@ -70,7 +70,7 @@ pub fn run_city(cfg: &RunCfg, city_idx: usize, fig: &str) {
         let mut td = true_demand(&city, partition);
         let polar_real = sim.run(&orders, &mut Polar::new(), &mut td);
         let ls_real = sim.run(&orders, &mut Ls::new(), &mut td);
-        println!(
+        outln!(
             "{side}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             side as u64 * side as u64,
             polar.served,
@@ -82,10 +82,11 @@ pub fn run_city(cfg: &RunCfg, city_idx: usize, fig: &str) {
         );
     }
     let _ = harness_split();
+    Ok(())
 }
 
 /// Fig. 9: DAIF route planning on NYC.
-pub fn run_daif(cfg: &RunCfg) {
+pub fn run_daif(cfg: &RunCfg) -> std::io::Result<()> {
     let budget = 64;
     let city = cities(cfg).remove(0); // NYC
     let orders = test_day_orders(&city, cfg.seed ^ 0xda1f);
@@ -109,14 +110,14 @@ pub fn run_daif(cfg: &RunCfg) {
             "served_real",
             "unified_cost_real",
         ],
-    );
+    )?;
     for &side in sides(cfg) {
         let mut pd = PredictedDemand::new(&city, side, budget, ModelKind::DeepSt, cfg);
         let out = daif.run(city.geo(), &orders, &mut |s| pd.view(s));
         let partition = Partition::for_budget(side, budget);
         let mut td = true_demand(&city, partition);
         let real = daif.run(city.geo(), &orders, &mut td);
-        println!(
+        outln!(
             "{side}\t{}\t{}\t{}\t{}\t{}",
             side as u64 * side as u64,
             out.served,
@@ -125,4 +126,5 @@ pub fn run_daif(cfg: &RunCfg) {
             fmt(real.unified_cost),
         );
     }
+    Ok(())
 }

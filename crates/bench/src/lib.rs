@@ -9,7 +9,21 @@
 //! Output convention: every experiment prints a TSV block to stdout —
 //! a `# <experiment>: <description>` header, a column-name row, then data
 //! rows. `EXPERIMENTS.md` records a run of each block next to the paper's
-//! reported shape.
+//! reported shape. Every stdout write goes through [`outln!`], so an
+//! experiment returns a failed write (a reader that closed the pipe) as an
+//! error instead of panicking.
+
+/// Writes one line to stdout, returning a failed write from the calling
+/// function (an `std::io::Result`) instead of panicking the way `println!`
+/// does. Every stdout write of the experiments and of `repro` goes through
+/// this macro.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        writeln!(std::io::stdout().lock(), $($arg)*)?
+    }};
+}
 
 pub mod ctx;
 pub mod experiments;
@@ -86,9 +100,10 @@ impl RunCfg {
 }
 
 /// Prints a TSV header block.
-pub fn header(id: &str, description: &str, columns: &[&str]) {
-    println!("# {id}: {description}");
-    println!("{}", columns.join("\t"));
+pub fn header(id: &str, description: &str, columns: &[&str]) -> std::io::Result<()> {
+    outln!("# {id}: {description}");
+    outln!("{}", columns.join("\t"));
+    Ok(())
 }
 
 /// Prints the header of an experiment's wall-time table to stderr. Wall

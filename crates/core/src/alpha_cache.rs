@@ -370,18 +370,6 @@ impl AlphaFieldCache {
     }
 }
 
-/// Convenience: the cache-derived α for a one-shot (events, spec) pair —
-/// equivalent to [`crate::alpha::estimate_alpha`] (used in tests and docs).
-pub fn cached_alpha(
-    events: &[Event],
-    spec: GridSpec,
-    clock: &SlotClock,
-    window: &AlphaWindow,
-) -> CountMatrix {
-    let cache = AlphaFieldCache::new(events, clock, window);
-    cache.derive(spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,7 +48,6 @@ pub mod errors;
 pub mod expr_kernel;
 pub mod expression;
 pub mod kselect;
-pub mod metrics;
 pub mod poisson;
 pub mod resample;
 pub mod search;
@@ -56,7 +55,7 @@ pub mod simd;
 pub mod upper_bound;
 
 pub use alpha::estimate_alpha;
-pub use alpha_cache::{cached_alpha, AlphaFieldCache};
+pub use alpha_cache::AlphaFieldCache;
 pub use dalpha::{d_alpha, region_d_alpha, select_hgrid_side};
 pub use error::CoreError;
 pub use errors::ErrorReport;

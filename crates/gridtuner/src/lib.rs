@@ -146,7 +146,7 @@ mod tests {
         let _relu = crate::nn::ReLU::new();
         let _polar = crate::dispatch::Polar::new();
         let _outcome = crate::dispatch::DispatchOutcome::default();
-        let _persistence = crate::predict::Persistence;
+        let _average = crate::predict::HistoricalAverage::new();
         assert_eq!(City::all_presets().len(), 3);
     }
 }

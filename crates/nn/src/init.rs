@@ -2,21 +2,8 @@
 
 use rand::Rng;
 
-/// Xavier/Glorot uniform initialisation: `U(-a, a)` with
-/// `a = √(6 / (fan_in + fan_out))`. Good default for linear layers.
-pub fn xavier_uniform<R: Rng + ?Sized>(
-    rng: &mut R,
-    fan_in: usize,
-    fan_out: usize,
-    n: usize,
-) -> Vec<f32> {
-    assert!(fan_in + fan_out > 0, "degenerate fan sizes");
-    let a = (6.0 / (fan_in + fan_out) as f64).sqrt() as f32;
-    (0..n).map(|_| rng.gen_range(-a..=a)).collect()
-}
-
 /// He/Kaiming uniform initialisation: `U(-a, a)` with `a = √(6 / fan_in)`.
-/// Better suited to ReLU stacks (keeps activation variance stable).
+/// Suited to ReLU stacks (keeps activation variance stable).
 pub fn he_uniform<R: Rng + ?Sized>(rng: &mut R, fan_in: usize, n: usize) -> Vec<f32> {
     assert!(fan_in > 0, "degenerate fan-in");
     let a = (6.0 / fan_in as f64).sqrt() as f32;
@@ -29,22 +16,12 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
-    fn xavier_respects_bounds_and_is_centred() {
+    fn he_respects_bounds_and_is_centred() {
         let mut rng = StdRng::seed_from_u64(1);
-        let w = xavier_uniform(&mut rng, 100, 50, 30_000);
+        let w = he_uniform(&mut rng, 150, 30_000);
         let a = (6.0f64 / 150.0).sqrt() as f32;
         assert!(w.iter().all(|&v| v.abs() <= a));
         let mean: f32 = w.iter().sum::<f32>() / w.len() as f32;
         assert!(mean.abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn he_has_wider_range_than_xavier_for_same_fan_in() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let he = he_uniform(&mut rng, 64, 10_000);
-        let xa = xavier_uniform(&mut rng, 64, 64, 10_000);
-        let max_he = he.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let max_xa = xa.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        assert!(max_he > max_xa);
     }
 }

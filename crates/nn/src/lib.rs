@@ -11,28 +11,26 @@
 //!   `Flatten`, and `Residual` blocks over batch-major `[B, …]` tensors,
 //!   each with hand-derived backward passes (gradient-checked in tests);
 //! * [`net::Sequential`] — layer composition with forward/backward;
-//! * [`loss`] — MSE / MAE / Huber with analytic gradients;
-//! * [`optim`] — SGD with momentum and Adam;
-//! * [`init`] — Xavier/He initialisation.
+//! * [`loss`] — MSE / Huber with analytic gradients;
+//! * [`optim`] — Adam;
+//! * [`init`] — He initialisation.
 //!
 //! Everything is CPU and deterministic given the RNG seed. A minibatch is
 //! one batched pass: each `Dense` and `Conv2d` op splits its rows or
 //! channels over the `gridtuner-par` worker pool in one dispatch per batch,
-//! Adam's fused scale → clip → update step splits the parameters in one
+//! Adam's fused scale → update step splits the parameters in one
 //! more, and the result is bit-identical at every worker count and to
 //! running the batch's samples one at a time.
 
 pub mod init;
 pub mod layers;
-pub mod layers_extra;
 pub mod loss;
 pub mod net;
 pub mod optim;
 pub mod tensor;
 
 pub use layers::{Conv2d, Dense, Flatten, Layer, Param, ReLU, Residual};
-pub use layers_extra::{clip_gradients, Dropout, Sigmoid, Tanh};
-pub use loss::{huber_loss, mae_loss, mse_loss};
+pub use loss::{huber_loss, mse_loss};
 pub use net::Sequential;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use tensor::Tensor;

@@ -23,30 +23,6 @@ pub fn mse_loss(pred: &Tensor, target: &Tensor) -> (f64, Tensor) {
     (loss, Tensor::from_vec(pred.shape(), grad))
 }
 
-/// Absolute-error loss `Σ |ŷ − y|` and its (sub)gradient `sign(ŷ − y)` —
-/// the paper's Order Count Bias metric made differentiable.
-pub fn mae_loss(pred: &Tensor, target: &Tensor) -> (f64, Tensor) {
-    assert_eq!(pred.shape(), target.shape(), "loss shape mismatch");
-    let mut loss = 0.0f64;
-    let grad: Vec<f32> = pred
-        .as_slice()
-        .iter()
-        .zip(target.as_slice())
-        .map(|(&p, &t)| {
-            let d = p - t;
-            loss += d.abs() as f64;
-            if d > 0.0 {
-                1.0
-            } else if d < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    (loss, Tensor::from_vec(pred.shape(), grad))
-}
-
 /// Huber loss with threshold `delta`: quadratic near zero, linear in the
 /// tails — robust to the long-tailed count residuals of busy cells.
 pub fn huber_loss(pred: &Tensor, target: &Tensor, delta: f32) -> (f64, Tensor) {
@@ -82,15 +58,6 @@ mod tests {
         let (l, g) = mse_loss(&p, &t);
         assert!((l - 5.0).abs() < 1e-9);
         assert_eq!(g.as_slice(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn mae_known_values() {
-        let p = Tensor::vector(&[1.0, -3.0, 2.0]);
-        let t = Tensor::vector(&[0.0, 1.0, 2.0]);
-        let (l, g) = mae_loss(&p, &t);
-        assert!((l - 5.0).abs() < 1e-9);
-        assert_eq!(g.as_slice(), &[1.0, -1.0, 0.0]);
     }
 
     #[test]

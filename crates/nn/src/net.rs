@@ -32,11 +32,6 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Total number of trainable scalars.
-    pub fn n_parameters(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.value.len()).sum()
-    }
-
     /// Zeroes every parameter gradient.
     pub fn zero_grad(&mut self) {
         for p in self.params_mut() {
@@ -101,7 +96,7 @@ mod tests {
     use super::*;
     use crate::layers::{Dense, Flatten, ReLU, Residual};
     use crate::loss::mse_loss;
-    use crate::optim::{Optimizer, Sgd};
+    use crate::optim::{Adam, Optimizer};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -115,7 +110,8 @@ mod tests {
         assert_eq!(net.len(), 3);
         let y = net.forward(&Tensor::from_vec(&[1, 2], vec![0.5, -0.5]));
         assert_eq!(y.shape(), &[1, 1]);
-        assert_eq!(net.n_parameters(), 2 * 8 + 8 + 8 + 1);
+        let n_params: usize = net.params_mut().iter().map(|p| p.value.len()).sum();
+        assert_eq!(n_params, 2 * 8 + 8 + 8 + 1);
     }
 
     #[test]
@@ -138,7 +134,7 @@ mod tests {
             Tensor::from_vec(&[64, 2], xs),
             Tensor::from_vec(&[64, 1], ts),
         );
-        let mut opt = Sgd::new(0.05, 0.9);
+        let mut opt = Adam::new(0.01);
         let loss_at = |net: &mut Sequential| -> f64 { mse_loss(&net.forward(&x), &t).0 / 64.0 };
         let before = loss_at(&mut net);
         for _ in 0..200 {

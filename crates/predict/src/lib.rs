@@ -15,29 +15,25 @@
 //!   learned temporal weighting of the closeness window.
 //!
 //! [`features`] builds the closeness/period/trend tensors from a
-//! [`gridtuner_spatial::CountSeries`]; [`eval`] measures the total model
-//! error `Σ_i |λ̂_i − λ_i| ≈ n·MAE(f)` (Eq. 20) and adapts any predictor
-//! to [`gridtuner_core::upper_bound::ModelErrorSource`] so it can drive the
-//! OGSS search.
+//! [`gridtuner_spatial::CountSeries`]; [`trainer`] holds the one
+//! minibatch step every neural predictor trains with; [`eval`] measures
+//! the total model error `Σ_i |λ̂_i − λ_i| ≈ n·MAE(f)` (Eq. 20) and adapts
+//! any predictor to [`gridtuner_core::upper_bound::ModelErrorSource`] so it
+//! can drive the OGSS search.
 
-// Library code must not panic on fallible paths; tests are exempt. (The
-// one explicitly-documented panicking convenience, `Predictor::predict`,
-// routes through `panic!` on a typed error, which the gate permits;
-// sessions use the `try_*` forms.)
+// Library code must not panic on fallible paths; tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod baselines;
 pub mod error;
 pub mod eval;
 pub mod features;
 pub mod models;
 pub mod trainer;
 
-pub use baselines::{Persistence, SeasonalNaive};
 pub use error::PredictError;
 pub use eval::{try_total_model_error, CityModelError};
 pub use features::{FeatureConfig, Sample};
 pub use models::{
     DeepStLike, DmvstLike, HistoricalAverage, Mlp, MlpConfig, Predictor, TrainConfig,
 };
-pub use trainer::{fit_until, minibatch_step, FitConfig, FitReport};
+pub use trainer::minibatch_step;

@@ -33,15 +33,6 @@ pub trait Predictor {
         clock: &SlotClock,
         slot: SlotId,
     ) -> Result<CountMatrix, PredictError>;
-    /// Panicking convenience over [`try_predict`](Predictor::try_predict)
-    /// for harnesses and experiments where a failure is a programming
-    /// error. Library paths (the engine's sessions) use `try_predict`.
-    fn predict(&mut self, series: &CountSeries, clock: &SlotClock, slot: SlotId) -> CountMatrix {
-        match self.try_predict(series, clock, slot) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
 }
 
 /// Training hyper-parameters shared by the neural predictors.
@@ -219,7 +210,7 @@ impl NnCore {
             data.shuffle(&mut rng);
             for batch in data.chunks(bs) {
                 let (x, t) = stack_batch(batch);
-                minibatch_step(&mut net, &mut opt, &x, &t, 0.0);
+                minibatch_step(&mut net, &mut opt, &x, &t);
             }
         }
         self.net = Some(net);
@@ -523,7 +514,9 @@ mod tests {
         let (series, clock) = synthetic_series(2, 10, 1);
         let mut ha = HistoricalAverage::new();
         ha.fit(&series, &clock, SlotId(48 * 10));
-        let pred = ha.predict(&series, &clock, clock.slot_at(7, 20));
+        let pred = ha
+            .try_predict(&series, &clock, clock.slot_at(7, 20))
+            .unwrap();
         // Noise is ≤ 0.5, so the mean must land within 1 of the level.
         let sod = 20.0f64;
         let level = 3.0 + 2.0 * (sod / 48.0 * std::f64::consts::TAU).sin();
@@ -545,17 +538,21 @@ mod tests {
         }
         let mut ha = HistoricalAverage::new();
         ha.fit(&series, &clock, SlotId(48 * 14));
-        let wd = ha.predict(&series, &clock, clock.slot_at(14, 5));
-        let we = ha.predict(&series, &clock, clock.slot_at(19, 5)); // Saturday
+        let wd = ha
+            .try_predict(&series, &clock, clock.slot_at(14, 5))
+            .unwrap();
+        let we = ha
+            .try_predict(&series, &clock, clock.slot_at(19, 5))
+            .unwrap(); // Saturday
         assert!((wd.as_slice()[0] - 10.0).abs() < 1e-9);
         assert!((we.as_slice()[0] - 2.0).abs() < 1e-9);
     }
 
     #[test]
-    #[should_panic(expected = "before fit")]
     fn historical_average_requires_fit() {
         let (series, clock) = synthetic_series(2, 2, 2);
-        HistoricalAverage::new().predict(&series, &clock, SlotId(0));
+        let unfitted = HistoricalAverage::new().try_predict(&series, &clock, SlotId(0));
+        assert!(matches!(unfitted, Err(PredictError::NotFitted)));
     }
 
     #[test]
@@ -563,7 +560,9 @@ mod tests {
         let (series, clock) = synthetic_series(4, 6, 3);
         let mut mlp = Mlp::new(quick_cfg());
         mlp.fit(&series, &clock, SlotId(48 * 5));
-        let pred = mlp.predict(&series, &clock, clock.slot_at(5, 30));
+        let pred = mlp
+            .try_predict(&series, &clock, clock.slot_at(5, 30))
+            .unwrap();
         assert_eq!(pred.side(), 4);
         assert!(pred.as_slice().iter().all(|&v| v >= 0.0));
     }
@@ -587,7 +586,7 @@ mod tests {
             },
         );
         mlp.fit(&series, &clock, SlotId(48 * 7));
-        let pred = mlp.predict(&series, &clock, eval_slot);
+        let pred = mlp.try_predict(&series, &clock, eval_slot).unwrap();
         let err = pred.l1_distance(&actual).unwrap();
         assert!(
             err < 0.5 * zero_err,
@@ -600,7 +599,9 @@ mod tests {
         let (series, clock) = synthetic_series(4, 8, 5);
         let mut m = DeepStLike::new(quick_cfg());
         m.fit(&series, &clock, SlotId(48 * 7));
-        let pred = m.predict(&series, &clock, clock.slot_at(7, 12));
+        let pred = m
+            .try_predict(&series, &clock, clock.slot_at(7, 12))
+            .unwrap();
         assert_eq!(pred.side(), 4);
         assert!(pred.as_slice().iter().all(|&v| v.is_finite() && v >= 0.0));
         assert_eq!(m.name(), "deepst-like");
@@ -612,10 +613,12 @@ mod tests {
         let mut m = DmvstLike::new(quick_cfg());
         m.fit(&series, &clock, SlotId(48 * 15));
         // A slot within the trend window → real prediction.
-        let pred = m.predict(&series, &clock, clock.slot_at(15, 8));
+        let pred = m
+            .try_predict(&series, &clock, clock.slot_at(15, 8))
+            .unwrap();
         assert_eq!(pred.side(), 3);
         // A slot too early for the trend window → persistence fallback.
-        let early = m.predict(&series, &clock, SlotId(5));
+        let early = m.try_predict(&series, &clock, SlotId(5)).unwrap();
         assert_eq!(early.as_slice(), series.slot(SlotId(4)));
         assert_eq!(m.name(), "dmvst-like");
     }

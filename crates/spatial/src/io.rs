@@ -1,82 +1,6 @@
-//! Plain-text interchange for count data.
-//!
-//! TSV keeps the workspace dependency-free while letting users round-trip
-//! count series to spreadsheets, Python, or another process. Format:
-//! a header `side <s>\tslots <n>` line, then one line per slot with
-//! `side²` tab-separated cell values in row-major order.
+//! Plain-text rendering of count data for terminal inspection.
 
-use crate::counts::{CountMatrix, CountSeries};
-use crate::time::SlotId;
-use crate::SpatialError;
-use std::io::{BufRead, Write};
-
-/// Writes a series in the TSV interchange format.
-pub fn write_series<W: Write>(series: &CountSeries, out: &mut W) -> std::io::Result<()> {
-    writeln!(out, "side {}\tslots {}", series.side(), series.n_slots())?;
-    for t in 0..series.n_slots() {
-        let row: Vec<String> = series
-            .slot(SlotId(t as u32))
-            .iter()
-            .map(|v| {
-                if v.fract() == 0.0 {
-                    format!("{}", *v as i64)
-                } else {
-                    format!("{v}")
-                }
-            })
-            .collect();
-        writeln!(out, "{}", row.join("\t"))?;
-    }
-    Ok(())
-}
-
-/// Reads a series previously written by [`write_series`].
-pub fn read_series<R: BufRead>(input: &mut R) -> Result<CountSeries, SpatialError> {
-    let bad = |msg: &str| SpatialError::ShapeMismatch {
-        expected: "TSV series format".into(),
-        got: msg.into(),
-    };
-    let mut header = String::new();
-    input
-        .read_line(&mut header)
-        .map_err(|e| bad(&e.to_string()))?;
-    let mut side = None;
-    let mut slots = None;
-    for field in header.trim().split('\t') {
-        match field.split_once(' ') {
-            Some(("side", v)) => side = v.parse::<u32>().ok(),
-            Some(("slots", v)) => slots = v.parse::<usize>().ok(),
-            _ => return Err(bad(&format!("unrecognized header field {field:?}"))),
-        }
-    }
-    let side = side.ok_or_else(|| bad("missing side"))?;
-    let n_slots = slots.ok_or_else(|| bad("missing slots"))?;
-    if side == 0 {
-        return Err(SpatialError::ZeroSide);
-    }
-    let mut series = CountSeries::zeros(side, n_slots);
-    let cells = (side as usize).pow(2);
-    for t in 0..n_slots {
-        let mut line = String::new();
-        let n = input
-            .read_line(&mut line)
-            .map_err(|e| bad(&e.to_string()))?;
-        if n == 0 {
-            return Err(bad(&format!("expected {n_slots} slot rows, got {t}")));
-        }
-        let values: Result<Vec<f64>, _> =
-            line.trim().split('\t').map(|v| v.parse::<f64>()).collect();
-        let values = values.map_err(|e| bad(&format!("slot {t}: {e}")))?;
-        if values.len() != cells {
-            return Err(bad(&format!(
-                "slot {t}: expected {cells} cells, got {}",
-                values.len()
-            )));
-        }
-        series.slot_mut(SlotId(t as u32)).copy_from_slice(&values);
-    }
-    Ok(series)
-}
+use crate::counts::CountMatrix;
 
 /// Renders a count field as a compact ASCII heat map (one character per
 /// cell, darker = denser), with the origin at the *bottom*-left so north
@@ -105,39 +29,6 @@ pub fn ascii_heatmap(field: &CountMatrix) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
-
-    #[test]
-    fn series_roundtrips_through_tsv() {
-        let mut series = CountSeries::zeros(3, 4);
-        for t in 0..4u32 {
-            for (i, v) in series.slot_mut(SlotId(t)).iter_mut().enumerate() {
-                *v = (t as usize * 9 + i) as f64 + if i == 0 { 0.5 } else { 0.0 };
-            }
-        }
-        let mut buf = Vec::new();
-        write_series(&series, &mut buf).unwrap();
-        let parsed = read_series(&mut BufReader::new(&buf[..])).unwrap();
-        assert_eq!(parsed, series);
-    }
-
-    #[test]
-    fn read_rejects_malformed_input() {
-        let cases: &[&str] = &[
-            "",                              // empty
-            "bogus 3\tslots 2\n",            // bad header field
-            "side 2\tslots 1\n1\t2\t3\n",    // wrong cell count
-            "side 2\tslots 2\n1\t2\t3\t4\n", // missing slot row
-            "side 2\tslots 1\n1\tx\t3\t4\n", // non-numeric
-            "side 0\tslots 1\n",             // zero side
-        ];
-        for c in cases {
-            assert!(
-                read_series(&mut BufReader::new(c.as_bytes())).is_err(),
-                "should reject {c:?}"
-            );
-        }
-    }
 
     #[test]
     fn heatmap_shape_and_orientation() {

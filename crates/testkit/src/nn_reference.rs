@@ -7,7 +7,7 @@
 //! Tests train the same network both ways and require bit-identical
 //! weights.
 
-use gridtuner_nn::{clip_gradients, huber_loss, Layer, Optimizer, Param, Sequential, Tensor};
+use gridtuner_nn::{huber_loss, Layer, Optimizer, Param, Sequential, Tensor};
 
 /// Adam with bias correction as two passes per parameter: the moment
 /// updates first, then the parameter update.
@@ -61,13 +61,12 @@ impl Optimizer for TwoPassAdam {
 /// One epoch of the per-sample minibatch loop over `data` (each pair a
 /// one-sample batch `[1, …]`): per minibatch, zero the gradients, run every
 /// sample's forward, Huber loss and full backward in order, scale by
-/// `1/B`, clip to `±grad_clip` (`0` disables clipping) and step `opt`.
+/// `1/B` and step `opt`.
 pub fn per_sample_epoch(
     net: &mut Sequential,
     opt: &mut impl Optimizer,
     data: &[(Tensor, Tensor)],
     batch_size: usize,
-    grad_clip: f32,
 ) {
     for batch in data.chunks(batch_size.max(1)) {
         net.zero_grad();
@@ -78,9 +77,6 @@ pub fn per_sample_epoch(
         }
         for p in net.params_mut() {
             p.grad.scale(1.0 / batch.len() as f32);
-        }
-        if grad_clip > 0.0 {
-            clip_gradients(&mut net.params_mut(), grad_clip);
         }
         opt.step(&mut net.params_mut());
     }

@@ -17,7 +17,6 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 /// Samples per training run: one full minibatch of 16 and a partial one.
 const TRAIN_SAMPLES: usize = 21;
 const TRAIN_BATCH: usize = 16;
-const TRAIN_CLIP: f32 = 0.5;
 
 /// A tiny MLP (`[2, 4, 4]` → 24 → 16), a tiny DeepST-like residual conv
 /// stack (`[3, 5, 5]` → 25), and an MLP (`[4, 8, 8]` → 256 → 64) whose
@@ -83,20 +82,14 @@ fn train_nets(epochs: usize, reference: bool) -> Vec<u32> {
             .collect();
         for _ in 0..epochs {
             if reference {
-                per_sample_epoch(
-                    &mut net,
-                    &mut two_pass,
-                    &one_sample,
-                    TRAIN_BATCH,
-                    TRAIN_CLIP,
-                );
+                per_sample_epoch(&mut net, &mut two_pass, &one_sample, TRAIN_BATCH);
                 continue;
             }
             for batch in data.chunks(TRAIN_BATCH) {
                 let xs: Vec<&Tensor> = batch.iter().map(|(x, _)| x).collect();
                 let ts: Vec<&Tensor> = batch.iter().map(|(_, t)| t).collect();
                 let (x, t) = (Tensor::stack(&xs), Tensor::stack(&ts));
-                gridtuner_predict::minibatch_step(&mut net, &mut adam, &x, &t, TRAIN_CLIP);
+                gridtuner_predict::minibatch_step(&mut net, &mut adam, &x, &t);
             }
         }
         for p in net.params_mut() {

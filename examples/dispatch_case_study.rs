@@ -65,7 +65,9 @@ fn main() {
         let mut demand_for = |slot: SlotId| {
             let sod = clock.slot_of_day(slot);
             let lookup = clock.slot_at(split.val_days.0, sod);
-            let pred = model.predict(&series, &clock, lookup);
+            let pred = model
+                .try_predict(&series, &clock, lookup)
+                .expect("fitted on this lattice");
             DemandView::from_mgrid(&pred, &partition)
         };
         let mut polar = Polar::new();

@@ -39,7 +39,7 @@ fn main() {
         let mut model_err = 0.0;
         for day in 28..30 {
             let slot = clock.slot_at(day, 16);
-            let pred = ha.predict(&series, &clock, slot);
+            let pred = ha.try_predict(&series, &clock, slot).unwrap();
             model_err += pred.l1_distance(&series.slot_matrix(slot)).unwrap() / 2.0;
         }
         // Expression-error leg from the true mean field.

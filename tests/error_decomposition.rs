@@ -26,7 +26,9 @@ fn build_samples(city: &City, partition: &Partition, n_days: u32, seed: u64) -> 
         .map(|sod| {
             let slot = clock.slot_at(train_days, sod);
             ErrorSample {
-                predicted_mgrid: ha.predict(&mseries, &clock, slot),
+                predicted_mgrid: ha
+                    .try_predict(&mseries, &clock, slot)
+                    .expect("fitted on this lattice"),
                 actual_hgrid: hseries.slot_matrix(slot),
             }
         })
