@@ -86,6 +86,45 @@ impl Args {
         }
     }
 
+    /// A float flag that must be finite and positive (`--scale`).
+    pub fn positive_f64_or(&self, key: &str, default: f64) -> Result<f64, ArgError> {
+        self.checked_or(key, default, "a positive finite number", |v: &f64| {
+            v.is_finite() && *v > 0.0
+        })
+    }
+
+    /// A float flag that must be finite and non-negative (a Poisson mean).
+    pub fn non_negative_f64_or(&self, key: &str, default: f64) -> Result<f64, ArgError> {
+        self.checked_or(key, default, "a non-negative finite number", |v: &f64| {
+            v.is_finite() && *v >= 0.0
+        })
+    }
+
+    /// An integer flag that must be at least 1 (a side or a count).
+    pub fn positive_or<T>(&self, key: &str, default: T) -> Result<T, ArgError>
+    where
+        T: std::str::FromStr + PartialOrd + Default,
+    {
+        self.checked_or(key, default, "at least 1", |v: &T| *v > T::default())
+    }
+
+    /// [`get_or`](Self::get_or), and the value must pass `valid`; `what`
+    /// says in the error which values do.
+    fn checked_or<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+        what: &str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Result<T, ArgError> {
+        let v = self.get_or(key, default)?;
+        if valid(&v) {
+            return Ok(v);
+        }
+        let given = self.flags.get(key).map_or("", String::as_str);
+        Err(ArgError(format!("--{key} must be {what}, got {given:?}")))
+    }
+
     /// A `lo:hi` range flag.
     pub fn range_or(&self, key: &str, default: (u32, u32)) -> Result<(u32, u32), ArgError> {
         match self.flags.get(key) {
@@ -163,6 +202,25 @@ mod tests {
         assert!(Args::parse(&argv("tune --city a --city b")).is_err());
         let a = Args::parse(&argv("tune --scale abc")).unwrap();
         assert!(a.get_or("scale", 1.0f64).is_err());
+    }
+
+    #[test]
+    fn range_checked_flags() {
+        let a = Args::parse(&argv("x --scale 0.5 --alpha 0 --m 3")).unwrap();
+        assert_eq!(a.positive_f64_or("scale", 1.0).unwrap(), 0.5);
+        assert_eq!(a.non_negative_f64_or("alpha", 2.0).unwrap(), 0.0);
+        assert_eq!(a.positive_or("m", 64usize).unwrap(), 3);
+        assert_eq!(a.positive_or("side", 16u32).unwrap(), 16);
+        for bad in ["0", "-1", "nan", "inf", "-inf"] {
+            let a = Args::parse(&argv(&format!("x --scale {bad} --alpha {bad}"))).unwrap();
+            let err = a.positive_f64_or("scale", 1.0).unwrap_err();
+            assert!(err.0.contains("--scale must be"), "{err}");
+            if bad != "0" {
+                assert!(a.non_negative_f64_or("alpha", 2.0).is_err(), "{bad}");
+            }
+        }
+        let a = Args::parse(&argv("x --m 0")).unwrap();
+        assert!(a.positive_or("m", 64usize).is_err());
     }
 
     #[test]

@@ -51,9 +51,9 @@ commands:
   tune        find the optimal MGrid side for a city
               --city nyc|chengdu|xian  --scale F  --seed N
               --strategy brute|ternary|iterative  --budget SIDE  --range LO:HI
-              --partition uniform|rect|quadtree: refine beyond square grids
-              (rect hill-climb / exact tree-DP quadtree) and print the
-              refined bound next to the uniform baseline
+              --partition uniform|quadtree: refine beyond square grids
+              (exact tree-DP quadtree) and print the refined bound next
+              to the uniform baseline
               --bootstrap B  --bootstrap-seed S: B replicate tunes ->
               confidence set + stability verdict
   profile     print the profile of a captured JSONL trace (the block
@@ -165,12 +165,12 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
         "trace",
         "report",
     ])?;
-    let city = City::by_name(&a.str_or("city", "xian"))?.scaled(a.get_or("scale", 0.05)?);
+    let city = City::by_name(&a.str_or("city", "xian"))?.scaled(a.positive_f64_or("scale", 0.05)?);
     let partition_kind = {
         let s = a.str_or("partition", "uniform");
         PartitionKind::parse(&s).ok_or_else(|| {
             ArgError(format!(
-                "--partition must be uniform, rect or quadtree, got {s:?}"
+                "--partition must be uniform or quadtree, got {s:?}"
             ))
         })?
     };
@@ -247,7 +247,6 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
     if let Some(pr) = &refined {
         let layout = match &pr.layout {
             PartitionLayout::Uniform { side } => format!("{side}x{side} uniform"),
-            PartitionLayout::Rect { nx, ny } => format!("{nx}x{ny} rect"),
             PartitionLayout::QuadTree(q) => format!(
                 "quadtree lattice {} ({} leaves)",
                 q.lattice_side(),
@@ -332,9 +331,9 @@ fn cmd_profile(a: &Args) -> Result<(), CliError> {
 
 fn cmd_expression(a: &Args) -> Result<(), CliError> {
     a.expect_only(&["alpha", "rest", "m", "k", "trace", "report"])?;
-    let alpha: f64 = a.get_or("alpha", 2.0)?;
-    let rest: f64 = a.get_or("rest", 30.0)?;
-    let m: usize = a.get_or("m", 64usize)?;
+    let alpha = a.non_negative_f64_or("alpha", 2.0)?;
+    let rest = a.non_negative_f64_or("rest", 30.0)?;
+    let m: usize = a.positive_or("m", 64usize)?;
     let k: usize = a.get_or("k", 0usize)?;
     let value = if k > 0 {
         expression_error_alg2(alpha, rest, m, k)
@@ -347,7 +346,7 @@ fn cmd_expression(a: &Args) -> Result<(), CliError> {
 
 fn cmd_generate(a: &Args) -> Result<(), CliError> {
     a.expect_only(&["city", "scale", "day", "seed", "trace", "report"])?;
-    let city = City::by_name(&a.str_or("city", "xian"))?.scaled(a.get_or("scale", 0.01)?);
+    let city = City::by_name(&a.str_or("city", "xian"))?.scaled(a.positive_f64_or("scale", 0.01)?);
     let day: u32 = a.get_or("day", 0u32)?;
     let seed: u64 = a.get_or("seed", 2022u64)?;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -382,9 +381,9 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
         "trace",
         "report",
     ])?;
-    let city = City::by_name(&a.str_or("city", "xian"))?.scaled(a.get_or("scale", 0.01)?);
-    let side: u32 = a.get_or("side", 16u32)?;
-    let budget: u32 = a.get_or("budget", 64u32)?;
+    let city = City::by_name(&a.str_or("city", "xian"))?.scaled(a.positive_f64_or("scale", 0.01)?);
+    let side: u32 = a.positive_or("side", 16u32)?;
+    let budget: u32 = a.positive_or("budget", 64u32)?;
     let seed: u64 = a.get_or("seed", 2022u64)?;
     let n_drivers: usize = a.get_or("drivers", ((city.daily_volume() / 22.0) as usize).max(10))?;
     let algorithm = a.str_or("algorithm", "polar");
@@ -446,7 +445,7 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
 fn cmd_heatmap(a: &Args) -> Result<(), CliError> {
     a.expect_only(&["city", "side", "hour", "trace", "report"])?;
     let city = City::by_name(&a.str_or("city", "nyc"))?;
-    let side: u32 = a.get_or("side", 32u32)?;
+    let side: u32 = a.positive_or("side", 32u32)?;
     let hour: u32 = a.get_or("hour", 8u32)?;
     if hour >= 24 {
         return Err(ArgError("--hour must be 0..24".into()).into());

@@ -13,6 +13,11 @@ use gridtuner_core::search::SearchStrategy;
 use gridtuner_dispatch::SimConfig;
 use gridtuner_spatial::SlotClock;
 
+/// Largest HGrid lattice side a configuration may reach: side `s` runs on
+/// a lattice of side `s·⌈√N/s⌉ ≤ √N + s − 1`, and a 4096² lattice's α
+/// field is 128 MiB of `f64`s. Every budget in use is 128 or less.
+const MAX_LATTICE_SIDE: u32 = 4096;
+
 /// Everything a [`TuningSession`](crate::TuningSession) needs to know.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
@@ -73,6 +78,14 @@ impl EngineConfig {
             return Err(EngineError::Config(
                 "HGrid budget side must be positive".into(),
             ));
+        }
+        let widest = u64::from(self.hgrid_budget_side) + u64::from(hi) - 1;
+        if widest > u64::from(MAX_LATTICE_SIDE) {
+            return Err(EngineError::Config(format!(
+                "HGrid budget side {} with sides up to {hi} reaches a lattice of side {widest}, \
+                 over the limit of {MAX_LATTICE_SIDE}",
+                self.hgrid_budget_side
+            )));
         }
         // Iterative's `init` is deliberately NOT range-checked: Algorithm 5
         // clamps it into [lo, hi] (its documented contract), so an
@@ -275,6 +288,25 @@ mod tests {
         assert!(err.to_string().contains("replicate"), "{err}");
         let ok = EngineConfig::builder().bootstrap(32, 2022).build().unwrap();
         assert_eq!(ok.bootstrap, Some(BootstrapConfig::new(32, 2022)));
+    }
+
+    #[test]
+    fn validate_rejects_a_lattice_too_large_to_allocate() {
+        for (budget, hi) in [(100_000, 24), (64, 100_000), (u32::MAX, u32::MAX)] {
+            let err = EngineConfig::builder()
+                .hgrid_budget_side(budget)
+                .side_range(2, hi)
+                .build()
+                .unwrap_err();
+            assert_eq!(err.exit_code(), 2);
+            assert!(err.to_string().contains("lattice"), "{err}");
+        }
+        // The largest lattice the limit allows is still valid.
+        EngineConfig::builder()
+            .hgrid_budget_side(MAX_LATTICE_SIDE - 23)
+            .side_range(2, 24)
+            .build()
+            .unwrap();
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!   tunes over resampled logs producing a confidence set over the side,
 //!   per-probe dispersion and a stable/plateau/unstable verdict;
 //! * [`partition_search`] — the `PartitionSearch` stage: Theorem II.1's
-//!   bound minimised over non-square [`SpatialPartition`] families (rect
-//!   hill-climb, exact tree-DP quadtree under a region cap),
-//!   with the 1-D uniform tune as the comparison baseline.
+//!   bound minimised over quadtree [`SpatialPartition`]s (an exact tree
+//!   DP under a region cap), with the 1-D uniform tune as the comparison
+//!   baseline.
 //!
 //! [`SpatialPartition`]: gridtuner_spatial::SpatialPartition
 //!

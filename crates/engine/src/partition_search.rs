@@ -8,13 +8,10 @@
 //! is the per-region kernel sweep, and its model leg is interpolated from
 //! the square-side model curve at the candidate's region count.
 //!
-//! Three searches, selected by [`PartitionKind`]:
+//! Two searches, selected by [`PartitionKind`]:
 //!
 //! * **uniform** — no refinement: the 1-D winner re-evaluated through the
 //!   same square-partition sweep the 1-D tune ran, so bit-identical to it;
-//! * **rect** — a deterministic hill-climb over `(nx, ny)` region counts,
-//!   seeded at the 1-D winner `(s*, s*)`, stepping one count at a time
-//!   within the configured side range;
 //! * **quadtree** — exact refinement by a tree DP, under a **region cap**
 //!   equal to the 1-D winner's `n`, so the final quadtree never uses more
 //!   regions than the uniform optimum it is compared against.
@@ -44,37 +41,32 @@
 //! reported bound above a reachable seed's.
 //!
 //! Every choice is deterministically tie-broken: fewer regions win exact
-//! ties, a convolution keeps the first minimum in ascending split count
-//! of its left operand, and the rect climb keeps the first candidate in
-//! its fixed neighbour order. Every value is computed per node, per region
-//! or per block in a fixed order, so the search is reproducible across
-//! worker counts like everything else in the engine.
+//! ties, and a convolution keeps the first minimum in ascending split
+//! count of its left operand. Every value is computed per node or per
+//! region in a fixed order, so the search is reproducible across worker
+//! counts like everything else in the engine.
 
 use crate::error::EngineError;
 use crate::session::{TuneReport, TuningSession};
 use gridtuner_core::expression::quadtree_node_index;
 use gridtuner_core::upper_bound::ModelErrorSource;
 use gridtuner_obs as obs;
-use gridtuner_spatial::{QuadLeaf, QuadTreePartition, RectGrid, SpatialPartition};
-use std::collections::HashMap;
+use gridtuner_spatial::{QuadLeaf, QuadTreePartition, SpatialPartition};
 
 /// Which partition family [`TuningSession::tune_partition`] searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionKind {
     /// The paper's square layout (no refinement on top of the 1-D search).
     Uniform,
-    /// Independent x/y region counts, hill-climbed from the 1-D winner.
-    Rect,
     /// Quadtree leaves, chosen exactly by a tree DP under a region cap.
     QuadTree,
 }
 
 impl PartitionKind {
-    /// Parses the CLI spelling (`uniform` | `rect` | `quadtree`).
+    /// Parses the CLI spelling (`uniform` | `quadtree`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "uniform" => Some(PartitionKind::Uniform),
-            "rect" => Some(PartitionKind::Rect),
             "quadtree" => Some(PartitionKind::QuadTree),
             _ => None,
         }
@@ -84,7 +76,6 @@ impl PartitionKind {
     pub fn name(self) -> &'static str {
         match self {
             PartitionKind::Uniform => "uniform",
-            PartitionKind::Rect => "rect",
             PartitionKind::QuadTree => "quadtree",
         }
     }
@@ -103,13 +94,6 @@ pub enum PartitionLayout {
     Uniform {
         /// MGrid side `s` (regions `= s²`).
         side: u32,
-    },
-    /// `nx × ny` rectangular region blocks.
-    Rect {
-        /// Region columns.
-        nx: u32,
-        /// Region rows.
-        ny: u32,
     },
     /// The refined quadtree itself (leaf layout carries the geometry).
     QuadTree(QuadTreePartition),
@@ -132,7 +116,7 @@ pub struct PartitionReport {
     /// The Theorem II.1 upper bound (`expression_error + model_error`).
     pub bound: f64,
     /// Internal nodes of the winning quadtree, `(n_regions − 1)/3` (0 for
-    /// uniform/rect).
+    /// uniform).
     pub splits: usize,
     /// Always 0: the quadtree DP never merges. Kept for report readers.
     pub merges: usize,
@@ -178,20 +162,16 @@ fn isqrt(n: usize) -> u32 {
     s as u32
 }
 
-/// Hill-climb steps before the rect search gives up.
-const MAX_REFINE_ITERS: usize = 64;
-
 impl<S: ModelErrorSource> TuningSession<S> {
     /// The `PartitionSearch` stage: runs the configured 1-D tune (the
     /// baseline — bit-identical to [`tune`](Self::tune)), then refines
     /// within the requested partition family. See the module docs for the
-    /// three searches.
+    /// two searches.
     pub fn tune_partition(&mut self, kind: PartitionKind) -> Result<PartitionReport, EngineError> {
         let uniform = self.tune()?;
         let _span = obs::span!("partition_search", side = uniform.outcome.side);
         let report = match kind {
             PartitionKind::Uniform => self.uniform_report(uniform)?,
-            PartitionKind::Rect => self.rect_search(uniform)?,
             PartitionKind::QuadTree => self.quadtree_search(uniform)?,
         };
         Ok(report)
@@ -241,76 +221,6 @@ impl<S: ModelErrorSource> TuningSession<S> {
             merges: 0,
             evals: 1,
             region_cap: n_regions,
-            uniform,
-        })
-    }
-
-    /// Deterministic hill-climb over `(nx, ny)` from the 1-D winner:
-    /// evaluate the four single-count neighbours each round, move to the
-    /// strictly best one, stop at a local minimum. Evaluated pairs are
-    /// memoised so re-visits are free.
-    fn rect_search(&mut self, uniform: TuneReport) -> Result<PartitionReport, EngineError> {
-        let budget = self.config().hgrid_budget_side;
-        let (lo, hi) = self.config().side_range;
-        let start = uniform.outcome.side.clamp(lo, hi);
-        let mut memo: HashMap<(u32, u32), (f64, f64)> = HashMap::new();
-        let mut evals = 0usize;
-        let seed = self.partition_legs(&RectGrid::for_budget(start, start, budget))?;
-        memo.insert((start, start), seed);
-        evals += 1;
-        let mut best = (start, start);
-        let mut best_legs = seed;
-        for _ in 0..MAX_REFINE_ITERS {
-            let (nx, ny) = best;
-            let neighbours = [
-                (nx.wrapping_sub(1), ny),
-                (nx + 1, ny),
-                (nx, ny.wrapping_sub(1)),
-                (nx, ny + 1),
-            ];
-            let mut choice = best;
-            let mut choice_legs = best_legs;
-            for &(cx, cy) in &neighbours {
-                if cx < lo || cx > hi || cy < lo || cy > hi {
-                    continue;
-                }
-                let legs = match memo.get(&(cx, cy)) {
-                    Some(&l) => l,
-                    None => {
-                        let l = self.partition_legs(&RectGrid::for_budget(cx, cy, budget))?;
-                        memo.insert((cx, cy), l);
-                        evals += 1;
-                        l
-                    }
-                };
-                // Strict `<`: ties keep the earlier candidate in the fixed
-                // neighbour order — deterministic.
-                if legs.0 + legs.1 < choice_legs.0 + choice_legs.1 {
-                    choice = (cx, cy);
-                    choice_legs = legs;
-                }
-            }
-            if choice == best {
-                break;
-            }
-            best = choice;
-            best_legs = choice_legs;
-        }
-        let grid = RectGrid::for_budget(best.0, best.1, budget);
-        Ok(PartitionReport {
-            kind: PartitionKind::Rect,
-            layout: PartitionLayout::Rect {
-                nx: best.0,
-                ny: best.1,
-            },
-            n_regions: grid.n_regions(),
-            expression_error: best_legs.0,
-            model_error: best_legs.1,
-            bound: best_legs.0 + best_legs.1,
-            splits: 0,
-            merges: 0,
-            evals,
-            region_cap: (hi as usize).pow(2),
             uniform,
         })
     }
@@ -610,11 +520,7 @@ mod tests {
 
     #[test]
     fn kind_parse_roundtrips() {
-        for kind in [
-            PartitionKind::Uniform,
-            PartitionKind::Rect,
-            PartitionKind::QuadTree,
-        ] {
+        for kind in [PartitionKind::Uniform, PartitionKind::QuadTree] {
             assert_eq!(PartitionKind::parse(kind.name()), Some(kind));
             assert_eq!(kind.to_string(), kind.name());
         }
@@ -636,35 +542,6 @@ mod tests {
         );
         assert!(report.improves_on_uniform());
         assert_eq!((report.splits, report.merges), (0, 0));
-    }
-
-    #[test]
-    fn rect_search_never_loses_to_its_seed() {
-        let mut s = session();
-        let report = s.tune_partition(PartitionKind::Rect).unwrap();
-        assert_eq!(report.kind, PartitionKind::Rect);
-        let PartitionLayout::Rect { nx, ny } = report.layout else {
-            panic!("rect search must return a rect layout");
-        };
-        assert_eq!(report.n_regions, (nx as usize) * (ny as usize));
-        // The climb starts at (s*, s*) and only moves on strict
-        // improvement, so the final bound is ≤ the square seed's bound
-        // evaluated through the same trait path.
-        let budget = s.config().hgrid_budget_side;
-        let side = report.uniform.outcome.side;
-        let seed = RectGrid::for_budget(side, side, budget);
-        let seed_expr = s
-            .alpha_cache()
-            .unwrap()
-            .partition_expression_error(&seed)
-            .unwrap();
-        let seed_bound = seed_expr + model(side);
-        assert!(
-            report.bound <= seed_bound + 1e-12,
-            "bound {} vs seed {seed_bound}",
-            report.bound
-        );
-        assert!(report.evals >= 1);
     }
 
     #[test]

@@ -310,46 +310,6 @@ impl CountSeries {
         }
         Ok(out)
     }
-
-    /// Mean count field over a set of slots — the estimator for the paper's
-    /// `α_ij` ("the average number of events at the same period of all
-    /// workdays in the last one month"). Returns zeros if `slots` is empty.
-    pub fn mean_over(&self, slots: &[SlotId]) -> CountMatrix {
-        let mut acc = CountMatrix::zeros(self.side);
-        if slots.is_empty() {
-            return acc;
-        }
-        for &s in slots {
-            for (a, v) in acc.data.iter_mut().zip(self.slot(s)) {
-                *a += v;
-            }
-        }
-        acc.scale(1.0 / slots.len() as f64);
-        acc
-    }
-
-    /// The slots with a given slot-of-day across a day range, optionally
-    /// restricted to weekdays — the α-estimation window selector.
-    pub fn slots_at(
-        &self,
-        clock: &SlotClock,
-        slot_of_day: u32,
-        days: std::ops::Range<u32>,
-        weekdays_only: bool,
-    ) -> Vec<SlotId> {
-        let mut out = Vec::new();
-        for day in days {
-            let s = clock.slot_at(day, slot_of_day);
-            if s.index() >= self.n_slots {
-                continue;
-            }
-            if weekdays_only && !clock.is_weekday(s) {
-                continue;
-            }
-            out.push(s);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -476,29 +436,5 @@ mod tests {
             let want = fine.slot_matrix(SlotId(t)).coarsen(4).unwrap();
             assert_eq!(coarse.slot(SlotId(t)), want.as_slice());
         }
-    }
-
-    #[test]
-    fn mean_over_selected_slots() {
-        let mut s = CountSeries::zeros(1, 3);
-        s.slot_mut(SlotId(0))[0] = 2.0;
-        s.slot_mut(SlotId(1))[0] = 4.0;
-        s.slot_mut(SlotId(2))[0] = 9.0;
-        let m = s.mean_over(&[SlotId(0), SlotId(1)]);
-        assert_eq!(m.as_slice(), &[3.0]);
-        assert_eq!(s.mean_over(&[]).as_slice(), &[0.0]);
-    }
-
-    #[test]
-    fn slots_at_honours_weekday_mask_and_horizon() {
-        let clock = SlotClock::default();
-        let s = CountSeries::zeros(1, 48 * 14);
-        let all = s.slots_at(&clock, 16, 0..14, false);
-        assert_eq!(all.len(), 14);
-        let weekdays = s.slots_at(&clock, 16, 0..14, true);
-        assert_eq!(weekdays.len(), 10);
-        // Days past the horizon are skipped.
-        let clipped = s.slots_at(&clock, 16, 0..100, false);
-        assert_eq!(clipped.len(), 14);
     }
 }

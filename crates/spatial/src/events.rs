@@ -44,19 +44,6 @@ pub struct TripRecord {
     pub revenue: f64,
 }
 
-impl TripRecord {
-    /// The pick-up event of this trip — what the prediction models count.
-    pub fn pickup_event(&self) -> Event {
-        Event::new(self.pickup, self.minute)
-    }
-
-    /// Straight-line trip length in unit coordinates (callers convert to km
-    /// via their [`crate::geom::GeoBounds`]).
-    pub fn unit_length(&self) -> f64 {
-        self.pickup.dist(&self.dropoff)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,19 +53,5 @@ mod tests {
         let clock = SlotClock::default();
         let e = Event::new(Point::new(0.5, 0.5), 61);
         assert_eq!(e.slot(&clock), SlotId(2));
-    }
-
-    #[test]
-    fn trip_pickup_event_projects_fields() {
-        let t = TripRecord {
-            pickup: Point::new(0.1, 0.2),
-            dropoff: Point::new(0.4, 0.6),
-            minute: 95,
-            revenue: 12.5,
-        };
-        let e = t.pickup_event();
-        assert_eq!(e.loc, t.pickup);
-        assert_eq!(e.minute, 95);
-        assert!((t.unit_length() - 0.5).abs() < 1e-12);
     }
 }

@@ -46,12 +46,6 @@ impl Point {
         let dy = self.y - other.y;
         (dx * dx + dy * dy).sqrt()
     }
-
-    /// Manhattan (L1) distance to `other`; street networks are closer to L1
-    /// than to L2, and the dispatch simulator uses this travel model.
-    pub fn manhattan(&self, other: &Point) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
 }
 
 /// An axis-aligned rectangle in unit-square coordinates.
@@ -212,7 +206,6 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(0.3, 0.4);
         assert!((a.dist(&b) - 0.5).abs() < 1e-12);
-        assert!((a.manhattan(&b) - 0.7).abs() < 1e-12);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   coarsen/spread operations that connect MGrid predictions to HGrid
 //!   estimates (`λ̄_ij = λ̂_i / m`);
 //! * [`partition`] — the [`partition::SpatialPartition`] trait generalising
-//!   the square layout to rectangular and quadtree partitions, all sharing
-//!   one HGrid lattice (the HGrid-aligned region invariant).
+//!   the square layout to quadtree partitions, both sharing one HGrid
+//!   lattice (the HGrid-aligned region invariant).
 //!
 //! Everything is deterministic and allocation-conscious: count series are
 //! stored as flat `Vec<f64>` in row-major `(slot, row, col)` order.
@@ -38,7 +38,7 @@ pub use events::{Event, TripRecord};
 pub use geom::{BBox, GeoBounds, Point};
 pub use grid::{CellId, GridSpec, Partition};
 pub use index::GridIndex;
-pub use partition::{QuadLeaf, QuadTreePartition, RectGrid, RegionId, SpatialPartition};
+pub use partition::{QuadLeaf, QuadTreePartition, RegionId, SpatialPartition};
 pub use time::{SlotClock, SlotId, SLOTS_PER_DAY, SLOT_MINUTES};
 
 /// Errors produced by the spatial substrate.

@@ -5,14 +5,12 @@
 //! it holds for *any* partition of the unit square into regions, as long as
 //! every region is a union of HGrid-lattice cells (so the α field derived on
 //! the lattice can be aggregated per region). This module captures that
-//! generalisation as the [`SpatialPartition`] trait plus three
+//! generalisation as the [`SpatialPartition`] trait plus two
 //! implementations:
 //!
 //! * [`Partition`] — the paper's square layout (regions are MGrid cells
 //!   in row-major order; cells inside a region follow
 //!   [`Partition::hgrid_iter`] order);
-//! * [`RectGrid`] — independent x/y region counts `nx × ny` over a shared
-//!   square HGrid lattice;
 //! * [`QuadTreePartition`] — an adaptively refined quadtree over a
 //!   power-of-two lattice, whose leaves the engine's refinement search
 //!   picks by an exact tree DP.
@@ -35,7 +33,6 @@
 //! enumerated row-major. Determinism of both orders is what makes the
 //! parallel sweep bit-identical across worker counts.
 
-use crate::geom::Point;
 use crate::grid::{CellId, GridSpec, Partition};
 
 /// Identifier of a region in a [`SpatialPartition`]: dense index in
@@ -65,30 +62,15 @@ pub trait SpatialPartition {
     /// Number of regions.
     fn n_regions(&self) -> usize;
 
-    /// Region containing an HGrid-lattice cell.
-    fn region_of(&self, hcell: CellId) -> RegionId;
-
-    /// Number of lattice cells in a region (`K` in the per-region kernel
-    /// call).
-    fn region_len(&self, region: RegionId) -> usize;
-
     /// Collects the lattice cells of a region into `out` (cleared first),
     /// row-major. The buffer is caller-owned so the hot expression sweep can
     /// reuse one allocation per worker.
     fn region_cells_into(&self, region: RegionId, out: &mut Vec<CellId>);
 
-    /// Short stable label for reports ("uniform", "rect", "quadtree").
-    fn kind(&self) -> &'static str;
-
-    /// Region containing a unit-square point, or `None` outside.
-    fn region_of_point(&self, p: &Point) -> Option<RegionId> {
-        self.hgrid_spec().cell_of(p).map(|h| self.region_of(h))
-    }
-
     /// The lattice cells of a region as a fresh `Vec` (convenience wrapper
     /// over [`region_cells_into`](Self::region_cells_into)).
     fn region_cells(&self, region: RegionId) -> Vec<CellId> {
-        let mut out = Vec::with_capacity(self.region_len(region));
+        let mut out = Vec::new();
         self.region_cells_into(region, &mut out);
         out
     }
@@ -110,123 +92,9 @@ impl SpatialPartition for Partition {
         self.n()
     }
 
-    fn region_of(&self, hcell: CellId) -> RegionId {
-        RegionId(self.mgrid_of(hcell).index())
-    }
-
-    fn region_len(&self, _region: RegionId) -> usize {
-        self.m()
-    }
-
     fn region_cells_into(&self, region: RegionId, out: &mut Vec<CellId>) {
         out.clear();
         out.extend(self.hgrid_iter(CellId(region.0)));
-    }
-
-    fn kind(&self) -> &'static str {
-        "uniform"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RectGrid
-// ---------------------------------------------------------------------------
-
-fn gcd(a: u32, b: u32) -> u32 {
-    let (mut a, mut b) = (a, b);
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
-fn lcm(a: u32, b: u32) -> u32 {
-    a / gcd(a, b) * b
-}
-
-/// A rectangular `nx × ny` region layout: `nx` region columns and `ny`
-/// region rows over a shared square lattice. The lattice side is the
-/// smallest multiple of `lcm(nx, ny)` that meets the HGrid budget, so every
-/// region is an exact `(L/ny) × (L/nx)` block of lattice cells (the
-/// HGrid-aligned invariant) and the budget `L² ≥ N` holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RectGrid {
-    nx: u32,
-    ny: u32,
-    lattice: u32,
-}
-
-impl RectGrid {
-    /// Builds an `nx × ny` rectangular layout under an HGrid budget side.
-    /// Panics on zero counts (mirrors [`GridSpec::new`]).
-    pub fn for_budget(nx: u32, ny: u32, hgrid_budget_side: u32) -> Self {
-        assert!(
-            nx > 0 && ny > 0 && hgrid_budget_side > 0,
-            "sides must be positive"
-        );
-        let base = lcm(nx, ny);
-        let lattice = base * hgrid_budget_side.div_ceil(base);
-        RectGrid { nx, ny, lattice }
-    }
-
-    /// Region columns.
-    pub fn nx(&self) -> u32 {
-        self.nx
-    }
-
-    /// Region rows.
-    pub fn ny(&self) -> u32 {
-        self.ny
-    }
-
-    /// Lattice cells per region row (block height).
-    fn block_rows(&self) -> usize {
-        (self.lattice / self.ny) as usize
-    }
-
-    /// Lattice cells per region column (block width).
-    fn block_cols(&self) -> usize {
-        (self.lattice / self.nx) as usize
-    }
-}
-
-impl SpatialPartition for RectGrid {
-    fn hgrid_spec(&self) -> GridSpec {
-        GridSpec::new(self.lattice)
-    }
-
-    fn n_regions(&self) -> usize {
-        (self.nx as usize) * (self.ny as usize)
-    }
-
-    fn region_of(&self, hcell: CellId) -> RegionId {
-        let (hr, hc) = self.hgrid_spec().row_col(hcell);
-        let ry = hr / self.block_rows();
-        let rx = hc / self.block_cols();
-        RegionId(ry * self.nx as usize + rx)
-    }
-
-    fn region_len(&self, _region: RegionId) -> usize {
-        self.block_rows() * self.block_cols()
-    }
-
-    fn region_cells_into(&self, region: RegionId, out: &mut Vec<CellId>) {
-        out.clear();
-        let ry = region.0 / self.nx as usize;
-        let rx = region.0 % self.nx as usize;
-        let (br, bc) = (self.block_rows(), self.block_cols());
-        let h = self.hgrid_spec();
-        for dr in 0..br {
-            for dc in 0..bc {
-                out.push(h.cell_at(ry * br + dr, rx * bc + dc));
-            }
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        "rect"
     }
 }
 
@@ -250,8 +118,7 @@ pub struct QuadLeaf {
 /// An adaptively refined quadtree over a power-of-two lattice. The lattice
 /// side is `hgrid_budget_side.next_power_of_two()` so every split stays
 /// HGrid-aligned. Leaves are kept sorted by `(row0, col0)` — region ids are
-/// the sorted leaf indices — and a dense cell→leaf lookup makes
-/// `region_of` O(1).
+/// the sorted leaf indices.
 ///
 /// The partition is a value: [`split`](Self::split) returns a *new*
 /// partition, and [`from_leaves`](Self::from_leaves) builds one from a leaf
@@ -260,8 +127,6 @@ pub struct QuadLeaf {
 pub struct QuadTreePartition {
     lattice: u32,
     leaves: Vec<QuadLeaf>,
-    /// Dense lattice-cell → leaf-index lookup, rebuilt on every mutation.
-    leaf_of: Vec<u32>,
 }
 
 impl QuadTreePartition {
@@ -275,13 +140,7 @@ impl QuadTreePartition {
             col0: 0,
             size: lattice as usize,
         }];
-        let mut p = QuadTreePartition {
-            lattice,
-            leaves,
-            leaf_of: Vec::new(),
-        };
-        p.rebuild_lookup();
-        p
+        QuadTreePartition { lattice, leaves }
     }
 
     /// A uniform quadtree of depth `depth` (every leaf has side
@@ -305,13 +164,7 @@ impl QuadTreePartition {
                 });
             }
         }
-        let mut p = QuadTreePartition {
-            lattice,
-            leaves,
-            leaf_of: Vec::new(),
-        };
-        p.rebuild_lookup();
-        Some(p)
+        Some(QuadTreePartition { lattice, leaves })
     }
 
     /// Lattice side (power of two).
@@ -395,29 +248,7 @@ impl QuadTreePartition {
 
     fn sorted(lattice: u32, mut leaves: Vec<QuadLeaf>) -> Self {
         leaves.sort_unstable_by_key(|l| (l.row0, l.col0));
-        let mut p = QuadTreePartition {
-            lattice,
-            leaves,
-            leaf_of: Vec::new(),
-        };
-        p.rebuild_lookup();
-        p
-    }
-
-    fn rebuild_lookup(&mut self) {
-        let side = self.lattice as usize;
-        self.leaf_of = vec![u32::MAX; side * side];
-        for (i, l) in self.leaves.iter().enumerate() {
-            for dr in 0..l.size {
-                for dc in 0..l.size {
-                    self.leaf_of[(l.row0 + dr) * side + (l.col0 + dc)] = i as u32;
-                }
-            }
-        }
-        debug_assert!(
-            self.leaf_of.iter().all(|&x| x != u32::MAX),
-            "quadtree leaves must tile the lattice"
-        );
+        QuadTreePartition { lattice, leaves }
     }
 }
 
@@ -430,15 +261,6 @@ impl SpatialPartition for QuadTreePartition {
         self.leaves.len()
     }
 
-    fn region_of(&self, hcell: CellId) -> RegionId {
-        RegionId(self.leaf_of[hcell.index()] as usize)
-    }
-
-    fn region_len(&self, region: RegionId) -> usize {
-        let s = self.leaves[region.0].size;
-        s * s
-    }
-
     fn region_cells_into(&self, region: RegionId, out: &mut Vec<CellId>) {
         out.clear();
         let l = self.leaves[region.0];
@@ -448,10 +270,6 @@ impl SpatialPartition for QuadTreePartition {
                 out.push(h.cell_at(l.row0 + dr, l.col0 + dc));
             }
         }
-    }
-
-    fn kind(&self) -> &'static str {
-        "quadtree"
     }
 }
 
@@ -465,11 +283,9 @@ mod tests {
         for r in 0..p.n_regions() {
             let rid = RegionId(r);
             p.region_cells_into(rid, &mut buf);
-            assert_eq!(buf.len(), p.region_len(rid));
             for &h in &buf {
                 assert!(!seen[h.index()], "cell {h:?} assigned twice");
                 seen[h.index()] = true;
-                assert_eq!(p.region_of(h), rid, "region_of must invert cells");
             }
         }
         assert!(seen.iter().all(|&s| s), "cells left uncovered");
@@ -480,53 +296,11 @@ mod tests {
         let part = Partition::for_budget(5, 32);
         assert_eq!(part.n_regions(), part.n());
         assert_eq!(SpatialPartition::hgrid_spec(&part), part.hgrid_spec());
-        assert_eq!(part.kind(), "uniform");
         for mcell in part.mgrid_spec().cells() {
             let rid = RegionId(mcell.index());
             assert_eq!(part.region_cells(rid), part.hgrids_of(mcell));
-            assert_eq!(part.region_len(rid), part.m());
         }
         assert_tiles(&part);
-    }
-
-    #[test]
-    fn uniform_region_of_point_matches_mgrid() {
-        let part = Partition::for_budget(4, 16);
-        let p = Point::new(0.61, 0.27);
-        let hcell = part.hgrid_spec().cell_of(&p).unwrap();
-        assert_eq!(
-            part.region_of_point(&p),
-            Some(RegionId(part.mgrid_of(hcell).index()))
-        );
-        assert_eq!(part.region_of_point(&Point::new(1.5, 0.2)), None);
-    }
-
-    #[test]
-    fn rect_blocks_tile_and_meet_budget() {
-        let r = RectGrid::for_budget(3, 5, 32);
-        // lcm(3,5)=15 → lattice 45 ≥ 32.
-        assert_eq!(r.hgrid_spec().side(), 45);
-        assert_eq!(r.n_regions(), 15);
-        assert_tiles(&r);
-        // Region 0 is the top-left 9×15 block (block_rows=9, block_cols=15).
-        let cells = r.region_cells(RegionId(0));
-        assert_eq!(cells.len(), 9 * 15);
-        assert_eq!(cells[0], r.hgrid_spec().cell_at(0, 0));
-    }
-
-    #[test]
-    fn rect_square_counts_reduce_to_uniform_shape() {
-        let r = RectGrid::for_budget(4, 4, 32);
-        let u = Partition::for_budget(4, 32);
-        assert_eq!(r.n_regions(), u.n_regions());
-        assert_eq!(r.hgrid_spec(), u.hgrid_spec());
-        for i in 0..r.n_regions() {
-            let mut a = r.region_cells(RegionId(i));
-            let mut b = u.region_cells(RegionId(i));
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "same blocks as uniform up to cell order");
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Partition-trait integration tests.
 //!
-//! Three promises of the `SpatialPartition` refactor, checked end to end:
+//! Four promises of the `SpatialPartition` refactor, checked end to end:
 //!
 //! 1. the uniform path is *bit-identical* to its sequential oracle per
 //!    probed side, and it and the full `tune_partition(Uniform)` report
@@ -12,11 +12,10 @@
 //!    split sequences);
 //! 3. the quadtree tree DP is exact: its bound is ≤ the canonical bound of
 //!    every random split-sequence quadtree within its region cap;
-//! 4. the rect hill-climb and the tree-DP quadtree search replay
-//!    bit-for-bit on the three preset cities (golden snapshots,
-//!    `tests/goldens/<city>_partition.json`), and on NYC the quadtree
-//!    meets the acceptance bar: bound ≤ the best uniform `n` at equal or
-//!    fewer regions.
+//! 4. the tree-DP quadtree search replays bit-for-bit on the three preset
+//!    cities (golden snapshots, `tests/goldens/<city>_partition.json`),
+//!    and on NYC the quadtree meets the acceptance bar: bound ≤ the best
+//!    uniform `n` at equal or fewer regions.
 
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
@@ -255,7 +254,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Partition goldens: same constants as `goldens.rs`, refined searches on top.
+// Partition goldens: same constants as `goldens.rs`, the quadtree search on top.
 // ---------------------------------------------------------------------------
 
 const SCALE: f64 = 0.002;
@@ -287,13 +286,6 @@ fn partition_golden_for_city(city: City, seed: u64) -> (Val, bool) {
     session
         .ingest(&events)
         .expect("synthetic events are finite");
-    let rect = session
-        .tune_partition(PartitionKind::Rect)
-        .expect("analytic model leg");
-    let (rect_nx, rect_ny) = match &rect.layout {
-        PartitionLayout::Rect { nx, ny } => (*nx, *ny),
-        other => panic!("rect search returned a {other:?} layout"),
-    };
     let pr = session
         .tune_partition(PartitionKind::QuadTree)
         .expect("analytic model leg");
@@ -311,18 +303,6 @@ fn partition_golden_for_city(city: City, seed: u64) -> (Val, bool) {
                 ("optimal_side", Val::F64(pr.uniform.outcome.side as f64)),
                 ("upper_bound", Val::F64(pr.uniform.outcome.error)),
                 ("regions", Val::F64(pr.uniform_regions() as f64)),
-            ]),
-        ),
-        (
-            "rect",
-            Val::obj(vec![
-                ("nx", Val::F64(rect_nx as f64)),
-                ("ny", Val::F64(rect_ny as f64)),
-                ("n_regions", Val::F64(rect.n_regions as f64)),
-                ("upper_bound", Val::F64(rect.bound)),
-                ("expression_error", Val::F64(rect.expression_error)),
-                ("model_error", Val::F64(rect.model_error)),
-                ("evals", Val::F64(rect.evals as f64)),
             ]),
         ),
         (
