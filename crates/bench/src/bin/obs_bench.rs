@@ -24,6 +24,7 @@
 //! engine's exit-code taxonomy). Both are checked before any measurement.
 
 use gridtuner_bench::flags::{exit_usage, Flags};
+use gridtuner_bench::{outln, write_stdout};
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_datagen::City;
 use gridtuner_engine::{EngineConfig, EngineError, SearchStrategy, TuneReport, TuningSession};
@@ -206,7 +207,10 @@ fn main() {
     ])
     .render();
     std::fs::write("BENCH_obs.json", &json).expect("cannot write BENCH_obs.json");
-    println!("{json}");
+    write_stdout("obs_bench", || {
+        outln!("{json}");
+        Ok(())
+    });
     eprintln!(
         "[obs_bench] off {:.1} ms, on {:.1} ms, overhead {overhead_pct:.2}% \
          (raw {raw_overhead_pct:.2}%, budget {budget}%)",

@@ -25,6 +25,7 @@
 //! A missing or malformed flag value, or an unknown flag, exits 2.
 
 use gridtuner_bench::flags::{exit_usage, Flags};
+use gridtuner_bench::{outln, write_stdout};
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_datagen::City;
 use gridtuner_engine::{BootstrapConfig, EngineConfig, SearchStrategy, TuningSession};
@@ -180,7 +181,10 @@ fn main() {
     ])
     .render();
     std::fs::write("BENCH_robust.json", &json).expect("cannot write BENCH_robust.json");
-    println!("{json}");
+    write_stdout("robust_bench", || {
+        outln!("{json}");
+        Ok(())
+    });
     eprintln!("[robust_bench] wrote BENCH_robust.json");
 }
 

@@ -23,6 +23,7 @@
 //! bench binaries), so a typo such as `--requir` cannot drop the gate.
 
 use gridtuner_bench::flags::{exit_usage, Flags};
+use gridtuner_bench::{outln, write_stdout};
 use gridtuner_obs::json::{parse_jsonl, Val};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -305,13 +306,16 @@ fn main() {
         .iter()
         .map(|(k, n)| format!("{k}={n}"))
         .collect();
-    println!(
-        "trace_check: {path}: OK [{}] — {} records ({}), {} distinct names",
-        if chrome { "chrome" } else { "jsonl" },
-        summary.records,
-        kinds.join(" "),
-        summary.names.len()
-    );
+    write_stdout("trace_check", || {
+        outln!(
+            "trace_check: {path}: OK [{}] — {} records ({}), {} distinct names",
+            if chrome { "chrome" } else { "jsonl" },
+            summary.records,
+            kinds.join(" "),
+            summary.names.len()
+        );
+        Ok(())
+    });
 }
 
 #[cfg(test)]

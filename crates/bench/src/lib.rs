@@ -15,8 +15,8 @@
 
 /// Writes one line to stdout, returning a failed write from the calling
 /// function (an `std::io::Result`) instead of panicking the way `println!`
-/// does. Every stdout write of the experiments and of `repro` goes through
-/// this macro.
+/// does. Every stdout write of the experiments and of the bench binaries
+/// goes through this macro.
 #[macro_export]
 macro_rules! outln {
     ($($arg:tt)*) => {{
@@ -25,19 +25,22 @@ macro_rules! outln {
     }};
 }
 
+/// Runs a binary's stdout writes (made with [`outln!`]). A reader that
+/// closed the pipe early (`| head`, `| grep -q`) ends the writes quietly,
+/// as if they had finished; any other write failure exits 4.
+pub fn write_stdout(bin: &str, write: impl FnOnce() -> std::io::Result<()>) {
+    if let Err(e) = write() {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("{bin}: cannot write to stdout: {e}");
+            std::process::exit(4);
+        }
+    }
+}
+
 pub mod ctx;
 pub mod experiments;
 pub mod flags;
-pub mod kernel_timing;
 pub mod measure;
-
-/// Schema tag of `BENCH_tune.json`, written by `tune_bench` and required by
-/// `bench_check` — bump when fields change meaning. v3 adds `kernel`,
-/// `thread_rows` and the `expr_*` counters. v4 extends `thread_rows` with
-/// `speedup_vs_1t` and the pool/lock counters, and adds the top-level
-/// `pool` object. v5 added a `simd` backend-isolation object and
-/// `expr_simd_*` counters; v6 drops them with the one-path kernel.
-pub const TUNE_BENCH_SCHEMA: &str = "gridtuner.bench_tune/6";
 
 use gridtuner_datagen::City;
 

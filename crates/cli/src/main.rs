@@ -30,7 +30,7 @@ use gridtuner::dispatch::daif::DaifConfig;
 use gridtuner::dispatch::{Daif, DemandView, FleetConfig, Ls, Nearest, Order, Polar, SimConfig};
 use gridtuner::engine::{
     AlphaWindow, EngineConfig, EngineError, PartitionKind, PartitionLayout, SearchStrategy,
-    TuningSession,
+    TuningSession, MAX_LATTICE_SIDE,
 };
 use gridtuner::obs;
 use gridtuner::predict::{CityModelError, HistoricalAverage, Predictor};
@@ -387,6 +387,25 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
     let seed: u64 = a.get_or("seed", 2022u64)?;
     let n_drivers: usize = a.get_or("drivers", ((city.daily_volume() / 22.0) as usize).max(10))?;
     let algorithm = a.str_or("algorithm", "polar");
+    // Fleet/sim parameters go through the engine config so they are
+    // validated with everything else (the HGrid lattice limit included)
+    // before any algorithm allocates a lattice; the session hands the
+    // simulator out as its dispatch stage.
+    let config = EngineConfig::builder()
+        .side_range(side, side)
+        .strategy(SearchStrategy::BruteForce)
+        .hgrid_budget_side(budget)
+        .clock(*city.clock())
+        .sim(SimConfig {
+            fleet: FleetConfig {
+                n_drivers,
+                seed,
+                ..FleetConfig::default()
+            },
+            geo: *city.geo(),
+            unserved_penalty_km: 10.0,
+        })
+        .build()?;
     let mut rng = StdRng::seed_from_u64(seed);
     let trips = TripGenerator::default().trips_for_day(&city, 0, &mut rng);
     let orders = Order::from_trips(&trips);
@@ -405,24 +424,6 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
         });
         daif.run(city.geo(), &orders, &mut demand)
     } else {
-        // Fleet/sim parameters go through the engine config so they are
-        // validated with everything else; the session hands the simulator
-        // out as its dispatch stage.
-        let config = EngineConfig::builder()
-            .side_range(side, side)
-            .strategy(SearchStrategy::BruteForce)
-            .hgrid_budget_side(budget)
-            .clock(*city.clock())
-            .sim(SimConfig {
-                fleet: FleetConfig {
-                    n_drivers,
-                    seed,
-                    ..FleetConfig::default()
-                },
-                geo: *city.geo(),
-                unserved_penalty_km: 10.0,
-            })
-            .build()?;
         let session = TuningSession::new(config, |_s: u32| 0.0)?;
         let sim = session.simulator()?;
         match algorithm.as_str() {
@@ -446,6 +447,9 @@ fn cmd_heatmap(a: &Args) -> Result<(), CliError> {
     a.expect_only(&["city", "side", "hour", "trace", "report"])?;
     let city = City::by_name(&a.str_or("city", "nyc"))?;
     let side: u32 = a.positive_or("side", 32u32)?;
+    if side > MAX_LATTICE_SIDE {
+        return Err(ArgError(format!("--side must be at most {MAX_LATTICE_SIDE}")).into());
+    }
     let hour: u32 = a.get_or("hour", 8u32)?;
     if hour >= 24 {
         return Err(ArgError("--hour must be 0..24".into()).into());

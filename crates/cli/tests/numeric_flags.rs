@@ -36,6 +36,8 @@ fn out_of_range_numeric_flags_exit_2() {
         vec!["simulate", "--side", "0"],
         vec!["simulate", "--budget", "0"],
         vec!["heatmap", "--side", "0"],
+        vec!["heatmap", "--side", "100000"],
+        vec!["simulate", "--algorithm", "daif", "--budget", "100000"],
         too_large_budget,
         too_large_range,
         rect,

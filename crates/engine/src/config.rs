@@ -16,7 +16,7 @@ use gridtuner_spatial::SlotClock;
 /// Largest HGrid lattice side a configuration may reach: side `s` runs on
 /// a lattice of side `s·⌈√N/s⌉ ≤ √N + s − 1`, and a 4096² lattice's α
 /// field is 128 MiB of `f64`s. Every budget in use is 128 or less.
-const MAX_LATTICE_SIDE: u32 = 4096;
+pub const MAX_LATTICE_SIDE: u32 = 4096;
 
 /// Everything a [`TuningSession`](crate::TuningSession) needs to know.
 #[derive(Debug, Clone, Copy, PartialEq)]

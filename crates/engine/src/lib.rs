@@ -43,7 +43,7 @@ pub mod partition_search;
 pub mod session;
 pub mod uncertainty;
 
-pub use config::{EngineConfig, EngineConfigBuilder};
+pub use config::{EngineConfig, EngineConfigBuilder, MAX_LATTICE_SIDE};
 pub use error::{simd_diagnostics, thread_diagnostics, thread_override, EngineError};
 pub use partition_search::{PartitionKind, PartitionLayout, PartitionReport};
 pub use session::{IngestReport, TuneReport, TuningSession};

@@ -170,23 +170,6 @@ impl Partition {
         GridSpec::new(self.mgrid_side * self.sub_side)
     }
 
-    /// MGrid containing an HGrid-lattice cell.
-    pub fn mgrid_of(&self, hcell: CellId) -> CellId {
-        let h = self.hgrid_spec();
-        let (hr, hc) = h.row_col(hcell);
-        let q = self.sub_side as usize;
-        self.mgrid_spec().cell_at(hr / q, hc / q)
-    }
-
-    /// The index `j ∈ 0..m` of an HGrid-lattice cell within its MGrid
-    /// (row-major inside the MGrid).
-    pub fn local_index_of(&self, hcell: CellId) -> usize {
-        let h = self.hgrid_spec();
-        let (hr, hc) = h.row_col(hcell);
-        let q = self.sub_side as usize;
-        (hr % q) * q + (hc % q)
-    }
-
     /// All HGrid-lattice cells inside a given MGrid, row-major by local
     /// index (so `hgrids_of(r)[j]` is the paper's `r_{ij}` with `j` 0-based).
     pub fn hgrids_of(&self, mcell: CellId) -> Vec<CellId> {
@@ -270,16 +253,15 @@ mod tests {
     }
 
     #[test]
-    fn mgrid_of_and_local_index_are_consistent() {
+    fn hgrids_of_is_row_major_within_its_mgrid() {
         let p = Partition::new(3, 4);
-        let h = p.hgrid_spec();
+        let (h, q) = (p.hgrid_spec(), 4);
         assert_eq!(h.side(), 12);
-        for hcell in h.cells() {
-            let m = p.mgrid_of(hcell);
-            let j = p.local_index_of(hcell);
-            assert!(j < p.m());
-            let members = p.hgrids_of(m);
-            assert_eq!(members[j], hcell, "hgrids_of must invert local_index");
+        for mcell in p.mgrid_spec().cells() {
+            let (mr, mc) = p.mgrid_spec().row_col(mcell);
+            for (j, hcell) in p.hgrids_of(mcell).into_iter().enumerate() {
+                assert_eq!(h.row_col(hcell), (mr * q + j / q, mc * q + j % q));
+            }
         }
     }
 
@@ -312,11 +294,13 @@ mod tests {
         let p = Partition::new(5, 2);
         let hs = p.hgrid_spec();
         let ms = p.mgrid_spec();
-        for hcell in hs.cells() {
-            let hb = hs.cell_bounds(hcell);
-            let mb = ms.cell_bounds(p.mgrid_of(hcell));
-            assert!(hb.min.x >= mb.min.x - 1e-12 && hb.max.x <= mb.max.x + 1e-12);
-            assert!(hb.min.y >= mb.min.y - 1e-12 && hb.max.y <= mb.max.y + 1e-12);
+        for mcell in ms.cells() {
+            let mb = ms.cell_bounds(mcell);
+            for hcell in p.hgrids_of(mcell) {
+                let hb = hs.cell_bounds(hcell);
+                assert!(hb.min.x >= mb.min.x - 1e-12 && hb.max.x <= mb.max.x + 1e-12);
+                assert!(hb.min.y >= mb.min.y - 1e-12 && hb.max.y <= mb.max.y + 1e-12);
+            }
         }
     }
 }
