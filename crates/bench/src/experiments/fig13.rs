@@ -7,7 +7,7 @@
 //! (sparse areas).
 
 use crate::{fmt, header, RunCfg};
-use gridtuner_core::expression::mgrid_expression_error;
+use gridtuner_core::expr_kernel::{ExprWorkspace, PmfMemo};
 use gridtuner_datagen::City;
 use gridtuner_spatial::Partition;
 
@@ -23,6 +23,7 @@ pub fn run(cfg: &RunCfg) -> std::io::Result<()> {
         &["mgrid", "d_alpha", "expression_error"],
     )?;
     let keep_every = if cfg.quick { 8 } else { 1 };
+    let (mut ws, memo) = (ExprWorkspace::new(), PmfMemo::default());
     for (i, mcell) in partition.mgrid_spec().cells().enumerate() {
         if i % keep_every != 0 {
             continue;
@@ -34,7 +35,9 @@ pub fn run(cfg: &RunCfg) -> std::io::Result<()> {
             .collect();
         let mean = alphas.iter().sum::<f64>() / alphas.len() as f64;
         let d: f64 = alphas.iter().map(|a| (a - mean).abs()).sum();
-        let e = mgrid_expression_error(&alphas);
+        let e = ws
+            .mgrid_error(&alphas, &memo)
+            .map_err(|e| std::io::Error::other(e.to_string()))?;
         outln!("{i}\t{}\t{}", fmt(d), fmt(e));
     }
     Ok(())

@@ -189,9 +189,7 @@ fn time_kernels(cache: &AlphaFieldCache, probed: &[u32], budget: u32, reps: usiz
         for &s in probed {
             let part = Partition::for_budget(s, budget);
             let t = Instant::now();
-            percell_total += cache.with_alpha(part.hgrid_spec(), |alpha| {
-                total_expression_error_percell(alpha, &part)
-            });
+            percell_total += total_expression_error_percell(&cache.alpha(part.hgrid_spec()), &part);
             percell_ms += t.elapsed().as_secs_f64() * 1e3;
             let t = Instant::now();
             batched_total += cache

@@ -25,6 +25,7 @@ mod args;
 
 use args::{ArgError, Args};
 use gridtuner::core::expression::{expression_error_alg2, expression_error_windowed};
+use gridtuner::core::poisson::MAX_POISSON_MEAN;
 use gridtuner::datagen::{City, DataSplit, TripGenerator};
 use gridtuner::dispatch::daif::DaifConfig;
 use gridtuner::dispatch::{Daif, DemandView, FleetConfig, Ls, Nearest, Order, Polar, SimConfig};
@@ -329,12 +330,25 @@ fn cmd_profile(a: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The most rest-count terms `(m−1)·K` of Algorithm 2 that `--k` may ask
+/// for: the 2²⁴-entry pmf window [`MAX_POISSON_MEAN`] keeps the windowed
+/// path within.
+const MAX_ALG2_TERMS: usize = 1 << 24;
+
 fn cmd_expression(a: &Args) -> Result<(), CliError> {
     a.expect_only(&["alpha", "rest", "m", "k", "trace", "report"])?;
     let alpha = a.non_negative_f64_or("alpha", 2.0)?;
     let rest = a.non_negative_f64_or("rest", 30.0)?;
     let m: usize = a.positive_or("m", 64usize)?;
     let k: usize = a.get_or("k", 0usize)?;
+    if alpha + rest > MAX_POISSON_MEAN {
+        let msg = format!("--alpha + --rest must be at most {MAX_POISSON_MEAN}");
+        return Err(ArgError(msg).into());
+    }
+    if (m - 1).checked_mul(k).is_none_or(|t| t > MAX_ALG2_TERMS) {
+        let msg = format!("(--m - 1) * --k must be at most {MAX_ALG2_TERMS}");
+        return Err(ArgError(msg).into());
+    }
     let value = if k > 0 {
         expression_error_alg2(alpha, rest, m, k)
     } else {

@@ -33,6 +33,10 @@ fn out_of_range_numeric_flags_exit_2() {
     let rect = [&tune[..], &["--partition", "rect"]].concat();
     cases.extend([
         vec!["expression", "--m", "0"],
+        vec!["expression", "--alpha", "1e300"],
+        vec!["expression", "--rest", "1e300"],
+        vec!["expression", "--alpha", "1e19"],
+        vec!["expression", "--m", "100000000", "--k", "100000000"],
         vec!["simulate", "--side", "0"],
         vec!["simulate", "--budget", "0"],
         vec!["heatmap", "--side", "0"],

@@ -38,9 +38,7 @@ use crate::expr_kernel::PmfMemo;
 use crate::expression::{try_partition_expression_error, try_quadtree_node_errors};
 use crate::resample::replicate_draws;
 use gridtuner_obs as obs;
-use gridtuner_spatial::{
-    CountMatrix, Event, GridSpec, Partition, Point, SlotClock, SpatialPartition,
-};
+use gridtuner_spatial::{CountMatrix, Event, GridSpec, Partition, Point, SlotClock};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -268,12 +266,6 @@ impl AlphaFieldCache {
         Arc::clone(self.lock_derived().entry(spec.side()).or_insert(m))
     }
 
-    /// Runs `f` against the α field on `spec`'s lattice. The memo lock is
-    /// released before `f` runs.
-    pub fn with_alpha<T>(&self, spec: GridSpec, f: impl FnOnce(&CountMatrix) -> T) -> T {
-        f(&self.alpha(spec))
-    }
-
     /// Total expression error for the square `partition`, with the α field
     /// served from this cache and the Poisson tables served from the cache's
     /// cross-probe [`PmfMemo`] — the probe hot path. Thread-safe, like
@@ -281,19 +273,6 @@ impl AlphaFieldCache {
     /// docs applies to the pmf memo too (it is never invalidated: its
     /// entries depend only on the rate).
     pub fn expression_error(&self, partition: &Partition) -> Result<f64, CoreError> {
-        self.partition_expression_error(partition)
-    }
-
-    /// [`expression_error`](Self::expression_error) generalised over any
-    /// [`SpatialPartition`]: the α field is served from the per-side memo
-    /// (all partitions are HGrid-aligned, so the lattice side is still the
-    /// whole key) and the Poisson tables from the same cross-probe
-    /// [`PmfMemo`] — per-region `K` never enters either cache's key, which
-    /// is why non-uniform partitions share both caches for free.
-    pub fn partition_expression_error<P: SpatialPartition + Sync>(
-        &self,
-        partition: &P,
-    ) -> Result<f64, CoreError> {
         let alpha = self.alpha(partition.hgrid_spec());
         try_partition_expression_error(&alpha, partition, Some(&*self.pmf_memo))
     }
@@ -301,9 +280,10 @@ impl AlphaFieldCache {
     /// `E(node)` for every node of the complete quadtree over the lattice
     /// of side `lattice` (a power of two), laid out as
     /// [`try_quadtree_node_errors`] documents, with the α field and the
-    /// Poisson tables served from this cache's memos — each value bit-equal
-    /// to that block's term in
-    /// [`partition_expression_error`](Self::partition_expression_error).
+    /// Poisson tables served from this cache's memos. The pmf memo is keyed
+    /// by rate alone, so the square sweeps and the node table share it.
+    /// [`quadtree_expression_error`](crate::expression::quadtree_expression_error)
+    /// scores any quadtree over the lattice from the table.
     pub fn quadtree_node_errors(&self, lattice: u32) -> Result<Vec<f64>, CoreError> {
         let alpha = self.alpha(GridSpec::new(lattice));
         try_quadtree_node_errors(&alpha, Some(&*self.pmf_memo))
@@ -455,15 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn with_alpha_avoids_cloning() {
-        let events = scattered_events(200, 4);
-        let cache = AlphaFieldCache::new(&events, &clock(), &window(4));
-        let total = cache.with_alpha(GridSpec::new(9), |a| a.total());
-        let direct = estimate_alpha(&events, GridSpec::new(9), &clock(), &window(4)).total();
-        assert_eq!(total, direct);
-    }
-
-    #[test]
     fn append_matches_rebuild_bitwise() {
         let all = scattered_events(400, 5);
         let (old, delta) = all.split_at(250);
@@ -509,9 +480,9 @@ mod tests {
         for side in [1u32, 3, 8] {
             let part = Partition::for_budget(side, 16);
             let via_cache = cache.expression_error(&part).unwrap();
-            let direct = cache.with_alpha(part.hgrid_spec(), |a| {
-                try_partition_expression_error(a, &part, None).unwrap()
-            });
+            let direct =
+                try_partition_expression_error(&cache.alpha(part.hgrid_spec()), &part, None)
+                    .unwrap();
             assert_eq!(
                 via_cache.to_bits(),
                 direct.to_bits(),

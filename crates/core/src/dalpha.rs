@@ -9,7 +9,7 @@
 //! margin).
 
 use crate::error::CoreError;
-use gridtuner_spatial::{CountMatrix, RegionId, SpatialPartition};
+use gridtuner_spatial::{CountMatrix, Partition};
 
 /// `D_α` of a mean field: total absolute deviation from the field mean.
 pub fn d_alpha(alpha: &CountMatrix) -> f64 {
@@ -17,19 +17,14 @@ pub fn d_alpha(alpha: &CountMatrix) -> f64 {
     alpha.as_slice().iter().map(|&a| (a - mean).abs()).sum()
 }
 
-/// Per-region unevenness contributions under a [`SpatialPartition`]:
-/// entry `r` is `Σ_{h ∈ region r} |α_h − ᾱ_r|` with `ᾱ_r` the region's own
-/// mean — the region's share of Theorem II.1's decomposition, and the
-/// greedy refinement signal of the engine's partition search (a region
-/// whose contribution is large hides internal structure a split can
-/// expose; a region with zero contribution is internally uniform and a
-/// merge candidate).
+/// Per-MGrid unevenness contributions under the square `partition`:
+/// entry `r` (row-major MGrid order) is `Σ_{h ∈ MGrid r} |α_h − ᾱ_r|` with
+/// `ᾱ_r` the MGrid's own mean — its share of the field's `D_α`. A large
+/// contribution marks an MGrid hiding internal structure that a finer
+/// grid would expose; zero marks an internally uniform one.
 ///
 /// The field must live on the partition's HGrid lattice.
-pub fn region_d_alpha<P: SpatialPartition>(
-    alpha: &CountMatrix,
-    partition: &P,
-) -> Result<Vec<f64>, CoreError> {
+pub fn region_d_alpha(alpha: &CountMatrix, partition: &Partition) -> Result<Vec<f64>, CoreError> {
     if alpha.side() != partition.hgrid_spec().side() {
         return Err(CoreError::Data(format!(
             "alpha field must live on the partition's HGrid lattice \
@@ -38,15 +33,22 @@ pub fn region_d_alpha<P: SpatialPartition>(
             partition.hgrid_spec().side()
         )));
     }
-    let mut out = Vec::with_capacity(partition.n_regions());
-    let mut buf = Vec::new();
-    for r in 0..partition.n_regions() {
-        partition.region_cells_into(RegionId(r), &mut buf);
-        let k = buf.len().max(1) as f64;
-        let mean: f64 = buf.iter().map(|&h| alpha.get(h)).sum::<f64>() / k;
-        out.push(buf.iter().map(|&h| (alpha.get(h) - mean).abs()).sum());
-    }
-    Ok(out)
+    let k = partition.m() as f64;
+    Ok(partition
+        .mgrid_spec()
+        .cells()
+        .map(|mcell| {
+            let mean = partition
+                .hgrid_iter(mcell)
+                .map(|h| alpha.get(h))
+                .sum::<f64>()
+                / k;
+            partition
+                .hgrid_iter(mcell)
+                .map(|h| (alpha.get(h) - mean).abs())
+                .sum()
+        })
+        .collect())
 }
 
 /// Selects the HGrid side from a `(side, D_α)` curve sampled at increasing
@@ -134,10 +136,9 @@ mod tests {
 
     #[test]
     fn region_d_alpha_sums_to_partitioned_unevenness() {
-        use gridtuner_spatial::{Partition, QuadTreePartition};
         let m = field(8, |r, c| ((r * 5 + c * 3) % 7) as f64);
         // One region covering everything reduces to plain D_α.
-        let root = QuadTreePartition::root(8);
+        let root = Partition::for_budget(1, 8);
         let contrib = region_d_alpha(&m, &root).unwrap();
         assert_eq!(contrib.len(), 1);
         assert!((contrib[0] - d_alpha(&m)).abs() < 1e-12);
@@ -154,13 +155,12 @@ mod tests {
 
     #[test]
     fn splitting_never_increases_total_region_d_alpha() {
-        use gridtuner_spatial::{QuadTreePartition, RegionId};
         // Refinement exposes structure: each region's deviation from its
         // own mean can only shrink when measured against finer means.
         let m = field(8, |r, c| if r < 4 && c < 4 { 9.0 } else { 1.0 });
-        let root = QuadTreePartition::root(8);
+        let root = Partition::for_budget(1, 8);
         let before: f64 = region_d_alpha(&m, &root).unwrap().iter().sum();
-        let split = root.split(RegionId(0)).unwrap();
+        let split = Partition::for_budget(2, 8);
         let after: f64 = region_d_alpha(&m, &split).unwrap().iter().sum();
         assert!(
             after <= before + 1e-12,

@@ -496,24 +496,6 @@ impl PmfMemo {
     }
 }
 
-/// Groups identical values of `alphas` in first-occurrence order, with
-/// multiplicities: the dedup the batched kernel applies per MGrid, exposed
-/// so property tests can pin weight conservation (`Σ multiplicities = m`).
-pub fn dedup_groups(alphas: &[f64]) -> Vec<(f64, u32)> {
-    let mut index: RateMap<u32> = RateMap::default();
-    let mut uniq: Vec<(f64, u32)> = Vec::new();
-    for &a in alphas {
-        match index.entry(a.to_bits()) {
-            Entry::Occupied(e) => uniq[*e.get() as usize].1 += 1,
-            Entry::Vacant(e) => {
-                e.insert(uniq.len() as u32);
-                uniq.push((a, 1));
-            }
-        }
-    }
-    uniq
-}
-
 /// Entry cap for the workspace-local table cache: far above the distinct
 /// rate count of a paper-scale sweep, so the epoch-style clear is a
 /// safety valve, not a steady-state event.
@@ -553,8 +535,9 @@ impl ExprWorkspace {
     }
 
     /// Validating form of [`mgrid_error_trusted`](Self::mgrid_error_trusted):
-    /// rejects non-finite or negative rates as [`CoreError::Data`] before
-    /// touching the kernel.
+    /// rejects non-finite or negative rates, and rates whose total exceeds
+    /// [`MAX_POISSON_MEAN`](crate::poisson::MAX_POISSON_MEAN), as
+    /// [`CoreError::Data`] before touching the kernel.
     pub fn mgrid_error(&mut self, alphas: &[f64], memo: &PmfMemo) -> Result<f64, CoreError> {
         for (j, &a) in alphas.iter().enumerate() {
             if !a.is_finite() || a < 0.0 {
@@ -563,6 +546,7 @@ impl ExprWorkspace {
                 )));
             }
         }
+        crate::expression::check_total(alphas.iter().sum())?;
         Ok(self.mgrid_error_trusted(alphas.iter().copied(), memo))
     }
 
@@ -976,16 +960,22 @@ mod tests {
     }
 
     #[test]
-    fn dedup_groups_conserve_weight() {
-        let alphas = [0.0, 1.0, 0.0, 2.5, 1.0, 0.0];
-        let groups = dedup_groups(&alphas);
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0], (0.0, 3));
-        assert_eq!(groups[1], (1.0, 2));
-        assert_eq!(groups[2], (2.5, 1));
-        let total: u32 = groups.iter().map(|&(_, mult)| mult).sum();
-        assert_eq!(total as usize, alphas.len());
-        assert!(dedup_groups(&[]).is_empty());
+    fn dedup_tallies_conserve_weight() {
+        // Every cell of an MGrid with m > 1 is its rate's first occurrence
+        // (one kernel evaluation) or a dedup hit, whatever the repeats.
+        let memo = PmfMemo::default();
+        let mut ws = ExprWorkspace::new();
+        for alphas in [
+            &[0.0, 1.0, 0.0, 2.5, 1.0, 0.0][..],
+            &[3.0, 3.0],
+            &[1.0, 2.0, 3.0],
+        ] {
+            let (served, cells) = (ws.dedup_hits() + ws.kernel_evals(), ws.cells());
+            ws.mgrid_error(alphas, &memo).unwrap();
+            let served = ws.dedup_hits() + ws.kernel_evals() - served;
+            assert_eq!(served, ws.cells() - cells, "{alphas:?}");
+        }
+        assert_eq!((ws.cells(), ws.kernel_evals()), (11, 3 + 1 + 3));
     }
 
     #[test]
@@ -1001,5 +991,15 @@ mod tests {
                 other => panic!("expected Data error, got {other:?}"),
             }
         }
+        // Finite rates whose total passes the Poisson mean cap.
+        let cap = crate::poisson::MAX_POISSON_MEAN;
+        for rates in [&[1.0, 1e300][..], &[0.6 * cap, 0.6 * cap], &[1e19]] {
+            let err = ws.mgrid_error(rates, &memo);
+            assert!(
+                matches!(&err, Err(CoreError::Data(m)) if m.contains("cap")),
+                "{err:?}"
+            );
+        }
+        assert_eq!(ws.cells(), 0, "rejected rates never reach the kernel");
     }
 }

@@ -30,8 +30,8 @@
 
 use crate::error::CoreError;
 use crate::expr_kernel::{ExprWorkspace, PmfMemo};
-use crate::poisson::poisson_pmf_into;
-use gridtuner_spatial::{CellId, CountMatrix, Partition, RegionId, SpatialPartition};
+use crate::poisson::{poisson_pmf_into, MAX_POISSON_MEAN};
+use gridtuner_spatial::{CellId, CountMatrix, Partition, QuadTreePartition};
 
 /// Expression error by brute force: every `p(r_ij, k_h, k_m)` is rebuilt by
 /// an `O(k_h + k_m)` multiplication loop, giving `O(mK³)` total. Subject to
@@ -163,25 +163,11 @@ pub fn expression_error_windowed(a: f64, b: f64, m: usize) -> f64 {
     crate::expr_kernel::expression_error_kernel(a, b, m)
 }
 
-/// Sum of `E_e(i,j)` over all HGrids of one MGrid with per-HGrid means
-/// `alphas` (`m = alphas.len()`). Uses the batched adaptive-window kernel:
-/// identical rates are grouped and each group is evaluated once, with the
-/// group results accumulated multiplicity-weighted in first-occurrence
-/// order — deterministic, and bit-identical to the per-cell loop whenever
-/// the rates are all distinct (group order = cell order).
-///
-/// One-shot convenience around [`ExprWorkspace`]: field sweeps reuse a
-/// workspace and a cross-probe [`PmfMemo`] instead.
-pub fn mgrid_expression_error(alphas: &[f64]) -> f64 {
-    let memo = PmfMemo::default();
-    match ExprWorkspace::new().mgrid_error(alphas, &memo) {
-        Ok(e) => e,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Rejects a field containing non-finite or negative rates before any
-/// kernel work — once per field, not once per cell.
+/// Rejects a field containing non-finite or negative rates, or whose
+/// total rate exceeds [`MAX_POISSON_MEAN`], before any kernel work — once
+/// per field, not once per cell. The total bounds every region's rest rate
+/// `b`, so no region of any partition of the field can ask for a pmf
+/// window past the cap.
 fn validate_field(alpha: &CountMatrix) -> Result<(), CoreError> {
     for (i, &a) in alpha.as_slice().iter().enumerate() {
         if !a.is_finite() || a < 0.0 {
@@ -190,29 +176,45 @@ fn validate_field(alpha: &CountMatrix) -> Result<(), CoreError> {
             )));
         }
     }
-    Ok(())
+    check_total(alpha.as_slice().iter().sum())
 }
 
-/// Total expression error `Σ_r Σ_{j∈r} E_e(r, j)` for any
-/// [`SpatialPartition`] via the batched kernel: the sum of per-region
-/// expression errors, where each region's cell count `K` is per-call (the
-/// kernel's `m` is already a per-call argument, so variable-size regions
-/// need no kernel change). The paper's square `n`-MGrid partition is a
-/// [`Partition`]. A lattice-mismatched
-/// or invalid α field is a [`CoreError::Data`], not a panic.
+/// [`CoreError::Data`] unless a total rate is within [`MAX_POISSON_MEAN`].
+pub(crate) fn check_total(total: f64) -> Result<(), CoreError> {
+    if total <= MAX_POISSON_MEAN {
+        Ok(())
+    } else {
+        Err(CoreError::Data(format!(
+            "α total {total} exceeds the Poisson mean cap {MAX_POISSON_MEAN}"
+        )))
+    }
+}
+
+/// `memo`, or a per-call memo kept in `local` when there is none: rates
+/// still dedup within the call, but nothing survives it.
+fn memo_or_local<'a>(memo: Option<&'a PmfMemo>, local: &'a mut Option<PmfMemo>) -> &'a PmfMemo {
+    match memo {
+        Some(m) => m,
+        None => local.insert(PmfMemo::default()),
+    }
+}
+
+/// Total expression error `Σ_r Σ_{j∈r} E_e(r, j)` of the square
+/// `partition` via the batched kernel: the sum of per-MGrid expression
+/// errors. A lattice-mismatched or invalid α field is a
+/// [`CoreError::Data`], not a panic.
 ///
 /// `memo` is the cross-probe pmf cache; pass `None` for a per-call cache
-/// (rates still dedup across this field's regions, but nothing survives
-/// the call). Regions are swept in dense id order over fixed-size
+/// (rates still dedup across this field's MGrids, but nothing survives
+/// the call). MGrids are swept in row-major order over fixed-size
 /// contiguous blocks ([`gridtuner_par::par_sum_with`]) with one
 /// `(workspace, cell buffer)` pair per worker; block partials are reduced
-/// in block order and the blocking depends only on the region count, so
-/// the result is **bit-identical for every worker count** and equals
-/// [`partition_expression_error_seq`] exactly — the differential the
-/// testkit pins.
-pub fn try_partition_expression_error<P: SpatialPartition + Sync>(
+/// in block order and the blocking depends only on the MGrid count, so
+/// the result is **bit-identical for every worker count** — a one-worker
+/// run is the sequential run.
+pub fn try_partition_expression_error(
     alpha: &CountMatrix,
-    partition: &P,
+    partition: &Partition,
     memo: Option<&PmfMemo>,
 ) -> Result<f64, CoreError> {
     if alpha.side() != partition.hgrid_spec().side() {
@@ -224,59 +226,21 @@ pub fn try_partition_expression_error<P: SpatialPartition + Sync>(
         )));
     }
     validate_field(alpha)?;
-    let _span = gridtuner_obs::span!("expression_error", regions = partition.n_regions());
-    let local;
-    let memo = match memo {
-        Some(m) => m,
-        None => {
-            local = PmfMemo::default();
-            &local
-        }
-    };
-    let regions: Vec<RegionId> = (0..partition.n_regions()).map(RegionId).collect();
+    let _span = gridtuner_obs::span!("expression_error", regions = partition.n());
+    let mut local = None;
+    let memo = memo_or_local(memo, &mut local);
+    let mgrids: Vec<CellId> = partition.mgrid_spec().cells().collect();
     Ok(gridtuner_par::par_sum_with(
-        &regions,
+        &mgrids,
         || (ExprWorkspace::new(), Vec::new()),
-        |(ws, buf): &mut (ExprWorkspace, Vec<CellId>), &rid| {
-            partition.region_cells_into(rid, buf);
-            ws.mgrid_error_trusted(buf.iter().map(|&h| alpha.get(h)), memo)
+        |(ws, cells): &mut (ExprWorkspace, Vec<CellId>), &mcell| {
+            // Gathered first: an exact-size row lets the workspace size its
+            // buffers exactly (`hgrid_iter`'s length hint is only a bound).
+            cells.clear();
+            cells.extend(partition.hgrid_iter(mcell));
+            ws.mgrid_error_trusted(cells.iter().map(|&h| alpha.get(h)), memo)
         },
     ))
-}
-
-/// Sequential reference for [`try_partition_expression_error`]: the
-/// batched kernel on one thread, folding regions in the same fixed
-/// [`gridtuner_par::SUM_BLOCK`] association the parallel sweep uses — so
-/// the parallel path must match it **bit for bit**, a property the testkit
-/// pins across worker counts.
-pub fn partition_expression_error_seq<P: SpatialPartition>(
-    alpha: &CountMatrix,
-    partition: &P,
-) -> Result<f64, CoreError> {
-    if alpha.side() != partition.hgrid_spec().side() {
-        return Err(CoreError::Data(format!(
-            "alpha field must live on the partition's HGrid lattice \
-             (field side {}, lattice side {})",
-            alpha.side(),
-            partition.hgrid_spec().side()
-        )));
-    }
-    validate_field(alpha)?;
-    let memo = PmfMemo::default();
-    let mut ws = ExprWorkspace::new();
-    let mut buf = Vec::new();
-    let regions: Vec<RegionId> = (0..partition.n_regions()).map(RegionId).collect();
-    let mut partials = Vec::with_capacity(regions.len().div_ceil(gridtuner_par::SUM_BLOCK).max(1));
-    for block in regions.chunks(gridtuner_par::SUM_BLOCK) {
-        // The canonical 4-lane in-block fold `par_sum_with` uses.
-        let mut lanes = [0.0f64; 4];
-        for (i, &rid) in block.iter().enumerate() {
-            partition.region_cells_into(rid, &mut buf);
-            lanes[i % 4] += ws.mgrid_error_trusted(buf.iter().map(|&h| alpha.get(h)), &memo);
-        }
-        partials.push((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]));
-    }
-    Ok(partials.iter().sum())
 }
 
 /// Index of quadtree node `(depth, row, col)` in the level-major layout of
@@ -292,12 +256,12 @@ pub fn quadtree_node_index(depth: u32, row: usize, col: usize) -> usize {
 /// row-major within a level).
 ///
 /// Each value is one [`ExprWorkspace::mgrid_error_trusted`] call over the
-/// block's cells in row-major order — the order
-/// [`QuadTreePartition`](gridtuner_spatial::QuadTreePartition) enumerates a
-/// leaf's cells — so it is bit-equal to that leaf's term in the canonical
-/// [`try_partition_expression_error`] fold of any quadtree holding the
-/// block as a leaf. Nodes are evaluated in parallel; each value depends
-/// only on its block, so the result is the same at every worker count.
+/// block's cells in row-major order, so it is bit-equal to
+/// [`ExprWorkspace::mgrid_error`] over the same rates. Every quadtree leaf
+/// is one of these blocks, so [`quadtree_expression_error`] scores any
+/// quadtree over the lattice from this one table. Nodes are evaluated in
+/// parallel; each value depends only on its block, so the result is the
+/// same at every worker count.
 pub fn try_quadtree_node_errors(
     alpha: &CountMatrix,
     memo: Option<&PmfMemo>,
@@ -310,14 +274,8 @@ pub fn try_quadtree_node_errors(
     }
     validate_field(alpha)?;
     let _span = gridtuner_obs::span!("quadtree_node_errors", side = side);
-    let local;
-    let memo = match memo {
-        Some(m) => m,
-        None => {
-            local = PmfMemo::default();
-            &local
-        }
-    };
+    let mut local = None;
+    let memo = memo_or_local(memo, &mut local);
     let spec = gridtuner_spatial::GridSpec::new(alpha.side());
     let max_depth = side.trailing_zeros();
     // Contiguous node runs of about `CELLS_PER_TASK` cells each, so one
@@ -346,11 +304,37 @@ pub fn try_quadtree_node_errors(
     Ok(parts.concat())
 }
 
+/// Total expression error of the quadtree `tree` from the node table
+/// `nodes` of [`try_quadtree_node_errors`] over the same lattice: each
+/// leaf's `E(node)`, folded in region order by [`gridtuner_par::par_sum`]
+/// — the blocked 4-lane association the square sweep gets from
+/// [`gridtuner_par::par_sum_with`], so the score is the same at every
+/// worker count and equals a sweep of the tree's leaves, bit for bit. A
+/// table of the wrong length for the tree's lattice is a
+/// [`CoreError::Data`].
+pub fn quadtree_expression_error(
+    nodes: &[f64],
+    tree: &QuadTreePartition,
+) -> Result<f64, CoreError> {
+    let lattice = tree.lattice_side() as usize;
+    let levels = lattice.trailing_zeros() + 1;
+    if 1usize.checked_shl(2 * levels).map(|n| (n - 1) / 3) != Some(nodes.len()) {
+        return Err(CoreError::Data(format!(
+            "a quadtree node table of {} entries does not fit a {lattice}-side lattice",
+            nodes.len()
+        )));
+    }
+    Ok(gridtuner_par::par_sum(tree.leaves(), |l| {
+        let depth = (lattice / l.size).trailing_zeros();
+        nodes[quadtree_node_index(depth, l.row0 / l.size, l.col0 / l.size)]
+    }))
+}
+
 /// The pre-batching sweep, kept verbatim for comparison: one
 /// [`expression_error_windowed`] call per distinct rate per MGrid (a
 /// per-MGrid memo, allocated per cell row), summed in cell order on one
-/// thread. `tune_bench`'s kernel comparison and the CI `perf-smoke` gate
-/// measure the batched kernel against this; it also serves as an
+/// thread. `tune_bench`'s `kernel.speedup` gate measures the batched
+/// kernel against this; it also serves as an
 /// independent numeric cross-check (agreement to reassociation tolerance,
 /// not bitwise — the batched path groups before it sums).
 pub fn total_expression_error_percell(alpha: &CountMatrix, partition: &Partition) -> f64 {
@@ -544,6 +528,13 @@ mod tests {
         }
     }
 
+    /// One MGrid's error through a fresh workspace and memo.
+    fn mgrid_error(alphas: &[f64]) -> f64 {
+        ExprWorkspace::new()
+            .mgrid_error(alphas, &PmfMemo::default())
+            .unwrap()
+    }
+
     #[test]
     fn mgrid_error_sums_hgrid_errors() {
         let alphas = [1.0, 2.0, 3.0, 4.0];
@@ -551,9 +542,9 @@ mod tests {
             .iter()
             .map(|&a| expression_error_windowed(a, 10.0 - a, 4))
             .sum();
-        assert!((mgrid_expression_error(&alphas) - total).abs() < 1e-12);
-        assert_eq!(mgrid_expression_error(&[5.0]), 0.0);
-        assert_eq!(mgrid_expression_error(&[]), 0.0);
+        assert!((mgrid_error(&alphas) - total).abs() < 1e-12);
+        assert_eq!(mgrid_error(&[5.0]), 0.0);
+        assert_eq!(mgrid_error(&[]), 0.0);
     }
 
     /// The square-partition sweep: `p` through the one batched path.
@@ -582,7 +573,7 @@ mod tests {
                 .into_iter()
                 .map(|h| alpha.get(h))
                 .collect();
-            manual += mgrid_expression_error(&alphas);
+            manual += mgrid_error(&alphas);
         }
         assert!((total - manual).abs() < 1e-9);
         // The concentrated MGrid (all mass in one HGrid) dominates.
@@ -614,30 +605,24 @@ mod tests {
 
     #[test]
     fn parallel_seq_and_percell_paths_agree() {
-        let p = Partition::new(4, 6);
+        // 144 MGrids: the sweep's 64-item reduction blocks are crossed.
+        let p = Partition::new(12, 2);
         let alpha = uneven_field(24);
-        let par = uniform_error(&alpha, p, None);
-        let seq = partition_expression_error_seq(&alpha, &p).unwrap();
-        // The parallel sweep replicates the sequential association exactly.
-        assert_eq!(par.to_bits(), seq.to_bits(), "par {par} vs seq {seq}");
+        let prev = gridtuner_par::max_threads();
+        let [seq, two, eight] = [1, 2, 8].map(|threads| {
+            gridtuner_par::set_max_threads(threads);
+            uniform_error(&alpha, p, None)
+        });
+        gridtuner_par::set_max_threads(prev);
+        for par in [two, eight] {
+            assert_eq!(par.to_bits(), seq.to_bits(), "{par} vs one worker's {seq}");
+        }
         // The pre-batching per-cell loop agrees to reassociation tolerance.
         let percell = total_expression_error_percell(&alpha, &p);
         assert!(
-            (par - percell).abs() <= 1e-9 * percell.max(1.0),
-            "batched {par} vs per-cell {percell}"
+            (seq - percell).abs() <= 1e-9 * percell.max(1.0),
+            "batched {seq} vs per-cell {percell}"
         );
-    }
-
-    #[test]
-    fn trait_uniform_sweep_is_bit_identical_to_legacy() {
-        // The paper's square layout, swept through the trait in parallel
-        // and by the sequential oracle: one batched path, so the two sums
-        // agree to the bit.
-        let p = Partition::new(4, 6);
-        let alpha = uneven_field(24);
-        let uniform = uniform_error(&alpha, p, None);
-        let seq = partition_expression_error_seq(&alpha, &p).unwrap();
-        assert_eq!(uniform.to_bits(), seq.to_bits());
     }
 
     #[test]
@@ -662,6 +647,18 @@ mod tests {
             CoreError::Data(msg) => assert!(msg.contains("cell 5"), "{msg}"),
             other => panic!("expected Data, got {other:?}"),
         }
+        // Finite rates past the Poisson mean cap, in one cell or summed
+        // over two: the pmf windows they ask for are refused.
+        let over_cap =
+            |r: Result<_, CoreError>| matches!(r, Err(CoreError::Data(m)) if m.contains("cap"));
+        for rates in [[1e300, 0.0], [0.6 * MAX_POISSON_MEAN; 2]] {
+            let mut huge = CountMatrix::zeros(4);
+            huge.as_mut_slice()[..2].copy_from_slice(&rates);
+            assert!(over_cap(
+                try_partition_expression_error(&huge, &grid, None).map(|_| ())
+            ));
+            assert!(over_cap(try_quadtree_node_errors(&huge, None).map(|_| ())));
+        }
         let mismatched = CountMatrix::zeros(5);
         match try_partition_expression_error(&mismatched, &grid, None).unwrap_err() {
             CoreError::Data(msg) => assert!(msg.contains("HGrid lattice"), "{msg}"),
@@ -675,33 +672,41 @@ mod tests {
         expression_error_windowed(f64::NAN, 1.0, 4);
     }
 
+    /// The rates of a quadtree leaf, row-major.
+    fn leaf_rates(alpha: &CountMatrix, l: &gridtuner_spatial::QuadLeaf) -> Vec<f64> {
+        let spec = gridtuner_spatial::GridSpec::new(alpha.side());
+        (l.row0..l.row0 + l.size)
+            .flat_map(|r| (l.col0..l.col0 + l.size).map(move |c| alpha.get(spec.cell_at(r, c))))
+            .collect()
+    }
+
     #[test]
     fn quadtree_sweep_matches_manual_region_sums() {
-        use gridtuner_spatial::{QuadTreePartition, RegionId, SpatialPartition};
         let alpha = uneven_field(8);
         let q = QuadTreePartition::uniform_depth(8, 1)
-            .and_then(|q| q.split(RegionId(0)))
+            .and_then(|q| q.split(0))
             .unwrap();
-        let swept = try_partition_expression_error(&alpha, &q, None).unwrap();
-        let manual: f64 = (0..q.n_regions())
-            .map(|r| {
-                let rates: Vec<f64> = q
-                    .region_cells(RegionId(r))
-                    .iter()
-                    .map(|&h| alpha.get(h))
-                    .collect();
-                mgrid_expression_error(&rates)
-            })
+        let nodes = try_quadtree_node_errors(&alpha, None).unwrap();
+        let folded = quadtree_expression_error(&nodes, &q).unwrap();
+        let manual: f64 = q
+            .leaves()
+            .iter()
+            .map(|l| mgrid_error(&leaf_rates(&alpha, l)))
             .sum();
         assert!(
-            (swept - manual).abs() < 1e-9,
-            "quadtree {swept} vs {manual}"
+            (folded - manual).abs() < 1e-9,
+            "quadtree {folded} vs {manual}"
         );
+        // A uniform-depth tree is the square partition of the same lattice:
+        // same regions, same cell order, same fold.
+        let square = try_partition_expression_error(&alpha, &Partition::new(2, 4), None).unwrap();
+        let depth1 = QuadTreePartition::uniform_depth(8, 1).unwrap();
+        let folded = quadtree_expression_error(&nodes, &depth1).unwrap();
+        assert_eq!(folded.to_bits(), square.to_bits());
     }
 
     #[test]
     fn quadtree_node_errors_are_the_canonical_leaf_terms() {
-        use gridtuner_spatial::{QuadTreePartition, RegionId, SpatialPartition};
         let alpha = uneven_field(16);
         let nodes = try_quadtree_node_errors(&alpha, None).unwrap();
         assert_eq!(nodes.len(), (4usize.pow(5) - 1) / 3);
@@ -709,23 +714,20 @@ mod tests {
         let mut ws = ExprWorkspace::new();
         for depth in 0..=4u32 {
             let q = QuadTreePartition::uniform_depth(16, depth).unwrap();
-            for (r, leaf) in q.leaves().iter().enumerate() {
-                let rates: Vec<f64> = q
-                    .region_cells(RegionId(r))
-                    .iter()
-                    .map(|&h| alpha.get(h))
-                    .collect();
+            for leaf in q.leaves() {
                 let node = quadtree_node_index(depth, leaf.row0 / leaf.size, leaf.col0 / leaf.size);
                 assert_eq!(
                     nodes[node].to_bits(),
-                    ws.mgrid_error(&rates, &memo).unwrap().to_bits(),
+                    ws.mgrid_error(&leaf_rates(&alpha, leaf), &memo)
+                        .unwrap()
+                        .to_bits(),
                     "depth {depth} leaf {leaf:?}"
                 );
             }
         }
-        // A one-leaf tree's canonical fold is its root term, bit for bit.
+        // A one-leaf tree's fold is its root term, bit for bit.
         let root = QuadTreePartition::root(16);
-        let folded = try_partition_expression_error(&alpha, &root, None).unwrap();
+        let folded = quadtree_expression_error(&nodes, &root).unwrap();
         assert_eq!(folded.to_bits(), nodes[0].to_bits());
         // Single cells carry no expression error.
         assert!(nodes[quadtree_node_index(4, 0, 0)..]
@@ -739,12 +741,15 @@ mod tests {
 
     #[test]
     fn partition_sweep_rejects_mismatched_lattice() {
-        use gridtuner_spatial::QuadTreePartition;
-        let q = QuadTreePartition::root(8);
-        let alpha = CountMatrix::zeros(5);
-        match try_partition_expression_error(&alpha, &q, None).unwrap_err() {
-            CoreError::Data(msg) => assert!(msg.contains("HGrid lattice"), "{msg}"),
-            other => panic!("expected Data, got {other:?}"),
+        // A node table from another lattice does not score a quadtree; the
+        // square sweep's lattice check is in the fallible-path test above.
+        let nodes = try_quadtree_node_errors(&CountMatrix::zeros(4), None).unwrap();
+        for q in [QuadTreePartition::root(8), QuadTreePartition::root(1 << 31)] {
+            let err = quadtree_expression_error(&nodes, &q);
+            assert!(
+                matches!(&err, Err(CoreError::Data(m)) if m.contains("node table")),
+                "{err:?}"
+            );
         }
     }
 

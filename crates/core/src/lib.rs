@@ -59,11 +59,11 @@ pub use alpha_cache::AlphaFieldCache;
 pub use dalpha::{d_alpha, region_d_alpha, select_hgrid_side};
 pub use error::CoreError;
 pub use errors::ErrorReport;
-pub use expr_kernel::{dedup_groups, ExprWorkspace, PmfMemo, PmfTable};
+pub use expr_kernel::{ExprWorkspace, PmfMemo, PmfTable};
 pub use expression::{
     expression_error_alg1, expression_error_alg2, expression_error_naive,
-    expression_error_windowed, mgrid_expression_error, partition_expression_error_seq,
-    total_expression_error_percell, try_partition_expression_error, try_quadtree_node_errors,
+    expression_error_windowed, quadtree_expression_error, total_expression_error_percell,
+    try_partition_expression_error, try_quadtree_node_errors,
 };
 pub use kselect::{recommended_k, truncation_error_bound};
 pub use resample::{replicate_draws, replicate_seed, resample_events, splitmix64, ReplicateRng};

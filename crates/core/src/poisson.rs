@@ -288,6 +288,14 @@ pub fn poisson_mad(lambda: f64) -> f64 {
     (2.0f64.ln() + (m + 1.0) * lambda.ln() - lambda - ln_gamma(m + 2.0) + (m + 1.0).ln()).exp()
 }
 
+/// The largest Poisson mean (2⁴⁰) the expression-error paths accept. Its
+/// [`mass_window`] spans `16·√λ + 17 ≈ 2²⁴` entries, 128 MiB of `f64`;
+/// a larger mean would ask for a window that cannot be allocated, or one
+/// whose bounds overflow `u64`. The field sweeps and
+/// [`ExprWorkspace::mgrid_error`](crate::ExprWorkspace::mgrid_error)
+/// reject a total rate above it as a [`CoreError::Data`](crate::CoreError::Data).
+pub const MAX_POISSON_MEAN: f64 = (1u64 << 40) as f64;
+
 /// The window `[lo, hi]` outside which the `Pois(lambda)` pmf carries less
 /// than ~1e-12 of probability mass. `pad` widens the window further (useful
 /// when the quantity being integrated grows with `k`).

@@ -31,6 +31,26 @@ pub enum SearchStrategy {
     },
 }
 
+impl SearchStrategy {
+    /// Runs this strategy's searcher over `lo..=hi` with `probe`:
+    /// [`try_brute_force`], [`try_ternary_search`] or
+    /// [`try_iterative_method`] with the variant's start and bound.
+    pub fn run(
+        self,
+        probe: impl FnMut(u32) -> Result<f64, CoreError>,
+        lo: u32,
+        hi: u32,
+    ) -> Result<SearchOutcome, CoreError> {
+        match self {
+            SearchStrategy::BruteForce => try_brute_force(probe, lo, hi),
+            SearchStrategy::Ternary => try_ternary_search(probe, lo, hi),
+            SearchStrategy::Iterative { init, bound } => {
+                try_iterative_method(probe, lo, hi, init, bound)
+            }
+        }
+    }
+}
+
 /// Result of a grid-size search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {

@@ -3,11 +3,11 @@
 //! 1. the α field derived from an [`AlphaFieldCache`] digest is
 //!    **bit-identical** to [`estimate_alpha`] over the raw event log, for
 //!    arbitrary logs, windows and probed lattice sides;
-//! 2. the parallel expression-error reduction agrees with the sequential
-//!    reference to 1e-12 relative.
+//! 2. the expression-error sweep at 2 and 8 workers equals the one-worker
+//!    (sequential) sweep, bit for bit.
 
 use gridtuner_core::alpha::AlphaWindow;
-use gridtuner_core::expression::{partition_expression_error_seq, try_partition_expression_error};
+use gridtuner_core::expression::try_partition_expression_error;
 use gridtuner_core::{estimate_alpha, AlphaFieldCache};
 use gridtuner_spatial::{Event, GridSpec, Partition, Point, SlotClock};
 use proptest::prelude::*;
@@ -74,11 +74,15 @@ proptest! {
         };
         let part = Partition::for_budget(side, budget);
         let alpha = estimate_alpha(&events, part.hgrid_spec(), &clock, &window);
-        let par = try_partition_expression_error(&alpha, &part, None).unwrap();
-        let seq = partition_expression_error_seq(&alpha, &part).unwrap();
+        let prev = gridtuner_par::max_threads();
+        let bits = [1, 2, 8].map(|threads| {
+            gridtuner_par::set_max_threads(threads);
+            try_partition_expression_error(&alpha, &part, None).unwrap().to_bits()
+        });
+        gridtuner_par::set_max_threads(prev);
         assert!(
-            (par - seq).abs() <= 1e-12 * (1.0 + seq.abs()),
-            "parallel {par} vs sequential {seq} (side {side}, budget {budget})"
+            bits.iter().all(|&b| b == bits[0]),
+            "1/2/8 workers: {bits:x?} (side {side}, budget {budget})"
         );
     }
 }

@@ -23,11 +23,12 @@
 //!   tunes over resampled logs producing a confidence set over the side,
 //!   per-probe dispersion and a stable/plateau/unstable verdict;
 //! * [`partition_search`] — the `PartitionSearch` stage: Theorem II.1's
-//!   bound minimised over quadtree [`SpatialPartition`]s (an exact tree
-//!   DP under a region cap), with the 1-D uniform tune as the comparison
+//!   bound minimised over [`QuadTreePartition`]s (an exact tree DP under a
+//!   region cap, each candidate scored from one table of per-block
+//!   expression errors), with the 1-D uniform tune as the comparison
 //!   baseline.
 //!
-//! [`SpatialPartition`]: gridtuner_spatial::SpatialPartition
+//! [`QuadTreePartition`]: gridtuner_spatial::QuadTreePartition
 //!
 //! Model-error legs plug in through
 //! [`gridtuner_core::upper_bound::ModelErrorSource`]; it need not be

@@ -2,16 +2,16 @@
 //! non-square partitions.
 //!
 //! The 1-D searches ([`TuningSession::tune`]) walk the square family
-//! `n = s²`. This stage widens the family while keeping the bound exact:
-//! every candidate is a [`SpatialPartition`] (HGrid-aligned, so the α
-//! field and the batched kernel are reused unchanged), its expression leg
-//! is the per-region kernel sweep, and its model leg is interpolated from
-//! the square-side model curve at the candidate's region count.
+//! `n = s²`. This stage widens the family to quadtrees while keeping the
+//! bound exact: every leaf is a block of the HGrid lattice, so its
+//! expression leg is a sum of per-block kernel terms read from one node
+//! table, and its model leg is interpolated from the square-side model
+//! curve at the candidate's region count.
 //!
 //! Two searches, selected by [`PartitionKind`]:
 //!
 //! * **uniform** — no refinement: the 1-D winner re-evaluated through the
-//!   same square-partition sweep the 1-D tune ran, so bit-identical to it;
+//!   same square sweep the 1-D tune ran, so bit-identical to it;
 //! * **quadtree** — exact refinement by a tree DP, under a **region cap**
 //!   equal to the 1-D winner's `n`, so the final quadtree never uses more
 //!   regions than the uniform optimum it is compared against.
@@ -33,12 +33,12 @@
 //! for a square) are already in the session's model memo — so no model
 //! is ever trained for the refinement beyond the seeds.
 //!
-//! The DP adds node errors in its own order, so the chosen tree's legs are
-//! then reported through the canonical
-//! [`partition_expression_error`](gridtuner_core::AlphaFieldCache::partition_expression_error)
-//! fold, and the search keeps the best of that tree and the uniform-depth
-//! seeds under the same fold: association noise can never lift the
-//! reported bound above a reachable seed's.
+//! The DP adds node errors in its own order, so the chosen tree and every
+//! uniform-depth seed are then scored by
+//! [`quadtree_expression_error`]: the same node errors, folded in region
+//! order. The search keeps the best of them under that one fold, so
+//! association noise can never lift the reported bound above a reachable
+//! seed's. Scoring a candidate reads one table entry per leaf.
 //!
 //! Every choice is deterministically tie-broken: fewer regions win exact
 //! ties, and a convolution keeps the first minimum in ascending split
@@ -48,10 +48,10 @@
 
 use crate::error::EngineError;
 use crate::session::{TuneReport, TuningSession};
-use gridtuner_core::expression::quadtree_node_index;
+use gridtuner_core::expression::{quadtree_expression_error, quadtree_node_index};
 use gridtuner_core::upper_bound::ModelErrorSource;
 use gridtuner_obs as obs;
-use gridtuner_spatial::{QuadLeaf, QuadTreePartition, SpatialPartition};
+use gridtuner_spatial::{QuadLeaf, QuadTreePartition};
 
 /// Which partition family [`TuningSession::tune_partition`] searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,8 +120,9 @@ pub struct PartitionReport {
     pub splits: usize,
     /// Always 0: the quadtree DP never merges. Kept for report readers.
     pub merges: usize,
-    /// Candidate partitions whose bound went through the canonical
-    /// expression fold.
+    /// Candidates scored: 1 for uniform (the 1-D winner); for quadtree,
+    /// the DP's tree plus each uniform-depth seed that differs from it,
+    /// each scored by a fold of the node table.
     pub evals: usize,
     /// The region budget the search ran under (the 1-D winner's `n`).
     pub region_cap: usize,
@@ -196,20 +197,11 @@ impl<S: ModelErrorSource> TuningSession<S> {
         Ok(lo + t * (hi - lo))
     }
 
-    /// Both legs of the bound for one candidate partition.
-    fn partition_legs<P: SpatialPartition + Sync>(
-        &mut self,
-        partition: &P,
-    ) -> Result<(f64, f64), EngineError> {
-        let expr = self.cache_handle()?.partition_expression_error(partition)?;
-        let model = self.region_model_error(partition.n_regions())?;
-        Ok((expr, model))
-    }
-
     fn uniform_report(&mut self, uniform: TuneReport) -> Result<PartitionReport, EngineError> {
         let side = uniform.outcome.side;
-        let (expr, model) = self.partition_legs(&uniform.partition)?;
-        let n_regions = uniform.partition.n_regions();
+        let n_regions = uniform.partition.n();
+        let expr = self.cache_handle()?.expression_error(&uniform.partition)?;
+        let model = self.region_model_error(n_regions)?;
         Ok(PartitionReport {
             kind: PartitionKind::Uniform,
             layout: PartitionLayout::Uniform { side },
@@ -227,7 +219,7 @@ impl<S: ModelErrorSource> TuningSession<S> {
 
     /// Exact quadtree refinement under the uniform winner's region cap:
     /// the tree DP of the module docs over every reachable region count,
-    /// then the canonical fold of the DP's tree and of every uniform-depth
+    /// then the node-table fold of the DP's tree and of every uniform-depth
     /// seed, keeping the best.
     fn quadtree_search(&mut self, uniform: TuneReport) -> Result<PartitionReport, EngineError> {
         let budget = self.config().hgrid_budget_side;
@@ -275,15 +267,16 @@ impl<S: ModelErrorSource> TuningSession<S> {
         let tree = QuadTreePartition::from_leaves(budget, dp.leaves(best_j)).ok_or_else(|| {
             EngineError::Internal("quadtree DP produced leaves that do not tile".into())
         })?;
-        // Report through the canonical fold, and never above a seed under
-        // that same fold: ties keep fewer regions, then the DP's tree.
+        // Report through the node fold, and never above a seed under that
+        // same fold: ties keep fewer regions, then the DP's tree.
         let mut evals = 0usize;
         let mut best: Option<(QuadTreePartition, (f64, f64))> = None;
         for cand in std::iter::once(tree).chain(seeds) {
             if best.as_ref().is_some_and(|(q, _)| *q == cand) {
                 continue;
             }
-            let legs = self.partition_legs(&cand)?;
+            let expr = quadtree_expression_error(&nodes, &cand)?;
+            let legs = (expr, self.region_model_error(cand.n_regions())?);
             evals += 1;
             let better = best.as_ref().is_none_or(|(q, b)| {
                 let (bound, best_bound) = (legs.0 + legs.1, b.0 + b.1);
@@ -533,9 +526,8 @@ mod tests {
         let report = s.tune_partition(PartitionKind::Uniform).unwrap();
         assert_eq!(report.kind, PartitionKind::Uniform);
         assert_eq!(report.n_regions, report.uniform.partition.n());
-        // The trait-dispatched decomposition re-adds to the 1-D winner's
-        // bound bit for bit: same expression sweep, same memoised model
-        // value, same addition.
+        // The decomposition re-adds to the 1-D winner's bound bit for bit:
+        // same expression sweep, same memoised model value, same addition.
         assert_eq!(
             report.bound.to_bits(),
             report.uniform.outcome.error.to_bits()
@@ -581,7 +573,7 @@ mod tests {
         assert_eq!(report.splits, (report.n_regions - 1) / 3);
         assert_eq!(report.merges, 0);
         // Every uniform-depth seed within the cap, through the same fold.
-        let cache = s.alpha_cache().unwrap();
+        let nodes = s.alpha_cache().unwrap().quadtree_node_errors(16).unwrap();
         let mut seed_sides = Vec::new();
         for depth in 0u32.. {
             let side = 1u32 << depth;
@@ -589,7 +581,7 @@ mod tests {
                 break;
             }
             let seed = QuadTreePartition::uniform_depth(16, depth).unwrap();
-            let bound = cache.partition_expression_error(&seed).unwrap() + model(side);
+            let bound = quadtree_expression_error(&nodes, &seed).unwrap() + model(side);
             assert!(
                 report.bound <= bound,
                 "bound {} above seed {depth}'s {bound}",

@@ -23,9 +23,7 @@ use crate::error::EngineError;
 use crate::uncertainty::{run_bootstrap, ReplicateSetup, UncertaintyReport};
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::error::CoreError;
-use gridtuner_core::search::{
-    try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome, SearchStrategy,
-};
+use gridtuner_core::search::SearchOutcome;
 use gridtuner_core::upper_bound::ModelErrorSource;
 use gridtuner_obs as obs;
 use gridtuner_spatial::{Event, Partition};
@@ -275,13 +273,7 @@ impl<S: ModelErrorSource> TuningSession<S> {
                 );
                 Ok(total)
             };
-            let search = move || match strategy {
-                SearchStrategy::BruteForce => try_brute_force(&mut probe, lo, hi),
-                SearchStrategy::Ternary => try_ternary_search(&mut probe, lo, hi),
-                SearchStrategy::Iterative { init, bound } => {
-                    try_iterative_method(&mut probe, lo, hi, init, bound)
-                }
-            };
+            let search = move || strategy.run(&mut probe, lo, hi);
             // A panic below (a worker's, re-raised on this thread, or the
             // probe's own) must surface as a typed Internal error, not
             // tear down the caller.
@@ -366,6 +358,7 @@ impl<S: ModelErrorSource> TuningSession<S> {
 mod tests {
     use super::*;
     use gridtuner_core::alpha::AlphaWindow;
+    use gridtuner_core::search::SearchStrategy;
     use gridtuner_spatial::Point;
 
     fn skewed_events(n: usize, days: u32) -> Vec<Event> {
@@ -435,14 +428,7 @@ mod tests {
             let budget = config.hgrid_budget_side;
             let probe =
                 |s: u32| Ok(cache.expression_error(&Partition::for_budget(s, budget))? + model(s));
-            let direct = match strategy {
-                SearchStrategy::BruteForce => try_brute_force(probe, 2, 20),
-                SearchStrategy::Ternary => try_ternary_search(probe, 2, 20),
-                SearchStrategy::Iterative { init, bound } => {
-                    try_iterative_method(probe, 2, 20, init, bound)
-                }
-            }
-            .unwrap();
+            let direct = strategy.run(probe, 2, 20).unwrap();
             let report = tune_once(strategy, &events);
             assert_eq!(report.outcome.side, direct.side, "{strategy:?}");
             assert_eq!(
@@ -571,6 +557,47 @@ mod tests {
         assert_eq!(re.alpha_delta_scans, 1);
         // ...and served every model probe from the memo (analytic source).
         assert_eq!(re.model_memo_hits, re.outcome.evals);
+    }
+
+    #[test]
+    fn data_dependent_model_memo_is_dropped_by_a_delta() {
+        /// The analytic `model` curve, declared data-dependent and counting
+        /// its calls.
+        struct Counting {
+            calls: usize,
+        }
+        impl ModelErrorSource for Counting {
+            fn model_error(&mut self, side: u32) -> Result<f64, CoreError> {
+                self.calls += 1;
+                Ok(model(side))
+            }
+            fn data_dependent(&self) -> bool {
+                true
+            }
+        }
+        let old = skewed_events(300, 7);
+        // Slot 1 of day 0: outside the slot-0 window, so only the model
+        // memo can be invalidated by this delta.
+        let delta: Vec<Event> = old[..40]
+            .iter()
+            .map(|e| Event::new(e.loc, e.minute + 45))
+            .collect();
+        let mk = || TuningSession::new(cfg(SearchStrategy::BruteForce), Counting { calls: 0 });
+        let mut session = mk().unwrap();
+        session.ingest(&old).unwrap();
+        let evals = session.tune().unwrap().outcome.evals;
+        let ingest = session.ingest(&delta).unwrap();
+        assert!(ingest.matched == 0 && ingest.invalidated, "{ingest:?}");
+        assert_eq!(session.memoised_sides(), 0);
+        let mut re = session.tune().unwrap();
+        assert_eq!(session.model().calls, evals + re.outcome.evals);
+        assert_eq!(re.model_memo_hits, 0, "every probed side re-measured");
+        // Bit for bit a fresh session's report, but for its one delta scan
+        // (`Debug` prints each f64's shortest round-trip form).
+        let mut fresh = mk().unwrap();
+        fresh.ingest(&[&old[..], &delta[..]].concat()).unwrap();
+        assert_eq!(std::mem::take(&mut re.alpha_delta_scans), 1);
+        assert_eq!(format!("{re:?}"), format!("{:?}", fresh.tune().unwrap()));
     }
 
     #[test]

@@ -71,9 +71,7 @@ use crate::error::EngineError;
 use crate::session::memoised_model_error;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::error::CoreError;
-use gridtuner_core::search::{
-    try_brute_force, try_iterative_method, try_ternary_search, SearchOutcome, SearchStrategy,
-};
+use gridtuner_core::search::{SearchOutcome, SearchStrategy};
 use gridtuner_core::upper_bound::ModelErrorSource;
 use gridtuner_obs as obs;
 use gridtuner_par::par_map;
@@ -274,13 +272,7 @@ fn attempt_replicate(
             }
         }
     };
-    let result = match setup.strategy {
-        SearchStrategy::BruteForce => try_brute_force(&mut probe, setup.lo, setup.hi),
-        SearchStrategy::Ternary => try_ternary_search(&mut probe, setup.lo, setup.hi),
-        SearchStrategy::Iterative { init, bound } => {
-            try_iterative_method(&mut probe, setup.lo, setup.hi, init, bound)
-        }
-    };
+    let result = setup.strategy.run(&mut probe, setup.lo, setup.hi);
     match stalled {
         Some(side) => Attempt::Stalled {
             side,

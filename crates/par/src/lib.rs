@@ -50,10 +50,8 @@ const MIN_ITEMS_PER_THREAD: usize = 2;
 /// the partials are added in block order. Within a block the fold is the
 /// canonical 4-lane association (see `block_fold`). Because the block
 /// size is a constant, the association — and so the summed value, bit for
-/// bit — is the same for every worker count. Public so sequential
-/// reference implementations (e.g. the batched expression-error kernel's
-/// `partition_expression_error_seq`) can replicate the exact association.
-pub const SUM_BLOCK: usize = 64;
+/// bit — is the same for every worker count.
+const SUM_BLOCK: usize = 64;
 
 /// One block's partial sum under the **canonical 4-lane association**:
 /// item `i` of the block accumulates into lane `i mod 4`, and the lanes
@@ -217,7 +215,7 @@ pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec
 }
 
 /// Deterministic parallel sum: items are folded into per-block partials of
-/// [`SUM_BLOCK`] elements (each block folded with the canonical 4-lane
+/// `SUM_BLOCK` (64) elements (each block folded with the canonical 4-lane
 /// association, see `block_fold`), and the partials are added in block
 /// order. The blocking depends only on `items.len()`, so the
 /// floating-point association is fixed: sequential and parallel runs

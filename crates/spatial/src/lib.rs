@@ -14,9 +14,9 @@
 //! * [`counts`] — per-slot count matrices and series, with the
 //!   coarsen/spread operations that connect MGrid predictions to HGrid
 //!   estimates (`λ̄_ij = λ̂_i / m`);
-//! * [`partition`] — the [`partition::SpatialPartition`] trait generalising
-//!   the square layout to quadtree partitions, both sharing one HGrid
-//!   lattice (the HGrid-aligned region invariant).
+//! * [`partition`] — [`QuadTreePartition`], the quadtree partitions the
+//!   refinement search picks, whose leaves are aligned power-of-two blocks
+//!   of one HGrid lattice.
 //!
 //! Everything is deterministic and allocation-conscious: count series are
 //! stored as flat `Vec<f64>` in row-major `(slot, row, col)` order.
@@ -38,7 +38,7 @@ pub use events::{Event, TripRecord};
 pub use geom::{BBox, GeoBounds, Point};
 pub use grid::{CellId, GridSpec, Partition};
 pub use index::GridIndex;
-pub use partition::{QuadLeaf, QuadTreePartition, RegionId, SpatialPartition};
+pub use partition::{QuadLeaf, QuadTreePartition};
 pub use time::{SlotClock, SlotId, SLOTS_PER_DAY, SLOT_MINUTES};
 
 /// Errors produced by the spatial substrate.

@@ -1,106 +1,21 @@
-//! Partitions of the service area as a first-class abstraction.
+//! Quadtree partitions of the service area.
 //!
 //! The paper's Theorem II.1 error decomposition does not actually require
-//! the square `n = s²` MGrid layout of [`Partition`]:
-//! it holds for *any* partition of the unit square into regions, as long as
-//! every region is a union of HGrid-lattice cells (so the α field derived on
-//! the lattice can be aggregated per region). This module captures that
-//! generalisation as the [`SpatialPartition`] trait plus two
-//! implementations:
+//! the square `n = s²` MGrid layout of [`Partition`](crate::Partition): it
+//! holds for *any* partition of the unit square into regions, as long as
+//! every region is a union of HGrid-lattice cells (so the α field derived
+//! on the lattice can be aggregated per region). [`QuadTreePartition`] is
+//! the one non-square family the engine searches: an adaptively refined
+//! quadtree over a power-of-two lattice, whose leaves the engine's
+//! refinement search picks by an exact tree DP.
 //!
-//! * [`Partition`] — the paper's square layout (regions are MGrid cells
-//!   in row-major order; cells inside a region follow
-//!   [`Partition::hgrid_iter`] order);
-//! * [`QuadTreePartition`] — an adaptively refined quadtree over a
-//!   power-of-two lattice, whose leaves the engine's refinement search
-//!   picks by an exact tree DP.
-//!
-//! # The HGrid-aligned region invariant
-//!
-//! Every implementation shares one square HGrid lattice ([`GridSpec`]) and
-//! every region is an axis-aligned union of whole lattice cells. This is the
-//! invariant that lets the rest of the stack stay unchanged: α derivation is
-//! keyed purely by the lattice side (`AlphaFieldCache` memoisation), and the
-//! batched expression kernel only ever sees a per-region list of lattice-cell
-//! rates — the region's cell count `K` is per-call, so variable-size regions
-//! slot into the existing batched design without touching the kernel.
-//!
-//! # Region-id layout
-//!
-//! Region ids are dense `0..n_regions()` and deterministic: regions are
-//! ordered row-major by their top-left lattice cell (for the quadtree,
-//! leaves are kept sorted by `(row0, col0)`). Cells inside a region are
-//! enumerated row-major. Determinism of both orders is what makes the
-//! parallel sweep bit-identical across worker counts.
-
-use crate::grid::{CellId, GridSpec, Partition};
-
-/// Identifier of a region in a [`SpatialPartition`]: dense index in
-/// `0..n_regions()`, ordered row-major by the region's top-left lattice
-/// cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RegionId(pub usize);
-
-impl RegionId {
-    /// The raw dense index.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// A partition of the unit square into regions, each a union of whole
-/// HGrid-lattice cells (the HGrid-aligned region invariant — see the module
-/// docs).
-///
-/// Implementations must be deterministic: `region_cells_into` must yield
-/// cells in a fixed order (row-major), and region ids must be dense and
-/// stable for a given partition value.
-pub trait SpatialPartition {
-    /// The shared square HGrid lattice all regions are unions of.
-    fn hgrid_spec(&self) -> GridSpec;
-
-    /// Number of regions.
-    fn n_regions(&self) -> usize;
-
-    /// Collects the lattice cells of a region into `out` (cleared first),
-    /// row-major. The buffer is caller-owned so the hot expression sweep can
-    /// reuse one allocation per worker.
-    fn region_cells_into(&self, region: RegionId, out: &mut Vec<CellId>);
-
-    /// The lattice cells of a region as a fresh `Vec` (convenience wrapper
-    /// over [`region_cells_into`](Self::region_cells_into)).
-    fn region_cells(&self, region: RegionId) -> Vec<CellId> {
-        let mut out = Vec::new();
-        self.region_cells_into(region, &mut out);
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Partition (the uniform grid)
-// ---------------------------------------------------------------------------
-
-/// The paper's square MGrid layout through the trait: regions are the
-/// `n = s²` MGrid cells in row-major order, and each region's cells follow
-/// [`Partition::hgrid_iter`] order.
-impl SpatialPartition for Partition {
-    fn hgrid_spec(&self) -> GridSpec {
-        Partition::hgrid_spec(self)
-    }
-
-    fn n_regions(&self) -> usize {
-        self.n()
-    }
-
-    fn region_cells_into(&self, region: RegionId, out: &mut Vec<CellId>) {
-        out.clear();
-        out.extend(self.hgrid_iter(CellId(region.0)));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// QuadTreePartition
-// ---------------------------------------------------------------------------
+//! Every leaf is an aligned power-of-two block of whole lattice cells, so
+//! each one is a node of the complete quadtree over the lattice. That is
+//! what lets a quadtree be scored from a per-node table of expression
+//! errors instead of a sweep over its cells. Leaves are kept sorted by
+//! their top-left lattice cell `(row0, col0)`; that order is the tree's
+//! region order, and folding leaf terms in it is what makes the score
+//! reproducible.
 
 /// One quadtree leaf: a `size × size` block of lattice cells with top-left
 /// corner `(row0, col0)`. `size` is always a power of two dividing the
@@ -117,8 +32,8 @@ pub struct QuadLeaf {
 
 /// An adaptively refined quadtree over a power-of-two lattice. The lattice
 /// side is `hgrid_budget_side.next_power_of_two()` so every split stays
-/// HGrid-aligned. Leaves are kept sorted by `(row0, col0)` — region ids are
-/// the sorted leaf indices.
+/// HGrid-aligned. Leaves are kept sorted by `(row0, col0)`: that order is
+/// the region order.
 ///
 /// The partition is a value: [`split`](Self::split) returns a *new*
 /// partition, and [`from_leaves`](Self::from_leaves) builds one from a leaf
@@ -172,40 +87,35 @@ impl QuadTreePartition {
         self.lattice
     }
 
-    /// The leaves in region-id order (sorted by `(row0, col0)`).
+    /// The leaves in region order (sorted by `(row0, col0)`).
     pub fn leaves(&self) -> &[QuadLeaf] {
         &self.leaves
     }
 
-    /// The leaf for a region id.
-    pub fn leaf(&self, region: RegionId) -> QuadLeaf {
-        self.leaves[region.0]
+    /// Number of leaves (regions).
+    pub fn n_regions(&self) -> usize {
+        self.leaves.len()
     }
 
-    /// Splits a region's leaf into its four quadrants, returning the new
-    /// partition, or `None` if the leaf is already a single lattice cell.
-    /// Region ids are re-derived from the sorted leaf order, so the result
-    /// is deterministic.
-    pub fn split(&self, region: RegionId) -> Option<Self> {
-        let leaf = *self.leaves.get(region.0)?;
-        if leaf.size <= 1 {
+    /// Splits leaf `leaf` (an index into [`leaves`](Self::leaves)) into
+    /// its four quadrants, returning the new partition, or `None` if the
+    /// index is out of range or the leaf is already a single lattice cell.
+    /// The new leaves are re-sorted, so the result is deterministic.
+    pub fn split(&self, leaf: usize) -> Option<Self> {
+        let l = *self.leaves.get(leaf)?;
+        if l.size <= 1 {
             return None;
         }
-        let half = leaf.size / 2;
-        let mut leaves = Vec::with_capacity(self.leaves.len() + 3);
-        for (i, l) in self.leaves.iter().enumerate() {
-            if i == region.0 {
-                for (dr, dc) in [(0, 0), (0, half), (half, 0), (half, half)] {
-                    leaves.push(QuadLeaf {
-                        row0: leaf.row0 + dr,
-                        col0: leaf.col0 + dc,
-                        size: half,
-                    });
-                }
-            } else {
-                leaves.push(*l);
-            }
-        }
+        let half = l.size / 2;
+        let mut leaves = self.leaves.clone();
+        leaves.swap_remove(leaf);
+        leaves.extend(
+            [(0, 0), (0, half), (half, 0), (half, half)].map(|(dr, dc)| QuadLeaf {
+                row0: l.row0 + dr,
+                col0: l.col0 + dc,
+                size: half,
+            }),
+        );
         Some(Self::sorted(self.lattice, leaves))
     }
 
@@ -252,55 +162,22 @@ impl QuadTreePartition {
     }
 }
 
-impl SpatialPartition for QuadTreePartition {
-    fn hgrid_spec(&self) -> GridSpec {
-        GridSpec::new(self.lattice)
-    }
-
-    fn n_regions(&self) -> usize {
-        self.leaves.len()
-    }
-
-    fn region_cells_into(&self, region: RegionId, out: &mut Vec<CellId>) {
-        out.clear();
-        let l = self.leaves[region.0];
-        let h = self.hgrid_spec();
-        for dr in 0..l.size {
-            for dc in 0..l.size {
-                out.push(h.cell_at(l.row0 + dr, l.col0 + dc));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn assert_tiles<P: SpatialPartition>(p: &P) {
-        let mut seen = vec![false; p.hgrid_spec().n_cells()];
-        let mut buf = Vec::new();
-        for r in 0..p.n_regions() {
-            let rid = RegionId(r);
-            p.region_cells_into(rid, &mut buf);
-            for &h in &buf {
-                assert!(!seen[h.index()], "cell {h:?} assigned twice");
-                seen[h.index()] = true;
+    fn assert_tiles(q: &QuadTreePartition) {
+        let side = q.lattice_side() as usize;
+        let mut seen = vec![false; side * side];
+        for l in q.leaves() {
+            for r in l.row0..l.row0 + l.size {
+                for c in l.col0..l.col0 + l.size {
+                    assert!(!seen[r * side + c], "cell ({r}, {c}) covered twice");
+                    seen[r * side + c] = true;
+                }
             }
         }
         assert!(seen.iter().all(|&s| s), "cells left uncovered");
-    }
-
-    #[test]
-    fn uniform_matches_legacy_enumeration() {
-        let part = Partition::for_budget(5, 32);
-        assert_eq!(part.n_regions(), part.n());
-        assert_eq!(SpatialPartition::hgrid_spec(&part), part.hgrid_spec());
-        for mcell in part.mgrid_spec().cells() {
-            let rid = RegionId(mcell.index());
-            assert_eq!(part.region_cells(rid), part.hgrids_of(mcell));
-        }
-        assert_tiles(&part);
     }
 
     #[test]
@@ -310,12 +187,13 @@ mod tests {
         assert_eq!(q.n_regions(), 1);
         assert_tiles(&q);
 
-        let split = q.split(RegionId(0)).unwrap();
+        let split = q.split(0).unwrap();
         assert_eq!(split.n_regions(), 4);
         assert_tiles(&split);
         // Leaves sorted by (row0, col0).
         let corners: Vec<_> = split.leaves().iter().map(|l| (l.row0, l.col0)).collect();
         assert_eq!(corners, vec![(0, 0), (0, 16), (16, 0), (16, 16)]);
+        assert!(split.split(4).is_none(), "no leaf 4 to split");
 
         let merged = QuadTreePartition::from_leaves(32, q.leaves().to_vec()).unwrap();
         assert_eq!(merged, q, "rebuilding the unsplit leaves undoes the split");
@@ -343,7 +221,7 @@ mod tests {
         let q = QuadTreePartition::uniform_depth(4, 2).unwrap();
         assert_eq!(q.n_regions(), 16);
         assert!(q.leaves().iter().all(|l| l.size == 1));
-        assert!(q.split(RegionId(0)).is_none());
+        assert!(q.split(0).is_none());
     }
 
     #[test]
@@ -360,7 +238,6 @@ mod tests {
     fn quadtree_non_power_budget_rounds_up() {
         let q = QuadTreePartition::root(24);
         assert_eq!(q.lattice_side(), 32);
-        assert!(q.hgrid_spec().n_cells() >= 24 * 24);
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! | `search-iterative-unimodal` | the iterative method does too, from any start with any bound ≥ 1 |
 //! | `par-sum-determinism` | `par_sum` matches its documented fixed-block association |
 //! | `par-accumulate-determinism` | `par_accumulate` matches its documented chunked association |
-//! | `total-expr-par-vs-seq` | the parallel square-partition field sweep = the sequential oracle, bit for bit, for every side at 1/2/8 workers |
-//! | `batched-vs-seq-expression-error` | the batched kernel (cold or warm pmf memo) = the sequential sweep, bit for bit |
-//! | `expr-dedup-weight-conservation` | per-MGrid dedup multiplicities sum back to `m` |
+//! | `total-expr-par-vs-seq` | the square-partition field sweep at 2 and 8 workers = the one-worker (sequential) sweep, bit for bit, for every side |
+//! | `batched-vs-seq-expression-error` | the batched sweep with a cold or warm shared pmf memo = the one-worker sweep with a per-call memo, bit for bit, and the per-cell loop to tolerance |
+//! | `expr-dedup-weight-conservation` | every cell of an MGrid with `m > 1` is a kernel evaluation or a dedup hit: the workspace tallies add back to `m` |
 //! | `nn-dense-vs-naive` | the tiled dense kernel matches the naive mat-vec and its documented 4-lane association bit for bit, its gradients follow their documented order bit for bit, and a batch of `B` = `B` one-sample calls, bit for bit; a random shape plus fixed shapes reaching every tile tail |
 //! | `nn-conv-vs-naive` | the tap-hoisted conv kernel matches the naive convolution; a batch of `B` = `B` one-sample calls, bit for bit |
 //! | `theorem-ii1-empirical` | real ≤ model + expression on arbitrary samples (and the slack bound) |
@@ -36,11 +36,11 @@ use crate::scenario::Scenario;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
 use gridtuner_core::errors::{evaluate_errors, ErrorSample};
 use gridtuner_core::estimate_alpha;
-use gridtuner_core::expr_kernel::{dedup_groups, PmfMemo};
+use gridtuner_core::expr_kernel::{ExprWorkspace, PmfMemo};
 use gridtuner_core::expression::{
     expression_error_alg1, expression_error_alg2, expression_error_naive,
-    expression_error_windowed, lemma_upper_bound, mgrid_expression_error,
-    partition_expression_error_seq, total_expression_error_percell, try_partition_expression_error,
+    expression_error_windowed, lemma_upper_bound, total_expression_error_percell,
+    try_partition_expression_error,
 };
 use gridtuner_core::resample::resample_events;
 use gridtuner_core::search::{
@@ -320,27 +320,35 @@ fn session_tune(
 }
 
 /// `E(block)` of the `size`-cell square block at `(row0, col0)`, through
-/// the one-shot per-MGrid kernel.
-fn block_error(alpha: &CountMatrix, row0: usize, col0: usize, size: usize) -> f64 {
+/// a fresh workspace and pmf memo.
+fn block_error(alpha: &CountMatrix, row0: usize, col0: usize, size: usize) -> Result<f64, String> {
     let spec = GridSpec::new(alpha.side());
     let rates: Vec<f64> = (row0..row0 + size)
         .flat_map(|r| (col0..col0 + size).map(move |c| (r, c)))
         .map(|(r, c)| alpha.get(spec.cell_at(r, c)))
         .collect();
-    mgrid_expression_error(&rates)
+    ExprWorkspace::new()
+        .mgrid_error(&rates, &PmfMemo::default())
+        .map_err(|e| format!("block ({row0}, {col0}) of side {size}: {e}"))
 }
 
 /// Every quadtree over the block at `(row0, col0)` of side `size`, as
 /// `(leaf count, Σ leaf errors)`: the block as one leaf first, then every
 /// combination of its quadrants' trees.
-fn every_quadtree(alpha: &CountMatrix, row0: usize, col0: usize, size: usize) -> Vec<(usize, f64)> {
-    let mut out = vec![(1, block_error(alpha, row0, col0, size))];
+fn every_quadtree(
+    alpha: &CountMatrix,
+    row0: usize,
+    col0: usize,
+    size: usize,
+) -> Result<Vec<(usize, f64)>, String> {
+    let mut out = vec![(1, block_error(alpha, row0, col0, size)?)];
     if size == 1 {
-        return out;
+        return Ok(out);
     }
     let h = size / 2;
     let [a, b, c, d] = [(0, 0), (0, h), (h, 0), (h, h)]
         .map(|(dr, dc)| every_quadtree(alpha, row0 + dr, col0 + dc, h));
+    let (a, b, c, d) = (a?, b?, c?, d?);
     for x in &a {
         for y in &b {
             for z in &c {
@@ -350,7 +358,7 @@ fn every_quadtree(alpha: &CountMatrix, row0: usize, col0: usize, size: usize) ->
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// One quadtree refinement checked against the exhaustive minimum, given
@@ -437,7 +445,7 @@ fn quadtree_dp_vs_exhaustive(
         .leaves()
         .iter()
         .map(|l| block_error(alpha, l.row0, l.col0, l.size))
-        .sum();
+        .sum::<Result<f64, String>>()?;
     close(
         &format!("{label}: reported tree vs exhaustive minimum"),
         own + model_at(q.leaves().len()),
@@ -458,14 +466,9 @@ fn direct_tune(s: &Scenario, strategy: SearchStrategy) -> Result<SearchOutcome, 
     let model = s.model_fn();
     let probe =
         |side: u32| Ok(cache.expression_error(&Partition::for_budget(side, budget))? + model(side));
-    match strategy {
-        SearchStrategy::BruteForce => try_brute_force(probe, lo, hi),
-        SearchStrategy::Ternary => try_ternary_search(probe, lo, hi),
-        SearchStrategy::Iterative { init, bound } => {
-            try_iterative_method(probe, lo, hi, init, bound)
-        }
-    }
-    .map_err(|e| format!("direct {strategy:?} search failed: {e}"))
+    strategy
+        .run(probe, lo, hi)
+        .map_err(|e| format!("direct {strategy:?} search failed: {e}"))
 }
 
 /// Side, error and every probe of `got` must equal `want` bit for bit.
@@ -795,28 +798,33 @@ pub fn standard_checks() -> Vec<Check> {
     }));
 
     checks.push(Check::new("total-expr-par-vs-seq", |s| {
-        // The one expression sweep against its sequential oracle: the
-        // square partition through the trait, every side of the range,
-        // at every worker count in the matrix. Both fold SUM_BLOCK-sized
-        // blocks of regions in order, so they agree bit for bit, not just
-        // to tolerance.
+        // The square-partition sweep at 2 and 8 workers against the
+        // one-worker run, which is the sequential run: every side of the
+        // range, one shared pmf memo. Task and block boundaries depend only
+        // on the MGrid count, so the sums agree bit for bit.
         let cache = AlphaFieldCache::new(&s.events, &s.clock, &s.window);
         let memo = PmfMemo::default();
-        let prev = gridtuner_par::max_threads();
-        let run = || -> Result<(), String> {
-            for threads in [1usize, 2, 8] {
-                gridtuner_par::set_max_threads(threads);
-                for side in 1..=s.params.max_side {
+        let sweep = || -> Result<Vec<f64>, String> {
+            (1..=s.params.max_side)
+                .map(|side| {
                     let part = Partition::for_budget(side, s.params.budget_side);
                     let alpha = cache.alpha(part.hgrid_spec());
-                    let par = try_partition_expression_error(&alpha, &part, Some(&memo))
-                        .map_err(|e| format!("side {side}: {e}"))?;
-                    let seq = partition_expression_error_seq(&alpha, &part)
-                        .map_err(|e| format!("side {side}: {e}"))?;
+                    try_partition_expression_error(&alpha, &part, Some(&memo))
+                        .map_err(|e| format!("side {side}: {e}"))
+                })
+                .collect()
+        };
+        let prev = gridtuner_par::max_threads();
+        let run = || -> Result<(), String> {
+            gridtuner_par::set_max_threads(1);
+            let seq = sweep()?;
+            for threads in [2usize, 8] {
+                gridtuner_par::set_max_threads(threads);
+                for (side, (par, one)) in (1..).zip(sweep()?.into_iter().zip(&seq)) {
                     bit_eq(
-                        &format!("side {side} at {threads} workers, parallel vs sequential"),
+                        &format!("side {side} at {threads} workers vs one worker"),
                         par,
-                        seq,
+                        *one,
                     )?;
                 }
             }
@@ -838,7 +846,12 @@ pub fn standard_checks() -> Vec<Check> {
             .map(|_| rng.gen_range(0..40u32) as f64 / 8.0)
             .collect();
         let alpha = CountMatrix::from_vec(spec.side(), vals).map_err(|e| format!("{e}"))?;
-        let seq = partition_expression_error_seq(&alpha, &part).map_err(|e| e.to_string())?;
+        // The sequential reference: one worker, a per-call pmf memo.
+        let prev = gridtuner_par::max_threads();
+        gridtuner_par::set_max_threads(1);
+        let seq = try_partition_expression_error(&alpha, &part, None);
+        gridtuner_par::set_max_threads(prev);
+        let seq = seq.map_err(|e| e.to_string())?;
         let memo = PmfMemo::default();
         let sweep = || {
             try_partition_expression_error(&alpha, &part, Some(&memo)).map_err(|e| e.to_string())
@@ -862,16 +875,25 @@ pub fn standard_checks() -> Vec<Check> {
     }));
 
     checks.push(Check::new("expr-dedup-weight-conservation", |s| {
+        // The kernel's own tallies: every cell of an MGrid with m > 1 is
+        // either its rate's first occurrence (one kernel evaluation) or a
+        // dedup hit, so the two deltas add back to the cell delta, m.
         let cache = AlphaFieldCache::new(&s.events, &s.clock, &s.window);
         let part = Partition::for_budget(s.params.max_side, s.params.budget_side);
         let alpha = cache.alpha(part.hgrid_spec());
+        let memo = PmfMemo::default();
+        let mut ws = ExprWorkspace::new();
         for mcell in part.mgrid_spec().cells() {
             let rates: Vec<f64> = part.hgrid_iter(mcell).map(|h| alpha.get(h)).collect();
-            let groups = dedup_groups(&rates);
-            let total: u64 = groups.iter().map(|&(_, mult)| u64::from(mult)).sum();
-            if total != part.m() as u64 {
+            let (served, cells) = (ws.dedup_hits() + ws.kernel_evals(), ws.cells());
+            ws.mgrid_error(&rates, &memo).map_err(|e| e.to_string())?;
+            let (served, cells) = (
+                ws.dedup_hits() + ws.kernel_evals() - served,
+                ws.cells() - cells,
+            );
+            if cells != part.m() as u64 || (part.m() > 1 && served != cells) {
                 return Err(format!(
-                    "MGrid {}: dedup multiplicities sum to {total}, expected m = {}",
+                    "MGrid {}: {cells} cells, {served} dedup hits + kernel evaluations, m = {}",
                     mcell.index(),
                     part.m()
                 ));
@@ -992,7 +1014,7 @@ pub fn standard_checks() -> Vec<Check> {
         // non-linear model curve, with the full and a narrowed side range.
         for lattice in [4u32, 8] {
             let alpha = estimate_alpha(&s.events, GridSpec::new(lattice), &s.clock, &s.window);
-            let trees = every_quadtree(&alpha, 0, 0, lattice as usize);
+            let trees = every_quadtree(&alpha, 0, 0, lattice as usize)?;
             let expected = if lattice == 4 { 17 } else { 83_522 };
             if trees.len() != expected {
                 return Err(format!(

@@ -1,32 +1,40 @@
-//! Partition-trait integration tests.
+//! Partition-search integration tests.
 //!
-//! Four promises of the `SpatialPartition` refactor, checked end to end:
+//! Five promises of the square sweep and the quadtree refinement, checked
+//! end to end:
 //!
-//! 1. the uniform path is *bit-identical* to its sequential oracle per
-//!    probed side, and it and the full `tune_partition(Uniform)` report
-//!    replay bit for bit across the `GRIDTUNER_THREADS` matrix
-//!    (1 / 2 / 8), like every other parallel kernel here;
-//! 2. quadtree refinement never increases the Theorem II.1 upper bound:
+//! 1. the square sweep per probed side, the full
+//!    `tune_partition(Uniform)` report and the quadtree search replay bit
+//!    for bit across the `GRIDTUNER_THREADS` matrix (1 / 2 / 8), like
+//!    every other parallel kernel here — a one-worker run is the
+//!    sequential run;
+//! 2. a quadtree's node-table fold is its leaves' expression errors,
+//!    recomputed one leaf at a time and folded in region order, bit for
+//!    bit at 1 / 2 / 8 workers, for random split sequences past one
+//!    64-leaf reduction block;
+//! 3. quadtree refinement never increases the Theorem II.1 upper bound:
 //!    with a zero model leg the bound *is* the expression leg, and a
 //!    split must not increase it (fuzzed over random α fields and random
 //!    split sequences);
-//! 3. the quadtree tree DP is exact: its bound is ≤ the canonical bound of
+//! 4. the quadtree tree DP is exact: its bound is ≤ the node-fold bound of
 //!    every random split-sequence quadtree within its region cap;
-//! 4. the tree-DP quadtree search replays bit-for-bit on the three preset
+//! 5. the tree-DP quadtree search replays bit-for-bit on the three preset
 //!    cities (golden snapshots, `tests/goldens/<city>_partition.json`),
 //!    and on NYC the quadtree meets the acceptance bar: bound ≤ the best
 //!    uniform `n` at equal or fewer regions.
 
 use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_core::alpha_cache::AlphaFieldCache;
-use gridtuner_core::expr_kernel::PmfMemo;
-use gridtuner_core::expression::{partition_expression_error_seq, try_partition_expression_error};
+use gridtuner_core::expr_kernel::{ExprWorkspace, PmfMemo};
+use gridtuner_core::expression::{
+    quadtree_expression_error, try_partition_expression_error, try_quadtree_node_errors,
+};
 use gridtuner_datagen::City;
 use gridtuner_engine::{
     EngineConfig, PartitionKind, PartitionLayout, SearchStrategy, TuningSession,
 };
 use gridtuner_obs::json::Val;
-use gridtuner_spatial::{CountMatrix, Partition, QuadTreePartition, RegionId, SpatialPartition};
+use gridtuner_spatial::{CountMatrix, GridSpec, Partition, QuadTreePartition};
 use gridtuner_testkit::{check_golden, Scenario};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -84,8 +92,7 @@ fn quadtree_fingerprint(s: &Scenario) -> QuadFingerprint {
     }
 }
 
-/// The parallel uniform sweep per side, as bits, each checked against the
-/// sequential oracle.
+/// The square sweep per side, as bits.
 fn uniform_sweep(s: &Scenario) -> Vec<u64> {
     let cache = AlphaFieldCache::new(&s.events, &s.clock, &s.window);
     let memo = PmfMemo::default();
@@ -94,14 +101,9 @@ fn uniform_sweep(s: &Scenario) -> Vec<u64> {
         .map(|side| {
             let part = Partition::for_budget(side, s.params.budget_side);
             let alpha = cache.alpha(part.hgrid_spec());
-            let seq = partition_expression_error_seq(&alpha, &part).unwrap();
-            let par = try_partition_expression_error(&alpha, &part, Some(&memo)).unwrap();
-            assert_eq!(
-                par.to_bits(),
-                seq.to_bits(),
-                "side {side}: parallel sweep {par} != sequential {seq}"
-            );
-            par.to_bits()
+            try_partition_expression_error(&alpha, &part, Some(&memo))
+                .unwrap()
+                .to_bits()
         })
         .collect()
 }
@@ -113,14 +115,14 @@ fn uniform_report_bits(s: &Scenario) -> (u32, u64) {
     plain.ingest(&s.events).unwrap();
     let tune = plain.tune().unwrap();
 
-    let mut traited = TuningSession::new(engine_config(s), s.model_fn()).unwrap();
-    traited.ingest(&s.events).unwrap();
-    let pr = traited.tune_partition(PartitionKind::Uniform).unwrap();
+    let mut staged = TuningSession::new(engine_config(s), s.model_fn()).unwrap();
+    staged.ingest(&s.events).unwrap();
+    let pr = staged.tune_partition(PartitionKind::Uniform).unwrap();
     assert_eq!(pr.uniform.outcome.side, tune.outcome.side, "optimum side");
     assert_eq!(
         pr.bound.to_bits(),
         tune.outcome.error.to_bits(),
-        "uniform trait bound {} != 1-D tune bound {}",
+        "uniform partition bound {} != 1-D tune bound {}",
         pr.bound,
         tune.outcome.error
     );
@@ -157,6 +159,77 @@ fn partition_paths_are_bit_identical_across_thread_counts() {
     }
 }
 
+/// A random field on the `side` lattice with quantised rates, as
+/// count/days estimation produces them.
+fn quantised_field(rng: &mut StdRng, side: u32) -> CountMatrix {
+    let vals: Vec<f64> = (0..side * side)
+        .map(|_| rng.gen_range(0..48u32) as f64 / 8.0)
+        .collect();
+    CountMatrix::from_vec(side, vals).unwrap()
+}
+
+/// `part` with one random splittable leaf split, or `None` if every leaf
+/// is a single cell.
+fn random_split(rng: &mut StdRng, part: &QuadTreePartition) -> Option<QuadTreePartition> {
+    let splittable: Vec<usize> = (0..part.n_regions())
+        .filter(|&r| part.leaves()[r].size > 1)
+        .collect();
+    let pick = *splittable.get(rng.gen_range(0..splittable.len().max(1)))?;
+    part.split(pick)
+}
+
+/// The reference score of `part`: each leaf's expression error
+/// recomputed from its cells by a fresh workspace, summed in region order
+/// by `par_sum` (whose association the `par-sum-determinism` pair pins).
+fn leaf_by_leaf(alpha: &CountMatrix, part: &QuadTreePartition) -> f64 {
+    let spec = GridSpec::new(alpha.side());
+    let memo = PmfMemo::default();
+    let mut ws = ExprWorkspace::new();
+    let terms: Vec<f64> = part
+        .leaves()
+        .iter()
+        .map(|l| {
+            let rates: Vec<f64> = (l.row0..l.row0 + l.size)
+                .flat_map(|r| (l.col0..l.col0 + l.size).map(move |c| spec.cell_at(r, c)))
+                .map(|h| alpha.get(h))
+                .collect();
+            ws.mgrid_error(&rates, &memo).unwrap()
+        })
+        .collect();
+    gridtuner_par::par_sum(&terms, |&e| e)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The node-table fold is the leaf-by-leaf score, bit for bit, at every
+    /// worker count: random split sequences on a 32-side lattice, checked
+    /// every few splits from the root up to about 350 leaves, past the
+    /// 64-leaf reduction block.
+    #[test]
+    fn quadtree_node_fold_is_the_leaf_by_leaf_score(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x51ed_270b);
+        let mut part = QuadTreePartition::root(32);
+        let alpha = quantised_field(&mut rng, part.lattice_side());
+        let nodes = try_quadtree_node_errors(&alpha, None).unwrap();
+        let prev = gridtuner_par::max_threads();
+        // 3 leaves per split: checks at 13, 37, …, 349 leaves.
+        for step in 0..=116 {
+            if step % 8 == 4 {
+                let want = leaf_by_leaf(&alpha, &part);
+                for threads in [1usize, 2, 8] {
+                    gridtuner_par::set_max_threads(threads);
+                    let got = quadtree_expression_error(&nodes, &part).unwrap().to_bits();
+                    let leaves = part.n_regions();
+                    prop_assert_eq!(got, want.to_bits(), "{leaves} leaves, {threads} workers");
+                }
+            }
+            part = random_split(&mut rng, &part).expect("a 32-side lattice splits 116 times");
+        }
+        gridtuner_par::set_max_threads(prev);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -169,24 +242,15 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
         let budget = [4u32, 8, 12][(seed % 3) as usize];
         let mut part = QuadTreePartition::root(budget);
-        let spec = part.hgrid_spec();
-        // Quantised rates, as count/days estimation produces them.
-        let vals: Vec<f64> = (0..spec.n_cells())
-            .map(|_| rng.gen_range(0..48u32) as f64 / 8.0)
-            .collect();
-        let alpha = CountMatrix::from_vec(spec.side(), vals).unwrap();
-        let memo = PmfMemo::default();
-        let mut bound = try_partition_expression_error(&alpha, &part, Some(&memo)).unwrap();
+        let alpha = quantised_field(&mut rng, part.lattice_side());
+        let nodes = try_quadtree_node_errors(&alpha, None).unwrap();
+        let mut bound = quadtree_expression_error(&nodes, &part).unwrap();
         for step in 0..12 {
-            let splittable: Vec<usize> = (0..part.n_regions())
-                .filter(|&r| part.leaf(RegionId(r)).size > 1)
-                .collect();
-            if splittable.is_empty() {
+            let Some(next_part) = random_split(&mut rng, &part) else {
                 break;
-            }
-            let pick = splittable[rng.gen_range(0..splittable.len())];
-            part = part.split(RegionId(pick)).expect("leaf of size > 1 splits");
-            let next = try_partition_expression_error(&alpha, &part, Some(&memo)).unwrap();
+            };
+            part = next_part;
+            let next = quadtree_expression_error(&nodes, &part).unwrap();
             prop_assert!(
                 next <= bound + 1e-9 * (1.0 + bound),
                 "split {step} raised the bound: {bound} -> {next} ({} leaves)",
@@ -213,9 +277,10 @@ proptest! {
         // A model leg on the scale of the one-region expression error, so
         // the optimum sits strictly inside the cap.
         let root = QuadTreePartition::root(lattice);
-        let root_error = AlphaFieldCache::new(&s.events, &s.clock, &s.window)
-            .partition_expression_error(&root)
+        let nodes = AlphaFieldCache::new(&s.events, &s.clock, &s.window)
+            .quadtree_node_errors(lattice)
             .unwrap();
+        let root_error = nodes[0];
         let coef = (0.1 + s.params.model_coef) * root_error.max(1.0) / f64::from(lattice * lattice);
         let config = EngineConfig {
             hgrid_budget_side: lattice,
@@ -229,11 +294,10 @@ proptest! {
             TuningSession::new(config, move |side: u32| coef * f64::from(side * side)).unwrap();
         session.ingest(&s.events).unwrap();
         let report = session.tune_partition(PartitionKind::QuadTree).unwrap();
-        let cache = session.alpha_cache().unwrap();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0d9b_7ee5);
         let mut part = root;
         while part.n_regions() <= report.region_cap {
-            let expr = cache.partition_expression_error(&part).unwrap();
+            let expr = quadtree_expression_error(&nodes, &part).unwrap();
             let bound = expr + coef * part.n_regions() as f64;
             prop_assert!(
                 report.bound <= bound + 1e-9 * (1.0 + bound),
@@ -241,14 +305,10 @@ proptest! {
                 report.bound,
                 part.n_regions()
             );
-            let splittable: Vec<usize> = (0..part.n_regions())
-                .filter(|&r| part.leaf(RegionId(r)).size > 1)
-                .collect();
-            if splittable.is_empty() {
-                break;
+            match random_split(&mut rng, &part) {
+                Some(next) => part = next,
+                None => break,
             }
-            let pick = splittable[rng.gen_range(0..splittable.len())];
-            part = part.split(RegionId(pick)).expect("leaf of size > 1 splits");
         }
     }
 }
