@@ -48,6 +48,18 @@ fn bench_nn(c: &mut Criterion) {
         b.iter(|| dense.backward_params(&g16))
     });
 
+    // The same layer at side 24, the top of `search-mlp`'s range: 4·576
+    // inputs.
+    let mut dense24 = Dense::new(&mut rng, 2304, 256);
+    let x24 = wave(&[16, 2304]);
+    g.bench_function("dense_2304x256_forward_b16", |b| {
+        b.iter(|| dense24.forward(&x24))
+    });
+    dense24.forward(&x24);
+    g.bench_function("dense_2304x256_backward_params_b16", |b| {
+        b.iter(|| dense24.backward_params(&g16))
+    });
+
     let mut conv = Conv2d::new(&mut rng, 8, 8, 3);
     let x2 = Tensor::zeros(&[1, 8, 16, 16]);
     g.bench_function("conv_8ch_16x16_forward", |b| b.iter(|| conv.forward(&x2)));

@@ -52,3 +52,23 @@ fn out_of_range_numeric_flags_exit_2() {
         assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
     }
 }
+
+#[test]
+fn huge_m_reads_the_window_totals() {
+    let value = |m: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_gridtuner"))
+            .args(["expression", "--alpha", "30", "--m", m])
+            .output()
+            .expect("the gridtuner binary starts");
+        assert_eq!(out.status.code(), Some(0), "--m {m}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let v = stdout.trim().strip_prefix("expression_error\t");
+        v.and_then(|v| v.parse::<f64>().ok())
+            .unwrap_or_else(|| panic!("--m {m} printed {stdout:?}"))
+    };
+    assert_eq!(value("1000000"), 29.99994);
+    // `(m − 1)·k` passes `u64::MAX`: it must read the window totals, not
+    // wrap into a negative error.
+    let huge = value("1000000000000000000");
+    assert!((0.0..=30.0).contains(&huge), "{huge}");
+}

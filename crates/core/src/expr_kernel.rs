@@ -241,17 +241,21 @@ fn eval_tables(ta: &PmfTable, tb: &PmfTable, m: usize) -> f64 {
     let mut cl = F64x4::ZERO; // partial lanes of the current stride
     let mut sl = F64x4::ZERO;
     let mut total = 0.0;
+    // From `kh_sat` on, `t = (m − 1)·kh − 1` lies at or past the window's
+    // last entry, so the prefix is the totals; below it `(m − 1)·kh` stays
+    // under `lb + len` and cannot overflow, however large `m` is.
+    let kh_sat = (tb.lo + len as u64).div_ceil(m as u64 - 1);
     for (i, &p_a) in ta.pmf.iter().enumerate() {
         let kh = ta.lo + i as u64;
-        let t = ((m - 1) as u64 * kh) as i64 - 1;
-        let (c_t, s_t) = if t < lb {
-            (0.0, 0.0)
+        let (c_t, s_t) = if kh >= kh_sat {
+            (c_tot, s_tot)
         } else {
-            // The query needs the fold over `end` leading entries.
-            let end = (t - lb + 1) as usize;
-            if end >= len {
-                (c_tot, s_tot)
+            let t = ((m - 1) as u64 * kh) as i64 - 1;
+            if t < lb {
+                (0.0, 0.0)
             } else {
+                // The query needs the fold over `end` leading entries.
+                let end = (t - lb + 1) as usize;
                 let q = end / CKPT_STRIDE;
                 if q * CKPT_STRIDE > j {
                     j = q * CKPT_STRIDE;
@@ -777,6 +781,17 @@ mod tests {
                 "bit drift at a={a}, b={b}, m={m}: {batched} vs {direct}"
             );
         }
+    }
+
+    #[test]
+    fn huge_m_reads_the_window_totals() {
+        // `(m − 1)·k` passes `u64::MAX` here; it must read the totals,
+        // not wrap into a negative error. Past the window
+        // the error is the pmf-weighted mean of `a`'s counts: `alpha` up
+        // to the rounding of the window sums.
+        let alpha = 30.0;
+        let e = expression_error_windowed(alpha, 30.0, 1_000_000_000_000_000_000);
+        assert!(e >= 0.0 && e <= alpha * (1.0 + 1e-12), "E = {e}");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use crate::init::he_uniform;
 use crate::net::Sequential;
 use crate::tensor::Tensor;
+use crate::wide;
 use rand::Rng;
 
 /// A trainable parameter: value, accumulated gradient, and optimizer
@@ -128,10 +129,14 @@ impl Dense {
         let x = self.input.as_slice();
         let dw = self.w.grad.as_mut_slice();
         gridtuner_par::par_chunks_mut(dw, Self::row_block(out_dim) * in_dim, |base, rows| {
-            let samples = g.chunks_exact(out_dim).zip(x.chunks_exact(in_dim));
-            for (t, pair) in rows.chunks_mut(2 * in_dim).enumerate() {
-                dw_rows(pair, in_dim, base / in_dim + 2 * t, samples.clone());
-            }
+            wide::run(DwBlock {
+                g,
+                x,
+                out_dim,
+                in_dim,
+                o: base / in_dim,
+                d: rows,
+            })
         });
         let db = self.b.grad.as_mut_slice();
         for gs in g.chunks_exact(out_dim) {
@@ -151,11 +156,25 @@ impl Dense {
 /// result is `((l0 + l1) + (l2 + l3)) + tail`.
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     let body = a.len() - a.len() % 4;
+    fold(lanes(&a[..body], &b[..body]), &a[body..], &b[body..])
+}
+
+/// [`dot`] for the kernels run through [`wide::run`]: the same bits, with
+/// the fold a call of its own ([`fold_apart`]).
+#[inline(always)]
+fn dot_apart(a: &[f32], b: &[f32]) -> f32 {
+    let body = a.len() - a.len() % 4;
+    fold_apart(lanes(&a[..body], &b[..body]), &a[body..], &b[body..])
+}
+
+/// [`dot`]'s four lanes over `a` and `b`, whose length is a multiple of 4.
+#[inline(always)]
+fn lanes(a: &[f32], b: &[f32]) -> [f32; 4] {
     let mut acc = [0.0f32; 4];
-    for (ca, cb) in a[..body].chunks_exact(4).zip(b[..body].chunks_exact(4)) {
+    for (ca, cb) in a.chunks_exact(4).zip(b.chunks_exact(4)) {
         madd(&mut acc, ca, cb);
     }
-    fold(acc, &a[body..], &b[body..])
+    acc
 }
 
 /// One step of [`dot`]'s four lanes: `acc[l] += a[l]·b[l]`.
@@ -177,6 +196,16 @@ fn fold(acc: [f32; 4], a: &[f32], b: &[f32]) -> f32 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
+/// [`fold`] as a call of its own. Inlined into a kernel's AVX2 copy, the
+/// fold's adds lead the vectoriser to regroup the lanes of the loop that
+/// feeds it — lane `l` of several rows in one register — at the cost of
+/// shuffles in every iteration. Behind a call, each accumulator keeps a
+/// register of its own, on either copy, for one call per dot product.
+#[inline(never)]
+fn fold_apart(acc: [f32; 4], a: &[f32], b: &[f32]) -> f32 {
+    fold(acc, a, b)
+}
+
 /// `W` rows per forward tile.
 const TILE_ROWS: usize = 4;
 /// `dW` columns per backward tile: two rows of 16 accumulators plus one
@@ -187,41 +216,98 @@ const DW_COLS: usize = 16;
 /// Each of the eight pairs keeps its own four lanes and tail and the same
 /// fold, so every result has `dot`'s bits; only the loads are shared —
 /// each `W` segment is loaded once for both samples and each `x` segment
-/// once for all four rows. The eight accumulators, four `W` and two `x`
-/// lanes take 14 of baseline x86-64's 16 vector registers; larger tiles
-/// spill. All six slices have one length.
+/// once for all four rows. Row `r`'s accumulator holds its sample-0 lanes
+/// then its sample-1 lanes ([`madd2`]): two 4-float registers on
+/// baseline x86-64, where the four accumulators, four `W` and two `x`
+/// segments take 14 of its 16 vector registers (larger tiles spill), and
+/// one 8-float register under AVX2. All six slices have one length.
 #[inline(always)]
 fn dot_tile(w: [&[f32]; TILE_ROWS], x: [&[f32]; 2]) -> [[f32; 2]; TILE_ROWS] {
     let body = x[0].len() - x[0].len() % 4;
-    let [w0, w1, w2, w3] = w.map(|r| r[..body].chunks_exact(4));
-    let [x0, x1] = x.map(|s| s[..body].chunks_exact(4));
-    let mut acc = [[0.0f32; 4]; 2 * TILE_ROWS];
-    for ((w0, w1), ((w2, w3), (x0, x1))) in w0.zip(w1).zip(w2.zip(w3).zip(x0.zip(x1))) {
-        madd(&mut acc[0], w0, x0);
-        madd(&mut acc[1], w0, x1);
-        madd(&mut acc[2], w1, x0);
-        madd(&mut acc[3], w1, x1);
-        madd(&mut acc[4], w2, x0);
-        madd(&mut acc[5], w2, x1);
-        madd(&mut acc[6], w3, x0);
-        madd(&mut acc[7], w3, x1);
+    let [w0, w1, w2, w3] = w;
+    let rows = (w0[..body].chunks_exact(4).zip(w1[..body].chunks_exact(4)))
+        .zip(w2[..body].chunks_exact(4).zip(w3[..body].chunks_exact(4)));
+    let samples = x[0][..body]
+        .chunks_exact(4)
+        .zip(x[1][..body].chunks_exact(4));
+    let mut acc = [[0.0f32; 8]; TILE_ROWS];
+    for (((w0, w1), (w2, w3)), (x0, x1)) in rows.zip(samples) {
+        madd2(&mut acc[0], w0, x0, x1);
+        madd2(&mut acc[1], w1, x0, x1);
+        madd2(&mut acc[2], w2, x0, x1);
+        madd2(&mut acc[3], w3, x0, x1);
     }
-    std::array::from_fn(|r| {
-        std::array::from_fn(|s| fold(acc[2 * r + s], &w[r][body..], &x[s][body..]))
-    })
+    fold_tile(acc, w, x, body)
+}
+
+/// [`dot_tile`]'s finish: [`fold`] for each pair, as a call of its own
+/// (see [`fold_apart`]).
+#[inline(never)]
+fn fold_tile(
+    acc: [[f32; 8]; TILE_ROWS],
+    w: [&[f32]; TILE_ROWS],
+    x: [&[f32]; 2],
+    body: usize,
+) -> [[f32; 2]; TILE_ROWS] {
+    let mut out = [[0.0f32; 2]; TILE_ROWS];
+    for ((ys, a), wr) in out.iter_mut().zip(acc).zip(w) {
+        let lanes = [[a[0], a[1], a[2], a[3]], [a[4], a[5], a[6], a[7]]];
+        for ((y, l), xs) in ys.iter_mut().zip(lanes).zip(x) {
+            *y = fold(l, &wr[body..], &xs[body..]);
+        }
+    }
+    out
+}
+
+/// [`madd`] for one `W` segment and two samples: `acc[l] += w[l]·x0[l]`
+/// and `acc[4 + l] += w[l]·x1[l]`.
+#[inline(always)]
+fn madd2(acc: &mut [f32; 8], w: &[f32], x0: &[f32], x1: &[f32]) {
+    acc[0] += w[0] * x0[0];
+    acc[1] += w[1] * x0[1];
+    acc[2] += w[2] * x0[2];
+    acc[3] += w[3] * x0[3];
+    acc[4] += w[0] * x1[0];
+    acc[5] += w[1] * x1[1];
+    acc[6] += w[2] * x1[2];
+    acc[7] += w[3] * x1[3];
+}
+
+/// One pool task of [`Dense::forward`]: the rows of the `[out, B]`
+/// transposed output `yt`, from output row `o` on, in blocks of
+/// [`TILE_ROWS`] rows ([`forward_rows`]).
+struct ForwardBlock<'a> {
+    w: &'a [f32],
+    b: &'a [f32],
+    x: &'a [f32],
+    o: usize,
+    yt: &'a mut [f32],
+}
+
+impl wide::Kernel for ForwardBlock<'_> {
+    #[inline(always)]
+    fn exec(self) {
+        let ForwardBlock { w, b, x, o, yt } = self;
+        let batch = x.len() / (w.len() / b.len());
+        for (t, tile) in yt.chunks_mut(TILE_ROWS * batch).enumerate() {
+            forward_rows(w, b, x, o + t * TILE_ROWS, tile);
+        }
+    }
 }
 
 /// `ys[r·B + s] = b[o + r] + dot(W[o + r], x_s)` for the rows of `ys`, a
 /// block of at most [`TILE_ROWS`] rows of the `[out, B]` transposed
 /// output. A full block runs 4 × 2 [`dot_tile`]s over the sample pairs;
-/// a lone last sample, and every sample of a short block, takes [`dot`].
+/// a lone last sample, and every sample of a short block, takes
+/// [`dot_apart`].
+#[inline(always)]
 fn forward_rows(w: &[f32], b: &[f32], x: &[f32], o: usize, ys: &mut [f32]) {
     let in_dim = w.len() / b.len();
     let batch = x.len() / in_dim;
     let row = |r: usize| &w[(o + r) * in_dim..(o + r + 1) * in_dim];
     let mut done = 0;
     if ys.len() == TILE_ROWS * batch {
-        let rows = std::array::from_fn(row);
+        let rows = [row(0), row(1), row(2), row(3)];
         for (p, xs) in x.chunks_exact(2 * in_dim).enumerate() {
             let (x0, x1) = xs.split_at(in_dim);
             for (r, y) in dot_tile(rows, [x0, x1]).iter().enumerate() {
@@ -236,7 +322,37 @@ fn forward_rows(w: &[f32], b: &[f32], x: &[f32], o: usize, ys: &mut [f32]) {
             .iter_mut()
             .zip(x[done * in_dim..].chunks_exact(in_dim))
         {
-            *y = b[o + r] + dot(row(r), xs);
+            *y = b[o + r] + dot_apart(row(r), xs);
+        }
+    }
+}
+
+/// One pool task of the `dW` pass: the `in_dim`-wide `dW` rows in `d`,
+/// from row `o` on, in pairs ([`dw_rows`]), for the `[B, out]` output
+/// gradient `g` and the `[B, in]` input `x`.
+struct DwBlock<'a> {
+    g: &'a [f32],
+    x: &'a [f32],
+    out_dim: usize,
+    in_dim: usize,
+    o: usize,
+    d: &'a mut [f32],
+}
+
+impl wide::Kernel for DwBlock<'_> {
+    #[inline(always)]
+    fn exec(self) {
+        let DwBlock {
+            g,
+            x,
+            out_dim,
+            in_dim,
+            o,
+            d,
+        } = self;
+        let samples = g.chunks_exact(out_dim).zip(x.chunks_exact(in_dim));
+        for (t, pair) in d.chunks_mut(2 * in_dim).enumerate() {
+            dw_rows(pair, in_dim, o + 2 * t, samples.clone());
         }
     }
 }
@@ -247,6 +363,7 @@ fn forward_rows(w: &[f32], b: &[f32], x: &[f32], o: usize, ys: &mut [f32]) {
 /// the whole batch; the column tail, and a lone row, go one element at a
 /// time. Either way every element starts from its stored value and adds
 /// the samples in order — the per-sample accumulation order.
+#[inline(always)]
 fn dw_rows<'a>(
     d: &mut [f32],
     in_dim: usize,
@@ -264,8 +381,9 @@ fn dw_rows<'a>(
         .zip(d1[..full].chunks_exact_mut(DW_COLS));
     for (k, (s0, s1)) in segments.enumerate() {
         let c = k * DW_COLS;
-        let mut a0: [f32; DW_COLS] = std::array::from_fn(|j| s0[j]);
-        let mut a1: [f32; DW_COLS] = std::array::from_fn(|j| s1[j]);
+        let (mut a0, mut a1) = ([0.0f32; DW_COLS], [0.0f32; DW_COLS]);
+        a0.copy_from_slice(s0);
+        a1.copy_from_slice(s1);
         for (gs, xs) in samples.clone() {
             let xs = &xs[c..c + DW_COLS];
             axpy(&mut a0, gs[o], xs);
@@ -293,6 +411,42 @@ fn axpy(acc: &mut [f32; DW_COLS], a: f32, x: &[f32]) {
     }
 }
 
+/// One pool task of the `dx` pass: `acc[s][i − i0] += Σ_o g[s, o]·W[o, i]`
+/// over ascending `o`, for the `B` partial rows in `acc` of the column
+/// block starting at `i0` (the last block may be narrower than a row).
+struct DxBlock<'a> {
+    g: &'a [f32],
+    w: &'a [f32],
+    in_dim: usize,
+    i0: usize,
+    acc: &'a mut [f32],
+}
+
+impl wide::Kernel for DxBlock<'_> {
+    #[inline(always)]
+    fn exec(self) {
+        let DxBlock {
+            g,
+            w,
+            in_dim,
+            i0,
+            acc,
+        } = self;
+        let out_dim = w.len() / in_dim;
+        let cols = acc.len() / (g.len() / out_dim);
+        let i1 = (i0 + cols).min(in_dim);
+        for o in 0..out_dim {
+            let wseg = &w[o * in_dim + i0..o * in_dim + i1];
+            for (row, gs) in acc.chunks_exact_mut(cols).zip(g.chunks_exact(out_dim)) {
+                let go = gs[o];
+                for (a, wv) in row.iter_mut().zip(wseg) {
+                    *a += go * wv;
+                }
+            }
+        }
+    }
+}
+
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let (out_dim, in_dim) = self.dims();
@@ -314,9 +468,13 @@ impl Layer for Dense {
         // bit-identical for any worker count, batch size and tiling.
         let mut yt = vec![0.0f32; out_dim * batch];
         gridtuner_par::par_chunks_mut(&mut yt, Self::row_block(out_dim) * batch, |base, rows| {
-            for (t, tile) in rows.chunks_mut(TILE_ROWS * batch).enumerate() {
-                forward_rows(w, b, x, base / batch + t * TILE_ROWS, tile);
-            }
+            wide::run(ForwardBlock {
+                w,
+                b,
+                x,
+                o: base / batch,
+                yt: rows,
+            })
         });
         let mut y = vec![0.0f32; batch * out_dim];
         for (o, ys) in yt.chunks_exact(batch).enumerate() {
@@ -329,7 +487,7 @@ impl Layer for Dense {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let batch = self.accumulate_param_grads(grad_out);
-        let (out_dim, in_dim) = self.dims();
+        let in_dim = self.dims().1;
         let g = grad_out.as_slice();
         let w = self.w.value.as_slice();
         // dx[s, i] = Σ_o g[s, o]·W[o, i], accumulated over ascending o from
@@ -339,17 +497,13 @@ impl Layer for Dense {
         let cols = in_dim.div_ceil(gridtuner_par::workers_for(in_dim));
         let mut blocks = vec![0.0f32; in_dim.div_ceil(cols) * batch * cols];
         gridtuner_par::par_chunks_mut(&mut blocks, batch * cols, |base, acc| {
-            let i0 = base / batch;
-            let i1 = (i0 + cols).min(in_dim);
-            for o in 0..out_dim {
-                let wseg = &w[o * in_dim + i0..o * in_dim + i1];
-                for (row, gs) in acc.chunks_exact_mut(cols).zip(g.chunks_exact(out_dim)) {
-                    let go = gs[o];
-                    for (a, wv) in row.iter_mut().zip(wseg) {
-                        *a += go * wv;
-                    }
-                }
-            }
+            wide::run(DxBlock {
+                g,
+                w,
+                in_dim,
+                i0: base / batch,
+                acc,
+            })
         });
         let mut dx = vec![0.0f32; batch * in_dim];
         for (k, block) in blocks.chunks_exact(batch * cols).enumerate() {
@@ -704,6 +858,7 @@ impl Layer for Residual {
 mod tests {
     use super::*;
     use crate::loss::mse_loss;
+    use crate::wide::Kernel;
     use rand::{rngs::StdRng, SeedableRng};
 
     /// Numerically checks `∂loss/∂input` and parameter gradients of a layer
@@ -963,6 +1118,79 @@ mod tests {
                 (got - want).abs() <= 1e-6 * (1.0 + want.abs()),
                 "row {o}: optimised {got} vs naive {want}"
             );
+        }
+    }
+
+    /// The bits of a slice, for `to_bits` equality.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `n` smooth non-zero values.
+    fn wave(n: usize, k: f32) -> Vec<f32> {
+        (0..n).map(|i| (i as f32 * k).sin()).collect()
+    }
+
+    /// The bits `$kernel` leaves in `$buf`, a copy of `$init`, run
+    /// directly (the build target's copy) and through `wide::run` (the
+    /// AVX2 copy on an AVX2 host).
+    macro_rules! both_copies {
+        ($init:expr, |$buf:ident| $kernel:expr) => {{
+            let init: Vec<f32> = $init;
+            let (mut direct, mut dispatched) = (init.clone(), init);
+            {
+                let $buf = &mut direct[..];
+                $kernel.exec();
+            }
+            {
+                let $buf = &mut dispatched[..];
+                wide::run($kernel);
+            }
+            (bits(&direct), bits(&dispatched))
+        }};
+    }
+
+    #[test]
+    fn dense_blocks_match_across_compilations() {
+        // Batches with and without a lone last sample, out_dim with a short
+        // last tile and a lone last dW row, in_dim with 4-lane and DW_COLS
+        // tails, and every block start.
+        for batch in [1, 3, 16] {
+            for (in_dim, out_dim) in [(1, 1), (3, 5), (36, 8), (37, 23), (50, 6), (64, 9)] {
+                let (w, b) = (wave(out_dim * in_dim, 0.37), wave(out_dim, 0.71));
+                let (x, g) = (wave(batch * in_dim, 0.19), wave(batch * out_dim, 0.53));
+                let (w, b, x, g) = (&w[..], &b[..], &x[..], &g[..]);
+                let case = format!("B={batch} {in_dim}x{out_dim}");
+                for o in (0..out_dim).step_by(TILE_ROWS) {
+                    let yt = vec![0.0; (out_dim - o) * batch];
+                    let (a, z) = both_copies!(yt, |yt| ForwardBlock { w, b, x, o, yt });
+                    assert_eq!(a, z, "forward {case} o={o}");
+                }
+                for o in (0..out_dim).step_by(2) {
+                    let d = wave((out_dim - o) * in_dim, 0.29);
+                    let (a, z) = both_copies!(d, |d| DwBlock {
+                        g,
+                        x,
+                        out_dim,
+                        in_dim,
+                        o,
+                        d
+                    });
+                    assert_eq!(a, z, "dW {case} o={o}");
+                }
+                let cols = in_dim.div_ceil(3);
+                for i0 in (0..in_dim).step_by(cols) {
+                    let acc = vec![0.0; batch * cols];
+                    let (a, z) = both_copies!(acc, |acc| DxBlock {
+                        g,
+                        w,
+                        in_dim,
+                        i0,
+                        acc
+                    });
+                    assert_eq!(a, z, "dx {case} i0={i0}");
+                }
+            }
         }
     }
 

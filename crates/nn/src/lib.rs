@@ -13,7 +13,9 @@
 //! * [`net::Sequential`] — layer composition with forward/backward;
 //! * [`loss`] — MSE / Huber with analytic gradients;
 //! * [`optim`] — Adam;
-//! * [`init`] — He initialisation.
+//! * [`init`] — He initialisation;
+//! * [`wide`] — which compilation of the training kernels runs: the
+//!   build target's, or an AVX2 copy of the same source with the same bits.
 //!
 //! Everything is CPU and deterministic given the RNG seed. A minibatch is
 //! one batched pass: each `Dense` and `Conv2d` op splits its rows or
@@ -28,6 +30,7 @@ pub mod loss;
 pub mod net;
 pub mod optim;
 pub mod tensor;
+pub mod wide;
 
 pub use layers::{Conv2d, Dense, Flatten, Layer, Param, ReLU, Residual};
 pub use loss::{huber_loss, mse_loss};

@@ -1,6 +1,7 @@
 //! Optimizers.
 
 use crate::layers::Param;
+use crate::wide;
 
 /// Anything that can update parameters from their accumulated gradients.
 pub trait Optimizer {
@@ -53,6 +54,10 @@ impl Adam {
 /// elements than this is updated inline, without a pool dispatch.
 const ADAM_TASK: usize = 16 * 1024;
 
+/// One task of the pool-parallel Adam pass: a list of `[value, grad, m,
+/// v]` runs.
+type AdamTask<'a> = Vec<[&'a mut [f32]; 4]>;
+
 /// One step's constants of Adam's fused per-element update.
 #[derive(Debug, Clone, Copy)]
 struct AdamUpdate {
@@ -71,6 +76,7 @@ impl AdamUpdate {
     /// Updates one run of a parameter's elements: value `x`, gradient `g`
     /// and moments `m`, `v`. They are separate arguments so the compiler
     /// knows they do not alias, and vectorises the loop.
+    #[inline(always)]
     fn apply(&self, x: &mut [f32], g: &mut [f32], m: &mut [f32], v: &mut [f32]) {
         let k = *self;
         for ((x, g), (m, v)) in x.iter_mut().zip(g).zip(m.iter_mut().zip(v)) {
@@ -81,6 +87,22 @@ impl AdamUpdate {
             let m_hat = *m / k.bc1;
             let v_hat = *v / k.bc2;
             *x -= k.lr * m_hat / (v_hat.sqrt() + k.eps);
+        }
+    }
+}
+
+/// One pool task of [`Adam::scaled_step`]: [`AdamUpdate::apply`] to each
+/// `[value, grad, m, v]` run of the tasks in `tasks`.
+struct AdamRuns<'a, 'b> {
+    update: AdamUpdate,
+    tasks: &'a mut [AdamTask<'b>],
+}
+
+impl wide::Kernel for AdamRuns<'_, '_> {
+    #[inline(always)]
+    fn exec(self) {
+        for [x, g, m, v] in self.tasks.iter_mut().flatten() {
+            self.update.apply(x, g, m, v);
         }
     }
 }
@@ -111,8 +133,7 @@ impl Optimizer for Adam {
             lr: self.lr,
             eps: self.eps,
         };
-        // Each task is a list of `[value, grad, m, v]` runs.
-        let mut tasks: Vec<Vec<[&mut [f32]; 4]>> = Vec::new();
+        let mut tasks: Vec<AdamTask> = Vec::new();
         let (mut task, mut filled) = (Vec::new(), 0);
         for p in params.iter_mut() {
             let Param { value, grad, m, v } = &mut **p;
@@ -132,9 +153,10 @@ impl Optimizer for Adam {
         }
         tasks.push(task);
         gridtuner_par::par_chunks_mut(&mut tasks, 1, |_, task| {
-            for [x, g, m, v] in task.iter_mut().flatten() {
-                update.apply(x, g, m, v);
-            }
+            wide::run(AdamRuns {
+                update,
+                tasks: task,
+            })
         });
     }
 }
@@ -143,6 +165,7 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
     use crate::tensor::Tensor;
+    use crate::wide::Kernel;
 
     fn quadratic_grad(p: &Param) -> Tensor {
         // L = Σ x² → ∂L/∂x = 2x.
@@ -197,6 +220,49 @@ mod tests {
                 assert_eq!(bits(&a.value), bits(&b.value));
                 assert!(a.grad.max_abs() == 0.0 && b.grad.max_abs() == 0.0);
             }
+        }
+    }
+
+    #[test]
+    fn adam_update_matches_across_compilations() {
+        // The update called directly (the build target's copy) and through
+        // `wide::run` (the AVX2 copy on an AVX2 host), over a parameter
+        // that spans three tasks and ends off a multiple of 8.
+        let n = 2 * ADAM_TASK + 5;
+        let wave = |k: f32| -> Vec<f32> { (0..n).map(|i| (i as f32 * k).sin()).collect() };
+        let update = AdamUpdate {
+            scale: 0.25,
+            b1: 0.9,
+            b2: 0.999,
+            c1: 1.0 - 0.9,
+            c2: 1.0 - 0.999,
+            bc1: 1.0 - 0.9f32.powi(3),
+            bc2: 1.0 - 0.999f32.powi(3),
+            lr: 0.01,
+            eps: 1e-8,
+        };
+        // The second moment is a running mean of squares: non-negative.
+        let v = wave(0.02).iter().map(|v| v * v).collect();
+        let first = [wave(0.37), wave(0.11), wave(0.05), v];
+        let mut state = [first.clone(), first];
+        for (copy, [x, g, m, v]) in state.iter_mut().enumerate() {
+            let runs = x.chunks_mut(ADAM_TASK).zip(g.chunks_mut(ADAM_TASK));
+            let runs = runs.zip(m.chunks_mut(ADAM_TASK).zip(v.chunks_mut(ADAM_TASK)));
+            let mut tasks: Vec<AdamTask> =
+                runs.map(|((x, g), (m, v))| vec![[x, g, m, v]]).collect();
+            let kernel = AdamRuns {
+                update,
+                tasks: &mut tasks,
+            };
+            if copy == 0 {
+                kernel.exec();
+            } else {
+                wide::run(kernel);
+            }
+        }
+        for (a, b) in state[0].iter().zip(&state[1]) {
+            let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b));
         }
     }
 

@@ -182,7 +182,8 @@ impl NnCore {
         let _span = gridtuner_obs::span!(
             "train",
             side = series.side(),
-            epochs = self.train_cfg.epochs
+            epochs = self.train_cfg.epochs,
+            avx2 = u32::from(gridtuner_nn::wide::avx2())
         );
         let mut rng = StdRng::seed_from_u64(self.train_cfg.seed);
         self.side = series.side();
