@@ -156,25 +156,11 @@ impl Dense {
 /// result is `((l0 + l1) + (l2 + l3)) + tail`.
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     let body = a.len() - a.len() % 4;
-    fold(lanes(&a[..body], &b[..body]), &a[body..], &b[body..])
-}
-
-/// [`dot`] for the kernels run through [`wide::run`]: the same bits, with
-/// the fold a call of its own ([`fold_apart`]).
-#[inline(always)]
-fn dot_apart(a: &[f32], b: &[f32]) -> f32 {
-    let body = a.len() - a.len() % 4;
-    fold_apart(lanes(&a[..body], &b[..body]), &a[body..], &b[body..])
-}
-
-/// [`dot`]'s four lanes over `a` and `b`, whose length is a multiple of 4.
-#[inline(always)]
-fn lanes(a: &[f32], b: &[f32]) -> [f32; 4] {
     let mut acc = [0.0f32; 4];
-    for (ca, cb) in a.chunks_exact(4).zip(b.chunks_exact(4)) {
+    for (ca, cb) in a[..body].chunks_exact(4).zip(b[..body].chunks_exact(4)) {
         madd(&mut acc, ca, cb);
     }
-    acc
+    fold(acc, &a[body..], &b[body..])
 }
 
 /// One step of [`dot`]'s four lanes: `acc[l] += a[l]·b[l]`.
@@ -194,16 +180,6 @@ fn fold(acc: [f32; 4], a: &[f32], b: &[f32]) -> f32 {
         tail += ra * rb;
     }
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-/// [`fold`] as a call of its own. Inlined into a kernel's AVX2 copy, the
-/// fold's adds lead the vectoriser to regroup the lanes of the loop that
-/// feeds it — lane `l` of several rows in one register — at the cost of
-/// shuffles in every iteration. Behind a call, each accumulator keeps a
-/// register of its own, on either copy, for one call per dot product.
-#[inline(never)]
-fn fold_apart(acc: [f32; 4], a: &[f32], b: &[f32]) -> f32 {
-    fold(acc, a, b)
 }
 
 /// `W` rows per forward tile.
@@ -240,8 +216,11 @@ fn dot_tile(w: [&[f32]; TILE_ROWS], x: [&[f32]; 2]) -> [[f32; 2]; TILE_ROWS] {
     fold_tile(acc, w, x, body)
 }
 
-/// [`dot_tile`]'s finish: [`fold`] for each pair, as a call of its own
-/// (see [`fold_apart`]).
+/// [`dot_tile`]'s finish: [`fold`] for each pair, as a call of its own.
+/// Inlined into the tile's AVX2 copy, the fold's adds lead the vectoriser
+/// to regroup the loop's lanes — lane `l` of several rows in one register
+/// — at the cost of shuffles in every iteration. Behind a call, each
+/// accumulator keeps a register of its own, on either copy.
 #[inline(never)]
 fn fold_tile(
     acc: [[f32; 8]; TILE_ROWS],
@@ -297,32 +276,24 @@ impl wide::Kernel for ForwardBlock<'_> {
 
 /// `ys[r·B + s] = b[o + r] + dot(W[o + r], x_s)` for the rows of `ys`, a
 /// block of at most [`TILE_ROWS`] rows of the `[out, B]` transposed
-/// output. A full block runs 4 × 2 [`dot_tile`]s over the sample pairs;
-/// a lone last sample, and every sample of a short block, takes
-/// [`dot_apart`].
+/// output, by one [`dot_tile`] per sample pair. A short block repeats its
+/// last row to fill the tile and a lone last sample fills both of the
+/// tile's samples; the repeats' results are dropped.
 #[inline(always)]
 fn forward_rows(w: &[f32], b: &[f32], x: &[f32], o: usize, ys: &mut [f32]) {
     let in_dim = w.len() / b.len();
     let batch = x.len() / in_dim;
-    let row = |r: usize| &w[(o + r) * in_dim..(o + r + 1) * in_dim];
-    let mut done = 0;
-    if ys.len() == TILE_ROWS * batch {
-        let rows = [row(0), row(1), row(2), row(3)];
-        for (p, xs) in x.chunks_exact(2 * in_dim).enumerate() {
-            let (x0, x1) = xs.split_at(in_dim);
-            for (r, y) in dot_tile(rows, [x0, x1]).iter().enumerate() {
-                ys[r * batch + 2 * p] = b[o + r] + y[0];
-                ys[r * batch + 2 * p + 1] = b[o + r] + y[1];
+    let rows = ys.len() / batch;
+    let row = |r: usize| &w[(o + r.min(rows - 1)) * in_dim..][..in_dim];
+    let tile = [row(0), row(1), row(2), row(3)];
+    for (p, xs) in x.chunks(2 * in_dim).enumerate() {
+        let (x0, x1) = xs.split_at(in_dim);
+        let pair = if x1.is_empty() { [x0, x0] } else { [x0, x1] };
+        for (r, y) in dot_tile(tile, pair).iter().enumerate().take(rows) {
+            let out = &mut ys[r * batch + 2 * p..][..xs.len() / in_dim];
+            for (v, yv) in out.iter_mut().zip(y) {
+                *v = b[o + r] + yv;
             }
-        }
-        done = batch - batch % 2;
-    }
-    for (r, ys) in ys.chunks_mut(batch).enumerate() {
-        for (y, xs) in ys[done..]
-            .iter_mut()
-            .zip(x[done * in_dim..].chunks_exact(in_dim))
-        {
-            *y = b[o + r] + dot_apart(row(r), xs);
         }
     }
 }
@@ -350,32 +321,39 @@ impl wide::Kernel for DwBlock<'_> {
             o,
             d,
         } = self;
-        let samples = g.chunks_exact(out_dim).zip(x.chunks_exact(in_dim));
-        for (t, pair) in d.chunks_mut(2 * in_dim).enumerate() {
-            dw_rows(pair, in_dim, o + 2 * t, samples.clone());
+        // The block's columns of `g` as rows, `gt[r·B + s] = g[s, o + r]`:
+        // the sample loop then steps through `g` by one element, where
+        // reading `g[s, o]` takes a multiply per sample.
+        let (rows, batch) = (d.len() / in_dim, x.len() / in_dim);
+        let mut gt = vec![0.0f32; rows * batch];
+        for (s, gs) in g.chunks_exact(out_dim).enumerate() {
+            for (r, v) in gs[o..o + rows].iter().enumerate() {
+                gt[r * batch + s] = *v;
+            }
+        }
+        for (pair, gp) in d.chunks_mut(2 * in_dim).zip(gt.chunks(2 * batch)) {
+            dw_rows(pair, in_dim, gp, x);
         }
     }
 }
 
-/// `dW[o + r] += Σ_s g[s, o + r]·x_s` for the one or two `in_dim`-wide dW
-/// rows in `d`, with `samples` yielding `(g_s, x_s)` in sample order. Two
-/// rows are walked in [`DW_COLS`]-column segments held in registers across
-/// the whole batch; the column tail, and a lone row, go one element at a
-/// time. Either way every element starts from its stored value and adds
-/// the samples in order — the per-sample accumulation order.
+/// `dW[r] += Σ_s g[r·B + s]·x_s` for the one or two dW rows in `d`, with
+/// `g` holding each row's `B` output-gradient entries and `x` the `[B,
+/// in]` input. Two rows are walked in [`DW_COLS`]-column segments held
+/// in registers across the whole batch; the column tail, and a lone row,
+/// go one element at a time. Either way every element starts from its
+/// stored value and adds the samples in order — the per-sample
+/// accumulation order.
 #[inline(always)]
-fn dw_rows<'a>(
-    d: &mut [f32],
-    in_dim: usize,
-    o: usize,
-    samples: impl Iterator<Item = (&'a [f32], &'a [f32])> + Clone,
-) {
+fn dw_rows(d: &mut [f32], in_dim: usize, g: &[f32], x: &[f32]) {
+    let batch = x.len() / in_dim;
     let full = if d.len() == 2 * in_dim {
         in_dim - in_dim % DW_COLS
     } else {
         0
     };
     let (d0, d1) = d.split_at_mut(in_dim);
+    let (g0, g1) = g.split_at(batch);
     let segments = d0[..full]
         .chunks_exact_mut(DW_COLS)
         .zip(d1[..full].chunks_exact_mut(DW_COLS));
@@ -384,19 +362,19 @@ fn dw_rows<'a>(
         let (mut a0, mut a1) = ([0.0f32; DW_COLS], [0.0f32; DW_COLS]);
         a0.copy_from_slice(s0);
         a1.copy_from_slice(s1);
-        for (gs, xs) in samples.clone() {
+        for ((ga, gb), xs) in g0.iter().zip(g1).zip(x.chunks_exact(in_dim)) {
             let xs = &xs[c..c + DW_COLS];
-            axpy(&mut a0, gs[o], xs);
-            axpy(&mut a1, gs[o + 1], xs);
+            axpy(&mut a0, *ga, xs);
+            axpy(&mut a1, *gb, xs);
         }
         s0.copy_from_slice(&a0);
         s1.copy_from_slice(&a1);
     }
-    for (r, dr) in d.chunks_mut(in_dim).enumerate() {
+    for (dr, gr) in d.chunks_mut(in_dim).zip(g.chunks_exact(batch)) {
         for (i, e) in dr.iter_mut().enumerate().skip(full) {
             let mut acc = *e;
-            for (gs, xs) in samples.clone() {
-                acc += gs[o + r] * xs[i];
+            for (gv, xs) in gr.iter().zip(x.chunks_exact(in_dim)) {
+                acc += gv * xs[i];
             }
             *e = acc;
         }

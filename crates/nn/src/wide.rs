@@ -6,7 +6,7 @@
 //! compiled twice: inlined into its caller for the build target (SSE2 on
 //! baseline x86-64, 4 floats per register), and inlined into a copy
 //! compiled with `#[target_feature(enable = "avx2")]` (8 floats per
-//! register). Every process picks one copy, by one cached feature check
+//! register). Every process picks one copy, by one feature check
 //! ([`avx2`]). Both copies are the same source, so they compute the same
 //! bits: the association is written out (four lanes and a fixed fold,
 //! samples added in order), Rust never contracts `a*b + c` into a fused
@@ -14,12 +14,12 @@
 //! (DESIGN.md §9, §10). No other module of the crate enables a target
 //! feature or opts out of the compiler's safety checks.
 
-/// Whether the kernels run their AVX2 copy: the CPU has AVX2. Detected
-/// once per process.
+/// Whether the kernels run their AVX2 copy: the CPU has AVX2. The
+/// standard library detects the CPU's features once per process and
+/// caches them.
 #[cfg(target_arch = "x86_64")]
 pub fn avx2() -> bool {
-    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
+    is_x86_feature_detected!("avx2")
 }
 
 /// Whether the kernels run their AVX2 copy: never off x86-64.
@@ -58,15 +58,4 @@ pub(crate) fn run(kernel: impl Kernel) {
 #[target_feature(enable = "avx2")]
 fn avx2_copy(kernel: impl Kernel) {
     kernel.exec()
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn dispatcher_reports_the_detected_width() {
-        #[cfg(target_arch = "x86_64")]
-        assert_eq!(super::avx2(), is_x86_feature_detected!("avx2"));
-        #[cfg(not(target_arch = "x86_64"))]
-        assert!(!super::avx2());
-    }
 }
