@@ -173,7 +173,10 @@ impl KernelTiming {
 ///
 /// Each pass walks the sides once, timing the per-cell and the batched
 /// evaluation of the *same* partition back-to-back; per-kernel pass
-/// totals are accumulated and the minimum across passes is kept.
+/// totals are accumulated and the minimum across passes is kept. Each
+/// pass starts from an empty group map (the pmf tables stay warm), so
+/// the batched side evaluates its groups as a cold tune does instead of
+/// reading the values an earlier pass left.
 fn time_kernels(cache: &AlphaFieldCache, probed: &[u32], budget: u32, reps: usize) -> KernelTiming {
     let mut out = KernelTiming {
         percell_ms: f64::INFINITY,
@@ -182,6 +185,7 @@ fn time_kernels(cache: &AlphaFieldCache, probed: &[u32], budget: u32, reps: usiz
         batched_total: 0.0,
     };
     for _ in 0..reps.max(1) {
+        cache.pmf_memo().clear_groups();
         let mut percell_ms = 0.0f64;
         let mut batched_ms = 0.0f64;
         let mut percell_total = 0.0f64;

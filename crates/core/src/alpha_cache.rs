@@ -57,13 +57,14 @@ pub struct AlphaFieldCache {
     derived: Mutex<HashMap<u32, Arc<CountMatrix>>>,
     /// Delta (append-only) scans performed since construction.
     delta_scans: obs::metrics::Counter,
-    /// Cross-probe Poisson-table cache for the batched expression-error
-    /// kernel. A pure function of the rate, so it survives [`append`]
+    /// Cross-probe Poisson-table and group-value cache for the batched
+    /// expression-error kernel. Its entries are pure functions of a rate
+    /// or of a group's `(a, b, m)` bits, so it survives [`append`]
     /// (unlike the derived-field memo) and incremental re-tunes inherit a
     /// warm cache. Held behind an `Arc` so sibling caches — e.g. the
     /// bootstrap-replicate caches of the uncertainty stage — can share
     /// one warm memo: sharing is bit-invisible because hit and miss
-    /// paths produce identical tables.
+    /// paths produce identical values.
     ///
     /// [`append`]: AlphaFieldCache::append
     pmf_memo: Arc<PmfMemo>,
@@ -211,9 +212,9 @@ impl AlphaFieldCache {
     /// [`append`](Self::append)) — bit-identical to
     /// `AlphaFieldCache::new(&resample_events(log, seed, replicate), …)`
     /// with the same clock and window. The replicate shares this cache's
-    /// [`PmfMemo`], whose entries heavily overlap the replicate's rates;
-    /// sharing is bit-invisible because memo entries are a pure function of
-    /// the rate.
+    /// [`PmfMemo`], whose tables and group values heavily overlap the
+    /// replicate's; sharing is bit-invisible because memo entries are a
+    /// pure function of their rate or group key.
     ///
     /// Consumes the exact [`replicate_draws`] stream, in draw order, and
     /// maps each drawn log index through the digest index: a hit appends
@@ -289,48 +290,49 @@ impl AlphaFieldCache {
         try_quadtree_node_errors(&alpha, Some(&*self.pmf_memo))
     }
 
-    /// The cross-probe Poisson-table cache.
+    /// The cross-probe Poisson-table and group-value cache.
     pub fn pmf_memo(&self) -> &PmfMemo {
         &self.pmf_memo
     }
 
+    /// Bins the digest into one integer count per cell, then writes each
+    /// cell once as `count · (1/days)`. Integer sums below 2⁵³ are exact
+    /// in f64, so this has the bits of adding `1.0` per event and scaling
+    /// the matrix, the order [`crate::alpha::estimate_alpha`] uses.
     fn derive(&self, spec: GridSpec) -> CountMatrix {
         let mut alpha = CountMatrix::zeros(spec.side());
         if self.n_days == 0 {
             return alpha;
         }
-        #[cfg(feature = "check-invariants")]
-        let mut binned = 0usize;
+        // Digest locations lie in the unit square by construction, so every
+        // one lands in a cell: `cell_of` without its bounds check.
+        let side = spec.side() as usize;
+        let scale = spec.side() as f64;
+        let mut counts = vec![0u32; side * side];
         for p in &self.digest {
-            if let Some(cell) = spec.cell_of(p) {
-                *alpha.get_mut(cell) += 1.0;
-                #[cfg(feature = "check-invariants")]
-                {
-                    binned += 1;
-                }
-            }
+            let col = ((p.x * scale) as usize).min(side - 1);
+            let row = ((p.y * scale) as usize).min(side - 1);
+            counts[row * side + col] += 1;
         }
         #[cfg(feature = "check-invariants")]
         {
-            // Mass conservation: digest locations are inside the unit
-            // square by construction, so every one lands in exactly one
-            // cell of any lattice, and the pre-scaling cell totals are
-            // exact small-integer sums.
-            assert_eq!(
-                binned,
-                self.digest.len(),
-                "alpha-field mass leak: {binned} of {} digest events binned on side {}",
-                self.digest.len(),
-                spec.side()
-            );
-            let total: f64 = alpha.as_slice().iter().sum();
+            // Mass conservation: no digest location lies outside the unit
+            // square, where the clamped binning above would misplace it,
+            // and every one is counted once.
+            let inside = self.digest.iter().filter(|p| p.in_unit_square()).count();
+            let binned: usize = counts.iter().map(|&c| c as usize).sum();
             assert!(
-                (total - binned as f64).abs() < 1e-6,
-                "alpha-field mass drift on side {}: {total} != {binned}",
+                inside == self.digest.len() && binned == inside,
+                "alpha-field mass leak: {binned} binned, {inside} of {} digest events inside \
+                 the unit square on side {}",
+                self.digest.len(),
                 spec.side()
             );
         }
-        alpha.scale(1.0 / self.n_days as f64);
+        let k = 1.0 / self.n_days as f64;
+        for (v, &c) in alpha.as_mut_slice().iter_mut().zip(&counts) {
+            *v = f64::from(c) * k;
+        }
         alpha
     }
 

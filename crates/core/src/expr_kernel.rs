@@ -9,7 +9,7 @@
 //! small multiples of `1/days`) and those values recur across MGrids and
 //! across probes.
 //!
-//! This module batches the sweep around three reuse layers:
+//! This module batches the sweep around four reuse layers:
 //!
 //! * [`PmfTable`] — one rate's pmf plus its cumulative and first-moment
 //!   prefix sums, in buffers that refill in place ([`PmfTable::fill`]);
@@ -23,7 +23,11 @@
 //!   bits of the rate. Rates recur across MGrids within a probe and across
 //!   probes within a session (MGrid totals repartition the same event
 //!   mass), so [`crate::alpha_cache::AlphaFieldCache`] owns one per
-//!   session and incremental re-tunes inherit a warm cache.
+//!   session and incremental re-tunes inherit a warm cache;
+//! * the memo's group map — one `E_e` value per `(a, b, m)` bit pattern.
+//!   Group keys recur across MGrids, probed sides and bootstrap
+//!   replicates, and a hit skips the table lookups and the evaluation
+//!   walk. Group entries share the table budget.
 //!
 //! Every layer preserves the windowed kernel's arithmetic bit for bit: a
 //! memo hit, a scratch refill and a fresh
@@ -37,7 +41,7 @@ use gridtuner_obs as obs;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 /// Multiply-shift hasher for the f64-bit rate keys the kernel hashes
@@ -71,6 +75,53 @@ impl Hasher for RateHash {
 }
 
 type RateMap<V> = HashMap<u64, V, BuildHasherDefault<RateHash>>;
+
+/// The exact bits of one expression group `(a, b, m)`, `b` being the
+/// rest-of-MGrid rate `max(total − a, 0)`. `E_e` is a pure function of
+/// these bits, so the memo keys its group values by them.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct GroupKey {
+    a: u64,
+    b: u64,
+    m: u64,
+}
+
+impl GroupKey {
+    fn new(a: f64, b: f64, m: usize) -> GroupKey {
+        GroupKey {
+            a: a.to_bits(),
+            b: b.to_bits(),
+            m: m as u64,
+        }
+    }
+
+    /// The three words folded into one by two odd multiplies, which
+    /// [`RateHash`] then mixes; one `write_u64` call, because the hasher
+    /// keeps only the last word it is given.
+    fn folded(&self) -> u64 {
+        (self.a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ self.b).wrapping_mul(0xc2b2_ae3d_27d4_eb4f)
+            ^ self.m
+    }
+}
+
+impl std::hash::Hash for GroupKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.folded());
+    }
+}
+
+type GroupMap = HashMap<GroupKey, f64, BuildHasherDefault<RateHash>>;
+
+/// One shard of the memo's group map, with its lookup tallies on the same
+/// cache line as the lock: a lookup already holds that line, so counting
+/// moves no extra line between cores.
+#[derive(Default)]
+#[repr(align(64))]
+struct GroupShard {
+    map: RwLock<GroupMap>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
 
 /// Fold-checkpoint stride for [`PmfTable`]: the running cumulative /
 /// first-moment fold state is stored every this many pmf entries, so a
@@ -296,25 +347,38 @@ pub(crate) fn expression_error_kernel(a: f64, b: f64, m: usize) -> f64 {
     eval_tables(&ta, &tb, m)
 }
 
-/// Default entry cap for [`PmfMemo`] — above the slot budget divided by a
-/// typical window, so the f64 budget is the limit that usually bites.
-pub const MEMO_MAX_ENTRIES: usize = 65_536;
+/// Default entry cap for [`PmfMemo`], tables and group values together —
+/// well above the ~410,000 entries a full budget holds in the benchmark's
+/// mix of the two, so the f64 budget is the limit that usually bites.
+pub const MEMO_MAX_ENTRIES: usize = 1 << 20;
 
-/// Default retained-buffer budget for [`PmfMemo`], in f64 slots across all
-/// cached tables (16 Mi slots = 128 MiB). Tables store one pmf buffer
-/// plus ~3% of fold checkpoints, so the budget admits roughly three times
-/// the tables the same bytes would have held with materialised prefix
-/// arrays. Sized to hold every distinct rate of a paper-scale sweep
-/// (~41k tables, ~13 Mi slots measured on the NYC benchmark city) with
-/// headroom, so steady-state re-tunes run build-free; smaller deployments
-/// can tighten it through [`PmfMemo::with_limits`].
+/// Default retained budget for [`PmfMemo`], in f64 slots across all cached
+/// tables and group values (16 Mi slots = 128 MiB). Tables store one pmf
+/// buffer plus ~3% of fold checkpoints; a group value is charged
+/// `GROUP_SLOTS`. Without group values, one `refine-boot` decision of the
+/// repository benchmark (Chengdu month, √N = 128, sides 4..76, B = 4)
+/// ends with about 62,000 tables in 15.8 Mi slots, so tables alone nearly
+/// fill the budget (and 95% of the former 65,536-entry cap). The same
+/// decision makes ~4M group lookups over ~0.5M distinct keys; sharing the
+/// budget, it ends full at about 410,000 entries, with roughly 150,000
+/// group values refused. That keeps peak memory where it was: a table
+/// refused admission costs a scratch refill only on a group miss, while a
+/// group hit skips both tables. Smaller deployments can tighten the
+/// budget through [`PmfMemo::with_limits`].
 pub const MEMO_MAX_F64S: usize = 16 << 20;
 
-/// Shard count for [`PmfMemo`]: independent read-mostly segments keyed by
-/// the high bits of the mixed rate hash, so concurrent workers only
+/// f64 slots one group value is charged against [`MEMO_MAX_F64S`]: its
+/// 32-byte `(key, value)` bucket at a hash map's load factor and
+/// power-of-two growth, about 64 bytes.
+const GROUP_SLOTS: usize = 8;
+
+/// Shard count of each [`PmfMemo`] map: independent read-mostly segments
+/// keyed by bits of the mixed key hash, so concurrent workers only
 /// contend when they touch the same shard at the same time *and* one of
-/// them is inserting. Power of two for a mask-only selection.
-const MEMO_SHARDS: usize = 16;
+/// them is inserting. Power of two for a mask-only selection; 256 keeps
+/// the group map's inserts, several hundred thousand per bootstrap
+/// decision, from blocking readers.
+const MEMO_SHARDS: usize = 256;
 
 /// A bounded, thread-safe cross-probe cache of [`PmfTable`]s, keyed by the
 /// f64 **bits** of the rate (α values are exact `count / days` quotients,
@@ -327,17 +391,27 @@ const MEMO_SHARDS: usize = 16;
 /// an entry cap and a retained-f64 budget — and a rejected rate simply
 /// falls back to the caller's scratch table (same bits either way).
 ///
-/// Storage is split across `MEMO_SHARDS` `RwLock`ed segments and the
+/// The memo also holds a second map: the `E_e` value of each expression
+/// group, keyed by the bits of `(a, b, m)`. A group value is a pure
+/// function of its key, like a table of its rate, so it never goes stale
+/// either. Group entries count against the same entry cap and f64 budget
+/// as tables (`GROUP_SLOTS` each), first come first served, so the memo
+/// stays one bounded store.
+///
+/// Each map is split across `MEMO_SHARDS` `RwLock`ed segments and the
 /// caps live in shared atomics, so the warm path is a single uncontended
-/// shard read-lock (and most lookups never even get here: the
+/// shard read-lock (and most table lookups never even get here: the
 /// per-workspace L1 serves repeats lock-free). `pmf_memo.lock_waits`
 /// counts the times any shard lock actually had to block.
 pub struct PmfMemo {
     shards: Vec<RwLock<RateMap<Arc<PmfTable>>>>,
-    /// Cached tables across all shards (reserved before building).
+    groups: Vec<GroupShard>,
+    /// Cached tables and group values across all shards (reserved before
+    /// building).
     entries: AtomicUsize,
     /// f64 slots retained across every cached table (window length plus
-    /// checkpoint pairs each) — the memory the budget bounds.
+    /// checkpoint pairs each) and group value — the memory the budget
+    /// bounds.
     retained: AtomicUsize,
     max_entries: usize,
     max_f64s: usize,
@@ -385,6 +459,7 @@ impl PmfMemo {
             shards: (0..MEMO_SHARDS)
                 .map(|_| RwLock::new(RateMap::default()))
                 .collect(),
+            groups: (0..MEMO_SHARDS).map(|_| GroupShard::default()).collect(),
             entries: AtomicUsize::new(0),
             retained: AtomicUsize::new(0),
             max_entries,
@@ -394,18 +469,26 @@ impl PmfMemo {
         }
     }
 
-    /// The shard index for `key`, selected from the *mixed* hash's high
-    /// bits so shard choice and in-shard bucket choice stay independent.
+    /// The shard index for `key`, selected from the *mixed* hash's middle
+    /// bits: the in-shard bucket comes from its low bits and the hash
+    /// map's control tag from its top seven, so all three stay
+    /// independent.
     fn shard_index(key: u64) -> usize {
         let mut h = RateHash::default();
         h.write_u64(key);
-        (h.finish() >> (64 - 4)) as usize & (MEMO_SHARDS - 1)
+        (h.finish() >> 32) as usize & (MEMO_SHARDS - 1)
     }
 
     /// Reserves one entry plus `slots` f64s against the caps, atomically.
     /// Sequential callers see exactly the pre-shard semantics: the cap
-    /// check happens before any build work is paid for.
+    /// check happens before any build work is paid for. A full memo is
+    /// seen with two loads, before any contended read-modify-write.
     fn reserve(&self, slots: usize) -> bool {
+        if self.entries.load(Ordering::Relaxed) >= self.max_entries
+            || self.retained.load(Ordering::Relaxed) + slots > self.max_f64s
+        {
+            return false;
+        }
         if self
             .entries
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |e| {
@@ -479,22 +562,70 @@ impl PmfMemo {
         }
     }
 
-    /// Lookups served from the cache.
+    /// The memoised `E_e` of `key`'s group, counted as a hit or a miss.
+    fn group(&self, key: GroupKey) -> Option<f64> {
+        let shard = &self.groups[Self::shard_index(key.folded())];
+        let value = read_counted(&shard.map).get(&key).copied();
+        let tally = if value.is_some() {
+            &shard.hits
+        } else {
+            &shard.misses
+        };
+        tally.fetch_add(1, Ordering::Relaxed);
+        value
+    }
+
+    /// Admits `key`'s group value if the caps allow; a refused or
+    /// duplicate value is simply dropped (every path has the same bits).
+    fn admit_group(&self, key: GroupKey, value: f64) {
+        if !self.reserve(GROUP_SLOTS) {
+            return;
+        }
+        let shard = &self.groups[Self::shard_index(key.folded())];
+        if write_counted(&shard.map).insert(key, value).is_some() {
+            self.release(GROUP_SLOTS);
+        }
+    }
+
+    /// Drops every group value and returns its share of the caps; cached
+    /// tables stay. Lets a benchmark time group evaluation again on a
+    /// memo whose tables are warm.
+    pub fn clear_groups(&self) {
+        for shard in &self.groups {
+            let mut map = write_counted(&shard.map);
+            let n = map.len();
+            map.clear();
+            self.entries.fetch_sub(n, Ordering::SeqCst);
+            self.retained.fetch_sub(n * GROUP_SLOTS, Ordering::SeqCst);
+        }
+    }
+
+    /// Lookups served from the cache: tables and group values.
     pub fn hits(&self) -> u64 {
-        self.hits.get()
+        let groups: u64 = self
+            .groups
+            .iter()
+            .map(|s| s.hits.load(Ordering::Relaxed))
+            .sum();
+        self.hits.get() + groups
     }
 
-    /// Lookups that had to build (or were refused admission).
+    /// Lookups that had to build or evaluate (or were refused admission).
     pub fn misses(&self) -> u64 {
-        self.misses.get()
+        let groups: u64 = self
+            .groups
+            .iter()
+            .map(|s| s.misses.load(Ordering::Relaxed))
+            .sum();
+        self.misses.get() + groups
     }
 
-    /// Cached tables.
+    /// Cached tables and group values.
     pub fn entries(&self) -> usize {
         self.entries.load(Ordering::SeqCst)
     }
 
-    /// f64 slots retained across all cached tables.
+    /// f64 slots retained across all cached tables and group values.
     pub fn retained_f64s(&self) -> usize {
         self.retained.load(Ordering::SeqCst)
     }
@@ -513,10 +644,11 @@ const L1_MAX_ENTRIES: usize = 1 << 16;
 /// Every buffer refills in place, so a steady-state sweep allocates
 /// nothing per cell — [`realloc_bytes`](Self::realloc_bytes) stays flat.
 ///
-/// Local tallies (cells, dedup hits, kernel evaluations, buffer growth)
-/// are kept as plain integers on the hot path and flushed to the global
-/// registry counters `expr.cell_evals`, `expr.dedup_hits`, `expr.evals`
-/// and `expr.workspace_bytes` when the workspace drops.
+/// Local tallies (cells, dedup hits, kernel evaluations, group-value
+/// hits, buffer growth) are kept as plain integers on the hot path and
+/// flushed to the global registry counters `expr.cell_evals`,
+/// `expr.dedup_hits`, `expr.evals`, `expr.pmf_memo_hits` and
+/// `expr.workspace_bytes` when the workspace drops.
 #[derive(Default)]
 pub struct ExprWorkspace {
     alphas: Vec<f64>,
@@ -528,6 +660,7 @@ pub struct ExprWorkspace {
     cells: u64,
     dedup_hits: u64,
     kernel_evals: u64,
+    group_hits: u64,
     realloc_bytes: u64,
     reallocs: u64,
 }
@@ -633,11 +766,25 @@ impl ExprWorkspace {
         Some(fetched)
     }
 
-    /// One distinct rate's `E_e(a, total − a, m)`, from memoised tables
-    /// when admitted, scratch refills otherwise.
+    /// One distinct rate's `E_e(a, b, m)` with `b = max(total − a, 0)`:
+    /// the memo's group value when it holds one, else evaluated and
+    /// offered to the memo.
     fn group_error(&mut self, a: f64, total: f64, m: usize, memo: &PmfMemo) -> f64 {
         self.kernel_evals += 1;
         let b = (total - a).max(0.0);
+        let key = GroupKey::new(a, b, m);
+        if let Some(e) = memo.group(key) {
+            self.group_hits += 1;
+            return e;
+        }
+        let e = self.evaluate(a, b, m, memo);
+        memo.admit_group(key, e);
+        e
+    }
+
+    /// `E_e(a, b, m)` from memoised tables when admitted, scratch refills
+    /// otherwise.
+    fn evaluate(&mut self, a: f64, b: f64, m: usize, memo: &PmfMemo) -> f64 {
         let tb_hit = self.cached_table(b, memo);
         if tb_hit.is_none() {
             self.tb.fill(b);
@@ -716,6 +863,9 @@ impl Drop for ExprWorkspace {
         }
         if self.kernel_evals > 0 {
             obs::counter!("expr.evals").add(self.kernel_evals);
+        }
+        if self.group_hits > 0 {
+            obs::counter!("expr.pmf_memo_hits").add(self.group_hits);
         }
         if self.realloc_bytes > 0 {
             obs::counter!("expr.workspace_bytes").add(self.realloc_bytes);
@@ -972,6 +1122,87 @@ mod tests {
         let scratch = ws.mgrid_error(&alphas, &memo).unwrap();
         let memoised = ws2.mgrid_error(&alphas, &open).unwrap();
         assert_eq!(scratch.to_bits(), memoised.to_bits());
+    }
+
+    /// `mgrid_error_trusted` with no memo at all: each group from fresh
+    /// tables, multiplicity-weighted in first-occurrence order.
+    fn memo_free_mgrid_error(row: &[f64]) -> f64 {
+        let m = row.len();
+        if m <= 1 {
+            return 0.0;
+        }
+        let total: f64 = row.iter().sum();
+        let mut groups: Vec<(f64, u32)> = Vec::new();
+        for &a in row {
+            match groups.iter_mut().find(|g| g.0.to_bits() == a.to_bits()) {
+                Some(g) => g.1 += 1,
+                None => groups.push((a, 1)),
+            }
+        }
+        groups.iter().fold(0.0, |acc, &(a, k)| {
+            acc + expression_error_windowed(a, (total - a).max(0.0), m) * k as f64
+        })
+    }
+
+    #[test]
+    fn group_values_have_the_same_bits_from_every_memo() {
+        let rows: [&[f64]; 6] = [
+            &[0.0, 0.5, 0.5, 1.0],
+            // Same total and m as the row above, so every group key repeats.
+            &[0.5, 1.0, 0.0, 0.5],
+            // a = 0 with b = 0.
+            &[0.0, 0.0, 0.0],
+            // m = 1 never reaches the kernel.
+            &[2.0],
+            // A window far past the small budgets below.
+            &[0.25, 1.0e6, 0.25, 0.0],
+            &[1.0e6, 0.25, 0.0, 0.25],
+        ];
+        let reference: Vec<u64> = rows
+            .iter()
+            .map(|r| memo_free_mgrid_error(r).to_bits())
+            .collect();
+        let run = |memo: &PmfMemo| -> Vec<u64> {
+            let mut ws = ExprWorkspace::new();
+            rows.iter()
+                .map(|r| ws.mgrid_error_trusted(r.iter().copied(), memo).to_bits())
+                .collect()
+        };
+        let shared = PmfMemo::default();
+        assert_eq!(run(&shared), reference, "fresh memo");
+        let cold_hits = shared.hits();
+        assert_eq!(run(&shared), reference, "warm memo");
+        assert!(shared.hits() > cold_hits, "the warm pass must hit groups");
+        // No admissions at all, an entry cap that refuses all but the first
+        // three entries, and a slot budget that refuses the wide tables.
+        for (limits, memo) in [
+            ((0, 0), PmfMemo::with_limits(0, 0)),
+            ((3, usize::MAX), PmfMemo::with_limits(3, usize::MAX)),
+            ((usize::MAX, 400), PmfMemo::with_limits(usize::MAX, 400)),
+        ] {
+            for pass in ["cold", "warm"] {
+                assert_eq!(run(&memo), reference, "{pass} pass, limits {limits:?}");
+            }
+            assert!(memo.entries() <= limits.0 && memo.retained_f64s() <= limits.1);
+        }
+    }
+
+    #[test]
+    fn clearing_groups_keeps_tables_and_returns_their_budget() {
+        let memo = PmfMemo::default();
+        let mut ws = ExprWorkspace::new();
+        // Groups a = 1 (b = 4) and a = 2 (b = 3): four tables, two values.
+        let row = [1.0, 2.0, 2.0];
+        let first = ws.mgrid_error(&row, &memo).unwrap();
+        assert_eq!(memo.entries(), 6);
+        let slots = memo.retained_f64s();
+        memo.clear_groups();
+        assert_eq!(memo.entries(), 4);
+        assert_eq!(memo.retained_f64s(), slots - 2 * GROUP_SLOTS);
+        let misses = memo.misses();
+        let again = ws.mgrid_error(&row, &memo).unwrap();
+        assert_eq!(memo.misses(), misses + 2, "both groups evaluated again");
+        assert_eq!((memo.entries(), again.to_bits()), (6, first.to_bits()));
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //! replicate costs its draws rather than a copy and a rescan of the whole
 //! log. The replicate cache *shares*
 //! the session's warm [`PmfMemo`](gridtuner_core::PmfMemo) (bit-invisible:
-//! memo entries are a pure function of the rate), and the session's own
+//! a table is a pure function of its rate and a group value of its
+//! `(a, b, m)` bits), so replicates read the group values the point tune
+//! and earlier replicates left, and the session's own
 //! search strategy runs on it through the `try_*` searchers.
 //!
 //! Replicates run side by side: each is one [`par_map`] item, drawn and
