@@ -1,4 +1,4 @@
-//! The NN substrate: layer forward passes, the Dense parameter gradient,
+//! The NN substrate: layer forward passes, the Dense backward passes,
 //! the Adam step, and the minibatch training step `NnCore::fit` takes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -58,6 +58,14 @@ fn bench_nn(c: &mut Criterion) {
     dense24.forward(&x24);
     g.bench_function("dense_2304x256_backward_params_b16", |b| {
         b.iter(|| dense24.backward_params(&g16))
+    });
+
+    // The MLP's last layer, 128 → 256, at the same batch: its full
+    // backward (weight and input gradients, one pool dispatch).
+    let mut dense_top = Dense::new(&mut rng, 128, 256);
+    dense_top.forward(&wave(&[16, 128]));
+    g.bench_function("dense_128x256_backward_b16", |b| {
+        b.iter(|| dense_top.backward(&g16))
     });
 
     let mut conv = Conv2d::new(&mut rng, 8, 8, 3);

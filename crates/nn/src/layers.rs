@@ -10,8 +10,9 @@
 //! input. [`Layer::backward_params`] does the same minus that input
 //! gradient: [`Sequential`] uses it for its lowest layer with parameters,
 //! whose input gradient nothing consumes, so the skip follows from the
-//! network's structure. Call [`Param::zero_grad`] (via the optimizer or
-//! net) between minibatches.
+//! network's structure. An optimizer step leaves every gradient at zero
+//! (see [`crate::Optimizer::step`]); call [`Param::zero_grad`] (or the
+//! net's) only to drop gradients that no step consumed.
 
 use crate::init::he_uniform;
 use crate::net::Sequential;
@@ -111,13 +112,16 @@ impl Dense {
             .next_multiple_of(TILE_ROWS)
     }
 
-    /// `dW += Σ_s g_s·x_sᵀ` and `db += Σ_s g_s`, samples in order; returns
-    /// the batch size. dW rows are independent, so they are row-blocked
-    /// like the forward and walked in pairs by [`dw_rows`], which holds a
-    /// segment of both rows in registers across the whole batch: every
-    /// element still starts from its stored value and adds the samples in
-    /// order, the per-sample accumulation order.
-    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> usize {
+    /// `dW += Σ_s g_s·x_sᵀ` and `db += Σ_s g_s`, samples in order, and,
+    /// when `dx` is asked for, the input gradient `∂L/∂x`. dW rows are
+    /// independent, so they are row-blocked like the forward and walked in
+    /// pairs by [`dw_rows`], which holds a segment of both rows in
+    /// registers across the whole batch: every element still starts from
+    /// its stored value and adds the samples in order, the per-sample
+    /// accumulation order. The dx column blocks ([`DxBlock`]) read the same
+    /// `W` and `g` and write a buffer of their own, so the two passes are
+    /// the tasks of one pool dispatch.
+    fn backward_pass(&mut self, grad_out: &Tensor, dx: bool) -> Option<Tensor> {
         let (out_dim, in_dim) = self.dims();
         let batch = self.input.shape()[0];
         assert_eq!(
@@ -127,24 +131,56 @@ impl Dense {
         );
         let g = grad_out.as_slice();
         let x = self.input.as_slice();
-        let dw = self.w.grad.as_mut_slice();
-        gridtuner_par::par_chunks_mut(dw, Self::row_block(out_dim) * in_dim, |base, rows| {
-            wide::run(DwBlock {
-                g,
-                x,
-                out_dim,
-                in_dim,
-                o: base / in_dim,
-                d: rows,
-            })
-        });
+        let w = self.w.value.as_slice();
+        // dx[s, i] = Σ_o g[s, o]·W[o, i], accumulated over ascending o from
+        // 0.0 — the single-sample column walk's order. Column-blocked into
+        // `[block][B][cols]` partial rows, so each worker reads every W
+        // segment once per batch and applies it to all B samples.
+        let cols = in_dim.div_ceil(gridtuner_par::workers_for(in_dim));
+        let n_blocks = if dx { in_dim.div_ceil(cols) } else { 0 };
+        let mut blocks = vec![0.0f32; n_blocks * batch * cols];
+        gridtuner_par::par_chunks_mut_pair(
+            self.w.grad.as_mut_slice(),
+            Self::row_block(out_dim) * in_dim,
+            |base, rows| {
+                wide::run(DwBlock {
+                    g,
+                    x,
+                    out_dim,
+                    in_dim,
+                    o: base / in_dim,
+                    d: rows,
+                })
+            },
+            &mut blocks,
+            (batch * cols).max(1),
+            |base, acc| {
+                wide::run(DxBlock {
+                    g,
+                    w,
+                    in_dim,
+                    i0: base / batch,
+                    acc,
+                })
+            },
+        );
         let db = self.b.grad.as_mut_slice();
         for gs in g.chunks_exact(out_dim) {
             for (d, go) in db.iter_mut().zip(gs) {
                 *d += go;
             }
         }
-        batch
+        dx.then(|| {
+            let mut dx = vec![0.0f32; batch * in_dim];
+            for (k, block) in blocks.chunks_exact(batch * cols).enumerate() {
+                let i0 = k * cols;
+                let width = cols.min(in_dim - i0);
+                for (dxs, row) in dx.chunks_exact_mut(in_dim).zip(block.chunks_exact(cols)) {
+                    dxs[i0..i0 + width].copy_from_slice(&row[..width]);
+                }
+            }
+            Tensor::from_vec(&[batch, in_dim], dx)
+        })
     }
 }
 
@@ -464,38 +500,12 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let batch = self.accumulate_param_grads(grad_out);
-        let in_dim = self.dims().1;
-        let g = grad_out.as_slice();
-        let w = self.w.value.as_slice();
-        // dx[s, i] = Σ_o g[s, o]·W[o, i], accumulated over ascending o from
-        // 0.0 — the single-sample column walk's order. Column-blocked into
-        // `[block][B][cols]` partial rows, so each worker reads every W
-        // segment once per batch and applies it to all B samples.
-        let cols = in_dim.div_ceil(gridtuner_par::workers_for(in_dim));
-        let mut blocks = vec![0.0f32; in_dim.div_ceil(cols) * batch * cols];
-        gridtuner_par::par_chunks_mut(&mut blocks, batch * cols, |base, acc| {
-            wide::run(DxBlock {
-                g,
-                w,
-                in_dim,
-                i0: base / batch,
-                acc,
-            })
-        });
-        let mut dx = vec![0.0f32; batch * in_dim];
-        for (k, block) in blocks.chunks_exact(batch * cols).enumerate() {
-            let i0 = k * cols;
-            let width = cols.min(in_dim - i0);
-            for (dxs, row) in dx.chunks_exact_mut(in_dim).zip(block.chunks_exact(cols)) {
-                dxs[i0..i0 + width].copy_from_slice(&row[..width]);
-            }
-        }
-        Tensor::from_vec(&[batch, in_dim], dx)
+        self.backward_pass(grad_out, true)
+            .expect("the input gradient was asked for")
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) {
-        self.accumulate_param_grads(grad_out);
+        self.backward_pass(grad_out, false);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -5,14 +5,17 @@ use crate::wide;
 
 /// Anything that can update parameters from their accumulated gradients.
 pub trait Optimizer {
-    /// Applies one update step to every parameter. Gradients are consumed
-    /// (zeroed) by the step so the next minibatch starts clean.
+    /// Applies one update step to every parameter. The step consumes the
+    /// gradients: it must leave every element of every `grad` in `params`
+    /// at `0.0`, so the next minibatch accumulates from zero without a
+    /// [`Param::zero_grad`] pass of its own.
     fn step(&mut self, params: &mut [&mut Param]);
 
     /// One step on the gradients `g·scale`: a minibatch step passes
-    /// `scale = 1/B` for its `B` summed samples. By default the scale is a
-    /// pass of its own before [`step`](Optimizer::step); [`Adam`] fuses it
-    /// into its update.
+    /// `scale = 1/B` for its `B` summed samples. Like
+    /// [`step`](Optimizer::step), it leaves every gradient at `0.0`. By
+    /// default the scale is a pass of its own before `step`; [`Adam`] fuses
+    /// it into its update.
     fn scaled_step(&mut self, params: &mut [&mut Param], scale: f32) {
         for p in params.iter_mut() {
             p.grad.scale(scale);
@@ -263,6 +266,27 @@ mod tests {
         for (a, b) in state[0].iter().zip(&state[1]) {
             let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(a), bits(b));
+        }
+    }
+
+    #[test]
+    fn scaled_step_leaves_every_gradient_zero() {
+        // Small parameters that share a task and one that spans three,
+        // with gradients of both signs: every element reads `+0.0` after
+        // the step, the bits `Param::zero_grad` writes.
+        let wave =
+            |n: usize, k: f32| -> Vec<f32> { (0..n).map(|i| (i as f32 * k).sin()).collect() };
+        let mut params = [7, 2 * ADAM_TASK + 5, 1, 300]
+            .map(|n| Param::new(Tensor::from_vec(&[n], wave(n, 0.37))));
+        let mut adam = Adam::new(0.01);
+        for _ in 0..2 {
+            for p in params.iter_mut() {
+                p.grad = Tensor::from_vec(p.value.shape(), wave(p.value.len(), 0.11));
+            }
+            adam.scaled_step(&mut params.each_mut(), 1.0 / 16.0);
+            for p in &params {
+                assert!(p.grad.as_slice().iter().all(|g| g.to_bits() == 0));
+            }
         }
     }
 

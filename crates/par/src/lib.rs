@@ -16,9 +16,9 @@
 //!   association as the parallel path.
 //!
 //! Unlike the first-generation `std::thread::scope` implementation, the
-//! pool spawns its workers once and parks them between dispatches
-//! (`par.pool_spawns` stays flat across a whole tune; `par.dispatches`
-//! counts the jobs served). Tasks are claimed dynamically from a shared
+//! pool spawns its workers once and keeps them between dispatches: each
+//! spins briefly for the next job, then parks (`par.pool_spawns` stays
+//! flat across a whole tune; `par.dispatches` counts the jobs served). Tasks are claimed dynamically from a shared
 //! cursor, so uneven tasks load-balance without affecting any result, and
 //! nested calls (a parallel probe sweep whose probes each run a parallel
 //! sum) flatten to one coarse dispatch: the inner call runs inline on
@@ -329,28 +329,55 @@ pub fn par_accumulate<T: Sync>(
 /// ideal for filling row-blocks of a matrix where each output element
 /// depends only on its own index.
 pub fn par_chunks_mut<T: Send>(out: &mut [T], chunk: usize, f: impl Fn(usize, &mut [T]) + Sync) {
-    assert!(chunk > 0, "chunk size must be positive");
-    let n_chunks = out.len().div_ceil(chunk).max(1);
-    if max_threads() <= 1 || n_chunks <= 1 {
-        for (c, slice) in out.chunks_mut(chunk).enumerate() {
-            f(c * chunk, slice);
+    par_chunks_mut_pair(out, chunk, f, &mut [], 1, |_, _: &mut [T]| {});
+}
+
+/// [`par_chunks_mut`] over two buffers in **one** dispatch: `fa` runs over
+/// the `chunk_a`-sized chunks of `a` and `fb` over the `chunk_b`-sized
+/// chunks of `b`, each chunk once, as the tasks of a single job. Two
+/// passes that read the same inputs and write disjoint buffers (a dense
+/// layer's weight and input gradients) then pay one pool handoff instead
+/// of two. Inline, `a`'s chunks run first, in order, then `b`'s.
+pub fn par_chunks_mut_pair<A: Send, B: Send>(
+    a: &mut [A],
+    chunk_a: usize,
+    fa: impl Fn(usize, &mut [A]) + Sync,
+    b: &mut [B],
+    chunk_b: usize,
+    fb: impl Fn(usize, &mut [B]) + Sync,
+) {
+    assert!(chunk_a > 0 && chunk_b > 0, "chunk size must be positive");
+    let n_a = a.len().div_ceil(chunk_a);
+    let n_tasks = n_a + b.len().div_ceil(chunk_b);
+    if max_threads() <= 1 || n_tasks <= 1 {
+        for (c, slice) in a.chunks_mut(chunk_a).enumerate() {
+            fa(c * chunk_a, slice);
+        }
+        for (c, slice) in b.chunks_mut(chunk_b).enumerate() {
+            fb(c * chunk_b, slice);
         }
         return;
     }
-    let len = out.len();
-    let base = SendPtr(out.as_mut_ptr());
-    pool::run(n_chunks, max_threads().min(n_chunks), len, &|pop| {
-        // Borrow the whole wrapper (not just the raw-pointer field) so
+    let (len_a, len_b) = (a.len(), b.len());
+    let (base_a, base_b) = (SendPtr(a.as_mut_ptr()), SendPtr(b.as_mut_ptr()));
+    pool::run(n_tasks, max_threads().min(n_tasks), len_a + len_b, &|pop| {
+        // Borrow the whole wrappers (not just the raw-pointer fields) so
         // the closure stays `Sync` via `SendPtr`'s impl.
-        let base = &base;
-        while let Some(c) = pop() {
-            let start = c * chunk;
-            let end = (start + chunk).min(len);
-            // SAFETY: the pool hands out each task index exactly once and
-            // task ranges are disjoint, so no two threads alias a chunk;
-            // `out` is borrowed mutably for the whole dispatch.
-            let slice = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), end - start) };
-            f(start, slice);
+        let (base_a, base_b) = (&base_a, &base_b);
+        // The pool hands out each task index exactly once, task `t` owns
+        // one in-bounds chunk of one buffer, the chunks of a buffer are
+        // disjoint, and `a` and `b` stay borrowed mutably for the whole
+        // dispatch: so no two threads alias a chunk.
+        while let Some(t) = pop() {
+            if t < n_a {
+                let start = t * chunk_a;
+                // SAFETY: see above; `t < n_a` puts `start` below `len_a`.
+                fa(start, unsafe { base_a.chunk(start, chunk_a, len_a) });
+            } else {
+                let start = (t - n_a) * chunk_b;
+                // SAFETY: see above; `t < n_tasks` puts `start` below `len_b`.
+                fb(start, unsafe { base_b.chunk(start, chunk_b, len_b) });
+            }
         }
     });
 }
@@ -358,14 +385,22 @@ pub fn par_chunks_mut<T: Send>(out: &mut [T], chunk: usize, f: impl Fn(usize, &m
 /// A raw pointer that may cross threads; soundness is argued at each use.
 struct SendPtr<T>(*mut T);
 
-// Manual impls: the derive would demand `T: Copy`, but copying the
-// pointer never copies the pointee.
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
+impl<T> SendPtr<T> {
+    /// The chunk `start..min(start + chunk, len)` of the buffer of `len`
+    /// elements this points to.
+    ///
+    /// # Safety
+    ///
+    /// The buffer must be live and mutably borrowed by the caller for
+    /// `'a`, `start` must be below `len`, and no other live reference may
+    /// overlap the chunk.
+    unsafe fn chunk<'a>(&self, start: usize, chunk: usize, len: usize) -> &'a mut [T] {
+        let end = (start + chunk).min(len);
+        // SAFETY: in bounds by the caller's `start < len`; unaliased by
+        // the caller's contract.
+        unsafe { std::slice::from_raw_parts_mut(self.0.add(start), end - start) }
     }
 }
-impl<T> Copy for SendPtr<T> {}
 
 // SAFETY: only used to reconstruct disjoint sub-slices of a single
 // mutably-borrowed slice, one per claimed task.
@@ -443,6 +478,29 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as u32 + 1);
         }
+    }
+
+    #[test]
+    fn par_chunks_mut_pair_touches_every_element_of_both_once() {
+        let (mut a, mut b) = (vec![0u32; 1003], vec![0u64; 77]);
+        par_chunks_mut_pair(
+            &mut a,
+            100,
+            |base, slice| {
+                for (i, v) in slice.iter_mut().enumerate() {
+                    *v += (base + i) as u32 + 1;
+                }
+            },
+            &mut b,
+            10,
+            |base, slice| {
+                for (i, v) in slice.iter_mut().enumerate() {
+                    *v += 2 * (base + i) as u64;
+                }
+            },
+        );
+        assert!(a.iter().enumerate().all(|(i, v)| *v == i as u32 + 1));
+        assert!(b.iter().enumerate().all(|(i, v)| *v == 2 * i as u64));
     }
 
     #[test]

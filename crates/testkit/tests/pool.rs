@@ -7,11 +7,14 @@
 //!
 //! 1. the pooled dispatch path (persistent parked workers, oversubscribed
 //!    task queue, dynamic claiming) recombines results in exactly the
-//!    inline order for all four primitives — `par_map`, `par_sum`,
-//!    `par_accumulate` and `par_chunks_mut`;
+//!    inline order for all five primitives — `par_map`, `par_sum`,
+//!    `par_accumulate`, `par_chunks_mut` and `par_chunks_mut_pair`;
 //! 2. a tune whose probes fan their expression sweeps out over the pool
 //!    selects the same side with the same error bits and the same probe
-//!    decomposition as the one-worker tune.
+//!    decomposition as the one-worker tune;
+//! 3. a dispatch that finds the workers parked — idle for far longer than
+//!    the pool's spin window, so they left the spin for the condvar —
+//!    completes with the same bits as one that finds them spinning.
 //!
 //! This file holds exactly one `#[test]` on purpose:
 //! [`gridtuner_par::set_max_threads`] is a global override, and a second
@@ -21,8 +24,8 @@
 use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_testkit::Scenario;
 
-/// All four primitives over the same inputs, results reduced to bits.
-fn run_primitives(values: &[f64]) -> (Vec<u64>, u64, Vec<u32>, Vec<u64>) {
+/// All five primitives over the same inputs, results reduced to bits.
+fn run_primitives(values: &[f64]) -> (Vec<u64>, u64, Vec<u32>, Vec<u64>, Vec<u64>) {
     let mapped: Vec<u64> = gridtuner_par::par_map(values, |x| (x * 1.7).tanh().to_bits());
     let sum = gridtuner_par::par_sum(values, |x| (x * 0.999_983).sin()).to_bits();
     let acc: Vec<u32> = gridtuner_par::par_accumulate(values, 17, |i, x, buf| {
@@ -38,7 +41,25 @@ fn run_primitives(values: &[f64]) -> (Vec<u64>, u64, Vec<u32>, Vec<u64>) {
         }
     });
     let chunk_bits = chunks.iter().map(|v| v.to_bits()).collect();
-    (mapped, sum, acc, chunk_bits)
+    let (mut left, mut right) = (vec![0.0f64; 100], vec![0u64; values.len()]);
+    gridtuner_par::par_chunks_mut_pair(
+        &mut left,
+        7,
+        |c, slice| {
+            for (i, v) in slice.iter_mut().enumerate() {
+                *v = values[c + i].exp();
+            }
+        },
+        &mut right,
+        64,
+        |c, slice| {
+            for (i, v) in slice.iter_mut().enumerate() {
+                *v = (values[c + i] * 3.1).cos().to_bits();
+            }
+        },
+    );
+    right.extend(left.iter().map(|v| v.to_bits()));
+    (mapped, sum, acc, chunk_bits, right)
 }
 
 /// One engine tune, reduced to bits.
@@ -88,6 +109,13 @@ fn pool_matches_inline_bit_for_bit() {
             run_tune(&scenario),
             tune_ref,
             "tune diverged at {threads} threads"
+        );
+        // 2 ms is forty spin windows: every worker has parked.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert_eq!(
+            run_primitives(&values),
+            prim_ref,
+            "a dispatch to parked workers diverged at {threads} threads"
         );
     }
 }
