@@ -9,7 +9,7 @@
 //! fig13 fig14 fig15 fig16 fig17 fig18 fig19 tab3 tab4 all.
 //!
 //! Observability: set `GRIDTUNER_TRACE=path` to stream a JSON-lines trace
-//! of the whole run (validate it with the `trace_check` bin), or pass
+//! of the whole run (validate it with `gridtuner profile --input`), or pass
 //! `--report` to print the run's profile on stderr at exit (the same
 //! block `gridtuner profile --input` prints for the trace). See
 //! `OBSERVABILITY.md`.

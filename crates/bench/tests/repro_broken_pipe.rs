@@ -27,17 +27,11 @@ fn closed_stdout_ends_the_run_without_a_panic() {
     // robust_bench writes BENCH_robust.json into its working directory.
     let dir = std::env::temp_dir().join(format!("gridtuner-broken-pipe-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("a scratch directory");
-    std::fs::write(
-        dir.join("t.jsonl"),
-        "{\"t\":\"meta\",\"ts\":0,\"schema\":\"gridtuner.trace/1\"}\n",
-    )
-    .expect("a one-record trace");
-    let runs: [(&str, &[&str]); 3] = [
+    let runs: [(&str, &[&str]); 2] = [
         (
             env!("CARGO_BIN_EXE_repro"),
             &["fig3", "--quick", "--city", "xian"],
         ),
-        (env!("CARGO_BIN_EXE_trace_check"), &["t.jsonl"]),
         (
             env!("CARGO_BIN_EXE_robust_bench"),
             &["--scale", "0.0005", "--replicates", "2"],

@@ -5,15 +5,15 @@
 //! gridtuner expression --alpha 2 --rest 30 --m 64 [--k 250]
 //! gridtuner generate   --city chengdu --scale 0.01 --day 0
 //! gridtuner simulate   --city xian --algorithm polar --side 16 --scale 0.01
-//! gridtuner profile    --input run.jsonl [--top 12] [--chrome run.chrome.json]
+//! gridtuner profile    --input run.jsonl [--top 12] [--chrome run.chrome.json] [--require tune,probe]
 //! ```
 //!
 //! `tune` finds the optimal MGrid side for a synthetic city; `expression`
 //! evaluates one HGrid's expression error; `generate` streams a day of
 //! trip records as TSV; `simulate` runs a dispatcher on a generated test
 //! day; `heatmap` renders a city's mean demand field in the terminal;
-//! `profile` summarises a captured JSONL trace. Everything is
-//! deterministic per `--seed`.
+//! `profile` validates and summarises a captured JSONL trace. Everything
+//! is deterministic per `--seed`.
 //!
 //! All commands route through the engine's session API; failures exit
 //! with the engine's error taxonomy — 2 for usage/config errors, 3 for
@@ -57,11 +57,14 @@ commands:
               to the uniform baseline
               --bootstrap B  --bootstrap-seed S: B replicate tunes ->
               confidence set + stability verdict
-  profile     print the profile of a captured JSONL trace (the block
-              `--report` prints for a live run)
+  profile     validate a captured JSONL trace and print its profile (the
+              block `--report` prints for a live run); an invalid trace
+              exits 3
               --input TRACE.jsonl  --top N
               [--chrome OUT.json: also write the trace as a Chrome
               Trace Event array for Perfetto / chrome://tracing]
+              [--require NAME,NAME: exit 3 unless each name occurs as a
+              span or event]
   expression  expression error of one HGrid (alpha, rest-of-MGrid, m)
               --alpha F  --rest F  --m N  [--k N: fixed-K Algorithm 2]
   generate    stream one day of trip records as TSV
@@ -305,7 +308,7 @@ fn cmd_tune(a: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_profile(a: &Args) -> Result<(), CliError> {
-    a.expect_only(&["top", "input", "chrome", "trace", "report"])?;
+    a.expect_only(&["top", "input", "chrome", "require", "trace", "report"])?;
     let top: usize = a.get_or("top", obs::profile::DEFAULT_TOP)?;
     let input = a.str_or("input", "");
     if input.is_empty() {
@@ -318,15 +321,18 @@ fn cmd_profile(a: &Args) -> Result<(), CliError> {
         |e: String| CliError::Engine(EngineError::Data(format!("--input {input:?}: {e}")));
     let text = std::fs::read_to_string(&input).map_err(|e| data_err(e.to_string()))?;
     let records = obs::json::parse_jsonl(&text).map_err(data_err)?;
+    let profile = obs::profile::Profile::from_records(&records).map_err(data_err)?;
+    let required = a.str_or("require", "");
+    if !required.is_empty() {
+        let names: Vec<&str> = required.split(',').collect();
+        profile.require(&names).map_err(data_err)?;
+    }
     let chrome_path = a.str_or("chrome", "");
     if !chrome_path.is_empty() {
         std::fs::write(&chrome_path, obs::profile::to_chrome(&records))
             .map_err(|e| ArgError(format!("--chrome: cannot write {chrome_path:?}: {e}")))?;
     }
-    out!(
-        "{}",
-        obs::profile::Profile::from_records(&records).render(top)
-    );
+    out!("{}", profile.render(top));
     Ok(())
 }
 

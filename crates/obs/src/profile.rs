@@ -1,8 +1,11 @@
 //! Offline profile analyzer over a captured `gridtuner.trace/1` stream.
 //!
-//! [`Profile::from_records`] rebuilds the span tree (with per-thread ids),
-//! the pool-worker task timeline, the structured events and the final
-//! `report` record's counters from parsed JSONL records, then answers the
+//! [`Profile::from_records`] is the one reader of the stream, and a strict
+//! one: in the single pass that rebuilds the span tree (with per-thread
+//! ids), the pool-worker task timeline, the structured events and the
+//! final `report` record's counters, it rejects a stream that breaks the
+//! schema, naming the offending line. [`Profile::require`] checks which
+//! span and event names a stream covers. The profile then answers the
 //! questions aggregate counters cannot:
 //!
 //! * [`Profile::self_times`] — per-span-name **self time**, i.e. time
@@ -56,6 +59,8 @@ pub struct SpanRec {
     pub end_ns: u64,
     /// Whether a `span_end` was seen.
     pub closed: bool,
+    /// Structured payload of the `span_start`, in emission order.
+    pub fields: Vec<(String, Val)>,
 }
 
 impl SpanRec {
@@ -199,18 +204,48 @@ fn field_u64(rec: &Val, key: &str) -> Option<u64> {
     rec.get(key).and_then(|v| v.as_f64()).map(|f| f as u64)
 }
 
+fn field_str<'a>(rec: &'a Val, key: &str) -> Option<&'a str> {
+    rec.get(key).and_then(|v| v.as_str())
+}
+
+/// A record's `f` payload, in emission order.
+fn payload(rec: &Val) -> Vec<(String, Val)> {
+    match rec.get("f") {
+        Some(Val::Obj(fields)) => fields.clone(),
+        _ => Vec::new(),
+    }
+}
+
 impl Profile {
-    /// Parses a JSONL trace text and analyzes it.
+    /// Parses a JSONL trace text and reads it with [`Self::from_records`].
     pub fn from_jsonl(text: &str) -> Result<Profile, String> {
-        let records = crate::json::parse_jsonl(text)?;
-        Ok(Profile::from_records(&records))
+        Profile::from_records(&crate::json::parse_jsonl(text)?)
     }
 
     /// Rebuilds spans, tasks, events and counters from parsed
-    /// `gridtuner.trace/1` records. Unknown record kinds are skipped; an
-    /// unclosed span is kept and extended to the trace end.
-    pub fn from_records(records: &[Val]) -> Profile {
+    /// `gridtuner.trace/1` records, validating the stream in the same
+    /// pass. The first record must be the `meta` header of this schema;
+    /// every record needs a `t` and a numeric `ts`; span and event records
+    /// need a `name` and a numeric `tid`, spans an `id`, and a `par.task`
+    /// event its `worker`, `claim_ns` and `finish_ns`; a declared
+    /// `parent` must be a span open at that moment; a span starts once and
+    /// ends once, under the name it started with; and an unknown record
+    /// kind is an error. The error names the offending 1-based line. An
+    /// unclosed span is tolerated (a process may exit inside one): it is
+    /// kept and extended to the trace end.
+    pub fn from_records(records: &[Val]) -> Result<Profile, String> {
+        let Some(meta) = records.first() else {
+            return Err("empty trace: no records".into());
+        };
+        if field_str(meta, "t") != Some("meta") {
+            return Err("line 1: the first record is not the meta header".into());
+        }
+        match field_str(meta, "schema") {
+            Some(crate::trace::SCHEMA) => {}
+            other => return Err(format!("line 1: unexpected schema {other:?}")),
+        }
         let mut spans: Vec<SpanRec> = Vec::new();
+        // Spans started and not yet ended: id -> index into `spans`.
         let mut open: BTreeMap<u64, usize> = BTreeMap::new();
         let mut tasks: Vec<TaskRec> = Vec::new();
         let mut events: Vec<EventRec> = Vec::new();
@@ -221,78 +256,14 @@ impl Profile {
             lo = lo.min(ts);
             hi = hi.max(ts);
         };
-        for rec in records {
-            let kind = rec.get("t").and_then(|v| v.as_str()).unwrap_or("");
-            let ts = field_u64(rec, "ts").unwrap_or(0);
-            match kind {
-                "span_start" => {
-                    let Some(id) = field_u64(rec, "id") else {
-                        continue;
-                    };
-                    clamp(ts);
-                    open.insert(id, spans.len());
-                    spans.push(SpanRec {
-                        id,
-                        parent: field_u64(rec, "parent").unwrap_or(0),
-                        name: rec
-                            .get("name")
-                            .and_then(|v| v.as_str())
-                            .unwrap_or("?")
-                            .to_string(),
-                        tid: field_u64(rec, "tid").unwrap_or(0),
-                        start_ns: ts,
-                        end_ns: ts,
-                        closed: false,
-                    });
-                }
-                "span_end" => {
-                    let Some(id) = field_u64(rec, "id") else {
-                        continue;
-                    };
-                    if let Some(idx) = open.remove(&id) {
-                        let span = &mut spans[idx];
-                        // The span timed itself with its own clock; prefer
-                        // start + dur over the close record's timestamp.
-                        span.end_ns = match field_u64(rec, "dur_ns") {
-                            Some(dur) => span.start_ns + dur,
-                            None => ts.max(span.start_ns),
-                        };
-                        span.closed = true;
-                        clamp(span.end_ns);
-                    }
-                }
-                "event" => {
-                    clamp(ts);
-                    let name = rec.get("name").and_then(|v| v.as_str()).unwrap_or("?");
-                    if name != "par.task" {
-                        events.push(EventRec {
-                            name: name.to_string(),
-                            warn: rec.get("level").and_then(|v| v.as_str()) == Some("warn"),
-                            tid: field_u64(rec, "tid").unwrap_or(0),
-                            ts_ns: ts,
-                            fields: match rec.get("f") {
-                                Some(Val::Obj(fields)) => fields.clone(),
-                                _ => Vec::new(),
-                            },
-                        });
-                    } else if let Some(f) = rec.get("f") {
-                        let (Some(worker), Some(claim_ns), Some(finish_ns)) = (
-                            field_u64(f, "worker"),
-                            field_u64(f, "claim_ns"),
-                            field_u64(f, "finish_ns"),
-                        ) else {
-                            continue;
-                        };
-                        clamp(finish_ns);
-                        tasks.push(TaskRec {
-                            worker,
-                            generation: field_u64(f, "gen").unwrap_or(0),
-                            task: field_u64(f, "task").unwrap_or(0),
-                            claim_ns,
-                            finish_ns,
-                        });
-                    }
-                }
+        for (i, rec) in records.iter().enumerate() {
+            let line = i + 1;
+            let kind = field_str(rec, "t")
+                .ok_or_else(|| format!("line {line}: record has no \"t\" discriminator"))?;
+            let ts = field_u64(rec, "ts")
+                .ok_or_else(|| format!("line {line}: {kind} without a numeric \"ts\""))?;
+            let (name, tid) = match kind {
+                "meta" => continue,
                 "report" => {
                     if let Some(Val::Obj(entries)) =
                         rec.get("metrics").and_then(|m| m.get("counters"))
@@ -302,8 +273,93 @@ impl Profile {
                             .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f as u64)))
                             .collect();
                     }
+                    continue;
                 }
-                _ => {}
+                "span_start" | "span_end" | "event" => (
+                    field_str(rec, "name")
+                        .ok_or_else(|| format!("line {line}: {kind} without a name"))?,
+                    field_u64(rec, "tid")
+                        .ok_or_else(|| format!("line {line}: {kind} without a numeric \"tid\""))?,
+                ),
+                other => return Err(format!("line {line}: unknown record kind {other:?}")),
+            };
+            if kind == "event" {
+                clamp(ts);
+                if name != "par.task" {
+                    events.push(EventRec {
+                        name: name.to_string(),
+                        warn: field_str(rec, "level") == Some("warn"),
+                        tid,
+                        ts_ns: ts,
+                        fields: payload(rec),
+                    });
+                    continue;
+                }
+                let f = rec.get("f").unwrap_or(&Val::Null);
+                let (Some(worker), Some(claim_ns), Some(finish_ns)) = (
+                    field_u64(f, "worker"),
+                    field_u64(f, "claim_ns"),
+                    field_u64(f, "finish_ns"),
+                ) else {
+                    return Err(format!(
+                        "line {line}: par.task without a worker, claim_ns and finish_ns"
+                    ));
+                };
+                clamp(finish_ns);
+                tasks.push(TaskRec {
+                    worker,
+                    generation: field_u64(f, "gen").unwrap_or(0),
+                    task: field_u64(f, "task").unwrap_or(0),
+                    claim_ns,
+                    finish_ns,
+                });
+                continue;
+            }
+            let id =
+                field_u64(rec, "id").ok_or_else(|| format!("line {line}: {kind} without an id"))?;
+            if kind == "span_start" {
+                // A declared parent must still be open on this stream:
+                // anything else means the recorder mispaired ids or wrote
+                // records out of order.
+                let parent = field_u64(rec, "parent");
+                if let Some(parent) = parent.filter(|p| !open.contains_key(p)) {
+                    return Err(format!(
+                        "line {line}: span id {id} ({name:?}) claims parent {parent}, \
+                         which is not an open span"
+                    ));
+                }
+                if open.insert(id, spans.len()).is_some() {
+                    return Err(format!("line {line}: span id {id} started twice"));
+                }
+                clamp(ts);
+                spans.push(SpanRec {
+                    id,
+                    parent: parent.unwrap_or(0),
+                    name: name.to_string(),
+                    tid,
+                    start_ns: ts,
+                    end_ns: ts,
+                    closed: false,
+                    fields: payload(rec),
+                });
+            } else {
+                let span = open.remove(&id).map(|idx| &mut spans[idx]).ok_or_else(|| {
+                    format!("line {line}: span id {id} ended twice or never started")
+                })?;
+                if span.name != name {
+                    return Err(format!(
+                        "line {line}: span id {id} started as {:?}, ended as {name:?}",
+                        span.name
+                    ));
+                }
+                // The span timed itself with its own clock; prefer
+                // start + dur over the close record's timestamp.
+                span.end_ns = match field_u64(rec, "dur_ns") {
+                    Some(dur) => span.start_ns + dur,
+                    None => ts.max(span.start_ns),
+                };
+                span.closed = true;
+                clamp(span.end_ns);
             }
         }
         let trace_end = if hi >= lo { hi } else { 0 };
@@ -311,13 +367,29 @@ impl Profile {
             spans[idx].end_ns = trace_end.max(spans[idx].start_ns);
         }
         tasks.sort_by_key(|t| (t.claim_ns, t.worker, t.task));
-        Profile {
+        Ok(Profile {
             spans,
             tasks,
             events,
             counters,
             trace_start_ns: if lo == u64::MAX { 0 } else { lo },
             trace_end_ns: trace_end,
+        })
+    }
+
+    /// Checks that each of `names` occurs in the trace as a span or an
+    /// event name (`par.task` included); the error lists the missing ones.
+    pub fn require(&self, names: &[&str]) -> Result<(), String> {
+        let seen = |name: &str| {
+            self.spans.iter().any(|s| s.name == name)
+                || self.events.iter().any(|e| e.name == name)
+                || (name == "par.task" && !self.tasks.is_empty())
+        };
+        let missing: Vec<&str> = names.iter().copied().filter(|n| !seen(n)).collect();
+        if missing.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("missing required span/event names {missing:?}"))
         }
     }
 
@@ -703,10 +775,7 @@ pub fn to_chrome(records: &[Val]) -> String {
         let tid = Val::U64(field_u64(rec, "tid").unwrap_or(0));
         let ts = chrome_us(field_u64(rec, "ts").unwrap_or(0));
         let f = rec.get("f");
-        let fields = match f {
-            Some(Val::Obj(fields)) => fields.clone(),
-            _ => Vec::new(),
-        };
+        let fields = payload(rec);
         let event = match kind {
             "meta" => Val::obj(vec![
                 ("name", Val::from("process_name")),
@@ -858,6 +927,173 @@ mod tests {
             text.push('\n');
         }
         Profile::from_jsonl(&text).expect("synthetic trace parses")
+    }
+
+    /// A well-formed stream: nested spans, an event, the report record.
+    const GOOD: &str = concat!(
+        "{\"t\":\"meta\",\"ts\":1,\"schema\":\"gridtuner.trace/1\"}\n",
+        "{\"t\":\"span_start\",\"ts\":2,\"id\":1,\"tid\":1,\"name\":\"tune\"}\n",
+        "{\"t\":\"span_start\",\"ts\":3,\"id\":2,\"tid\":1,\"parent\":1,\"name\":\"probe\",\"f\":{\"side\":4}}\n",
+        "{\"t\":\"event\",\"ts\":4,\"tid\":1,\"level\":\"info\",\"name\":\"probe\",\"f\":{\"total\":1.5}}\n",
+        "{\"t\":\"span_end\",\"ts\":5,\"id\":2,\"tid\":1,\"name\":\"probe\",\"dur_ns\":100}\n",
+        "{\"t\":\"span_end\",\"ts\":6,\"id\":1,\"tid\":1,\"name\":\"tune\",\"dur_ns\":400}\n",
+        "{\"t\":\"report\",\"ts\":7}\n",
+    );
+
+    /// The reader's error for `GOOD` with `from` replaced by `to`.
+    fn rejected(from: &str, to: &str) -> String {
+        assert!(GOOD.contains(from), "{from} is not in the stream");
+        Profile::from_jsonl(&GOOD.replace(from, to)).unwrap_err()
+    }
+
+    #[test]
+    fn accepts_a_well_formed_trace() {
+        let p = Profile::from_jsonl(GOOD).unwrap();
+        assert_eq!(p.spans.len(), 2);
+        assert!(p.spans.iter().all(|s| s.closed));
+        assert_eq!(p.spans[1].parent, 1);
+        assert_eq!(p.spans[1].fields, [("side".to_string(), Val::U64(4))]);
+        assert_eq!(p.events.len(), 1);
+        assert_eq!(p.require(&["tune", "probe"]), Ok(()));
+    }
+
+    #[test]
+    fn rejects_streams_without_the_meta_header() {
+        let body = GOOD.lines().skip(1).collect::<Vec<_>>().join("\n");
+        assert!(Profile::from_jsonl(&body).unwrap_err().contains("meta"));
+        assert!(Profile::from_jsonl("").unwrap_err().contains("empty"));
+    }
+
+    #[test]
+    fn rejects_garbage_lines_and_bad_schema() {
+        assert!(Profile::from_jsonl("not json\n").is_err());
+        let err = rejected("gridtuner.trace/1", "gridtuner.trace/99");
+        assert!(err.contains("schema"), "{err}");
+    }
+
+    #[test]
+    fn rejects_unbalanced_spans() {
+        let double_end = format!(
+            "{GOOD}{}",
+            "{\"t\":\"span_end\",\"ts\":8,\"id\":1,\"tid\":1,\"name\":\"tune\",\"dur_ns\":1}\n"
+        );
+        let err = Profile::from_jsonl(&double_end).unwrap_err();
+        assert!(
+            err.starts_with("line 8:") && err.contains("ended twice"),
+            "{err}"
+        );
+        let err = rejected(
+            "\"id\":2,\"tid\":1,\"name\":\"probe\",\"dur",
+            "\"id\":5,\"tid\":1,\"name\":\"probe\",\"dur",
+        );
+        assert!(err.contains("never started"), "{err}");
+        let err = rejected(
+            "\"id\":2,\"tid\":1,\"parent\":1",
+            "\"id\":1,\"tid\":1,\"parent\":1",
+        );
+        assert!(
+            err.starts_with("line 3:") && err.contains("started twice"),
+            "{err}"
+        );
+        let err = rejected(
+            "\"id\":1,\"tid\":1,\"name\":\"tune\",\"dur",
+            "\"id\":1,\"tid\":1,\"name\":\"other\",\"dur",
+        );
+        assert!(
+            err.contains("started as \"tune\", ended as \"other\""),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_parents_that_are_not_open() {
+        // Parent 99 never started.
+        let err = rejected("\"parent\":1", "\"parent\":99");
+        assert!(err.contains("not an open span"), "{err}");
+        // Parent 1 closed before the child started.
+        let closed = concat!(
+            "{\"t\":\"meta\",\"ts\":1,\"schema\":\"gridtuner.trace/1\"}\n",
+            "{\"t\":\"span_start\",\"ts\":2,\"id\":1,\"tid\":1,\"name\":\"tune\"}\n",
+            "{\"t\":\"span_end\",\"ts\":3,\"id\":1,\"tid\":1,\"name\":\"tune\",\"dur_ns\":10}\n",
+            "{\"t\":\"span_start\",\"ts\":4,\"id\":2,\"tid\":1,\"parent\":1,\"name\":\"probe\"}\n",
+        );
+        let err = Profile::from_jsonl(closed).unwrap_err();
+        assert!(
+            err.starts_with("line 4:") && err.contains("not an open span"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_spans_without_thread_ids() {
+        let err = rejected("\"ts\":2,\"id\":1,\"tid\":1,", "\"ts\":2,\"id\":1,");
+        assert!(err.starts_with("line 2:") && err.contains("tid"), "{err}");
+        let err = rejected("\"ts\":4,\"tid\":1,", "\"ts\":4,\"tid\":\"main\",");
+        assert!(err.starts_with("line 4:") && err.contains("tid"), "{err}");
+    }
+
+    #[test]
+    fn rejects_records_missing_their_required_fields() {
+        for (from, to, what) in [
+            ("{\"t\":\"report\",", "{", "line 7: record has no \"t\""),
+            (
+                "\"ts\":7}",
+                "\"ts\":\"late\"}",
+                "line 7: report without a numeric \"ts\"",
+            ),
+            (
+                ",\"name\":\"tune\"}",
+                "}",
+                "line 2: span_start without a name",
+            ),
+            (
+                "\"ts\":2,\"id\":1,",
+                "\"ts\":2,",
+                "line 2: span_start without an id",
+            ),
+            (
+                "\"ts\":6,\"id\":1,",
+                "\"ts\":6,",
+                "line 6: span_end without an id",
+            ),
+        ] {
+            let err = rejected(from, to);
+            assert_eq!(&err[..what.len().min(err.len())], what, "{from} -> {to}");
+        }
+        let err = rejected(
+            "\"name\":\"probe\",\"f\":{\"total\":1.5}",
+            "\"name\":\"par.task\",\"f\":{\"worker\":1}",
+        );
+        assert!(
+            err.starts_with("line 4:") && err.contains("par.task"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_record_kinds() {
+        let err = rejected("{\"t\":\"report\"", "{\"t\":\"summary\"");
+        assert!(
+            err.starts_with("line 7:") && err.contains("\"summary\""),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn unclosed_spans_are_tolerated() {
+        let truncated = GOOD.lines().take(4).collect::<Vec<_>>().join("\n");
+        let p = Profile::from_jsonl(&truncated).unwrap();
+        assert!(p.spans.iter().all(|s| !s.closed && s.end_ns == 4));
+    }
+
+    #[test]
+    fn require_lists_the_missing_names() {
+        let p = profile(&[(1, 0, "tune", 1, 0, 10)], &[(1, 0, 2, 5)]);
+        assert_eq!(p.require(&["tune", "par.task"]), Ok(()));
+        let err = p.require(&["tune", "probe", "train"]).unwrap_err();
+        assert!(err.contains("[\"probe\", \"train\"]"), "{err}");
+        let no_tasks = profile(&[(1, 0, "tune", 1, 0, 10)], &[]);
+        assert!(no_tasks.require(&["par.task"]).is_err());
     }
 
     fn self_of(profile: &Profile, name: &str) -> u64 {
@@ -1133,7 +1369,7 @@ mod tests {
             probe(4, 2.5, 1.5, 4.0);
             crate::warn_event!("report_test_warn", detail = "x");
         });
-        let p = Profile::from_records(&records);
+        let p = Profile::from_records(&records).unwrap();
         let rows = p.decomposition();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].side, 2);
@@ -1158,7 +1394,7 @@ mod tests {
                 crate::event!("train.epoch", epoch = epoch, loss = 0.5f64);
             }
         });
-        let p = Profile::from_records(&records);
+        let p = Profile::from_records(&records).unwrap();
         assert_eq!(p.events.len(), 5_002, "every event is kept");
         let sides: Vec<u32> = p.decomposition().iter().map(|r| r.side).collect();
         assert_eq!(sides, [8, 9]);
@@ -1188,6 +1424,7 @@ mod tests {
             probe(5, 0.0, 0.0, 0.0);
         });
         let rows: Vec<(u32, u64, f64, f64, f64)> = Profile::from_records(&records)
+            .unwrap()
             .decomposition()
             .iter()
             .map(|r| (r.side, r.n, r.expression_error, r.model_error, r.total))
@@ -1205,7 +1442,7 @@ mod tests {
                 crate::event!("profile_test_info", i = i);
             }
         });
-        let p = Profile::from_records(&records);
+        let p = Profile::from_records(&records).unwrap();
         assert_eq!(p.warnings().count(), 5_000);
         let text = p.render(DEFAULT_TOP);
         assert_eq!(text.matches("  warn profile_test_warn i=").count(), 5_000);
@@ -1240,7 +1477,7 @@ mod tests {
             panic!("metrics is an object")
         };
         assert_eq!(metrics.len(), 1, "metrics holds counters only");
-        let p = Profile::from_records(&records);
+        let p = Profile::from_records(&records).unwrap();
         let count = |name: &str| p.counters.iter().find(|(n, _)| n == name).map(|c| c.1);
         assert!(count("report.test.counter") >= Some(1));
         let text = p.render(DEFAULT_TOP);
@@ -1264,7 +1501,7 @@ mod tests {
             crate::counter!("expr.pmf_memo_hits").add(30);
             crate::trace::write_report();
         });
-        let p = Profile::from_records(&records);
+        let p = Profile::from_records(&records).unwrap();
         let text = p.render(DEFAULT_TOP);
         let counters = text
             .split("counters:")
@@ -1288,5 +1525,55 @@ mod tests {
                 "{name} not printed in the counters section:\n{text}"
             );
         }
+    }
+
+    /// A nested tune/probe pair with one probe event and one pool task,
+    /// written through the real recorder.
+    fn captured_tune() -> Vec<Val> {
+        let _guard = crate::test_guard();
+        crate::enable();
+        let records = crate::capture(|| {
+            {
+                let _t = crate::span!("tune", lo = 2u32, hi = 8u32);
+                let _p = crate::span!("probe", side = 4u32);
+                crate::event!("probe", side = 4u32, total = 2.5f64);
+            }
+            crate::trace::write_task_record(1, 1, 0, 10, 20);
+        });
+        crate::disable();
+        records
+    }
+
+    #[test]
+    fn a_real_captured_stream_validates() {
+        let p = Profile::from_records(&captured_tune()).unwrap();
+        assert_eq!(p.require(&["tune", "probe", "par.task"]), Ok(()));
+        assert!(p.spans.iter().all(|s| s.closed));
+        assert_eq!(p.spans[1].parent, p.spans[0].id);
+    }
+
+    #[test]
+    fn a_real_chrome_capture_validates() {
+        let Val::Arr(events) = Val::parse(&to_chrome(&captured_tune())).unwrap() else {
+            panic!("chrome trace is a JSON array");
+        };
+        let str_of = |e: &Val, k: &str| e.get(k).and_then(Val::as_str).map(str::to_string);
+        assert_eq!(str_of(&events[0], "name").as_deref(), Some("process_name"));
+        let mut open: Vec<Option<String>> = Vec::new();
+        let mut complete = 0;
+        for e in &events {
+            match str_of(e, "ph").as_deref() {
+                Some("B") => open.push(str_of(e, "name")),
+                Some("E") => assert_eq!(open.pop().flatten(), str_of(e, "name")),
+                Some("X") => {
+                    assert!(e.get("dur").and_then(Val::as_f64).is_some());
+                    assert_eq!(str_of(e, "name").as_deref(), Some("par.task"));
+                    complete += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(open.is_empty(), "unclosed B events: {open:?}");
+        assert_eq!(complete, 1);
     }
 }

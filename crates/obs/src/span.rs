@@ -143,6 +143,7 @@ mod tests {
     /// The spans named `name` in captured records.
     fn spans_named(records: &[Val], name: &str) -> Vec<SpanRec> {
         Profile::from_records(records)
+            .expect("the captured stream is valid")
             .spans
             .into_iter()
             .filter(|s| s.name == name)

@@ -90,12 +90,21 @@ fn should_spin(budget: usize, cpus: usize) -> bool {
     budget <= cpus
 }
 
-/// Spins until `ready` holds or [`SPIN_WINDOW`] has passed.
-fn spin_until(ready: impl Fn() -> bool) {
+/// Spins until `ready` holds or [`SPIN_WINDOW`] has passed, and returns
+/// whether `ready` held. Each call counts once, after the loop:
+/// `par.spins`, and `par.spin_timeouts` when the window ran out.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
     let started = Instant::now();
-    while !ready() && started.elapsed() < SPIN_WINDOW {
+    let mut held = ready();
+    while !held && started.elapsed() < SPIN_WINDOW {
         std::hint::spin_loop();
+        held = ready();
     }
+    obs::counter!("par.spins").inc();
+    if !held {
+        obs::counter!("par.spin_timeouts").inc();
+    }
+    held
 }
 
 /// A participant drains task indices from `pop` until it returns `None`,
@@ -524,7 +533,34 @@ pub fn pool_workers() -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::should_spin;
+    use super::{should_spin, spin_until};
+    use gridtuner_obs as obs;
+
+    #[test]
+    fn every_spin_counts_and_only_a_spent_window_counts_a_timeout() {
+        // Pool workers of other tests in this process may spin meanwhile
+        // and move both counters, so the deltas are read as lower bounds.
+        let read = || {
+            (
+                obs::counter!("par.spins").get(),
+                obs::counter!("par.spin_timeouts").get(),
+            )
+        };
+        let (spins, timeouts) = read();
+        assert!(!spin_until(|| false));
+        let (spins_after, timeouts_after) = read();
+        assert!(spins_after > spins && timeouts_after > timeouts);
+        // A held spin must leave the time-outs alone in some attempt; a
+        // concurrent time-out only forces another attempt.
+        let clean = (0..100).any(|_| {
+            let (spins, timeouts) = read();
+            assert!(spin_until(|| true));
+            let (spins_after, timeouts_after) = read();
+            assert!(spins_after > spins);
+            timeouts_after == timeouts
+        });
+        assert!(clean, "a spin whose condition held counted a time-out");
+    }
 
     #[test]
     fn spins_only_when_every_runner_has_a_cpu() {

@@ -4,7 +4,8 @@
 //! full golden pipeline (tune → decompose → dispatch) runs once with
 //! recording off and once with a trace streaming to a buffer, and every
 //! float in the two summaries must be bit-identical. The captured stream
-//! itself must also be valid JSONL covering the pipeline's spans.
+//! itself must also pass the strict trace reader, cover the pipeline's
+//! spans and convert to a well-formed Chrome trace.
 //!
 //! Everything lives in ONE `#[test]` because the enabled flag and the
 //! trace sink are process-global: parallel test threads would interleave.
@@ -15,8 +16,10 @@ use gridtuner_dispatch::{DemandView, FleetConfig, Order, Polar, SimConfig, Simul
 use gridtuner_engine::{EngineConfig, SearchStrategy, TuneReport, TuningSession};
 use gridtuner_obs as obs;
 use gridtuner_obs::json::Val;
+use gridtuner_obs::profile::{to_chrome, Profile};
 use gridtuner_spatial::{Event, Partition, SlotClock};
 use rand::{rngs::StdRng, SeedableRng};
+use std::collections::BTreeMap;
 
 const SCALE: f64 = 0.002;
 const BUDGET_SIDE: u32 = 32;
@@ -131,10 +134,10 @@ fn tune_signature(city: &City, seed: u64) -> TuneSignature {
     )
 }
 
-/// Spans the traced pipeline run must have recorded (ISSUE acceptance:
-/// alpha scan, expression-error evaluation, each search probe, dispatch
-/// simulation; predictor training is exercised by the predict crate's own
-/// tests — this pipeline uses the goldens' analytic model leg).
+/// Spans the traced pipeline run must have recorded: alpha scan,
+/// expression-error evaluation, each search probe, dispatch simulation
+/// (predictor training is exercised by the predict crate's own tests —
+/// this pipeline uses the goldens' analytic model leg).
 const REQUIRED_SPANS: &[&str] = &[
     "tune",
     "alpha.scan",
@@ -143,6 +146,58 @@ const REQUIRED_SPANS: &[&str] = &[
     "simulate",
     "simulate.slot",
 ];
+
+/// Checks `to_chrome` of `records`: one closed array opening with the
+/// `process_name` record, `B`/`E` events that pair LIFO and by name on
+/// every `(pid, tid)` lane with nothing left open, a numeric `dur` on
+/// every `X`, and one `X` per `par.task` record.
+fn check_chrome(records: &[Val]) {
+    let Val::Arr(events) = Val::parse(&to_chrome(records)).expect("one JSON array") else {
+        panic!("the Chrome trace is not a JSON array");
+    };
+    let str_of = |e: &Val, key: &str| e.get(key).and_then(Val::as_str).map(str::to_string);
+    let num = |e: &Val, key: &str| e.get(key).and_then(Val::as_f64);
+    assert_eq!(str_of(&events[0], "ph").as_deref(), Some("M"));
+    assert_eq!(str_of(&events[0], "name").as_deref(), Some("process_name"));
+    let mut lanes: BTreeMap<(u64, u64), Vec<String>> = BTreeMap::new();
+    let mut complete = 0usize;
+    for (i, e) in events.iter().enumerate() {
+        let lane = || {
+            let (pid, tid) = (num(e, "pid"), num(e, "tid"));
+            (
+                pid.unwrap_or_else(|| panic!("event {i}: no numeric pid")) as u64,
+                tid.unwrap_or_else(|| panic!("event {i}: no numeric tid")) as u64,
+            )
+        };
+        match str_of(e, "ph").as_deref() {
+            Some("B") => lanes
+                .entry(lane())
+                .or_default()
+                .push(str_of(e, "name").expect("a named B")),
+            Some("E") => {
+                let opened = lanes.entry(lane()).or_default().pop();
+                assert_eq!(opened, str_of(e, "name"), "event {i}: E closes the wrong B");
+            }
+            Some("X") => {
+                assert!(
+                    num(e, "dur").is_some(),
+                    "event {i}: X without a numeric dur"
+                );
+                complete += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        lanes.values().all(Vec::is_empty),
+        "unclosed B events: {lanes:?}"
+    );
+    let tasks = records
+        .iter()
+        .filter(|r| r.get("name").and_then(Val::as_str) == Some("par.task"))
+        .count();
+    assert_eq!(complete, tasks, "one X per par.task record");
+}
 
 #[test]
 fn tracing_is_bit_for_bit_inert() {
@@ -190,24 +245,13 @@ fn tracing_is_bit_for_bit_inert() {
             "tuning.{key}: golden {pinned} vs traced {got}"
         );
     }
-    // 5. The captured stream is valid JSONL and covers the pipeline.
-    let records = obs::json::parse_jsonl(&stream).expect("trace stream must be valid JSONL");
-    assert!(records.len() > 10, "suspiciously small trace");
-    assert_eq!(
-        records[0].get("schema").and_then(|v| v.as_str()),
-        Some("gridtuner.trace/1"),
-        "stream must open with the schema meta record"
-    );
-    let names: std::collections::BTreeSet<String> = records
-        .iter()
-        .filter_map(|r| r.get("name").and_then(|v| v.as_str()).map(str::to_string))
-        .collect();
-    for required in REQUIRED_SPANS {
-        assert!(
-            names.contains(*required),
-            "trace is missing span/event {required:?} (saw {names:?})"
-        );
-    }
+    // 5. The captured stream passes the strict reader and covers the
+    // pipeline, and its Chrome conversion is well formed.
+    Profile::from_jsonl(&stream)
+        .and_then(|p| p.require(REQUIRED_SPANS))
+        .unwrap_or_else(|e| panic!("the traced pipeline's stream: {e}"));
+    let records = obs::json::parse_jsonl(&stream).expect("the reader parsed it above");
+    check_chrome(&records);
     // Counters corroborate the streamed spans: every probe event has a
     // matching tune.probes increment.
     let probes = obs::metrics::snapshot()
@@ -246,9 +290,11 @@ fn tracing_is_bit_for_bit_inert() {
             None => reference = Some(off),
             Some(r) => assert_eq!(&off, r, "thread count {threads} changed the tune result"),
         }
+        let profile = Profile::from_jsonl(&stream)
+            .unwrap_or_else(|e| panic!("the stream at {threads} threads: {e}"));
         if dispatched {
             assert!(
-                stream.contains("\"par.task\""),
+                !profile.tasks.is_empty(),
                 "pool dispatched at {threads} threads but the stream has no par.task records"
             );
         }

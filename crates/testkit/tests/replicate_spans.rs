@@ -12,7 +12,7 @@ use gridtuner_core::alpha::AlphaWindow;
 use gridtuner_datagen::City;
 use gridtuner_engine::{EngineConfig, SearchStrategy, TuningSession};
 use gridtuner_obs as obs;
-use gridtuner_obs::json::Val;
+use gridtuner_obs::profile::{Profile, SpanRec};
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -21,10 +21,6 @@ const SEED: u64 = 0x6e7963;
 
 fn model(side: u32) -> f64 {
     0.05 * (side * side) as f64
-}
-
-fn field(rec: &Val, key: &str) -> Option<u64> {
-    rec.get(key).and_then(Val::as_f64).map(|v| v as u64)
 }
 
 #[test]
@@ -61,26 +57,16 @@ fn replicate_spans_are_children_of_the_stage_span() {
     let stream = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
     obs::trace::clear_sink();
 
-    let records = obs::json::parse_jsonl(&stream).expect("valid JSONL");
-    let starts: Vec<&Val> = records
-        .iter()
-        .filter(|r| r.get("t").and_then(Val::as_str) == Some("span_start"))
-        .collect();
-    let parent_of: BTreeMap<u64, u64> = starts
-        .iter()
-        .filter_map(|r| Some((field(r, "id")?, field(r, "parent")?)))
-        .collect();
-    let named = |name: &str| -> Vec<&Val> {
-        starts
-            .iter()
-            .copied()
-            .filter(|r| r.get("name").and_then(Val::as_str) == Some(name))
-            .collect()
-    };
+    // The strict reader rejects a parent that is not open when its child
+    // starts, so reading the stream checks every cross-thread parent.
+    let spans = Profile::from_jsonl(&stream)
+        .unwrap_or_else(|e| panic!("the bootstrap tune's stream: {e}"))
+        .spans;
+    let parent_of: BTreeMap<u64, u64> = spans.iter().map(|s| (s.id, s.parent)).collect();
+    let named = |name: &str| -> Vec<&SpanRec> { spans.iter().filter(|s| s.name == name).collect() };
 
     let stage = named("uncertainty");
     assert_eq!(stage.len(), 1, "one uncertainty stage span");
-    let stage_id = field(stage[0], "id").expect("span id");
     let replicates = named("uncertainty.replicate");
     assert_eq!(
         replicates.len(),
@@ -88,27 +74,29 @@ fn replicate_spans_are_children_of_the_stage_span() {
         "brute force finishes every replicate in one round"
     );
     let mut indices = BTreeSet::new();
-    let mut replicate_ids = BTreeSet::new();
     for rep in &replicates {
         assert_eq!(
-            field(rep, "parent"),
-            Some(stage_id),
+            rep.parent, stage[0].id,
             "replicate span {rep:?} is not a child of the stage span"
         );
-        indices.insert(rep.get("f").and_then(|f| field(f, "index")));
-        replicate_ids.insert(field(rep, "id").expect("span id"));
+        indices.insert(
+            rep.fields
+                .iter()
+                .find(|(k, _)| k == "index")
+                .map(|(_, v)| v.render()),
+        );
     }
     assert_eq!(indices.len(), REPLICATES as usize, "one span per replicate");
+    let replicate_ids: BTreeSet<u64> = replicates.iter().map(|r| r.id).collect();
     let draws = named("alpha.replicate");
     assert_eq!(draws.len(), REPLICATES as usize, "one draw per replicate");
     for draw in draws {
         // The draw happens inside the replicate's search, on its worker:
         // walking up its parents must reach a replicate span.
-        let mut id = field(draw, "id").expect("span id");
+        let mut id = draw.id;
         while !replicate_ids.contains(&id) {
-            id = *parent_of
-                .get(&id)
-                .unwrap_or_else(|| panic!("alpha.replicate {draw:?} has no replicate ancestor"));
+            id = parent_of[&id];
+            assert_ne!(id, 0, "alpha.replicate {draw:?} has no replicate ancestor");
         }
     }
 }
