@@ -1,6 +1,6 @@
 //! Misspecification robustness sweep: how the bootstrap confidence set
 //! and stability verdict react when the tuner's modelling assumptions are
-//! broken on purpose. Writes `BENCH_robust.json`.
+//! broken on purpose. Prints one JSON record to stdout.
 //!
 //! The tuner's expression-error analysis assumes Poisson counts from a
 //! stationary intensity. The sweep crosses the two datagen
@@ -34,7 +34,7 @@ use gridtuner_obs::json::Val;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
 
-/// Schema tag of `BENCH_robust.json` — bump when fields change meaning.
+/// Schema tag of the printed record — bump when fields change meaning.
 const BENCH_SCHEMA: &str = "gridtuner.bench_robust/1";
 
 /// Overdispersion regimes (φ in `Var = μ + φ·μ²`).
@@ -180,12 +180,10 @@ fn main() {
         ("max_confidence_set_size", Val::from(max_size as u64)),
     ])
     .render();
-    std::fs::write("BENCH_robust.json", &json).expect("cannot write BENCH_robust.json");
     write_stdout("robust_bench", || {
         outln!("{json}");
         Ok(())
     });
-    eprintln!("[robust_bench] wrote BENCH_robust.json");
 }
 
 #[cfg(test)]

@@ -22,6 +22,10 @@
 //!   `par.pool_spawns` stays flat across the measured 73-probe tune; the
 //!   row records the pool/lock counter changes over that tune alongside
 //!   the wall time and the speedup vs the 1-thread row;
+//! * **times recording** ([`obs_overhead`]): a small NYC tune (scale
+//!   0.05, sides 2..=32) at the process's default worker budget, with
+//!   `obs` recording off and on and no trace sink, in paired reps whose
+//!   median on/off ratio is the overhead;
 //! * **judges** the fresh numbers, one PASS/FAIL/INFO line each on stderr:
 //!   - the deterministic counters (`events`, `probes`, `selected_side`,
 //!     `alpha_rescans`, `expr_*`) must match the baseline **exactly** —
@@ -35,6 +39,7 @@
 //!   - with `--min-thread-speedup S`, the tune at the largest thread count
 //!     must be at least `S`× faster than the 1-thread tune (INFO on a
 //!     single-CPU machine, where no thread count can help);
+//!   - recording must cost under 3% of the small tune's wall time;
 //!   - wall times are INFO only: they move with the machine and its load.
 //!
 //! The fresh JSON goes to stdout. Only `--update` rewrites
@@ -59,7 +64,7 @@
 use gridtuner_bench::flags::{exit_usage, Flags};
 use gridtuner_bench::measure::{model, Measurement, TuneBench, WORKERS};
 use gridtuner_bench::{outln, write_stdout};
-use gridtuner_engine::TuningSession;
+use gridtuner_engine::{TuneReport, TuningSession};
 use gridtuner_obs as obs;
 use gridtuner_obs::json::{parse_jsonl, Val};
 use gridtuner_obs::profile::Profile;
@@ -71,8 +76,9 @@ use std::time::Instant;
 /// the top-level `pool` object. v5 added a `simd` backend-isolation object
 /// and `expr_simd_*` counters; v6 drops them with the one-path kernel. v7
 /// drops the naive sweep's `naive_wall_ms`, `naive_alpha_rescans` and
-/// `speedup`.
-const TUNE_BENCH_SCHEMA: &str = "gridtuner.bench_tune/7";
+/// `speedup`. v8 drops the thread rows' `par_worker_idle_ms` and adds
+/// `obs_overhead`.
+const TUNE_BENCH_SCHEMA: &str = "gridtuner.bench_tune/8";
 
 /// The committed baseline, relative to the working directory.
 const BASELINE: &str = "BENCH_tune.json";
@@ -91,12 +97,18 @@ const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
 /// Registry counters a thread row records the change of across its
 /// measured tune.
-const ROW_COUNTERS: [&str; 4] = [
-    "par.pool_spawns",
-    "par.dispatches",
-    "par.worker_idle_ms",
-    "pmf_memo.lock_waits",
-];
+const ROW_COUNTERS: [&str; 3] = ["par.pool_spawns", "par.dispatches", "pmf_memo.lock_waits"];
+
+/// Recording (no trace sink) must cost less than this share of a tune's
+/// wall time, in percent.
+const MAX_OBS_OVERHEAD_PCT: f64 = 3.0;
+
+/// Paired reps of the overhead measurement, each yielding one on/off
+/// ratio. Odd, so the median is one rep's ratio.
+const OVERHEAD_REPS: u32 = 9;
+
+/// Tunes per mode inside one paired rep.
+const OVERHEAD_TUNES: u32 = 25;
 
 /// The deterministic counters of a [`Measurement`], in [`counters`] order.
 const COUNTERS: [&str; 8] = [
@@ -123,7 +135,7 @@ fn counters(m: &Measurement) -> [u64; 8] {
     ]
 }
 
-fn row_counters() -> [u64; 4] {
+fn row_counters() -> [u64; 3] {
     ROW_COUNTERS.map(|name| obs::metrics::counter(name).get())
 }
 
@@ -149,6 +161,15 @@ fn phase_timings(profile: &Profile) -> Val {
     )
 }
 
+/// A fresh session's ingest + tune of `bench`.
+fn fresh_tune(bench: &TuneBench) -> TuneReport {
+    let mut session = TuningSession::new(bench.config, model).expect("valid bench config");
+    session
+        .ingest(&bench.events)
+        .expect("finite synthetic events");
+    session.tune().expect("infallible model leg")
+}
+
 /// Re-tunes under each of [`THREAD_SWEEP`]: the same tune must select the
 /// same side with a bit-identical error and probe decomposition. Each
 /// count tunes twice — an unmeasured warmup that spawns any missing pool
@@ -156,7 +177,6 @@ fn phase_timings(profile: &Profile) -> Val {
 /// stay flat. Returns the rows and the largest count's speedup over one
 /// thread.
 fn thread_sweep(bench: &TuneBench) -> (Vec<Val>, f64) {
-    let (events, engine_cfg) = (&bench.events, bench.config);
     let prev_threads = gridtuner_par::max_threads();
     // Selected side, error bits and the per-probe (side, error-bits)
     // decomposition — the full bit-compared signature of one tune.
@@ -166,18 +186,13 @@ fn thread_sweep(bench: &TuneBench) -> (Vec<Val>, f64) {
     let (mut wall_1t, mut wall_last) = (f64::NAN, f64::NAN);
     for threads in THREAD_SWEEP {
         gridtuner_par::set_max_threads(threads);
-        let mut warm = TuningSession::new(engine_cfg, model).expect("valid bench config");
-        warm.ingest(events).expect("finite synthetic events");
-        warm.tune().expect("infallible model leg");
+        fresh_tune(bench);
         let before = row_counters();
         let ts = Instant::now();
-        let mut sweep = TuningSession::new(engine_cfg, model).expect("valid bench config");
-        sweep.ingest(events).expect("finite synthetic events");
-        let r = sweep.tune().expect("infallible model leg");
+        let r = fresh_tune(bench);
         let ms = ts.elapsed().as_secs_f64() * 1e3;
         let after = row_counters();
-        let [spawns, dispatches, idle_ms, lock_waits] =
-            std::array::from_fn(|i| after[i] - before[i]);
+        let [spawns, dispatches, lock_waits] = std::array::from_fn(|i| after[i] - before[i]);
         assert_eq!(
             spawns, 0,
             "pool spawned workers mid-tune at {threads} threads — not flat"
@@ -218,7 +233,6 @@ fn thread_sweep(bench: &TuneBench) -> (Vec<Val>, f64) {
                 Val::from(gridtuner_par::pool_workers() as u64),
             ),
             ("par_dispatches", Val::from(dispatches)),
-            ("par_worker_idle_ms", Val::from(idle_ms)),
             ("pmf_lock_waits", Val::from(lock_waits)),
         ]));
         eprintln!(
@@ -231,8 +245,132 @@ fn thread_sweep(bench: &TuneBench) -> (Vec<Val>, f64) {
     (rows, wall_1t / wall_last.max(1e-9))
 }
 
+/// What recording costs the small tune of [`obs_overhead`].
+#[derive(Debug, Clone, Copy)]
+struct ObsOverhead {
+    /// Events in the small tune's history.
+    events: u64,
+    /// The fastest rep's summed recording-off tunes.
+    off_ms: f64,
+    /// The fastest rep's summed recording-on tunes.
+    on_ms: f64,
+    /// The median rep's on/off ratio, as a percentage above 1.
+    raw_pct: f64,
+    /// `raw_pct` clamped at 0: the gated figure.
+    pct: f64,
+}
+
+/// Times one fresh tune of `bench` with recording on or off. Returns the
+/// wall seconds and the selected side with its error bits.
+fn timed_tune(bench: &TuneBench, recording: bool) -> (f64, (u32, u64)) {
+    if recording {
+        obs::enable();
+    } else {
+        obs::disable();
+    }
+    let t = Instant::now();
+    let r = fresh_tune(bench);
+    let s = t.elapsed().as_secs_f64();
+    (s, (r.outcome.side, r.outcome.error.to_bits()))
+}
+
+/// One paired rep: [`OVERHEAD_TUNES`] iterations, each timing one
+/// recording-off and one recording-on tune with the order flipping every
+/// iteration, so any linear wall-clock drift lands evenly on both modes.
+/// Returns the summed (off, on) seconds. Panics if a pair disagrees on the
+/// selected side or its error bits: recording must not move a result.
+fn paired_rep(bench: &TuneBench, rep: u32) -> (f64, f64) {
+    let (mut off, mut on) = (0.0, 0.0);
+    for k in 0..OVERHEAD_TUNES {
+        let on_first = !(rep + k).is_multiple_of(2);
+        let first = timed_tune(bench, on_first);
+        let second = timed_tune(bench, !on_first);
+        let ((off_s, off_pick), (on_s, on_pick)) = if on_first {
+            (second, first)
+        } else {
+            (first, second)
+        };
+        assert_eq!(
+            on_pick, off_pick,
+            "recording changed the selected side or its error bits"
+        );
+        off += off_s;
+        on += on_s;
+    }
+    obs::disable();
+    (off, on)
+}
+
+/// Negative measured overhead is noise, never signal: the clamp keeps the
+/// committed baseline from advertising recording as a speedup.
+fn clamp_overhead(raw_pct: f64) -> f64 {
+    raw_pct.max(0.0)
+}
+
+/// Measures what `obs` recording with no trace sink costs a tune: every
+/// span reads the clock twice and every event builds its fields, but no
+/// record is written. The inputs are [`TuneBench`]'s at scale 0.05 with
+/// sides 2..=32, run at the process's default worker budget. After one
+/// warm-up tune, each of [`OVERHEAD_REPS`] paired reps yields one on/off
+/// ratio; the overhead is the median ratio, which shrugs off the
+/// multi-percent wall-clock swings a shared host shows between any two
+/// absolute measurements.
+fn obs_overhead() -> ObsOverhead {
+    let mut bench = TuneBench::new(0.05);
+    bench.config.side_range = (2, 32);
+    eprintln!(
+        "[tune_bench] recording overhead: {} events, sides {}..={}, {OVERHEAD_REPS} reps of \
+         {OVERHEAD_TUNES} tunes per mode",
+        bench.events.len(),
+        bench.config.side_range.0,
+        bench.config.side_range.1
+    );
+    obs::disable();
+    fresh_tune(&bench);
+    let mut ratios = Vec::with_capacity(OVERHEAD_REPS as usize);
+    let (mut off_s, mut on_s) = (f64::INFINITY, f64::INFINITY);
+    for rep in 0..OVERHEAD_REPS {
+        let (off, on) = paired_rep(&bench, rep);
+        ratios.push(on / off);
+        off_s = off_s.min(off);
+        on_s = on_s.min(on);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let raw_pct = (ratios[ratios.len() / 2] - 1.0) * 100.0;
+    ObsOverhead {
+        events: bench.events.len() as u64,
+        off_ms: off_s * 1e3,
+        on_ms: on_s * 1e3,
+        raw_pct,
+        pct: clamp_overhead(raw_pct),
+    }
+}
+
+/// The process-wide pool and lock counters, read before [`obs_overhead`]
+/// adds its tunes to them.
+fn pool_json() -> Val {
+    Val::obj(vec![
+        (
+            "workers_live",
+            Val::from(gridtuner_par::pool_workers() as u64),
+        ),
+        (
+            "spawns_total",
+            Val::from(obs::counter!("par.pool_spawns").get()),
+        ),
+        (
+            "dispatches_total",
+            Val::from(obs::counter!("par.dispatches").get()),
+        ),
+        (
+            "pmf_lock_waits_total",
+            Val::from(obs::counter!("pmf_memo.lock_waits").get()),
+        ),
+    ])
+}
+
 /// The `BENCH_tune.json` record of one run.
-fn bench_json(m: &Measurement, thread_rows: Vec<Val>) -> Val {
+fn bench_json(m: &Measurement, thread_rows: Vec<Val>, pool: Val, overhead: &ObsOverhead) -> Val {
     Val::obj(vec![
         ("schema", Val::from(TUNE_BENCH_SCHEMA)),
         ("wall_ms", Val::from(m.wall_ms)),
@@ -254,28 +392,19 @@ fn bench_json(m: &Measurement, thread_rows: Vec<Val>) -> Val {
             ]),
         ),
         ("thread_rows", Val::Arr(thread_rows)),
+        ("pool", pool),
+        ("phases", phase_timings(&m.profile)),
         (
-            "pool",
+            "obs_overhead",
             Val::obj(vec![
-                (
-                    "workers_live",
-                    Val::from(gridtuner_par::pool_workers() as u64),
-                ),
-                (
-                    "spawns_total",
-                    Val::from(obs::counter!("par.pool_spawns").get()),
-                ),
-                (
-                    "dispatches_total",
-                    Val::from(obs::counter!("par.dispatches").get()),
-                ),
-                (
-                    "pmf_lock_waits_total",
-                    Val::from(obs::counter!("pmf_memo.lock_waits").get()),
-                ),
+                ("events", Val::from(overhead.events)),
+                ("off_ms", Val::from(overhead.off_ms)),
+                ("on_ms", Val::from(overhead.on_ms)),
+                ("overhead_pct", Val::from(overhead.pct)),
+                ("raw_overhead_pct", Val::from(overhead.raw_pct)),
+                ("max_overhead_pct", Val::from(MAX_OBS_OVERHEAD_PCT)),
             ]),
         ),
-        ("phases", phase_timings(&m.profile)),
     ])
 }
 
@@ -381,6 +510,27 @@ fn check_thread_speedup(speedup: f64, min: f64, cpus: usize) -> Check {
     };
     Check {
         name: "thread_speedup",
+        verdict,
+        detail,
+    }
+}
+
+/// The recording-overhead gate: `pct` must stay under
+/// [`MAX_OBS_OVERHEAD_PCT`].
+fn check_overhead(pct: f64) -> Check {
+    let (verdict, detail) = if pct < MAX_OBS_OVERHEAD_PCT {
+        (
+            Verdict::Pass,
+            format!("{pct:.2}% < {MAX_OBS_OVERHEAD_PCT}% budget"),
+        )
+    } else {
+        (
+            Verdict::Fail,
+            format!("{pct:.2}% at or above the {MAX_OBS_OVERHEAD_PCT}% budget"),
+        )
+    };
+    Check {
+        name: "obs.overhead_pct",
         verdict,
         detail,
     }
@@ -545,7 +695,13 @@ fn main() {
         eprintln!("{}", m.profile.render(10));
     }
     let (thread_rows, thread_speedup) = thread_sweep(&bench);
-    let json = bench_json(&m, thread_rows).render();
+    let pool = pool_json();
+    let overhead = obs_overhead();
+    eprintln!(
+        "[tune_bench] recording: off {:.1} ms, on {:.1} ms, overhead {:.2}% (raw {:.2}%)",
+        overhead.off_ms, overhead.on_ms, overhead.pct, overhead.raw_pct
+    );
+    let json = bench_json(&m, thread_rows, pool, &overhead).render();
     write_stdout("tune_bench", || {
         outln!("{json}");
         Ok(())
@@ -556,6 +712,7 @@ fn main() {
         let cpus = std::thread::available_parallelism().map_or(1, usize::from);
         checks.push(check_thread_speedup(thread_speedup, min, cpus));
     }
+    checks.push(check_overhead(overhead.pct));
     for c in &checks {
         eprintln!("{:<4} {:<22} {}", c.verdict.tag(), c.name, c.detail);
     }
@@ -820,6 +977,21 @@ mod tests {
         assert!(err.contains("--update"), "{err}");
         assert!(parse_baseline("").is_err());
         assert!(parse_baseline("{not json").is_err());
+    }
+
+    #[test]
+    fn overhead_at_or_above_the_budget_fails() {
+        assert_eq!(check_overhead(3.0).verdict, Verdict::Fail);
+        assert_eq!(check_overhead(4.2).verdict, Verdict::Fail);
+        assert_eq!(check_overhead(2.99).verdict, Verdict::Pass);
+        assert_eq!(check_overhead(0.0).verdict, Verdict::Pass);
+    }
+
+    #[test]
+    fn negative_overhead_is_clamped_to_zero() {
+        assert_eq!(clamp_overhead(-4.2), 0.0);
+        assert_eq!(clamp_overhead(0.0), 0.0);
+        assert_eq!(clamp_overhead(1.7), 1.7);
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! A reader that closes a bench binary's stdout early (`| head`,
 //! `| grep -q`) must end the run quietly: no panic, no panic exit status.
 
-use std::path::Path;
 use std::process::{Command, Stdio};
 
-/// Runs `bin` in `dir` with its stdout closed before the first line.
-fn assert_quiet_on_closed_stdout(bin: &str, args: &[&str], dir: &Path) {
+/// Runs `bin` with its stdout closed before the first line.
+fn assert_quiet_on_closed_stdout(bin: &str, args: &[&str]) {
     let mut child = Command::new(bin)
         .args(args)
-        .current_dir(dir)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -24,9 +22,6 @@ fn assert_quiet_on_closed_stdout(bin: &str, args: &[&str], dir: &Path) {
 
 #[test]
 fn closed_stdout_ends_the_run_without_a_panic() {
-    // robust_bench writes BENCH_robust.json into its working directory.
-    let dir = std::env::temp_dir().join(format!("gridtuner-broken-pipe-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("a scratch directory");
     let runs: [(&str, &[&str]); 2] = [
         (
             env!("CARGO_BIN_EXE_repro"),
@@ -38,7 +33,6 @@ fn closed_stdout_ends_the_run_without_a_panic() {
         ),
     ];
     for (bin, args) in runs {
-        assert_quiet_on_closed_stdout(bin, args, &dir);
+        assert_quiet_on_closed_stdout(bin, args);
     }
-    std::fs::remove_dir_all(&dir).expect("the scratch directory is removed");
 }

@@ -200,7 +200,7 @@ pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec
     }
     let (chunk, n_tasks) = task_layout(items.len(), workers);
     let parts: Vec<Mutex<Vec<U>>> = (0..n_tasks).map(|_| Mutex::new(Vec::new())).collect();
-    pool::run(n_tasks, workers, items.len(), &|pop| {
+    pool::run(n_tasks, workers, &|pop| {
         while let Some(t) = pop() {
             let slice = &items[t * chunk..((t + 1) * chunk).min(items.len())];
             let mapped: Vec<U> = slice.iter().map(&f).collect();
@@ -253,7 +253,7 @@ pub fn par_sum_with<T: Sync, S>(
     let blocks_per_task = n_blocks.div_ceil(workers * TASKS_PER_WORKER).max(1);
     let n_tasks = n_blocks.div_ceil(blocks_per_task);
     let parts: Vec<Mutex<Vec<f64>>> = (0..n_tasks).map(|_| Mutex::new(Vec::new())).collect();
-    pool::run(n_tasks, workers, items.len(), &|pop| {
+    pool::run(n_tasks, workers, &|pop| {
         let mut state = init();
         while let Some(t) = pop() {
             let b0 = t * blocks_per_task;
@@ -306,7 +306,7 @@ pub fn par_accumulate<T: Sync>(
             fold(c);
         }
     } else {
-        pool::run(n_chunks, workers, items.len(), &|pop| {
+        pool::run(n_chunks, workers, &|pop| {
             while let Some(c) = pop() {
                 fold(c);
             }
@@ -360,7 +360,7 @@ pub fn par_chunks_mut_pair<A: Send, B: Send>(
     }
     let (len_a, len_b) = (a.len(), b.len());
     let (base_a, base_b) = (SendPtr(a.as_mut_ptr()), SendPtr(b.as_mut_ptr()));
-    pool::run(n_tasks, max_threads().min(n_tasks), len_a + len_b, &|pop| {
+    pool::run(n_tasks, max_threads().min(n_tasks), &|pop| {
         // Borrow the whole wrappers (not just the raw-pointer fields) so
         // the closure stays `Sync` via `SendPtr`'s impl.
         let (base_a, base_b) = (&base_a, &base_b);

@@ -131,13 +131,6 @@ struct Job {
     tickets: AtomicUsize,
     /// Threads currently inside [`Job::run_tasks`] (or about to claim).
     runners: AtomicUsize,
-    /// Threads that claimed at least one task (for idle accounting). The
-    /// fetch-add return value doubles as the thread's `busy_slots` index.
-    participants: AtomicUsize,
-    busy_ns: AtomicU64,
-    /// Per-participant busy time, indexed by claim order — the imbalance
-    /// detector compares these after the barrier.
-    busy_slots: Vec<AtomicU64>,
     /// First panic payload from any participant.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
@@ -164,9 +157,7 @@ impl Job {
         let Some(first) = self.claim() else {
             return;
         };
-        let slot = self.participants.fetch_add(1, Ordering::Relaxed);
         let timed = obs::enabled();
-        let started = Instant::now();
         let worker = WORKER_ID.get();
         // The task currently running on this thread: (index, claim ts).
         // Lives outside the closure so a panicking task still gets closed.
@@ -200,11 +191,6 @@ impl Job {
                 // The participant retired (or panicked) with a task open:
                 // close it at the retire timestamp.
                 self.record_task(worker, task, claim_ns, obs::span::since_epoch_ns());
-            }
-            let busy = started.elapsed().as_nanos() as u64;
-            self.busy_ns.fetch_add(busy, Ordering::Relaxed);
-            if let Some(per) = self.busy_slots.get(slot) {
-                per.store(busy, Ordering::Relaxed);
             }
         }
         if let Err(payload) = result {
@@ -377,18 +363,15 @@ fn run_inline(tasks: usize, f: &Participant<'_>) {
 }
 
 /// Executes `tasks` task indices via `f`, each exactly once, using up to
-/// `max_workers` threads (the caller included). `items` is the logical
-/// item count behind the tasks, recorded for utilization accounting.
+/// `max_workers` threads (the caller included).
 ///
 /// Values must not depend on which thread ran which task — all `par_*`
 /// primitives guarantee this by fixing task boundaries from the input
 /// length and recombining per-task results in task order.
-pub(crate) fn run(tasks: usize, max_workers: usize, items: usize, f: &Participant<'_>) {
+pub(crate) fn run(tasks: usize, max_workers: usize, f: &Participant<'_>) {
     if tasks == 0 {
         return;
     }
-    obs::counter!("par.jobs").inc();
-    obs::counter!("par.items").add(items as u64);
     if tasks <= 1 || max_workers <= 1 || IS_WORKER.get() {
         return run_inline(tasks, f);
     }
@@ -408,8 +391,6 @@ pub(crate) fn run(tasks: usize, max_workers: usize, items: usize, f: &Participan
     pool.spinners
         .store(if spin { budget - 1 } else { 0 }, Ordering::Relaxed);
     obs::counter!("par.dispatches").inc();
-    let timed = obs::enabled();
-    let started = Instant::now();
     // SAFETY: lifetime erasure. The erased reference is only dereferenced
     // by `Job::run_tasks` after a successful claim; claims can only
     // succeed before this function returns (the wait below holds until
@@ -425,9 +406,6 @@ pub(crate) fn run(tasks: usize, max_workers: usize, items: usize, f: &Participan
         next: AtomicUsize::new(0),
         tickets: AtomicUsize::new(budget - 1),
         runners: AtomicUsize::new(0),
-        participants: AtomicUsize::new(0),
-        busy_ns: AtomicU64::new(0),
-        busy_slots: (0..budget).map(|_| AtomicU64::new(0)).collect(),
         panic: Mutex::new(None),
     });
     {
@@ -458,69 +436,10 @@ pub(crate) fn run(tasks: usize, max_workers: usize, items: usize, f: &Participan
             st.job = None;
         }
     }
-    if timed {
-        let wall = started.elapsed().as_nanos() as u64;
-        let busy = job.busy_ns.load(Ordering::Relaxed);
-        let n = job.participants.load(Ordering::Relaxed).max(1) as u64;
-        let idle = (wall * n).saturating_sub(busy);
-        obs::counter!("par.wall_ns").add(wall);
-        obs::counter!("par.busy_ns").add(busy);
-        obs::counter!("par.idle_ns").add(idle);
-        obs::counter!("par.worker_idle_ms").add(idle / 1_000_000);
-        check_imbalance(&job, wall, idle);
-    }
     let payload = lock_unpoisoned(&job.panic).take();
     if let Some(payload) = payload {
         panic::resume_unwind(payload);
     }
-}
-
-/// Dispatches shorter than this are too noisy to judge for imbalance.
-const IMBALANCE_MIN_WALL_NS: u64 = 10_000_000;
-/// Max/min per-participant busy ratio that counts as imbalanced.
-const IMBALANCE_MAX_RATIO: f64 = 3.0;
-/// Aggregate idle fraction (idle / wall × participants) that counts as
-/// oversubscribed regardless of the ratio.
-const IMBALANCE_MAX_IDLE_FRAC: f64 = 0.35;
-
-/// Flags a finished dispatch whose per-participant busy times diverged —
-/// the oversubscription signature behind the 8-thread bench regression
-/// (few long tasks pin some workers while the rest drain the queue and
-/// idle at the barrier). Purely observational: a counter plus a warn
-/// event, no effect on results.
-fn check_imbalance(job: &Job, wall: u64, idle: u64) {
-    let n = job.participants.load(Ordering::Relaxed);
-    if n < 2 || wall < IMBALANCE_MIN_WALL_NS {
-        return;
-    }
-    let busies = &job.busy_slots[..n.min(job.busy_slots.len())];
-    let max = busies
-        .iter()
-        .map(|b| b.load(Ordering::Relaxed))
-        .max()
-        .unwrap_or(0);
-    let min = busies
-        .iter()
-        .map(|b| b.load(Ordering::Relaxed))
-        .min()
-        .unwrap_or(0);
-    let ratio = max as f64 / min.max(1) as f64;
-    let idle_frac = idle as f64 / (wall.max(1) * n as u64) as f64;
-    if ratio < IMBALANCE_MAX_RATIO && idle_frac < IMBALANCE_MAX_IDLE_FRAC {
-        return;
-    }
-    obs::counter!("par.imbalance_warnings").inc();
-    obs::warn_event!(
-        "par.oversubscription_imbalance",
-        generation = job.generation,
-        participants = n as u64,
-        tasks = job.tasks as u64,
-        wall_ms = wall as f64 / 1e6,
-        busy_max_ms = max as f64 / 1e6,
-        busy_min_ms = min as f64 / 1e6,
-        ratio = ratio,
-        idle_pct = idle_frac * 100.0,
-    );
 }
 
 /// Number of live (parked or working) pool worker threads. Zero until the
